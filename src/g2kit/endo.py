@@ -7,12 +7,14 @@ of semisimple derivations by their kernel subalgebra.
 from __future__ import annotations
 
 from .errors import DomainError, KindError, LiftError, WitnessError
-from .linalg import (Subspace, identity, inv, kernel, mat_eq, mat_mul,
-                     mat_neg, mat_sub, mat_vec, solve, transpose, zeros)
-from .octonions import (IDX, LABELS, CompositionSubalgebra, Octonion,
-                        basis_octonion, bilinear_f, gram_scalar,
-                        octonion_unit, ordered_polarization,
-                        plane_subalgebra, split_polarization, sqrt_scalar)
+from .linalg import (Subspace, identity, inv, kernel, lin_comb, mat_add,
+                     mat_eq, mat_mul, mat_neg, mat_sub, mat_vec, solve,
+                     transpose, zeros)
+from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
+                        CompositionSubalgebra, Octonion, basis_octonion,
+                        bilinear_f, gram_scalar, octonion_unit,
+                        ordered_polarization, plane_subalgebra,
+                        split_polarization, sqrt_scalar)
 from .scalars import FieldConfig, Scalar
 
 
@@ -68,8 +70,7 @@ class EndV:
         return NotImplemented
 
     def __add__(self, other):
-        return EndV(self.cfg, [[a + b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(self.rows, other.rows)])
+        return EndV(self.cfg, mat_add(self.rows, other.rows))
 
     def __sub__(self, other):
         return EndV(self.cfg, mat_sub(self.rows, other.rows))
@@ -128,10 +129,16 @@ def endv_congruent(x: EndV, y: EndV, cutoff) -> bool:
     return endv_truncate(x - y, cutoff).is_zero()
 
 
+def sandwich(left, a, right):
+    """L a R for signed permutation matrices L, R given by the row map of L
+    and of R^T (octonions.CONJ_ROWS and the like): index moves and signs."""
+    return [[a[i][j] if s * t > 0 else -a[i][j] for j, t in right]
+            for i, s in left]
+
+
 def adjoint(x: EndV) -> EndV:
     """sigma(X) with f(X u, v) = f(u, sigma(X) v); G X^T G for the Gram G."""
-    g = gram_scalar(x.cfg)
-    return EndV(x.cfg, mat_mul(g, mat_mul(transpose(x.rows), g)))
+    return EndV(x.cfg, sandwich(GRAM_ROWS, transpose(x.rows), GRAM_COLS))
 
 
 def is_so(x: EndV) -> bool:
@@ -145,13 +152,39 @@ def is_isometry(g: EndV) -> bool:
 
 def is_derivation(x: EndV) -> bool:
     """Leibniz rule on all 64 basis pairs."""
-    cfg = x.cfg
-    e = [basis_octonion(cfg, lbl) for lbl in LABELS]
-    xe = [x.apply(v) for v in e]
+    return leibniz_holds(x.rows, x.rows, x.rows, x.cfg.zero())
+
+
+def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
+    """t1(e_i e_j) = t2(e_i) e_j + e_i t3(e_j) on all 64 basis pairs, for
+    8x8 row lists over any ring with the given zero and zero test.  Column
+    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so the
+    check is signed sums and exact comparisons, with no multiplication."""
+    c1, c2, c3 = ([[(m, row[j]) for m, row in enumerate(t)
+                    if not is_zero(row[j])] for j in range(8)]
+                  for t in (t1, t2, t3))
+
+    def add(acc, cell, v):
+        if cell is not None:
+            m, s = cell
+            term = v if s > 0 else -v
+            acc[m] = acc[m] + term if m in acc else term
+
     for i in range(8):
         for j in range(8):
-            if x.apply(e[i] * e[j]) != xe[i] * e[j] + e[i] * xe[j]:
-                return False
+            want, got = {}, {}
+            cell = BASIS_PRODUCT[i][j]
+            if cell is not None:
+                k, s = cell
+                for m, v in c1[k]:
+                    add(want, (m, s), v)
+            for a, v in c2[i]:
+                add(got, BASIS_PRODUCT[a][j], v)
+            for b, v in c3[j]:
+                add(got, BASIS_PRODUCT[i][b], v)
+            for m in want.keys() | got.keys():
+                if want.get(m, zero) != got.get(m, zero):
+                    return False
     return True
 
 
@@ -205,28 +238,40 @@ def d_torus_lie(cfg: FieldConfig, i: int, s: Scalar) -> EndV:
 
 def so_basis_labels():
     """Index data for the 28 so(V) basis elements: 4 diagonal + 24 roots."""
-    diag = [1, 2, 3, 4]
-    roots = []
-    seen = set()
-    for i in LABELS:
-        for j in LABELS:
-            if i == j or i == -j:
-                continue
-            if (j, i) in seen:
-                continue
-            seen.add((i, j))
-            roots.append((i, j))
-    return diag, roots
+    return [1, 2, 3, 4], [(i, j) for n, i in enumerate(LABELS)
+                          for j in LABELS[n + 1:] if j != -i]
 
 
-def so_decompose(x: EndV):
-    """Write x in the D_i / U_{i,j} basis; raises if x is not in so(V)."""
+# The 28 coordinates of so(V): the D_i coefficient (entry (i, i)) and the
+# U_{i,j} coefficient (entry (-j, i)), in the order of so_basis_labels.
+# SO_PLACES[k] holds the two (row, col) positions where coordinate k sits
+# with sign +1 and -1.
+SO_LABELS = tuple(so_basis_labels()[0] + so_basis_labels()[1])
+SO_INDEX = {label: k for k, label in enumerate(SO_LABELS)}
+SO_PLACES = tuple(((IDX[i], IDX[i]), (IDX[-i], IDX[-i])) for i in SO_LABELS[:4])
+SO_PLACES += tuple(((IDX[-j], IDX[i]), (IDX[-i], IDX[j]))
+                   for i, j in SO_LABELS[4:])
+
+
+def so_coords(x: EndV) -> list:
+    """The 28 coordinates of x; raises if x is not in so(V)."""
     if not is_so(x):
         raise DomainError("matrix is not in so(V)")
-    diag, roots = so_basis_labels()
-    dcoeffs = {i: x.entry(i, i) for i in diag}
-    rcoeffs = {(i, j): x.entry(-j, i) for (i, j) in roots}
-    return dcoeffs, rcoeffs
+    return [x.rows[r][c] for (r, c), _ in SO_PLACES]
+
+
+def so_rows(coords, zero) -> list:
+    """The 8x8 rows of the so(V) element with the given 28 coordinates."""
+    rows = [[zero] * 8 for _ in range(8)]
+    for c, ((r1, c1), (r2, c2)) in zip(coords, SO_PLACES):
+        rows[r1][c1] = c
+        rows[r2][c2] = -c
+    return rows
+
+
+def so_matrix(cfg: FieldConfig, coords) -> EndV:
+    """The so(V) element with the given 28 coordinates."""
+    return EndV(cfg, so_rows(coords, cfg.zero()))
 
 
 def random_so(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -248,28 +293,15 @@ def lift_sl3(phi, d: CompositionSubalgebra) -> EndV:
     if not tr.is_zero:
         raise LiftError("matrix must be traceless")
     wp, wm = ordered_polarization(d)
-    cols = []
-    basis_oct = list(d.basis) + wp + wm
-    for b in d.basis:
-        cols.append([cfg.zero()] * 8)  # derivation kills D
-    for j in range(3):
-        img = [cfg.zero()] * 8
-        for i in range(3):
-            if not phi[i][j].is_zero:
-                for t in range(8):
-                    img[t] = img[t] + phi[i][j] * wp[i].coords[t]
-        cols.append(img)
-    for j in range(3):
-        img = [cfg.zero()] * 8
-        for i in range(3):
-            if not phi[j][i].is_zero:
-                for t in range(8):
-                    img[t] = img[t] - phi[j][i] * wm[i].coords[t]
-        cols.append(img)
-    return _assemble(cfg, basis_oct, cols)
+    cols = [[cfg.zero()] * 8 for _ in d.basis]  # derivation kills D
+    cols += [lin_comb(cfg, [phi[i][j] for i in range(3)],
+                      [w.coords for w in wp]) for j in range(3)]
+    cols += [lin_comb(cfg, [-phi[j][i] for i in range(3)],
+                      [w.coords for w in wm]) for j in range(3)]
+    return assemble(cfg, list(d.basis) + wp + wm, cols)
 
 
-def _assemble(cfg, basis_oct, image_cols) -> EndV:
+def assemble(cfg, basis_oct, image_cols) -> EndV:
     """Matrix in standard coordinates from images on an adapted basis."""
     b = transpose([list(o.coords) for o in basis_oct])
     c = transpose(image_cols)
@@ -311,19 +343,25 @@ def lift_su21(phi, d: CompositionSubalgebra, wbasis) -> EndV:
                 acc = acc + phi[k][i] * h[k][j] + h[i][k] * phi[k][j].conj()
             if not acc.is_zero:
                 raise LiftError("matrix is not Phi-anti-hermitian")
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    return d_linear_map(d, [zero for _ in d.basis], wbasis, phi)
+
+
+def d_linear_map(d: CompositionSubalgebra, v0_images, wbasis, g) -> EndV:
+    """The map sending the basis of D to v0_images and acting D-linearly on
+    W = D-perp by the D-matrix g (octonion entries) on the D-basis wbasis."""
+    cfg = d.cfg
     c = d.traceless_generator()
     basis_oct = list(d.basis)
-    cols = [[cfg.zero()] * 8 for _ in d.basis]
+    cols = [list(v.coords) for v in v0_images]
     for j, w in enumerate(wbasis):
         img = Octonion(cfg, [cfg.zero()] * 8)
         for i in range(3):
-            if not phi[i][j].is_zero:
-                img = img + phi[i][j] * wbasis[i]
-        basis_oct.append(w)
-        cols.append(list(img.coords))
-        basis_oct.append(c * w)
-        cols.append(list((c * img).coords))
-    return _assemble(cfg, basis_oct, cols)
+            if not g[i][j].is_zero:
+                img = img + g[i][j] * wbasis[i]
+        basis_oct += [w, c * w]
+        cols += [list(img.coords), list((c * img).coords)]
+    return assemble(cfg, basis_oct, cols)
 
 
 def special_hermitian_basis(d: CompositionSubalgebra):
@@ -331,15 +369,16 @@ def special_hermitian_basis(d: CompositionSubalgebra):
     Phi(w-, w+) = 1 and w0 = (w- + w+)(w- - w+)."""
     cfg = d.cfg
     w_oct = d.orthogonal_basis_octonions()
+    cands = w_oct + [x + y for x in w_oct for y in w_oct if x != y]
     iso = None
-    for cand in w_oct + [x + y for x in w_oct for y in w_oct if x != y]:
+    for cand in cands:
         if not cand.is_zero and cand.norm().is_zero:
             iso = cand
             break
     if iso is None:
         raise DomainError("no isotropic vector found in D-perp")
     partner = None
-    for cand in w_oct + [x + y for x in w_oct for y in w_oct if x != y]:
+    for cand in cands:
         mu = hermitian_form(d, cand, iso)
         if not mu.is_zero and not mu.norm().is_zero:
             partner = cand
@@ -377,11 +416,10 @@ class SemisimpleAnalysis:
         return f"SemisimpleAnalysis(case={self.case_tag}, dim_v0={self.v0.dim})"
 
 
-def _poly_eval_matrix(coeffs, x: EndV) -> EndV:
-    """Evaluate sum coeffs[k] X^k (coeffs[0] constant term)."""
-    out = EndV.zero(x.cfg)
-    ident = EndV.identity(x.cfg)
-    power = ident
+def _poly_eval(coeffs, x, zero, one):
+    """sum coeffs[k] x^k (coeffs[0] constant term), for x a scalar or an
+    EndV with the given zero and one."""
+    out, power = zero, one
     for c in coeffs:
         if isinstance(c, int):
             c = x.cfg.from_int(c)
@@ -394,7 +432,6 @@ def _poly_eval_matrix(coeffs, x: EndV) -> EndV:
 def verify_witness(beta: EndV, witness) -> None:
     """Check a decomposition witness: kernels span V, blocks are
     annihilated by their factors, factors are pairwise coprime."""
-    from .linalg import Subspace as Sub
     cfg = beta.cfg
     total = 0
     all_rows = []
@@ -402,7 +439,7 @@ def verify_witness(beta: EndV, witness) -> None:
         coeffs, space = blk.factor, blk.space
         total += space.dim
         all_rows.extend([list(r) for r in space.rows])
-        pb = _poly_eval_matrix(coeffs, beta)
+        pb = _poly_eval(coeffs, beta, EndV.zero(cfg), EndV.identity(cfg))
         for row in space.rows:
             img = mat_vec(pb.rows, list(row))
             if any(not x.is_zero for x in img):
@@ -411,7 +448,7 @@ def verify_witness(beta: EndV, witness) -> None:
             img = mat_vec(beta.rows, list(row))
             if not space.contains(img):
                 raise WitnessError("block is not beta-stable")
-    if total != 8 or Sub(cfg, 8, all_rows).dim != 8:
+    if total != 8 or Subspace(cfg, 8, all_rows).dim != 8:
         raise WitnessError("witness blocks do not decompose V")
     for a in range(len(witness)):
         for b in range(a + 1, len(witness)):
@@ -498,8 +535,9 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
                                       {"wplus": wplus, "wminus": wminus,
                                        "wplus_basis": wp, "wminus_basis": wm,
                                        "beta_wplus": bw})
-        bw6 = _restrict(beta, w_space)
-        _check_d_linear(beta, v0, w_space)
+        bw6 = restrict_to_basis(beta, [Octonion(cfg, r) for r in w_space.rows])
+        if not _is_d_linear(beta, v0, w_space):
+            raise WitnessError("restriction is not D-linear")
         tr6 = bw6[0][0]
         for k in range(1, 6):
             tr6 = tr6 + bw6[k][k]
@@ -518,7 +556,8 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
         wml = _eigenspace(beta, w_space, -lam)
         if wl.dim != 2 or wml.dim != 2:
             raise WitnessError("eigenspaces of the dim-4 case must be 2+2")
-        _assert_v0_split(v0)
+        if v0.kind != "split-dim4":
+            raise WitnessError("split eigenvalues force a split kernel algebra")
         return SemisimpleAnalysis("(iii) dim4-split-eigen", v0, w_space,
                                   {"lambda": lam, "w_lambda": wl,
                                    "w_minus_lambda": wml, "u": u})
@@ -563,12 +602,6 @@ def _dim4_kind(cfg, octs) -> str:
     return "division-dim4"
 
 
-def _restrict(beta: EndV, space: Subspace):
-    """Matrix of beta on a beta-stable subspace in its canonical basis."""
-    cfg = beta.cfg
-    return restrict_to_basis(beta, [Octonion(cfg, r) for r in space.rows])
-
-
 def restrict_to_basis(beta: EndV, basis_oct):
     """Matrix of beta on the span of basis_oct in that ordered basis;
     entry [i][j] is the b_i coefficient of beta(b_j)."""
@@ -579,24 +612,17 @@ def restrict_to_basis(beta: EndV, basis_oct):
     return transpose(out)
 
 
-def _check_d_linear(beta, v0, w_space):
-    cfg = beta.cfg
+def _is_d_linear(g, v0, w_space) -> bool:
     c = v0.traceless_generator()
-    for row in w_space.rows:
-        w = Octonion(cfg, row)
-        lhs = beta.apply(c * w)
-        rhs = c * beta.apply(w)
-        if lhs != rhs:
-            raise WitnessError("restriction is not D-linear")
+    return all(g.apply(c * w) == c * g.apply(w)
+               for w in (Octonion(g.cfg, r) for r in w_space.rows))
 
 
 def _square_scalar_on(beta, w_space):
-    cfg = beta.cfg
     sq = beta * beta
     u = None
     for row in w_space.rows:
         img = mat_vec(sq.rows, list(row))
-        w = Octonion(cfg, row)
         # img must equal u * row
         pivot = next(i for i, x in enumerate(row) if not x.is_zero)
         cand = img[pivot] * row[pivot].inv()
@@ -620,20 +646,8 @@ def _eigenspace(beta, w_space, lam):
     for r in rows:
         img = mat_vec(shifted.rows, r)
         mat.append(img)
-    ker_coeffs = kernel(transpose(mat))
-    vecs = []
-    for co in ker_coeffs:
-        v = [cfg.zero()] * 8
-        for c, r in zip(co, rows):
-            for t in range(8):
-                v[t] = v[t] + c * r[t]
-        vecs.append(v)
-    return Subspace(cfg, 8, vecs)
-
-
-def _assert_v0_split(v0):
-    if v0.kind != "split-dim4":
-        raise WitnessError("split eigenvalues force a split kernel algebra")
+    return Subspace(cfg, 8, [lin_comb(cfg, co, rows)
+                             for co in kernel(transpose(mat))])
 
 
 def _expect_factor(cfg, witness, lam):
@@ -642,25 +656,14 @@ def _expect_factor(cfg, witness, lam):
     +-lam on some block."""
     found_plus = found_minus = False
     for blk in witness:
-        val_p = _poly_value(cfg, blk.factor, lam)
-        val_m = _poly_value(cfg, blk.factor, -lam)
+        val_p = _poly_eval(blk.factor, lam, cfg.zero(), cfg.one())
+        val_m = _poly_eval(blk.factor, -lam, cfg.zero(), cfg.one())
         if val_p.is_zero:
             found_plus = True
         if val_m.is_zero:
             found_minus = True
     if not (found_plus and found_minus):
         raise WitnessError("witness does not certify the split eigenvalues")
-
-
-def _poly_value(cfg, coeffs, x: Scalar) -> Scalar:
-    acc = cfg.zero()
-    power = cfg.one()
-    for c in coeffs:
-        if isinstance(c, int):
-            c = cfg.from_int(c)
-        acc = acc + c * power
-        power = power * x
-    return acc
 
 
 def dim4_kernel_derivation(d4: CompositionSubalgebra, a: Octonion,
@@ -682,7 +685,7 @@ def dim4_kernel_derivation(d4: CompositionSubalgebra, a: Octonion,
     cols = [[cfg.zero()] * 8 for _ in range(4)]
     for b in d4.basis:
         cols.append(list(((c * b) * a).coords))
-    return _assemble(cfg, basis_oct, cols)
+    return assemble(cfg, basis_oct, cols)
 
 
 # -- centralizer containment predicates (case-by-case lemmas) ------------------
@@ -695,15 +698,8 @@ def centralizer_shape_dim2_field(g: EndV, v0: CompositionSubalgebra,
                                  w_space: Subspace) -> bool:
     """g preserves the V0 + W splitting and is V0-linear on W (the
     containment O(V0) x U(W) of the anisotropic-plane case)."""
-    if not (stabilizes(g, v0.space) and stabilizes(g, w_space)):
-        return False
-    cfg = g.cfg
-    c = v0.traceless_generator()
-    for row in w_space.rows:
-        w = Octonion(cfg, row)
-        if g.apply(c * w) != c * g.apply(w):
-            return False
-    return True
+    return (stabilizes(g, v0.space) and stabilizes(g, w_space)
+            and _is_d_linear(g, v0, w_space))
 
 
 def centralizer_shape_dim2_split(g: EndV, v0: CompositionSubalgebra) -> bool:

@@ -73,6 +73,15 @@ def mat_vec(a, v):
     return out
 
 
+def lin_comb(cfg: FieldConfig, coeffs, vectors):
+    """The entrywise sum of c * v over the pairs (c, v)."""
+    out = [cfg.zero()] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero:
+            out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -113,7 +122,7 @@ def rref(rows):
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def solve(a, rhs):

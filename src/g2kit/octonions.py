@@ -142,6 +142,34 @@ def _assert_table_axioms():
 
 _assert_table_axioms()
 
+# BASIS_PRODUCT[i][j] = (k, sign) with e_i e_j = sign e_k, or None when the
+# product is zero; indices are positions in LABELS.
+BASIS_PRODUCT = tuple(
+    tuple(None if TABLE[(k, l)] is None
+          else (IDX[TABLE[(k, l)][1]], TABLE[(k, l)][0]) for l in LABELS)
+    for k in LABELS)
+
+
+def _signed_permutation(m):
+    """Row i of m as (j, s): m[i][j] = s = +-1 is its only nonzero entry."""
+    rows = []
+    for row in m:
+        nonzero = [(j, s) for j, s in enumerate(row) if s]
+        assert len(nonzero) == 1 and nonzero[0][1] in (1, -1), \
+            "not a signed permutation matrix"
+        rows.append(nonzero[0])
+    assert sorted(j for j, _ in rows) == list(range(len(m))), \
+        "not a signed permutation matrix"
+    return tuple(rows)
+
+
+# Conjugation and the Gram matrix are signed permutations: row maps of the
+# matrices and of their transposes, so products with them are index moves.
+CONJ_ROWS = _signed_permutation(CONJ_MAT)
+CONJ_COLS = _signed_permutation(transpose(CONJ_MAT))
+GRAM_ROWS = _signed_permutation(GRAM)
+GRAM_COLS = _signed_permutation(transpose(GRAM))
+
 
 class Octonion:
     """Element of the split octonion algebra over a field config."""
@@ -200,15 +228,9 @@ class Octonion:
         return Octonion(self.cfg, [c * a for a in self.coords])
 
     def conj(self) -> "Octonion":
-        out = [self.cfg.zero()] * 8
-        for j, a in enumerate(self.coords):
-            if a.is_zero:
-                continue
-            for i in range(8):
-                m = CONJ_MAT[i][j]
-                if m:
-                    out[i] = out[i] + a * m
-        return Octonion(self.cfg, out)
+        x = self.coords
+        return Octonion(self.cfg, [x[j] if s > 0 else -x[j]
+                                   for j, s in CONJ_ROWS])
 
     def trace(self) -> Scalar:
         """f(x, 1): the linear trace of x."""

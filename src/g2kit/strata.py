@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    is_derivation, lift_sl3, lift_su21, verify_witness,
-                   _poly_coprime, _poly_eval_matrix)
+                   _poly_coprime, _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
 from .linalg import Subspace, mat_vec
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
@@ -350,7 +350,7 @@ def _poly_equal(cfg, p, q) -> bool:
 
 def _mirror_kernel(cfg, d, beta, factor, vectors, wm):
     """Kernel of factor(beta) inside W-, found by exact linear algebra."""
-    pb = _poly_eval_matrix(factor, beta)
+    pb = _poly_eval(factor, beta, EndV.zero(cfg), EndV.identity(cfg))
     from .linalg import kernel as lin_kernel, transpose
     rows = [list(w.coords) for w in wm]
     mat = [mat_vec(pb.rows, r) for r in rows]

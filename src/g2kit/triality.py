@@ -4,18 +4,32 @@ closed form: root subgroups, the diagonal torus, the stabilizer of a
 polarization (GLW), and the stabilizers of dim-4 and anisotropic dim-2
 composition subalgebras.  Fixed points are the automorphism group and
 its Lie algebra of derivations.
+
+On so(V), triality is a derived coordinate table: t2, t3, hat and the six
+words sigma^a rho^b act on the 28 so(V) coordinates by tables built from
+the root and diagonal triple descriptors and CONJ_MAT.  _lie_tables checks
+them once per process, on first use, in exact rational arithmetic: the
+triality identity on all 64 basis pairs for every column, and
+sigma^2 = rho^3 = (sigma rho)^2 = 1.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
-from .endo import (EndV, d_torus_lie, is_algebra_automorphism,
-                   is_derivation, so_decompose, u_root, u_root_lie)
+from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, assemble,
+                   d_linear_map, hermitian_form, hermitian_gram,
+                   is_algebra_automorphism, is_derivation, leibniz_holds,
+                   sandwich, so_coords, so_matrix, so_rows, u_root,
+                   u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
-from .linalg import det, inv, mat_mul, mat_vec, solve, transpose
-from .octonions import (CONJ_MAT, LABELS, CompositionSubalgebra, Octonion,
-                        basis_octonion, octonion_unit)
+from .linalg import Subspace, det, inv, mat_vec, transpose
+from .octonions import (CONJ_COLS, CONJ_ROWS, LABELS, CompositionSubalgebra,
+                        Octonion, basis_octonion, from_coords, gram_scalar,
+                        octonion_unit)
 from .scalars import FieldConfig, Scalar
 
 
@@ -50,25 +64,20 @@ class TrialityTriple:
 
 def hat(t: EndV) -> EndV:
     """x -> conj(t(conj(x))); involutive, preserves so(V) and SO(V)."""
-    cfg = t.cfg
-    c = [[cfg.from_int(CONJ_MAT[i][j]) for j in range(8)] for i in range(8)]
-    return EndV(cfg, mat_mul(c, mat_mul(t.rows, c)))
+    return EndV(t.cfg, sandwich(CONJ_ROWS, t.rows, CONJ_COLS))
 
 
 def check_related(t1: EndV, t2: EndV, t3: EndV, lie: bool = False) -> bool:
     """Exact verification of the triality identity on all 64 basis pairs."""
+    if lie:
+        return leibniz_holds(t1.rows, t2.rows, t3.rows, t1.cfg.zero())
     cfg = t1.cfg
     e = [basis_octonion(cfg, lbl) for lbl in LABELS]
     t2e = [t2.apply(v) for v in e]
     t3e = [t3.apply(v) for v in e]
     for i in range(8):
         for j in range(8):
-            lhs = t1.apply(e[i] * e[j])
-            if lie:
-                rhs = t2e[i] * e[j] + e[i] * t3e[j]
-            else:
-                rhs = t2e[i] * t3e[j]
-            if lhs != rhs:
+            if t1.apply(e[i] * e[j]) != t2e[i] * t3e[j]:
                 return False
     return True
 
@@ -149,30 +158,28 @@ def root_family_triple(cfg: FieldConfig, i: int, negative: bool,
     return root_triple(cfg, i, ipp, lam, lie=lie)
 
 
+def _diag_triple_descriptors(i: int):
+    """{k: coefficient of D_k} for each component of the Lie-related triple
+    headed by D_i(1)."""
+    h = Fraction(1, 2)
+    if i in (1, 2, 3):
+        return ({i: 1}, {k: h if k == i else -h for k in (1, 2, 3, 4)},
+                {k: h if k in (i, 4) else -h for k in (1, 2, 3, 4)})
+    if i == 4:
+        return ({4: 1}, {k: h if k == 4 else -h for k in (1, 2, 3, 4)},
+                dict.fromkeys((1, 2, 3, 4), h))
+    raise DomainError("diagonal index must be 1..4")
+
+
 def diag_lie_triple(cfg: FieldConfig, i: int, s: Scalar) -> TrialityTriple:
     """The Lie-related triple headed by D_i(s), i in 1..4."""
-    half = s * cfg.from_int(2).inv()
-    if i in (1, 2, 3):
-        t1 = d_torus_lie(cfg, i, s)
-        t2 = d_torus_lie(cfg, i, half)
-        for k in (1, 2, 3, 4):
-            if k != i:
-                t2 = t2 + d_torus_lie(cfg, k, -half)
-        t3 = d_torus_lie(cfg, 4, half) + d_torus_lie(cfg, i, half)
-        for k in (1, 2, 3):
-            if k != i:
-                t3 = t3 + d_torus_lie(cfg, k, -half)
-    elif i == 4:
-        t1 = d_torus_lie(cfg, 4, s)
-        t2 = d_torus_lie(cfg, 4, half)
-        for k in (1, 2, 3):
-            t2 = t2 + d_torus_lie(cfg, k, -half)
-        t3 = EndV.zero(cfg)
-        for k in (1, 2, 3, 4):
-            t3 = t3 + d_torus_lie(cfg, k, half)
-    else:
-        raise DomainError("diagonal index must be 1..4")
-    return TrialityTriple(t1, t2, t3, lie=True)
+    parts = []
+    for desc in _diag_triple_descriptors(i):
+        coords = [cfg.zero()] * len(SO_LABELS)
+        for k, c in desc.items():
+            coords[SO_INDEX[k]] = s * _scalar(cfg, c)
+        parts.append(so_matrix(cfg, coords))
+    return TrialityTriple(*parts, lie=True)
 
 
 # -- the polarization-stabilizer family (GLW) ----------------------------------
@@ -186,21 +193,11 @@ def iota(cfg: FieldConfig, u: Scalar, g) -> EndV:
         4: basis_octonion(cfg, 4).scale(u),
     }
     for col, j in enumerate((1, 2, 3)):
-        img = [cfg.zero()] * 8
-        for row, i in enumerate((1, 2, 3)):
-            c = g[row][col]
-            if not c.is_zero:
-                for tdx in range(8):
-                    img[tdx] = img[tdx] + c * basis_octonion(cfg, i).coords[tdx]
-        images[j] = Octonion(cfg, img)
-    for col, j in enumerate((1, 2, 3)):
-        img = [cfg.zero()] * 8
-        for row, i in enumerate((1, 2, 3)):
-            c = gi[col][row]  # (g^T)^{-1}[row][col] = g^{-1}[col][row]
-            if not c.is_zero:
-                for tdx in range(8):
-                    img[tdx] = img[tdx] + c * basis_octonion(cfg, -i).coords[tdx]
-        images[-j] = Octonion(cfg, img)
+        images[j] = from_coords(cfg, {i: g[row][col]
+                                      for row, i in enumerate((1, 2, 3))})
+        # (g^T)^{-1}[row][col] = g^{-1}[col][row]
+        images[-j] = from_coords(cfg, {-i: gi[col][row]
+                                       for row, i in enumerate((1, 2, 3))})
     return EndV.from_action(cfg, images)
 
 
@@ -224,13 +221,10 @@ def solve_glw(cfg: FieldConfig, u: Scalar, g, lam: Scalar) -> TrialityTriple:
 def dim4_stabilizer_map(d4: CompositionSubalgebra, a: Octonion,
                         fx, fy) -> EndV:
     """The map v + v'a -> fx(v) + fy(v') a, assembled on the basis."""
-    cfg = d4.cfg
     basis_oct = list(d4.basis) + [b * a for b in d4.basis]
     cols = [list(fx(b).coords) for b in d4.basis]
     cols += [list((fy(b) * a).coords) for b in d4.basis]
-    b = transpose([list(o.coords) for o in basis_oct])
-    c = transpose(cols)
-    return EndV(cfg, mat_mul(c, inv(b)))
+    return assemble(d4.cfg, basis_oct, cols)
 
 
 def solve_dim4(d4: CompositionSubalgebra, a: Octonion, alpha1: Octonion,
@@ -269,30 +263,10 @@ def solve_dim4(d4: CompositionSubalgebra, a: Octonion, alpha1: Octonion,
 
 # -- anisotropic dim-2 stabilizer family ----------------------------------------
 
-def hermitian_gram3(d, wbasis):
-    from .endo import hermitian_form
-    return [[hermitian_form(d, x, y) for y in wbasis] for x in wbasis]
-
-
 def dim2_stabilizer_map(d: CompositionSubalgebra, wbasis, lam: Octonion,
                         g) -> EndV:
     """The map v0 + w -> lam v0 + g w for g a D-matrix on wbasis."""
-    cfg = d.cfg
-    c = d.traceless_generator()
-    basis_oct = list(d.basis)
-    cols = [list((lam * b).coords) for b in d.basis]
-    for j, w in enumerate(wbasis):
-        img = Octonion(cfg, [cfg.zero()] * 8)
-        for i in range(3):
-            if not g[i][j].is_zero:
-                img = img + g[i][j] * wbasis[i]
-        basis_oct.append(w)
-        cols.append(list(img.coords))
-        basis_oct.append(c * w)
-        cols.append(list((c * img).coords))
-    b = transpose([list(o.coords) for o in basis_oct])
-    cm = transpose(cols)
-    return EndV(cfg, mat_mul(cm, inv(b)))
+    return d_linear_map(d, [lam * b for b in d.basis], wbasis, g)
 
 
 def det_d(d: CompositionSubalgebra, g) -> Octonion:
@@ -316,7 +290,7 @@ def solve_dim2(d: CompositionSubalgebra, wbasis, lam1: Octonion, g1,
         raise WitnessError("lam1 must be a norm-1 element of D")
     if xi.norm() != one or not d.contains(xi):
         raise WitnessError("xi must be a norm-1 element of D")
-    h = hermitian_gram3(d, wbasis)
+    h = hermitian_gram(d, wbasis)
     for i in range(3):
         for j in range(3):
             acc = Octonion(cfg, [cfg.zero()] * 8)
@@ -365,19 +339,9 @@ class HermitianModel:
         for bb in self.basis3:
             cols.append(list(bb.coords))
             cols.append(list((self.c * bb).coords))
-        coord_mat = transpose(cols)  # 8 x 6, rank 6
-        from .linalg import Subspace as _CSub
-        kept, kept_idx = [], []
-        for i, row in enumerate(coord_mat):
-            cand = _CSub(self.cfg, 6, kept + [row])
-            if cand.dim > len(kept):
-                kept.append(row)
-                kept_idx.append(i)
-            if len(kept) == 6:
-                break
-        self._coord_rows = kept_idx
-        self._coord_inv = inv(kept)
-        from .endo import hermitian_form
+        # the 8 x 6 coordinate matrix has rank 6
+        self._coord_rows, self._coord_inv = _independent_rows(
+            self.cfg, transpose(cols), 6)
         amat = []
         for z in self.fbasis:
             row1, rowc = [], []
@@ -387,18 +351,8 @@ class HermitianModel:
                 rowc.append(co[1])
             amat.append(row1)
             amat.append(rowc)
-        # the 12 x 6 pairing system has rank 6: keep 6 independent rows
-        from .linalg import Subspace as _Sub
-        rows_kept, idx_kept = [], []
-        for i, row in enumerate(amat):
-            cand = _Sub(self.cfg, 6, rows_kept + [row])
-            if cand.dim > len(rows_kept):
-                rows_kept.append(row)
-                idx_kept.append(i)
-            if len(rows_kept) == 6:
-                break
-        self._phi_rows = idx_kept
-        self._phi_inv = inv(rows_kept)
+        # the 12 x 6 pairing system has rank 6
+        self._phi_rows, self._phi_inv = _independent_rows(self.cfg, amat, 6)
 
     def _first_anisotropic(self, vs):
         for cand in vs + [x + y for x in vs for y in vs if x != y]:
@@ -407,8 +361,6 @@ class HermitianModel:
         raise DomainError("no anisotropic vector found")
 
     def _perp_of(self, vs):
-        from .linalg import Subspace
-        from .octonions import gram_scalar
         sp = Subspace(self.cfg, 8, [v.coords for v in vs])
         return [Octonion(self.cfg, r) for r in
                 sp.perp(gram_scalar(self.cfg)).rows]
@@ -438,10 +390,22 @@ class HermitianModel:
 
     def product_via_decomposition(self, v1, w1, v2, w2) -> Octonion:
         """The displayed product formula, for testing against the table."""
-        from .endo import hermitian_form
         scalar_part = v1 * v2 - hermitian_form(self.d, w1, w2)
         vector_part = v1 * w2 + w1 * v2 + self.bar_wedge(w1, w2)
         return scalar_part + vector_part
+
+
+def _independent_rows(cfg, rows, n):
+    """Indices of the first n independent rows, and the inverse of the
+    n x n matrix they form."""
+    kept, idx = [], []
+    for i, row in enumerate(rows):
+        if Subspace(cfg, n, kept + [row]).dim > len(kept):
+            kept.append(row)
+            idx.append(i)
+        if len(kept) == n:
+            break
+    return idx, inv(kept)
 
 
 # -- fixed points ----------------------------------------------------------------
@@ -455,50 +419,118 @@ def is_g2_lie(x: EndV) -> bool:
     return is_derivation(x)
 
 
-# -- the linear Lie solver -------------------------------------------------------
+# -- triality on so(V) coordinates ------------------------------------------------
+#
+# The Lie solver's t2 and t3, and hat, are linear maps of the 28 so(V)
+# coordinates of endo.SO_LABELS: signed permutations of the 24 root
+# coordinates and a 4x4 block with entries +-1/2 on the torus.  They are
+# derived from _root_triple_descriptors, _diag_triple_descriptors and
+# CONJ_MAT, and verified once per process, on first use, in exact rational
+# arithmetic.  A table is a list of 28 columns {row: rational}.
 
-@lru_cache(maxsize=8)
-def _lie_triple_tables(cfg: FieldConfig):
-    """Per-basis-element (t2, t3) matrices at coefficient 1; the triples
-    are linear in the coefficient, so these tables determine the solver."""
-    one = cfg.one()
-    diag = {}
-    for i in (1, 2, 3, 4):
-        tri = diag_lie_triple(cfg, i, one)
-        diag[i] = (tri.t2, tri.t3)
-    roots = {}
-    from .endo import so_basis_labels
-    for (i, j) in so_basis_labels()[1]:
-        tri = root_triple(cfg, i, j, one, lie=True)
-        roots[(i, j)] = (tri.t2, tri.t3)
-    return diag, roots
+# each word as its letters, applied right to left: s = sigma: x -> t2(x)
+# and r = rho: x -> hat(t2(x))
+_LETTERS = {"id": "", "rho": "r", "rho2": "rr", "sigma": "s",
+            "sigma_rho": "sr", "sigma_rho2": "srr"}
+_IDENTITY = [{k: 1} for k in range(len(SO_LABELS))]
+LieTables = namedtuple("LieTables", "t2 t3 hat words average inverse")
+
+
+@lru_cache(maxsize=None)
+def _scalar(cfg: FieldConfig, q) -> Scalar:
+    """The rational q as a scalar of cfg (p never divides its denominator)."""
+    return cfg.from_int(q.numerator) * cfg.from_int(q.denominator).inv()
+
+
+def _compose(a, b):
+    """The table of a o b."""
+    out = []
+    for col in b:
+        acc = {}
+        for k, c in col.items():
+            for m, d in a[k].items():
+                acc[m] = acc.get(m, 0) + c * d
+        out.append({m: v for m, v in acc.items() if v})
+    return out
+
+
+def _rows(col):
+    """The 8x8 rational rows of the so(V) element with coordinates col."""
+    return so_rows([col.get(k, 0) for k in range(len(SO_LABELS))], 0)
+
+
+def _solver_columns(label):
+    """Coordinates of t2 and t3 of the triple headed by basis element label."""
+    if isinstance(label, int):
+        return [{SO_INDEX[k]: c for k, c in desc.items()}
+                for desc in _diag_triple_descriptors(label)[1:]]
+    return [{SO_INDEX[(a, b)]: s} if (a, b) in SO_INDEX
+            else {SO_INDEX[(b, a)]: -s}  # U_{a,b}(s) = U_{b,a}(-s)
+            for a, b, s in _root_triple_descriptors(*label)[1:]]
+
+
+@lru_cache(maxsize=None)
+def _lie_tables() -> LieTables:
+    """Derive the tables and verify them: the triality identity on all 64
+    basis pairs for every column, and sigma^2 = rho^3 = (sigma rho)^2 = 1."""
+    t2, t3 = (list(t) for t in zip(*map(_solver_columns, SO_LABELS)))
+    hat_cols = []
+    for k in range(len(SO_LABELS)):
+        rows = sandwich(CONJ_ROWS, _rows({k: 1}), CONJ_COLS)
+        hat_cols.append({n: rows[r][c] for n, ((r, c), _) in
+                         enumerate(SO_PLACES) if rows[r][c]})
+        assert _rows(hat_cols[k]) == rows, "hat leaves so(V)"
+    for k, label in enumerate(SO_LABELS):
+        if not leibniz_holds(_rows({k: 1}), _rows(t2[k]), _rows(t3[k]), 0,
+                             operator.not_):
+            raise TripleError(f"derived Lie triple fails at {label}")
+    rho = _compose(hat_cols, t2)
+    for name, m, order in (("sigma", t2, 2), ("rho", rho, 3),
+                           ("sigma rho", _compose(t2, rho), 2)):
+        power = m
+        for _ in range(order - 1):
+            power = _compose(power, m)
+        if power != _IDENTITY:
+            raise TripleError(f"{name} does not have order {order}")
+    words = dict.fromkeys(_LETTERS, _IDENTITY)
+    for word, letters in _LETTERS.items():
+        for letter in letters:
+            words[word] = _compose(words[word], t2 if letter == "s" else rho)
+    average = [{k: v for k in range(len(SO_LABELS)) if (v := Fraction(
+        sum(w[n].get(k, 0) for w in words.values()), 6))}
+        for n in range(len(SO_LABELS))]
+    inverse = {w: next(v for v in words
+                       if _compose(words[w], words[v]) == _IDENTITY)
+               for w in words}
+    return LieTables(t2, t3, hat_cols, words, average, inverse)
+
+
+def _run(table, coords, cfg: FieldConfig) -> EndV:
+    """The so(V) element whose coordinates are table applied to coords."""
+    out = [None] * len(table)
+    for k, col in enumerate(table):
+        v = coords[k]
+        if v.is_zero:
+            continue
+        for m, c in col.items():
+            term = v if c == 1 else -v if c == -1 else v * _scalar(cfg, c)
+            out[m] = term if out[m] is None else out[m] + term
+    return so_matrix(cfg, [cfg.zero() if v is None else v for v in out])
+
+
+def inverse_word(word: str) -> str:
+    """The triality word whose table composed with word's is the identity."""
+    return _lie_tables().inverse[word]
 
 
 def solve_lie_triple(x: EndV, checked: bool = False) -> TrialityTriple:
-    """The unique Lie-related triple headed by x, for any x in so(V),
-    assembled linearly from the generator families."""
-    cfg = x.cfg
-    diag_tab, root_tab = _lie_triple_tables(cfg)
-    dco, rco = so_decompose(x)
-    t2 = EndV.zero(cfg)
-    t3 = EndV.zero(cfg)
-    for i, c in dco.items():
-        if c.is_zero:
-            continue
-        a, b = diag_tab[i]
-        t2 = t2 + a * c
-        t3 = t3 + b * c
-    for (i, j), c in rco.items():
-        if c.is_zero:
-            continue
-        a, b = root_tab[(i, j)]
-        t2 = t2 + a * c
-        t3 = t3 + b * c
-    return TrialityTriple(x, t2, t3, lie=True, checked=checked)
-
-
-def lie_t2(x: EndV) -> EndV:
-    return solve_lie_triple(x, checked=True).t2
+    """The unique Lie-related triple headed by x, for any x in so(V), read
+    off the coordinate tables."""
+    coords = so_coords(x)
+    tables = _lie_tables()
+    return TrialityTriple(x, _run(tables.t2, coords, x.cfg),
+                          _run(tables.t3, coords, x.cfg), lie=True,
+                          checked=checked)
 
 
 class LieTrialityGroup:
@@ -506,35 +538,22 @@ class LieTrialityGroup:
     sigma: x -> t2(x) (order 2) and rho: x -> hat(t2(x)) (order 3);
     fixed points are exactly the derivations."""
 
-    WORDS = ("id", "rho", "rho2", "sigma", "sigma_rho", "sigma_rho2")
+    WORDS = tuple(_LETTERS)
 
     def apply(self, word: str, x: EndV) -> EndV:
+        if word not in _LETTERS:
+            raise DomainError(f"unknown triality word {word!r}")
         if word == "id":
             return x
-        if word == "rho":
-            return hat(lie_t2(x))
-        if word == "rho2":
-            return self.apply("rho", self.apply("rho", x))
-        if word == "sigma":
-            return lie_t2(x)
-        if word == "sigma_rho":
-            return self.apply("sigma", self.apply("rho", x))
-        if word == "sigma_rho2":
-            return self.apply("sigma", self.apply("rho2", x))
-        raise DomainError(f"unknown triality word {word!r}")
+        return _run(_lie_tables().words[word], so_coords(x), x.cfg)
 
     def inverse_word(self, word: str) -> str:
-        return {"id": "id", "rho": "rho2", "rho2": "rho", "sigma": "sigma",
-                "sigma_rho": "sigma_rho", "sigma_rho2": "sigma_rho2"}[word]
+        return inverse_word(word)
 
     def average(self, x: EndV) -> EndV:
         """(1/6) sum of the orbit: the projection of so(V) onto the
         derivations."""
-        cfg = x.cfg
-        acc = EndV.zero(cfg)
-        for w in self.WORDS:
-            acc = acc + self.apply(w, x)
-        return acc * cfg.from_int(6).inv()
+        return _run(_lie_tables().average, so_coords(x), x.cfg)
 
 
 def random_g2_lie(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -580,7 +599,6 @@ class GroupTriality:
         self.cfg = cfg
 
     def _t2(self, gen: GroupGenerator) -> GroupGenerator:
-        cfg = self.cfg
         if gen.kind == "root":
             i, j, lam = gen.data
             (a, b, s) = _root_triple_descriptors(i, j)[1]
@@ -592,54 +610,29 @@ class GroupTriality:
         return GroupGenerator.torus(li * u, li * m1, li * m2, li * m3)
 
     def _hat(self, gen: GroupGenerator) -> GroupGenerator:
-        cfg = self.cfg
         if gen.kind == "torus":
             # hat swaps the e_4 / e_-4 weights: iota(u, g) -> iota(u^{-1}, ...)
-            m = hat(gen.matrix(cfg))
-            return _torus_from_matrix(cfg, m)
+            m = hat(gen.matrix(self.cfg))
+            return GroupGenerator.torus(m.entry(4, 4), m.entry(1, 1),
+                                        m.entry(2, 2), m.entry(3, 3))
+        # hat(u_{i,j}(lam)) = 1 + hat(U_{i,j}(lam)), read off the hat table
         i, j, lam = gen.data
-        m = hat(gen.matrix(cfg))
-        return _root_from_matrix(cfg, m, i, j, lam)
+        if (i, j) not in SO_INDEX:
+            i, j, lam = j, i, -lam
+        [(n, s)] = _lie_tables().hat[SO_INDEX[(i, j)]].items()
+        return GroupGenerator.root(*SO_LABELS[n], lam if s > 0 else -lam)
 
     def apply(self, word: str, gen: GroupGenerator) -> EndV:
         return self._apply_desc(word, gen).matrix(self.cfg)
 
     def _apply_desc(self, word: str, gen: GroupGenerator) -> GroupGenerator:
-        if word == "id":
-            return gen
-        if word == "sigma":
-            return self._t2(gen)
-        if word == "rho":
-            return self._hat(self._t2(gen))
-        if word == "rho2":
-            return self._apply_desc("rho", self._apply_desc("rho", gen))
-        if word == "sigma_rho":
-            return self._t2(self._apply_desc("rho", gen))
-        if word == "sigma_rho2":
-            return self._t2(self._apply_desc("rho2", gen))
-        raise DomainError(f"unknown triality word {word!r}")
+        if word not in _LETTERS:
+            raise DomainError(f"unknown triality word {word!r}")
+        for letter in reversed(_LETTERS[word]):
+            gen = self._t2(gen)
+            if letter == "r":
+                gen = self._hat(gen)
+        return gen
 
     def inverse_word(self, word: str) -> str:
-        return {"id": "id", "rho": "rho2", "rho2": "rho", "sigma": "sigma",
-                "sigma_rho": "sigma_rho", "sigma_rho2": "sigma_rho2"}[word]
-
-
-def _torus_from_matrix(cfg, m: EndV) -> GroupGenerator:
-    u = m.entry(4, 4)
-    return GroupGenerator.torus(u, m.entry(1, 1), m.entry(2, 2), m.entry(3, 3))
-
-
-def _root_from_matrix(cfg, m: EndV, i0, j0, lam0) -> GroupGenerator:
-    """Recognize a hat-image of a root generator as a root generator."""
-    ident = EndV.identity(cfg)
-    x = m - ident
-    for a in LABELS:
-        for b in LABELS:
-            if a == b or a == -b:
-                continue
-            lam = x.entry(-b, a)
-            if not lam.is_zero:
-                cand = u_root(cfg, a, b, lam)
-                if cand == m:
-                    return GroupGenerator.root(a, b, lam)
-    raise TripleError("hat image is not a single root generator")
+        return inverse_word(word)

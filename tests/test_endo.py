@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from g2kit.endo import (EndV, WitnessBlock, adjoint, analyze_semisimple,
-                        centralizer_shape_dim2_field,
+from g2kit.endo import (SO_LABELS, EndV, WitnessBlock, adjoint,
+                        analyze_semisimple, centralizer_shape_dim2_field,
                         centralizer_shape_dim2_split, d_torus, d_torus_lie,
                         dim4_kernel_derivation, hermitian_form,
                         is_algebra_automorphism, is_derivation, is_isometry,
-                        is_so, lift_sl3, lift_su21, random_so, so_decompose,
-                        special_hermitian_basis, u_root, u_root_lie)
+                        is_so, lift_sl3, lift_su21, random_so, so_coords,
+                        so_matrix, special_hermitian_basis, u_root,
+                        u_root_lie)
 from g2kit.errors import DomainError, LiftError, WitnessError
 from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, octonion_unit,
@@ -56,18 +57,18 @@ def test_so_random():
         assert is_so(x)
 
 
-def test_so_decompose_roundtrip():
+def test_so_coords_roundtrip():
     rng = random.Random(23)
     for _ in range(20):
         x = random_so(CFG, rng, width=1, vmin=0, vmax=1)
-        dco, rco = so_decompose(x)
         y = EndV.zero(CFG)
-        for i, c in dco.items():
-            y = y + d_torus_lie(CFG, i, c)
-        for (i, j), c in rco.items():
-            if not c.is_zero:
-                y = y + u_root_lie(CFG, i, j, c)
+        for label, c in zip(SO_LABELS, so_coords(x)):
+            if isinstance(label, int):
+                y = y + d_torus_lie(CFG, label, c)
+            elif not c.is_zero:
+                y = y + u_root_lie(CFG, *label, c)
         assert y == x
+        assert so_matrix(CFG, so_coords(x)) == x
 
 
 def test_lift_sl3_is_derivation():

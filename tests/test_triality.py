@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from g2kit.endo import (EndV, d_torus, is_derivation, is_isometry, random_so,
-                        so_basis_labels, d_torus_lie, u_root, u_root_lie,
+from g2kit.endo import (SO_LABELS, EndV, adjoint, d_torus, is_derivation,
+                        is_isometry, random_so, so_basis_labels, so_coords,
+                        d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
-from g2kit.errors import TripleError, WitnessError
-from g2kit.linalg import Subspace
-from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
+from g2kit.errors import DomainError, TripleError, WitnessError
+from g2kit.linalg import Subspace, mat_mul, transpose
+from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
+                             anisotropic_plane, basis_octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
@@ -321,3 +323,179 @@ def test_triple_json():
     data = tri.to_json()
     assert set(data) == {"t1", "t2", "t3", "lie"}
     assert data["lie"] is False
+
+
+# -- the coordinate tables against the dense constructions they replace ---------
+
+ORACLE_PRIMES = [5, 7, 11, 13]
+
+
+def dense_diag_triple(cfg, i):
+    """(t2, t3) of the triple headed by D_i(1), summed from D_k(+-1/2)."""
+    half = cfg.from_int(2).inv()
+    t2 = d_torus_lie(cfg, i, half)
+    for k in (1, 2, 3, 4):
+        if k != i:
+            t2 = t2 + d_torus_lie(cfg, k, -half)
+    t3 = EndV.zero(cfg)
+    for k in (1, 2, 3, 4):
+        t3 = t3 + d_torus_lie(cfg, k, half if k in (i, 4) or i == 4 else -half)
+    return t2, t3
+
+
+def dense_solver(cfg):
+    """Solve by summing scaled t2/t3 matrices of the generator triples."""
+    one = cfg.one()
+    tables = {i: dense_diag_triple(cfg, i) for i in (1, 2, 3, 4)}
+    for (i, j) in so_basis_labels()[1]:
+        tri = root_triple(cfg, i, j, one, lie=True)
+        tables[(i, j)] = (tri.t2, tri.t3)
+
+    def solve(x):
+        t2, t3 = EndV.zero(cfg), EndV.zero(cfg)
+        for label, c in zip(SO_LABELS, so_coords(x)):
+            if not c.is_zero:
+                t2 = t2 + tables[label][0] * c
+                t3 = t3 + tables[label][1] * c
+        return t2, t3
+    return solve
+
+
+def dense_hat(t):
+    c = [[t.cfg.from_int(v) for v in row] for row in CONJ_MAT]
+    return EndV(t.cfg, mat_mul(c, mat_mul(t.rows, c)))
+
+
+def dense_adjoint(x):
+    g = [[x.cfg.from_int(v) for v in row] for row in GRAM]
+    return EndV(x.cfg, mat_mul(g, mat_mul(transpose(x.rows), g)))
+
+
+def octonion_leibniz(t1, t2, t3):
+    """The triality identity through octonion products."""
+    e = [basis_octonion(t1.cfg, lbl) for lbl in LABELS]
+    return all(t1.apply(a * b) == t2.apply(a) * b + a * t3.apply(b)
+               for a in e for b in e)
+
+
+def dense_orbit(solve, x):
+    """The six words by the recursive chains over the dense solver."""
+    def sigma(y):
+        return solve(y)[0]
+
+    def rho(y):
+        return dense_hat(solve(y)[0])
+    r1 = rho(x)
+    r2 = rho(r1)
+    return {"id": x, "rho": r1, "rho2": r2, "sigma": sigma(x),
+            "sigma_rho": sigma(r1), "sigma_rho2": sigma(r2)}
+
+
+def so_samples(cfg, rng):
+    one = cfg.one()
+    basis = [d_torus_lie(cfg, i, one) for i in (1, 2, 3, 4)]
+    basis += [u_root_lie(cfg, i, j, one) for (i, j) in so_basis_labels()[1]]
+    return basis + [random_so(cfg, rng, width=1, vmin=0, vmax=1)
+                    for _ in range(3)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_hat_adjoint_conj_match_dense_products(p):
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(p)
+    for _ in range(5):
+        t = EndV(cfg, [[cfg.random(rng, width=1) for _ in range(8)]
+                       for _ in range(8)])
+        assert hat(t) == dense_hat(t)
+        assert adjoint(t) == dense_adjoint(t)
+        x = Octonion(cfg, [cfg.random(rng, width=1) for _ in range(8)])
+        assert x.conj() == Octonion(cfg, [
+            sum((x.coords[j] * CONJ_MAT[i][j] for j in range(8)), cfg.zero())
+            for i in range(8)])
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_solver_words_and_average_match_dense_oracle(p):
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(100 + p)
+    solve = dense_solver(cfg)
+    G = LieTrialityGroup()
+    six = cfg.from_int(6).inv()
+    for x in so_samples(cfg, rng):
+        tri = solve_lie_triple(x)
+        assert (tri.t2, tri.t3) == solve(x)
+        orbit = dense_orbit(solve, x)
+        total = EndV.zero(cfg)
+        for word in LieTrialityGroup.WORDS:
+            assert G.apply(word, x) == orbit[word], word
+            total = total + orbit[word]
+        assert G.average(x) == total * six
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_every_table_column_is_related(p):
+    cfg = FieldConfig(p, 8)
+    one = cfg.one()
+    basis = [d_torus_lie(cfg, i, one) for i in (1, 2, 3, 4)]
+    basis += [u_root_lie(cfg, i, j, one) for (i, j) in so_basis_labels()[1]]
+    for b in basis:
+        tri = solve_lie_triple(b, checked=True)
+        assert check_related(tri.t1, tri.t2, tri.t3, lie=True)
+        assert octonion_leibniz(tri.t1, tri.t2, tri.t3)
+
+
+def test_inverse_words_compose_to_identity():
+    G = LieTrialityGroup()
+    x = random_so(CFG, random.Random(45), width=1, vmin=0, vmax=1)
+    for word in LieTrialityGroup.WORDS:
+        inv_word = G.inverse_word(word)
+        assert inv_word == GroupTriality(CFG).inverse_word(word)
+        assert G.apply(inv_word, G.apply(word, x)) == x
+
+
+# -- negative tests ---------------------------------------------------------------
+
+def bump(x, r, c, cfg):
+    """x with one t-adic coefficient of entry (r, c) changed."""
+    rows = [list(row) for row in x.rows]
+    rows[r][c] = rows[r][c] + cfg.t()
+    return EndV(cfg, rows)
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_one_changed_coefficient_breaks_a_lie_triple(p):
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(200 + p)
+    tri = solve_lie_triple(random_so(cfg, rng, width=1, vmin=0, vmax=1))
+    parts = list(tri)
+    for k in range(3):
+        for r in range(8):
+            for c in range(8):
+                changed = list(parts)
+                changed[k] = bump(parts[k], r, c, cfg)
+                assert not check_related(*changed, lie=True), (k, r, c)
+    assert not octonion_leibniz(parts[0], bump(parts[1], 3, 5, cfg), parts[2])
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_one_changed_coefficient_breaks_a_derivation(p):
+    cfg = FieldConfig(p, 8)
+    d = random_g2_lie(cfg, random.Random(300 + p), width=1, vmin=0, vmax=1)
+    assert is_derivation(d)
+    for r in range(8):
+        for c in range(8):
+            assert not is_derivation(bump(d, r, c, cfg)), (r, c)
+
+
+def test_non_so_matrix_is_rejected():
+    x = random_so(CFG, random.Random(46), width=1, vmin=0, vmax=1)
+    for bad in (IDENT, bump(x, 0, 3, CFG)):
+        with pytest.raises(DomainError):
+            solve_lie_triple(bad)
+        with pytest.raises(DomainError):
+            LieTrialityGroup().average(bad)
+        for word in LieTrialityGroup.WORDS[1:]:
+            with pytest.raises(DomainError):
+                LieTrialityGroup().apply(word, bad)
+    with pytest.raises(DomainError):
+        LieTrialityGroup().apply("tau", x)
