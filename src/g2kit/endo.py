@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from .errors import DomainError, KindError, LiftError, WitnessError
 from .linalg import (Subspace, identity, inv, kernel, lin_comb, mat_add,
-                     mat_eq, mat_mul, mat_neg, mat_sub, mat_vec, solve,
-                     transpose, zeros)
+                     mat_eq, mat_mul, mat_neg, mat_scale, mat_sub, mat_vec,
+                     solve, transpose, zeros)
 from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         CompositionSubalgebra, Octonion, basis_octonion,
                         bilinear_f, gram_scalar, octonion_unit,
@@ -61,7 +61,7 @@ class EndV:
             return self.apply(other)
         if isinstance(other, (Scalar, int)):
             c = self.cfg.from_int(other) if isinstance(other, int) else other
-            return EndV(self.cfg, [[c * x for x in r] for r in self.rows])
+            return EndV(self.cfg, mat_scale(c, self.rows))
         return NotImplemented
 
     def __rmul__(self, other):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .norms import LatticeSeq, filtration_lattice
+from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .scalars import Scalar
 from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
@@ -88,7 +88,7 @@ def lie_generators(seq: LatticeSeq, r: int):
     """Threshold generators of A_r(Lambda) paired with their Cayley
     images d_i(C(lam)) and u_{i,j}(lam)."""
     cfg = seq.cfg
-    fl = filtration_lattice(seq, r)
+    fl = seq.lattice(r)
     out = []
     for i in (1, 2, 3, 4):
         b = fl.entry_bound(IDX[i], IDX[i])
@@ -120,8 +120,8 @@ class FiltrationQuotient:
         self.r = r
         self.s = s
         self.cfg = seq.cfg
-        self.lat_r = filtration_lattice(seq, r)
-        self.lat_s = filtration_lattice(seq, s)
+        self.lat_r = seq.lattice(r)
+        self.lat_s = seq.lattice(s)
 
     def reduce(self, x: EndV) -> EndV:
         """Canonical representative of x + A_s: entrywise truncation at the
@@ -160,21 +160,24 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     cfg = seq.cfg
     gens = q.generators()
     violations = []
-    cayley_of = {g.name: cayley(g.lie) for g in gens}
-    # (a) Cayley is a homomorphism modulo P^s
-    for ga in gens:
-        for gb in gens:
-            lhs = cayley_of[ga.name] * cayley_of[gb.name]
-            rhs = cayley(ga.lie + gb.lie)
-            if not q.congruent_group(lhs, rhs):
-                violations.append(
-                    f"homomorphism failure at {ga.name}, {gb.name}")
+    images = [cayley(g.lie) for g in gens]
+    # (a) Cayley is a homomorphism modulo P^s.  C(a + b) = C(b + a), so it
+    # is computed once per unordered pair and compared with both products;
+    # failures are reported in (a, b) order.
+    failed = []
+    for i, ga in enumerate(gens):
+        for j in range(i, len(gens)):
+            both = cayley(ga.lie + gens[j].lie)
+            for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+                if not q.congruent_group(images[a] * images[b], both):
+                    failed.append((a, b))
+    violations += [f"homomorphism failure at {gens[a].name}, {gens[b].name}"
+                   for a, b in sorted(failed)]
     # (b) Cayley commutes with triality modulo P^s; the group images are
     # exactly d_i(C(lam)) and u_{i,j}(lam)
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
-    for g in gens:
-        cx = cayley(g.lie)
+    for g, cx in zip(gens, images):
         if cx != g.group.matrix(cfg):
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
@@ -209,8 +212,8 @@ def _quotient_fixed_samples(seq: LatticeSeq, r: int, s: int):
     root generators, traceless diagonal derivations, and s-level
     perturbations of both."""
     cfg = seq.cfg
-    fl_r = filtration_lattice(seq, r)
-    fl_s = filtration_lattice(seq, s)
+    fl_r = seq.lattice(r)
+    fl_s = seq.lattice(s)
     out = []
     # short-root orbit sum and its perturbation
     for (i, j) in ((-1, -3), (2, 1)):
@@ -257,9 +260,9 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
     """psi_b(x) = psi(tr(b (x - 1))) for b in A_{1-s} and x in P^r,
     with psi the additive character of conductor p_F; a character of
     the quotient P^r / P^s."""
-    if not filtration_lattice(seq, 1 - s).contains(b):
+    if not seq.lattice(1 - s).contains(b):
         raise MembershipError("b must lie in A_{1-s}")
-    if not filtration_lattice(seq, r).contains_group(x):
+    if not seq.lattice(r).contains_group(x):
         raise MembershipError("x must lie in P^r")
     ident = EndV.identity(seq.cfg)
     return ((b * (x - ident)).trace()).conductor_character()
@@ -269,8 +272,8 @@ def character_counts(seq: LatticeSeq, r: int, s: int):
     """F_p-dimensions of A_{1-s}/A_{1-r} and of A_r/A_s from the entry
     bounds; equal dimensions are the counting half of the duality."""
     def dim(k1, k2):
-        f1 = filtration_lattice(seq, k1)
-        f2 = filtration_lattice(seq, k2)
+        f1 = seq.lattice(k1)
+        f2 = seq.lattice(k2)
         total = 0
         for i in (1, 2, 3, 4):
             total += f2.entry_bound(IDX[i], IDX[i]) \

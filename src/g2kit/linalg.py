@@ -2,6 +2,14 @@
 
 Pivots are chosen by minimal valuation so that eliminations stay inside
 the truncation window on the desk-scale inputs this package works with.
+
+Zero entries are skipped structurally: products run over the nonzero
+entries only, a pivot row is normalised and subtracted only where it is
+nonzero, and entrywise sums keep an entry whose partner is zero.  Since
+x - f * 0 and x + 0 are x in scalar arithmetic, every result, truncated
+digit and raised error is the one dense elimination gives.  The entrywise
+kernels and mat_mul compare the field configs of their operands once (a
+skipped zero would otherwise hide a ConfigMismatchError).
 """
 
 from __future__ import annotations
@@ -26,11 +34,15 @@ def identity(cfg: FieldConfig, n: int):
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    a[0][0]._check(b[0][0])
+    return [[x if y.is_zero else x + y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    a[0][0]._check(b[0][0])
+    return [[x if y.is_zero else x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def mat_neg(a):
@@ -38,25 +50,32 @@ def mat_neg(a):
 
 
 def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+    c._check(a[0][0])
+    return [[x if x.is_zero else c * x for x in row] for row in a]
+
+
+def _support(row):
+    """The (column, entry) pairs of the nonzero entries of a row."""
+    return [(j, x) for j, x in enumerate(row) if not x.is_zero]
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """a b, summing a_il * b_lj over the nonzero terms in increasing l."""
+    a[0][0]._check(b[0][0])
+    m = len(b[0])
+    zero = a[0][0].cfg.zero()
+    b_rows = [_support(row) for row in b]
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = None
-            for l in range(k):
-                x = ai[l]
-                if x.is_zero or b[l][j].is_zero:
-                    continue
-                term = x * b[l][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else ai[0].cfg.zero())
-        out.append(row)
+    for ai in a:
+        acc = [None] * m
+        for x, bl in zip(ai, b_rows):
+            if x.is_zero:
+                continue
+            for j, y in bl:
+                term = x * y
+                s = acc[j]
+                acc[j] = term if s is None else s + term
+        out.append([zero if s is None else s for s in acc])
     return out
 
 
@@ -78,7 +97,7 @@ def lin_comb(cfg: FieldConfig, coeffs, vectors):
     out = [cfg.zero()] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
         if not c.is_zero:
-            out = [a + c * b for a, b in zip(out, v)]
+            out = [a if b.is_zero else a + c * b for a, b in zip(out, v)]
     return out
 
 
@@ -99,8 +118,19 @@ def _pivot_row(rows, col, start):
     return best
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+def _subtract_multiple(row, f, pivot_support):
+    """row -= f * pivot_row in place, on the pivot row's nonzero columns
+    (given by _support); elsewhere x - f * 0 is x."""
+    for k, y in pivot_support:
+        row[k] = row[k] - f * y
+
+
+def rref(rows, ops=None):
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    With a list ops, record per pivot the swapped row, the pivot inverse
+    and the (row, factor) eliminations, so that the same row operations can
+    be replayed on a right-hand side (RowReduction)."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -112,12 +142,19 @@ def rref(rows):
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for j in range(len(rows)):
-            if j != r and not rows[j][c].is_zero:
-                f = rows[j][c]
-                rows[j] = [x - f * y for x, y in zip(rows[j], rows[r])]
+        prow = rows[r]
+        inv = prow[c].inv()
+        for k, x in _support(prow):
+            prow[k] = x * inv
+        support = _support(prow)
+        elims = []
+        for j, row in enumerate(rows):
+            if j != r and not row[c].is_zero:
+                f = row[c]
+                _subtract_multiple(row, f, support)
+                elims.append((j, f))
+        if ops is not None:
+            ops.append((i, inv, elims))
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -125,27 +162,47 @@ def rref(rows):
     return rows, pivots
 
 
+class RowReduction:
+    """The row operations that reduce a matrix, recorded once and replayed
+    on each right-hand side: solve(rhs) equals linalg.solve(a, rhs), digit
+    for digit, without row-reducing a again."""
+
+    def __init__(self, a):
+        self.ncols = len(a[0])
+        self.ops = []
+        _, self.pivots = rref(a, self.ops)
+
+    def solve(self, rhs):
+        """Solve a x = rhs; raises SingularError if unsolvable."""
+        v = list(rhs)
+        for r, (i, inv, elims) in enumerate(self.ops):
+            v[r], v[i] = v[i], v[r]
+            y = v[r]
+            if y.is_zero:
+                continue
+            y = v[r] = y * inv
+            for j, f in elims:
+                v[j] = v[j] - f * y
+        if any(not x.is_zero for x in v[len(self.ops):]):
+            raise SingularError("inconsistent linear system")
+        # free variables stay zero
+        x = [rhs[0].cfg.zero() if rhs else None for _ in range(self.ncols)]
+        for r, c in enumerate(self.pivots):
+            x[c] = v[r]
+        return x
+
+
 def solve(a, rhs):
     """Solve a x = rhs (rhs a vector); raises SingularError if unsolvable."""
-    n = len(a)
-    aug = [list(a[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    m = len(a[0])
-    if m in pivots:
-        raise SingularError("inconsistent linear system")
-    x = [rhs[0].cfg.zero() if rhs else None for _ in range(m)]
-    for r, c in enumerate(pivots):
-        x[c] = red[r][m]
-    # free variables stay zero; verify when the system might be deficient
-    return x
+    return RowReduction(a).solve(rhs)
 
 
 def inv(a):
     n = len(a)
     if any(len(r) != n for r in a):
         raise SingularError("inverse needs a square matrix")
-    cfg = a[0][0].cfg
-    aug = [list(a[i]) + identity(cfg, n)[i] for i in range(n)]
+    ident = identity(a[0][0].cfg, n)
+    aug = [list(a[i]) + ident[i] for i in range(n)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularError("matrix is not invertible")
@@ -167,11 +224,10 @@ def det(a):
             out = -out
         out = out * rows[c][c]
         pinv = rows[c][c].inv()
+        support = _support(rows[c])
         for j in range(c + 1, n):
-            if rows[j][c].is_zero:
-                continue
-            f = rows[j][c] * pinv
-            rows[j] = [x - f * y for x, y in zip(rows[j], rows[c])]
+            if not rows[j][c].is_zero:
+                _subtract_multiple(rows[j], rows[j][c] * pinv, support)
     return out
 
 
@@ -198,13 +254,9 @@ class Subspace:
         self.cfg = cfg
         self.ambient = ambient
         rows = [list(v) for v in vectors if any(not x.is_zero for x in v)]
-        if rows:
-            red, pivots = rref(rows)
-            self.rows = [tuple(r) for r in red[:len(pivots)]]
-            self.pivots = pivots
-        else:
-            self.rows = []
-            self.pivots = []
+        red, self.pivots = rref(rows) if rows else ([], [])
+        self.rows = [tuple(r) for r in red[:len(self.pivots)]]
+        self._supports = [_support(r) for r in self.rows]
 
     @property
     def dim(self) -> int:
@@ -215,10 +267,9 @@ class Subspace:
 
     def contains(self, v) -> bool:
         v = list(v)
-        for row, c in zip(self.rows, self.pivots):
+        for support, c in zip(self._supports, self.pivots):
             if not v[c].is_zero:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
+                _subtract_multiple(v, v[c], support)
         return all(x.is_zero for x in v)
 
     def contains_space(self, other: "Subspace") -> bool:

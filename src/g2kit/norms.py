@@ -15,9 +15,10 @@ from fractions import Fraction
 from .endo import EndV, hermitian_form
 from .errors import (DomainError, DualityError, KindError, SingularError,
                      VolumeError)
-from .linalg import Subspace, det, inv, mat_vec, solve, transpose
-from .octonions import (CompositionSubalgebra, Octonion, basis_octonion,
-                        bilinear_f, gram_scalar, idempotents_from_isotropic_pair,
+from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
+from .octonions import (GRAM_ROWS, CompositionSubalgebra, Octonion,
+                        basis_octonion, bilinear_f,
+                        idempotents_from_isotropic_pair,
                         octonion_unit, ordered_polarization,
                         standard_idempotents)
 from .scalars import FieldConfig, Scalar
@@ -37,6 +38,7 @@ class NormFn:
         if len(self.basis) != len(self.values):
             raise DomainError("one value per basis vector")
         self._cols = transpose([list(b.coords) for b in self.basis])
+        self._reduction = None
         self.space = Subspace(cfg, 8, [b.coords for b in self.basis])
         if self.space.dim != len(self.basis):
             raise DomainError("norm basis is linearly dependent")
@@ -46,7 +48,11 @@ class NormFn:
         return len(self.basis)
 
     def coordinates(self, x: Octonion):
-        return solve(self._cols, list(x.coords))
+        """Coordinates over the splitting basis: the basis columns are
+        row-reduced once, and their row operations replayed on x."""
+        if self._reduction is None:
+            self._reduction = RowReduction(self._cols)
+        return self._reduction.solve(list(x.coords))
 
     def __call__(self, x: Octonion):
         return self.eval(x)
@@ -94,25 +100,23 @@ class NormFn:
 
 def dual_basis_in(cfg, basis, space_rows):
     """Vectors in the row-space pairing to delta_ij with the given basis."""
-    gram = gram_scalar(cfg)
     rows = [list(r) for r in space_rows]
+    amat = []
+    for b in basis:
+        # G b for the signed permutation Gram matrix G, then f(row, b)
+        gv = [b.coords[j] if s > 0 else -b.coords[j] for j, s in GRAM_ROWS]
+        amat.append([sum((r * g for r, g in zip(row, gv)
+                          if not (r.is_zero or g.is_zero)), cfg.zero())
+                     for row in rows])
+    reduction = RowReduction(amat)
     out = []
     for k in range(len(basis)):
-        amat, rhs = [], []
-        for i, b in enumerate(basis):
-            gv = mat_vec(gram, list(b.coords))
-            amat.append([sum((r * s for r, s in zip(row, gv)), cfg.zero())
-                         for row in rows])
-            rhs.append(cfg.one() if i == k else cfg.zero())
+        rhs = [cfg.one() if i == k else cfg.zero() for i in range(len(basis))]
         try:
-            co = solve(amat, rhs)
+            co = reduction.solve(rhs)
         except SingularError as exc:
             raise DualityError("form degenerate on this subspace") from exc
-        vec = [cfg.zero()] * 8
-        for c, row in zip(co, rows):
-            for t in range(8):
-                vec[t] = vec[t] + c * row[t]
-        out.append(Octonion(cfg, vec))
+        out.append(Octonion(cfg, lin_comb(cfg, co, rows)))
     return out
 
 
@@ -186,10 +190,8 @@ def volume(alpha_plus: NormFn, d: CompositionSubalgebra) -> Fraction:
     """vol(alpha) = v(det g) - sum alpha(b_i), with g mapping the canonical
     special-basis lattice of W+ onto the lattice of alpha's basis."""
     ref = special_basis(d)
-    cols = transpose([list(b.coords) for b in ref])
-    g = []
-    for b in alpha_plus.basis:
-        g.append(solve(cols, list(b.coords)))
+    reduction = RowReduction(transpose([list(b.coords) for b in ref]))
+    g = [reduction.solve(list(b.coords)) for b in alpha_plus.basis]
     dt = det(transpose(g))
     if dt.is_zero:
         raise DomainError("norm basis does not span W+")
@@ -252,6 +254,7 @@ class HermitianNorm:
             cols.append(list(b.coords))
             cols.append(list((self.c * b).coords))
         self._cols = transpose(cols)
+        self._reduction = None
 
     def v_fprime(self, x: Scalar, y: Scalar) -> Fraction:
         """v_{F'}(x + y c) via the valuation-orthogonal basis (1, c)."""
@@ -265,7 +268,9 @@ class HermitianNorm:
     def eval(self, w: Octonion) -> Fraction:
         if w.is_zero:
             return math.inf
-        co = solve(self._cols, list(w.coords))
+        if self._reduction is None:
+            self._reduction = RowReduction(self._cols)
+        co = self._reduction.solve(list(w.coords))
         best = math.inf
         for k, a in enumerate(self.values):
             v = self.v_fprime(co[2 * k], co[2 * k + 1]) + a
@@ -276,26 +281,23 @@ class HermitianNorm:
     def dual(self) -> "HermitianNorm":
         """Dual with respect to the hermitian form, on the dual basis."""
         cfg = self.cfg
-        unit = octonion_unit(cfg)
+        fbasis = self._fbasis()
+        amat = []
+        for b in self.basis:
+            row1, rowc = [], []
+            for x in fbasis:
+                co = self.d.coordinates(hermitian_form(self.d, x, b))
+                row1.append(co[0])
+                rowc.append(co[1])
+            amat += [row1, rowc]
+        reduction = RowReduction(amat)
+        vecs = [x.coords for x in fbasis]
         dualb = []
         for k in range(len(self.basis)):
-            amat, rhs = [], []
-            for i, b in enumerate(self.basis):
-                row1, rowc = [], []
-                for x in self._fbasis():
-                    co = self.d.coordinates(hermitian_form(self.d, x, b))
-                    row1.append(co[0])
-                    rowc.append(co[1])
-                amat.append(row1)
-                rhs.append(cfg.one() if i == k else cfg.zero())
-                amat.append(rowc)
-                rhs.append(cfg.zero())
-            co = _solve_rect(amat, rhs, cfg)
-            vec = [cfg.zero()] * 8
-            for c, x in zip(co, self._fbasis()):
-                for t in range(8):
-                    vec[t] = vec[t] + c * x.coords[t]
-            dualb.append(Octonion(cfg, vec))
+            rhs = [cfg.one() if i == 2 * k else cfg.zero()
+                   for i in range(len(amat))]
+            dualb.append(Octonion(cfg, lin_comb(cfg, reduction.solve(rhs),
+                                                vecs)))
         return HermitianNorm(self.d, dualb, [-v for v in self.values])
 
     def _fbasis(self):
@@ -310,20 +312,6 @@ class HermitianNorm:
         return (all(self.eval(b) == v for b, v in zip(dual.basis, dual.values))
                 and all(dual.eval(b) == v
                         for b, v in zip(self.basis, self.values)))
-
-
-def _solve_rect(amat, rhs, cfg):
-    """Solve a consistent, possibly overdetermined system exactly."""
-    n = len(amat[0])
-    aug = [list(r) + [b] for r, b in zip(amat, rhs)]
-    from .linalg import rref
-    red, pivots = rref(aug)
-    if n in pivots:
-        raise SingularError("inconsistent linear system")
-    x = [cfg.zero()] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    return x
 
 
 def extend_su21(alpha_h: HermitianNorm, d: CompositionSubalgebra) -> NormFn:
@@ -439,6 +427,7 @@ class LatticeSeq:
     def __init__(self, norm: NormFn):
         self.norm = norm
         self.cfg = norm.cfg
+        self._lattices = {}
         denoms = [v.denominator for v in norm.values]
         self.m = 1
         for q in denoms:
@@ -453,6 +442,13 @@ class LatticeSeq:
         co = self.norm.coordinates(x)
         return all(c.is_zero or c.valuation >= e
                    for c, e in zip(co, self.exponents(i)))
+
+    def lattice(self, k: int) -> "FiltrationLattice":
+        """A_k(Lambda), built on first use and kept on the sequence."""
+        fl = self._lattices.get(k)
+        if fl is None:
+            fl = self._lattices[k] = FiltrationLattice(self, k)
+        return fl
 
     def jump_table(self) -> str:
         lines = []
@@ -528,8 +524,7 @@ class FiltrationLattice:
 
 def seq_valuation(seq: LatticeSeq, x: EndV):
     """v_Lambda(x): the largest k with x in A_k, or +inf for zero."""
-    fl = FiltrationLattice(seq, 0)
-    y = fl.in_basis(x)
+    y = seq.lattice(0).in_basis(x)
     a = seq.norm.values
     best = math.inf
     for l in range(8):
@@ -544,4 +539,6 @@ def seq_valuation(seq: LatticeSeq, x: EndV):
 
 
 def filtration_lattice(seq: LatticeSeq, k: int) -> FiltrationLattice:
-    return FiltrationLattice(seq, k)
+    """A_k(Lambda) of a lattice sequence, the one object per (seq, k) that
+    seq.lattice(k) keeps."""
+    return seq.lattice(k)

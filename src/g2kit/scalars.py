@@ -193,11 +193,18 @@ class Scalar:
         return s
 
     def __neg__(self):
+        if not self.coeffs:
+            return self
         r = self.cfg.residue
         return Scalar(self.cfg, self.val, tuple(r.neg(c) for c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        if not other.coeffs:
+            self._check(other)
+            return self
         return self + (-other)
 
     def __mul__(self, other):

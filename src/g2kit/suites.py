@@ -18,9 +18,8 @@ from .filtration import (cayley, character_counts, enumerate_subspaces,
                          standard_symplectic_cycle, standard_symplectic_swap,
                          trace_triality_invariance)
 from .norms import (HermitianNorm, NormFn, dual_norm, extend_dim4,
-                    extend_sl3, extend_su21, filtration_lattice,
-                    is_algebra_norm, is_self_dual, lattice_seq_from_norm,
-                    standard_norm)
+                    extend_sl3, extend_su21, is_algebra_norm, is_self_dual,
+                    lattice_seq_from_norm, standard_norm)
 from .octonions import (Octonion, anisotropic_plane,
                         basis_octonion, bilinear_f, center_subalgebra,
                         division_quaternion, double, hyperbolic_plane,
@@ -387,7 +386,7 @@ def _filtration_mult(cfg):
     gens = {k: lie_generators(seq, k) for k in (1, 2)}
     for k1 in (1, 2):
         for k2 in (1, 2):
-            target = filtration_lattice(seq, k1 + k2)
+            target = seq.lattice(k1 + k2)
             for ga in gens[k1][:10]:
                 for gb in gens[k2][:10]:
                     if not target.contains(ga.lie * gb.lie):
@@ -476,7 +475,7 @@ def _psi_inj(cfg):
     if d1 != d2:
         return f"dimension count {d1} != {d2}"
     xs = [g.group.matrix(cfg) for g in lie_generators(seq, r)]
-    a0 = filtration_lattice(seq, 0)
+    a0 = seq.lattice(0)
     for c in range(1, cfg.p):
         for b in (d_torus_lie(cfg, 1, cfg.monomial(c, -1)),
                   u_root_lie(cfg, 1, 2, cfg.monomial(c, -1)),
@@ -588,7 +587,7 @@ def _refinement(cfg):
                             ([-phi2[2][2], 1], [e(3)])])
     s1 = lift_type_d_sl3(data, d)
     s2 = lift_type_d_sl3(data2, d)
-    if not filtration_lattice(s1.seq, -(r + 1)).contains(s1.beta - s2.beta):
+    if not s1.seq.lattice(-(r + 1)).contains(s1.beta - s2.beta):
         return "lift broke the congruence"
     return None
 

@@ -102,6 +102,47 @@ def test_quotient_iso_m3():
     assert rep["violations"] == []
 
 
+def test_quotient_iso_reports_both_orders(monkeypatch):
+    """A generator pushed out of A_r breaks the homomorphism with some
+    partners; each failing unordered pair is reported as (a, b) and as
+    (b, a), in the order and wording of the full ordered-pair scan."""
+    from g2kit import filtration
+    original = filtration.lie_generators
+
+    def corrupted(seq, r):
+        gens = original(seq, r)
+        gens[5].lie = gens[5].lie * CFG.t(-1)
+        return gens
+    monkeypatch.setattr(filtration, "lie_generators", corrupted)
+    gens = corrupted(STD, 1)
+    q = FiltrationQuotient(STD, 1, 2)
+    expected = [f"homomorphism failure at {ga.name}, {gb.name}"
+                for ga in gens for gb in gens
+                if not q.congruent_group(cayley(ga.lie) * cayley(gb.lie),
+                                         cayley(ga.lie + gb.lie))]
+    rep = quotient_iso_check(STD, 1, 2)
+    hom = [v for v in rep["violations"] if v.startswith("homomorphism")]
+    assert hom == expected
+    bad = gens[5].name
+    prefix = f"homomorphism failure at {bad}, "
+    partners = [v[len(prefix):] for v in hom
+                if v.startswith(prefix) and v != prefix + bad]
+    assert partners
+    for other in partners:
+        assert f"homomorphism failure at {other}, {bad}" in hom
+    assert f"Cayley image mismatch at {bad}" in rep["violations"]
+
+
+def test_filtration_lattice_built_once_per_sequence():
+    a = filtration_lattice(STD, 1)
+    assert filtration_lattice(STD, 1) is a
+    assert STD.lattice(1) is a
+    assert filtration_lattice(STD, 2) is not a
+    other = lattice_seq_from_norm(standard_norm(CFG))
+    assert filtration_lattice(other, 1) is not a
+    assert filtration_lattice(thirds_seq(), 1) is not a
+
+
 def test_commutator_filtration():
     # [P^r, P^s] lands in P^{r+s} on generators
     for (r, s) in ((1, 1), (1, 2), (2, 2)):

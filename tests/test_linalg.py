@@ -1,0 +1,284 @@
+"""The sparse linear-algebra kernels against the dense elimination they
+replace: rows, pivots, truncated digits and SingularError behaviour must be
+identical, over the base field and both quadratic extensions, at p = 5 and
+at p = 7 (p = 3 mod 4)."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from g2kit import linalg
+from g2kit.endo import EndV
+from g2kit.errors import ConfigMismatchError, PrecisionError, SingularError
+from g2kit.filtration import cayley, lie_generators
+from g2kit.fixtures import wplus_norm
+from g2kit.norms import extend_sl3, lattice_seq_from_norm, standard_norm
+from g2kit.octonions import Octonion, hyperbolic_plane
+from g2kit.scalars import FieldConfig
+from g2kit.triality import random_g2_lie
+
+CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7)
+           for ext in ("none", "unramified", "ramified")]
+
+
+# -- the dense kernels, as they were before zero entries were skipped ---------
+
+def dense_pivot_row(rows, col, start):
+    best, best_val = None, math.inf
+    for i in range(start, len(rows)):
+        x = rows[i][col]
+        if not x.is_zero and x.valuation < best_val:
+            best, best_val = i, x.valuation
+    return best
+
+
+def dense_rref(rows):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    m = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(m):
+        i = dense_pivot_row(rows, c, r)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r and not rows[j][c].is_zero:
+                f = rows[j][c]
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_solve(a, rhs):
+    n = len(a)
+    aug = [list(a[i]) + [rhs[i]] for i in range(n)]
+    red, pivots = dense_rref(aug)
+    m = len(a[0])
+    if m in pivots:
+        raise SingularError("inconsistent linear system")
+    x = [rhs[0].cfg.zero() for _ in range(m)]
+    for r, c in enumerate(pivots):
+        x[c] = red[r][m]
+    return x
+
+
+def dense_inv(a):
+    n = len(a)
+    cfg = a[0][0].cfg
+    aug = [list(a[i]) + linalg.identity(cfg, n)[i] for i in range(n)]
+    red, pivots = dense_rref(aug)
+    if pivots != list(range(n)):
+        raise SingularError("matrix is not invertible")
+    return [row[n:] for row in red[:n]]
+
+
+def dense_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for l in range(k):
+                x = a[i][l]
+                if x.is_zero or b[l][j].is_zero:
+                    continue
+                term = x * b[l][j]
+                acc = term if acc is None else acc + term
+            row.append(acc if acc is not None else a[i][0].cfg.zero())
+        out.append(row)
+    return out
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_cayley(x):
+    cfg = x.cfg
+    half = cfg.from_int(2).inv()
+    ident = linalg.identity(cfg, 8)
+    scaled = [[half * e for e in row] for row in x.rows]
+    return dense_mul(dense_add(ident, scaled),
+                     dense_inv(dense_sub(ident, scaled)))
+
+
+# -- inputs ---------------------------------------------------------------------
+
+def random_matrix(cfg, rng, n, m, density, width=None):
+    z = cfg.zero()
+    return [[cfg.random(rng, width, vmin=-1, vmax=2)
+             if rng.random() < density else z
+             for _ in range(m)] for _ in range(n)]
+
+
+def singular_matrix(cfg, rng, n, density):
+    """Last row a combination of two others; a zero column when density
+    is low."""
+    a = random_matrix(cfg, rng, n - 1, n, density)
+    c1, c2 = cfg.random(rng, vmin=0, vmax=1), cfg.random(rng, vmin=0, vmax=1)
+    a.append(linalg.lin_comb(cfg, [c1, c2], [a[0], a[1]]))
+    return a
+
+
+def matrices(cfg, seed):
+    rng = random.Random(seed)
+    out = []
+    for density in (0.15, 0.4, 1.0):
+        out += [random_matrix(cfg, rng, n, n, density) for n in (3, 5, 8)]
+        out += [random_matrix(cfg, rng, 4, 7, density),
+                random_matrix(cfg, rng, 7, 4, density)]
+        out += [singular_matrix(cfg, rng, n, density) for n in (3, 6)]
+    # full-window entries: eliminations truncate, so the pivot choice and
+    # the order of operations show in the digits
+    out += [random_matrix(cfg, rng, n, n, 1.0, width)
+            for n in (4, 6) for width in (4, cfg.precision)]
+    out.append(linalg.zeros(cfg, 3, 4))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularError, PrecisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+def test_rref_solve_inv_match_dense(cfg):
+    rng = random.Random(cfg.p)
+    for a in matrices(cfg, 11 * cfg.p + len(cfg.extension)):
+        assert outcome(linalg.rref, a) == outcome(dense_rref, a)
+        rhs = [cfg.random(rng, vmin=0, vmax=1) for _ in a]
+        assert outcome(linalg.solve, a, rhs) == outcome(dense_solve, a, rhs)
+        image = linalg.mat_vec(a, [cfg.one()] * len(a[0]))
+        reduction = linalg.RowReduction(a)
+        for v in (rhs, image):
+            assert outcome(reduction.solve, v) == outcome(dense_solve, a, v)
+        if len(a) == len(a[0]):
+            assert outcome(linalg.inv, a) == outcome(dense_inv, a)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+def test_mul_add_sub_match_dense(cfg):
+    mats = matrices(cfg, 3 * cfg.p)
+    square = [a for a in mats if len(a) == len(a[0])]
+    for a, b in zip(square, square[1:]):
+        if len(a) != len(b):
+            continue
+        assert linalg.mat_mul(a, b) == dense_mul(a, b)
+        assert linalg.mat_add(a, b) == dense_add(a, b)
+        assert linalg.mat_sub(a, b) == dense_sub(a, b)
+    for a in mats:
+        t = linalg.transpose(a)
+        assert linalg.mat_mul(a, t) == dense_mul(a, t)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+def test_random_g2_lie_inverse_and_rref_match_dense(cfg):
+    rng = random.Random(5 * cfg.p)
+    for _ in range(3):
+        x = random_g2_lie(cfg, rng, width=2, vmin=0, vmax=1)
+        assert linalg.rref(x.rows) == dense_rref(x.rows)
+        assert outcome(linalg.inv, x.rows) == outcome(dense_inv, x.rows)
+
+
+def dense_contains(rows, pivots, v):
+    v = list(v)
+    for row, c in zip(rows, pivots):
+        if not v[c].is_zero:
+            f = v[c]
+            v = [x - f * y for x, y in zip(v, row)]
+    return all(x.is_zero for x in v)
+
+
+def test_subspace_matches_dense_reduction():
+    cfg = FieldConfig(7, 8)
+    rng = random.Random(2)
+    for density in (0.2, 0.6):
+        vecs = random_matrix(cfg, rng, 3, 8, density)
+        sub = linalg.Subspace(cfg, 8, vecs)
+        red, pivots = dense_rref(vecs)
+        assert sub.rows == [tuple(r) for r in red[:len(pivots)]]
+        assert sub.pivots == pivots
+        probes = [vecs[0], linalg.lin_comb(cfg, [cfg.from_int(2), cfg.t()],
+                                           vecs[:2])]
+        probes += random_matrix(cfg, rng, 3, 8, density)
+        for v in probes:
+            assert sub.contains(v) == dense_contains(sub.rows, pivots, v)
+
+
+def benchmark_sequences(cfg):
+    d = hyperbolic_plane(cfg)
+    std = lattice_seq_from_norm(standard_norm(cfg))
+    thirds = lattice_seq_from_norm(extend_sl3(wplus_norm(
+        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]), d))
+    return std, thirds
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_generator_pair_cayley_matches_dense(r):
+    """Every C(g_a + g_b) of the quotient check at (5, 8)."""
+    cfg = FieldConfig(5, 8)
+    for seq in benchmark_sequences(cfg):
+        gens = lie_generators(seq, r)
+        for i, ga in enumerate(gens):
+            for gb in gens[i:]:
+                x = ga.lie + gb.lie
+                assert cayley(x).rows == dense_cayley(x)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_norm_coordinates_match_dense_solve(p):
+    """NormFn.coordinates replays one recorded reduction of its basis."""
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(p)
+    for seq in benchmark_sequences(cfg):
+        norm = seq.norm
+        for _ in range(10):
+            coeffs = [cfg.random(rng, vmin=-1, vmax=1) for _ in norm.basis]
+            x = linalg.lin_comb(cfg, coeffs, [b.coords for b in norm.basis])
+            assert norm.coordinates(Octonion(cfg, x)) == dense_solve(
+                norm._cols, x)
+
+
+def test_mixed_configs_raise():
+    c5, c7 = FieldConfig(5, 8), FieldConfig(7, 8)
+    a5 = linalg.identity(c5, 3)
+    z7 = linalg.zeros(c7, 3, 3)
+    for op in (linalg.mat_add, linalg.mat_sub, linalg.mat_mul):
+        with pytest.raises(ConfigMismatchError):
+            op(a5, z7)
+    with pytest.raises(ConfigMismatchError):
+        linalg.mat_scale(c7.one(), linalg.zeros(c5, 2, 2))
+    with pytest.raises(ConfigMismatchError):
+        EndV.zero(c5) * c7.from_int(3)
+    with pytest.raises(ConfigMismatchError):
+        c5.t() - c7.zero()
+    mixed = [[c5.one(), c5.t()], [c7.one(), c7.zero()]]
+    with pytest.raises(ConfigMismatchError):
+        linalg.rref(mixed)
+
+
+def test_zero_shortcuts_keep_values():
+    cfg = FieldConfig(7, 8, "unramified")
+    x = cfg.from_coeffs(-1, [(1, 2), 0, (3, 4)])
+    z = cfg.zero()
+    assert x - z is x
+    assert -z is z
+    assert z - x == -x
+    assert x - z == x + (-z)
