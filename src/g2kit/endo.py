@@ -60,7 +60,7 @@ class EndV:
         if isinstance(other, Octonion):
             return self.apply(other)
         if isinstance(other, (Scalar, int)):
-            c = self.cfg.from_int(other) if isinstance(other, int) else other
+            c = self.cfg.coerce(other)
             return EndV(self.cfg, mat_scale(c, self.rows))
         return NotImplemented
 
@@ -287,8 +287,7 @@ def lift_sl3(phi, d: CompositionSubalgebra) -> EndV:
     W+ basis, by the negated transpose on the dual W- basis, and by zero
     on D."""
     cfg = d.cfg
-    phi = [[cfg.from_int(x) if isinstance(x, int) else x for x in row]
-           for row in phi]
+    phi = [[cfg.coerce(x) for x in row] for row in phi]
     tr = phi[0][0] + phi[1][1] + phi[2][2]
     if not tr.is_zero:
         raise LiftError("matrix must be traceless")
@@ -421,8 +420,7 @@ def _poly_eval(coeffs, x, zero, one):
     EndV with the given zero and one."""
     out, power = zero, one
     for c in coeffs:
-        if isinstance(c, int):
-            c = x.cfg.from_int(c)
+        c = x.cfg.coerce(c)
         if not c.is_zero:
             out = out + power * c
         power = power * x
@@ -459,7 +457,7 @@ def verify_witness(beta: EndV, witness) -> None:
 def _poly_coprime(cfg, p, q) -> bool:
     """Exact gcd over the scalar field; True iff gcd is a unit."""
     def norm(c):
-        return [cfg.from_int(x) if isinstance(x, int) else x for x in c]
+        return [cfg.coerce(x) for x in c]
 
     def deg(c):
         d = len(c) - 1
@@ -566,7 +564,7 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
 
 
 def _is_x_factor(cfg, coeffs) -> bool:
-    c = [cfg.from_int(x) if isinstance(x, int) else x for x in coeffs]
+    c = [cfg.coerce(x) for x in coeffs]
     return (len(c) >= 2 and c[0].is_zero and not c[1].is_zero
             and all(x.is_zero for x in c[2:]))
 

@@ -110,11 +110,14 @@ def mat_eq(a, b) -> bool:
 
 
 def _pivot_row(rows, col, start):
+    """The first row from start on whose entry in col has the least
+    valuation.  The entries share one config, so their integer val (in
+    1/e units) orders them as their valuations do."""
     best, best_val = None, math.inf
     for i in range(start, len(rows)):
         x = rows[i][col]
-        if not x.is_zero and x.valuation < best_val:
-            best, best_val = i, x.valuation
+        if not x.is_zero and x.val < best_val:
+            best, best_val = i, x.val
     return best
 
 

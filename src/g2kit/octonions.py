@@ -11,7 +11,7 @@ asserted against the composition-algebra axioms, never hard-coded.
 from __future__ import annotations
 
 from .errors import DomainError, DoublingError, KindError, PairError
-from .linalg import Subspace, det, mat_vec, solve, transpose
+from .linalg import Subspace, det, lin_comb, mat_vec, solve, transpose
 from .scalars import FieldConfig, Scalar
 
 LABELS = (-4, -1, -2, -3, 3, 2, 1, 4)
@@ -223,8 +223,7 @@ class Octonion:
         return NotImplemented
 
     def scale(self, c) -> "Octonion":
-        if isinstance(c, int):
-            c = self.cfg.from_int(c)
+        c = self.cfg.coerce(c)
         return Octonion(self.cfg, [c * a for a in self.coords])
 
     def conj(self) -> "Octonion":
@@ -295,7 +294,7 @@ def from_coords(cfg: FieldConfig, mapping) -> Octonion:
     """Build an octonion from {label: Scalar-or-int}."""
     coords = [cfg.zero()] * 8
     for lbl, c in mapping.items():
-        coords[IDX[lbl]] = cfg.from_int(c) if isinstance(c, int) else c
+        coords[IDX[lbl]] = cfg.coerce(c)
     return Octonion(cfg, coords)
 
 
@@ -615,12 +614,7 @@ def ordered_polarization(d: CompositionSubalgebra):
             gv = mat_vec(gram, list(w.coords))
             a.append([_dot(row, gv, cfg) for row in wm_rows])
             rhs.append(cfg.one() if i == k else cfg.zero())
-        coeffs = solve(a, rhs)
-        vec = [cfg.zero()] * 8
-        for c, row in zip(coeffs, wm_rows):
-            for t in range(8):
-                vec[t] = vec[t] + c * row[t]
-        wm.append(Octonion(cfg, vec))
+        wm.append(Octonion(cfg, lin_comb(cfg, solve(a, rhs), wm_rows)))
     return wp, wm
 
 

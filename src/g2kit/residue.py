@@ -2,9 +2,18 @@
 
 Elements of F_p are ints in [0, p); elements of F_{p^2} are pairs
 (a, b) meaning a + b*w with w^2 = delta, delta a fixed non-square.
+
+Besides the element operations, each field has kernels on whole
+coefficient tuples, the residues of a truncated Laurent series from its
+leading term on: aligned sum and difference, negation, truncated
+convolution and truncated series inverse.  They take canonical tuples
+(reduced residues, no leading or trailing zero) and return canonical
+ones, so a series operation costs one call, not one per coefficient.
 """
 
-from .errors import DomainError
+import operator
+
+from .errors import DomainError, PrecisionError
 
 
 def is_prime(n: int) -> bool:
@@ -18,7 +27,88 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class _SeriesKernels:
+    """Coefficient-tuple kernels shared by both residue fields.
+
+    A field supplies ZERO and three list operations on equal-length
+    residue sequences: _plus, _minus (entrywise) and _negs.
+    """
+
+    ZERO = 0
+
+    def strip(self, coeffs):
+        """(lo, coeffs[lo:hi]) with the leading and trailing zeros cut;
+        (0, ()) when every coefficient is zero."""
+        z = self.ZERO
+        hi = len(coeffs)
+        while hi and coeffs[hi - 1] == z:
+            hi -= 1
+        if not hi:
+            return 0, ()
+        lo = 0
+        while coeffs[lo] == z:
+            lo += 1
+        return lo, tuple(coeffs[lo:hi])
+
+    def add_series(self, va, a, vb, b, n):
+        """u^va * a + u^vb * b on the n-coefficient window from the lower
+        valuation, as a canonical (val, coeffs)."""
+        if va == vb and len(a) == len(b):
+            # equal supports, the common case: no shifting or truncation
+            lo, coeffs = self.strip(self._plus(a, b))
+            return (va + lo, coeffs) if coeffs else (0, ())
+        return self._aligned(va, a, vb, b, n, False)
+
+    def sub_series(self, va, a, vb, b, n):
+        """u^va * a - u^vb * b, windowed as in add_series."""
+        if va == vb and len(a) == len(b):
+            lo, coeffs = self.strip(self._minus(a, b))
+            return (va + lo, coeffs) if coeffs else (0, ())
+        return self._aligned(va, a, vb, b, n, True)
+
+    def neg_series(self, a):
+        return tuple(self._negs(a))
+
+    def _aligned(self, va, a, vb, b, n, sub):
+        # f starts first, s starts d places later; whichever of them is b
+        # enters negated when subtracting
+        if va <= vb:
+            m, d, f, s = va, vb - va, a, b
+            neg_f, neg_s = False, sub
+        else:
+            m, d, f, s = vb, va - vb, b, a
+            neg_f, neg_s = sub, False
+        if d >= n:
+            # s lies past the window; f is canonical, so it is the result
+            return m, (tuple(self._negs(f)) if neg_f else f)
+        lf, ls = len(f), len(s)
+        if d >= lf:
+            out = self._negs(f) if neg_f else list(f)
+            out += [self.ZERO] * (d - lf)
+            out += self._negs(s) if neg_s else s
+        else:
+            k = min(lf - d, ls)
+            out = self._negs(f[:d]) if neg_f else list(f[:d])
+            if not sub:
+                out += self._plus(f[d:d + k], s[:k])
+            elif neg_s:
+                out += self._minus(f[d:d + k], s[:k])
+            else:
+                out += self._minus(s[:k], f[d:d + k])
+            if lf > d + k:
+                out += self._negs(f[d + k:]) if neg_f else f[d + k:]
+            elif ls > k:
+                out += self._negs(s[k:]) if neg_s else s[k:]
+        lo, coeffs = self.strip(out[:n])
+        if coeffs:
+            return m + lo, coeffs
+        if any(c != self.ZERO for c in out[n:]):
+            raise PrecisionError(
+                "sum cancels through the whole representable window")
+        return 0, ()
+
+
+class PrimeField(_SeriesKernels):
     """Arithmetic in Z/p for a prime p."""
 
     def __init__(self, p: int):
@@ -80,9 +170,67 @@ class PrimeField:
     def fmt(self, a) -> str:
         return str(a % self.p)
 
+    # -- coefficient-tuple kernels ------------------------------------------
 
-class QuadField:
+    def _plus(self, xs, ys):
+        p = self.p
+        return [(x + y) % p for x, y in zip(xs, ys)]
+
+    def _minus(self, xs, ys):
+        p = self.p
+        return [(x - y) % p for x, y in zip(xs, ys)]
+
+    def _negs(self, xs):
+        p = self.p
+        return [p - x if x else 0 for x in xs]
+
+    def mul_series(self, a, b, n):
+        """Product of two nonzero series truncated to n coefficients.  The
+        leading product is nonzero (a field), and so is the last one unless
+        the window cut the product short: only then is there a zero tail
+        to strip.  A monomial factor leaves no zero tail."""
+        p = self.p
+        la, lb = len(a), len(b)
+        if la == 1:
+            x = a[0]
+            if lb == 1:
+                return ((x * b[0]) % p,)
+            return tuple([(x * y) % p for y in b])
+        if lb == 1:
+            y = b[0]
+            return tuple([(x * y) % p for x in a])
+        width = la + lb - 1
+        if width == 3 < n:
+            (x0, x1), (y0, y1) = a, b
+            return ((x0 * y0) % p, (x0 * y1 + x1 * y0) % p, (x1 * y1) % p)
+        full = width <= n
+        if not full:
+            width = n
+        acc = [0] * width
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:width - i], i):
+                    acc[j] += x * y
+        out = [c % p for c in acc]
+        return tuple(out) if full else self.strip(out)[1]
+
+    def inv_series(self, a, n):
+        """Inverse of a nonzero series, through n coefficients."""
+        p = self.p
+        c = self.inv(a[0])
+        if len(a) == 1:
+            return (c,)
+        mc, rest = p - c, a[1:]
+        out = [c]
+        for _ in range(1, n):
+            out.append(mc * sum(map(operator.mul, rest, reversed(out))) % p)
+        return self.strip(out)[1]
+
+
+class QuadField(_SeriesKernels):
     """Arithmetic in F_{p^2} = F_p(w), w^2 = delta (delta a non-square)."""
+
+    ZERO = (0, 0)
 
     def __init__(self, p: int):
         self.p = p
@@ -150,3 +298,56 @@ class QuadField:
         if x == 0:
             return f"{y}w"
         return f"({x}+{y}w)"
+
+    # -- coefficient-tuple kernels ------------------------------------------
+
+    def _plus(self, xs, ys):
+        p = self.p
+        return [((x0 + y0) % p, (x1 + y1) % p)
+                for (x0, x1), (y0, y1) in zip(xs, ys)]
+
+    def _minus(self, xs, ys):
+        p = self.p
+        return [((x0 - y0) % p, (x1 - y1) % p)
+                for (x0, x1), (y0, y1) in zip(xs, ys)]
+
+    def _negs(self, xs):
+        p = self.p
+        return [((-x0) % p, (-x1) % p) for x0, x1 in xs]
+
+    def mul_series(self, a, b, n):
+        """Product of two nonzero series truncated to n coefficients (see
+        PrimeField.mul_series)."""
+        if len(a) == 1 and len(b) == 1:
+            return (self.mul(a[0], b[0]),)
+        p, dl = self.p, self.delta
+        width = len(a) + len(b) - 1
+        full = width <= n
+        if not full:
+            width = n
+        re, im = [0] * width, [0] * width
+        for i, (x0, x1) in enumerate(a):
+            if x0 or x1:
+                for j, (y0, y1) in enumerate(b[:width - i], i):
+                    re[j] += x0 * y0 + dl * x1 * y1
+                    im[j] += x0 * y1 + x1 * y0
+        out = [(r % p, s % p) for r, s in zip(re, im)]
+        return tuple(out) if full else self.strip(out)[1]
+
+    def inv_series(self, a, n):
+        """Inverse of a nonzero series, through n coefficients."""
+        c = self.inv(a[0])
+        if len(a) == 1:
+            return (c,)
+        p, dl = self.p, self.delta
+        m0, m1 = (-c[0]) % p, (-c[1]) % p
+        rest = a[1:]
+        out = [c]
+        for _ in range(1, n):
+            s0 = s1 = 0
+            for (x0, x1), (y0, y1) in zip(rest, reversed(out)):
+                s0 += x0 * y0 + dl * x1 * y1
+                s1 += x0 * y1 + x1 * y0
+            out.append(((m0 * s0 + dl * m1 * s1) % p,
+                        (m0 * s1 + m1 * s0) % p))
+        return self.strip(out)[1]

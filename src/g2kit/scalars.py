@@ -40,6 +40,7 @@ class FieldConfig:
             raise DomainError(f"unknown extension {self.extension!r}")
         object.__setattr__(self, "_residue", QuadField(self.p)
                            if self.extension == "unramified" else PrimeField(self.p))
+        object.__setattr__(self, "_zero", Scalar(self, 0, ()))
 
     @property
     def e(self) -> int:
@@ -57,7 +58,7 @@ class FieldConfig:
     # -- scalar constructors ------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return Scalar(self, 0, ())
+        return self._zero
 
     def one(self) -> "Scalar":
         return self.from_int(1)
@@ -67,6 +68,10 @@ class FieldConfig:
         if self.residue.is_zero(c):
             return self.zero()
         return Scalar(self, 0, (c,))
+
+    def coerce(self, x):
+        """x as a scalar of this field when it is an int; x otherwise."""
+        return self.from_int(x) if isinstance(x, int) else x
 
     def monomial(self, coeff, k: int) -> "Scalar":
         """coeff * u^k with u the uniformizer (k in 1/e units)."""
@@ -112,36 +117,29 @@ class FieldConfig:
 
 def _build(cfg: FieldConfig, val: int, coeffs: list) -> "Scalar":
     """Canonicalize: strip leading and trailing zero coefficients."""
-    r = cfg.residue
-    lo = 0
-    while lo < len(coeffs) and r.is_zero(coeffs[lo]):
-        lo += 1
-    if lo == len(coeffs):
-        return Scalar(cfg, 0, ())
-    hi = len(coeffs)
-    while r.is_zero(coeffs[hi - 1]):
-        hi -= 1
-    if hi - lo > cfg.precision:
+    lo, coeffs = cfg.residue.strip(coeffs)
+    if not coeffs:
+        return cfg.zero()
+    width = len(coeffs)
+    if width > cfg.precision:
         raise PrecisionError(
-            f"support width {hi - lo} exceeds the {cfg.precision}-coefficient window")
-    return Scalar(cfg, val + lo, tuple(coeffs[lo:hi]))
+            f"support width {width} exceeds the {cfg.precision}-coefficient window")
+    return Scalar(cfg, val + lo, coeffs)
 
 
 class Scalar:
     """Immutable truncated Laurent series over the residue field."""
 
-    __slots__ = ("cfg", "val", "coeffs")
+    # is_zero is stored: linear algebra asks it of every entry it visits
+    __slots__ = ("cfg", "val", "coeffs", "is_zero")
 
     def __init__(self, cfg: FieldConfig, val: int, coeffs: tuple):
         self.cfg = cfg
         self.val = val
         self.coeffs = coeffs
+        self.is_zero = not coeffs
 
     # -- basics -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @property
     def valuation(self):
@@ -166,64 +164,58 @@ class Scalar:
             raise ConfigMismatchError("operands from different field configs")
 
     # -- ring operations ----------------------------------------------------
+    # Each operation is one call into the residue field's tuple kernels.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        if self.is_zero:
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        cfg = self.cfg
+        if cfg is not other.cfg:
+            self._check(other)
+        if not self.coeffs:
             return other
-        if other.is_zero:
+        if not other.coeffs:
             return self
-        r = self.cfg.residue
-        m = min(self.val, other.val)
-        end = m + self.cfg.precision
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        out = []
-        nonzero_tail = False
-        for k in range(m, hi):
-            c = r.add(self.coeff_at(k), other.coeff_at(k))
-            if k < end:
-                out.append(c)
-            elif not r.is_zero(c):
-                nonzero_tail = True
-        s = _build(self.cfg, m, out)
-        if s.is_zero and nonzero_tail:
-            raise PrecisionError(
-                "sum cancels through the whole representable window")
-        return s
+        val, coeffs = cfg._residue.add_series(
+            self.val, self.coeffs, other.val, other.coeffs, cfg.precision)
+        return Scalar(cfg, val, coeffs)
+
+    def __sub__(self, other):
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        cfg = self.cfg
+        if cfg is not other.cfg:
+            self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        val, coeffs = cfg._residue.sub_series(
+            self.val, self.coeffs, other.val, other.coeffs, cfg.precision)
+        return Scalar(cfg, val, coeffs)
 
     def __neg__(self):
         if not self.coeffs:
             return self
-        r = self.cfg.residue
-        return Scalar(self.cfg, self.val, tuple(r.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if not other.coeffs:
-            self._check(other)
-            return self
-        return self + (-other)
+        return Scalar(self.cfg, self.val,
+                      self.cfg._residue.neg_series(self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return self.cfg.zero()
-        r = self.cfg.residue
-        n = self.cfg.precision
-        width = min(len(self.coeffs) + len(other.coeffs) - 1, n)
-        out = [r.zero()] * width
-        for i, a in enumerate(self.coeffs):
-            if r.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= width:
-                    break
-                out[i + j] = r.add(out[i + j], r.mul(a, b))
-        return _build(self.cfg, self.val + other.val, out)
+        if other.__class__ is not Scalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        cfg = self.cfg
+        if cfg is not other.cfg:
+            self._check(other)
+        if not self.coeffs or not other.coeffs:
+            return cfg._zero
+        return Scalar(cfg, self.val + other.val, cfg._residue.mul_series(
+            self.coeffs, other.coeffs, cfg.precision))
 
     def __rmul__(self, other):
         return self * other
@@ -232,29 +224,20 @@ class Scalar:
         return self + other
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, int):
-            return self.cfg.from_int(other)
-        return NotImplemented
+        other = self.cfg.coerce(other)
+        return other if isinstance(other, Scalar) else NotImplemented
 
     def inv(self) -> "Scalar":
         """Inverse, exact through the N-coefficient window."""
-        if self.is_zero:
+        if not self.coeffs:
             raise ZeroDivisionError("inversion of zero scalar")
-        r = self.cfg.residue
-        n = self.cfg.precision
-        c0inv = r.inv(self.coeffs[0])
-        out = [c0inv] + [r.zero()] * (n - 1)
-        for j in range(1, n):
-            acc = r.zero()
-            for k in range(1, min(j, len(self.coeffs) - 1) + 1):
-                acc = r.add(acc, r.mul(self.coeffs[k], out[j - k]))
-            out[j] = r.neg(r.mul(c0inv, acc))
-        return _build(self.cfg, -self.val, out)
+        cfg = self.cfg
+        return Scalar(cfg, -self.val,
+                      cfg._residue.inv_series(self.coeffs, cfg.precision))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -332,12 +315,11 @@ class Scalar:
     # -- comparison / hashing / display --------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.cfg.from_int(other)
+        other = self.cfg.coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.cfg == other.cfg and self.val == other.val
-                and self.coeffs == other.coeffs)
+        return ((self.cfg is other.cfg or self.cfg == other.cfg)
+                and self.val == other.val and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.val, self.coeffs))

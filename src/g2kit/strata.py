@@ -11,7 +11,7 @@ from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    is_derivation, lift_sl3, lift_su21, verify_witness,
                    _poly_coprime, _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
-from .linalg import Subspace, mat_vec
+from .linalg import Subspace, lin_comb, mat_vec
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
                     extend_su21, lattice_seq_from_norm, seq_valuation,
                     volume)
@@ -157,14 +157,11 @@ def _lattice_split_by(seq: LatticeSeq, witness) -> bool:
         co = solve(colmat, list(b.coords))
         idx = 0
         for sp in spaces:
-            part = [cfg.zero()] * 8
-            for k in range(sp.dim):
-                c = co[idx + k]
-                if not c.is_zero:
-                    for t in range(8):
-                        part[t] = part[t] + c * sp.rows[k][t]
+            part = co[idx:idx + sp.dim]
             idx += sp.dim
-            proj = Octonion(cfg, part)
+            if not part:
+                continue
+            proj = Octonion(cfg, lin_comb(cfg, part, sp.rows))
             if not proj.is_zero and seq.norm.eval(proj) < val:
                 return False
     return True
@@ -310,7 +307,7 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
     kernel_rows = [b.coords for b in d.basis]
     staged = []
     for coeffs, vectors in blocks:
-        coeffs = [cfg.from_int(c) if isinstance(c, int) else c for c in coeffs]
+        coeffs = [cfg.coerce(c) for c in coeffs]
         if _is_x_poly(cfg, coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             kernel_rows.extend(
@@ -341,7 +338,7 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
 
 def _poly_equal(cfg, p, q) -> bool:
     def canon(c):
-        out = [cfg.from_int(x) if isinstance(x, int) else x for x in c]
+        out = [cfg.coerce(x) for x in c]
         while out and out[-1].is_zero:
             out.pop()
         return out
@@ -355,28 +352,21 @@ def _mirror_kernel(cfg, d, beta, factor, vectors, wm):
     rows = [list(w.coords) for w in wm]
     mat = [mat_vec(pb.rows, r) for r in rows]
     co = lin_kernel(transpose(mat))
-    out = []
-    for c in co:
-        v = [cfg.zero()] * 8
-        for cc, r in zip(c, rows):
-            for t in range(8):
-                v[t] = v[t] + cc * r[t]
-        out.append(Octonion(cfg, v))
-    return out
+    return [Octonion(cfg, lin_comb(cfg, c, rows)) for c in co]
 
 
 def _reflect_poly(cfg, coeffs):
     """+-P(-X), normalized monic."""
     out = []
     for k, c in enumerate(coeffs):
-        c = cfg.from_int(c) if isinstance(c, int) else c
+        c = cfg.coerce(c)
         out.append(c if k % 2 == 0 else -c)
     lead = out[-1]
     return [c * lead.inv() for c in out]
 
 
 def _is_x_poly(cfg, coeffs) -> bool:
-    c = [cfg.from_int(x) if isinstance(x, int) else x for x in coeffs]
+    c = [cfg.coerce(x) for x in coeffs]
     return (len(c) >= 2 and c[0].is_zero and not c[1].is_zero
             and all(x.is_zero for x in c[2:]))
 
@@ -392,7 +382,7 @@ def lift_type_d_su21(data: SU21StratumData,
     kernel_rows = [b.coords for b in d.basis]
     out_blocks = []
     for coeffs, vectors in data.blocks:
-        coeffs = [cfg.from_int(c) if isinstance(c, int) else c for c in coeffs]
+        coeffs = [cfg.coerce(c) for c in coeffs]
         if _is_x_poly(cfg, coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             continue

@@ -205,8 +205,7 @@ def solve_glw(cfg: FieldConfig, u: Scalar, g, lam: Scalar) -> TrialityTriple:
     """Related triple headed by iota(u, g), from a verified square-root
     witness lam^2 = u det(g); the two witnesses +-lam give the
     two solutions."""
-    g = [[cfg.from_int(x) if isinstance(x, int) else x for x in row]
-         for row in g]
+    g = [[cfg.coerce(x) for x in row] for row in g]
     if lam * lam != u * det(g):
         raise WitnessError("witness does not satisfy lam^2 = u det g")
     li = lam.inv()

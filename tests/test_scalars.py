@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from g2kit.errors import ConfigMismatchError, DomainError, PrecisionError
-from g2kit.scalars import FieldConfig, congruent, parse_scalar
+from g2kit.scalars import FieldConfig, Scalar, congruent, parse_scalar
 
 CFG = FieldConfig(5, 8)
 
@@ -178,3 +178,192 @@ def test_pow():
     assert x ** 3 == x * x * x
     assert x ** -2 == (x * x).inv()
     assert x ** 0 == CFG.one()
+
+
+# -- kernel oracle ------------------------------------------------------------
+# The per-coefficient arithmetic that the residue fields' tuple kernels
+# replaced, kept as the reference they must match digit for digit.
+
+def _ref_build(cfg, val, coeffs):
+    r = cfg.residue
+    lo = 0
+    while lo < len(coeffs) and r.is_zero(coeffs[lo]):
+        lo += 1
+    if lo == len(coeffs):
+        return Scalar(cfg, 0, ())
+    hi = len(coeffs)
+    while r.is_zero(coeffs[hi - 1]):
+        hi -= 1
+    if hi - lo > cfg.precision:
+        raise PrecisionError(
+            f"support width {hi - lo} exceeds the {cfg.precision}-coefficient window")
+    return Scalar(cfg, val + lo, tuple(coeffs[lo:hi]))
+
+
+def ref_add(x, y):
+    x, y = x.cfg.coerce(x), x.cfg.coerce(y)
+    x._check(y)
+    if x.is_zero:
+        return y
+    if y.is_zero:
+        return x
+    r = x.cfg.residue
+    m = min(x.val, y.val)
+    end = m + x.cfg.precision
+    hi = max(x.val + len(x.coeffs), y.val + len(y.coeffs))
+    out = []
+    nonzero_tail = False
+    for k in range(m, hi):
+        c = r.add(x.coeff_at(k), y.coeff_at(k))
+        if k < end:
+            out.append(c)
+        elif not r.is_zero(c):
+            nonzero_tail = True
+    s = _ref_build(x.cfg, m, out)
+    if s.is_zero and nonzero_tail:
+        raise PrecisionError("sum cancels through the whole representable window")
+    return s
+
+
+def ref_neg(x):
+    if x.is_zero:
+        return x
+    r = x.cfg.residue
+    return Scalar(x.cfg, x.val, tuple(r.neg(c) for c in x.coeffs))
+
+
+def ref_sub(x, y):
+    y = x.cfg.coerce(y)
+    if y.is_zero:
+        x._check(y)
+        return x
+    return ref_add(x, ref_neg(y))
+
+
+def ref_mul(x, y):
+    y = x.cfg.coerce(y)
+    x._check(y)
+    if x.is_zero or y.is_zero:
+        return x.cfg.zero()
+    r = x.cfg.residue
+    width = min(len(x.coeffs) + len(y.coeffs) - 1, x.cfg.precision)
+    out = [r.zero()] * width
+    for i, a in enumerate(x.coeffs):
+        if r.is_zero(a):
+            continue
+        for j, b in enumerate(y.coeffs):
+            if i + j >= width:
+                break
+            out[i + j] = r.add(out[i + j], r.mul(a, b))
+    return _ref_build(x.cfg, x.val + y.val, out)
+
+
+def ref_inv(x):
+    r = x.cfg.residue
+    n = x.cfg.precision
+    c0inv = r.inv(x.coeffs[0])
+    out = [c0inv] + [r.zero()] * (n - 1)
+    for j in range(1, n):
+        acc = r.zero()
+        for k in range(1, min(j, len(x.coeffs) - 1) + 1):
+            acc = r.add(acc, r.mul(x.coeffs[k], out[j - k]))
+        out[j] = r.neg(r.mul(c0inv, acc))
+    return _ref_build(x.cfg, -x.val, out)
+
+
+def ref_pow(x, k):
+    if k < 0:
+        return ref_pow(ref_inv(x), -k)
+    out = x.cfg.one()
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def _same(got, want):
+    assert isinstance(got, Scalar)
+    assert (got.val, got.coeffs) == (want.val, want.coeffs), (got, want)
+
+
+def _operand(rng, cfg, width, far):
+    """A scalar of exactly `width` coefficients (nonzero ends)."""
+    if width == 0:
+        return cfg.zero()
+    r = cfg.residue
+    val = (rng.choice([-1, 1]) * rng.randrange(cfg.precision + 2, 3 * cfg.precision)
+           if far else rng.randrange(-2, 3))
+    inner = [r.random(rng) for _ in range(width - 2)]
+    ends = [r.random(rng, nonzero=True) for _ in range(min(width, 2))]
+    x = cfg.from_coeffs(val, ends[:1] + inner + ends[1:])
+    assert len(x.coeffs) == width
+    return x
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_kernels_match_per_coefficient_reference(p, ext, n):
+    cfg = FieldConfig(p, n, ext)
+    rng = random.Random(p * 1000 + n * 10 + len(ext))
+    widths = [0, 1, 2, n]
+    for _ in range(400):
+        x = _operand(rng, cfg, rng.choice(widths), rng.random() < 0.25)
+        y = _operand(rng, cfg, rng.choice(widths), rng.random() < 0.25)
+        draw = rng.random()
+        if draw < 0.15:
+            y = -x                      # cancels completely
+        elif draw < 0.3 and not x.is_zero:
+            y = ref_add(x, cfg.monomial(1, x.val + rng.randrange(n + 2)))
+        _same(x + y, ref_add(x, y))
+        _same(x - y, ref_sub(x, y))
+        _same(-x, ref_neg(x))
+        _same(x * y, ref_mul(x, y))
+        k = rng.randrange(-3 * p, 3 * p)
+        _same(x + k, ref_add(x, k))
+        _same(k + x, ref_add(x, k))
+        _same(x - k, ref_sub(x, k))
+        _same(k - x, ref_add(ref_neg(x), k))
+        _same(x * k, ref_mul(x, k))
+        _same(k * x, ref_mul(x, k))
+        e = rng.randrange(0, 4)
+        _same(x ** e, ref_pow(x, e))
+        if not x.is_zero:
+            _same(x.inv(), ref_inv(x))
+            _same(x ** -e, ref_pow(x, -e))
+            _same(y / x, ref_mul(y, ref_inv(x)))
+        if k % p:
+            _same(x / k, ref_mul(x, ref_inv(cfg.from_int(k))))
+
+
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+def test_window_cancellation_still_raises(ext):
+    # only an over-wide operand can cancel through the window with a tail
+    cfg = FieldConfig(7, 4, ext)
+    one = cfg.residue.one()
+    wide = Scalar(cfg, 0, (one,) + (cfg.residue.zero(),) * 3 + (one,))
+    for op in (lambda: wide + (-1), lambda: wide - 1, lambda: (-1) + wide,
+               lambda: wide + cfg.from_int(-1)):
+        with pytest.raises(PrecisionError,
+                           match="sum cancels through the whole representable window"):
+            op()
+    with pytest.raises(PrecisionError):
+        ref_add(wide, -1)
+
+
+def test_mixed_configs_raise_even_with_zero_operands():
+    a, b = FieldConfig(5, 8), FieldConfig(7, 8)
+    pairs = [(a.one(), b.one()), (a.zero(), b.one()), (a.one(), b.zero()),
+             (a.zero(), b.zero()), (a.t(), FieldConfig(5, 8, "ramified").t())]
+    for x, y in pairs:
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(ConfigMismatchError):
+                op()
+
+
+def test_equal_configs_need_not_be_identical():
+    a, b = FieldConfig(5, 8), FieldConfig(5, 8)
+    assert a is not b
+    x, y = a.one() + a.t(), b.from_int(3)
+    assert x + y == ref_add(x, y) and x - y == ref_sub(x, y)
+    assert x * y == b.from_int(3) + b.monomial(3, 1)
+    assert a.zero() is a.zero()
