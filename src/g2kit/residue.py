@@ -53,15 +53,17 @@ class _SeriesKernels:
     def add_series(self, va, a, vb, b, n):
         """u^va * a + u^vb * b on the n-coefficient window from the lower
         valuation, as a canonical (val, coeffs)."""
-        if va == vb and len(a) == len(b):
-            # equal supports, the common case: no shifting or truncation
+        if va == vb and len(a) == len(b) <= n:
+            # equal supports inside the window (about three quarters of the
+            # sums and nine tenths of the differences in the benchmark
+            # workloads) need no shifting, truncation or tail check
             lo, coeffs = self.strip(self._plus(a, b))
             return (va + lo, coeffs) if coeffs else (0, ())
         return self._aligned(va, a, vb, b, n, False)
 
     def sub_series(self, va, a, vb, b, n):
         """u^va * a - u^vb * b, windowed as in add_series."""
-        if va == vb and len(a) == len(b):
+        if va == vb and len(a) == len(b) <= n:
             lo, coeffs = self.strip(self._minus(a, b))
             return (va + lo, coeffs) if coeffs else (0, ())
         return self._aligned(va, a, vb, b, n, True)
@@ -78,9 +80,6 @@ class _SeriesKernels:
         else:
             m, d, f, s = vb, va - vb, b, a
             neg_f, neg_s = sub, False
-        if d >= n:
-            # s lies past the window; f is canonical, so it is the result
-            return m, (tuple(self._negs(f)) if neg_f else f)
         lf, ls = len(f), len(s)
         if d >= lf:
             out = self._negs(f) if neg_f else list(f)
@@ -191,20 +190,23 @@ class PrimeField(_SeriesKernels):
         to strip.  A monomial factor leaves no zero tail."""
         p = self.p
         la, lb = len(a), len(b)
-        if la == 1:
-            x = a[0]
-            if lb == 1:
-                return ((x * b[0]) % p,)
-            return tuple([(x * y) % p for y in b])
-        if lb == 1:
-            y = b[0]
-            return tuple([(x * y) % p for x in a])
+        if la == 1 == lb:
+            return ((a[0] * b[0]) % p,)
         width = la + lb - 1
-        if width == 3 < n:
-            (x0, x1), (y0, y1) = a, b
-            return ((x0 * y0) % p, (x0 * y1 + x1 * y0) % p, (x1 * y1) % p)
         full = width <= n
-        if not full:
+        if full:
+            # a monomial factor and a 2 x 2 product are each about a fifth
+            # of the products in desk-suites
+            if la == 1:
+                x = a[0]
+                return tuple([(x * y) % p for y in b])
+            if lb == 1:
+                y = b[0]
+                return tuple([(x * y) % p for x in a])
+            if width == 3:
+                (x0, x1), (y0, y1) = a, b
+                return ((x0 * y0) % p, (x0 * y1 + x1 * y0) % p, (x1 * y1) % p)
+        else:
             width = n
         acc = [0] * width
         for i, x in enumerate(a):

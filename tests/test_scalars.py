@@ -348,6 +348,15 @@ def test_window_cancellation_still_raises(ext):
             op()
     with pytest.raises(PrecisionError):
         ref_add(wide, -1)
+    # an over-wide operand is cut to the window, whatever the other is
+    zero, two = cfg.residue.zero(), cfg.residue.add(one, one)
+    wide2 = Scalar(cfg, 0, (two, zero, zero, zero, one))
+    for other in (wide, wide2, cfg.from_int(3), cfg.monomial(1, 4), cfg.monomial(1, 9),
+                  cfg.one() + cfg.t()):
+        for x, y in ((wide, other), (other, wide)):
+            _same(x + y, ref_add(x, y))
+            _same(x - y, ref_sub(x, y))
+            _same(x * y, ref_mul(x, y))
 
 
 def test_mixed_configs_raise_even_with_zero_operands():
