@@ -581,23 +581,10 @@ def _kernel_subalgebra(cfg, space: Subspace) -> CompositionSubalgebra:
             if not c0.is_zero:
                 return plane_subalgebra(cfg, c0)
         raise WitnessError("kernel has no traceless generator")
-    d = CompositionSubalgebra(cfg, octs, _dim4_kind(cfg, octs), )
+    d = CompositionSubalgebra(cfg, octs)
     if not d.is_composition():
         raise WitnessError("kernel is not a composition subalgebra")
     return d
-
-
-def _dim4_kind(cfg, octs) -> str:
-    for o in octs:
-        if o.norm().is_zero and not o.is_zero:
-            return "split-dim4"
-    for a in octs:
-        for b in octs:
-            s = a + b
-            if not s.is_zero and s.norm().is_zero:
-                return "split-dim4"
-    # no isotropic vector found among simple combinations; treat as division
-    return "division-dim4"
 
 
 def restrict_to_basis(beta: EndV, basis_oct):

@@ -17,7 +17,7 @@ from .errors import (DomainError, DualityError, KindError, SingularError,
                      VolumeError)
 from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
 from .octonions import (GRAM_ROWS, CompositionSubalgebra, Octonion,
-                        basis_octonion, bilinear_f,
+                        basis_octonion, bilinear_f, gram_schmidt,
                         idempotents_from_isotropic_pair,
                         octonion_unit, ordered_polarization,
                         standard_idempotents)
@@ -389,31 +389,12 @@ def _extend_dim4_anisotropic(alpha_w: NormFn, d4) -> NormFn:
         if v != half * b.norm().valuation:
             raise DualityError(
                 "anisotropic W carries only the norm (1/2) v(Q)")
-    dbasis = _orthogonalize(d4)
+    # d4 is a division algebra, so gram_schmidt meets no isotropic vector
+    dbasis, _ = gram_schmidt(cfg, d4.basis)
     basis = dbasis + list(alpha_w.basis)
     values = [half * x.norm().valuation for x in dbasis] + list(alpha_w.values)
     out = NormFn(cfg, basis, values)
     _check_extension(out, alpha_w)
-    return out
-
-
-def _orthogonalize(d4: CompositionSubalgebra):
-    """Gram-Schmidt a basis of D4 (p odd)."""
-    cfg = d4.cfg
-    out = []
-    todo = list(d4.basis)
-    # prefer the unit first: its norm is a unit scalar
-    todo.sort(key=lambda o: 0 if o == octonion_unit(cfg) else 1)
-    for x in todo:
-        for y in out:
-            x = x - y.scale(bilinear_f(x, y) * (2 * y.norm()).inv())
-        if x.is_zero:
-            continue
-        if x.norm().is_zero:
-            raise DomainError("isotropic vector during orthogonalization")
-        out.append(x)
-    if len(out) != 4:
-        raise DomainError("orthogonalization failed")
     return out
 
 
@@ -460,12 +441,6 @@ class LatticeSeq:
     def is_self_dual(self) -> bool:
         """Lambda(i)* = Lambda(1-i) holds iff the norm is self-dual."""
         return is_self_dual(self.norm)
-
-    @property
-    def dual_invariant(self) -> int:
-        if not self.is_self_dual():
-            raise DualityError("sequence is not self-dual")
-        return 1
 
     def __repr__(self):
         return f"LatticeSeq(m={self.m})"

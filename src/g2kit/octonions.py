@@ -10,9 +10,11 @@ asserted against the composition-algebra axioms, never hard-coded.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import DomainError, DoublingError, KindError, PairError
 from .linalg import Subspace, det, lin_comb, mat_vec, solve, transpose
-from .scalars import FieldConfig, Scalar
+from .scalars import FieldConfig, Scalar, hilbert_symbol
 
 LABELS = (-4, -1, -2, -3, 3, 2, 1, 4)
 IDX = {lbl: i for i, lbl in enumerate(LABELS)}
@@ -202,19 +204,18 @@ class Octonion:
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
         out = [self.cfg.zero()] * 8
-        for k, a in zip(LABELS, self.coords):
+        y = other.coords
+        for a, row in zip(self.coords, BASIS_PRODUCT):
             if a.is_zero:
                 continue
-            for l, b in zip(LABELS, other.coords):
-                if b.is_zero:
+            for b, cell in zip(y, row):
+                if cell is None or b.is_zero:
                     continue
-                cell = TABLE[(k, l)]
-                if cell is None:
-                    continue
-                sign, lbl = cell
-                term = a * b
-                i = IDX[lbl]
-                out[i] = out[i] + (term if sign > 0 else -term)
+                i, sign = cell
+                if sign > 0:
+                    out[i] = out[i] + a * b
+                else:
+                    out[i] = out[i] - a * b
         return Octonion(self.cfg, out)
 
     def __rmul__(self, other):
@@ -360,23 +361,35 @@ def random_isotropic_pair(cfg: FieldConfig, rng):
 
 # -- composition subalgebras -------------------------------------------------
 
-KINDS = ("center", "split-dim2", "field-dim2", "split-dim4",
-         "division-dim4", "full")
+def gram_schmidt(cfg: FieldConfig, vectors):
+    """Gram-Schmidt (p odd) on the unit followed by vectors, in order.
+
+    Returns (basis, None) with basis an orthogonal basis of the span, unit
+    first, or (partial, x) for the first nonzero isotropic vector x met.
+    """
+    out = []
+    for x in [octonion_unit(cfg)] + list(vectors):
+        for y in out:
+            x = x - y.scale(bilinear_f(x, y) * (2 * y.norm()).inv())
+        if x.is_zero:
+            continue
+        if x.norm().is_zero:
+            return out, x
+        out.append(x)
+    return out, None
 
 
 class CompositionSubalgebra:
-    """Unital subalgebra with non-degenerate Q, tagged by its kind.
+    """Unital subalgebra with non-degenerate Q; its kind is derived from
+    the span.
 
     Split planes may carry an ordered idempotent pair fixing the
     orientation of the associated polarization.
     """
 
-    def __init__(self, cfg: FieldConfig, basis, kind: str, idempotents=None):
-        if kind not in KINDS:
-            raise KindError(f"unknown subalgebra kind {kind!r}")
+    def __init__(self, cfg: FieldConfig, basis, idempotents=None):
         self.cfg = cfg
         self.basis = list(basis)
-        self.kind = kind
         self._idempotents = idempotents
         self.space = Subspace(cfg, 8, [b.coords for b in basis])
         if self.space.dim != len(self.basis):
@@ -385,6 +398,29 @@ class CompositionSubalgebra:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def kind(self) -> str:
+        """center, split-dim2 or field-dim2, split-dim4 or division-dim4,
+        full.  A nonzero isotropic vector met by gram_schmidt makes the
+        algebra split; otherwise the diagonal <1, Q(i), Q(j), ...> decides:
+        a plane is split iff -Q(i) is a square, a quaternion algebra iff
+        the Hilbert symbol (-Q(i), -Q(j)) is 1."""
+        n = self.dim
+        if n in (1, 8):
+            return "center" if n == 1 else "full"
+        ortho, witness = gram_schmidt(self.cfg, self.basis)
+        if n not in (2, 4) or (witness is None and len(ortho) != n):
+            raise KindError("span is not a composition subalgebra")
+        if witness is not None:
+            split = True
+        elif n == 2:
+            split = (-ortho[1].norm()).is_square()
+        else:
+            split = hilbert_symbol(-ortho[1].norm(), -ortho[2].norm()) == 1
+        if n == 2:
+            return "split-dim2" if split else "field-dim2"
+        return "split-dim4" if split else "division-dim4"
 
     def contains(self, x: Octonion) -> bool:
         return self.space.contains(x.coords)
@@ -424,25 +460,22 @@ class CompositionSubalgebra:
 
 
 def center_subalgebra(cfg: FieldConfig) -> CompositionSubalgebra:
-    return CompositionSubalgebra(cfg, [octonion_unit(cfg)], "center")
+    return CompositionSubalgebra(cfg, [octonion_unit(cfg)])
 
 
 def plane_subalgebra(cfg: FieldConfig, c0: Octonion) -> CompositionSubalgebra:
-    """The 2-dimensional subalgebra F1 + F c0, c0 traceless non-isotropic;
-    split iff -Q(c0) is a square."""
+    """The 2-dimensional subalgebra F1 + F c0, c0 traceless non-isotropic."""
     if not c0.trace().is_zero:
         raise DomainError("generator must be orthogonal to the unit")
     if c0.norm().is_zero:
         raise DomainError("generator must be non-isotropic")
-    kind = "split-dim2" if (-c0.norm()).is_square() else "field-dim2"
-    return CompositionSubalgebra(cfg, [octonion_unit(cfg), c0], kind)
+    return CompositionSubalgebra(cfg, [octonion_unit(cfg), c0])
 
 
 def hyperbolic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
     """The canonical split plane span(e_-4, e_4), oriented so e+ = e_-4."""
     em4, e4 = basis_octonion(cfg, -4), basis_octonion(cfg, 4)
-    return CompositionSubalgebra(cfg, [em4, e4], "split-dim2",
-                                 idempotents=(em4, e4))
+    return CompositionSubalgebra(cfg, [em4, e4], idempotents=(em4, e4))
 
 
 def anisotropic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
@@ -469,7 +502,7 @@ def standard_split_dim4(cfg: FieldConfig) -> CompositionSubalgebra:
     """span(e_-4, e_4, e_1, e_-1), a split quaternion subalgebra."""
     return CompositionSubalgebra(
         cfg, [basis_octonion(cfg, -4), basis_octonion(cfg, 4),
-              basis_octonion(cfg, 1), basis_octonion(cfg, -1)], "split-dim4")
+              basis_octonion(cfg, 1), basis_octonion(cfg, -1)])
 
 
 def double(d: CompositionSubalgebra, a: Octonion) -> CompositionSubalgebra:
@@ -496,26 +529,10 @@ def double(d: CompositionSubalgebra, a: Octonion) -> CompositionSubalgebra:
                            + (v * x + y * u.conj()) * a)
                     if lhs != rhs:
                         raise DoublingError("doubling product formula fails")
-    out = CompositionSubalgebra(cfg, new_basis, _doubled_kind(d, qa))
+    out = CompositionSubalgebra(cfg, new_basis)
     if not out.is_composition():
         raise DoublingError("doubled span is not a composition subalgebra")
     return out
-
-
-def _doubled_kind(d: CompositionSubalgebra, qa: Scalar) -> str:
-    if d.kind == "center":
-        return "split-dim2" if (-qa).is_square() else "field-dim2"
-    if d.dim == 2:
-        if d.kind == "split-dim2":
-            return "split-dim4"
-        # division iff Q(a) is not a norm from the quadratic field F[c0]
-        eps = -d.traceless_generator().norm()
-        if qa.is_square() or (qa * eps).is_square():
-            return "split-dim4"
-        return "division-dim4"
-    if d.dim == 4:
-        return "full"
-    raise KindError("doubling from this dimension is not supported")
 
 
 def division_quaternion(cfg: FieldConfig) -> CompositionSubalgebra:

@@ -369,6 +369,21 @@ def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
     return out
 
 
+def hilbert_symbol(a: Scalar, b: Scalar) -> int:
+    """(a, b) = +-1 for nonzero a = pi^alpha u, b = pi^beta v, p odd:
+    (-1)^(alpha beta (q-1)/2) (u|q)^beta (v|q)^alpha with q the size of
+    the residue field (Serre, A Course in Arithmetic, Ch. III)."""
+    if a.is_zero or b.is_zero:
+        raise DomainError("the Hilbert symbol needs nonzero arguments")
+    cfg = a.cfg
+    q = cfg.p ** 2 if cfg.extension == "unramified" else cfg.p
+    r = cfg.residue
+    odd = a.val * b.val * (q - 1) // 2 % 2
+    odd += b.val % 2 and not r.is_square(a.coeffs[0])
+    odd += a.val % 2 and not r.is_square(b.coeffs[0])
+    return -1 if odd % 2 else 1
+
+
 def congruent(x: Scalar, y: Scalar, cutoff) -> bool:
     """x = y mod p_F^cutoff (cutoff in v_F units, rationals allowed)."""
     return (x - y).truncate(cutoff).is_zero

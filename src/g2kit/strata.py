@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    is_derivation, lift_sl3, lift_su21, verify_witness,
-                   _poly_coprime, _poly_eval)
+                   _is_x_factor, _poly_coprime, _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
 from .linalg import Subspace, lin_comb, mat_vec
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
@@ -308,7 +308,7 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
     staged = []
     for coeffs, vectors in blocks:
         coeffs = [cfg.coerce(c) for c in coeffs]
-        if _is_x_poly(cfg, coeffs):
+        if _is_x_factor(cfg, coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             kernel_rows.extend(
                 [w.coords for w in _mirror_kernel(cfg, d, beta, coeffs,
@@ -365,12 +365,6 @@ def _reflect_poly(cfg, coeffs):
     return [c * lead.inv() for c in out]
 
 
-def _is_x_poly(cfg, coeffs) -> bool:
-    c = [cfg.coerce(x) for x in coeffs]
-    return (len(c) >= 2 and c[0].is_zero and not c[1].is_zero
-            and all(x.is_zero for x in c[2:]))
-
-
 def lift_type_d_su21(data: SU21StratumData,
                      d: CompositionSubalgebra) -> Stratum:
     """[vec-Lambda, n, r, vec-beta]: extend a self-dual F'-norm and an
@@ -383,7 +377,7 @@ def lift_type_d_su21(data: SU21StratumData,
     out_blocks = []
     for coeffs, vectors in data.blocks:
         coeffs = [cfg.coerce(c) for c in coeffs]
-        if _is_x_poly(cfg, coeffs):
+        if _is_x_factor(cfg, coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             continue
         out_blocks.append(WitnessBlock(
