@@ -15,7 +15,7 @@ from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         bilinear_f, gram_scalar, octonion_unit,
                         ordered_polarization, plane_subalgebra,
                         split_polarization, sqrt_scalar)
-from .scalars import FieldConfig, Scalar
+from .scalars import FieldConfig, Scalar, dot
 
 
 class EndV:
@@ -28,6 +28,15 @@ class EndV:
         self.rows = [list(r) for r in rows]
         if len(self.rows) != 8 or any(len(r) != 8 for r in self.rows):
             raise DomainError("EndV is an 8x8 matrix")
+
+    @classmethod
+    def adopt(cls, cfg: FieldConfig, rows) -> "EndV":
+        """Wrap 8x8 row lists that nothing else holds (a linalg result),
+        without the constructor's copy and shape check."""
+        out = cls.__new__(cls)
+        out.cfg = cfg
+        out.rows = rows
+        return out
 
     @classmethod
     def zero(cls, cfg) -> "EndV":
@@ -56,12 +65,12 @@ class EndV:
 
     def __mul__(self, other):
         if isinstance(other, EndV):
-            return EndV(self.cfg, mat_mul(self.rows, other.rows))
+            return EndV.adopt(self.cfg, mat_mul(self.rows, other.rows))
         if isinstance(other, Octonion):
             return self.apply(other)
         if isinstance(other, (Scalar, int)):
             c = self.cfg.coerce(other)
-            return EndV(self.cfg, mat_scale(c, self.rows))
+            return EndV.adopt(self.cfg, mat_scale(c, self.rows))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -70,19 +79,19 @@ class EndV:
         return NotImplemented
 
     def __add__(self, other):
-        return EndV(self.cfg, mat_add(self.rows, other.rows))
+        return EndV.adopt(self.cfg, mat_add(self.rows, other.rows))
 
     def __sub__(self, other):
-        return EndV(self.cfg, mat_sub(self.rows, other.rows))
+        return EndV.adopt(self.cfg, mat_sub(self.rows, other.rows))
 
     def __neg__(self):
-        return EndV(self.cfg, mat_neg(self.rows))
+        return EndV.adopt(self.cfg, mat_neg(self.rows))
 
     def scale(self, c) -> "EndV":
         return self * c
 
     def inverse(self) -> "EndV":
-        return EndV(self.cfg, inv(self.rows))
+        return EndV.adopt(self.cfg, inv(self.rows))
 
     def trace(self) -> Scalar:
         acc = self.cfg.zero()
@@ -121,7 +130,8 @@ class EndV:
 
 def endv_truncate(x: EndV, cutoff) -> EndV:
     """Entrywise window surgery: drop coefficients at v_F-index >= cutoff."""
-    return EndV(x.cfg, [[c.truncate(cutoff) for c in row] for row in x.rows])
+    return EndV.adopt(x.cfg, [[c.truncate(cutoff) for c in row]
+                              for row in x.rows])
 
 
 def endv_congruent(x: EndV, y: EndV, cutoff) -> bool:
@@ -138,7 +148,7 @@ def sandwich(left, a, right):
 
 def adjoint(x: EndV) -> EndV:
     """sigma(X) with f(X u, v) = f(u, sigma(X) v); G X^T G for the Gram G."""
-    return EndV(x.cfg, sandwich(GRAM_ROWS, transpose(x.rows), GRAM_COLS))
+    return EndV.adopt(x.cfg, sandwich(GRAM_ROWS, transpose(x.rows), GRAM_COLS))
 
 
 def is_so(x: EndV) -> bool:
@@ -158,33 +168,40 @@ def is_derivation(x: EndV) -> bool:
 def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
     """t1(e_i e_j) = t2(e_i) e_j + e_i t3(e_j) on all 64 basis pairs, for
     8x8 row lists over any ring with the given zero and zero test.  Column
-    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so the
-    check is signed sums and exact comparisons, with no multiplication."""
+    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so each
+    coordinate of want - got is a signed sum of entries, with no
+    multiplication: one scalars.dot over scalars, a plain sum otherwise
+    (the integer table verification)."""
     c1, c2, c3 = ([[(m, row[j]) for m, row in enumerate(t)
                     if not is_zero(row[j])] for j in range(8)]
                   for t in (t1, t2, t3))
+    if isinstance(zero, Scalar):
+        cfg = zero.cfg
 
-    def add(acc, cell, v):
-        if cell is not None:
-            m, s = cell
-            term = v if s > 0 else -v
-            acc[m] = acc[m] + term if m in acc else term
+        def vanishes(terms):
+            return dot(cfg, terms).is_zero
+    else:
+        def vanishes(terms):
+            return is_zero(sum((v if s > 0 else -v for s, v, _ in terms), zero))
 
-    for i in range(8):
+    for i, row in enumerate(BASIS_PRODUCT):
         for j in range(8):
-            want, got = {}, {}
-            cell = BASIS_PRODUCT[i][j]
+            diff = {}  # coordinate m -> the (s, v, None) terms of want - got
+            cell = row[j]
             if cell is not None:
                 k, s = cell
                 for m, v in c1[k]:
-                    add(want, (m, s), v)
-            for a, v in c2[i]:
-                add(got, BASIS_PRODUCT[a][j], v)
-            for b, v in c3[j]:
-                add(got, BASIS_PRODUCT[i][b], v)
-            for m in want.keys() | got.keys():
-                if want.get(m, zero) != got.get(m, zero):
-                    return False
+                    diff[m] = [(s, v, None)]
+            for cell, v in ([(BASIS_PRODUCT[a][j], v) for a, v in c2[i]]
+                            + [(row[b], v) for b, v in c3[j]]):
+                if cell is not None:
+                    m, s = cell
+                    if m in diff:
+                        diff[m].append((-s, v, None))
+                    else:
+                        diff[m] = [(-s, v, None)]
+            if not all(map(vanishes, diff.values())):
+                return False
     return True
 
 
@@ -271,7 +288,7 @@ def so_rows(coords, zero) -> list:
 
 def so_matrix(cfg: FieldConfig, coords) -> EndV:
     """The so(V) element with the given 28 coordinates."""
-    return EndV(cfg, so_rows(coords, cfg.zero()))
+    return EndV.adopt(cfg, so_rows(coords, cfg.zero()))
 
 
 def random_so(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -304,7 +321,7 @@ def assemble(cfg, basis_oct, image_cols) -> EndV:
     """Matrix in standard coordinates from images on an adapted basis."""
     b = transpose([list(o.coords) for o in basis_oct])
     c = transpose(image_cols)
-    return EndV(cfg, mat_mul(c, inv(b)))
+    return EndV.adopt(cfg, mat_mul(c, inv(b)))
 
 
 def hermitian_form(d: CompositionSubalgebra, x: Octonion, y: Octonion) -> Octonion:
@@ -427,9 +444,10 @@ def _poly_eval(coeffs, x, zero, one):
     return out
 
 
-def verify_witness(beta: EndV, witness) -> None:
+def verify_witness(beta: EndV, witness, coprime=None) -> None:
     """Check a decomposition witness: kernels span V, blocks are
-    annihilated by their factors, factors are pairwise coprime."""
+    annihilated by their factors, factors are pairwise coprime (coprime,
+    when given, is witness_coprime of the witness, already computed)."""
     cfg = beta.cfg
     total = 0
     all_rows = []
@@ -448,10 +466,16 @@ def verify_witness(beta: EndV, witness) -> None:
                 raise WitnessError("block is not beta-stable")
     if total != 8 or Subspace(cfg, 8, all_rows).dim != 8:
         raise WitnessError("witness blocks do not decompose V")
-    for a in range(len(witness)):
-        for b in range(a + 1, len(witness)):
-            if not _poly_coprime(cfg, witness[a].factor, witness[b].factor):
-                raise WitnessError("witness factors are not coprime")
+    if coprime is None:
+        coprime = witness_coprime(cfg, witness)
+    if not coprime:
+        raise WitnessError("witness factors are not coprime")
+
+
+def witness_coprime(cfg, witness) -> bool:
+    """True iff the factors of the witness blocks are pairwise coprime."""
+    return all(_poly_coprime(cfg, a.factor, b.factor)
+               for n, a in enumerate(witness) for b in witness[n + 1:])
 
 
 def _poly_coprime(cfg, p, q) -> bool:

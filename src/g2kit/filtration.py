@@ -130,10 +130,10 @@ class FiltrationQuotient:
         out = [[y[l][j].truncate(self.bound_fraction(l, j)) for j in range(8)]
                for l in range(8)]
         if self.lat_s._std:
-            return EndV(self.cfg, out)
+            return EndV.adopt(self.cfg, out)
         from .linalg import mat_mul
-        return EndV(self.cfg, mat_mul(self.lat_s._b,
-                                      mat_mul(out, self.lat_s._binv)))
+        return EndV.adopt(self.cfg, mat_mul(self.lat_s._b,
+                                            mat_mul(out, self.lat_s._binv)))
 
     def bound_fraction(self, l, j) -> Fraction:
         return Fraction(math.ceil(self.lat_s.bounds[l][j]))

@@ -9,7 +9,8 @@ nonzero, and entrywise sums keep an entry whose partner is zero.  Since
 x - f * 0 and x + 0 are x in scalar arithmetic, every result, truncated
 digit and raised error is the one dense elimination gives.  The entrywise
 kernels and mat_mul compare the field configs of their operands once (a
-skipped zero would otherwise hide a ConfigMismatchError).
+skipped zero would otherwise hide a ConfigMismatchError).  mat_vec sums
+each row's nonzero products with one scalars.dot.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import SingularError
-from .scalars import FieldConfig
+from .scalars import FieldConfig, dot
 
 
 def zeros(cfg: FieldConfig, n: int, m: int):
@@ -80,15 +81,13 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    """a v, each entry one scalars.dot over the nonzero products of a row."""
+    support = _support(v)
     out = []
     for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero or y.is_zero:
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else row[0].cfg.zero())
+        cfg = row[0].cfg
+        terms = [(1, row[j], y) for j, y in support if row[j].coeffs]
+        out.append(dot(cfg, terms) if terms else cfg.zero())
     return out
 
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import DomainError, DoublingError, KindError, PairError
 from .linalg import Subspace, det, lin_comb, mat_vec, solve, transpose
-from .scalars import FieldConfig, Scalar, hilbert_symbol
+from .scalars import FieldConfig, Scalar, dot, hilbert_symbol
 
 LABELS = (-4, -1, -2, -3, 3, 2, 1, 4)
 IDX = {lbl: i for i, lbl in enumerate(LABELS)}
@@ -172,6 +172,13 @@ CONJ_COLS = _signed_permutation(transpose(CONJ_MAT))
 GRAM_ROWS = _signed_permutation(GRAM)
 GRAM_COLS = _signed_permutation(transpose(GRAM))
 
+# Q as a signed sum of coordinate products: one (i, j, s) per term
+# s x_i x_j, from the diagonal and the upper triangle of the Gram matrix.
+NORM_TERMS = tuple((i, j, Q_DIAG[i] if i == j else GRAM[i][j])
+                   for i in range(8) for j in range(i, 8)
+                   if (Q_DIAG[i] if i == j else GRAM[i][j]))
+assert all(s in (1, -1) for _, _, s in NORM_TERMS), "Q has a coefficient not +-1"
+
 
 class Octonion:
     """Element of the split octonion algebra over a field config."""
@@ -203,20 +210,18 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
-        out = [self.cfg.zero()] * 8
+        # the terms of each output coordinate, in the order of a loop over
+        # the nonzero x_i and then the nonzero y_j
+        terms = [[], [], [], [], [], [], [], []]
         y = other.coords
         for a, row in zip(self.coords, BASIS_PRODUCT):
-            if a.is_zero:
-                continue
-            for b, cell in zip(y, row):
-                if cell is None or b.is_zero:
-                    continue
-                i, sign = cell
-                if sign > 0:
-                    out[i] = out[i] + a * b
-                else:
-                    out[i] = out[i] - a * b
-        return Octonion(self.cfg, out)
+            if a.coeffs:
+                for b, cell in zip(y, row):
+                    if cell is not None and b.coeffs:
+                        terms[cell[0]].append((cell[1], a, b))
+        cfg = self.cfg
+        zero = cfg._zero
+        return Octonion(cfg, [dot(cfg, t) if t else zero for t in terms])
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -242,18 +247,8 @@ class Octonion:
 
     def norm(self) -> Scalar:
         """The multiplicative quadratic form Q(x)."""
-        acc = self.cfg.zero()
-        for i in range(8):
-            a = self.coords[i]
-            if a.is_zero:
-                continue
-            if Q_DIAG[i]:
-                acc = acc + a * a * Q_DIAG[i]
-            for j in range(i + 1, 8):
-                b = self.coords[j]
-                if GRAM[i][j] and not b.is_zero:
-                    acc = acc + a * b * GRAM[i][j]
-        return acc
+        x = self.coords
+        return dot(self.cfg, [(s, x[i], x[j]) for i, j, s in NORM_TERMS])
 
     def inv(self) -> "Octonion":
         q = self.norm()
@@ -306,20 +301,8 @@ def octonion_from_json(cfg: FieldConfig, data) -> Octonion:
 
 def bilinear_f(x: Octonion, y: Octonion) -> Scalar:
     """f(x,y) = Q(x+y) - Q(x) - Q(y)."""
-    acc = x.cfg.zero()
-    for i in range(8):
-        a = x.coords[i]
-        if a.is_zero:
-            continue
-        for j in range(8):
-            g = GRAM[i][j]
-            if not g:
-                continue
-            b = y.coords[j]
-            if b.is_zero:
-                continue
-            acc = acc + a * b * g
-    return acc
+    a, b = x.coords, y.coords
+    return dot(x.cfg, [(s, a[i], b[j]) for i, (j, s) in enumerate(GRAM_ROWS)])
 
 
 def gram_scalar(cfg: FieldConfig):
@@ -480,11 +463,16 @@ def hyperbolic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
 
 def anisotropic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
     """An unramified quadratic-field subalgebra F[c], c traceless,
-    -Q(c) a non-square unit."""
-    one = cfg.one()
-    for mu in range(2, cfg.p):
-        if not (one - cfg.from_int(mu * mu)).is_square():
-            m = cfg.from_int(mu)
+    -Q(c) = 1 - mu^2 a non-square unit.  mu runs over the residue field:
+    the integers 2..p-1 first, then, over the unramified extension (where
+    every element of F_p is a square), the elements a + b w with b != 0."""
+    one, p = cfg.one(), cfg.p
+    mus = list(range(2, p))
+    if cfg.extension == "unramified":
+        mus += [(a, b) for b in range(1, p) for a in range(p)]
+    for mu in mus:
+        m = cfg.monomial(mu, 0)
+        if not (one - m * m).is_square():
             c = (basis_octonion(cfg, -4) - basis_octonion(cfg, 4)
                  + basis_octonion(cfg, 1).scale(m)
                  + basis_octonion(cfg, -1).scale(m))
@@ -493,8 +481,10 @@ def anisotropic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
 
 
 def ramified_plane(cfg: FieldConfig) -> CompositionSubalgebra:
-    """A ramified quadratic-field subalgebra: F[c] with Q(c) = t."""
-    c = basis_octonion(cfg, 1).scale(cfg.t()) + basis_octonion(cfg, -1)
+    """A ramified quadratic-field subalgebra: F[c] with Q(c) = pi, the
+    uniformizer (t over the base field, s over the ramified extension)."""
+    c = (basis_octonion(cfg, 1).scale(cfg.uniformizer())
+         + basis_octonion(cfg, -1))
     return plane_subalgebra(cfg, c)
 
 
@@ -537,9 +527,9 @@ def double(d: CompositionSubalgebra, a: Octonion) -> CompositionSubalgebra:
 
 def division_quaternion(cfg: FieldConfig) -> CompositionSubalgebra:
     """A division quaternion subalgebra: unramified plane doubled by b,
-    Q(b) = -t (odd valuation forces anisotropy)."""
+    Q(b) = -pi (odd valuation forces anisotropy)."""
     d2 = anisotropic_plane(cfg)
-    b = basis_octonion(cfg, 2) - basis_octonion(cfg, -2).scale(cfg.t())
+    b = basis_octonion(cfg, 2) - basis_octonion(cfg, -2).scale(cfg.uniformizer())
     return double(d2, b)
 
 
@@ -629,18 +619,11 @@ def ordered_polarization(d: CompositionSubalgebra):
         rhs = []
         for i, w in enumerate(wp):
             gv = mat_vec(gram, list(w.coords))
-            a.append([_dot(row, gv, cfg) for row in wm_rows])
+            a.append([dot(cfg, [(1, x, y) for x, y in zip(row, gv)])
+                      for row in wm_rows])
             rhs.append(cfg.one() if i == k else cfg.zero())
         wm.append(Octonion(cfg, lin_comb(cfg, solve(a, rhs), wm_rows)))
     return wp, wm
-
-
-def _dot(u, v, cfg):
-    acc = cfg.zero()
-    for a, b in zip(u, v):
-        if not a.is_zero and not b.is_zero:
-            acc = acc + a * b
-    return acc
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:

@@ -6,9 +6,16 @@ Elements of F_p are ints in [0, p); elements of F_{p^2} are pairs
 Besides the element operations, each field has kernels on whole
 coefficient tuples, the residues of a truncated Laurent series from its
 leading term on: aligned sum and difference, negation, truncated
-convolution and truncated series inverse.  They take canonical tuples
-(reduced residues, no leading or trailing zero) and return canonical
-ones, so a series operation costs one call, not one per coefficient.
+convolution, truncated series inverse and the signed sum of products
+dot_series.  They take canonical tuples (reduced residues, no leading or
+trailing zero) and return canonical ones, so a series operation costs one
+call, not one per coefficient.
+
+dot_series is exact: it keeps int accumulators over a span the caller
+has checked to hold every full product, reduces each output coefficient
+once and strips once.  Deciding that the span fits the precision window
+(and folding through the truncating operations when it does not) is the
+caller's part, scalars.dot.
 """
 
 import operator
@@ -30,11 +37,13 @@ def is_prime(n: int) -> bool:
 class _SeriesKernels:
     """Coefficient-tuple kernels shared by both residue fields.
 
-    A field supplies ZERO and three list operations on equal-length
-    residue sequences: _plus, _minus (entrywise) and _negs.
+    A field supplies ZERO, the one-coefficient series ONE and three list
+    operations on equal-length residue sequences: _plus, _minus
+    (entrywise) and _negs.
     """
 
     ZERO = 0
+    ONE = (1,)
 
     def strip(self, coeffs):
         """(lo, coeffs[lo:hi]) with the leading and trailing zeros cut;
@@ -216,6 +225,30 @@ class PrimeField(_SeriesKernels):
         out = [c % p for c in acc]
         return tuple(out) if full else self.strip(out)[1]
 
+    def dot_series(self, terms, lo, width):
+        """Sum of s * u^v * a * b over the (s, v, a, b) terms, s = +-1 and
+        b = ONE for a plain term, on the width coefficients from u^lo,
+        which hold every product whole; (lead, coeffs) as from strip."""
+        acc = [0] * width
+        for s, v, a, b in terms:
+            if len(b) == 1:
+                # a plain term or a monomial factor (1 x 1 terms are about
+                # two fifths of the terms in desk-suites): one pass over a
+                y = b[0] if s > 0 else -b[0]
+                if len(a) == 1:
+                    acc[v - lo] += a[0] * y
+                else:
+                    for j, x in enumerate(a, v - lo):
+                        acc[j] += x * y
+                continue
+            for i, x in enumerate(a, v - lo):
+                if s < 0:
+                    x = -x
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+        p = self.p
+        return self.strip([c % p for c in acc])
+
     def inv_series(self, a, n):
         """Inverse of a nonzero series, through n coefficients."""
         p = self.p
@@ -233,6 +266,7 @@ class QuadField(_SeriesKernels):
     """Arithmetic in F_{p^2} = F_p(w), w^2 = delta (delta a non-square)."""
 
     ZERO = (0, 0)
+    ONE = ((1, 0),)
 
     def __init__(self, p: int):
         self.p = p
@@ -335,6 +369,29 @@ class QuadField(_SeriesKernels):
                     im[j] += x0 * y1 + x1 * y0
         out = [(r % p, s % p) for r, s in zip(re, im)]
         return tuple(out) if full else self.strip(out)[1]
+
+    def dot_series(self, terms, lo, width):
+        """Signed sum of products over a span holding all of them (see
+        PrimeField.dot_series)."""
+        dl = self.delta
+        re, im = [0] * width, [0] * width
+        for s, v, a, b in terms:
+            if len(b) == 1:
+                y0, y1 = b[0]
+                if s < 0:
+                    y0, y1 = -y0, -y1
+                for j, (x0, x1) in enumerate(a, v - lo):
+                    re[j] += x0 * y0 + dl * x1 * y1
+                    im[j] += x0 * y1 + x1 * y0
+                continue
+            for i, (x0, x1) in enumerate(a, v - lo):
+                if s < 0:
+                    x0, x1 = -x0, -x1
+                for j, (y0, y1) in enumerate(b, i):
+                    re[j] += x0 * y0 + dl * x1 * y1
+                    im[j] += x0 * y1 + x1 * y0
+        p = self.p
+        return self.strip([(r % p, s % p) for r, s in zip(re, im)])
 
     def inv_series(self, a, n):
         """Inverse of a nonzero series, through n coefficients."""

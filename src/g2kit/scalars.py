@@ -7,6 +7,9 @@ coefficients; it denotes the series sum c_j * pi^(val+j) known modulo
 pi^(val+N).  Sums are truncated to the common representable window, as are
 products; a sum whose known coefficients cancel entirely while an unknown
 tail remains raises PrecisionError so that failures stay attributable.
+dot evaluates a signed sum of products as the left fold of these
+operations does, in one residue-kernel call when the fold truncates
+nothing.
 """
 
 from __future__ import annotations
@@ -367,6 +370,66 @@ def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
                 raise DomainError(f"wrong uniformizer in {term!r}")
             out = out + cfg.monomial(coeff, int(m.group(4)))
     return out
+
+
+def dot(cfg: FieldConfig, terms) -> Scalar:
+    """The signed sum of products s*x*y over the (s, x, y) terms, s = +-1
+    and y = None for a plain term s*x, equal digit for digit to fold_dot.
+    terms is a list: the fold reads it a second time.
+
+    When the support of every full product fits one N-coefficient span,
+    from the least valuation to the largest end, the left fold truncates
+    no product and no partial sum, so the exact sum is the fold's result
+    and no PrecisionError can arise: that sum is one residue-kernel call.
+    The span is decided from (val, len) alone; otherwise the terms fold.
+    The operands' configs are compared once, zero operands included."""
+    spans = []
+    lo = hi = None
+    for s, x, y in terms:
+        if x.cfg is not cfg:
+            cfg._zero._check(x)
+        xc = x.coeffs
+        if y is None:
+            yc, v = cfg._residue.ONE, x.val
+        else:
+            if y.cfg is not cfg:
+                cfg._zero._check(y)
+            yc = y.coeffs
+            if not yc:
+                continue
+            v = x.val + y.val
+        if not xc:
+            continue
+        end = v + len(xc) + len(yc) - 1
+        if lo is None:
+            lo, hi = v, end
+        else:
+            if v < lo:
+                lo = v
+            if end > hi:
+                hi = end
+        spans.append((s, v, xc, yc))
+    if lo is None:
+        return cfg._zero
+    width = hi - lo
+    if width > cfg.precision:
+        return fold_dot(cfg, terms)
+    lead, coeffs = cfg._residue.dot_series(spans, lo, width)
+    return Scalar(cfg, lo + lead, coeffs) if coeffs else cfg._zero
+
+
+def fold_dot(cfg: FieldConfig, terms) -> Scalar:
+    """The left fold of the (s, x, y) terms of dot through the truncating
+    Scalar operations: acc +- x*y (or acc +- x), starting from the first
+    term."""
+    acc = None
+    for s, x, y in terms:
+        term = x if y is None else x * y
+        if acc is None:
+            acc = term if s > 0 else -term
+        else:
+            acc = acc + term if s > 0 else acc - term
+    return cfg._zero if acc is None else acc
 
 
 def hilbert_symbol(a: Scalar, b: Scalar) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    is_derivation, lift_sl3, lift_su21, verify_witness,
-                   _is_x_factor, _poly_coprime, _poly_eval)
+                   witness_coprime, _is_x_factor, _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
 from .linalg import Subspace, lin_comb, mat_vec
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
@@ -81,18 +81,14 @@ def validate(stratum: Stratum) -> dict:
         v = seq_valuation(s.seq, s.beta)
         record("lattice-valuation", v >= -s.n,
                f"v_Lambda(beta) = {v} < -n = {-s.n}")
+    # pairwise coprimality, computed once: part of the witness check and
+    # surfaced separately
+    coprime = witness_coprime(s.cfg, s.witness)
     try:
-        verify_witness(s.beta, s.witness)
+        verify_witness(s.beta, s.witness, coprime)
         record("witness", True)
     except WitnessError as exc:
         record("witness", False, str(exc))
-    # pairwise coprimality (verify_witness checks it; surface separately)
-    coprime = True
-    for a in range(len(s.witness)):
-        for b in range(a + 1, len(s.witness)):
-            if not _poly_coprime(s.cfg, s.witness[a].factor,
-                                 s.witness[b].factor):
-                coprime = False
     record("coprimality", coprime, "witness factors share a root")
     record("lattice-splitting", _lattice_split_by(s.seq, s.witness),
            "sequence is not split by the decomposition")

@@ -64,7 +64,7 @@ class TrialityTriple:
 
 def hat(t: EndV) -> EndV:
     """x -> conj(t(conj(x))); involutive, preserves so(V) and SO(V)."""
-    return EndV(t.cfg, sandwich(CONJ_ROWS, t.rows, CONJ_COLS))
+    return EndV.adopt(t.cfg, sandwich(CONJ_ROWS, t.rows, CONJ_COLS))
 
 
 def check_related(t1: EndV, t2: EndV, t3: EndV, lie: bool = False) -> bool:

@@ -320,3 +320,22 @@ def test_centralizer_shapes():
                                             __import__("g2kit.octonions",
                                                        fromlist=["gram_scalar"]
                                                        ).gram_scalar(CFG)))
+
+
+def test_public_constructor_copies_and_checks_adopt_wraps():
+    rows = [[sc(i + j) for j in range(8)] for i in range(8)]
+    x = EndV(CFG, rows)
+    rows[0][0] = sc(3)
+    assert x.rows[0][0] == sc(0)
+    with pytest.raises(DomainError):
+        EndV(CFG, rows[:7])
+    with pytest.raises(DomainError):
+        EndV(CFG, [r[:7] for r in rows])
+    y = EndV.adopt(CFG, rows)
+    assert y.rows is rows and y == EndV(CFG, rows)
+    # products, sums and inverses wrap their fresh rows unshared
+    a, b = u_root(CFG, 1, 2, sc(2)), d_torus(CFG, 3, CFG.t())
+    for z in (a * b, a + b, a - b, -a, a.inverse(), a * 3, adjoint(a)):
+        assert len(z.rows) == 8 and all(len(r) == 8 for r in z.rows)
+        assert all(r is not s for r in z.rows for s in a.rows + b.rows)
+    assert (a * b) == EndV(CFG, (a * b).rows)

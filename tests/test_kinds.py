@@ -16,9 +16,10 @@ from g2kit.endo import _kernel_subalgebra
 from g2kit.errors import DomainError, WitnessError
 from g2kit.linalg import Subspace
 from g2kit.norms import NormFn, extend_dim4
-from g2kit.octonions import (GRAM, IDX,
-                             basis_octonion, bilinear_f, double,
-                             octonion_unit, plane_subalgebra, ramified_plane)
+from g2kit.octonions import (GRAM, IDX, anisotropic_plane,
+                             basis_octonion, bilinear_f, division_quaternion,
+                             double, octonion_unit, plane_subalgebra,
+                             ramified_plane)
 from g2kit.scalars import FieldConfig, hilbert_symbol
 
 
@@ -49,6 +50,37 @@ def test_kernel_algebra_kind_p5():
     assert (i + j.scale(2)).norm().is_zero
     rows = [x.coords for x in (octonion_unit(cfg), i, j, i * j)]
     assert _kernel_subalgebra(cfg, Subspace(cfg, 8, rows)).kind == "split-dim4"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_anisotropic_plane_and_division_quaternion_unramified(p):
+    # every element of F_p is a square in F_{p^2}: mu must leave F_p
+    cfg = FieldConfig(p, 6, "unramified")
+    d = anisotropic_plane(cfg)
+    assert d.kind == "field-dim2"
+    gamma = -d.traceless_generator().norm()
+    assert gamma.val == 0 and not gamma.is_square()
+    assert division_quaternion(cfg).kind == "division-dim4"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_anisotropic_plane_keeps_the_base_field_search(p):
+    # the first mu in 2..p-1 with 1 - mu^2 a non-square, as before
+    cfg = FieldConfig(p, 6)
+    mu = next(m for m in range(2, p) if pow(1 - m * m, (p - 1) // 2, p) == p - 1)
+    assert anisotropic_plane(cfg).basis[1][1] == cfg.from_int(mu)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ramified_plane_is_ramified_over_the_ramified_extension(p):
+    # Q(c) = s, not t = s^2, which is a square there
+    cfg = FieldConfig(p, 6, "ramified")
+    d = ramified_plane(cfg)
+    assert d.kind == "field-dim2"
+    assert d.traceless_generator().norm().val % 2 == 1
+    assert division_quaternion(cfg).kind == "division-dim4"
+    base = FieldConfig(p, 6)
+    assert ramified_plane(base).traceless_generator().norm() == base.t()
 
 
 def test_non_composition_kernel_is_a_witness_error():

@@ -376,3 +376,269 @@ def test_equal_configs_need_not_be_identical():
     assert x + y == ref_add(x, y) and x - y == ref_sub(x, y)
     assert x * y == b.from_int(3) + b.monomial(3, 1)
     assert a.zero() is a.zero()
+
+
+# -- the signed sum-of-products kernel ----------------------------------------
+# scalars.dot against fold_dot, the left fold through the truncating Scalar
+# operations, and each call site against the fold-based code it replaced.
+
+import g2kit.scalars as scalars_mod  # noqa: E402
+from g2kit.errors import G2KitError  # noqa: E402
+from g2kit.scalars import dot, fold_dot  # noqa: E402
+
+
+def _outcome(f, *args):
+    """f(*args) as a comparable value, or the type of the error it raised."""
+    try:
+        out = f(*args)
+    except (G2KitError, ZeroDivisionError) as exc:
+        return type(exc)
+    if isinstance(out, Scalar):
+        return (out.val, out.coeffs)
+    if isinstance(out, list):
+        return [(c.val, c.coeffs) for c in out]
+    return out
+
+
+def _short_operand(rng, cfg, vmax):
+    """0 or a scalar of width 1 or 2 at valuation 0..vmax."""
+    width = rng.choice((0, 1, 2))
+    return _operand(rng, cfg, width, False) * cfg.monomial(1, rng.randrange(vmax + 1)) \
+        if width else cfg.zero()
+
+
+def _terms(rng, cfg, count, plain, inside):
+    """(s, x, y) terms: short operands that keep every product inside the
+    window when inside is set, widths 0, 1, 2 and N at valuations -2..2
+    otherwise."""
+    def operand():
+        if inside:
+            return _short_operand(rng, cfg, cfg.precision // 4 - 1)
+        return _operand(rng, cfg, rng.choice((0, 1, 2, cfg.precision)), False)
+
+    return [(rng.choice((1, -1)), operand(), None if plain else operand())
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dot_matches_fold(p, ext, n):
+    cfg = FieldConfig(p, n, ext)
+    rng = random.Random(p * 100 + n + len(ext))
+    for _ in range(300):
+        plain = rng.random() < 0.3
+        terms = _terms(rng, cfg, rng.randrange(1, 9), plain, rng.random() < 0.5)
+        draw = rng.random()
+        if draw < 0.15:
+            # total cancellation: every term again with the other sign
+            terms += [(-s, x, y) for s, x, y in reversed(terms)]
+        elif draw < 0.3:
+            # partial cancellation: the first term's leading coefficient
+            s, x, y = terms[0]
+            if not x.is_zero and (y is None or not y.is_zero):
+                lead = x if y is None else x * y
+                terms.append((-s, cfg.monomial(lead.coeffs[0], lead.val), None))
+        assert _outcome(dot, cfg, terms) == _outcome(fold_dot, cfg, terms)
+
+
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_dot_folds_exactly_when_the_span_exceeds_the_window(monkeypatch, ext, n):
+    cfg = FieldConfig(7, n, ext)
+    r = cfg.residue
+    folds = []
+
+    def counting_fold(c, terms):
+        folds.append(len(terms))
+        return fold_dot(c, terms)
+
+    monkeypatch.setattr(scalars_mod, "fold_dot", counting_fold)
+    two = r.add(r.one(), r.one())
+    for span in (n - 1, n, n + 1):
+        # plain terms 1 and -2 u^(span-1): the span from u^0 through u^(span-1)
+        plain = [(1, cfg.one(), None), (-1, cfg.monomial(two, span - 1), None)]
+        # (1 + u) * (1 + ... + u^(span-2)): one full product of span coefficients
+        x = cfg.from_coeffs(0, [r.one(), r.one()])
+        y = cfg.from_coeffs(0, [r.one()] * (span - 1))
+        prod = [(-1, x, y), (1, cfg.monomial(1, 1), cfg.one())]
+        for terms in (plain, prod):
+            del folds[:]
+            got = dot(cfg, terms)
+            assert folds == ([len(terms)] if span > n else [])
+            _same(got, fold_dot(cfg, terms))
+            assert len(got.coeffs) <= n
+
+
+def test_dot_checks_every_operand_config():
+    a, b = FieldConfig(5, 8), FieldConfig(7, 8)
+    for terms in ([(1, b.one(), None)], [(1, a.one(), b.one())],
+                  [(1, b.zero(), a.one())], [(1, a.one(), b.zero())],
+                  [(1, a.one(), a.one()), (-1, a.zero(), None), (1, b.zero(), None)]):
+        with pytest.raises(ConfigMismatchError):
+            dot(a, terms)
+    c = FieldConfig(5, 8)
+    assert dot(a, [(1, c.one(), a.t()), (-1, a.t(), None)]).is_zero
+    assert dot(a, []) is a.zero()
+
+
+# -- call sites ------------------------------------------------------------------
+# The fold-based code each call site had before it called dot, kept verbatim
+# as the reference it must match digit for digit.
+
+from g2kit import endo, linalg, octonions  # noqa: E402
+from g2kit.octonions import (BASIS_PRODUCT, GRAM, Q_DIAG, Octonion,  # noqa: E402
+                             bilinear_f)
+from g2kit.triality import random_g2_lie, root_triple  # noqa: E402
+
+
+def ref_octonion_mul(x, y):
+    out = [x.cfg.zero()] * 8
+    for a, row in zip(x.coords, BASIS_PRODUCT):
+        if a.is_zero:
+            continue
+        for b, cell in zip(y.coords, row):
+            if cell is None or b.is_zero:
+                continue
+            i, sign = cell
+            if sign > 0:
+                out[i] = out[i] + a * b
+            else:
+                out[i] = out[i] - a * b
+    return out
+
+
+def ref_norm(x):
+    acc = x.cfg.zero()
+    for i in range(8):
+        a = x.coords[i]
+        if a.is_zero:
+            continue
+        if Q_DIAG[i]:
+            acc = acc + a * a * Q_DIAG[i]
+        for j in range(i + 1, 8):
+            b = x.coords[j]
+            if GRAM[i][j] and not b.is_zero:
+                acc = acc + a * b * GRAM[i][j]
+    return acc
+
+
+def ref_bilinear_f(x, y):
+    acc = x.cfg.zero()
+    for i in range(8):
+        a = x.coords[i]
+        if a.is_zero:
+            continue
+        for j in range(8):
+            g = GRAM[i][j]
+            if not g:
+                continue
+            b = y.coords[j]
+            if b.is_zero:
+                continue
+            acc = acc + a * b * g
+    return acc
+
+
+def ref_mat_vec(a, v):
+    out = []
+    for row in a:
+        acc = None
+        for x, y in zip(row, v):
+            if x.is_zero or y.is_zero:
+                continue
+            term = x * y
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else row[0].cfg.zero())
+    return out
+
+
+def ref_leibniz_holds(t1, t2, t3, zero):
+    c1, c2, c3 = ([[(m, row[j]) for m, row in enumerate(t)
+                    if not row[j].is_zero] for j in range(8)]
+                  for t in (t1, t2, t3))
+
+    def add(acc, cell, v):
+        if cell is not None:
+            m, s = cell
+            term = v if s > 0 else -v
+            acc[m] = acc[m] + term if m in acc else term
+
+    for i in range(8):
+        for j in range(8):
+            want, got = {}, {}
+            cell = BASIS_PRODUCT[i][j]
+            if cell is not None:
+                k, s = cell
+                for m, v in c1[k]:
+                    add(want, (m, s), v)
+            for a, v in c2[i]:
+                add(got, BASIS_PRODUCT[a][j], v)
+            for b, v in c3[j]:
+                add(got, BASIS_PRODUCT[i][b], v)
+            for m in want.keys() | got.keys():
+                if want.get(m, zero) != got.get(m, zero):
+                    return False
+    return True
+
+
+def _always_fold(monkeypatch):
+    """Send every dot call of the library through fold_dot."""
+    for module in (octonions, linalg, endo):
+        monkeypatch.setattr(module, "dot", fold_dot)
+
+
+def _octonion(rng, cfg, far):
+    widths = [0, 0, 1, 2, cfg.precision]
+    return Octonion(cfg, [_operand(rng, cfg, rng.choice(widths), far and rng.random() < 0.2)
+                          for _ in range(8)])
+
+
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_octonion_sites_match_their_folds(p, ext):
+    cfg = FieldConfig(p, 4, ext)
+    rng = random.Random(p + len(ext))
+    for _ in range(150):
+        far = rng.random() < 0.3
+        x, y = _octonion(rng, cfg, far), _octonion(rng, cfg, far)
+        assert _outcome(lambda: list((x * y).coords)) == _outcome(ref_octonion_mul, x, y)
+        assert _outcome(x.norm) == _outcome(ref_norm, x)
+        assert _outcome(bilinear_f, x, y) == _outcome(ref_bilinear_f, x, y)
+        rows = [list(_octonion(rng, cfg, far).coords) for _ in range(rng.randrange(1, 9))]
+        assert _outcome(linalg.mat_vec, rows, list(x.coords)) \
+            == _outcome(ref_mat_vec, rows, list(x.coords))
+
+
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_leibniz_sums_match_their_folds(monkeypatch, p, ext):
+    cfg = FieldConfig(p, 8, ext)
+    rng = random.Random(p * 7 + len(ext))
+    zero = cfg.zero()
+    cases = []
+    for width, vmin, vmax in ((1, 0, 1), (2, -1, 1), (8, -9, 9)):
+        d = random_g2_lie(cfg, rng, width=width, vmin=vmin, vmax=vmax)
+        lam = cfg.random(rng, width=width, vmin=vmin, vmax=vmax, nonzero=True)
+        tri = root_triple(cfg, 1, -2, lam, lie=True)
+        bent = [list(r) for r in d.rows]
+        i, j = rng.randrange(8), rng.randrange(8)
+        bent[i][j] = bent[i][j] + cfg.monomial(1, rng.randrange(vmin, vmax + 1))
+        cases += [(d.rows,) * 3, (tri.t1.rows, tri.t2.rows, tri.t3.rows),
+                  (bent, d.rows, d.rows), (tri.t1.rows, tri.t3.rows, tri.t2.rows)]
+    kernel = [_outcome(endo.leibniz_holds, *c, zero) for c in cases]
+    assert kernel[:2] == [True, True] and False in kernel
+    _always_fold(monkeypatch)
+    assert kernel == [_outcome(endo.leibniz_holds, *c, zero) for c in cases]
+    # inside the window (the first two widths) the single signed sum
+    # decides as the separate folds of want and got did
+    assert kernel[:8] == [_outcome(ref_leibniz_holds, *c, zero) for c in cases[:8]]
+
+
+def test_octonion_suite_unchanged_when_every_sum_folds(monkeypatch):
+    from g2kit.suites import run_suite
+    cfg = FieldConfig(11, 8)
+    kernel = run_suite("octonion", cfg, 1)["checks"]
+    _always_fold(monkeypatch)
+    assert run_suite("octonion", cfg, 1)["checks"] == kernel
+    assert all(c["status"] == "pass" for c in kernel)

@@ -240,6 +240,31 @@ def test_corrupted_fixtures_are_caught():
             f"corruption {name} reported as {rep['violations']}"
 
 
+def test_validate_decides_coprimality_once(monkeypatch):
+    # one gcd per pair of witness factors, for the witness and the
+    # coprimality records together (each used to compute its own)
+    import g2kit.endo as endo_mod
+    calls = []
+    gcd = endo_mod._poly_coprime
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(endo_mod, "_poly_coprime", counting)
+    strata = [("case-i", s) for s in case_i_strata(CFG)] + corrupted_fixtures()
+    for name, s in strata:
+        del calls[:]
+        rep = validate(s)
+        k = len(s.witness)
+        assert 0 < len(calls) <= k * (k - 1) // 2, name
+        status = {c["name"]: c["status"] for c in rep["checks"]}
+        if name == "coprimality":
+            assert status["coprimality"] == status["witness"] == "fail"
+        elif name == "case-i":
+            assert status["coprimality"] == status["witness"] == "pass"
+
+
 def test_stratum_json():
     s = lift_type_d_sl3(sl3_regular_data(), D)
     data = s.to_json()
