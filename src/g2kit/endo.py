@@ -15,7 +15,7 @@ from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         bilinear_f, gram_scalar, octonion_unit,
                         ordered_polarization, plane_subalgebra,
                         split_polarization, sqrt_scalar)
-from .scalars import FieldConfig, Scalar, dot
+from .scalars import FieldConfig, Scalar
 
 
 class EndV:
@@ -168,40 +168,33 @@ def is_derivation(x: EndV) -> bool:
 def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
     """t1(e_i e_j) = t2(e_i) e_j + e_i t3(e_j) on all 64 basis pairs, for
     8x8 row lists over any ring with the given zero and zero test.  Column
-    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so each
-    coordinate of want - got is a signed sum of entries, with no
-    multiplication: one scalars.dot over scalars, a plain sum otherwise
-    (the integer table verification)."""
+    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so the
+    check is signed sums and exact comparisons, with no multiplication."""
     c1, c2, c3 = ([[(m, row[j]) for m, row in enumerate(t)
                     if not is_zero(row[j])] for j in range(8)]
                   for t in (t1, t2, t3))
-    if isinstance(zero, Scalar):
-        cfg = zero.cfg
 
-        def vanishes(terms):
-            return dot(cfg, terms).is_zero
-    else:
-        def vanishes(terms):
-            return is_zero(sum((v if s > 0 else -v for s, v, _ in terms), zero))
+    def add(acc, cell, v):
+        if cell is not None:
+            m, s = cell
+            term = v if s > 0 else -v
+            acc[m] = acc[m] + term if m in acc else term
 
-    for i, row in enumerate(BASIS_PRODUCT):
+    for i in range(8):
         for j in range(8):
-            diff = {}  # coordinate m -> the (s, v, None) terms of want - got
-            cell = row[j]
+            want, got = {}, {}
+            cell = BASIS_PRODUCT[i][j]
             if cell is not None:
                 k, s = cell
                 for m, v in c1[k]:
-                    diff[m] = [(s, v, None)]
-            for cell, v in ([(BASIS_PRODUCT[a][j], v) for a, v in c2[i]]
-                            + [(row[b], v) for b, v in c3[j]]):
-                if cell is not None:
-                    m, s = cell
-                    if m in diff:
-                        diff[m].append((-s, v, None))
-                    else:
-                        diff[m] = [(-s, v, None)]
-            if not all(map(vanishes, diff.values())):
-                return False
+                    add(want, (m, s), v)
+            for a, v in c2[i]:
+                add(got, BASIS_PRODUCT[a][j], v)
+            for b, v in c3[j]:
+                add(got, BASIS_PRODUCT[i][b], v)
+            for m in want.keys() | got.keys():
+                if want.get(m, zero) != got.get(m, zero):
+                    return False
     return True
 
 
@@ -444,10 +437,16 @@ def _poly_eval(coeffs, x, zero, one):
     return out
 
 
-def verify_witness(beta: EndV, witness, coprime=None) -> None:
+def verify_witness(beta: EndV, witness) -> None:
     """Check a decomposition witness: kernels span V, blocks are
-    annihilated by their factors, factors are pairwise coprime (coprime,
-    when given, is witness_coprime of the witness, already computed)."""
+    annihilated by their factors, factors are pairwise coprime."""
+    verify_witness_blocks(beta, witness)
+    if not witness_coprime(beta.cfg, witness):
+        raise WitnessError("witness factors are not coprime")
+
+
+def verify_witness_blocks(beta: EndV, witness) -> None:
+    """The clauses of verify_witness other than coprimality."""
     cfg = beta.cfg
     total = 0
     all_rows = []
@@ -466,10 +465,6 @@ def verify_witness(beta: EndV, witness, coprime=None) -> None:
                 raise WitnessError("block is not beta-stable")
     if total != 8 or Subspace(cfg, 8, all_rows).dim != 8:
         raise WitnessError("witness blocks do not decompose V")
-    if coprime is None:
-        coprime = witness_coprime(cfg, witness)
-    if not coprime:
-        raise WitnessError("witness factors are not coprime")
 
 
 def witness_coprime(cfg, witness) -> bool:

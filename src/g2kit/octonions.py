@@ -464,12 +464,13 @@ def hyperbolic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
 def anisotropic_plane(cfg: FieldConfig) -> CompositionSubalgebra:
     """An unramified quadratic-field subalgebra F[c], c traceless,
     -Q(c) = 1 - mu^2 a non-square unit.  mu runs over the residue field:
-    the integers 2..p-1 first, then, over the unramified extension (where
-    every element of F_p is a square), the elements a + b w with b != 0."""
+    the integers 2..p-1, or over the unramified extension, where every
+    element of F_p is a square, the elements a + b w with b != 0."""
     one, p = cfg.one(), cfg.p
-    mus = list(range(2, p))
     if cfg.extension == "unramified":
-        mus += [(a, b) for b in range(1, p) for a in range(p)]
+        mus = [(a, b) for b in range(1, p) for a in range(p)]
+    else:
+        mus = range(2, p)
     for mu in mus:
         m = cfg.monomial(mu, 0)
         if not (one - m * m).is_square():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from .endo import (EndV, WitnessBlock, analyze_semisimple,
-                   is_derivation, lift_sl3, lift_su21, verify_witness,
+                   is_derivation, lift_sl3, lift_su21, verify_witness_blocks,
                    witness_coprime, _is_x_factor, _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
 from .linalg import Subspace, lin_comb, mat_vec
@@ -81,12 +81,12 @@ def validate(stratum: Stratum) -> dict:
         v = seq_valuation(s.seq, s.beta)
         record("lattice-valuation", v >= -s.n,
                f"v_Lambda(beta) = {v} < -n = {-s.n}")
-    # pairwise coprimality, computed once: part of the witness check and
-    # surfaced separately
+    # pairwise coprimality, computed once: the witness record (the clauses
+    # of verify_witness) and the coprimality record both read it
     coprime = witness_coprime(s.cfg, s.witness)
     try:
-        verify_witness(s.beta, s.witness, coprime)
-        record("witness", True)
+        verify_witness_blocks(s.beta, s.witness)
+        record("witness", coprime, "witness factors are not coprime")
     except WitnessError as exc:
         record("witness", False, str(exc))
     record("coprimality", coprime, "witness factors share a root")

@@ -7,7 +7,7 @@ import pytest
 
 from g2kit.endo import (EndV, WitnessBlock, d_torus_lie,
                         dim4_kernel_derivation, lift_su21,
-                        special_hermitian_basis)
+                        special_hermitian_basis, verify_witness)
 from g2kit.errors import LiftError, VolumeError, WitnessError
 from g2kit.linalg import Subspace
 from g2kit.norms import (HermitianNorm, NormFn, filtration_lattice,
@@ -263,6 +263,21 @@ def test_validate_decides_coprimality_once(monkeypatch):
             assert status["coprimality"] == status["witness"] == "fail"
         elif name == "case-i":
             assert status["coprimality"] == status["witness"] == "pass"
+
+
+def test_verify_witness_still_checks_coprimality():
+    # block 0 is ker(beta); x (x + a) still annihilates it, but shares the
+    # root -a with the factor x + a of block 1
+    s = case_i_strata(CFG)[0]
+    verify_witness(s.beta, s.witness)
+    b0, b1 = s.witness[:2]
+    assert b0.factor == [0, 1] and len(b1.factor) == 2
+    bad = [WitnessBlock([0, b1.factor[0], 1], b0.space)] + s.witness[1:]
+    with pytest.raises(WitnessError, match="not coprime"):
+        verify_witness(s.beta, bad)
+    rep = validate(Stratum(s.seq, s.n, s.r, s.beta, bad))
+    assert {c["name"]: c["status"] for c in rep["checks"]}["witness"] == "fail"
+    assert "witness: witness factors are not coprime" in rep["violations"]
 
 
 def test_stratum_json():
