@@ -7,9 +7,9 @@ of semisimple derivations by their kernel subalgebra.
 from __future__ import annotations
 
 from .errors import DomainError, KindError, LiftError, WitnessError
-from .linalg import (Subspace, identity, inv, kernel, lin_comb, mat_add,
-                     mat_eq, mat_mul, mat_neg, mat_scale, mat_sub, mat_vec,
-                     solve, transpose, zeros)
+from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
+                     mat_add, mat_eq, mat_mul, mat_neg, mat_scale, mat_sub,
+                     mat_vec, transpose, zeros)
 from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         CompositionSubalgebra, Octonion, basis_octonion,
                         bilinear_f, gram_scalar, octonion_unit,
@@ -198,15 +198,22 @@ def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
     return True
 
 
-def is_algebra_automorphism(g: EndV) -> bool:
-    cfg = g.cfg
+def multiplicative_holds(t1: EndV, t2: EndV, t3: EndV) -> bool:
+    """t1(e_i e_j) = t2(e_i) t3(e_j) on all 64 basis pairs: the group
+    counterpart of leibniz_holds."""
+    cfg = t1.cfg
     e = [basis_octonion(cfg, lbl) for lbl in LABELS]
-    ge = [g.apply(v) for v in e]
+    t2e = [t2.apply(v) for v in e]
+    t3e = t2e if t3 is t2 else [t3.apply(v) for v in e]
     for i in range(8):
         for j in range(8):
-            if g.apply(e[i] * e[j]) != ge[i] * ge[j]:
+            if t1.apply(e[i] * e[j]) != t2e[i] * t3e[j]:
                 return False
     return True
+
+
+def is_algebra_automorphism(g: EndV) -> bool:
+    return multiplicative_holds(g, g, g)
 
 
 # -- standard generators -------------------------------------------------------
@@ -610,10 +617,8 @@ def restrict_to_basis(beta: EndV, basis_oct):
     """Matrix of beta on the span of basis_oct in that ordered basis;
     entry [i][j] is the b_i coefficient of beta(b_j)."""
     rows = [list(o.coords) for o in basis_oct]
-    imgs = [mat_vec(beta.rows, r) for r in rows]
-    cols = transpose(rows)
-    out = [solve(cols, img) for img in imgs]
-    return transpose(out)
+    reduction = RowReduction(transpose(rows))
+    return transpose([reduction.solve(mat_vec(beta.rows, r)) for r in rows])
 
 
 def _is_d_linear(g, v0, w_space) -> bool:
@@ -641,17 +646,18 @@ def _square_scalar_on(beta, w_space):
     return u
 
 
+def restricted_kernel(m, rows):
+    """The kernel of the matrix m on span(rows): the combinations of rows
+    whose coefficients lie in the kernel of the images' column matrix."""
+    cfg = rows[0][0].cfg
+    imgs = [mat_vec(m, r) for r in rows]
+    return [lin_comb(cfg, co, rows) for co in kernel(transpose(imgs))]
+
+
 def _eigenspace(beta, w_space, lam):
-    cfg = beta.cfg
-    shifted = beta - EndV.identity(cfg) * lam
-    rows = [list(r) for r in w_space.rows]
-    # solve within W: kernel of shifted restricted to W
-    mat = []
-    for r in rows:
-        img = mat_vec(shifted.rows, r)
-        mat.append(img)
-    return Subspace(cfg, 8, [lin_comb(cfg, co, rows)
-                             for co in kernel(transpose(mat))])
+    shifted = beta - EndV.identity(beta.cfg) * lam
+    return Subspace(beta.cfg, 8, restricted_kernel(
+        shifted.rows, [list(r) for r in w_space.rows]))
 
 
 def _expect_factor(cfg, witness, lam):

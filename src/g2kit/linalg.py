@@ -11,6 +11,11 @@ digit and raised error is the one dense elimination gives.  The entrywise
 kernels and mat_mul compare the field configs of their operands once (a
 skipped zero would otherwise hide a ConfigMismatchError).  mat_vec sums
 each row's nonzero products with one scalars.dot.
+
+RowReduction is the one way to take coordinates on a basis: the basis
+columns are row-reduced once, and the recorded row operations are
+replayed on each vector, raising SingularError for a vector outside the
+span.  solve(a, rhs) is RowReduction(a).solve(rhs) for a one-off system.
 """
 
 from __future__ import annotations

@@ -13,13 +13,13 @@ import math
 from fractions import Fraction
 
 from .endo import EndV, hermitian_form
-from .errors import (DomainError, DualityError, KindError, SingularError,
-                     VolumeError)
-from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
-from .octonions import (GRAM_ROWS, CompositionSubalgebra, Octonion,
-                        basis_octonion, bilinear_f, gram_schmidt,
-                        idempotents_from_isotropic_pair,
-                        octonion_unit, ordered_polarization,
+from .errors import DomainError, DualityError, KindError, VolumeError
+from .linalg import (RowReduction, Subspace, det, inv, lin_comb, mat_mul,
+                     transpose)
+from .octonions import (CompositionSubalgebra, Octonion, basis_octonion,
+                        bilinear_f, dual_basis_in, gram_schmidt,
+                        idempotents_from_isotropic_pair, octonion_unit,
+                        ordered_polarization, split_polarization,
                         standard_idempotents)
 from .scalars import FieldConfig, Scalar
 
@@ -96,28 +96,6 @@ class NormFn:
         """Restriction to the span of a subset of the splitting basis."""
         return NormFn(self.cfg, [self.basis[i] for i in indices],
                       [self.values[i] for i in indices])
-
-
-def dual_basis_in(cfg, basis, space_rows):
-    """Vectors in the row-space pairing to delta_ij with the given basis."""
-    rows = [list(r) for r in space_rows]
-    amat = []
-    for b in basis:
-        # G b for the signed permutation Gram matrix G, then f(row, b)
-        gv = [b.coords[j] if s > 0 else -b.coords[j] for j, s in GRAM_ROWS]
-        amat.append([sum((r * g for r, g in zip(row, gv)
-                          if not (r.is_zero or g.is_zero)), cfg.zero())
-                     for row in rows])
-    reduction = RowReduction(amat)
-    out = []
-    for k in range(len(basis)):
-        rhs = [cfg.one() if i == k else cfg.zero() for i in range(len(basis))]
-        try:
-            co = reduction.solve(rhs)
-        except SingularError as exc:
-            raise DualityError("form degenerate on this subspace") from exc
-        out.append(Octonion(cfg, lin_comb(cfg, co, rows)))
-    return out
 
 
 def dual_norm(alpha: NormFn) -> NormFn:
@@ -206,8 +184,7 @@ def extend_sl3(alpha_plus: NormFn, d: CompositionSubalgebra) -> NormFn:
     if volume(alpha_plus, d) != 0:
         raise VolumeError("extension needs a volume-zero norm on W+")
     eplus, eminus = standard_idempotents(d)
-    wplus_rows = [b.coords for b in alpha_plus.basis]
-    _, wminus = _polarization_spaces(d)
+    _, wminus = split_polarization(d)
     sharp = sharp_dual(alpha_plus, wminus)
     basis = [eplus, eminus] + list(alpha_plus.basis) + list(sharp.basis)
     values = [Fraction(0), Fraction(0)] + list(alpha_plus.values) \
@@ -215,11 +192,6 @@ def extend_sl3(alpha_plus: NormFn, d: CompositionSubalgebra) -> NormFn:
     out = NormFn(alpha_plus.cfg, basis, values)
     _check_extension(out, alpha_plus)
     return reorder_to_standard(out)
-
-
-def _polarization_spaces(d):
-    from .octonions import split_polarization
-    return split_polarization(d)
 
 
 def _check_extension(out: NormFn, restriction: NormFn):
@@ -480,7 +452,6 @@ class FiltrationLattice:
     def in_basis(self, x: EndV):
         if self._std:
             return x.rows
-        from .linalg import mat_mul
         return mat_mul(self._binv, mat_mul(x.rows, self._b))
 
     def contains(self, x: EndV) -> bool:

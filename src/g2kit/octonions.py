@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import DomainError, DoublingError, KindError, PairError
-from .linalg import Subspace, det, lin_comb, mat_vec, solve, transpose
+from .errors import (DomainError, DoublingError, DualityError, KindError,
+                     PairError, SingularError)
+from .linalg import RowReduction, Subspace, det, lin_comb, transpose
 from .scalars import FieldConfig, Scalar, dot, hilbert_symbol
 
 LABELS = (-4, -1, -2, -3, 3, 2, 1, 4)
@@ -229,8 +230,12 @@ class Octonion:
         return NotImplemented
 
     def scale(self, c) -> "Octonion":
+        """c x; the configs are compared once, so a zero coordinate (for
+        which c * 0 is 0) is kept without a multiplication."""
         c = self.cfg.coerce(c)
-        return Octonion(self.cfg, [c * a for a in self.coords])
+        c._check(self.coords[0])
+        return Octonion(self.cfg, [a if a.is_zero else c * a
+                                   for a in self.coords])
 
     def conj(self) -> "Octonion":
         x = self.coords
@@ -303,6 +308,26 @@ def bilinear_f(x: Octonion, y: Octonion) -> Scalar:
     """f(x,y) = Q(x+y) - Q(x) - Q(y)."""
     a, b = x.coords, y.coords
     return dot(x.cfg, [(s, a[i], b[j]) for i, (j, s) in enumerate(GRAM_ROWS)])
+
+
+def dual_basis_in(cfg: FieldConfig, basis, space_rows):
+    """The vectors of the row space pairing to delta_ij with the given
+    basis under f.  The pairing matrix f(row, b) is reduced once and
+    replayed on each unit right-hand side."""
+    rows = [list(r) for r in space_rows]
+    amat = [[dot(cfg, [(s, row[i], b.coords[j])
+                       for i, (j, s) in enumerate(GRAM_ROWS)])
+             for row in rows] for b in basis]
+    reduction = RowReduction(amat)
+    out = []
+    for k in range(len(basis)):
+        rhs = [cfg.one() if i == k else cfg.zero() for i in range(len(basis))]
+        try:
+            co = reduction.solve(rhs)
+        except SingularError as exc:
+            raise DualityError("form degenerate on this subspace") from exc
+        out.append(Octonion(cfg, lin_comb(cfg, co, rows)))
+    return out
 
 
 def gram_scalar(cfg: FieldConfig):
@@ -422,10 +447,14 @@ class CompositionSubalgebra:
         gram = [[bilinear_f(a, b) for b in self.basis] for a in self.basis]
         return not det(gram).is_zero
 
+    @cached_property
+    def _reduction(self) -> RowReduction:
+        return RowReduction(transpose([list(b.coords) for b in self.basis]))
+
     def coordinates(self, x: Octonion):
-        """Coordinates of x in this subalgebra's basis."""
-        cols = transpose([list(b.coords) for b in self.basis])
-        return solve(cols, list(x.coords))
+        """Coordinates of x in this subalgebra's basis: the basis columns
+        are row-reduced once, and their row operations replayed on x."""
+        return self._reduction.solve(list(x.coords))
 
     def orthogonal_basis_octonions(self):
         perp = self.space.perp(gram_scalar(self.cfg))
@@ -610,21 +639,8 @@ def ordered_polarization(d: CompositionSubalgebra):
     split plane, with f(w-_i, w+_j) = delta_ij; the canonical plane yields
     ((e_1, e_2, e_3), (e_-1, e_-2, e_-3))."""
     wplus, wminus = split_polarization(d)
-    cfg = d.cfg
-    wp = [Octonion(cfg, r) for r in reversed(wplus.rows)]
-    gram = gram_scalar(cfg)
-    wm_rows = [list(r) for r in wminus.rows]
-    wm = []
-    for k in range(3):
-        a = []
-        rhs = []
-        for i, w in enumerate(wp):
-            gv = mat_vec(gram, list(w.coords))
-            a.append([dot(cfg, [(1, x, y) for x, y in zip(row, gv)])
-                      for row in wm_rows])
-            rhs.append(cfg.one() if i == k else cfg.zero())
-        wm.append(Octonion(cfg, lin_comb(cfg, solve(a, rhs), wm_rows)))
-    return wp, wm
+    wp = [Octonion(d.cfg, r) for r in reversed(wplus.rows)]
+    return wp, dual_basis_in(d.cfg, wp, wminus.rows)
 
 
 def sqrt_scalar(x: Scalar) -> Scalar:

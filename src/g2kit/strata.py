@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from .endo import (EndV, WitnessBlock, analyze_semisimple,
-                   is_derivation, lift_sl3, lift_su21, verify_witness_blocks,
-                   witness_coprime, _is_x_factor, _poly_eval)
+                   is_derivation, lift_sl3, lift_su21, restricted_kernel,
+                   verify_witness_blocks, witness_coprime, _is_x_factor,
+                   _poly_eval)
 from .errors import LiftError, VolumeError, WitnessError
-from .linalg import Subspace, lin_comb, mat_vec
+from .linalg import RowReduction, Subspace, det, lin_comb, mat_vec, transpose
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
                     extend_su21, lattice_seq_from_norm, seq_valuation,
                     volume)
@@ -147,10 +148,9 @@ def _lattice_split_by(seq: LatticeSeq, witness) -> bool:
     cols = []
     for sp in spaces:
         cols.extend([list(r) for r in sp.rows])
-    from .linalg import solve, transpose
-    colmat = transpose(cols)
+    reduction = RowReduction(transpose(cols))
     for b, val in zip(seq.norm.basis, seq.norm.values):
-        co = solve(colmat, list(b.coords))
+        co = reduction.solve(list(b.coords))
         idx = 0
         for sp in spaces:
             part = co[idx:idx + sp.dim]
@@ -190,7 +190,6 @@ def classify(stratum: Stratum) -> ClassifiedStratum:
     if analysis.case_tag == "(i) hyperbolic-plane":
         wp = analysis.extras["wplus_basis"]
         bw = analysis.extras["beta_wplus"]
-        from .linalg import det
         if det(bw).is_zero:
             raise WitnessError(
                 "case (i) needs beta injective on W+; enlarge the kernel")
@@ -299,23 +298,19 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
     """Witness of the lifted element: the kernel block on D (merged with
     any zero block of the input) plus each input block and its mirror in
     W-, whose factor is the sign-normalized reflection."""
-    wp, wm = ordered_polarization(d)
+    _, wm = ordered_polarization(d)
     kernel_rows = [b.coords for b in d.basis]
     staged = []
     for coeffs, vectors in blocks:
         coeffs = [cfg.coerce(c) for c in coeffs]
         if _is_x_factor(cfg, coeffs):
             kernel_rows.extend([v.coords for v in vectors])
-            kernel_rows.extend(
-                [w.coords for w in _mirror_kernel(cfg, d, beta, coeffs,
-                                                  vectors, wm)])
+            kernel_rows.extend(_mirror_kernel(cfg, beta, coeffs, wm))
             continue
         staged.append((coeffs, [list(v.coords) for v in vectors]))
         mirror_factor = _reflect_poly(cfg, coeffs)
-        mirror_vectors = _mirror_kernel(cfg, d, beta, mirror_factor,
-                                        vectors, wm)
         staged.append((mirror_factor,
-                       [list(w.coords) for w in mirror_vectors]))
+                       _mirror_kernel(cfg, beta, mirror_factor, wm)))
     # a zero eigenvalue makes a mirror factor collide with a direct one;
     # blocks with equal factors merge
     merged = []
@@ -341,14 +336,10 @@ def _poly_equal(cfg, p, q) -> bool:
     return canon(p) == canon(q)
 
 
-def _mirror_kernel(cfg, d, beta, factor, vectors, wm):
-    """Kernel of factor(beta) inside W-, found by exact linear algebra."""
+def _mirror_kernel(cfg, beta, factor, wm):
+    """Coordinate rows of a basis of the kernel of factor(beta) inside W-."""
     pb = _poly_eval(factor, beta, EndV.zero(cfg), EndV.identity(cfg))
-    from .linalg import kernel as lin_kernel, transpose
-    rows = [list(w.coords) for w in wm]
-    mat = [mat_vec(pb.rows, r) for r in rows]
-    co = lin_kernel(transpose(mat))
-    return [Octonion(cfg, lin_comb(cfg, c, rows)) for c in co]
+    return restricted_kernel(pb.rows, [list(w.coords) for w in wm])
 
 
 def _reflect_poly(cfg, coeffs):

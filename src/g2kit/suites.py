@@ -22,9 +22,9 @@ from .norms import (HermitianNorm, NormFn, dual_norm, extend_dim4,
                     lattice_seq_from_norm, standard_norm)
 from .octonions import (Octonion, anisotropic_plane,
                         basis_octonion, bilinear_f, center_subalgebra,
-                        division_quaternion, double, hyperbolic_plane,
-                        idempotents_from_isotropic_pair, octonion_unit,
-                        ramified_plane, random_isotropic_pair,
+                        division_quaternion, double, gram_schmidt,
+                        hyperbolic_plane, idempotents_from_isotropic_pair,
+                        octonion_unit, ramified_plane, random_isotropic_pair,
                         random_octonion, split_polarization,
                         standard_split_dim4)
 from .scalars import FieldConfig
@@ -308,14 +308,9 @@ def _extend_dim4_fixtures(cfg):
         if not (is_algebra_norm(ext) and is_self_dual(ext)):
             return f"dim4 extension {ah},{ak}"
     div = division_quaternion(cfg)
-    wbasis = div.orthogonal_basis_octonions()
-    ortho = []
-    for x in wbasis:
-        y = x
-        for z in ortho:
-            y = y - z.scale(bilinear_f(y, z) * (2 * z.norm()).inv())
-        if not y.is_zero:
-            ortho.append(y)
+    # W is anisotropic and orthogonal to the unit, so Gram-Schmidt after
+    # the unit gives an orthogonal basis of W
+    ortho = gram_schmidt(cfg, div.orthogonal_basis_octonions())[0][1:]
     alpha_w = NormFn(cfg, ortho,
                      [Fraction(x.norm().valuation, 2) for x in ortho])
     ext = extend_dim4(alpha_w, div)

@@ -23,11 +23,11 @@ from functools import lru_cache
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, assemble,
                    d_linear_map, hermitian_form, hermitian_gram,
                    is_algebra_automorphism, is_derivation, leibniz_holds,
-                   sandwich, so_coords, so_matrix, so_rows, u_root,
-                   u_root_lie)
+                   multiplicative_holds, sandwich, so_coords, so_matrix,
+                   so_rows, u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
-from .linalg import Subspace, det, inv, mat_vec, transpose
-from .octonions import (CONJ_COLS, CONJ_ROWS, LABELS, CompositionSubalgebra,
+from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
+from .octonions import (CONJ_COLS, CONJ_ROWS, CompositionSubalgebra,
                         Octonion, basis_octonion, from_coords, gram_scalar,
                         octonion_unit)
 from .scalars import FieldConfig, Scalar
@@ -71,15 +71,7 @@ def check_related(t1: EndV, t2: EndV, t3: EndV, lie: bool = False) -> bool:
     """Exact verification of the triality identity on all 64 basis pairs."""
     if lie:
         return leibniz_holds(t1.rows, t2.rows, t3.rows, t1.cfg.zero())
-    cfg = t1.cfg
-    e = [basis_octonion(cfg, lbl) for lbl in LABELS]
-    t2e = [t2.apply(v) for v in e]
-    t3e = [t3.apply(v) for v in e]
-    for i in range(8):
-        for j in range(8):
-            if t1.apply(e[i] * e[j]) != t2e[i] * t3e[j]:
-                return False
-    return True
+    return multiplicative_holds(t1, t2, t3)
 
 
 def orbit_triples(triple: TrialityTriple):
@@ -334,13 +326,11 @@ class HermitianModel:
         for x in self.basis3:
             self.fbasis.append(x)
             self.fbasis.append(self.c * x)
-        cols = []
-        for bb in self.basis3:
-            cols.append(list(bb.coords))
-            cols.append(list((self.c * bb).coords))
-        # the 8 x 6 coordinate matrix has rank 6
-        self._coord_rows, self._coord_inv = _independent_rows(
-            self.cfg, transpose(cols), 6)
+        # the 8 x 6 coordinate system on the F-basis of W and the 12 x 6
+        # Phi-pairing system have rank 6; each is reduced once, and a
+        # right-hand side outside their column space raises SingularError
+        self._coords = RowReduction(transpose([list(z.coords)
+                                               for z in self.fbasis]))
         amat = []
         for z in self.fbasis:
             row1, rowc = [], []
@@ -350,8 +340,7 @@ class HermitianModel:
                 rowc.append(co[1])
             amat.append(row1)
             amat.append(rowc)
-        # the 12 x 6 pairing system has rank 6
-        self._phi_rows, self._phi_inv = _independent_rows(self.cfg, amat, 6)
+        self._phi = RowReduction(amat)
 
     def _first_anisotropic(self, vs):
         for cand in vs + [x + y for x in vs for y in vs if x != y]:
@@ -366,7 +355,7 @@ class HermitianModel:
 
     def d_coordinates(self, w: Octonion):
         """Left-multiplication D-coordinates of w in the basis {a, b, ab}."""
-        co = mat_vec(self._coord_inv, [w.coords[i] for i in self._coord_rows])
+        co = self._coords.solve(list(w.coords))
         return [self.unit.scale(co[2 * k]) + self.c.scale(co[2 * k + 1])
                 for k in range(3)]
 
@@ -381,30 +370,15 @@ class HermitianModel:
             target = self.d.coordinates(self.wedge3(w1, w2, z))
             rhs_all.append(target[0])
             rhs_all.append(target[1])
-        co = mat_vec(self._phi_inv, [rhs_all[i] for i in self._phi_rows])
-        out = Octonion(self.cfg, [self.cfg.zero()] * 8)
-        for cc, bb in zip(co, self.fbasis):
-            out = out + bb.scale(cc)
-        return out
+        co = self._phi.solve(rhs_all)
+        return Octonion(self.cfg, lin_comb(self.cfg, co,
+                                           [z.coords for z in self.fbasis]))
 
     def product_via_decomposition(self, v1, w1, v2, w2) -> Octonion:
         """The displayed product formula, for testing against the table."""
         scalar_part = v1 * v2 - hermitian_form(self.d, w1, w2)
         vector_part = v1 * w2 + w1 * v2 + self.bar_wedge(w1, w2)
         return scalar_part + vector_part
-
-
-def _independent_rows(cfg, rows, n):
-    """Indices of the first n independent rows, and the inverse of the
-    n x n matrix they form."""
-    kept, idx = [], []
-    for i, row in enumerate(rows):
-        if Subspace(cfg, n, kept + [row]).dim > len(kept):
-            kept.append(row)
-            idx.append(i)
-        if len(kept) == n:
-            break
-    return idx, inv(kept)
 
 
 # -- fixed points ----------------------------------------------------------------

@@ -9,15 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from g2kit import linalg
-from g2kit.endo import EndV
+from g2kit import endo, linalg, octonions, strata, triality
+from g2kit.endo import (EndV, WitnessBlock, lift_sl3, random_so,
+                        restrict_to_basis)
 from g2kit.errors import ConfigMismatchError, PrecisionError, SingularError
 from g2kit.filtration import cayley, lie_generators
 from g2kit.fixtures import wplus_norm
 from g2kit.norms import extend_sl3, lattice_seq_from_norm, standard_norm
-from g2kit.octonions import Octonion, hyperbolic_plane
+from g2kit.octonions import (CompositionSubalgebra, Octonion,
+                             anisotropic_plane, basis_octonion, bilinear_f,
+                             division_quaternion, hyperbolic_plane,
+                             octonion_unit, ordered_polarization,
+                             ramified_plane, standard_split_dim4)
 from g2kit.scalars import FieldConfig
-from g2kit.triality import random_g2_lie
+from g2kit.triality import HermitianModel, random_g2_lie
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7)
            for ext in ("none", "unramified", "ramified")]
@@ -254,6 +259,84 @@ def test_norm_coordinates_match_dense_solve(p):
             x = linalg.lin_comb(cfg, coeffs, [b.coords for b in norm.basis])
             assert norm.coordinates(Octonion(cfg, x)) == dense_solve(
                 norm._cols, x)
+
+
+class OracleReduction(linalg.RowReduction):
+    """A RowReduction that compares every solve with dense_solve on the
+    matrix it reduced, and counts the solves of its call site."""
+
+    def __init__(self, a, site, counts):
+        super().__init__(a)
+        self.a, self.site, self.counts = [list(r) for r in a], site, counts
+
+    def solve(self, rhs):
+        got = outcome(super().solve, rhs)
+        assert got == outcome(dense_solve, self.a, rhs)
+        self.counts[self.site] = self.counts.get(self.site, 0) + 1
+        if isinstance(got, tuple):
+            raise SingularError(got[1])
+        return got
+
+
+def split_planes(cfg):
+    """The canonical split plane, and F[c] for c = e_1 + a e_-1 + e_2 + e_3
+    with Q(c) = -1, oriented by e+- = (1 +- c)/2."""
+    e = {lbl: basis_octonion(cfg, lbl) for lbl in (-1, 1, 2, 3)}
+    a = -bilinear_f(e[1], e[-1]).inv()
+    c = e[1] + e[-1].scale(a) + e[2] + e[3]
+    half = cfg.from_int(2).inv()
+    unit = octonion_unit(cfg)
+    ep, em = (unit + c).scale(half), (unit - c).scale(half)
+    return [hyperbolic_plane(cfg),
+            CompositionSubalgebra(cfg, [unit, c], idempotents=(ep, em))]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+def test_adapted_basis_coordinates_match_dense_solve(cfg, monkeypatch):
+    """CompositionSubalgebra.coordinates, ordered_polarization,
+    restrict_to_basis, strata._lattice_split_by and HermitianModel read
+    coordinates by replaying one RowReduction per basis; every replay
+    equals dense_solve on the same matrix."""
+    counts = {}
+    for module in (octonions, endo, strata, triality):
+        monkeypatch.setattr(
+            module, "RowReduction",
+            lambda a, site=module.__name__: OracleReduction(a, site, counts))
+    rng = random.Random(cfg.p)
+    one, zero = cfg.one(), cfg.zero()
+    for d in (hyperbolic_plane(cfg), anisotropic_plane(cfg),
+              ramified_plane(cfg), standard_split_dim4(cfg),
+              division_quaternion(cfg)):
+        for _ in range(3):
+            coeffs = [cfg.random(rng, width=2, vmin=-1, vmax=1)
+                      for _ in d.basis]
+            d.coordinates(Octonion(cfg, linalg.lin_comb(
+                cfg, coeffs, [b.coords for b in d.basis])))
+    seq = lattice_seq_from_norm(extend_sl3(wplus_norm(
+        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]),
+        hyperbolic_plane(cfg)))
+    split = []
+    for d in split_planes(cfg):
+        wp, wm = ordered_polarization(d)
+        assert all(bilinear_f(m, w) == (one if i == j else zero)
+                   for i, m in enumerate(wm) for j, w in enumerate(wp))
+        phi = [[cfg.random(rng, width=1, vmin=0, vmax=1) for _ in range(3)]
+               for _ in range(3)]
+        phi[2][2] = -(phi[0][0] + phi[1][1])
+        assert restrict_to_basis(lift_sl3(phi, d), wp) == phi
+        restrict_to_basis(random_so(cfg, rng, width=1),
+                          list(d.basis) + wp + wm)
+        witness = [WitnessBlock([0, 1], space) for space in (
+            d.space, linalg.Subspace(cfg, 8, [w.coords for w in wp]),
+            linalg.Subspace(cfg, 8, [w.coords for w in wm]))]
+        split.append(strata._lattice_split_by(seq, witness))
+    # the sequence was extended across the canonical plane, so its own
+    # polarization splits it
+    assert split[0]
+    model = HermitianModel(anisotropic_plane(cfg))
+    model.bar_wedge(model.basis3[0], model.basis3[1] + model.fbasis[3])
+    assert set(counts) == {"g2kit.octonions", "g2kit.endo", "g2kit.strata",
+                           "g2kit.triality"}
 
 
 def test_mixed_configs_raise():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from g2kit.errors import DoublingError, PairError
+from g2kit.errors import ConfigMismatchError, DoublingError, PairError
 from g2kit.octonions import (CompositionSubalgebra, anisotropic_plane,
                              basis_octonion, bilinear_f, center_subalgebra,
                              division_quaternion, double, from_coords,
@@ -220,3 +220,16 @@ def test_json_roundtrip():
     # fixed basis order in serialization
     assert E[-4].to_json() == ["1", "0", "0", "0", "0", "0", "0", "0"]
     assert E[4].to_json() == ["0", "0", "0", "0", "0", "0", "0", "1"]
+
+
+def test_scale_skips_zero_coordinates_but_checks_the_config():
+    c7 = FieldConfig(7, 8)
+    zero = Octonion(CFG, [CFG.zero()] * 8)
+    with pytest.raises(ConfigMismatchError):
+        zero.scale(c7.one())
+    with pytest.raises(ConfigMismatchError):
+        E[1].scale(c7.from_int(3))
+    x = from_coords(CFG, {1: 2, -3: CFG.t()})
+    lam = CFG.one() + CFG.t()
+    assert x.scale(lam) == from_coords(CFG, {1: lam * 2, -3: lam * CFG.t()})
+    assert x.scale(0).is_zero and zero.scale(lam) == zero

@@ -9,7 +9,8 @@ from g2kit.endo import (SO_LABELS, EndV, adjoint, d_torus, is_derivation,
                         is_isometry, random_so, so_basis_labels, so_coords,
                         d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
-from g2kit.errors import DomainError, TripleError, WitnessError
+from g2kit.errors import (DomainError, SingularError, TripleError,
+                          WitnessError)
 from g2kit.linalg import Subspace, mat_mul, transpose
 from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
                              anisotropic_plane, basis_octonion,
@@ -251,6 +252,29 @@ def test_barwedge_product_formula():
     w1, w2, lam, lamp = rand_w(), rand_w(), rand_v0(), rand_v0()
     assert model.bar_wedge(w1 * lam, w2 * lamp) \
         == (lam * lamp) * model.bar_wedge(w1, w2)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_hermitian_model_rejects_vectors_outside_w(p):
+    """The unit and c lie in D, not in W = D-perp: their D-coordinates
+    over {a, b, ab} do not exist, so d_coordinates and bar_wedge raise
+    instead of returning coordinates that do not recombine to the input.
+    Vectors of W recombine exactly."""
+    cfg = FieldConfig(p, 8)
+    d = anisotropic_plane(cfg)
+    model = HermitianModel(d)
+    w = model.basis3[0]
+    for x in (octonion_unit(cfg), d.traceless_generator()):
+        with pytest.raises(SingularError):
+            model.d_coordinates(x)
+        with pytest.raises(SingularError):
+            model.bar_wedge(x, w)
+        with pytest.raises(SingularError):
+            model.bar_wedge(w, x)
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    for z in model.fbasis + [model.fbasis[1] + model.fbasis[4]]:
+        co = model.d_coordinates(z)
+        assert sum((lam * b for lam, b in zip(co, model.basis3)), zero) == z
 
 
 def test_is_g2_element_families():
