@@ -200,14 +200,19 @@ def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
 
 def multiplicative_holds(t1: EndV, t2: EndV, t3: EndV) -> bool:
     """t1(e_i e_j) = t2(e_i) t3(e_j) on all 64 basis pairs: the group
-    counterpart of leibniz_holds."""
+    counterpart of leibniz_holds.  As there, t(e_j) is column j of t and
+    e_i e_j = s e_k is read from BASIS_PRODUCT, so t1(e_i e_j) is the
+    column k of t1 with sign s, and the only products are t2(e_i) t3(e_j)."""
     cfg = t1.cfg
-    e = [basis_octonion(cfg, lbl) for lbl in LABELS]
-    t2e = [t2.apply(v) for v in e]
-    t3e = t2e if t3 is t2 else [t3.apply(v) for v in e]
-    for i in range(8):
-        for j in range(8):
-            if t1.apply(e[i] * e[j]) != t2e[i] * t3e[j]:
+    t2e = [Octonion(cfg, col) for col in zip(*t2.rows)]
+    t3e = t2e if t3 is t2 else [Octonion(cfg, col) for col in zip(*t3.rows)]
+    t1e = t2e if t1 is t2 else [Octonion(cfg, col) for col in zip(*t1.rows)]
+    signed = {1: t1e, -1: [-v for v in t1e]}
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    for i, row in enumerate(BASIS_PRODUCT):
+        for j, cell in enumerate(row):
+            want = zero if cell is None else signed[cell[1]][cell[0]]
+            if want != t2e[i] * t3e[j]:
                 return False
     return True
 

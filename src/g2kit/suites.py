@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import fixtures
 from .endo import (EndV, d_torus_lie, is_derivation, random_so,
                    u_root_lie)
-from .errors import G2KitError, PrecisionError
+from .errors import DomainError, G2KitError, PrecisionError
 from .filtration import (cayley, character_counts, enumerate_subspaces,
                          gamma_perp, lie_generators, moy_counterexample,
                          psi_b, quotient_iso_check, random_stable_subspace,
@@ -193,15 +193,20 @@ def _dim2_family(cfg):
     z = Octonion(cfg, [cfg.zero()] * 8)
     ident3 = [[one if i == j else z for j in range(3)] for i in range(3)]
     c = d.traceless_generator()
-    mu = None
-    for x in range(cfg.p):
-        for y in range(1, cfg.p):
-            cand = one.scale(cfg.from_int(x)) + c.scale(cfg.from_int(y))
-            if cand.norm() == cfg.one():
-                mu = cand
-                break
-        if mu is not None:
-            break
+    # a norm-1 mu = x + y c, y != 0, with x and y in the residue field, as
+    # Q(x + y c) = x^2 + y^2 Q(c) for c traceless; over the unramified
+    # extension every element of F_p is a square, so x, y must leave F_p
+    p = cfg.p
+    if cfg.extension == "unramified":
+        residue = [cfg.monomial((a, b), 0) for a in range(p) for b in range(p)]
+    else:
+        residue = [cfg.from_int(a) for a in range(p)]
+    qc = c.norm()
+    xy = next(((x, y) for x in residue for y in residue[1:]
+               if x * x + y * y * qc == cfg.one()), None)
+    if xy is None:
+        raise DomainError("no norm-1 element x + y c with y != 0")
+    mu = one.scale(xy[0]) + c.scale(xy[1])
     solve_dim2(d, [wm, w0, wp], one, ident3, one)
     solve_dim2(d, [wm, w0, wp], mu * mu, ident3, mu)
     return None

@@ -30,7 +30,7 @@ from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
 from .octonions import (CONJ_COLS, CONJ_ROWS, CompositionSubalgebra,
                         Octonion, basis_octonion, from_coords, gram_scalar,
                         octonion_unit)
-from .scalars import FieldConfig, Scalar
+from .scalars import FieldConfig, Scalar, dot
 
 
 class TrialityTriple:
@@ -307,7 +307,15 @@ class HermitianModel:
     """The product decomposition of V over an anisotropic plane D:
     (v0 + w)(v0' + w') = [v0 v0' - Phi(w, w')] + [v0 w' + w v0' + w /\\ w']
     with the wedge normalized on an orthogonal D-basis {a, b, ab} of W
-    by a ^ b ^ ab = Q(ab)."""
+    by a ^ b ^ ab = Q(ab).
+
+    With x, y the D-coordinates of w1, w2, the wedge is D-linear in its
+    third argument: w1 ^ w2 ^ zeta = Q(ab) sum_k zeta_k C_k with the
+    cofactors C_k = x_{k+1} y_{k+2} - x_{k+2} y_{k+1} (indices mod 3), so
+    bar_wedge reads the pairing right-hand sides on zeta = e_k and c e_k
+    off Q(ab) C_k and c Q(ab) C_k.  Elements of D are pairs x0 + x1 c,
+    multiplied by (x0 + x1 c)(y0 + y1 c) = (x0 y0 + gamma x1 y1)
+    + (x0 y1 + x1 y0) c, where c^2 = gamma = -Q(c)."""
 
     def __init__(self, d: CompositionSubalgebra):
         if d.kind != "field-dim2":
@@ -341,6 +349,16 @@ class HermitianModel:
             amat.append(row1)
             amat.append(rowc)
         self._phi = RowReduction(amat)
+        # x0 + x1 c has d.basis coordinates x0 u + x1 v, and
+        # c (c0 + c1 c) = gamma c1 + c0 c: a cofactor C = c0 + c1 c gives
+        # the d.basis coordinates of Q(ab) C and then of c Q(ab) C as the
+        # four sums c0 r0 + c1 r1 over the rows (r0, r1) of _rhs_rows
+        self._gamma = -self.c.norm()
+        u = d.coordinates(self.unit)
+        v = d.coordinates(self.c)
+        self._rhs_rows = ([(self.qab * u[i], self.qab * v[i]) for i in (0, 1)]
+                          + [(self.qab * v[i], self._gamma * self.qab * u[i])
+                             for i in (0, 1)])
 
     def _first_anisotropic(self, vs):
         for cand in vs + [x + y for x in vs for y in vs if x != y]:
@@ -364,12 +382,22 @@ class HermitianModel:
         return det_d(self.d, m).scale(self.qab)
 
     def bar_wedge(self, w1: Octonion, w2: Octonion) -> Octonion:
-        """The unique z with Phi(zeta, z) = w1 ^ w2 ^ zeta for zeta in W."""
+        """The unique z with Phi(zeta, z) = w1 ^ w2 ^ zeta for zeta in W,
+        from the cofactors of the D-coordinates of w1 and w2."""
+        cfg = self.cfg
+        x = self._coords.solve(list(w1.coords))
+        y = self._coords.solve(list(w2.coords))
+        # D-coordinate k is x[2k] + x[2k+1] c; gx[k] = gamma x[2k+1]
+        gx = [self._gamma * x[2 * k + 1] for k in range(3)]
         rhs_all = []
-        for z in self.fbasis:
-            target = self.d.coordinates(self.wedge3(w1, w2, z))
-            rhs_all.append(target[0])
-            rhs_all.append(target[1])
+        for i, j in ((2, 4), (4, 0), (0, 2)):
+            # C_k = x_i y_j - x_j y_i for the pairs at flat offsets i, j
+            c0 = dot(cfg, [(1, x[i], y[j]), (1, gx[i // 2], y[j + 1]),
+                           (-1, x[j], y[i]), (-1, gx[j // 2], y[i + 1])])
+            c1 = dot(cfg, [(1, x[i], y[j + 1]), (1, x[i + 1], y[j]),
+                           (-1, x[j], y[i + 1]), (-1, x[j + 1], y[i])])
+            rhs_all += [dot(cfg, [(1, c0, r0), (1, c1, r1)])
+                        for r0, r1 in self._rhs_rows]
         co = self._phi.solve(rhs_all)
         return Octonion(self.cfg, lin_comb(self.cfg, co,
                                            [z.coords for z in self.fbasis]))

@@ -6,16 +6,18 @@ import random
 import pytest
 
 from g2kit.endo import (SO_LABELS, EndV, adjoint, d_torus, is_derivation,
-                        is_isometry, random_so, so_basis_labels, so_coords,
+                        is_isometry, multiplicative_holds, random_so,
+                        so_basis_labels, so_coords,
                         d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
 from g2kit.errors import (DomainError, SingularError, TripleError,
                           WitnessError)
-from g2kit.linalg import Subspace, mat_mul, transpose
+from g2kit.linalg import Subspace, lin_comb, mat_mul, transpose
 from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
                              anisotropic_plane, basis_octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
+from g2kit.suites import run_suite
 from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
                             LieTrialityGroup, TrialityTriple, check_related,
                             diag_lie_triple, hat, iota, is_g2_element,
@@ -523,3 +525,163 @@ def test_non_so_matrix_is_rejected():
                 LieTrialityGroup().apply(word, bad)
     with pytest.raises(DomainError):
         LieTrialityGroup().apply("tau", x)
+
+
+# -- bar-wedge by cofactors ---------------------------------------------------------
+
+def ref_bar_wedge(model, w1, w2):
+    """The bar-wedge read off its definition: one wedge3 (three coordinate
+    replays and a det_d) and one d.coordinates solve per F-basis vector."""
+    rhs_all = []
+    for z in model.fbasis:
+        target = model.d.coordinates(model.wedge3(w1, w2, z))
+        rhs_all.append(target[0])
+        rhs_all.append(target[1])
+    co = model._phi.solve(rhs_all)
+    return Octonion(model.cfg, lin_comb(model.cfg, co,
+                                        [z.coords for z in model.fbasis]))
+
+
+def random_w(model, rng, width):
+    """sum_k (x0 + x1 c) b_k over the D-basis {a, b, ab}, with x0, x1 of
+    valuation 0 and the given coefficient width."""
+    cfg = model.cfg
+    out = Octonion(cfg, [cfg.zero()] * 8)
+    for bb in model.basis3:
+        lam = (model.unit.scale(cfg.random(rng, width=width, vmin=0, vmax=0))
+               + model.c.scale(cfg.random(rng, width=width, vmin=0, vmax=0)))
+        out = out + lam * bb
+    return out
+
+
+class CountingReduction:
+    """A RowReduction stand-in that counts its replays."""
+
+    def __init__(self, reduction):
+        self.reduction, self.calls = reduction, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.reduction.solve(rhs)
+
+
+@pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_bar_wedge_matches_the_wedge3_definition(p, ext):
+    cfg = FieldConfig(p, 8, ext)
+    model = HermitianModel(anisotropic_plane(cfg))
+    rng = random.Random(p)
+    for width in (1, 2):
+        for _ in range(4):
+            w1, w2 = random_w(model, rng, width), random_w(model, rng, width)
+            assert model.bar_wedge(w1, w2).coords \
+                == ref_bar_wedge(model, w1, w2).coords, (width, w1, w2)
+
+
+def test_bar_wedge_reads_coordinates_twice_and_multiplies_no_octonions(
+        monkeypatch):
+    model = HermitianModel(anisotropic_plane(CFG))
+    rng = random.Random(7)
+    w1, w2 = random_w(model, rng, 2), random_w(model, rng, 2)
+    counter = CountingReduction(model._coords)
+    monkeypatch.setattr(model, "_coords", counter)
+    ref_bar_wedge(model, w1, w2)
+    assert counter.calls == 18
+    counter.calls = 0
+    products = []
+    mul = Octonion.__mul__
+
+    def counting_mul(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Octonion, "__mul__", counting_mul)
+    model.bar_wedge(w1, w2)
+    assert counter.calls == 2
+    assert products == []
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_dim2_family_passes_over_the_unramified_extension(p):
+    """No norm-1 x + y c with y != 0 has x, y in F_p over the unramified
+    extension; the search runs over the residue field F_{p^2}."""
+    report = run_suite("triality", FieldConfig(p, 8, "unramified"), 1)
+    status = {ch["name"]: ch["status"] for ch in report["checks"]}
+    assert status["dim2-family"] == "pass"
+    assert status["product-decomposition"] == "pass"
+
+
+# -- the group triality identity by column reads ------------------------------------
+
+def ref_multiplicative_holds(t1, t2, t3):
+    """t1(e_i e_j) = t2(e_i) t3(e_j) through basis products and mat_vec."""
+    cfg = t1.cfg
+    e = [basis_octonion(cfg, lbl) for lbl in LABELS]
+    t2e = [t2.apply(v) for v in e]
+    t3e = t2e if t3 is t2 else [t3.apply(v) for v in e]
+    for i in range(8):
+        for j in range(8):
+            if t1.apply(e[i] * e[j]) != t2e[i] * t3e[j]:
+                return False
+    return True
+
+
+def related_group_triples(cfg):
+    lam = cfg.t()
+    for i, j in all_root_pairs():
+        yield root_triple(cfg, i, j, lam)
+    u = cfg.one() + cfg.t()
+    g = [[cfg.from_int(4), cfg.zero(), cfg.zero()],
+         [cfg.zero(), cfg.one(), cfg.zero()],
+         [cfg.zero(), cfg.zero(), cfg.one()]]
+    yield solve_glw(cfg, u, g, sqrt_scalar(u * cfg.from_int(4)))
+    e = {lbl: basis_octonion(cfg, lbl) for lbl in LABELS}
+    one = octonion_unit(cfg)
+    u2 = e[-4].scale(cfg.from_int(4)) + e[4].scale(cfg.from_int(4))
+    yield solve_dim4(standard_split_dim4(cfg), e[2] + e[-2], one, u2, one,
+                     one, cfg.from_int(4))
+
+
+def flip(t, r, c):
+    rows = [list(row) for row in t.rows]
+    rows[r][c] = -rows[r][c]
+    return EndV(t.cfg, rows)
+
+
+@pytest.mark.parametrize("p", (5, 11))
+def test_multiplicative_holds_matches_basis_products(p):
+    """Related triples pass both versions; one flipped sign in t2 or t3
+    fails both."""
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(p)
+    for k, tri in enumerate(related_group_triples(cfg)):
+        t1, t2, t3 = tri
+        assert multiplicative_holds(t1, t2, t3)
+        assert ref_multiplicative_holds(t1, t2, t3)
+        if k % 8:
+            continue
+        for which in (1, 2):
+            t = (t2, t3)[which - 1]
+            nonzero = [(r, c) for r in range(8) for c in range(8)
+                       if not t.rows[r][c].is_zero]
+            for r, c in rng.sample(nonzero, 4):
+                parts = [t1, t2, t3]
+                parts[which] = flip(t, r, c)
+                assert not multiplicative_holds(*parts), (k, which, r, c)
+                assert not ref_multiplicative_holds(*parts), (k, which, r, c)
+    # automorphisms and non-automorphisms of the torus (t1 = t2 = t3)
+    lam = cfg.from_int(2)
+    for g, want in ((d_torus(cfg, 1, lam) * d_torus(cfg, 2, lam.inv()), True),
+                    (d_torus(cfg, 1, lam), False)):
+        assert multiplicative_holds(g, g, g) is want
+        assert ref_multiplicative_holds(g, g, g) is want
+
+
+def test_apply_to_a_signed_basis_vector_is_the_signed_column():
+    rng = random.Random(11)
+    x = EndV(CFG, [[CFG.random(rng, width=2, vmin=-1, vmax=1)
+                    for _ in range(8)] for _ in range(8)])
+    for k, lbl in enumerate(LABELS):
+        col = [row[k] for row in x.rows]
+        assert x.apply(E[lbl]).coords == tuple(col)
+        assert x.apply(-E[lbl]).coords == tuple(-v for v in col)
