@@ -40,11 +40,11 @@ class EndV:
 
     @classmethod
     def zero(cls, cfg) -> "EndV":
-        return cls(cfg, zeros(cfg, 8, 8))
+        return cls.adopt(cfg, zeros(cfg, 8, 8))
 
     @classmethod
     def identity(cls, cfg) -> "EndV":
-        return cls(cfg, identity(cfg, 8))
+        return cls.adopt(cfg, identity(cfg, 8))
 
     @classmethod
     def from_action(cls, cfg, images) -> "EndV":

@@ -3,6 +3,12 @@ congruence-subgroup filtrations, its compatibility with triality on
 generators, the character pairing psi_b of the quotients, the
 counterexample showing the Cayley transform misses the automorphism
 group, and the symplectic fixed-point identity over F_p.
+
+quotient_iso_check computes each distinct Cayley transform, and each
+distinct group generator matrix, once per check, in tables that live for
+the call.  Congruences over a lattice with the standard basis are
+decided entry by entry (FiltrationLattice.contains_difference and
+contains_group), and psi_b forms only the diagonal of b (x - 1).
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ def cayley(x: EndV) -> EndV:
     cfg = x.cfg
     half = cfg.from_int(2).inv()
     ident = EndV.identity(cfg)
-    plus = ident + x * half
-    minus = ident - x * half
+    xh = x * half
+    plus = ident + xh
+    minus = ident - xh
     try:
         return plus * minus.inverse()
     except SingularError as exc:
@@ -139,11 +146,11 @@ class FiltrationQuotient:
         return Fraction(math.ceil(self.lat_s.bounds[l][j]))
 
     def congruent_lie(self, x: EndV, y: EndV) -> bool:
-        return self.lat_s.contains(x - y)
+        return self.lat_s.contains_difference(x, y)
 
     def congruent_group(self, g: EndV, h: EndV) -> bool:
         # for h in P(Lambda), A_s h = A_s, so g h^{-1} in P^s iff g - h in A_s
-        return self.lat_s.contains(g - h)
+        return self.lat_s.contains_difference(g, h)
 
     def generators(self):
         return lie_generators(self.seq, self.r)
@@ -174,23 +181,40 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     violations += [f"homomorphism failure at {gens[a].name}, {gens[b].name}"
                    for a, b in sorted(failed)]
     # (b) Cayley commutes with triality modulo P^s; the group images are
-    # exactly d_i(C(lam)) and u_{i,j}(lam)
+    # exactly d_i(C(lam)) and u_{i,j}(lam).  Most triality images of a
+    # generator are generators again, so each distinct Lie image is
+    # transformed once, the table starting from the generators' own
+    # images, and each distinct group descriptor is evaluated once.
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
+    transforms = {_entries(g.lie): cx for g, cx in zip(gens, images)}
+    matrices = {}
+
+    def transform(x):
+        key = _entries(x)
+        if key not in transforms:
+            transforms[key] = cayley(x)
+        return transforms[key]
+
+    def matrix(gen):
+        key = (gen.kind, gen.data)
+        if key not in matrices:
+            matrices[key] = gen.matrix(cfg)
+        return matrices[key]
+
     for g, cx in zip(gens, images):
-        if cx != g.group.matrix(cfg):
+        if cx != matrix(g.group):
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
-        for word in LieTrialityGroup.WORDS:
-            lhs = cayley(lie_gamma.apply(word, g.lie))
-            rhs = grp_gamma.apply(word, g.group)
-            if not q.congruent_group(lhs, rhs):
+        for word, y in lie_gamma.orbit(g.lie):
+            rhs = matrix(grp_gamma._apply_desc(word, g.group))
+            if not q.congruent_group(transform(y), rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
     # (c) quotient fixed points lift to honest fixed points
     for x in _quotient_fixed_samples(seq, r, s):
-        for word in LieTrialityGroup.WORDS:
-            if not q.congruent_lie(lie_gamma.apply(word, x), x):
+        for _, y in lie_gamma.orbit(x):
+            if not q.congruent_lie(y, x):
                 violations.append("sample is not quotient-fixed")
         lifted = lie_gamma.average(x)
         if not q.lat_r.contains(lifted):
@@ -205,6 +229,11 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         "generators_tested": len(gens),
         "violations": violations,
     }
+
+
+def _entries(x: EndV) -> tuple:
+    """A dict key for the value of x: its entries as (val, coeffs)."""
+    return tuple((c.val, c.coeffs) for row in x.rows for c in row)
 
 
 def _quotient_fixed_samples(seq: LatticeSeq, r: int, s: int):
@@ -264,8 +293,27 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
         raise MembershipError("b must lie in A_{1-s}")
     if not seq.lattice(r).contains_group(x):
         raise MembershipError("x must lie in P^r")
-    ident = EndV.identity(seq.cfg)
-    return ((b * (x - ident)).trace()).conductor_character()
+    # the trace of b (x - 1) from its diagonal alone: the configs are
+    # compared once and entry i sums the nonzero b_il (x - 1)_li in
+    # increasing l, as mat_mul does; the entries are added in order from
+    # zero, as EndV.trace does
+    cfg = seq.cfg
+    one = cfg.one()
+    rows = x.rows
+    b.rows[0][0]._check(rows[0][0])
+    x_diag = [row[l] - one for l, row in enumerate(rows)]
+    acc = cfg.zero()
+    for i, brow in enumerate(b.rows):
+        entry = None
+        for l, c in enumerate(brow):
+            y = x_diag[l] if l == i else rows[l][i]
+            if c.is_zero or y.is_zero:
+                continue
+            term = c * y
+            entry = term if entry is None else entry + term
+        if entry is not None:
+            acc = acc + entry
+    return acc.conductor_character()
 
 
 def character_counts(seq: LatticeSeq, r: int, s: int):
@@ -289,8 +337,8 @@ def trace_triality_invariance(x: EndV, y: EndV) -> bool:
     """tr(XY) = tr(dnu(X) dnu(Y)) for every triality automorphism."""
     gamma = LieTrialityGroup()
     target = (x * y).trace()
-    for word in LieTrialityGroup.WORDS:
-        if (gamma.apply(word, x) * gamma.apply(word, y)).trace() != target:
+    for (_, gx), (_, gy) in zip(gamma.orbit(x), gamma.orbit(y)):
+        if (gx * gy).trace() != target:
             return False
     return True
 

@@ -424,7 +424,15 @@ def lattice_seq_from_norm(alpha: NormFn) -> LatticeSeq:
 
 class FiltrationLattice:
     """The endomorphism lattice A_k(Lambda): entrywise valuation bounds
-    ceil(k/m + a_j - a_l) over the splitting basis."""
+    ceil(k/m + a_j - a_l) over the splitting basis.
+
+    Over the standard basis the coordinates are the matrix entries, so
+    contains_difference and contains_group decide entry by entry and
+    build no 8x8 difference and no identity.  An entry equal to its
+    partner (same val and coeffs) has an exact zero difference and is
+    skipped; every other difference is formed, also after a failing
+    entry, so a PrecisionError is raised exactly when forming the whole
+    difference matrix raises one."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -440,6 +448,9 @@ class FiltrationLattice:
         self._std = all(
             b == basis_octonion(self.cfg, lbl) for b, lbl in
             zip(seq.norm.basis, (-4, -1, -2, -3, 3, 2, 1, 4)))
+        # the entry bounds in the 1/e units of Scalar.val
+        self._val_bounds = [[self.entry_bound(l, j) * self.cfg.e
+                             for j in range(n)] for l in range(n)]
         if self._std:
             self._b = self._binv = None
         else:
@@ -455,17 +466,43 @@ class FiltrationLattice:
         return mat_mul(self._binv, mat_mul(x.rows, self._b))
 
     def contains(self, x: EndV) -> bool:
-        y = self.in_basis(x)
-        for l in range(8):
-            for j in range(8):
-                c = y[l][j]
-                if not c.is_zero and c.valuation < self.entry_bound(l, j):
+        for row, br in zip(self.in_basis(x), self._val_bounds):
+            for c, bound in zip(row, br):
+                if c.coeffs and c.val < bound:
                     return False
         return True
 
+    def contains_difference(self, x: EndV, y: EndV) -> bool:
+        """Membership of x - y."""
+        cfg = self.cfg
+        if not self._std or x.cfg is not cfg or y.cfg is not cfg:
+            return self.contains(x - y)
+        ok = True
+        for xr, yr, br in zip(x.rows, y.rows, self._val_bounds):
+            for a, b, bound in zip(xr, yr, br):
+                if a.val == b.val and a.coeffs == b.coeffs:
+                    continue
+                d = a - b
+                if d.coeffs and d.val < bound:
+                    ok = False
+        return ok
+
     def contains_group(self, g: EndV) -> bool:
         """Membership of g in P^k: (g - 1) in the k-th lattice (k >= 1)."""
-        return self.contains(g - EndV.identity(self.cfg))
+        cfg = self.cfg
+        if not self._std or g.cfg is not cfg:
+            return self.contains(g - EndV.identity(cfg))
+        one = cfg.one()
+        ok = True
+        for l, (row, br) in enumerate(zip(g.rows, self._val_bounds)):
+            for j, (a, bound) in enumerate(zip(row, br)):
+                if j == l:
+                    if a.val == one.val and a.coeffs == one.coeffs:
+                        continue
+                    a = a - one
+                if a.coeffs and a.val < bound:
+                    ok = False
+        return ok
 
 
 def seq_valuation(seq: LatticeSeq, x: EndV):

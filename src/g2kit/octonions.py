@@ -652,8 +652,6 @@ def sqrt_scalar(x: Scalar) -> Scalar:
         raise DomainError("scalar is not a square")
     cfg = x.cfg
     r = cfg.residue
-    if not hasattr(r, "sqrt"):
-        raise DomainError("square roots unavailable over this residue field")
     lead = r.sqrt(x.leading())
     unit_part = x * cfg.monomial(r.inv(x.leading()), -x.val)
     return cfg.monomial(lead, x.val // 2) * unit_part.sqrt_one_unit()

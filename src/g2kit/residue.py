@@ -321,6 +321,16 @@ class QuadField(_SeriesKernels):
             return True
         return self.pow(a, (self.p * self.p - 1) // 2) == self.one()
 
+    def sqrt(self, a):
+        """Square root by direct search over F_{p^2}, the smallest root in
+        (a, b) order; p stays desk-sized here."""
+        a = self.coerce(a)
+        for x in range(self.p):
+            for y in range(self.p):
+                if self.mul((x, y), (x, y)) == a:
+                    return (x, y)
+        raise DomainError(f"{self.fmt(a)} is not a square in F_{self.p}^2")
+
     def random(self, rng, nonzero=False):
         while True:
             a = (rng.randrange(self.p), rng.randrange(self.p))

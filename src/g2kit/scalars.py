@@ -381,8 +381,11 @@ def dot(cfg: FieldConfig, terms) -> Scalar:
     from the least valuation to the largest end, the left fold truncates
     no product and no partial sum, so the exact sum is the fold's result
     and no PrecisionError can arise: that sum is one residue-kernel call.
-    The span is decided from (val, len) alone; otherwise the terms fold.
-    The operands' configs are compared once, zero operands included."""
+    The span is decided from (val, len) alone, and its width is tested only
+    where lo or hi moves; once it exceeds the window, the spans are no
+    longer collected and the terms fold.  The operands' configs are
+    compared once, zero operands included, before any arithmetic."""
+    n = cfg.precision
     spans = []
     lo = hi = None
     for s, x, y in terms:
@@ -403,19 +406,33 @@ def dot(cfg: FieldConfig, terms) -> Scalar:
         end = v + len(xc) + len(yc) - 1
         if lo is None:
             lo, hi = v, end
+            if end - v > n:
+                return _check_then_fold(cfg, terms)
         else:
             if v < lo:
                 lo = v
+                if hi - lo > n:
+                    return _check_then_fold(cfg, terms)
             if end > hi:
                 hi = end
+                if hi - lo > n:
+                    return _check_then_fold(cfg, terms)
         spans.append((s, v, xc, yc))
     if lo is None:
         return cfg._zero
-    width = hi - lo
-    if width > cfg.precision:
-        return fold_dot(cfg, terms)
-    lead, coeffs = cfg._residue.dot_series(spans, lo, width)
+    lead, coeffs = cfg._residue.dot_series(spans, lo, hi - lo)
     return Scalar(cfg, lo + lead, coeffs) if coeffs else cfg._zero
+
+
+def _check_then_fold(cfg: FieldConfig, terms) -> Scalar:
+    """dot's fold path: compare the configs of all operands, the ones dot
+    has not reached included, then fold the terms."""
+    for _, x, y in terms:
+        if x.cfg is not cfg:
+            cfg._zero._check(x)
+        if y is not None and y.cfg is not cfg:
+            cfg._zero._check(y)
+    return fold_dot(cfg, terms)
 
 
 def fold_dot(cfg: FieldConfig, terms) -> Scalar:

@@ -548,6 +548,15 @@ class LieTrialityGroup:
             return x
         return _run(_lie_tables().words[word], so_coords(x), x.cfg)
 
+    def orbit(self, x: EndV):
+        """The six (word, image) pairs of x in WORDS order, each image the
+        one apply(word, x) gives, from one read of the so(V) coordinates
+        of x; raises DomainError if x is not in so(V)."""
+        coords = so_coords(x)
+        words = _lie_tables().words
+        return [(w, x if w == "id" else _run(words[w], coords, x.cfg))
+                for w in self.WORDS]
+
     def inverse_word(self, word: str) -> str:
         return inverse_word(word)
 

@@ -290,3 +290,348 @@ def test_gamma_perp_rejects_unstable():
     assert not sp.stable(x)
     with pytest.raises(DomainError):
         gamma_perp(sp, x)
+
+
+# -- the quotient check against the parent's code ------------------------------
+# ref_* are the versions that formed every 8x8 difference, the identity and
+# the product b (x - 1), and transformed every triality image anew;
+# ref_contains is FiltrationLattice.contains as it was when they were.
+
+from g2kit import filtration  # noqa: E402
+from g2kit.errors import PrecisionError  # noqa: E402
+from g2kit.fixtures import wplus_norm  # noqa: E402
+from g2kit.scalars import Scalar  # noqa: E402
+
+LEVELS = ((1, 1), (1, 2), (2, 3), (2, 4))
+
+
+def ref_contains(lat, x):
+    y = lat.in_basis(x)
+    for l in range(8):
+        for j in range(8):
+            c = y[l][j]
+            if not c.is_zero and c.valuation < lat.entry_bound(l, j):
+                return False
+    return True
+
+
+def ref_contains_group(lat, g):
+    return ref_contains(lat, g - EndV.identity(lat.cfg))
+
+
+def ref_congruent_group(q, g, h):
+    return ref_contains(q.lat_s, g - h)
+
+
+def ref_congruent_lie(q, x, y):
+    return ref_contains(q.lat_s, x - y)
+
+
+def ref_quotient_iso_check(seq, r, s):
+    cayley = filtration.cayley
+    q = FiltrationQuotient(seq, r, s)
+    cfg = seq.cfg
+    gens = q.generators()
+    violations = []
+    images = [cayley(g.lie) for g in gens]
+    failed = []
+    for i, ga in enumerate(gens):
+        for j in range(i, len(gens)):
+            both = cayley(ga.lie + gens[j].lie)
+            for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+                if not ref_congruent_group(q, images[a] * images[b], both):
+                    failed.append((a, b))
+    violations += [f"homomorphism failure at {gens[a].name}, {gens[b].name}"
+                   for a, b in sorted(failed)]
+    lie_gamma = LieTrialityGroup()
+    grp_gamma = GroupTriality(cfg)
+    for g, cx in zip(gens, images):
+        if cx != g.group.matrix(cfg):
+            violations.append(f"Cayley image mismatch at {g.name}")
+            continue
+        for word in LieTrialityGroup.WORDS:
+            lhs = cayley(lie_gamma.apply(word, g.lie))
+            rhs = grp_gamma.apply(word, g.group)
+            if not ref_congruent_group(q, lhs, rhs):
+                violations.append(
+                    f"triality congruence failure at {g.name}, {word}")
+    for x in filtration._quotient_fixed_samples(seq, r, s):
+        for word in LieTrialityGroup.WORDS:
+            if not ref_congruent_lie(q, lie_gamma.apply(word, x), x):
+                violations.append("sample is not quotient-fixed")
+        lifted = lie_gamma.average(x)
+        if not ref_contains(q.lat_r, lifted):
+            violations.append("lift leaves A_r")
+        if not filtration.is_derivation(lifted):
+            violations.append("lift is not a derivation")
+        if not ref_congruent_lie(q, lifted, x):
+            violations.append("lift changes the coset")
+    return {
+        "check": "quotient_iso",
+        "parameters": {"r": r, "s": s, "m": seq.m, "p": cfg.p},
+        "generators_tested": len(gens),
+        "violations": violations,
+    }
+
+
+def ref_psi_b(seq, s, b, x, r):
+    if not ref_contains(seq.lattice(1 - s), b):
+        raise MembershipError("b must lie in A_{1-s}")
+    if not ref_contains_group(seq.lattice(r), x):
+        raise MembershipError("x must lie in P^r")
+    ident = EndV.identity(seq.cfg)
+    return ((b * (x - ident)).trace()).conductor_character()
+
+
+def benchmark_sequences(cfg):
+    """The standard and the (1/3, 1/3, -2/3) sequences of the benchmark."""
+    std = lattice_seq_from_norm(standard_norm(cfg))
+    thirds = lattice_seq_from_norm(extend_sl3(wplus_norm(
+        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]),
+        hyperbolic_plane(cfg)))
+    return std, thirds
+
+
+def skew_seq():
+    """A sequence whose splitting basis is not the standard one."""
+    alpha = extend_sl3(NormFn(CFG, [E[1] + E[2], E[2], E[3]],
+                              [Fraction(1, 3), Fraction(1, 3),
+                               Fraction(-2, 3)]), D)
+    return lattice_seq_from_norm(alpha)
+
+
+def outcome(f, *args):
+    """f's value, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_quotient_iso_matches_reference(p, monkeypatch):
+    """Both benchmark sequences at every level: the same report, and 451
+    Cayley transforms per check where the reference takes 602 (28 images,
+    406 pair sums and the 17 triality images that are no generator)."""
+    calls = []
+    original = filtration.cayley
+
+    def counting(x):
+        calls.append(1)
+        return original(x)
+    monkeypatch.setattr(filtration, "cayley", counting)
+    for seq in benchmark_sequences(FieldConfig(p, 8)):
+        assert seq.lattice(1)._std
+        for r, s in LEVELS:
+            del calls[:]
+            rep = quotient_iso_check(seq, r, s)
+            assert len(calls) == 451
+            del calls[:]
+            assert rep == ref_quotient_iso_check(seq, r, s)
+            assert len(calls) == 602
+            assert rep["violations"] == []
+
+
+def test_quotient_iso_matches_reference_with_a_corrupted_generator(monkeypatch):
+    original = filtration.lie_generators
+
+    def corrupted(seq, r):
+        gens = original(seq, r)
+        gens[5].lie = gens[5].lie * CFG.t(-1)
+        return gens
+    monkeypatch.setattr(filtration, "lie_generators", corrupted)
+    rep = quotient_iso_check(STD, 1, 2)
+    assert rep["violations"]
+    assert rep == ref_quotient_iso_check(STD, 1, 2)
+
+
+def test_quotient_iso_reports_a_wrong_triality_image(monkeypatch):
+    """A triality image whose group side is off shows as a congruence
+    failure, as the reference reports it."""
+    original = GroupTriality._apply_desc
+
+    def skewed(self, word, gen):
+        out = original(self, word, gen)
+        if word == "rho" and out.kind == "root":
+            i, j, lam = out.data
+            return type(out).root(i, j, lam * 2)
+        return out
+    monkeypatch.setattr(GroupTriality, "_apply_desc", skewed)
+    seq = thirds_seq()
+    rep = quotient_iso_check(seq, 2, 3)
+    assert any(v.startswith("triality congruence failure")
+               for v in rep["violations"])
+    assert rep == ref_quotient_iso_check(seq, 2, 3)
+
+
+def random_endv(rng, cfg, vmin, vmax, width):
+    return EndV(cfg, [[cfg.random(rng, width=width, vmin=vmin, vmax=vmax)
+                       for _ in range(8)] for _ in range(8)])
+
+
+def congruence_pairs(rng, cfg, lat):
+    """(g, h) pairs around the entry bounds of lat: equal matrices, one
+    entry moved by a term of valuation near its bound, one entry with the
+    same coefficients at another valuation, and unrelated matrices."""
+    out = []
+    for _ in range(12):
+        g = random_endv(rng, cfg, -1, 2, rng.choice((1, 2, 8)))
+        rows = [list(row) for row in g.rows]
+        out.append((g, EndV(cfg, rows)))
+        l, j = rng.randrange(8), rng.randrange(8)
+        k = lat.entry_bound(l, j) + rng.choice((-1, 0, 1))
+        moved = [list(row) for row in rows]
+        moved[l][j] = moved[l][j] + cfg.monomial(rng.randrange(1, cfg.p), k)
+        out.append((g, EndV(cfg, moved)))
+        shifted = [list(row) for row in rows]
+        c = shifted[l][j]
+        if not c.is_zero:
+            shifted[l][j] = Scalar(cfg, c.val + rng.choice((-1, 1)), c.coeffs)
+            out.append((g, EndV(cfg, shifted)))
+        out.append((g, random_endv(rng, cfg, 0, 3, 2)))
+    return out
+
+
+def lattices():
+    std, thirds = benchmark_sequences(CFG)
+    skew = skew_seq()
+    assert not skew.lattice(1)._std
+    return [seq.lattice(k) for seq in (std, thirds, skew) for k in (-1, 1, 2)]
+
+
+def test_entrywise_congruence_matches_the_difference():
+    rng = random.Random(65)
+    verdicts = set()
+    for lat in lattices():
+        for g, h in congruence_pairs(rng, CFG, lat):
+            want = ref_contains(lat, g - h)
+            assert lat.contains_difference(g, h) == want
+            assert lat.contains(g - h) == want
+            verdicts.add((lat._std, want))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_quotient_congruences_match_the_difference():
+    rng = random.Random(66)
+    seen = set()
+    for seq in (STD, thirds_seq(), skew_seq()):
+        for r, s in LEVELS:
+            q = FiltrationQuotient(seq, r, s)
+            for g, h in congruence_pairs(rng, CFG, q.lat_s):
+                want = ref_congruent_group(q, g, h)
+                assert q.congruent_group(g, h) == want
+                assert q.congruent_lie(g, h) == ref_congruent_lie(q, g, h)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def group_elements(rng, cfg, lat):
+    """1 + y for y around the entry bounds of lat: most lie in the group
+    piece, some miss it by one entry, some have exact ones on the
+    diagonal."""
+    out = []
+    for _ in range(10):
+        rows = [[cfg.random(rng, width=rng.choice((1, 3)),
+                            vmin=lat.entry_bound(l, j),
+                            vmax=lat.entry_bound(l, j) + 2)
+                 for j in range(8)] for l in range(8)]
+        for i in range(rng.randrange(4)):
+            rows[i][i] = cfg.zero()
+        l, j = rng.randrange(8), rng.randrange(8)
+        off = [list(row) for row in rows]
+        off[l][j] = cfg.monomial(1, lat.entry_bound(l, j) - 1)
+        for y in (rows, off):
+            out.append(EndV.identity(cfg) + EndV(cfg, y))
+    return out
+
+
+def test_entrywise_group_membership_matches_the_difference():
+    rng = random.Random(67)
+    verdicts = set()
+    for lat in lattices():
+        if lat.k < 1:
+            continue
+        for g in group_elements(rng, CFG, lat) + [EndV.identity(CFG)]:
+            want = ref_contains_group(lat, g)
+            assert lat.contains_group(g) == want
+            verdicts.add((lat._std, want))
+        assert not lat.contains_group(EndV.identity(CFG) * CFG.from_int(2))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def overwide(cfg):
+    """1 + t^N with N + 1 stored coefficients: subtracting 1 cancels the
+    whole window and leaves a tail, which raises PrecisionError."""
+    return Scalar(cfg, 0, (1,) + (0,) * (cfg.precision - 1) + (1,))
+
+
+def test_entrywise_decisions_raise_where_the_difference_raises():
+    """The differences are formed after a failing entry too, so the error
+    of the last entry is raised as the full difference raises it."""
+    for lat in (STD.lattice(1), skew_seq().lattice(1)):
+        one = EndV.identity(CFG)
+        bad = [list(row) for row in one.rows]
+        bad[0][1] = CFG.one()          # fails the bound first
+        bad[7][7] = overwide(CFG)      # then raises on subtraction
+        g = EndV(CFG, bad)
+        assert outcome(ref_contains_group, lat, g) is PrecisionError
+        assert outcome(lat.contains_group, g) is PrecisionError
+        assert outcome(lambda: ref_contains(lat, g - one)) is PrecisionError
+        assert outcome(lat.contains_difference, g, one) is PrecisionError
+        assert outcome(lat.contains_difference, one, g) is PrecisionError
+        # equal entries are skipped: their difference is an exact zero
+        assert outcome(ref_contains, lat, g - g) is True
+        assert outcome(lat.contains_difference, g, g) is True
+
+
+def test_psi_b_matches_reference_on_generator_images():
+    r, s = 1, 2
+    bs = [EndV.zero(CFG), d_torus_lie(CFG, 1, CFG.t(-1)),
+          d_torus_lie(CFG, 1, CFG.t(-1)) + u_root_lie(CFG, 1, 2, CFG.t(-1)),
+          u_root_lie(CFG, -1, -3, CFG.t(-1)), d_torus_lie(CFG, 1, CFG.t(-3))]
+    values = set()
+    for seq in (STD, thirds_seq()):
+        gens = lie_generators(seq, r)
+        xs = [cayley(g.lie) for g in gens] + [g.group.matrix(CFG) for g in gens]
+        xs += [xs[0] * xs[5], xs[3] * xs[7] * xs[12]]
+        for b in bs:
+            for x in xs:
+                want = outcome(ref_psi_b, seq, s, b, x, r)
+                assert outcome(psi_b, seq, s, b, x, r) == want
+                values.add(want)
+    assert MembershipError in values
+    assert len(values - {MembershipError}) > 1
+
+
+def test_psi_b_matches_reference_on_random_elements():
+    """Dense b in A_{1-s} and dense x in P^r, and x just outside P^r."""
+    rng = random.Random(68)
+    values = set()
+    for seq in (STD, thirds_seq(), skew_seq()):
+        for r, s in ((1, 2), (2, 3)):
+            lat_b = seq.lattice(1 - s)
+            for x in group_elements(rng, CFG, seq.lattice(r)):
+                b = EndV(CFG, [[CFG.random(rng, width=rng.choice((1, 4)),
+                                           vmin=lat_b.entry_bound(l, j),
+                                           vmax=lat_b.entry_bound(l, j) + 1)
+                                for j in range(8)] for l in range(8)])
+                want = outcome(ref_psi_b, seq, s, b, x, r)
+                assert outcome(psi_b, seq, s, b, x, r) == want
+                values.add(want)
+    assert MembershipError in values
+    assert len(values - {MembershipError}) > 1
+
+
+def test_trace_triality_invariance_matches_the_word_loop():
+    rng = random.Random(69)
+    gamma = LieTrialityGroup()
+    from g2kit.endo import random_so
+    for _ in range(6):
+        x = random_so(CFG, rng, width=1, vmin=0, vmax=1)
+        y = random_so(CFG, rng, width=1, vmin=0, vmax=1)
+        target = (x * y).trace()
+        want = all((gamma.apply(w, x) * gamma.apply(w, y)).trace() == target
+                   for w in LieTrialityGroup.WORDS)
+        assert trace_triality_invariance(x, y) == want

@@ -39,6 +39,28 @@ def test_residue_reduction():
     assert x + y == CFG.t()
 
 
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_quad_field_sqrt_is_the_smallest_root(p):
+    """Every square of F_{p^2} gets its smallest root in (a, b) order, and
+    every non-square raises; 7 and 11 are 3 mod 4."""
+    from g2kit.residue import QuadField
+    f = QuadField(p)
+    elements = [(a, b) for a in range(p) for b in range(p)]
+    roots = {}
+    for r in elements:
+        roots.setdefault(f.mul(r, r), r)
+    assert len(roots) == (p * p + 1) // 2
+    for a in elements:
+        if a in roots:
+            assert f.sqrt(a) == roots[a]
+            assert f.is_square(a)
+        else:
+            assert not f.is_square(a)
+            with pytest.raises(DomainError):
+                f.sqrt(a)
+    assert f.sqrt(3) == f.sqrt((3, 0))
+
+
 def test_leading_valuation():
     x = CFG.t(2) + CFG.t(3)
     assert x.valuation == 2
@@ -480,6 +502,28 @@ def test_dot_checks_every_operand_config():
     c = FieldConfig(5, 8)
     assert dot(a, [(1, c.one(), a.t()), (-1, a.t(), None)]).is_zero
     assert dot(a, []) is a.zero()
+
+
+def test_dot_checks_every_operand_config_after_the_span_overflows(monkeypatch):
+    """Once the span leaves the window dot stops collecting spans and
+    folds, but it still rejects a foreign operand at any later position,
+    before folding, as it does inside the window."""
+    a, b = FieldConfig(5, 8), FieldConfig(7, 8)
+    wide = a.from_coeffs(0, [1] * 8)
+    folds = []
+    monkeypatch.setattr(scalars_mod, "fold_dot",
+                        lambda cfg, terms: folds.append(terms))
+    tails = ([(1, b.one(), None)], [(1, a.one(), b.one())],
+             [(1, b.zero(), a.one())], [(1, a.one(), b.zero())],
+             [(-1, a.one(), None), (1, b.zero(), None)])
+    # the first term overflows alone, or the second moves hi, or lo
+    for head in ([(1, wide, wide)], [(1, wide, None), (1, a.t(8), None)],
+                 [(1, a.t(8), None), (1, wide, None)]):
+        for tail in tails:
+            with pytest.raises(ConfigMismatchError):
+                dot(a, head + tail)
+        dot(a, head + [(1, a.one(), a.one())])
+    assert len(folds) == 3
 
 
 # -- call sites ------------------------------------------------------------------

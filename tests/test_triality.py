@@ -2,6 +2,7 @@
 anisotropic dim-2 stabilizer families, orbits and fixed points."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -470,6 +471,31 @@ def test_every_table_column_is_related(p):
         assert octonion_leibniz(tri.t1, tri.t2, tri.t3)
 
 
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_orbit_is_the_six_applies_from_one_coordinate_read(p, monkeypatch):
+    import g2kit.triality as triality_mod
+    cfg = FieldConfig(p, 8)
+    G = LieTrialityGroup()
+    reads = []
+    original = triality_mod.so_coords
+
+    def counting(x):
+        reads.append(1)
+        return original(x)
+    monkeypatch.setattr(triality_mod, "so_coords", counting)
+    for x in so_samples(cfg, random.Random(110 + p)):
+        del reads[:]
+        orbit = G.orbit(x)
+        assert len(reads) == 1
+        assert [w for w, _ in orbit] == list(LieTrialityGroup.WORDS)
+        assert orbit[0][1] is x
+        for word, y in orbit:
+            assert y == G.apply(word, x), word
+    not_so = d_torus_lie(cfg, 1, cfg.one()) + EndV.identity(cfg)
+    with pytest.raises(DomainError):
+        G.orbit(not_so)
+
+
 def test_inverse_words_compose_to_identity():
     G = LieTrialityGroup()
     x = random_so(CFG, random.Random(45), width=1, vmin=0, vmax=1)
@@ -601,14 +627,40 @@ def test_bar_wedge_reads_coordinates_twice_and_multiplies_no_octonions(
     assert products == []
 
 
+@lru_cache(maxsize=None)
+def unramified_statuses(p):
+    report = run_suite("triality", FieldConfig(p, 8, "unramified"), 1)
+    return {ch["name"]: ch["status"] for ch in report["checks"]}
+
+
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_dim2_family_passes_over_the_unramified_extension(p):
     """No norm-1 x + y c with y != 0 has x, y in F_p over the unramified
     extension; the search runs over the residue field F_{p^2}."""
-    report = run_suite("triality", FieldConfig(p, 8, "unramified"), 1)
-    status = {ch["name"]: ch["status"] for ch in report["checks"]}
+    status = unramified_statuses(p)
     assert status["dim2-family"] == "pass"
     assert status["product-decomposition"] == "pass"
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_glw_family_passes_over_the_unramified_extension(p):
+    """glw-family takes square roots of scalars; over the unramified
+    extension their leading residues are square roots in F_{p^2}."""
+    assert unramified_statuses(p)["glw-family"] == "pass"
+    assert set(unramified_statuses(p).values()) == {"pass"}
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_sqrt_scalar_over_the_unramified_extension(p):
+    cfg = FieldConfig(p, 8, "unramified")
+    rng = random.Random(70 + p)
+    for _ in range(20):
+        x = cfg.random(rng, width=3, nonzero=True)
+        y = sqrt_scalar(x * x)
+        assert y * y == x * x
+        assert y == x or y == -x
+    with pytest.raises(DomainError):
+        sqrt_scalar(cfg.monomial((0, 1), 0) * cfg.t())  # odd valuation
 
 
 # -- the group triality identity by column reads ------------------------------------
