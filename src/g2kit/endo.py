@@ -227,10 +227,12 @@ def u_root(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
     """u_{i,j}(lam): e_i -> e_i + lam e_{-j}, e_j -> e_j - lam e_{-i}."""
     if i == j or i == -j:
         raise DomainError("root indices must satisfy i != +-j")
-    return EndV.from_action(cfg, {
-        i: basis_octonion(cfg, i) + basis_octonion(cfg, -j).scale(lam),
-        j: basis_octonion(cfg, j) - basis_octonion(cfg, -i).scale(lam),
-    })
+    lam = cfg.coerce(lam)
+    cfg.zero()._check(lam)
+    m = identity(cfg, 8)
+    m[IDX[-j]][IDX[i]] = lam
+    m[IDX[-i]][IDX[j]] = -lam
+    return EndV.adopt(cfg, m)
 
 
 def u_root_lie(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:

@@ -12,6 +12,14 @@ kernels and mat_mul compare the field configs of their operands once (a
 skipped zero would otherwise hide a ConfigMismatchError).  mat_vec sums
 each row's nonzero products with one scalars.dot.
 
+Exact ones cost nothing either: Scalar multiplication by an exact one
+returns the other operand and its inverse is itself, and rref neither
+inverts a pivot that is exactly one nor rescales its row, since x * 1 is x
+for the window-wide entries that every Scalar operation leaves.  On the
+Cayley-quotient path most products and pivots are of this kind (the
+matrices are near the identity), and every digit and error stays the one
+the residue kernels give.
+
 RowReduction is the one way to take coordinates on a basis: the basis
 columns are row-reduced once, and the recorded row operations are
 replayed on each vector, raising SingularError for a vector outside the
@@ -137,7 +145,8 @@ def rref(rows, ops=None):
 
     With a list ops, record per pivot the swapped row, the pivot inverse
     and the (row, factor) eliminations, so that the same row operations can
-    be replayed on a right-hand side (RowReduction)."""
+    be replayed on a right-hand side (RowReduction).  A pivot that is
+    exactly one is its own inverse and leaves its row as it is."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -150,9 +159,11 @@ def rref(rows, ops=None):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
-        inv = prow[c].inv()
-        for k, x in _support(prow):
-            prow[k] = x * inv
+        inv = prow[c]
+        if not inv.is_one:
+            inv = inv.inv()
+            for k, x in _support(prow):
+                prow[k] = x * inv
         support = _support(prow)
         elims = []
         for j, row in enumerate(rows):
@@ -278,9 +289,6 @@ class Subspace:
             if not v[c].is_zero:
                 _subtract_multiple(v, v[c], support)
         return all(x.is_zero for x in v)
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

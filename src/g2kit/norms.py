@@ -72,9 +72,6 @@ class NormFn:
                     best = v
         return best
 
-    def scaled_values(self, shift: Fraction) -> "NormFn":
-        return NormFn(self.cfg, self.basis, [v + shift for v in self.values])
-
     def __eq__(self, other):
         """Norm equality via two-way evaluation on the splitting bases."""
         if not isinstance(other, NormFn):

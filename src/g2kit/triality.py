@@ -377,10 +377,6 @@ class HermitianModel:
         return [self.unit.scale(co[2 * k]) + self.c.scale(co[2 * k + 1])
                 for k in range(3)]
 
-    def wedge3(self, w1, w2, w3) -> Octonion:
-        m = [self.d_coordinates(w) for w in (w1, w2, w3)]
-        return det_d(self.d, m).scale(self.qab)
-
     def bar_wedge(self, w1: Octonion, w2: Octonion) -> Octonion:
         """The unique z with Phi(zeta, z) = w1 ^ w2 ^ zeta for zeta in W,
         from the cofactors of the D-coordinates of w1 and w2."""

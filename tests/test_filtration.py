@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from g2kit.endo import EndV, d_torus_lie, u_root_lie
-from g2kit.errors import DomainError, MembershipError
+from g2kit.errors import DomainError, MembershipError, PrecisionError
 from g2kit.filtration import (FiltrationQuotient, ModpSubspace,
                               SymplecticSpace, cayley, cayley_inv,
                               cayley_scalar, character_counts,
@@ -68,6 +68,19 @@ def test_moy_counterexample():
         moy_counterexample(CFG.zero())
     with pytest.raises(DomainError):
         moy_counterexample(CFG.one())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4", raises=AssertionError)
+@pytest.mark.parametrize("n", (5, 6))
+def test_moy_counterexample_at_short_windows(n):
+    """C(t^2)^2 C(-2 t^2) - 1 has its first nonzero digit at t^6, past
+    the 5- and 6-coefficient windows: the answer is True (as at N = 8) or
+    PrecisionError, never False from zero-filled digits."""
+    cfg = FieldConfig(5, n)
+    try:
+        assert moy_counterexample(cfg.t(2)) is True
+    except PrecisionError:
+        pass
 
 
 def test_quotient_preconditions():

@@ -21,7 +21,7 @@ from g2kit.octonions import (CompositionSubalgebra, Octonion,
                              division_quaternion, hyperbolic_plane,
                              octonion_unit, ordered_polarization,
                              ramified_plane, standard_split_dim4)
-from g2kit.scalars import FieldConfig
+from g2kit.scalars import FieldConfig, parse_scalar
 from g2kit.triality import HermitianModel, random_g2_lie
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7)
@@ -225,6 +225,26 @@ def test_subspace_matches_dense_reduction():
         probes += random_matrix(cfg, rng, 3, 8, density)
         for v in probes:
             assert sub.contains(v) == dense_contains(sub.rows, pivots, v)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4", raises=AssertionError)
+def test_subspace_contains_its_spanning_vectors():
+    """The second density-0.6 draw above: the reduced rows carry digits
+    invented past the window, and contains rejected the first two of its
+    own spanning vectors.  Each must be contained, or PrecisionError."""
+    cfg = FieldConfig(7, 8)
+    rows = [['3*t^2 + 5*t^3', '6*t^1 + 5*t^2', 0, 0, 0, 0, '6*t^1 + 5*t^2', 0],
+            ['2*t^2 + 5*t^3', '5*t^1 + 4*t^2', 0, 0, '6*t^-1 + 1', 0,
+             '2*t^-1 + 4', '6*t^-1 + 4'],
+            ['t^1 + 6*t^2', '3*t^-1 + 5', 0, 't^1 + t^2', 0, 0, 0, 't^1 + 6*t^2']]
+    vecs = [[parse_scalar(cfg, str(x)) for x in row] for row in rows]
+    sub = linalg.Subspace(cfg, 8, vecs)
+    assert sub.dim == 3
+    for v in vecs:
+        try:
+            assert sub.contains(v)
+        except PrecisionError:
+            pass
 
 
 def benchmark_sequences(cfg):

@@ -631,3 +631,156 @@ def test_octonion_suite_unchanged_when_every_sum_folds(monkeypatch):
     _always_fold(monkeypatch)
     assert run_suite("octonion", cfg, 1)["checks"] == kernel
     assert all(c["status"] == "pass" for c in kernel)
+
+
+# -- exact ones ---------------------------------------------------------------
+# A product with an exact one returns the other operand and the inverse of
+# one is one, without a kernel call; rref skips a pivot that is one and
+# u_root writes its two entries into the identity.  kernel_mul, kernel_inv
+# and kernel_u_root are the versions that always call the kernels (the
+# per-coefficient oracles above hold the names ref_mul and ref_inv).
+
+from g2kit import endo, triality  # noqa: E402
+from g2kit.octonions import basis_octonion  # noqa: E402
+
+
+def kernel_mul(self, other):
+    if other.__class__ is not Scalar:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+    cfg = self.cfg
+    if cfg is not other.cfg:
+        self._check(other)
+    if not self.coeffs or not other.coeffs:
+        return cfg._zero
+    return Scalar(cfg, self.val + other.val, cfg._residue.mul_series(
+        self.coeffs, other.coeffs, cfg.precision))
+
+
+def kernel_inv(self):
+    if not self.coeffs:
+        raise ZeroDivisionError("inversion of zero scalar")
+    cfg = self.cfg
+    return Scalar(cfg, -self.val, cfg._residue.inv_series(self.coeffs, cfg.precision))
+
+
+def kernel_u_root(cfg, i, j, lam):
+    if i == j or i == -j:
+        raise DomainError("root indices must satisfy i != +-j")
+    return endo.EndV.from_action(cfg, {
+        i: basis_octonion(cfg, i) + basis_octonion(cfg, -j).scale(lam),
+        j: basis_octonion(cfg, j) - basis_octonion(cfg, -i).scale(lam),
+    })
+
+
+def _digits(x):
+    return (x.val, x.coeffs)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_exact_one_keeps_every_digit(p, ext, n):
+    cfg = FieldConfig(p, n, ext)
+    one = cfg.one()
+    assert one.is_one and not cfg.t().is_one and not cfg.from_int(2).is_one
+    assert one * one is one and one.inv() is one
+    _same(one * one, kernel_mul(one, one))
+    _same(one.inv(), kernel_inv(one))
+    _same(one.inv(), ref_inv(one))
+    rng = random.Random(p * 100 + n + len(ext))
+    for width in range(1, n + 1):
+        for _ in range(20):
+            x = _operand(rng, cfg, width, rng.random() < 0.25)
+            for got, want in ((x * one, kernel_mul(x, one)), (one * x, kernel_mul(one, x)),
+                              (x * 1, kernel_mul(x, 1)), (1 * x, kernel_mul(x, 1))):
+                _same(got, want)
+                _same(got, ref_mul(x, one))
+    # an operand wider than the window is still cut, as the kernel cuts it
+    r = cfg.residue
+    wide = Scalar(cfg, 0, (r.one(),) + (r.zero(),) * n + (r.one(),))
+    for got, want in ((wide * one, kernel_mul(wide, one)), (one * wide, kernel_mul(one, wide))):
+        _same(got, want)
+        assert len(got.coeffs) <= n
+
+
+def test_exact_one_product_carries_the_left_config():
+    a, b = FieldConfig(5, 8), FieldConfig(5, 8)
+    x = a.one() + a.t()
+    for left, right in ((x, b.one()), (a.one(), b.one() + b.t()), (a.one(), b.one())):
+        got = left * right
+        assert got.cfg is left.cfg
+        _same(got, kernel_mul(left, right))
+
+
+def test_exact_one_against_a_foreign_config_still_raises():
+    a, b = FieldConfig(5, 8), FieldConfig(7, 8)
+    x = a.one() + a.t()
+    for left, right in ((x, b.one()), (b.one(), x), (a.one(), b.one()),
+                        (a.zero(), b.one()), (b.one(), a.zero()),
+                        (a.one(), FieldConfig(5, 8, "ramified").one())):
+        with pytest.raises(ConfigMismatchError):
+            left * right
+
+
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_u_root_entries_match_the_octonion_build(p, ext):
+    cfg = FieldConfig(p, 8, ext)
+    rng = random.Random(p + len(ext))
+    labels = (-4, -3, -2, -1, 1, 2, 3, 4)
+    lams = [cfg.zero(), cfg.one(), 3, cfg.t(-1)] + [cfg.random(rng) for _ in range(4)]
+    for i in labels:
+        for j in labels:
+            if i in (j, -j):
+                with pytest.raises(DomainError):
+                    endo.u_root(cfg, i, j, cfg.one())
+                continue
+            for lam in lams:
+                got, want = endo.u_root(cfg, i, j, lam), kernel_u_root(cfg, i, j, lam)
+                assert [[_digits(x) for x in row] for row in got.rows] \
+                    == [[_digits(x) for x in row] for row in want.rows]
+    with pytest.raises(ConfigMismatchError):
+        endo.u_root(cfg, 1, 2, FieldConfig(11, 8).t())
+
+
+def test_rref_records_an_exact_one_pivot_as_its_own_inverse():
+    from g2kit.linalg import rref
+    cfg = FieldConfig(5, 8)
+    one, t = cfg.one(), cfg.t()
+    ops = []
+    rows, pivots = rref([[one, t], [t, one + t]], ops)
+    assert pivots == [0, 1] and ops[0][1] is rows[0][0]
+    assert [[_digits(x) for x in row] for row in rows] \
+        == [[_digits(x) for x in row] for row in ([one, cfg.zero()], [cfg.zero(), one])]
+
+
+def _kernel_path(monkeypatch):
+    """Send every product and inverse through the kernels, invert every
+    pivot and build every root element from octonions."""
+    monkeypatch.setattr(Scalar, "__mul__", kernel_mul)
+    monkeypatch.setattr(Scalar, "inv", kernel_inv)
+    monkeypatch.setattr(Scalar, "is_one", property(lambda self: False))
+    monkeypatch.setattr(endo, "u_root", kernel_u_root)
+    monkeypatch.setattr(triality, "u_root", kernel_u_root)
+
+
+def test_quotient_verdicts_unchanged_on_the_kernel_path(monkeypatch):
+    """quotient_iso_check on both benchmark sequences at the four levels
+    gives the same reports with and without the exact-one shortcuts."""
+    from fractions import Fraction as Fr
+    from g2kit import fixtures
+    from g2kit.filtration import quotient_iso_check
+    from g2kit.norms import extend_sl3, lattice_seq_from_norm, standard_norm
+    from g2kit.octonions import hyperbolic_plane
+    cfg = FieldConfig(5, 8)
+    std = lattice_seq_from_norm(standard_norm(cfg))
+    thirds = lattice_seq_from_norm(extend_sl3(fixtures.wplus_norm(
+        cfg, [Fr(1, 3), Fr(1, 3), Fr(-2, 3)]), hyperbolic_plane(cfg)))
+    levels = [(seq, r, s) for seq in (std, thirds)
+              for r, s in ((1, 1), (1, 2), (2, 3), (2, 4))]
+    reports = [quotient_iso_check(*level) for level in levels]
+    assert all(rep["violations"] == [] for rep in reports)
+    _kernel_path(monkeypatch)
+    assert [quotient_iso_check(*level) for level in levels] == reports

@@ -21,7 +21,7 @@ from g2kit.scalars import FieldConfig
 from g2kit.suites import run_suite
 from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
                             LieTrialityGroup, TrialityTriple, check_related,
-                            diag_lie_triple, hat, iota, is_g2_element,
+                            det_d, diag_lie_triple, hat, iota, is_g2_element,
                             is_g2_lie, orbit_triples, random_g2_lie,
                             root_family_triple, root_triple, solve_dim2,
                             solve_dim4, solve_glw, solve_lie_triple)
@@ -555,12 +555,18 @@ def test_non_so_matrix_is_rejected():
 
 # -- bar-wedge by cofactors ---------------------------------------------------------
 
+def wedge3(model, w1, w2, w3):
+    """w1 ^ w2 ^ w3 = Q(ab) det of the 3 x 3 matrix of D-coordinates."""
+    m = [model.d_coordinates(w) for w in (w1, w2, w3)]
+    return det_d(model.d, m).scale(model.qab)
+
+
 def ref_bar_wedge(model, w1, w2):
     """The bar-wedge read off its definition: one wedge3 (three coordinate
     replays and a det_d) and one d.coordinates solve per F-basis vector."""
     rhs_all = []
     for z in model.fbasis:
-        target = model.d.coordinates(model.wedge3(w1, w2, z))
+        target = model.d.coordinates(wedge3(model, w1, w2, z))
         rhs_all.append(target[0])
         rhs_all.append(target[1])
     co = model._phi.solve(rhs_all)
