@@ -9,19 +9,25 @@ distinct group generator matrix, once per check, in tables that live for
 the call.  Congruences over a lattice with the standard basis are
 decided entry by entry (FiltrationLattice.contains_difference and
 contains_group), and psi_b forms only the diagonal of b (x - 1).
+
+The symplectic identity works in F_p^n with linalg's Subspace, rref and
+kernel over residue.PrimeField, the same core as the F((t)) linear
+algebra; ints are reduced where they enter a SymplecticSpace or a
+Subspace.  gamma_perp still decides its identity by listing the p^dim
+vectors of three subspaces (ModpSubspace.vectors).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
+from .linalg import Subspace, identity, kernel, transpose
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
+from .residue import PrimeField
 from .scalars import Scalar
 from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
                        is_g2_element, is_g2_lie)
@@ -133,17 +139,11 @@ class FiltrationQuotient:
     def reduce(self, x: EndV) -> EndV:
         """Canonical representative of x + A_s: entrywise truncation at the
         A_s bounds (in the splitting basis)."""
-        y = self.lat_s.in_basis(x)
-        out = [[y[l][j].truncate(self.bound_fraction(l, j)) for j in range(8)]
+        lat = self.lat_s
+        y = lat.in_basis(x)
+        out = [[y[l][j].truncate(lat.entry_bound(l, j)) for j in range(8)]
                for l in range(8)]
-        if self.lat_s._std:
-            return EndV.adopt(self.cfg, out)
-        from .linalg import mat_mul
-        return EndV.adopt(self.cfg, mat_mul(self.lat_s._b,
-                                            mat_mul(out, self.lat_s._binv)))
-
-    def bound_fraction(self, l, j) -> Fraction:
-        return Fraction(math.ceil(self.lat_s.bounds[l][j]))
+        return EndV.adopt(self.cfg, lat.from_basis(out))
 
     def congruent_lie(self, x: EndV, y: EndV) -> bool:
         return self.lat_s.contains_difference(x, y)
@@ -345,116 +345,59 @@ def trace_triality_invariance(x: EndV, y: EndV) -> bool:
 
 # -- symplectic fixed points over F_p ----------------------------------------------
 
-def _modp_rref(rows, p):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    m = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [rows[i] for i in range(r)], pivots
-
-
-def _modp_kernel(rows, p, m):
-    red, pivots = _modp_rref(rows, p)
-    free = [c for c in range(m) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * m
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        out.append(v)
-    return out
-
-
 class ModpSubspace:
-    """Subspace of F_p^n in canonical reduced echelon form."""
+    """The p^dim vectors of a subspace of F_p^n, which gamma_perp alone
+    lists (desk scale only).  perfbench times this enumeration as
+    ModpSubspace.vectors; it goes once gamma_perp works by kernels."""
 
-    def __init__(self, p, n, vectors):
-        self.p = p
-        self.n = n
-        rows, pivots = _modp_rref([v for v in vectors if any(x % p for x in v)], p)
-        self.rows = [tuple(r) for r in rows]
-        self.pivots = pivots
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def contains(self, v):
-        v = [x % self.p for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        return not any(v)
-
-    def __eq__(self, other):
-        return self.rows == other.rows
-
-    def vectors(self):
-        """All vectors of the subspace (desk scale only)."""
+    @staticmethod
+    def vectors(x: Subspace):
+        p, n = x.field.p, x.ambient
         out = []
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            v = [0] * self.n
-            for c, row in zip(coeffs, self.rows):
-                for t in range(self.n):
-                    v[t] = (v[t] + c * row[t]) % self.p
+        for coeffs in itertools.product(range(p), repeat=x.dim):
+            v = [0] * n
+            for c, row in zip(coeffs, x.rows):
+                for t in range(n):
+                    v[t] = (v[t] + c * row[t]) % p
             out.append(tuple(v))
         return out
 
 
 class SymplecticSpace:
     """A symplectic F_p-space with a form-preserving action of a group of
-    order 2 or 3."""
+    order 1, 2 or 3."""
 
     def __init__(self, p: int, form, gamma):
         self.p = p
+        self.field = field = PrimeField(p)
         self.n = len(form)
-        self.form = [[x % p for x in row] for row in form]
-        self.gamma = [[x % p for x in row] for row in gamma]
+        self.form = [field.coerce_row(row) for row in form]
+        self.gamma = [field.coerce_row(row) for row in gamma]
         for i in range(self.n):
-            if self.form[i][i] % p:
+            if self.form[i][i]:
                 raise DomainError("form must be alternating")
             for j in range(self.n):
                 if (self.form[i][j] + self.form[j][i]) % p:
                     raise DomainError("form must be alternating")
-        red, piv = _modp_rref(self.form, p)
-        if len(piv) != self.n:
+        if Subspace(field, self.n, self.form).dim != self.n:
             raise DomainError("form must be non-degenerate")
         order = self._order()
         if order not in (1, 2, 3):
-            raise DomainError("gamma must have order 2 or 3")
+            raise DomainError("gamma must have order 1, 2 or 3")
         self.order = order
-        gt = _modp_mul(_modp_transpose(self.gamma),
-                       _modp_mul(self.form, self.gamma, p), p)
-        if gt != self.form:
+        # (gamma^T form gamma)_ij is the pairing of columns i and j of gamma
+        cols = transpose(self.gamma)
+        if any(self.pair(u, v) != self.form[i][j]
+               for i, u in enumerate(cols) for j, v in enumerate(cols)):
             raise DomainError("gamma must preserve the form")
 
     def _order(self):
-        ident = [[1 if i == j else 0 for j in range(self.n)]
-                 for i in range(self.n)]
-        acc = self.gamma
+        basis = [tuple(e) for e in identity(self.field, self.n)]
+        images = basis
         for k in (1, 2, 3):
-            if acc == ident:
+            images = [self.apply_gamma(v) for v in images]
+            if images == basis:
                 return k
-            acc = _modp_mul(acc, self.gamma, self.p)
         return 0  # rejected by the constructor
 
     def pair(self, u, v):
@@ -465,65 +408,51 @@ class SymplecticSpace:
         return tuple(sum(self.gamma[i][j] * v[j] for j in range(self.n))
                      % self.p for i in range(self.n))
 
-    def fixed_subspace(self) -> ModpSubspace:
+    def orbit(self, v):
+        """v, gamma v, ..., gamma^(order - 1) v."""
+        out = [tuple(v)]
+        for _ in range(self.order - 1):
+            out.append(self.apply_gamma(out[-1]))
+        return out
+
+    def fixed_subspace(self) -> Subspace:
         rows = [[(self.gamma[i][j] - (1 if i == j else 0)) % self.p
                  for j in range(self.n)] for i in range(self.n)]
-        return ModpSubspace(self.p, self.n, _modp_kernel(rows, self.p, self.n))
+        return Subspace(self.field, self.n, kernel(rows, self.field))
 
-    def stable(self, x: ModpSubspace) -> bool:
+    def stable(self, x: Subspace) -> bool:
         return all(x.contains(self.apply_gamma(r)) for r in x.rows)
 
-    def perp(self, x: ModpSubspace) -> ModpSubspace:
+    def perp(self, x: Subspace) -> Subspace:
+        if not x.rows:
+            return Subspace(self.field, self.n, identity(self.field, self.n))
         rows = [[sum(r[i] * self.form[i][j] for i in range(self.n)) % self.p
                  for j in range(self.n)] for r in x.rows]
-        if not rows:
-            ident = [[1 if i == j else 0 for j in range(self.n)]
-                     for i in range(self.n)]
-            return ModpSubspace(self.p, self.n, ident)
-        return ModpSubspace(self.p, self.n,
-                            _modp_kernel(rows, self.p, self.n))
+        return Subspace(self.field, self.n, kernel(rows, self.field))
 
 
-def _modp_mul(a, b, p):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][l] * b[l][j] for l in range(k)) % p for j in range(m)]
-            for i in range(n)]
-
-
-def _modp_transpose(a):
-    return [list(r) for r in zip(*a)]
-
-
-def gamma_perp(space: SymplecticSpace, x: ModpSubspace) -> bool:
+def gamma_perp(space: SymplecticSpace, x: Subspace) -> bool:
     """The orthogonal of X^Gamma inside V^Gamma equals (X^perp)^Gamma,
     and V decomposes as V_1 perp V_s."""
     if not space.stable(x):
         raise DomainError("subspace must be gamma-stable")
-    p, n = space.p, space.n
+    field, n = space.field, space.n
+    vectors = ModpSubspace.vectors
     fixed = space.fixed_subspace()
-    x_fixed = ModpSubspace(p, n, [r for r in x.vectors()
-                                  if fixed.contains(r)])
+    x_fixed = Subspace(field, n, [r for r in vectors(x) if fixed.contains(r)])
     # orthogonal of X^Gamma inside V^Gamma, by direct scan of V^Gamma
-    lhs_vecs = [v for v in fixed.vectors()
-                if all(space.pair(v, r) == 0 for r in x_fixed.rows)]
-    lhs = ModpSubspace(p, n, lhs_vecs)
-    xperp = space.perp(x)
-    rhs = ModpSubspace(p, n, [r for r in xperp.vectors()
+    lhs = Subspace(field, n, [v for v in vectors(fixed)
+                              if all(space.pair(v, r) == 0
+                                     for r in x_fixed.rows)])
+    rhs = Subspace(field, n, [r for r in vectors(space.perp(x))
                               if fixed.contains(r)])
     if lhs != rhs:
         return False
-    # V = V_1 perp V_s for the complementary eigenpiece
-    gam = space.gamma
-    if space.order == 1:
-        return lhs == rhs
-    if space.order == 2:
-        rows = [[(gam[i][j] + (1 if i == j else 0)) % p for j in range(n)]
-                for i in range(n)]
-    else:
-        g2 = _modp_mul(gam, gam, p)
-        rows = [[(g2[i][j] + gam[i][j] + (1 if i == j else 0)) % p
-                 for j in range(n)] for i in range(n)]
-    vs = ModpSubspace(p, n, _modp_kernel(rows, p, n))
+    # V = V_1 perp V_s, V_s the kernel of the orbit sum
+    # 1 + gamma + ... + gamma^(order - 1); for order 1 it is zero
+    sums = [[sum(c) % space.p for c in zip(*space.orbit(e))]
+            for e in identity(field, n)]
+    vs = Subspace(field, n, kernel(transpose(sums), field))
     if fixed.dim + vs.dim != n:
         return False
     for u in fixed.rows:
@@ -534,8 +463,9 @@ def gamma_perp(space: SymplecticSpace, x: ModpSubspace) -> bool:
 
 
 def enumerate_subspaces(p: int, n: int):
-    """All subspaces of F_p^n as ModpSubspace (desk scale only)."""
-    out = [ModpSubspace(p, n, [])]
+    """All subspaces of F_p^n (desk scale only)."""
+    field = PrimeField(p)
+    out = [Subspace(field, n, [])]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             free_pos = []
@@ -549,51 +479,39 @@ def enumerate_subspaces(p: int, n: int):
                     rows[r][pc] = 1
                 for (rr, cc), val in zip(free_pos, assign):
                     rows[rr][cc] = val
-                sub = ModpSubspace(p, n, rows)
+                sub = Subspace(field, n, rows)
                 if sub.dim == k and sub.pivots == list(pivots):
                     out.append(sub)
     return out
 
 
+def _cycled_planes(p: int, k: int) -> SymplecticSpace:
+    """k hyperbolic planes over F_p, gamma moving plane b to plane b + 1
+    (mod k)."""
+    n = 2 * k
+    form = [[0] * n for _ in range(n)]
+    gamma = [[0] * n for _ in range(n)]
+    for b in range(k):
+        form[2 * b][2 * b + 1], form[2 * b + 1][2 * b] = 1, -1
+        for a in range(2):
+            gamma[2 * ((b + 1) % k) + a][2 * b + a] = 1
+    return SymplecticSpace(p, form, gamma)
+
+
 def standard_symplectic_swap(p: int) -> SymplecticSpace:
     """Two hyperbolic planes over F_p with the order-2 swap action."""
-    j2 = [[0, 1], [-1, 0]]
-    form = [[0] * 4 for _ in range(4)]
-    for bi in range(2):
-        for a in range(2):
-            for b in range(2):
-                form[2 * bi + a][2 * bi + b] = j2[a][b] % p
-    gamma = [[0] * 4 for _ in range(4)]
-    for a in range(2):
-        gamma[a][2 + a] = 1
-        gamma[2 + a][a] = 1
-    return SymplecticSpace(p, form, gamma)
+    return _cycled_planes(p, 2)
 
 
 def standard_symplectic_cycle(p: int) -> SymplecticSpace:
     """Three hyperbolic planes over F_p with the order-3 cyclic action."""
-    j2 = [[0, 1], [-1, 0]]
-    form = [[0] * 6 for _ in range(6)]
-    for bi in range(3):
-        for a in range(2):
-            for b in range(2):
-                form[2 * bi + a][2 * bi + b] = j2[a][b] % p
-    gamma = [[0] * 6 for _ in range(6)]
-    for bi in range(3):
-        for a in range(2):
-            gamma[2 * ((bi + 1) % 3) + a][2 * bi + a] = 1
-    return SymplecticSpace(p, form, gamma)
+    return _cycled_planes(p, 3)
 
 
-def random_stable_subspace(space: SymplecticSpace, rng) -> ModpSubspace:
+def random_stable_subspace(space: SymplecticSpace, rng) -> Subspace:
     """Span of complete gamma-orbits of random vectors: always stable."""
     n, p = space.n, space.p
     vecs = []
     for _ in range(rng.randrange(1, 3)):
-        v = tuple(rng.randrange(p) for _ in range(n))
-        vecs.append(v)
-        w = v
-        for _ in range(space.order - 1):
-            w = space.apply_gamma(w)
-            vecs.append(w)
-    return ModpSubspace(p, n, vecs)
+        vecs += space.orbit(tuple(rng.randrange(p) for _ in range(n)))
+    return Subspace(space.field, n, vecs)

@@ -1,7 +1,16 @@
-"""Exact linear algebra over the scalar field (lists of lists of Scalars).
+"""Exact linear algebra over a field, on lists of rows.
 
-Pivots are chosen by minimal valuation so that eliminations stay inside
-the truncation window on the desk-scale inputs this package works with.
+rref, kernel and Subspace take a field object: a FieldConfig, whose
+entries are Scalars, or a residue.PrimeField, whose entries are reduced
+ints.  The field object holds all that differs between the two: zero,
+one, is_zero, neg and the row operations.  coerce_row reduces ints where
+they enter a Subspace or its contains; support and column_support list
+the nonzero entries of a row or a column; pivot_row takes the first row
+of least valuation (which keeps eliminations inside the truncation
+window; over F_p every nonzero residue has valuation 0, so it is the
+first nonzero row); normalize scales the pivot row to a one, and
+subtract_multiple eliminates at row level over the pivot row's nonzero
+support.  The other functions take Scalars.
 
 Zero entries are skipped structurally: products run over the nonzero
 entries only, a pivot row is normalised and subtracted only where it is
@@ -28,20 +37,18 @@ span.  solve(a, rhs) is RowReduction(a).solve(rhs) for a one-off system.
 
 from __future__ import annotations
 
-import math
-
 from .errors import SingularError
 from .scalars import FieldConfig, dot
 
 
-def zeros(cfg: FieldConfig, n: int, m: int):
-    z = cfg.zero()
+def zeros(field, n: int, m: int):
+    z = field.zero()
     return [[z for _ in range(m)] for _ in range(n)]
 
 
-def identity(cfg: FieldConfig, n: int):
-    out = zeros(cfg, n, n)
-    one = cfg.one()
+def identity(field, n: int):
+    out = zeros(field, n, n)
+    one = field.one()
     for i in range(n):
         out[i][i] = one
     return out
@@ -68,17 +75,13 @@ def mat_scale(c, a):
     return [[x if x.is_zero else c * x for x in row] for row in a]
 
 
-def _support(row):
-    """The (column, entry) pairs of the nonzero entries of a row."""
-    return [(j, x) for j, x in enumerate(row) if not x.is_zero]
-
-
 def mat_mul(a, b):
     """a b, summing a_il * b_lj over the nonzero terms in increasing l."""
     a[0][0]._check(b[0][0])
     m = len(b[0])
-    zero = a[0][0].cfg.zero()
-    b_rows = [_support(row) for row in b]
+    cfg = a[0][0].cfg
+    zero = cfg.zero()
+    b_rows = [cfg.support(row) for row in b]
     out = []
     for ai in a:
         acc = [None] * m
@@ -95,7 +98,7 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     """a v, each entry one scalars.dot over the nonzero products of a row."""
-    support = _support(v)
+    support = a[0][0].cfg.support(v)
     out = []
     for row in a:
         cfg = row[0].cfg
@@ -121,55 +124,32 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _pivot_row(rows, col, start):
-    """The first row from start on whose entry in col has the least
-    valuation.  The entries share one config, so their integer val (in
-    1/e units) orders them as their valuations do."""
-    best, best_val = None, math.inf
-    for i in range(start, len(rows)):
-        x = rows[i][col]
-        if not x.is_zero and x.val < best_val:
-            best, best_val = i, x.val
-    return best
-
-
-def _subtract_multiple(row, f, pivot_support):
-    """row -= f * pivot_row in place, on the pivot row's nonzero columns
-    (given by _support); elsewhere x - f * 0 is x."""
-    for k, y in pivot_support:
-        row[k] = row[k] - f * y
-
-
-def rref(rows, ops=None):
-    """Reduced row echelon form; returns (rows, pivot_columns).
+def rref(rows, ops=None, field=None):
+    """Reduced row echelon form; returns (rows, pivot_columns).  The field
+    is that of the entries (the FieldConfig of Scalar entries by default).
 
     With a list ops, record per pivot the swapped row, the pivot inverse
     and the (row, factor) eliminations, so that the same row operations can
-    be replayed on a right-hand side (RowReduction).  A pivot that is
-    exactly one is its own inverse and leaves its row as it is."""
+    be replayed on a right-hand side (RowReduction)."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
+    if field is None:
+        field = rows[0][0].cfg
     m = len(rows[0])
     pivots = []
     r = 0
     for c in range(m):
-        i = _pivot_row(rows, c, r)
+        i = field.pivot_row(rows, c, r)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        prow = rows[r]
-        inv = prow[c]
-        if not inv.is_one:
-            inv = inv.inv()
-            for k, x in _support(prow):
-                prow[k] = x * inv
-        support = _support(prow)
+        inv = field.normalize(rows[r], c)
+        support = field.support(rows[r])
         elims = []
-        for j, row in enumerate(rows):
-            if j != r and not row[c].is_zero:
-                f = row[c]
-                _subtract_multiple(row, f, support)
+        for j, f in field.column_support(rows, c):
+            if j != r:
+                field.subtract_multiple(rows[j], f, support)
                 elims.append((j, f))
         if ops is not None:
             ops.append((i, inv, elims))
@@ -234,7 +214,7 @@ def det(a):
     rows = [list(r) for r in a]
     out = cfg.one()
     for c in range(n):
-        i = _pivot_row(rows, c, c)
+        i = cfg.pivot_row(rows, c, c)
         if i is None:
             return cfg.zero()
         if i != c:
@@ -242,53 +222,54 @@ def det(a):
             out = -out
         out = out * rows[c][c]
         pinv = rows[c][c].inv()
-        support = _support(rows[c])
+        support = cfg.support(rows[c])
         for j in range(c + 1, n):
             if not rows[j][c].is_zero:
-                _subtract_multiple(rows[j], rows[j][c] * pinv, support)
+                cfg.subtract_multiple(rows[j], rows[j][c] * pinv, support)
     return out
 
 
-def kernel(a):
-    """Basis of the right kernel of a."""
-    red, pivots = rref(a)
+def kernel(a, field=None):
+    """Basis of the right kernel of a, over the field of rref."""
+    if field is None:
+        field = a[0][0].cfg
+    red, pivots = rref(a, field=field)
     m = len(a[0])
-    cfg = a[0][0].cfg
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        v = [cfg.zero()] * m
-        v[fc] = cfg.one()
+        v = [field.zero()] * m
+        v[fc] = field.one()
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
 
 
 class Subspace:
-    """Subspace of cfg^n with a canonical reduced-echelon basis."""
+    """Subspace of field^n with a canonical reduced-echelon basis."""
 
-    def __init__(self, cfg: FieldConfig, ambient: int, vectors):
-        self.cfg = cfg
+    def __init__(self, field, ambient: int, vectors):
+        self.field = field
         self.ambient = ambient
-        rows = [list(v) for v in vectors if any(not x.is_zero for x in v)]
-        red, self.pivots = rref(rows) if rows else ([], [])
+        rows = [field.coerce_row(v) for v in vectors]
+        red, self.pivots = rref(rows, field=field)
         self.rows = [tuple(r) for r in red[:len(self.pivots)]]
-        self._supports = [_support(r) for r in self.rows]
+        self._supports = [field.support(r) for r in self.rows]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis(self):
-        return [list(r) for r in self.rows]
-
     def contains(self, v) -> bool:
-        v = list(v)
+        field = self.field
+        v = field.coerce_row(v)
+        is_zero, subtract = field.is_zero, field.subtract_multiple
         for support, c in zip(self._supports, self.pivots):
-            if not v[c].is_zero:
-                _subtract_multiple(v, v[c], support)
-        return all(x.is_zero for x in v)
+            f = v[c]
+            if not is_zero(f):
+                subtract(v, f, support)
+        return field.is_zero_row(v)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -299,14 +280,9 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
     def perp(self, gram) -> "Subspace":
-        """Orthogonal complement with respect to a Gram matrix."""
+        """Orthogonal complement with respect to a Gram matrix of Scalars."""
         if not self.rows:
-            return Subspace(self.cfg, self.ambient,
-                            identity(self.cfg, self.ambient))
+            return Subspace(self.field, self.ambient,
+                            identity(self.field, self.ambient))
         a = [mat_vec(gram, list(r)) for r in self.rows]
-        return Subspace(self.cfg, self.ambient, kernel(a))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.cfg, self.ambient,
-                        [list(r) for r in self.rows]
-                        + [list(r) for r in other.rows])
+        return Subspace(self.field, self.ambient, kernel(a))

@@ -462,6 +462,13 @@ class FiltrationLattice:
             return x.rows
         return mat_mul(self._binv, mat_mul(x.rows, self._b))
 
+    def from_basis(self, y):
+        """The rows of the matrix whose coordinates in the splitting basis
+        are y: the inverse of in_basis."""
+        if self._std:
+            return y
+        return mat_mul(self._b, mat_mul(y, self._binv))
+
     def contains(self, x: EndV) -> bool:
         for row, br in zip(self.in_basis(x), self._val_bounds):
             for c, bound in zip(row, br):

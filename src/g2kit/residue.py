@@ -16,6 +16,9 @@ has checked to hold every full product, reduces each output coefficient
 once and strips once.  Deciding that the span fits the precision window
 (and folding through the truncating operations when it does not) is the
 caller's part, scalars.dot.
+
+PrimeField also has the row operations through which linalg does its
+linear algebra over F_p (FieldConfig has the same ones for Scalars).
 """
 
 import operator
@@ -177,6 +180,47 @@ class PrimeField(_SeriesKernels):
 
     def fmt(self, a) -> str:
         return str(a % self.p)
+
+    # -- rows of reduced residues, for linalg (FieldConfig has the same) ----
+
+    def coerce_row(self, v):
+        """The int entries of v reduced mod p, as a new list."""
+        p = self.p
+        return [a % p for a in v]
+
+    def is_zero_row(self, row) -> bool:
+        return not any(row)
+
+    def support(self, row):
+        """The (column, entry) pairs of the nonzero entries of a row."""
+        return [(j, a) for j, a in enumerate(row) if a]
+
+    def column_support(self, rows, col):
+        """The (row, entry) pairs of the nonzero entries of a column."""
+        return [(i, row[col]) for i, row in enumerate(rows) if row[col]]
+
+    def pivot_row(self, rows, col, start):
+        """The first row from start on with a nonzero entry in col: every
+        nonzero residue has valuation 0, so this is FieldConfig's rule of
+        the first row of least valuation."""
+        for i in range(start, len(rows)):
+            if rows[i][col]:
+                return i
+        return None
+
+    def normalize(self, row, col):
+        """Scale row in place to a one in col; return the factor used."""
+        p = self.p
+        f = self.inv(row[col])
+        for k, a in self.support(row):
+            row[k] = (a * f) % p
+        return f
+
+    def subtract_multiple(self, row, f, support):
+        """row -= f * pivot_row in place, on the pivot row's support."""
+        p = self.p
+        for k, y in support:
+            row[k] = (row[k] - f * y) % p
 
     # -- coefficient-tuple kernels ------------------------------------------
 

@@ -123,6 +123,58 @@ class FieldConfig:
             data = json.loads(data)
         return cls(int(data["p"]), int(data["precision"]), data["extension"])
 
+    # -- rows of scalars, for linalg (residue.PrimeField has the same) -------
+
+    def is_zero(self, x) -> bool:
+        return x.is_zero
+
+    def neg(self, x):
+        return -x
+
+    def coerce_row(self, v):
+        """A new list of the entries of v, which are scalars already."""
+        return list(v)
+
+    def is_zero_row(self, row) -> bool:
+        return all(x.is_zero for x in row)
+
+    def support(self, row):
+        """The (column, entry) pairs of the nonzero entries of a row."""
+        return [(j, x) for j, x in enumerate(row) if not x.is_zero]
+
+    def column_support(self, rows, col):
+        """The (row, entry) pairs of the nonzero entries of a column."""
+        return [(i, row[col]) for i, row in enumerate(rows)
+                if not row[col].is_zero]
+
+    def pivot_row(self, rows, col, start):
+        """The first row from start on whose entry in col has the least
+        valuation.  The entries share this config, so their integer val
+        (in 1/e units) orders them as their valuations do."""
+        best, best_val = None, math.inf
+        for i in range(start, len(rows)):
+            x = rows[i][col]
+            if not x.is_zero and x.val < best_val:
+                best, best_val = i, x.val
+        return best
+
+    def normalize(self, row, col):
+        """Scale row in place to a one in col; return the factor used.  A
+        pivot that is exactly one is its own inverse and leaves the row as
+        it is."""
+        f = row[col]
+        if not f.is_one:
+            f = f.inv()
+            for k, x in self.support(row):
+                row[k] = x * f
+        return f
+
+    def subtract_multiple(self, row, f, support):
+        """row -= f * pivot_row in place, on the pivot row's support (given
+        by support); elsewhere x - f * 0 is x."""
+        for k, y in support:
+            row[k] = row[k] - f * y
+
 
 def _build(cfg: FieldConfig, val: int, coeffs: list) -> "Scalar":
     """Canonicalize: strip leading and trailing zero coefficients."""

@@ -371,12 +371,6 @@ class HermitianModel:
         return [Octonion(self.cfg, r) for r in
                 sp.perp(gram_scalar(self.cfg)).rows]
 
-    def d_coordinates(self, w: Octonion):
-        """Left-multiplication D-coordinates of w in the basis {a, b, ab}."""
-        co = self._coords.solve(list(w.coords))
-        return [self.unit.scale(co[2 * k]) + self.c.scale(co[2 * k + 1])
-                for k in range(3)]
-
     def bar_wedge(self, w1: Octonion, w2: Octonion) -> Octonion:
         """The unique z with Phi(zeta, z) = w1 ^ w2 ^ zeta for zeta in W,
         from the cofactors of the D-coordinates of w1 and w2."""

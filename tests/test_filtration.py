@@ -8,18 +8,19 @@ import pytest
 
 from g2kit.endo import EndV, d_torus_lie, u_root_lie
 from g2kit.errors import DomainError, MembershipError, PrecisionError
-from g2kit.filtration import (FiltrationQuotient, ModpSubspace,
-                              SymplecticSpace, cayley, cayley_inv,
-                              cayley_scalar, character_counts,
+from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
+                              cayley_inv, cayley_scalar, character_counts,
                               enumerate_subspaces, gamma_perp,
                               lie_generators, moy_counterexample, psi_b,
                               quotient_iso_check, random_stable_subspace,
                               standard_symplectic_cycle,
                               standard_symplectic_swap,
                               trace_triality_invariance)
+from g2kit.linalg import Subspace, kernel
 from g2kit.norms import (NormFn, extend_sl3, filtration_lattice,
                          lattice_seq_from_norm, standard_norm)
 from g2kit.octonions import basis_octonion, hyperbolic_plane
+from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
 from g2kit.triality import GroupTriality, LieTrialityGroup
 
@@ -268,12 +269,16 @@ def test_gamma_perp_trivial_action():
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     form = standard_symplectic_swap(5).form
     sp = SymplecticSpace(5, form, ident)
+    assert sp.order == 1
+    subs = enumerate_subspaces(5, 4)
+    assert all(sp.stable(x) for x in subs)
+    assert all(gamma_perp(sp, x) for x in subs)
 
 
 def test_gamma_perp_swap_lagrangian():
     sp = standard_symplectic_swap(5)
     # a stable Lagrangian: span((1,0,1,0), (0,1,0,1)) is gamma-fixed
-    x = ModpSubspace(5, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    x = Subspace(PrimeField(5), 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert sp.stable(x)
     assert gamma_perp(sp, x)
 
@@ -299,10 +304,165 @@ def test_gamma_perp_random_dim6_order3():
 
 def test_gamma_perp_rejects_unstable():
     sp = standard_symplectic_swap(5)
-    x = ModpSubspace(5, 4, [[1, 0, 0, 0]])
+    x = Subspace(PrimeField(5), 4, [[1, 0, 0, 0]])
     assert not sp.stable(x)
     with pytest.raises(DomainError):
         gamma_perp(sp, x)
+
+
+# -- linalg over F_p against the separate F_p code it replaced ------------------
+# ref_modp_rref, ref_modp_kernel and RefModpSubspace are the row reduction,
+# kernel and subspace that filtration kept for F_p before rref, kernel and
+# Subspace took a residue.PrimeField.
+
+def ref_modp_rref(rows, p):
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    m = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [rows[i] for i in range(r)], pivots
+
+
+def ref_modp_kernel(rows, p, m):
+    red, pivots = ref_modp_rref(rows, p)
+    free = [c for c in range(m) if c not in pivots]
+    out = []
+    for fc in free:
+        v = [0] * m
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][fc]) % p
+        out.append(v)
+    return out
+
+
+class RefModpSubspace:
+    def __init__(self, p, n, vectors):
+        self.p = p
+        self.n = n
+        rows, pivots = ref_modp_rref(
+            [v for v in vectors if any(x % p for x in v)], p)
+        self.rows = [tuple(r) for r in rows]
+        self.pivots = pivots
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def contains(self, v):
+        v = [x % self.p for x in v]
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                f = v[c]
+                v = [(a - f * b) % self.p for a, b in zip(v, row)]
+        return not any(v)
+
+
+def ref_perp(space, x):
+    """SymplecticSpace.perp as it was, on the reference code."""
+    p, n = space.p, space.n
+    if not x.rows:
+        return RefModpSubspace(p, n, [[int(i == j) for j in range(n)]
+                                      for i in range(n)])
+    rows = [[sum(r[i] * space.form[i][j] for i in range(n)) % p
+             for j in range(n)] for r in x.rows]
+    return RefModpSubspace(p, n, ref_modp_kernel(rows, p, n))
+
+
+def assert_same_subspace(got, want, probes):
+    assert got.rows == want.rows
+    assert got.pivots == want.pivots
+    assert got.dim == want.dim
+    assert [got.contains(v) for v in probes] \
+        == [want.contains(v) for v in probes]
+
+
+def spanning_sets(rng, p, n, rows):
+    """Spanning sets of span(rows) with unreduced entries: the rows moved
+    by multiples of p, plus a random combination and a zero vector."""
+    moved = [[a + p * rng.randrange(-2, 3) for a in r] for r in rows]
+    combo = [sum(rng.randrange(p) * r[t] for r in rows) for t in range(n)]
+    return moved + [combo, [0] * n]
+
+
+def probe_vectors(rng, p, n, rows, count):
+    """Random vectors with unreduced entries, and members of span(rows)."""
+    out = [tuple(rng.randrange(-p, 2 * p) for _ in range(n))
+           for _ in range(count)]
+    for _ in range(count // 2):
+        out.append(tuple(sum(rng.randrange(p) * r[t] for r in rows) - p
+                         for t in range(n)))
+    return out
+
+
+def test_modp_linalg_matches_the_reference_code():
+    rng = random.Random(67)
+    f5 = PrimeField(5)
+    subs = enumerate_subspaces(5, 4)
+    assert len(subs) == 1120
+    for x in subs:
+        probes = probe_vectors(rng, 5, 4, x.rows, 12)
+        assert_same_subspace(x, RefModpSubspace(5, 4, x.rows), probes)
+        span = spanning_sets(rng, 5, 4, x.rows)
+        assert_same_subspace(Subspace(f5, 4, span),
+                             RefModpSubspace(5, 4, span), probes)
+    # random subspaces and kernels of F_7^6 and F_11^6 (both 3 mod 4)
+    for p in (7, 11):
+        field = PrimeField(p)
+        for k in range(8):
+            for _ in range(12):
+                vecs = [[rng.randrange(-p, 2 * p) for _ in range(6)]
+                        for _ in range(k)]
+                if k > 2:  # a dependent vector lowers the rank
+                    vecs.append([a - 2 * b for a, b in zip(vecs[0], vecs[1])])
+                probes = probe_vectors(rng, p, 6, vecs, 16)
+                assert_same_subspace(Subspace(field, 6, vecs),
+                                     RefModpSubspace(p, 6, vecs), probes)
+                if vecs:
+                    reduced = [[a % p for a in v] for v in vecs]
+                    assert kernel(reduced, field) \
+                        == ref_modp_kernel(reduced, p, 6)
+    # the fixed subspace and perps of both standard spaces
+    for sp in (standard_symplectic_swap(5), standard_symplectic_swap(11),
+               standard_symplectic_cycle(7), standard_symplectic_cycle(11)):
+        p, n = sp.p, sp.n
+        rows = [[(sp.gamma[i][j] - (i == j)) % p for j in range(n)]
+                for i in range(n)]
+        fixed = sp.fixed_subspace()
+        probes = probe_vectors(rng, p, n, fixed.rows, 40)
+        assert_same_subspace(
+            fixed, RefModpSubspace(p, n, ref_modp_kernel(rows, p, n)), probes)
+        xs = ([Subspace(sp.field, n, []), fixed]
+              + [random_stable_subspace(sp, rng) for _ in range(10)]
+              + [Subspace(sp.field, n, [[rng.randrange(p) for _ in range(n)]])
+                 for _ in range(5)])
+        for x in xs:
+            assert_same_subspace(sp.perp(x), ref_perp(sp, x), probes)
+    # the form checks raise as they did
+    with pytest.raises(DomainError, match="form must be alternating"):
+        SymplecticSpace(5, [[0, 1], [1, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(DomainError, match="form must be non-degenerate"):
+        SymplecticSpace(5, [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    with pytest.raises(DomainError, match="form must be non-degenerate"):
+        SymplecticSpace(7, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
+                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 # -- the quotient check against the parent's code ------------------------------
@@ -537,6 +697,30 @@ def test_quotient_congruences_match_the_difference():
                 assert q.congruent_lie(g, h) == ref_congruent_lie(q, g, h)
                 seen.add(want)
     assert seen == {True, False}
+
+
+def test_quotient_reduce_on_a_skew_basis():
+    """Over a splitting basis that is not the standard one, reduce(x) is
+    congruent to x, has no coordinate digit at or past its A_s bound, is
+    fixed by reduce, and is the same for x moved by an element of A_s."""
+    seq = skew_seq()
+    rng = random.Random(69)
+    for r, s in LEVELS:
+        q = FiltrationQuotient(seq, r, s)
+        lat = q.lat_s
+        assert not lat._std
+        for _ in range(6):
+            x = random_endv(rng, CFG, -1, 3, 3)
+            rep = q.reduce(x)
+            assert q.congruent_lie(rep, x)
+            coords = lat.in_basis(rep)
+            assert all(coords[l][j].truncate(lat.entry_bound(l, j))
+                       == coords[l][j] for l in range(8) for j in range(8))
+            assert q.reduce(rep) == rep
+            a = random_endv(rng, CFG, 4, 6, 2)
+            assert lat.contains(a)
+            assert q.reduce(x + a) == rep
+            assert rep != x
 
 
 def group_elements(rng, cfg, lat):

@@ -269,14 +269,14 @@ def test_hermitian_model_rejects_vectors_outside_w(p):
     w = model.basis3[0]
     for x in (octonion_unit(cfg), d.traceless_generator()):
         with pytest.raises(SingularError):
-            model.d_coordinates(x)
+            d_coordinates(model, x)
         with pytest.raises(SingularError):
             model.bar_wedge(x, w)
         with pytest.raises(SingularError):
             model.bar_wedge(w, x)
     zero = Octonion(cfg, [cfg.zero()] * 8)
     for z in model.fbasis + [model.fbasis[1] + model.fbasis[4]]:
-        co = model.d_coordinates(z)
+        co = d_coordinates(model, z)
         assert sum((lam * b for lam, b in zip(co, model.basis3)), zero) == z
 
 
@@ -555,9 +555,16 @@ def test_non_so_matrix_is_rejected():
 
 # -- bar-wedge by cofactors ---------------------------------------------------------
 
+def d_coordinates(model, w):
+    """Left-multiplication D-coordinates of w in the basis {a, b, ab}."""
+    co = model._coords.solve(list(w.coords))
+    return [model.unit.scale(co[2 * k]) + model.c.scale(co[2 * k + 1])
+            for k in range(3)]
+
+
 def wedge3(model, w1, w2, w3):
     """w1 ^ w2 ^ w3 = Q(ab) det of the 3 x 3 matrix of D-coordinates."""
-    m = [model.d_coordinates(w) for w in (w1, w2, w3)]
+    m = [d_coordinates(model, w) for w in (w1, w2, w3)]
     return det_d(model.d, m).scale(model.qab)
 
 
