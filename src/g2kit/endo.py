@@ -2,9 +2,17 @@
 isometry tests, derivations (the Lie algebra of the automorphism group),
 the sl3/su(2,1) lifts across a 2-dimensional subalgebra, and the analysis
 of semisimple derivations by their kernel subalgebra.
+
+HermitianSpace, W = D-perp of an anisotropic plane D with its hermitian
+form Phi and a D-basis, is where the F-basis, the F-coordinates, the
+Phi-pairing system and the Gram matrix are built, for lift_su21,
+norms.HermitianNorm and the dim-2 family and HermitianModel of triality.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import chain
 
 from .errors import DomainError, KindError, LiftError, WitnessError
 from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
@@ -331,21 +339,91 @@ def assemble(cfg, basis_oct, image_cols) -> EndV:
     return EndV.adopt(cfg, mat_mul(c, inv(b)))
 
 
+class HermitianSpace:
+    """W = D-perp for an anisotropic plane D = F[c], with the hermitian
+    form Phi and a D-basis (w_1, w_2, w_3) of W (none if only Phi is
+    wanted).  c, gamma = c^2 and the constants of Phi are derived once;
+    on first use, fbasis (w_1, c w_1, ..., c w_3), coords (the
+    RowReduction of F-coordinates on it), pairing (the RowReduction of the
+    12 x 6 system whose rows 2a, 2a + 1 are the d.basis coordinates of
+    Phi(fbasis[a], fbasis[j])) and gram (Phi(w_i, w_j)).  A vector outside
+    W, or a right-hand side outside the span of pairing, raises
+    SingularError."""
+
+    def __init__(self, d: CompositionSubalgebra, wbasis=()):
+        self.d = d
+        self.cfg = d.cfg
+        self.basis = list(wbasis)
+        self.c = d.traceless_generator()
+        self.gamma = -(self.c.norm())  # c^2 = gamma
+        self.unit = octonion_unit(self.cfg)
+        self._half = self.cfg.from_int(2).inv()
+        self._gamma_inv = self.gamma.inv()
+
+    def form(self, x: Octonion, y: Octonion) -> Octonion:
+        """Phi(x, y) in D for the left D-structure:
+        (f(x,y) + c^{-1} f(cx,y) c)/2; f = tr_{D/F} o Phi."""
+        half = self._half
+        fxy = bilinear_f(x, y)
+        fcxy = bilinear_f(self.c * x, y)
+        return (self.unit.scale(half * fxy)
+                + self.c.scale(half * fcxy * self._gamma_inv))
+
+    @cached_property
+    def fbasis(self):
+        return [v for w in self.basis for v in (w, self.c * w)]
+
+    @cached_property
+    def coords(self) -> RowReduction:
+        return RowReduction(transpose([list(f.coords) for f in self.fbasis]))
+
+    @cached_property
+    def pairing(self) -> RowReduction:
+        amat = []
+        for f in self.fbasis:
+            co = [self.d.coordinates(self.form(f, z)) for z in self.fbasis]
+            amat += [[x[0] for x in co], [x[1] for x in co]]
+        return RowReduction(amat)
+
+    @cached_property
+    def gram(self):
+        return [[self.form(x, y) for y in self.basis] for x in self.basis]
+
+    def solve_pairing(self, rhs) -> Octonion:
+        """The z in W whose pairings Phi(f, z), f in fbasis, have the
+        d.basis coordinates rhs (two entries per f)."""
+        co = self.pairing.solve(rhs)
+        return Octonion(self.cfg, lin_comb(self.cfg, co,
+                                           [f.coords for f in self.fbasis]))
+
+    def dual_basis(self):
+        """The z_k with Phi(w_i, z_k) = delta_ik, so Phi(c w_i, z_k) =
+        c delta_ik."""
+        zero = [self.cfg.zero()] * 4
+        one_c = self.d.coordinates(self.unit) + self.d.coordinates(self.c)
+        n = len(self.basis)
+        return [self.solve_pairing([x for i in range(n)
+                                    for x in (one_c if i == k else zero)])
+                for k in range(n)]
+
+    def linear_map(self, v0_images, g) -> EndV:
+        """The map sending the basis of D to v0_images and acting
+        D-linearly on W by the D-matrix g (octonion entries) on the
+        basis."""
+        cfg = self.cfg
+        cols = [list(v.coords) for v in v0_images]
+        for j in range(len(self.basis)):
+            img = Octonion(cfg, [cfg.zero()] * 8)
+            for i, w in enumerate(self.basis):
+                if not g[i][j].is_zero:
+                    img = img + g[i][j] * w
+            cols += [list(img.coords), list((self.c * img).coords)]
+        return assemble(cfg, list(self.d.basis) + self.fbasis, cols)
+
+
 def hermitian_form(d: CompositionSubalgebra, x: Octonion, y: Octonion) -> Octonion:
-    """Phi(x, y) in D for the left D-structure: (f(x,y) + c^{-1} f(cx,y) c)/2,
-    c the traceless generator; f = tr_{D/F} o Phi."""
-    cfg = d.cfg
-    c = d.traceless_generator()
-    gamma = -(c.norm())  # c^2 = gamma
-    half = cfg.from_int(2).inv()
-    unit = octonion_unit(cfg)
-    fxy = bilinear_f(x, y)
-    fcxy = bilinear_f(c * x, y)
-    return unit.scale(half * fxy) + c.scale(half * fcxy * gamma.inv())
-
-
-def hermitian_gram(d: CompositionSubalgebra, wbasis):
-    return [[hermitian_form(d, x, y) for y in wbasis] for x in wbasis]
+    """Phi(x, y) in D, as HermitianSpace(d).form(x, y)."""
+    return HermitianSpace(d).form(x, y)
 
 
 def lift_su21(phi, d: CompositionSubalgebra, wbasis) -> EndV:
@@ -358,7 +436,8 @@ def lift_su21(phi, d: CompositionSubalgebra, wbasis) -> EndV:
     tr = phi[0][0] + phi[1][1] + phi[2][2]
     if not tr.is_zero:
         raise LiftError("matrix must be traceless over D")
-    h = hermitian_gram(d, wbasis)
+    space = HermitianSpace(d, wbasis)
+    h = space.gram
     for i in range(3):
         for j in range(3):
             acc = Octonion(cfg, [cfg.zero()] * 8)
@@ -367,58 +446,39 @@ def lift_su21(phi, d: CompositionSubalgebra, wbasis) -> EndV:
             if not acc.is_zero:
                 raise LiftError("matrix is not Phi-anti-hermitian")
     zero = Octonion(cfg, [cfg.zero()] * 8)
-    return d_linear_map(d, [zero for _ in d.basis], wbasis, phi)
+    return space.linear_map([zero for _ in d.basis], phi)
 
 
-def d_linear_map(d: CompositionSubalgebra, v0_images, wbasis, g) -> EndV:
-    """The map sending the basis of D to v0_images and acting D-linearly on
-    W = D-perp by the D-matrix g (octonion entries) on the D-basis wbasis."""
-    cfg = d.cfg
-    c = d.traceless_generator()
-    basis_oct = list(d.basis)
-    cols = [list(v.coords) for v in v0_images]
-    for j, w in enumerate(wbasis):
-        img = Octonion(cfg, [cfg.zero()] * 8)
-        for i in range(3):
-            if not g[i][j].is_zero:
-                img = img + g[i][j] * wbasis[i]
-        basis_oct += [w, c * w]
-        cols += [list(img.coords), list((c * img).coords)]
-    return assemble(cfg, basis_oct, cols)
+def first_candidate(vs, accept, missing: str) -> Octonion:
+    """The first of vs, then of the sums x + y of distinct x, y in vs,
+    that accept holds for; DomainError(missing) if there is none."""
+    for cand in chain(vs, (x + y for x in vs for y in vs if x != y)):
+        if accept(cand):
+            return cand
+    raise DomainError(missing)
 
 
 def special_hermitian_basis(d: CompositionSubalgebra):
     """A Witt-style D-basis (w-, w0, w+) of W = D-perp with Q(w-+) = 0,
     Phi(w-, w+) = 1 and w0 = (w- + w+)(w- - w+)."""
-    cfg = d.cfg
+    space = HermitianSpace(d)
+    form = space.form
     w_oct = d.orthogonal_basis_octonions()
-    cands = w_oct + [x + y for x in w_oct for y in w_oct if x != y]
-    iso = None
-    for cand in cands:
-        if not cand.is_zero and cand.norm().is_zero:
-            iso = cand
-            break
-    if iso is None:
-        raise DomainError("no isotropic vector found in D-perp")
-    partner = None
-    for cand in cands:
-        mu = hermitian_form(d, cand, iso)
-        if not mu.is_zero and not mu.norm().is_zero:
-            partner = cand
-            break
-    if partner is None:
-        raise DomainError("no dual partner found")
+    iso = first_candidate(w_oct, lambda v: not v.is_zero and v.norm().is_zero,
+                          "no isotropic vector found in D-perp")
+    partner = first_candidate(
+        w_oct, lambda v: not (mu := form(v, iso)).is_zero
+        and not mu.norm().is_zero, "no dual partner found")
     # make partner isotropic: replace by partner - Phi(partner,partner)/(2 Phi(partner,iso)) iso
-    ppp = hermitian_form(d, partner, partner)
-    ppi = hermitian_form(d, partner, iso)
-    half = cfg.from_int(2).inv()
-    corr = (ppp * ppi.inv()).scale(half)
+    ppp = form(partner, partner)
+    ppi = form(partner, iso)
+    corr = (ppp * ppi.inv()).scale(space._half)
     partner = partner - corr * iso
-    mu = hermitian_form(d, iso, partner)
+    mu = form(iso, partner)
     # scale partner on the left so that Phi(iso, partner) = 1
     partner = mu.conj().inv() * partner
     w0 = (iso + partner) * (iso - partner)
-    assert hermitian_form(d, iso, partner) == octonion_unit(cfg)
+    assert form(iso, partner) == space.unit
     assert iso.norm().is_zero and partner.norm().is_zero
     return iso, w0, partner
 
@@ -440,11 +500,10 @@ class SemisimpleAnalysis:
 
 
 def _poly_eval(coeffs, x, zero, one):
-    """sum coeffs[k] x^k (coeffs[0] constant term), for x a scalar or an
-    EndV with the given zero and one."""
+    """sum coeffs[k] x^k (coeffs[0] constant term, scalars of the field of
+    x), for x a scalar or an EndV with the given zero and one."""
     out, power = zero, one
     for c in coeffs:
-        c = x.cfg.coerce(c)
         if not c.is_zero:
             out = out + power * c
         power = power * x
@@ -455,7 +514,7 @@ def verify_witness(beta: EndV, witness) -> None:
     """Check a decomposition witness: kernels span V, blocks are
     annihilated by their factors, factors are pairwise coprime."""
     verify_witness_blocks(beta, witness)
-    if not witness_coprime(beta.cfg, witness):
+    if not witness_coprime(witness):
         raise WitnessError("witness factors are not coprime")
 
 
@@ -481,24 +540,21 @@ def verify_witness_blocks(beta: EndV, witness) -> None:
         raise WitnessError("witness blocks do not decompose V")
 
 
-def witness_coprime(cfg, witness) -> bool:
+def witness_coprime(witness) -> bool:
     """True iff the factors of the witness blocks are pairwise coprime."""
-    return all(_poly_coprime(cfg, a.factor, b.factor)
+    return all(_poly_coprime(a.factor, b.factor)
                for n, a in enumerate(witness) for b in witness[n + 1:])
 
 
-def _poly_coprime(cfg, p, q) -> bool:
+def _poly_coprime(p, q) -> bool:
     """Exact gcd over the scalar field; True iff gcd is a unit."""
-    def norm(c):
-        return [cfg.coerce(x) for x in c]
-
     def deg(c):
         d = len(c) - 1
         while d >= 0 and c[d].is_zero:
             d -= 1
         return d
 
-    a, b = norm(list(p)), norm(list(q))
+    a, b = list(p), list(q)
     while True:
         da, db = deg(a), deg(b)
         if db < 0:
@@ -519,10 +575,11 @@ def _poly_coprime(cfg, p, q) -> bool:
 
 class WitnessBlock:
     """One block of a decomposition witness: a monic-ish factor (constant
-    term first) and the subspace it annihilates."""
+    term first), its int coefficients coerced to scalars of the space's
+    field, and the subspace it annihilates."""
 
     def __init__(self, factor, space: Subspace):
-        self.factor = list(factor)
+        self.factor = [space.field.coerce(c) for c in factor]
         self.space = space
 
     @classmethod
@@ -543,7 +600,7 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
     verify_witness(beta, witness)
     kernel_rows = []
     for blk in witness:
-        if _is_x_factor(cfg, blk.factor):
+        if _is_x_factor(blk.factor):
             kernel_rows.extend([list(r) for r in blk.space.rows])
     v0_space = Subspace(cfg, 8, kernel_rows)
     dim0 = v0_space.dim
@@ -596,8 +653,7 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
                               {"u": u, "min_poly": (-u, cfg.zero(), cfg.one())})
 
 
-def _is_x_factor(cfg, coeffs) -> bool:
-    c = [cfg.coerce(x) for x in coeffs]
+def _is_x_factor(c) -> bool:
     return (len(c) >= 2 and c[0].is_zero and not c[1].is_zero
             and all(x.is_zero for x in c[2:]))
 

@@ -424,11 +424,7 @@ class SymplecticSpace:
         return all(x.contains(self.apply_gamma(r)) for r in x.rows)
 
     def perp(self, x: Subspace) -> Subspace:
-        if not x.rows:
-            return Subspace(self.field, self.n, identity(self.field, self.n))
-        rows = [[sum(r[i] * self.form[i][j] for i in range(self.n)) % self.p
-                 for j in range(self.n)] for r in x.rows]
-        return Subspace(self.field, self.n, kernel(rows, self.field))
+        return x.perp(self.form)
 
 
 def gamma_perp(space: SymplecticSpace, x: Subspace) -> bool:

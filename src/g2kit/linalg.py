@@ -10,7 +10,8 @@ of least valuation (which keeps eliminations inside the truncation
 window; over F_p every nonzero residue has valuation 0, so it is the
 first nonzero row); normalize scales the pivot row to a one, and
 subtract_multiple eliminates at row level over the pivot row's nonzero
-support.  The other functions take Scalars.
+support; row_times is the row-by-matrix product that Subspace.perp
+pairs its rows with.  The other functions take Scalars.
 
 Zero entries are skipped structurally: products run over the nonzero
 entries only, a pivot row is normalised and subtracted only where it is
@@ -280,9 +281,10 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
     def perp(self, gram) -> "Subspace":
-        """Orthogonal complement with respect to a Gram matrix of Scalars."""
+        """The orthogonal complement {v : r gram v = 0 for every row r},
+        for a Gram matrix over the field of the subspace."""
+        field = self.field
         if not self.rows:
-            return Subspace(self.field, self.ambient,
-                            identity(self.field, self.ambient))
-        a = [mat_vec(gram, list(r)) for r in self.rows]
-        return Subspace(self.field, self.ambient, kernel(a))
+            return Subspace(field, self.ambient, identity(field, self.ambient))
+        a = [field.row_times(r, gram) for r in self.rows]
+        return Subspace(field, self.ambient, kernel(a, field))

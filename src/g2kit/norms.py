@@ -5,6 +5,8 @@ the conversion to lattice sequences and filtration lattices.
 
 Norms are always given by a splitting basis and the value at each basis
 vector (exact Fractions); evaluation is min(v(coefficient) + value).
+An F'-norm (HermitianNorm) reads its coordinates, its dual basis and the
+F-basis of its extension from the endo.HermitianSpace on its D-basis.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .endo import EndV, hermitian_form
+from .endo import EndV, HermitianSpace
 from .errors import DomainError, DualityError, KindError, VolumeError
-from .linalg import (RowReduction, Subspace, det, inv, lin_comb, mat_mul,
-                     transpose)
+from .linalg import RowReduction, Subspace, det, inv, mat_mul, transpose
 from .octonions import (CompositionSubalgebra, Octonion, basis_octonion,
                         bilinear_f, dual_basis_in, gram_schmidt,
                         idempotents_from_isotropic_pair, octonion_unit,
@@ -204,26 +205,19 @@ def _check_extension(out: NormFn, restriction: NormFn):
 class HermitianNorm:
     """An F'-norm on W = D-perp for an anisotropic plane D = F[c]:
     a D-basis of W with values in units of the normalized valuation of F'
-    (so v_{F'} has image Z)."""
+    (so v_{F'} has image Z), read on the HermitianSpace of that basis."""
 
     def __init__(self, d: CompositionSubalgebra, basis, values):
         if d.kind != "field-dim2":
             raise KindError("hermitian norms need an anisotropic plane")
         self.d = d
         self.cfg = d.cfg
-        self.basis = list(basis)
+        self.space = HermitianSpace(d, basis)
+        self.basis = self.space.basis
         self.values = [_frac(v) for v in values]
-        self.c = d.traceless_generator()
-        self.gamma = -(self.c.norm())  # c^2 = gamma
-        vg = self.gamma.valuation
-        self.e = 2 if (vg * 1) % 2 == 1 else 1
+        vg = self.space.gamma.valuation
+        self.e = 2 if vg % 2 == 1 else 1
         self.vc = Fraction(self.e * vg, 2)  # v_{F'}(c), normalized
-        cols = []
-        for b in self.basis:
-            cols.append(list(b.coords))
-            cols.append(list((self.c * b).coords))
-        self._cols = transpose(cols)
-        self._reduction = None
 
     def v_fprime(self, x: Scalar, y: Scalar) -> Fraction:
         """v_{F'}(x + y c) via the valuation-orthogonal basis (1, c)."""
@@ -237,9 +231,7 @@ class HermitianNorm:
     def eval(self, w: Octonion) -> Fraction:
         if w.is_zero:
             return math.inf
-        if self._reduction is None:
-            self._reduction = RowReduction(self._cols)
-        co = self._reduction.solve(list(w.coords))
+        co = self.space.coords.solve(list(w.coords))
         best = math.inf
         for k, a in enumerate(self.values):
             v = self.v_fprime(co[2 * k], co[2 * k + 1]) + a
@@ -249,32 +241,8 @@ class HermitianNorm:
 
     def dual(self) -> "HermitianNorm":
         """Dual with respect to the hermitian form, on the dual basis."""
-        cfg = self.cfg
-        fbasis = self._fbasis()
-        amat = []
-        for b in self.basis:
-            row1, rowc = [], []
-            for x in fbasis:
-                co = self.d.coordinates(hermitian_form(self.d, x, b))
-                row1.append(co[0])
-                rowc.append(co[1])
-            amat += [row1, rowc]
-        reduction = RowReduction(amat)
-        vecs = [x.coords for x in fbasis]
-        dualb = []
-        for k in range(len(self.basis)):
-            rhs = [cfg.one() if i == 2 * k else cfg.zero()
-                   for i in range(len(amat))]
-            dualb.append(Octonion(cfg, lin_comb(cfg, reduction.solve(rhs),
-                                                vecs)))
-        return HermitianNorm(self.d, dualb, [-v for v in self.values])
-
-    def _fbasis(self):
-        out = []
-        for b in self.basis:
-            out.append(b)
-            out.append(self.c * b)
-        return out
+        return HermitianNorm(self.d, self.space.dual_basis(),
+                             [-v for v in self.values])
 
     def is_self_dual(self) -> bool:
         dual = self.dual()
@@ -290,18 +258,13 @@ def extend_su21(alpha_h: HermitianNorm, d: CompositionSubalgebra) -> NormFn:
         raise DomainError("norm and plane do not match")
     if not alpha_h.is_self_dual():
         raise DualityError("the F'-norm must be self-dual")
-    cfg = d.cfg
-    c = alpha_h.c
+    space = alpha_h.space
     e = Fraction(alpha_h.e)
-    unit = octonion_unit(cfg)
-    basis = [unit, c]
-    values = [Fraction(0), Fraction(c.norm().valuation, 2)]
-    for b, a in zip(alpha_h.basis, alpha_h.values):
-        basis.append(b)
-        values.append(a / e)
-        basis.append(c * b)
-        values.append((a + alpha_h.vc) / e)
-    out = NormFn(cfg, basis, values)
+    basis = [space.unit, space.c] + space.fbasis
+    values = [Fraction(0), Fraction(space.gamma.valuation, 2)]
+    for a in alpha_h.values:
+        values += [a / e, (a + alpha_h.vc) / e]
+    out = NormFn(d.cfg, basis, values)
     if not is_algebra_norm(out):
         raise DomainError("extension is not an algebra norm")
     if not is_self_dual(out):

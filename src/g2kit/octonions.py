@@ -461,7 +461,12 @@ class CompositionSubalgebra:
         return [Octonion(self.cfg, row) for row in perp.rows]
 
     def traceless_generator(self) -> Octonion:
-        """A traceless generator of a 2-dimensional subalgebra."""
+        """A traceless generator of a 2-dimensional subalgebra, found on
+        the first call and kept."""
+        return self._traceless_generator
+
+    @cached_property
+    def _traceless_generator(self) -> Octonion:
         unit = octonion_unit(self.cfg)
         half = self.cfg.from_int(2).inv()
         for b in self.basis:

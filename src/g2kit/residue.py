@@ -222,6 +222,12 @@ class PrimeField(_SeriesKernels):
         for k, y in support:
             row[k] = (row[k] - f * y) % p
 
+    def row_times(self, row, mat):
+        """The row vector row * mat, reduced mod p."""
+        p = self.p
+        return [sum(a * m[j] for a, m in zip(row, mat)) % p
+                for j in range(len(mat[0]))]
+
     # -- coefficient-tuple kernels ------------------------------------------
 
     def _plus(self, xs, ys):

@@ -175,6 +175,13 @@ class FieldConfig:
         for k, y in support:
             row[k] = row[k] - f * y
 
+    def row_times(self, row, mat):
+        """The row vector row * mat: entry j is one dot over the nonzero
+        products mat[i][j] row[i], in increasing i."""
+        support = self.support(row)
+        return [dot(self, [(1, mat[i][j], x) for i, x in support
+                           if mat[i][j].coeffs]) for j in range(len(mat[0]))]
+
 
 def _build(cfg: FieldConfig, val: int, coeffs: list) -> "Scalar":
     """Canonicalize: strip leading and trailing zero coefficients."""

@@ -18,7 +18,7 @@ from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
                     volume)
 from .octonions import (CompositionSubalgebra, Octonion,
                         ordered_polarization)
-from .scalars import FieldConfig, Scalar
+from .scalars import FieldConfig
 
 
 class Stratum:
@@ -46,8 +46,8 @@ class Stratum:
             "r": self.r,
             "beta": self.beta.to_json(),
             "witness": {
-                "factors": [[str(c) if isinstance(c, Scalar) else str(c)
-                             for c in blk.factor] for blk in self.witness],
+                "factors": [[str(c) for c in blk.factor]
+                            for blk in self.witness],
                 "kernels": [[list(map(str, row)) for row in blk.space.rows]
                             for blk in self.witness],
             },
@@ -84,7 +84,7 @@ def validate(stratum: Stratum) -> dict:
                f"v_Lambda(beta) = {v} < -n = {-s.n}")
     # pairwise coprimality, computed once: the witness record (the clauses
     # of verify_witness) and the coprimality record both read it
-    coprime = witness_coprime(s.cfg, s.witness)
+    coprime = witness_coprime(s.witness)
     try:
         verify_witness_blocks(s.beta, s.witness)
         record("witness", coprime, "witness factors are not coprime")
@@ -255,7 +255,9 @@ class SL3StratumData:
         self.n = n
         self.r = r
         self.phi = phi
-        self.blocks = blocks  # list of (factor_coeffs, [w+ octonions])
+        # (factor, [w+ octonions]), the factor's ints made scalars
+        self.blocks = [([alpha_plus.cfg.coerce(c) for c in f], vs)
+                       for f, vs in blocks]
 
 
 class SU21StratumData:
@@ -268,7 +270,8 @@ class SU21StratumData:
         self.n = n
         self.r = r
         self.phi = phi
-        self.blocks = blocks
+        self.blocks = [([alpha_h.cfg.coerce(c) for c in f], vs)
+                       for f, vs in blocks]
 
 
 def lift_type_d_sl3(data: SL3StratumData, d: CompositionSubalgebra) -> Stratum:
@@ -302,21 +305,20 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
     kernel_rows = [b.coords for b in d.basis]
     staged = []
     for coeffs, vectors in blocks:
-        coeffs = [cfg.coerce(c) for c in coeffs]
-        if _is_x_factor(cfg, coeffs):
+        if _is_x_factor(coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             kernel_rows.extend(_mirror_kernel(cfg, beta, coeffs, wm))
             continue
         staged.append((coeffs, [list(v.coords) for v in vectors]))
-        mirror_factor = _reflect_poly(cfg, coeffs)
+        mirror_factor = _reflect_poly(coeffs)
         staged.append((mirror_factor,
                        _mirror_kernel(cfg, beta, mirror_factor, wm)))
     # a zero eigenvalue makes a mirror factor collide with a direct one;
-    # blocks with equal factors merge
+    # blocks with equal factors merge (every staged factor has a nonzero
+    # leading coefficient, as _reflect_poly divides by it)
     merged = []
     for coeffs, rows in staged:
-        hit = next((m for m in merged if _poly_equal(cfg, m[0], coeffs)),
-                   None)
+        hit = next((m for m in merged if m[0] == coeffs), None)
         if hit is None:
             merged.append([coeffs, rows])
         else:
@@ -327,27 +329,15 @@ def _lift_witness_sl3(cfg, d, beta, blocks):
             + out_blocks)
 
 
-def _poly_equal(cfg, p, q) -> bool:
-    def canon(c):
-        out = [cfg.coerce(x) for x in c]
-        while out and out[-1].is_zero:
-            out.pop()
-        return out
-    return canon(p) == canon(q)
-
-
 def _mirror_kernel(cfg, beta, factor, wm):
     """Coordinate rows of a basis of the kernel of factor(beta) inside W-."""
     pb = _poly_eval(factor, beta, EndV.zero(cfg), EndV.identity(cfg))
     return restricted_kernel(pb.rows, [list(w.coords) for w in wm])
 
 
-def _reflect_poly(cfg, coeffs):
+def _reflect_poly(coeffs):
     """+-P(-X), normalized monic."""
-    out = []
-    for k, c in enumerate(coeffs):
-        c = cfg.coerce(c)
-        out.append(c if k % 2 == 0 else -c)
+    out = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
     lead = out[-1]
     return [c * lead.inv() for c in out]
 
@@ -363,8 +353,7 @@ def lift_type_d_su21(data: SU21StratumData,
     kernel_rows = [b.coords for b in d.basis]
     out_blocks = []
     for coeffs, vectors in data.blocks:
-        coeffs = [cfg.coerce(c) for c in coeffs]
-        if _is_x_factor(cfg, coeffs):
+        if _is_x_factor(coeffs):
             kernel_rows.extend([v.coords for v in vectors])
             continue
         out_blocks.append(WitnessBlock(

@@ -246,7 +246,7 @@ def _barwedge(cfg, rng, count):
 
     def rand_w():
         out = Octonion(cfg, [cfg.zero()] * 8)
-        for bb in model.basis3:
+        for bb in model.space.basis:
             out = out + rand_v0() * bb
         return out
 
@@ -618,30 +618,31 @@ _SUITES = {
 }
 
 
+def run_check(name: str, thunk) -> dict:
+    """The report entry of one check: pass, fail with the counterexample
+    string the check returns or the error it raises, or
+    precision-exhausted."""
+    try:
+        counterexample = thunk()
+    except PrecisionError as exc:
+        return {"name": name, "status": "precision-exhausted",
+                "counterexample": str(exc)}
+    except (G2KitError, ZeroDivisionError) as exc:
+        counterexample = f"{type(exc).__name__}: {exc}"
+    if counterexample is None:
+        return {"name": name, "status": "pass"}
+    return {"name": name, "status": "fail", "counterexample": counterexample}
+
+
 def run_suite(name: str, cfg: FieldConfig, seed: int) -> dict:
     """Run one suite; the report is deterministic for a given (cfg, seed)
     up to the wall-time field."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     rng = random.Random(seed)
-    checks = []
     start = time.monotonic()
-    for check_name, thunk in _SUITES[name](cfg, rng):
-        entry = {"name": check_name, "status": "pass"}
-        try:
-            counterexample = thunk()
-        except PrecisionError as exc:
-            entry["status"] = "precision-exhausted"
-            entry["counterexample"] = str(exc)
-        except (G2KitError, ZeroDivisionError) as exc:
-            counterexample = f"{type(exc).__name__}: {exc}"
-            entry["status"] = "fail"
-            entry["counterexample"] = counterexample
-        else:
-            if counterexample is not None:
-                entry["status"] = "fail"
-                entry["counterexample"] = counterexample
-        checks.append(entry)
+    checks = [run_check(check_name, thunk)
+              for check_name, thunk in _SUITES[name](cfg, rng)]
     return {
         "schema": "g2kit-report/1",
         "suite": name,

@@ -3,7 +3,9 @@ t1(xy) = t2(x)y + x t3(y)) for every family where the solution has a
 closed form: root subgroups, the diagonal torus, the stabilizer of a
 polarization (GLW), and the stabilizers of dim-4 and anisotropic dim-2
 composition subalgebras.  Fixed points are the automorphism group and
-its Lie algebra of derivations.
+its Lie algebra of derivations.  The anisotropic dim-2 family and the
+bar-wedge model (HermitianModel) take the Gram matrix, the F-basis, the
+coordinates and the Phi-pairing system from endo.HermitianSpace.
 
 On so(V), triality is a derived coordinate table: t2, t3, hat and the six
 words sigma^a rho^b act on the 28 so(V) coordinates by tables built from
@@ -20,16 +22,15 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, assemble,
-                   d_linear_map, hermitian_form, hermitian_gram,
-                   is_algebra_automorphism, is_derivation, leibniz_holds,
-                   multiplicative_holds, sandwich, so_coords, so_matrix,
-                   so_rows, u_root, u_root_lie)
+from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
+                   assemble, first_candidate, is_algebra_automorphism,
+                   is_derivation, leibniz_holds, multiplicative_holds,
+                   sandwich, so_coords, so_matrix, so_rows, u_root,
+                   u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
-from .linalg import RowReduction, Subspace, det, inv, lin_comb, transpose
+from .linalg import Subspace, det, inv
 from .octonions import (CONJ_COLS, CONJ_ROWS, CompositionSubalgebra,
-                        Octonion, basis_octonion, from_coords, gram_scalar,
-                        octonion_unit)
+                        Octonion, basis_octonion, from_coords, gram_scalar)
 from .scalars import FieldConfig, Scalar, dot
 
 
@@ -254,12 +255,6 @@ def solve_dim4(d4: CompositionSubalgebra, a: Octonion, alpha1: Octonion,
 
 # -- anisotropic dim-2 stabilizer family ----------------------------------------
 
-def dim2_stabilizer_map(d: CompositionSubalgebra, wbasis, lam: Octonion,
-                        g) -> EndV:
-    """The map v0 + w -> lam v0 + g w for g a D-matrix on wbasis."""
-    return d_linear_map(d, [lam * b for b in d.basis], wbasis, g)
-
-
 def det_d(d: CompositionSubalgebra, g) -> Octonion:
     """3x3 determinant with entries in the commutative algebra D."""
     t1 = g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
@@ -281,7 +276,8 @@ def solve_dim2(d: CompositionSubalgebra, wbasis, lam1: Octonion, g1,
         raise WitnessError("lam1 must be a norm-1 element of D")
     if xi.norm() != one or not d.contains(xi):
         raise WitnessError("xi must be a norm-1 element of D")
-    h = hermitian_gram(d, wbasis)
+    space = HermitianSpace(d, wbasis)
+    h = space.gram
     for i in range(3):
         for j in range(3):
             acc = Octonion(cfg, [cfg.zero()] * 8)
@@ -293,11 +289,14 @@ def solve_dim2(d: CompositionSubalgebra, wbasis, lam1: Octonion, g1,
     if xi * xi != lam1 * det_d(d, g1).conj():
         raise WitnessError("witness does not satisfy xi^2 = lam1 conj(det g1)")
     xii = xi.inv()
-    t1 = dim2_stabilizer_map(d, wbasis, lam1, g1)
+
+    def stabilizer_map(lam, g):  # v0 + w -> lam v0 + g w
+        return space.linear_map([lam * b for b in d.basis], g)
+    t1 = stabilizer_map(lam1, g1)
     g_xi = [[xi * g1[i][j] for j in range(3)] for i in range(3)]
     g_xil = [[(xi * lam1.conj()) * g1[i][j] for j in range(3)] for i in range(3)]
-    t2 = dim2_stabilizer_map(d, wbasis, xii * lam1, g_xi)
-    t3 = dim2_stabilizer_map(d, wbasis, xi, g_xil)
+    t2 = stabilizer_map(xii * lam1, g_xi)
+    t3 = stabilizer_map(xi, g_xil)
     return TrialityTriple(t1, t2, t3, lie=False)
 
 
@@ -315,70 +314,46 @@ class HermitianModel:
     bar_wedge reads the pairing right-hand sides on zeta = e_k and c e_k
     off Q(ab) C_k and c Q(ab) C_k.  Elements of D are pairs x0 + x1 c,
     multiplied by (x0 + x1 c)(y0 + y1 c) = (x0 y0 + gamma x1 y1)
-    + (x0 y1 + x1 y0) c, where c^2 = gamma = -Q(c)."""
+    + (x0 y1 + x1 y0) c, where c^2 = gamma = -Q(c).  The F-coordinates,
+    the Phi-pairing system and Phi are those of the HermitianSpace on
+    {a, b, ab}."""
 
     def __init__(self, d: CompositionSubalgebra):
         if d.kind != "field-dim2":
             raise KindError("hermitian model needs an anisotropic plane")
         self.d = d
         self.cfg = d.cfg
-        self.c = d.traceless_generator()
-        self.unit = octonion_unit(self.cfg)
-        woct = d.orthogonal_basis_octonions()
-        a = self._first_anisotropic(woct)
-        rest = self._perp_of(list(d.basis) + [a, self.c * a])
-        b = self._first_anisotropic(rest)
-        self.basis3 = [a, b, a * b]
-        self.qab = (a * b).norm()
-        self.fbasis = []
-        for x in self.basis3:
-            self.fbasis.append(x)
-            self.fbasis.append(self.c * x)
-        # the 8 x 6 coordinate system on the F-basis of W and the 12 x 6
-        # Phi-pairing system have rank 6; each is reduced once, and a
-        # right-hand side outside their column space raises SingularError
-        self._coords = RowReduction(transpose([list(z.coords)
-                                               for z in self.fbasis]))
-        amat = []
-        for z in self.fbasis:
-            row1, rowc = [], []
-            for bb in self.fbasis:
-                co = self.d.coordinates(hermitian_form(self.d, z, bb))
-                row1.append(co[0])
-                rowc.append(co[1])
-            amat.append(row1)
-            amat.append(rowc)
-        self._phi = RowReduction(amat)
+        c = d.traceless_generator()
+
+        def anisotropic(v):
+            return not v.is_zero and not v.norm().is_zero
+        a = first_candidate(d.orthogonal_basis_octonions(), anisotropic,
+                            "no anisotropic vector found")
+        da = Subspace(self.cfg, 8, [v.coords for v in d.basis + [a, c * a]])
+        rest = [Octonion(self.cfg, r)
+                for r in da.perp(gram_scalar(self.cfg)).rows]
+        b = first_candidate(rest, anisotropic, "no anisotropic vector found")
+        ab = a * b
+        self.space = space = HermitianSpace(d, [a, b, ab])
+        self.qab = ab.norm()
         # x0 + x1 c has d.basis coordinates x0 u + x1 v, and
         # c (c0 + c1 c) = gamma c1 + c0 c: a cofactor C = c0 + c1 c gives
         # the d.basis coordinates of Q(ab) C and then of c Q(ab) C as the
         # four sums c0 r0 + c1 r1 over the rows (r0, r1) of _rhs_rows
-        self._gamma = -self.c.norm()
-        u = d.coordinates(self.unit)
-        v = d.coordinates(self.c)
+        u = d.coordinates(space.unit)
+        v = d.coordinates(space.c)
         self._rhs_rows = ([(self.qab * u[i], self.qab * v[i]) for i in (0, 1)]
-                          + [(self.qab * v[i], self._gamma * self.qab * u[i])
+                          + [(self.qab * v[i], space.gamma * self.qab * u[i])
                              for i in (0, 1)])
-
-    def _first_anisotropic(self, vs):
-        for cand in vs + [x + y for x in vs for y in vs if x != y]:
-            if not cand.is_zero and not cand.norm().is_zero:
-                return cand
-        raise DomainError("no anisotropic vector found")
-
-    def _perp_of(self, vs):
-        sp = Subspace(self.cfg, 8, [v.coords for v in vs])
-        return [Octonion(self.cfg, r) for r in
-                sp.perp(gram_scalar(self.cfg)).rows]
 
     def bar_wedge(self, w1: Octonion, w2: Octonion) -> Octonion:
         """The unique z with Phi(zeta, z) = w1 ^ w2 ^ zeta for zeta in W,
         from the cofactors of the D-coordinates of w1 and w2."""
-        cfg = self.cfg
-        x = self._coords.solve(list(w1.coords))
-        y = self._coords.solve(list(w2.coords))
+        cfg, space = self.cfg, self.space
+        x = space.coords.solve(list(w1.coords))
+        y = space.coords.solve(list(w2.coords))
         # D-coordinate k is x[2k] + x[2k+1] c; gx[k] = gamma x[2k+1]
-        gx = [self._gamma * x[2 * k + 1] for k in range(3)]
+        gx = [space.gamma * x[2 * k + 1] for k in range(3)]
         rhs_all = []
         for i, j in ((2, 4), (4, 0), (0, 2)):
             # C_k = x_i y_j - x_j y_i for the pairs at flat offsets i, j
@@ -388,13 +363,11 @@ class HermitianModel:
                            (-1, x[j], y[i + 1]), (-1, x[j + 1], y[i])])
             rhs_all += [dot(cfg, [(1, c0, r0), (1, c1, r1)])
                         for r0, r1 in self._rhs_rows]
-        co = self._phi.solve(rhs_all)
-        return Octonion(self.cfg, lin_comb(self.cfg, co,
-                                           [z.coords for z in self.fbasis]))
+        return space.solve_pairing(rhs_all)
 
     def product_via_decomposition(self, v1, w1, v2, w2) -> Octonion:
         """The displayed product formula, for testing against the table."""
-        scalar_part = v1 * v2 - hermitian_form(self.d, w1, w2)
+        scalar_part = v1 * v2 - self.space.form(w1, w2)
         vector_part = v1 * w2 + w1 * v2 + self.bar_wedge(w1, w2)
         return scalar_part + vector_part
 

@@ -16,10 +16,10 @@ from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                               standard_symplectic_cycle,
                               standard_symplectic_swap,
                               trace_triality_invariance)
-from g2kit.linalg import Subspace, kernel
+from g2kit.linalg import Subspace, kernel, mat_vec
 from g2kit.norms import (NormFn, extend_sl3, filtration_lattice,
                          lattice_seq_from_norm, standard_norm)
-from g2kit.octonions import basis_octonion, hyperbolic_plane
+from g2kit.octonions import basis_octonion, gram_scalar, hyperbolic_plane
 from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
 from g2kit.triality import GroupTriality, LieTrialityGroup
@@ -464,6 +464,47 @@ def test_modp_linalg_matches_the_reference_code():
         SymplecticSpace(7, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]],
                         [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+
+
+def test_subspace_perp_over_a_prime_field():
+    """Subspace.perp pairs its rows with the Gram matrix by the field's
+    row_times, over F_p as over F_p((t)); SymplecticSpace.perp is
+    Subspace.perp with the form, and equals ref_perp's int row products on
+    the swap and cycle spaces."""
+    f5 = PrimeField(5)
+    perp = Subspace(f5, 2, [[1, 0]]).perp([[0, 1], [4, 0]])
+    assert perp == Subspace(f5, 2, [[1, 0]])
+    assert perp.rows == [(1, 0)]
+    assert Subspace(f5, 2, []).perp([[0, 1], [4, 0]]).dim == 2
+    # r gram, not gram r, and reduced: (1, 1) pairs to (5, 5) = 0 with the
+    # first form, and to (0, 1) with the second
+    assert Subspace(f5, 2, [[1, 1]]).perp([[1, 2], [4, 3]]).dim == 2
+    assert Subspace(f5, 2, [[1, 0]]).perp([[0, 1], [0, 0]]).rows == [(1, 0)]
+    cfg = FieldConfig(5, 8)
+    one, zero = cfg.one(), cfg.zero()
+    assert Subspace(cfg, 2, [[one, zero]]).perp(
+        [[zero, one], [zero, zero]]).rows == [(one, zero)]
+    swap = standard_symplectic_swap(5)
+    for x in enumerate_subspaces(5, 4):
+        assert swap.perp(x).rows == ref_perp(swap, x).rows
+    rng = random.Random(5)
+    cycle = standard_symplectic_cycle(7)
+    for _ in range(40):
+        x = random_stable_subspace(cycle, rng)
+        assert cycle.perp(x).rows == ref_perp(cycle, x).rows
+    # over F_p((t)), the same subspaces as the column products gram r
+    for cfg in (FieldConfig(5, 8), FieldConfig(7, 8, "ramified")):
+        gram = gram_scalar(cfg)
+        for vecs in ([E8(cfg, 1)], [E8(cfg, 1), E8(cfg, -1)],
+                     [E8(cfg, -4) + E8(cfg, 4).scale(cfg.t()), E8(cfg, 2)]):
+            x = Subspace(cfg, 8, [v.coords for v in vecs])
+            want = Subspace(cfg, 8, kernel([mat_vec(gram, list(r))
+                                            for r in x.rows]))
+            assert x.perp(gram).rows == want.rows
+
+
+def E8(cfg, lbl):
+    return basis_octonion(cfg, lbl)
 
 # -- the quotient check against the parent's code ------------------------------
 # ref_* are the versions that formed every 8x8 difference, the identity and

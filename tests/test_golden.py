@@ -4,12 +4,13 @@ identical; the files are regenerated only by a change that means to alter
 a report, which then says so."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from g2kit.scalars import FieldConfig
-from g2kit.suites import run_suite
+from g2kit.suites import _SUITES, run_check, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,6 +21,29 @@ def test_triality_report_matches_golden(p):
     report.pop("wall_time")
     path = GOLDEN / f"triality_p{p}_n8_seed1.json"
     assert report == json.loads(path.read_text())
+
+
+# the checks that reach the hermitian code (endo.HermitianSpace)
+HERMITIAN_CHECKS = {"triality": ("dim2-family", "product-decomposition"),
+                    "norms": ("extend-su21",),
+                    "strata": ("corpus-classification", "lift-depth")}
+
+
+@pytest.mark.parametrize("ext", ("unramified", "ramified"))
+def test_hermitian_checks_over_extensions_match_golden(ext):
+    """The hermitian checks at (5, 8) over each quadratic extension, run
+    as run_suite runs them but without the suite's other checks: each
+    suite's checks come from one random.Random(1), so product-decomposition
+    draws from a fresh generator.  Over the ramified extension,
+    extend-su21, corpus-classification and lift-depth fail; the golden
+    keeps their counterexample strings."""
+    cfg = FieldConfig(5, 8, ext)
+    report = {suite: [run_check(name, thunk)
+                      for name, thunk in _SUITES[suite](cfg, random.Random(1))
+                      if name in names]
+              for suite, names in HERMITIAN_CHECKS.items()}
+    path = GOLDEN / "hermitian_checks_p5_n8_seed1.json"
+    assert report == json.loads(path.read_text())[ext]
 
 
 @pytest.mark.parametrize("p", (5, 11))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2kit import endo, linalg, octonions, strata, triality
+from g2kit import endo, linalg, octonions, strata
 from g2kit.endo import (EndV, WitnessBlock, lift_sl3, random_so,
                         restrict_to_basis)
 from g2kit.errors import ConfigMismatchError, PrecisionError, SingularError
@@ -314,11 +314,11 @@ def split_planes(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
 def test_adapted_basis_coordinates_match_dense_solve(cfg, monkeypatch):
     """CompositionSubalgebra.coordinates, ordered_polarization,
-    restrict_to_basis, strata._lattice_split_by and HermitianModel read
-    coordinates by replaying one RowReduction per basis; every replay
-    equals dense_solve on the same matrix."""
+    restrict_to_basis, strata._lattice_split_by and the HermitianSpace of
+    HermitianModel read coordinates by replaying one RowReduction per
+    basis; every replay equals dense_solve on the same matrix."""
     counts = {}
-    for module in (octonions, endo, strata, triality):
+    for module in (octonions, endo, strata):
         monkeypatch.setattr(
             module, "RowReduction",
             lambda a, site=module.__name__: OracleReduction(a, site, counts))
@@ -353,10 +353,13 @@ def test_adapted_basis_coordinates_match_dense_solve(cfg, monkeypatch):
     # the sequence was extended across the canonical plane, so its own
     # polarization splits it
     assert split[0]
+    endo_solves = counts["g2kit.endo"]
     model = HermitianModel(anisotropic_plane(cfg))
-    model.bar_wedge(model.basis3[0], model.basis3[1] + model.fbasis[3])
-    assert set(counts) == {"g2kit.octonions", "g2kit.endo", "g2kit.strata",
-                           "g2kit.triality"}
+    space = model.space
+    model.bar_wedge(space.basis[0], space.basis[1] + space.fbasis[3])
+    # two coordinate replays and one pairing solve
+    assert counts["g2kit.endo"] == endo_solves + 3
+    assert set(counts) == {"g2kit.octonions", "g2kit.endo", "g2kit.strata"}
 
 
 def test_mixed_configs_raise():

@@ -1,7 +1,9 @@
 """Tests for semisimple strata: validation, classification, type-D lifts."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from g2kit.norms import (HermitianNorm, NormFn, filtration_lattice,
 from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, octonion_unit, ramified_plane,
                              standard_split_dim4)
-from g2kit.scalars import FieldConfig
+from g2kit.scalars import FieldConfig, Scalar
 from g2kit.strata import (ClassifiedStratum, SL3StratumData, SU21StratumData,
                           Stratum, classify, lift_type_d_sl3,
                           lift_type_d_su21, trace_adjust, validate)
@@ -361,3 +363,32 @@ def test_lattice_restriction_index_by_index():
             v = b.scale(CFG.t(ein))
             assert s.seq.contains(i, v)
             assert not s.seq.contains(i, b.scale(CFG.t(ein - 1)))
+
+
+def test_witness_factors_are_scalars_from_construction():
+    """WitnessBlock and the blocks of SL3StratumData and SU21StratumData
+    coerce their factors' ints to scalars of their own config once, when
+    built.  The corpus's only int factors are 0 and 1, so the witness
+    factor strings of Stratum.to_json are those committed before the
+    coercion moved there."""
+    golden = json.loads((Path(__file__).parent / "golden"
+                         / "witness_factors_n8.json").read_text())
+    for p in (5, 7, 11):
+        cfg = FieldConfig(p, 8)
+        strata = ([s for _, s in stratum_corpus(cfg)]
+                  + [s for _, s in corrupted_strata(cfg)])
+        assert [s.to_json()["witness"]["factors"] for s in strata] \
+            == golden[str(p)]
+        for s in strata:
+            for blk in s.witness:
+                assert all(isinstance(c, Scalar) and c.cfg is cfg
+                           for c in blk.factor)
+    block = WitnessBlock([0, 1], D.space)
+    assert block.factor == [Z, CFG.one()]
+    assert all(isinstance(c, Scalar) for c in block.factor)
+    data = SL3StratumData(wplus_norm([0, 0, 0]), 1, 0, diag_phi(Z, Z),
+                          [([0, 1], WPLUS)])
+    assert all(isinstance(c, Scalar) for c in data.blocks[0][0])
+    _, su21 = su21_data(anisotropic_plane(CFG))
+    assert all(isinstance(c, Scalar) for coeffs, _ in su21.blocks
+               for c in coeffs)

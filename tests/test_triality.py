@@ -237,7 +237,7 @@ def test_barwedge_product_formula():
 
     def rand_w():
         out = Octonion(CFG, [CFG.zero()] * 8)
-        for bb in model.basis3:
+        for bb in model.space.basis:
             lam = (one.scale(CFG.random(rng, width=1, vmin=0, vmax=0))
                    + c.scale(CFG.random(rng, width=1, vmin=0, vmax=0)))
             out = out + lam * bb
@@ -266,7 +266,7 @@ def test_hermitian_model_rejects_vectors_outside_w(p):
     cfg = FieldConfig(p, 8)
     d = anisotropic_plane(cfg)
     model = HermitianModel(d)
-    w = model.basis3[0]
+    w = model.space.basis[0]
     for x in (octonion_unit(cfg), d.traceless_generator()):
         with pytest.raises(SingularError):
             d_coordinates(model, x)
@@ -275,9 +275,11 @@ def test_hermitian_model_rejects_vectors_outside_w(p):
         with pytest.raises(SingularError):
             model.bar_wedge(w, x)
     zero = Octonion(cfg, [cfg.zero()] * 8)
-    for z in model.fbasis + [model.fbasis[1] + model.fbasis[4]]:
+    fbasis = model.space.fbasis
+    for z in fbasis + [fbasis[1] + fbasis[4]]:
         co = d_coordinates(model, z)
-        assert sum((lam * b for lam, b in zip(co, model.basis3)), zero) == z
+        assert sum((lam * b for lam, b in zip(co, model.space.basis)),
+                   zero) == z
 
 
 def test_is_g2_element_families():
@@ -557,8 +559,9 @@ def test_non_so_matrix_is_rejected():
 
 def d_coordinates(model, w):
     """Left-multiplication D-coordinates of w in the basis {a, b, ab}."""
-    co = model._coords.solve(list(w.coords))
-    return [model.unit.scale(co[2 * k]) + model.c.scale(co[2 * k + 1])
+    space = model.space
+    co = space.coords.solve(list(w.coords))
+    return [space.unit.scale(co[2 * k]) + space.c.scale(co[2 * k + 1])
             for k in range(3)]
 
 
@@ -571,24 +574,25 @@ def wedge3(model, w1, w2, w3):
 def ref_bar_wedge(model, w1, w2):
     """The bar-wedge read off its definition: one wedge3 (three coordinate
     replays and a det_d) and one d.coordinates solve per F-basis vector."""
+    fbasis = model.space.fbasis
     rhs_all = []
-    for z in model.fbasis:
+    for z in fbasis:
         target = model.d.coordinates(wedge3(model, w1, w2, z))
         rhs_all.append(target[0])
         rhs_all.append(target[1])
-    co = model._phi.solve(rhs_all)
+    co = model.space.pairing.solve(rhs_all)
     return Octonion(model.cfg, lin_comb(model.cfg, co,
-                                        [z.coords for z in model.fbasis]))
+                                        [z.coords for z in fbasis]))
 
 
 def random_w(model, rng, width):
     """sum_k (x0 + x1 c) b_k over the D-basis {a, b, ab}, with x0, x1 of
     valuation 0 and the given coefficient width."""
-    cfg = model.cfg
+    cfg, space = model.cfg, model.space
     out = Octonion(cfg, [cfg.zero()] * 8)
-    for bb in model.basis3:
-        lam = (model.unit.scale(cfg.random(rng, width=width, vmin=0, vmax=0))
-               + model.c.scale(cfg.random(rng, width=width, vmin=0, vmax=0)))
+    for bb in space.basis:
+        lam = (space.unit.scale(cfg.random(rng, width=width, vmin=0, vmax=0))
+               + space.c.scale(cfg.random(rng, width=width, vmin=0, vmax=0)))
         out = out + lam * bb
     return out
 
@@ -622,8 +626,8 @@ def test_bar_wedge_reads_coordinates_twice_and_multiplies_no_octonions(
     model = HermitianModel(anisotropic_plane(CFG))
     rng = random.Random(7)
     w1, w2 = random_w(model, rng, 2), random_w(model, rng, 2)
-    counter = CountingReduction(model._coords)
-    monkeypatch.setattr(model, "_coords", counter)
+    counter = CountingReduction(model.space.coords)
+    monkeypatch.setattr(model.space, "coords", counter)
     ref_bar_wedge(model, w1, w2)
     assert counter.calls == 18
     counter.calls = 0
