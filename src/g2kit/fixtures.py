@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .endo import WitnessBlock, d_torus_lie, dim4_kernel_derivation, \
-    special_hermitian_basis
+from .endo import HermitianSpace, WitnessBlock, d_torus_lie, \
+    dim4_kernel_derivation, special_hermitian_basis
 from .linalg import Subspace
 from .norms import HermitianNorm, NormFn, lattice_seq_from_norm, standard_norm
 from .octonions import (Octonion, anisotropic_plane, basis_octonion,
@@ -93,8 +93,8 @@ def su21_stratum(cfg, plane, a_val=0, scale=1, n=1, r=0):
     phi = [[lam, z, z], [z, lam.conj() - lam, z], [z, z, -lam.conj()]]
     eps = -(c.norm())
     u1 = cfg.t(-2 * scale) * eps
-    blocks = [([-u1, cfg.zero(), 1], [wm, c * wm, wp, c * wp]),
-              ([-(u1 * 4), cfg.zero(), 1], [w0, c * w0])]
+    blocks = [([-u1, cfg.zero(), 1], HermitianSpace(d, [wm, wp]).fbasis),
+              ([-(u1 * 4), cfg.zero(), 1], HermitianSpace(d, [w0]).fbasis)]
     ah = HermitianNorm(d, [wm, w0, wp], [-a_val, 0, a_val])
     return lift_type_d_su21(SU21StratumData(ah, n, r, phi, blocks), d)
 

@@ -7,6 +7,10 @@ Norms are always given by a splitting basis and the value at each basis
 vector (exact Fractions); evaluation is min(v(coefficient) + value).
 An F'-norm (HermitianNorm) reads its coordinates, its dual basis and the
 F-basis of its extension from the endo.HermitianSpace on its D-basis.
+
+Every dual is a sharp_dual, norm equality and F'-self-duality are one
+two-way evaluation, and the three extend_* (the norm half of the type-D
+lifts in strata) share one _check_extension.
 """
 
 from __future__ import annotations
@@ -77,11 +81,7 @@ class NormFn:
         """Norm equality via two-way evaluation on the splitting bases."""
         if not isinstance(other, NormFn):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        return (all(self.eval(b) == v for b, v in zip(other.basis, other.values))
-                and all(other.eval(b) == v
-                        for b, v in zip(self.basis, self.values)))
+        return self.space == other.space and _agree(self, other)
 
     def __repr__(self):
         return f"NormFn(dim={self.dim}, values={self.values})"
@@ -96,17 +96,25 @@ class NormFn:
                       [self.values[i] for i in indices])
 
 
+def _agree(x, y) -> bool:
+    """Two-way evaluation: each norm takes the other's values on the
+    other's splitting basis."""
+    return (all(x.eval(b) == v for b, v in zip(y.basis, y.values))
+            and all(y.eval(b) == v for b, v in zip(x.basis, x.values)))
+
+
 def dual_norm(alpha: NormFn) -> NormFn:
-    """alpha*(v) = inf_x (v(f(v,x)) - alpha(x)), computed on the dual basis:
-    alpha* is split by it with values -alpha(b_i)."""
-    dual = dual_basis_in(alpha.cfg, alpha.basis, alpha.space.rows)
+    """alpha*(v) = inf_x (v(f(v,x)) - alpha(x)): the dual inside alpha's
+    own span."""
+    return sharp_dual(alpha, alpha.space)
+
+
+def sharp_dual(alpha: NormFn, target: Subspace) -> NormFn:
+    """The dual of alpha taken inside target, on the basis of target dual
+    to alpha's splitting basis: split by it with values -alpha(b_i).  On
+    W+ with target W- this is the sharp dual of the sl3 extension."""
+    dual = dual_basis_in(alpha.cfg, alpha.basis, target.rows)
     return NormFn(alpha.cfg, dual, [-v for v in alpha.values])
-
-
-def sharp_dual(alpha_plus: NormFn, wminus: Subspace) -> NormFn:
-    """The dual of a norm on W+ taken inside the dual isotropic space W-."""
-    dual = dual_basis_in(alpha_plus.cfg, alpha_plus.basis, wminus.rows)
-    return NormFn(alpha_plus.cfg, dual, [-v for v in alpha_plus.values])
 
 
 def is_self_dual(alpha: NormFn) -> bool:
@@ -188,16 +196,18 @@ def extend_sl3(alpha_plus: NormFn, d: CompositionSubalgebra) -> NormFn:
     values = [Fraction(0), Fraction(0)] + list(alpha_plus.values) \
         + list(sharp.values)
     out = NormFn(alpha_plus.cfg, basis, values)
-    _check_extension(out, alpha_plus)
+    _check_extension(out, alpha_plus.basis, alpha_plus.values)
     return reorder_to_standard(out)
 
 
-def _check_extension(out: NormFn, restriction: NormFn):
+def _check_extension(out: NormFn, basis, values):
+    """The checks every extension passes: out is a self-dual algebra norm
+    taking the given values on the given basis of the restriction."""
     if not is_algebra_norm(out):
         raise DomainError("extension is not an algebra norm")
     if not is_self_dual(out):
         raise DualityError("extension is not self-dual")
-    for b, v in zip(restriction.basis, restriction.values):
+    for b, v in zip(basis, values):
         if out.eval(b) != v:
             raise DomainError("extension does not restrict correctly")
 
@@ -245,10 +255,7 @@ class HermitianNorm:
                              [-v for v in self.values])
 
     def is_self_dual(self) -> bool:
-        dual = self.dual()
-        return (all(self.eval(b) == v for b, v in zip(dual.basis, dual.values))
-                and all(dual.eval(b) == v
-                        for b, v in zip(self.basis, self.values)))
+        return _agree(self, self.dual())
 
 
 def extend_su21(alpha_h: HermitianNorm, d: CompositionSubalgebra) -> NormFn:
@@ -265,13 +272,7 @@ def extend_su21(alpha_h: HermitianNorm, d: CompositionSubalgebra) -> NormFn:
     for a in alpha_h.values:
         values += [a / e, (a + alpha_h.vc) / e]
     out = NormFn(d.cfg, basis, values)
-    if not is_algebra_norm(out):
-        raise DomainError("extension is not an algebra norm")
-    if not is_self_dual(out):
-        raise DualityError("extension is not self-dual")
-    for b, a in zip(alpha_h.basis, alpha_h.values):
-        if out.eval(b) != a / e:
-            raise DomainError("extension does not restrict correctly")
+    _check_extension(out, alpha_h.basis, [a / e for a in alpha_h.values])
     return out
 
 
@@ -310,7 +311,7 @@ def extend_dim4(alpha_w: NormFn, d4: CompositionSubalgebra) -> NormFn:
     basis = [eplus, eminus, eplus * b, eminus * b, h, hp, k, kp]
     values = [Fraction(0), Fraction(0), -ah - ak, ah + ak, ah, ahp, ak, akp]
     out = NormFn(cfg, basis, values)
-    _check_extension(out, alpha_w)
+    _check_extension(out, alpha_w.basis, alpha_w.values)
     return reorder_to_standard(out)
 
 
@@ -326,7 +327,7 @@ def _extend_dim4_anisotropic(alpha_w: NormFn, d4) -> NormFn:
     basis = dbasis + list(alpha_w.basis)
     values = [half * x.norm().valuation for x in dbasis] + list(alpha_w.values)
     out = NormFn(cfg, basis, values)
-    _check_extension(out, alpha_w)
+    _check_extension(out, alpha_w.basis, alpha_w.values)
     return out
 
 
@@ -472,13 +473,16 @@ class FiltrationLattice:
         return ok
 
 
-def seq_valuation(seq: LatticeSeq, x: EndV):
-    """v_Lambda(x): the largest k with x in A_k, or +inf for zero."""
+def seq_valuation(seq: LatticeSeq, x: EndV, indices=range(8)):
+    """v_Lambda(x): the largest k with x in A_k, or +inf for zero.  Given
+    the indices of the splitting-basis vectors that span an x-stable
+    block, the same minimum over those rows and columns of x's matrix in
+    the splitting basis: the valuation of x on that block."""
     y = seq.lattice(0).in_basis(x)
     a = seq.norm.values
     best = math.inf
-    for l in range(8):
-        for j in range(8):
+    for l in indices:
+        for j in indices:
             c = y[l][j]
             if c.is_zero:
                 continue

@@ -2,6 +2,11 @@
 validity checks, the four-case classification by the kernel subalgebra,
 and the type-D lifting from sl3 / su(2,1) data across a 2-dimensional
 composition subalgebra.
+
+Both lifts take one path: norms.extend_* checks and extends the norm,
+endo.lift_* checks and lifts the matrix, _kernel_block gathers the kernel
+block of the witness and _lifted checks the depth.  Block valuations are
+norms.seq_valuation on the block's basis indices.
 """
 
 from __future__ import annotations
@@ -11,11 +16,10 @@ from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    is_derivation, lift_sl3, lift_su21, restricted_kernel,
                    verify_witness_blocks, witness_coprime, _is_x_factor,
                    _poly_eval)
-from .errors import LiftError, VolumeError, WitnessError
+from .errors import LiftError, WitnessError
 from .linalg import RowReduction, Subspace, det, lin_comb, mat_vec, transpose
 from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
-                    extend_su21, lattice_seq_from_norm, seq_valuation,
-                    volume)
+                    extend_su21, lattice_seq_from_norm, seq_valuation)
 from .octonions import (CompositionSubalgebra, Octonion,
                         ordered_polarization)
 from .scalars import FieldConfig
@@ -116,28 +120,15 @@ def _block_valuation(s: Stratum, blk):
     """n_i = -v of beta on the block w.r.t. the restricted sequence, or
     None for a null block; needs the block to be spanned by norm-basis
     vectors (all fixtures are), else falls back to the global valuation."""
-    rows = [list(r) for r in blk.space.rows]
-    imgs = [mat_vec(s.beta.rows, r) for r in rows]
-    if all(all(x.is_zero for x in img) for img in imgs):
+    if all(all(x.is_zero for x in mat_vec(s.beta.rows, list(r)))
+           for r in blk.space.rows):
         return None
     idx = [i for i, b in enumerate(s.seq.norm.basis)
            if blk.space.contains(b.coords)]
     if len(idx) != blk.space.dim:
-        return -seq_valuation(s.seq, s.beta)
-    m = s.seq.m
-    a = s.seq.norm.values
-    best = None
-    for j in idx:
-        co = s.seq.norm.coordinates(
-            Octonion(s.cfg, mat_vec(s.beta.rows,
-                                    list(s.seq.norm.basis[j].coords))))
-        for l in idx:
-            c = co[l]
-            if c.is_zero:
-                continue
-            cand = math.floor((c.valuation + a[l] - a[j]) * m)
-            best = cand if best is None else min(best, cand)
-    return None if best is None else -best
+        idx = range(8)
+    v = seq_valuation(s.seq, s.beta, idx)
+    return None if v == math.inf else -v
 
 
 def _lattice_split_by(seq: LatticeSeq, witness) -> bool:
@@ -221,14 +212,10 @@ def classify(stratum: Stratum) -> ClassifiedStratum:
 
 
 def _restrict_norm(norm: NormFn, basis_subset):
-    idx = []
-    for b in basis_subset:
-        hit = next((i for i, x in enumerate(norm.basis) if x == b), None)
-        if hit is None:
-            return None  # basis not adapted; restriction via eval only
-    for b in basis_subset:
-        idx.append(next(i for i, x in enumerate(norm.basis) if x == b))
-    return norm.restrict(idx)
+    idx = [next((i for i, x in enumerate(norm.basis) if x == b), None)
+           for b in basis_subset]
+    # a basis not adapted to the norm: restriction via eval only
+    return None if None in idx else norm.restrict(idx)
 
 
 def trace_adjust(cfg: FieldConfig, gamma):
@@ -276,57 +263,60 @@ class SU21StratumData:
 
 def lift_type_d_sl3(data: SL3StratumData, d: CompositionSubalgebra) -> Stratum:
     """[check-Lambda, n, r, check-beta]: extend the volume-zero norm and
-    the traceless matrix across the split plane D; the lattice valuation
-    of the lift is preserved."""
-    cfg = d.cfg
-    tr = data.phi[0][0] + data.phi[1][1] + data.phi[2][2]
-    if not tr.is_zero:
-        raise LiftError("matrix must be traceless")
-    if volume(data.alpha_plus, d) != 0:
-        raise VolumeError("norm on W+ must have volume zero")
-    ext = extend_sl3(data.alpha_plus, d)
-    seq = lattice_seq_from_norm(ext)
+    the traceless matrix across the split plane D.  lift_sl3 checks the
+    trace before extend_sl3 checks the volume."""
     beta = lift_sl3(data.phi, d)
-    witness = _lift_witness_sl3(cfg, d, beta, data.blocks)
-    stratum = Stratum(seq, data.n, data.r, beta, witness)
+    ext = extend_sl3(data.alpha_plus, d)
+    return _lifted(ext, data, beta, _lift_witness_sl3(d, beta, data.blocks))
+
+
+def _lifted(ext: NormFn, data, beta: EndV, witness) -> Stratum:
+    """The lifted stratum on the sequence of the extended norm: a nonzero
+    beta must keep the depth, v_Lambda(beta) = -n."""
+    stratum = Stratum(lattice_seq_from_norm(ext), data.n, data.r, beta,
+                      witness)
     if beta.is_zero():
         return stratum
-    v = seq_valuation(seq, beta)
+    v = seq_valuation(stratum.seq, beta)
     if v != -data.n:
         raise LiftError(f"lift changed the depth: v = {v}, expected {-data.n}")
     return stratum
 
 
-def _lift_witness_sl3(cfg, d, beta, blocks):
-    """Witness of the lifted element: the kernel block on D (merged with
-    any zero block of the input) plus each input block and its mirror in
-    W-, whose factor is the sign-normalized reflection."""
-    _, wm = ordered_polarization(d)
+def _kernel_block(d: CompositionSubalgebra, blocks, mirror=None):
+    """Split the input blocks of a lift: the kernel block of the lifted
+    element is D's basis plus the vectors of every block with factor X
+    (each followed by mirror(X) when a mirror is given); the other blocks
+    are returned as (factor, coordinate rows)."""
     kernel_rows = [b.coords for b in d.basis]
-    staged = []
+    rest = []
     for coeffs, vectors in blocks:
+        rows = [list(v.coords) for v in vectors]
         if _is_x_factor(coeffs):
-            kernel_rows.extend([v.coords for v in vectors])
-            kernel_rows.extend(_mirror_kernel(cfg, beta, coeffs, wm))
-            continue
-        staged.append((coeffs, [list(v.coords) for v in vectors]))
-        mirror_factor = _reflect_poly(coeffs)
-        staged.append((mirror_factor,
-                       _mirror_kernel(cfg, beta, mirror_factor, wm)))
-    # a zero eigenvalue makes a mirror factor collide with a direct one;
-    # blocks with equal factors merge (every staged factor has a nonzero
-    # leading coefficient, as _reflect_poly divides by it)
-    merged = []
-    for coeffs, rows in staged:
-        hit = next((m for m in merged if m[0] == coeffs), None)
-        if hit is None:
-            merged.append([coeffs, rows])
+            kernel_rows.extend(rows)
+            if mirror is not None:
+                kernel_rows.extend(mirror(coeffs))
         else:
-            hit[1].extend(rows)
-    out_blocks = [WitnessBlock(coeffs, Subspace(cfg, 8, rows))
-                  for coeffs, rows in merged]
-    return ([WitnessBlock([0, 1], Subspace(cfg, 8, kernel_rows))]
-            + out_blocks)
+            rest.append((coeffs, rows))
+    return WitnessBlock([0, 1], Subspace(d.cfg, 8, kernel_rows)), rest
+
+
+def _lift_witness_sl3(d, beta, blocks):
+    """Witness of the lifted element: the kernel block on D (merged with
+    any zero block of the input and its mirror) plus each input block and
+    its mirror in W-, whose factor is the sign-normalized reflection.  A
+    zero eigenvalue makes a mirror factor collide with a direct one, and
+    blocks with equal factors merge."""
+    _, wm = ordered_polarization(d)
+    mirror = lambda factor: _mirror_kernel(d.cfg, beta, factor, wm)
+    kernel, rest = _kernel_block(d, blocks, mirror)
+    merged = {}
+    for coeffs, rows in rest:
+        reflected = _reflect_poly(coeffs)
+        merged.setdefault(tuple(coeffs), []).extend(rows)
+        merged.setdefault(tuple(reflected), []).extend(mirror(reflected))
+    return [kernel] + [WitnessBlock(factor, Subspace(d.cfg, 8, rows))
+                       for factor, rows in merged.items()]
 
 
 def _mirror_kernel(cfg, beta, factor, wm):
@@ -346,23 +336,9 @@ def lift_type_d_su21(data: SU21StratumData,
                      d: CompositionSubalgebra) -> Stratum:
     """[vec-Lambda, n, r, vec-beta]: extend a self-dual F'-norm and an
     anti-hermitian traceless matrix across an anisotropic plane D."""
-    cfg = d.cfg
     ext = extend_su21(data.alpha_h, d)
-    seq = lattice_seq_from_norm(ext)
     beta = lift_su21(data.phi, d, data.alpha_h.basis)
-    kernel_rows = [b.coords for b in d.basis]
-    out_blocks = []
-    for coeffs, vectors in data.blocks:
-        if _is_x_factor(coeffs):
-            kernel_rows.extend([v.coords for v in vectors])
-            continue
-        out_blocks.append(WitnessBlock(
-            coeffs, Subspace(cfg, 8, [v.coords for v in vectors])))
-    witness = [WitnessBlock([0, 1], Subspace(cfg, 8, kernel_rows))] + out_blocks
-    stratum = Stratum(seq, data.n, data.r, beta, witness)
-    if beta.is_zero():
-        return stratum
-    v = seq_valuation(seq, beta)
-    if v != -data.n:
-        raise LiftError(f"lift changed the depth: v = {v}, expected {-data.n}")
-    return stratum
+    kernel, rest = _kernel_block(d, data.blocks)
+    return _lifted(ext, data, beta, [kernel] + [
+        WitnessBlock(coeffs, Subspace(d.cfg, 8, rows))
+        for coeffs, rows in rest])

@@ -518,15 +518,26 @@ def _gamma_random(rng):
 # -- strata suite -----------------------------------------------------------------
 
 def _strata_checks(cfg, rng):
-    yield "corpus-classification", lambda: _corpus(cfg)
-    yield "lift-depth", lambda: _lift_depth(cfg)
+    table = {}  # the corpus, or its build error, built once per run
+
+    def corpus():
+        if "corpus" not in table:
+            try:
+                table["corpus"] = fixtures.stratum_corpus(cfg)
+            except G2KitError as exc:
+                table["corpus"] = exc
+        if isinstance(table["corpus"], G2KitError):
+            raise table["corpus"]
+        return table["corpus"]
+
+    yield "corpus-classification", lambda: _corpus(corpus())
+    yield "lift-depth", lambda: _lift_depth(corpus())
     yield "lift-roundtrip", lambda: _lift_roundtrip(cfg)
     yield "corrupted-rejection", lambda: _corrupted(cfg)
     yield "refinement-congruence", lambda: _refinement(cfg)
 
 
-def _corpus(cfg):
-    corpus = fixtures.stratum_corpus(cfg)
+def _corpus(corpus):
     if len(corpus) < 12:
         return f"corpus too small: {len(corpus)}"
     for tag, s in corpus:
@@ -539,9 +550,9 @@ def _corpus(cfg):
     return None
 
 
-def _lift_depth(cfg):
+def _lift_depth(corpus):
     from .norms import seq_valuation
-    for tag, s in fixtures.stratum_corpus(cfg):
+    for tag, s in corpus:
         if not s.is_null and seq_valuation(s.seq, s.beta) != -s.n:
             return f"{tag}: depth not -n"
     return None

@@ -167,13 +167,13 @@ def test_criterion_9_gamma_perp():
 def test_criterion_10_strata():
     start = time.monotonic()
     failures = []
-    for name, thunk in (("corpus", lambda: _corpus(CFG)),
+    corpus = fixtures.stratum_corpus(CFG)
+    for name, thunk in (("corpus", lambda: _corpus(corpus)),
                         ("roundtrip", lambda: _lift_roundtrip(CFG)),
                         ("corrupted", lambda: _corrupted(CFG))):
         bad = thunk()
         if bad:
             failures.append(f"{name}: {bad}")
-    corpus = fixtures.stratum_corpus(CFG)
     if len(corpus) < 12:
         failures.append("corpus smaller than 12")
     by_case = {}

@@ -81,6 +81,16 @@ def test_dual_norm_rules():
     assert dual_norm(dual_norm(full)) == full
 
 
+def test_norm_equality_is_two_way():
+    # y takes x's values on y's splitting basis, but y(e2) = -1 < x(e2) = 0:
+    # equal only if each norm also takes the other's values on its basis
+    x = NormFn(CFG, [E[1], E[2]], [0, 0])
+    y = NormFn(CFG, [E[1], E[1] + E[2].scale(CFG.t())], [0, 0])
+    assert x.eval(E[1] + E[2].scale(CFG.t())) == 0 and y.eval(E[2]) == -1
+    assert x != y and y != x
+    assert x == NormFn(CFG, [E[1], E[1] + E[2]], [0, 0])
+
+
 def test_sharp_dual_and_self_duality():
     wplus, wminus = split_polarization(D)
     alpha_p = wplus_norm([Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)])
