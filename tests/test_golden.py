@@ -53,3 +53,24 @@ def test_desk_suite_report_matches_golden(suite, p):
     report.pop("wall_time")
     path = GOLDEN / f"{suite}_p{p}_n8_seed1.json"
     assert report == json.loads(path.read_text())
+
+
+# the filtration checks other than gamma-perp-*, which list F_p subspaces
+# vector by vector and take most of the suite's time
+FILTRATION_CHECKS = ("moy-counterexample", "quotient-congruences",
+                     "psi-homomorphism", "psi-equivariance",
+                     "psi-injectivity", "trace-invariance")
+
+
+@pytest.mark.parametrize("p", (5, 11))
+def test_filtration_checks_match_golden(p):
+    """The filtration checks as run_suite runs them, from one
+    random.Random(1), without the two gamma-perp checks (they come last and
+    draw nothing the others use)."""
+    cfg = FieldConfig(p, 8)
+    report = [run_check(name, thunk)
+              for name, thunk in _SUITES["filtration"](cfg, random.Random(1))
+              if name in FILTRATION_CHECKS]
+    assert [c["name"] for c in report] == list(FILTRATION_CHECKS)
+    path = GOLDEN / f"filtration_p{p}_n8_seed1.json"
+    assert report == json.loads(path.read_text())
