@@ -10,8 +10,9 @@ all checks are exact identities or congruences at explicit levels.
 from .endo import (EndV, adjoint, analyze_semisimple, dim4_kernel_derivation,
                    is_derivation, is_isometry, is_so, lift_sl3, lift_su21)
 from .filtration import (FiltrationQuotient, SymplecticSpace, cayley,
-                         cayley_inv, gamma_perp, moy_counterexample, psi_b,
-                         quotient_iso_check, trace_triality_invariance)
+                         cayley_inv, cayley_offset, gamma_perp,
+                         moy_counterexample, psi_b, quotient_iso_check,
+                         trace_triality_invariance)
 from .norms import (FiltrationLattice, HermitianNorm, LatticeSeq, NormFn,
                     dual_norm, extend_dim4, extend_sl3, extend_su21,
                     filtration_lattice, is_algebra_norm, is_self_dual,

@@ -55,6 +55,22 @@ class EndV:
         return cls.adopt(cfg, identity(cfg, 8))
 
     @classmethod
+    def from_entries(cls, cfg, entries) -> "EndV":
+        """The matrix with the given entries {(i, j): Scalar}, zero
+        elsewhere: the dense form of a sparse matrix."""
+        rows = zeros(cfg, 8, 8)
+        for (i, j), c in entries.items():
+            rows[i][j] = c
+        return cls.adopt(cfg, rows)
+
+    def entries(self) -> dict:
+        """The nonzero entries {(i, j): Scalar}, in row-major order: the
+        sparse form in which the offset g - 1 of a group element g near 1
+        is carried."""
+        return {(i, j): c for i, row in enumerate(self.rows)
+                for j, c in enumerate(row) if c.coeffs}
+
+    @classmethod
     def from_action(cls, cfg, images) -> "EndV":
         """Build from the images {label: Octonion} of basis vectors;
         unspecified labels are fixed."""

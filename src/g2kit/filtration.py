@@ -4,11 +4,17 @@ generators, the character pairing psi_b of the quotients, the
 counterexample showing the Cayley transform misses the automorphism
 group, and the symplectic fixed-point identity over F_p.
 
-quotient_iso_check computes each distinct Cayley transform, and each
-distinct group generator matrix, once per check, in tables that live for
-the call.  Congruences over a lattice with the standard basis are
-decided entry by entry (FiltrationLattice.contains_difference and
-contains_group), and psi_b forms only the diagonal of b (x - 1).
+A group element g near 1 is carried as its sparse offset g - 1, the
+nonzero entries {(i, j): Scalar}.  cayley_offset computes C(X) - 1 =
+X (1 - X/2)^{-1} on the support block of X alone, and cayley is
+1 + cayley_offset: the one Cayley path.  quotient_iso_check works on
+offsets throughout: the homomorphism test is A + B + AB = C modulo A_s
+with the sparse product AB, and each distinct Cayley offset and each
+distinct group generator's offset is computed once per check, in tables
+that live for the call.  Congruences over a lattice with the standard
+basis are decided entry by entry, on the entries where either side is
+nonzero (FiltrationLattice.contains_difference and contains_group), and
+psi_b forms only the diagonal of b (x - 1).
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -24,7 +30,8 @@ import itertools
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .linalg import Subspace, identity, kernel, transpose
+from .linalg import (Subspace, identity, inv, kernel, mat_mul, mat_scale,
+                     mat_sub, transpose)
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .residue import PrimeField
@@ -33,18 +40,33 @@ from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
                        is_g2_element, is_g2_lie)
 
 
-def cayley(x: EndV) -> EndV:
-    """C(X) = (1 + X/2)(1 - X/2)^{-1}."""
+def cayley_offset(x: EndV) -> dict:
+    """C(X) - 1 = X (1 - X/2)^{-1}, as its nonzero entries {(i, j): Scalar}.
+
+    Only the support block of X is inverted and multiplied: the indices
+    of the rows and columns that hold a nonzero entry.  Off that block X
+    is zero and 1 - X/2 is the identity, so C(X) - 1 vanishes there."""
     cfg = x.cfg
+    rows = x.rows
+    block = sorted({k for i, row in enumerate(rows)
+                    for j, c in enumerate(row) if c.coeffs for k in (i, j)})
+    if not block:
+        return {}
+    xb = [[rows[i][j] for j in block] for i in block]
     half = cfg.from_int(2).inv()
-    ident = EndV.identity(cfg)
-    xh = x * half
-    plus = ident + xh
-    minus = ident - xh
+    minus = mat_sub(identity(cfg, len(block)), mat_scale(half, xb))
     try:
-        return plus * minus.inverse()
+        prod = mat_mul(xb, inv(minus))
     except SingularError as exc:
         raise SingularError("1 - X/2 is not invertible") from exc
+    return {(block[a], block[b]): c for a, row in enumerate(prod)
+            for b, c in enumerate(row) if c.coeffs}
+
+
+def cayley(x: EndV) -> EndV:
+    """C(X) = (1 + X/2)(1 - X/2)^{-1}, formed as 1 + cayley_offset(x)."""
+    cfg = x.cfg
+    return EndV.identity(cfg) + EndV.from_entries(cfg, cayley_offset(x))
 
 
 def cayley_inv(g: EndV) -> EndV:
@@ -145,12 +167,12 @@ class FiltrationQuotient:
                for l in range(8)]
         return EndV.adopt(self.cfg, lat.from_basis(out))
 
-    def congruent_lie(self, x: EndV, y: EndV) -> bool:
+    def congruent(self, x, y) -> bool:
+        """x = y modulo A_s, for Lie elements x, y or for the offsets
+        g - 1, h - 1 of group elements (EndVs or sparse matrices): for h
+        in P(Lambda), A_s h = A_s, so g h^{-1} is in P^s iff g - h is in
+        A_s."""
         return self.lat_s.contains_difference(x, y)
-
-    def congruent_group(self, g: EndV, h: EndV) -> bool:
-        # for h in P(Lambda), A_s h = A_s, so g h^{-1} in P^s iff g - h in A_s
-        return self.lat_s.contains_difference(g, h)
 
     def generators(self):
         return lie_generators(self.seq, self.r)
@@ -165,18 +187,22 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     """
     q = FiltrationQuotient(seq, r, s)
     cfg = seq.cfg
+    one = EndV.identity(cfg)
     gens = q.generators()
     violations = []
-    images = [cayley(g.lie) for g in gens]
-    # (a) Cayley is a homomorphism modulo P^s.  C(a + b) = C(b + a), so it
-    # is computed once per unordered pair and compared with both products;
-    # failures are reported in (a, b) order.
+    # group elements near 1 are carried as their sparse offsets g - 1
+    images = [cayley_offset(g.lie) for g in gens]
+    # (a) Cayley is a homomorphism modulo P^s: (1 + A)(1 + B) = 1 + C
+    # modulo P^s, that is A + B + AB = C modulo A_s.  C(a + b) = C(b + a),
+    # so it is computed once per unordered pair and compared with both
+    # products; failures are reported in (a, b) order.
     failed = []
     for i, ga in enumerate(gens):
         for j in range(i, len(gens)):
-            both = cayley(ga.lie + gens[j].lie)
+            both = cayley_offset(ga.lie + gens[j].lie)
             for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
-                if not q.congruent_group(images[a] * images[b], both):
+                if not q.congruent(_product_offset(images[a], images[b]),
+                                   both):
                     failed.append((a, b))
     violations += [f"homomorphism failure at {gens[a].name}, {gens[b].name}"
                    for a, b in sorted(failed)]
@@ -184,44 +210,49 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     # exactly d_i(C(lam)) and u_{i,j}(lam).  Most triality images of a
     # generator are generators again, so each distinct Lie image is
     # transformed once, the table starting from the generators' own
-    # images, and each distinct group descriptor is evaluated once.
+    # images, and each distinct group descriptor is evaluated once; both
+    # tables hold offsets.
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
-    transforms = {_entries(g.lie): cx for g, cx in zip(gens, images)}
+    transforms = {_key(g.lie): cx for g, cx in zip(gens, images)}
     matrices = {}
 
     def transform(x):
-        key = _entries(x)
+        key = _key(x)
         if key not in transforms:
-            transforms[key] = cayley(x)
+            transforms[key] = cayley_offset(x)
         return transforms[key]
 
-    def matrix(gen):
+    def matrix(gen, dense=None):
         key = (gen.kind, gen.data)
         if key not in matrices:
-            matrices[key] = gen.matrix(cfg)
+            dense = gen.matrix(cfg) if dense is None else dense
+            matrices[key] = (dense - one).entries()
         return matrices[key]
 
     for g, cx in zip(gens, images):
-        if cx != matrix(g.group):
+        # the exact test compares the Cayley image 1 + cx itself
+        gm = g.group.matrix(cfg)
+        matrix(g.group, gm)
+        if one + EndV.from_entries(cfg, cx) != gm:
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
         for word, y in lie_gamma.orbit(g.lie):
             rhs = matrix(grp_gamma._apply_desc(word, g.group))
-            if not q.congruent_group(transform(y), rhs):
+            if not q.congruent(transform(y), rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
     # (c) quotient fixed points lift to honest fixed points
     for x in _quotient_fixed_samples(seq, r, s):
         for _, y in lie_gamma.orbit(x):
-            if not q.congruent_lie(y, x):
+            if not q.congruent(y, x):
                 violations.append("sample is not quotient-fixed")
         lifted = lie_gamma.average(x)
         if not q.lat_r.contains(lifted):
             violations.append("lift leaves A_r")
         if not is_derivation(lifted):
             violations.append("lift is not a derivation")
-        if not q.congruent_lie(lifted, x):
+        if not q.congruent(lifted, x):
             violations.append("lift changes the coset")
     return {
         "check": "quotient_iso",
@@ -231,9 +262,26 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     }
 
 
-def _entries(x: EndV) -> tuple:
+def _key(x: EndV) -> tuple:
     """A dict key for the value of x: its entries as (val, coeffs)."""
     return tuple((c.val, c.coeffs) for row in x.rows for c in row)
+
+
+def _product_offset(a: dict, b: dict) -> dict:
+    """The offset of (1 + a)(1 + b) from the offsets a and b: the sparse
+    sum a + b + ab, each entry of ab summed over increasing l."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    b_rows = {}
+    for (l, j), c in b.items():
+        b_rows.setdefault(l, []).append((j, c))
+    for (i, l), x in a.items():
+        for j, y in b_rows.get(l, ()):
+            term = x * y
+            k = (i, j)
+            out[k] = out[k] + term if k in out else term
+    return out
 
 
 def _quotient_fixed_samples(seq: LatticeSeq, r: int, s: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .endo import EndV, HermitianSpace
 from .errors import DomainError, DualityError, KindError, VolumeError
@@ -389,11 +390,14 @@ class FiltrationLattice:
 
     Over the standard basis the coordinates are the matrix entries, so
     contains_difference and contains_group decide entry by entry and
-    build no 8x8 difference and no identity.  An entry equal to its
-    partner (same val and coeffs) has an exact zero difference and is
-    skipped; every other difference is formed, also after a failing
-    entry, so a PrecisionError is raised exactly when forming the whole
-    difference matrix raises one."""
+    build no 8x8 difference and no identity; contains_difference visits
+    only the entries where x or y is nonzero, so a difference of two
+    sparse offsets g - 1 (filtration.cayley_offset) costs a few entries.
+    An entry equal to its partner (same val and coeffs) has an exact zero
+    difference and is skipped; every other difference is formed, in
+    row-major order and also after a failing entry, so a PrecisionError
+    is raised exactly when forming the whole dense difference raises one.
+    Over any other basis both are made dense and contains decides."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -440,19 +444,29 @@ class FiltrationLattice:
                     return False
         return True
 
-    def contains_difference(self, x: EndV, y: EndV) -> bool:
-        """Membership of x - y."""
+    def contains_difference(self, x, y) -> bool:
+        """Membership of x - y, for x and y each an EndV or a sparse matrix
+        {(l, j): Scalar}, such as the offsets g - 1 that
+        filtration.cayley_offset gives."""
         cfg = self.cfg
-        if not self._std or x.cfg is not cfg or y.cfg is not cfg:
-            return self.contains(x - y)
+        xs, ys = _entries(x), _entries(y)
+        if not self._std or any(c.cfg is not cfg for c in
+                                chain(xs.values(), ys.values())):
+            return self.contains(_dense(cfg, x) - _dense(cfg, y))
+        bounds = self._val_bounds
         ok = True
-        for xr, yr, br in zip(x.rows, y.rows, self._val_bounds):
-            for a, b, bound in zip(xr, yr, br):
-                if a.val == b.val and a.coeffs == b.coeffs:
-                    continue
+        for l, j in sorted(xs.keys() | ys.keys()):
+            a, b = xs.get((l, j)), ys.get((l, j))
+            if b is None:
+                d = a
+            elif a is None:
+                d = -b
+            elif a.val == b.val and a.coeffs == b.coeffs:
+                continue
+            else:
                 d = a - b
-                if d.coeffs and d.val < bound:
-                    ok = False
+            if d.coeffs and d.val < bounds[l][j]:
+                ok = False
         return ok
 
     def contains_group(self, g: EndV) -> bool:
@@ -471,6 +485,15 @@ class FiltrationLattice:
                 if a.coeffs and a.val < bound:
                     ok = False
         return ok
+
+
+def _entries(x) -> dict:
+    """The entries {(l, j): Scalar} of an EndV or of a sparse matrix."""
+    return x.entries() if isinstance(x, EndV) else x
+
+
+def _dense(cfg: FieldConfig, x) -> EndV:
+    return x if isinstance(x, EndV) else EndV.from_entries(cfg, x)
 
 
 def seq_valuation(seq: LatticeSeq, x: EndV, indices=range(8)):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from g2kit.endo import EndV, d_torus_lie, u_root_lie
+from g2kit.endo import EndV, d_torus_lie, endv_congruent, u_root_lie
 from g2kit.errors import DomainError, MembershipError, PrecisionError
 from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
-                              cayley_inv, cayley_scalar, character_counts,
+                              cayley_inv, cayley_offset, cayley_scalar,
+                              character_counts,
                               enumerate_subspaces, gamma_perp,
                               lie_generators, moy_counterexample, psi_b,
                               quotient_iso_check, random_stable_subspace,
@@ -22,7 +23,7 @@ from g2kit.norms import (NormFn, extend_sl3, filtration_lattice,
 from g2kit.octonions import basis_octonion, gram_scalar, hyperbolic_plane
 from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
-from g2kit.triality import GroupTriality, LieTrialityGroup
+from g2kit.triality import GroupTriality, LieTrialityGroup, random_g2_lie
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -43,7 +44,6 @@ def test_cayley_basics():
     g = cayley(x)
     assert g.entry(1, 1) == cayley_scalar(CFG.t())
     # the inverse transform recovers x through the precision window
-    from g2kit.endo import endv_congruent
     assert endv_congruent(cayley_inv(g), x, CFG.precision - 1)
     u = u_root_lie(CFG, 1, 2, CFG.t())
     from g2kit.endo import u_root
@@ -54,7 +54,7 @@ def test_cayley_basics():
 def test_cayley_inverse_roundtrip():
     rng = random.Random(61)
     fl = filtration_lattice(STD, 1)
-    from g2kit.endo import endv_congruent, random_so
+    from g2kit.endo import random_so
     for _ in range(20):
         x = random_so(CFG, rng, width=1, vmin=1, vmax=2)
         if not fl.contains(x):
@@ -97,10 +97,10 @@ def test_quotient_reduce_canonical():
     q = FiltrationQuotient(STD, 1, 2)
     x = d_torus_lie(CFG, 1, CFG.t() + CFG.t(3))
     y = d_torus_lie(CFG, 1, CFG.t())
-    assert q.congruent_lie(x, y)
+    assert q.congruent(x, y)
     assert q.reduce(x) == q.reduce(y)
     z = d_torus_lie(CFG, 1, CFG.t() * 2)
-    assert not q.congruent_lie(x, z)
+    assert not q.congruent(x, z)
     assert q.reduce(x) != q.reduce(z)
 
 
@@ -132,8 +132,8 @@ def test_quotient_iso_reports_both_orders(monkeypatch):
     q = FiltrationQuotient(STD, 1, 2)
     expected = [f"homomorphism failure at {ga.name}, {gb.name}"
                 for ga in gens for gb in gens
-                if not q.congruent_group(cayley(ga.lie) * cayley(gb.lie),
-                                         cayley(ga.lie + gb.lie))]
+                if not ref_congruent_group(q, cayley(ga.lie) * cayley(gb.lie),
+                                           cayley(ga.lie + gb.lie))]
     rep = quotient_iso_check(STD, 1, 2)
     hom = [v for v in rep["violations"] if v.startswith("homomorphism")]
     assert hom == expected
@@ -509,7 +509,9 @@ def E8(cfg, lbl):
 # -- the quotient check against the parent's code ------------------------------
 # ref_* are the versions that formed every 8x8 difference, the identity and
 # the product b (x - 1), and transformed every triality image anew;
-# ref_contains is FiltrationLattice.contains as it was when they were.
+# ref_contains is FiltrationLattice.contains as it was when they were, and
+# ref_cayley the dense formula that cayley was before it was formed from
+# the sparse offset C(X) - 1.
 
 from g2kit import filtration  # noqa: E402
 from g2kit.errors import PrecisionError  # noqa: E402
@@ -517,6 +519,21 @@ from g2kit.fixtures import wplus_norm  # noqa: E402
 from g2kit.scalars import Scalar  # noqa: E402
 
 LEVELS = ((1, 1), (1, 2), (2, 3), (2, 4))
+ONE = EndV.identity(CFG)
+
+
+def ref_cayley(x):
+    """C(X) = (1 + X/2)(1 - X/2)^{-1} on the whole 8x8 matrix."""
+    cfg = x.cfg
+    half = cfg.from_int(2).inv()
+    ident = EndV.identity(cfg)
+    xh = x * half
+    return (ident + xh) * (ident - xh).inverse()
+
+
+def offset(g):
+    """The sparse offset g - 1 of a group element g."""
+    return (g - EndV.identity(g.cfg)).entries()
 
 
 def ref_contains(lat, x):
@@ -625,15 +642,16 @@ def outcome(f, *args):
 @pytest.mark.parametrize("p", (5, 7))
 def test_quotient_iso_matches_reference(p, monkeypatch):
     """Both benchmark sequences at every level: the same report, and 451
-    Cayley transforms per check where the reference takes 602 (28 images,
-    406 pair sums and the 17 triality images that are no generator)."""
+    Cayley offsets per check where the reference takes 602 Cayley
+    transforms (28 images, 406 pair sums and the 17 triality images that
+    are no generator)."""
     calls = []
-    original = filtration.cayley
+    original = filtration.cayley_offset
 
     def counting(x):
         calls.append(1)
         return original(x)
-    monkeypatch.setattr(filtration, "cayley", counting)
+    monkeypatch.setattr(filtration, "cayley_offset", counting)
     for seq in benchmark_sequences(FieldConfig(p, 8)):
         assert seq.lattice(1)._std
         for r, s in LEVELS:
@@ -644,6 +662,77 @@ def test_quotient_iso_matches_reference(p, monkeypatch):
             assert rep == ref_quotient_iso_check(seq, r, s)
             assert len(calls) == 602
             assert rep["violations"] == []
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_cayley_offset_matches_the_parent_formula(p):
+    """The 28 generators and 406 pair sums of A_1 and of A_2 on both
+    benchmark sequences: 1 + cayley_offset(x) is the parent's C(X) digit
+    for digit, and the offset is C(X) - 1 digit for digit off the
+    diagonal.  A diagonal entry of the offset holds one window from its
+    own valuation, and so digits at t^N and past, where C(X) - 1 stops
+    at the t^(N-1) edge of the 1 it subtracted; below t^N they agree."""
+    cfg = FieldConfig(p, 8)
+    one = EndV.identity(cfg)
+    n = cfg.precision
+    longer = 0
+    for seq in benchmark_sequences(cfg):
+        for r in (1, 2):
+            gens = [g.lie for g in lie_generators(seq, r)]
+            xs = gens + [a + b for i, a in enumerate(gens) for b in gens[i:]]
+            assert len(xs) == 28 + 406
+            for x in xs:
+                got = cayley_offset(x)
+                want = ref_cayley(x)
+                assert (one + EndV.from_entries(cfg, got)).rows == want.rows
+                want = offset(want)
+                assert got.keys() == want.keys()
+                for (i, j), c in got.items():
+                    if c != want[i, j]:
+                        assert i == j and c.truncate(n) == want[i, j]
+                        longer += 1
+    assert longer
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_cayley_on_dense_inputs_agrees_below_the_window_edge(p):
+    """On dense derivations of valuation 0 and 1 the offset route and the
+    parent formula truncate at different steps; their images agree on
+    every digit below t^(N-1), the last digit of the window of a unit."""
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(70)
+    differ = 0
+    for _ in range(45):
+        x = random_g2_lie(cfg, rng, width=3, vmin=0, vmax=1)
+        got, want = cayley(x), ref_cayley(x)
+        assert endv_congruent(got, want, cfg.precision - 1)
+        differ += got != want
+    assert differ  # the edge digit does differ: ROADMAP item 4
+
+
+def test_quotient_iso_reports_a_flipped_offset_digit(monkeypatch):
+    """A digit of a generator's Cayley offset changed below its A_s bound
+    breaks the homomorphism at that generator, and the report is the
+    reference's, which reads the same offset through cayley."""
+    seq, r, s = STD, 1, 2
+    gen = lie_generators(seq, r)[5]
+    (l, j), c = next(iter(cayley_offset(gen.lie).items()))
+    bound = seq.lattice(s).entry_bound(l, j)
+    assert c.val < bound
+    key = filtration._key(gen.lie)
+    original = filtration.cayley_offset
+
+    def flipped(x):
+        out = original(x)
+        if filtration._key(x) == key:
+            out[l, j] = out[l, j] + CFG.monomial(1, c.val)
+        return out
+    monkeypatch.setattr(filtration, "cayley_offset", flipped)
+    rep = quotient_iso_check(seq, r, s)
+    assert f"homomorphism failure at {gen.name}, {gen.name}" in \
+        rep["violations"]
+    assert f"Cayley image mismatch at {gen.name}" in rep["violations"]
+    assert rep == ref_quotient_iso_check(seq, r, s)
 
 
 def test_quotient_iso_matches_reference_with_a_corrupted_generator(monkeypatch):
@@ -734,8 +823,9 @@ def test_quotient_congruences_match_the_difference():
             q = FiltrationQuotient(seq, r, s)
             for g, h in congruence_pairs(rng, CFG, q.lat_s):
                 want = ref_congruent_group(q, g, h)
-                assert q.congruent_group(g, h) == want
-                assert q.congruent_lie(g, h) == ref_congruent_lie(q, g, h)
+                assert q.congruent(offset(g), offset(h)) == want
+                assert q.congruent(offset(g), h - ONE) == want
+                assert q.congruent(g, h) == ref_congruent_lie(q, g, h)
                 seen.add(want)
     assert seen == {True, False}
 
@@ -753,7 +843,7 @@ def test_quotient_reduce_on_a_skew_basis():
         for _ in range(6):
             x = random_endv(rng, CFG, -1, 3, 3)
             rep = q.reduce(x)
-            assert q.congruent_lie(rep, x)
+            assert q.congruent(rep, x)
             coords = lat.in_basis(rep)
             assert all(coords[l][j].truncate(lat.entry_bound(l, j))
                        == coords[l][j] for l in range(8) for j in range(8))
@@ -819,6 +909,9 @@ def test_entrywise_decisions_raise_where_the_difference_raises():
         assert outcome(lambda: ref_contains(lat, g - one)) is PrecisionError
         assert outcome(lat.contains_difference, g, one) is PrecisionError
         assert outcome(lat.contains_difference, one, g) is PrecisionError
+        # the same entries given sparse, as cayley_offset gives them
+        for x, y in ((g.entries(), one), (one.entries(), g.entries())):
+            assert outcome(lat.contains_difference, x, y) is PrecisionError
         # equal entries are skipped: their difference is an exact zero
         assert outcome(ref_contains, lat, g - g) is True
         assert outcome(lat.contains_difference, g, g) is True
