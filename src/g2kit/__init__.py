@@ -25,9 +25,9 @@ from .octonions import (CompositionSubalgebra, Octonion, anisotropic_plane,
                         ramified_plane, split_polarization,
                         standard_split_dim4)
 from .scalars import FieldConfig, Scalar, congruent, parse_scalar
-from .strata import (ClassifiedStratum, SL3StratumData, SU21StratumData,
-                     Stratum, classify, lift_type_d_sl3, lift_type_d_su21,
-                     trace_adjust, validate)
+from .strata import (ClassifiedStratum, Stratum, StratumData, classify,
+                     lift_type_d_sl3, lift_type_d_su21, trace_adjust,
+                     validate)
 from .suites import run_all, run_suite
 from .triality import (TrialityTriple, check_related, diag_lie_triple, hat,
                        is_g2_element, is_g2_lie, orbit_triples, root_triple,

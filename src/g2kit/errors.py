@@ -18,7 +18,12 @@ class DomainError(G2KitError):
 
 
 class WitnessError(G2KitError):
-    """A caller-supplied certificate failed exact verification."""
+    """A caller-supplied certificate failed exact verification.  When a
+    validate report is behind it, violations lists its failed clauses."""
+
+    def __init__(self, message, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 class DoublingError(G2KitError):

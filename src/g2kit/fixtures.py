@@ -12,8 +12,8 @@ from .linalg import Subspace
 from .norms import HermitianNorm, NormFn, lattice_seq_from_norm, standard_norm
 from .octonions import (Octonion, anisotropic_plane, basis_octonion,
                         hyperbolic_plane, ramified_plane, standard_split_dim4)
-from .strata import (SL3StratumData, SU21StratumData, Stratum,
-                     lift_type_d_sl3, lift_type_d_su21)
+from .strata import (Stratum, StratumData, lift_type_d_sl3,
+                     lift_type_d_su21)
 
 
 def e(cfg, lbl):
@@ -59,15 +59,15 @@ def sl3_regular_data(cfg, scale=1, norm_values=(0, 0, 0), n=1, r=0):
     phi = _diag_phi(cfg, a, b)
     blocks = [([-a, 1], [e(cfg, 1)]), ([-b, 1], [e(cfg, 2)]),
               ([a + b, 1], [e(cfg, 3)])]
-    return SL3StratumData(wplus_norm(cfg, list(norm_values)), n, r, phi,
-                          blocks)
+    return StratumData(wplus_norm(cfg, list(norm_values)), n, r, phi,
+                       blocks)
 
 
 def case_i_strata(cfg):
     d = hyperbolic_plane(cfg)
     out = [lift_type_d_sl3(sl3_regular_data(cfg), d)]
     a = cfg.t(-1)
-    merged = SL3StratumData(
+    merged = StratumData(
         wplus_norm(cfg, [0, 0, 0]), 1, 0, _diag_phi(cfg, a, a),
         [([-a, 1], [e(cfg, 1), e(cfg, 2)]), ([a + a, 1], [e(cfg, 3)])])
     out.append(lift_type_d_sl3(merged, d))
@@ -76,7 +76,7 @@ def case_i_strata(cfg):
         sl3_regular_data(cfg, norm_values=thirds, n=3), d))
     u = cfg.t(-2)
     z = cfg.zero()
-    cubic = SL3StratumData(
+    cubic = StratumData(
         wplus_norm(cfg, [0, 0, 0]), 2, 0,
         [[z, z, u], [cfg.one(), z, z], [z, cfg.one(), z]],
         [([-u, z, z, 1], [e(cfg, 1), e(cfg, 2), e(cfg, 3)])])
@@ -96,7 +96,7 @@ def su21_stratum(cfg, plane, a_val=0, scale=1, n=1, r=0):
     blocks = [([-u1, cfg.zero(), 1], HermitianSpace(d, [wm, wp]).fbasis),
               ([-(u1 * 4), cfg.zero(), 1], HermitianSpace(d, [w0]).fbasis)]
     ah = HermitianNorm(d, [wm, w0, wp], [-a_val, 0, a_val])
-    return lift_type_d_su21(SU21StratumData(ah, n, r, phi, blocks), d)
+    return lift_type_d_su21(StratumData(ah, n, r, phi, blocks), d)
 
 
 def case_ii_strata(cfg):

@@ -3,9 +3,9 @@ validity checks, the four-case classification by the kernel subalgebra,
 and the type-D lifting from sl3 / su(2,1) data across a 2-dimensional
 composition subalgebra.
 
-Both lifts take one path: norms.extend_* checks and extends the norm,
-endo.lift_* checks and lifts the matrix, _kernel_block gathers the kernel
-block of the witness and _lifted checks the depth.  Block valuations are
+Both lifts take one path from one StratumData: norms.extend_* checks and
+extends the norm, endo.lift_* checks and lifts the matrix, _kernel_block
+gathers the kernel block of the witness and _lifted checks the depth.  Block valuations are
 norms.seq_valuation on the block's basis indices.
 """
 
@@ -18,8 +18,8 @@ from .endo import (EndV, WitnessBlock, analyze_semisimple,
                    _poly_eval)
 from .errors import LiftError, WitnessError
 from .linalg import RowReduction, Subspace, det, lin_comb, mat_vec, transpose
-from .norms import (HermitianNorm, LatticeSeq, NormFn, extend_sl3,
-                    extend_su21, lattice_seq_from_norm, seq_valuation)
+from .norms import (LatticeSeq, NormFn, extend_sl3, extend_su21,
+                    lattice_seq_from_norm, seq_valuation)
 from .octonions import (CompositionSubalgebra, Octonion,
                         ordered_polarization)
 from .scalars import FieldConfig
@@ -173,7 +173,7 @@ def classify(stratum: Stratum) -> ClassifiedStratum:
     kernel subalgebra of beta; a zero beta gets the null tag."""
     rep = validate(stratum)
     if rep["violations"]:
-        raise WitnessError("; ".join(rep["violations"]))
+        raise WitnessError("; ".join(rep["violations"]), rep["violations"])
     if stratum.is_null:
         return ClassifiedStratum(stratum, "null", None, {})
     analysis = analyze_semisimple(stratum.beta, stratum.witness)
@@ -232,41 +232,29 @@ def trace_adjust(cfg: FieldConfig, gamma):
 
 # -- type-D lifting ----------------------------------------------------------------
 
-class SL3StratumData:
-    """A stratum of the traceless 3x3 algebra on W+: a volume-zero norm
-    (values on the ordered W+ basis), depths n >= r, the matrix, and
-    witness blocks (factor, kernel vectors inside W+)."""
+class StratumData:
+    """The data of a type-D lift: a norm, depths n >= r, the matrix phi
+    and witness blocks (factor, kernel octonions).  For lift_type_d_sl3
+    the norm is a volume-zero NormFn on the ordered W+ basis and phi a
+    traceless 3x3 matrix on it; for lift_type_d_su21 it is a self-dual
+    HermitianNorm on W = D-perp and phi the D-matrix on its basis."""
 
-    def __init__(self, alpha_plus: NormFn, n: int, r: int, phi, blocks):
-        self.alpha_plus = alpha_plus
+    def __init__(self, norm, n: int, r: int, phi, blocks):
+        self.norm = norm
         self.n = n
         self.r = r
         self.phi = phi
-        # (factor, [w+ octonions]), the factor's ints made scalars
-        self.blocks = [([alpha_plus.cfg.coerce(c) for c in f], vs)
+        # (factor, vectors), the factor's ints made scalars
+        self.blocks = [([norm.cfg.coerce(c) for c in f], vs)
                        for f, vs in blocks]
 
 
-class SU21StratumData:
-    """A stratum of the anti-hermitian algebra on W = D-perp: a self-dual
-    F'-norm, depths, the D-matrix phi on the norm basis, and witness
-    blocks (factor, kernel octonions in W)."""
-
-    def __init__(self, alpha_h: HermitianNorm, n: int, r: int, phi, blocks):
-        self.alpha_h = alpha_h
-        self.n = n
-        self.r = r
-        self.phi = phi
-        self.blocks = [([alpha_h.cfg.coerce(c) for c in f], vs)
-                       for f, vs in blocks]
-
-
-def lift_type_d_sl3(data: SL3StratumData, d: CompositionSubalgebra) -> Stratum:
+def lift_type_d_sl3(data: StratumData, d: CompositionSubalgebra) -> Stratum:
     """[check-Lambda, n, r, check-beta]: extend the volume-zero norm and
     the traceless matrix across the split plane D.  lift_sl3 checks the
     trace before extend_sl3 checks the volume."""
     beta = lift_sl3(data.phi, d)
-    ext = extend_sl3(data.alpha_plus, d)
+    ext = extend_sl3(data.norm, d)
     return _lifted(ext, data, beta, _lift_witness_sl3(d, beta, data.blocks))
 
 
@@ -332,12 +320,12 @@ def _reflect_poly(coeffs):
     return [c * lead.inv() for c in out]
 
 
-def lift_type_d_su21(data: SU21StratumData,
+def lift_type_d_su21(data: StratumData,
                      d: CompositionSubalgebra) -> Stratum:
     """[vec-Lambda, n, r, vec-beta]: extend a self-dual F'-norm and an
     anti-hermitian traceless matrix across an anisotropic plane D."""
-    ext = extend_su21(data.alpha_h, d)
-    beta = lift_su21(data.phi, d, data.alpha_h.basis)
+    ext = extend_su21(data.norm, d)
+    beta = lift_su21(data.phi, d, data.norm.basis)
     kernel, rest = _kernel_block(d, data.blocks)
     return _lifted(ext, data, beta, [kernel] + [
         WitnessBlock(coeffs, Subspace(d.cfg, 8, rows))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import fixtures
 from .endo import (EndV, d_torus_lie, is_derivation, random_so,
                    u_root_lie)
-from .errors import DomainError, G2KitError, PrecisionError
+from .errors import DomainError, G2KitError, PrecisionError, WitnessError
 from .filtration import (cayley, character_counts, enumerate_subspaces,
                          gamma_perp, lie_generators, moy_counterexample,
                          psi_b, quotient_iso_check, random_stable_subspace,
@@ -541,10 +541,13 @@ def _corpus(corpus):
     if len(corpus) < 12:
         return f"corpus too small: {len(corpus)}"
     for tag, s in corpus:
-        rep = validate(s)
-        if rep["violations"]:
-            return f"{tag}: {rep['violations'][0]}"
-        got = classify(s).case_tag
+        # classify validates the stratum and raises with the violations
+        try:
+            got = classify(s).case_tag
+        except WitnessError as exc:
+            if not exc.violations:
+                raise
+            return f"{tag}: {exc.violations[0]}"
         if got != tag:
             return f"expected {tag}, got {got}"
     return None
@@ -584,7 +587,7 @@ def _corrupted(cfg):
 
 def _refinement(cfg):
     d = hyperbolic_plane(cfg)
-    from .strata import lift_type_d_sl3, SL3StratumData
+    from .strata import lift_type_d_sl3, StratumData
     r = 0
     data = fixtures.sl3_regular_data(cfg, r=r)
     pert = cfg.one()
@@ -592,10 +595,10 @@ def _refinement(cfg):
     phi2[0][0] = phi2[0][0] + pert
     phi2[2][2] = phi2[2][2] - pert
     e = lambda l: basis_octonion(cfg, l)
-    data2 = SL3StratumData(data.alpha_plus, 1, r, phi2,
-                           [([-phi2[0][0], 1], [e(1)]),
-                            ([-phi2[1][1], 1], [e(2)]),
-                            ([-phi2[2][2], 1], [e(3)])])
+    data2 = StratumData(data.norm, 1, r, phi2,
+                        [([-phi2[0][0], 1], [e(1)]),
+                         ([-phi2[1][1], 1], [e(2)]),
+                         ([-phi2[2][2], 1], [e(3)])])
     s1 = lift_type_d_sl3(data, d)
     s2 = lift_type_d_sl3(data2, d)
     if not s1.seq.lattice(-(r + 1)).contains(s1.beta - s2.beta):

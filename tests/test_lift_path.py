@@ -24,11 +24,11 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, ordered_polarization,
                              ramified_plane)
 from g2kit.scalars import EXTENSIONS, FieldConfig
-from g2kit.strata import (SL3StratumData, SU21StratumData, Stratum,
+from g2kit.strata import (Stratum, StratumData,
                           _block_valuation, _mirror_kernel, _reflect_poly,
                           classify, lift_type_d_sl3, lift_type_d_su21,
                           validate)
-from g2kit.suites import run_suite
+from g2kit.suites import _corpus, run_suite
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7) for ext in EXTENSIONS]
 IDS = [f"p{c.p}-{c.extension}" for c in CONFIGS]
@@ -41,9 +41,9 @@ def ref_lift_type_d_sl3(data, d):
     tr = data.phi[0][0] + data.phi[1][1] + data.phi[2][2]
     if not tr.is_zero:
         raise LiftError("matrix must be traceless")
-    if volume(data.alpha_plus, d) != 0:
+    if volume(data.norm, d) != 0:
         raise VolumeError("norm on W+ must have volume zero")
-    ext = extend_sl3(data.alpha_plus, d)
+    ext = extend_sl3(data.norm, d)
     seq = lattice_seq_from_norm(ext)
     beta = lift_sl3(data.phi, d)
     witness = ref_lift_witness_sl3(cfg, d, beta, data.blocks)
@@ -107,9 +107,9 @@ def ref_extend_su21(alpha_h, d):
 
 def ref_lift_type_d_su21(data, d):
     cfg = d.cfg
-    ext = ref_extend_su21(data.alpha_h, d)
+    ext = ref_extend_su21(data.norm, d)
     seq = lattice_seq_from_norm(ext)
-    beta = lift_su21(data.phi, d, data.alpha_h.basis)
+    beta = lift_su21(data.phi, d, data.norm.basis)
     kernel_rows = [b.coords for b in d.basis]
     out_blocks = []
     for coeffs, vectors in data.blocks:
@@ -198,11 +198,11 @@ def bad_sl3_inputs(cfg):
     scalar = [[a, z, z], [z, a, z], [z, z, a]]
     blocks = [([-a, 1], e)]
     return {
-        "trace": SL3StratumData(wplus_norm(cfg, [0, 0, 0]), 1, 0, scalar,
-                                blocks),
+        "trace": StratumData(wplus_norm(cfg, [0, 0, 0]), 1, 0, scalar,
+                             blocks),
         "volume": fixtures.sl3_regular_data(cfg, norm_values=(1, 0, 0)),
-        "trace+volume": SL3StratumData(wplus_norm(cfg, [1, 0, 0]), 1, 0,
-                                       scalar, blocks),
+        "trace+volume": StratumData(wplus_norm(cfg, [1, 0, 0]), 1, 0,
+                                    scalar, blocks),
         "depth": fixtures.sl3_regular_data(cfg, n=2),
     }
 
@@ -245,8 +245,8 @@ def su21_data(cfg, d, n=1, values=(0, 0, 0)):
     u1 = cfg.t(-2) * -(c.norm())
     blocks = [([-u1, cfg.zero(), 1], [wm, c * wm, wp, c * wp]),
               ([-(u1 * 4), cfg.zero(), 1], [w0, c * w0])]
-    return SU21StratumData(HermitianNorm(d, [wm, w0, wp], list(values)),
-                           n, 0, phi, blocks)
+    return StratumData(HermitianNorm(d, [wm, w0, wp], list(values)),
+                       n, 0, phi, blocks)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
@@ -266,7 +266,7 @@ def test_su21_inputs_match_oracle(cfg):
                 assert got == want
             else:
                 assert report(got) == report(want)
-            alpha = data.alpha_h
+            alpha = data.norm
             assert outcome(lambda: extend_su21(alpha, target).to_json()) \
                 == outcome(lambda: ref_extend_su21(alpha, target).to_json())
 
@@ -286,8 +286,8 @@ def test_block_valuations_match_oracle(cfg):
         d = plane(cfg)
         for values in ((0, 0, 0), (-1, 0, 1)):
             data = su21_data(cfg, d, values=values)
-            seq = lattice_seq_from_norm(extend_su21(data.alpha_h, d))
-            beta = lift_su21(data.phi, d, data.alpha_h.basis)
+            seq = lattice_seq_from_norm(extend_su21(data.norm, d))
+            beta = lift_su21(data.phi, d, data.norm.basis)
             data.n = -seq_valuation(seq, beta)
             strata.append(lift_type_d_su21(data, d))
     assert len(strata) >= 17
@@ -309,11 +309,11 @@ def test_sl3_lift_takes_int_entries(p):
                       ([[1, 0, 0], [0, -1, 0], [0, 0, 0]], 1, 0),
                       ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 0)):
         forms = [phi, [[cfg.coerce(x) for x in row] for row in phi]]
-        got = [outcome(lambda: lift_type_d_sl3(SL3StratumData(
+        got = [outcome(lambda: lift_type_d_sl3(StratumData(
                    wplus_norm(cfg, [0, 0, 0]), n, r, m, [([0, 1], e)]),
                    d).to_json()) for m in forms]
         assert got[0] == got[1]
-    zero = lift_type_d_sl3(SL3StratumData(
+    zero = lift_type_d_sl3(StratumData(
         wplus_norm(cfg, [0, 0, 0]), 1, 1, [[0, 0, 0]] * 3,
         [([0, 1], e)]), d)
     assert zero.is_null and classify(zero).case_tag == "null"
@@ -333,6 +333,29 @@ def test_strata_suite_builds_the_corpus_once(cfg, monkeypatch):
     monkeypatch.setattr(fixtures, "stratum_corpus", counting)
     run_suite("strata", cfg, 1)
     assert len(calls) == 1
+
+
+def test_corpus_check_validates_each_stratum_once(monkeypatch):
+    """corpus-classification reads the violations from classify, which
+    validates: one validate call per stratum, and a stratum that fails is
+    still reported by its first violation."""
+    import g2kit.strata as strata_mod
+    cfg = FieldConfig(11, 8)
+    corpus = fixtures.stratum_corpus(cfg)
+    calls = []
+    original = strata_mod.validate
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(strata_mod, "validate", counting)
+    assert _corpus(corpus) is None
+    assert len(calls) == len(corpus) == 14
+    tag = corpus[0][0]
+    for _, bad in fixtures.corrupted_strata(cfg):
+        want = original(bad)["violations"][0]
+        assert _corpus([(tag, bad)] + corpus[1:]) == f"{tag}: {want}"
 
 
 def test_one_volume_call_per_sl3_lift(monkeypatch):

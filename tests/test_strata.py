@@ -18,9 +18,9 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, octonion_unit, ramified_plane,
                              standard_split_dim4)
 from g2kit.scalars import FieldConfig, Scalar
-from g2kit.strata import (ClassifiedStratum, SL3StratumData, SU21StratumData,
-                          Stratum, classify, lift_type_d_sl3,
-                          lift_type_d_su21, trace_adjust, validate)
+from g2kit.strata import (ClassifiedStratum, Stratum, StratumData, classify,
+                          lift_type_d_sl3, lift_type_d_su21, trace_adjust,
+                          validate)
 from g2kit.fixtures import (case_i_strata, case_ii_strata, case_iii_strata,
                             case_iv_strata, corrupted_strata,
                             sl3_regular_data as fixture_sl3, stratum_corpus)
@@ -47,7 +47,7 @@ def sl3_regular_data(scale=1, norm_values=(0, 0, 0), n=1, r=0):
     b = CFG.t(-scale) * (CFG.one() + CFG.t())
     phi = diag_phi(a, b)
     blocks = [([-a, 1], [E[1]]), ([-b, 1], [E[2]]), ([a + b, 1], [E[3]])]
-    return SL3StratumData(wplus_norm(list(norm_values)), n, r, phi, blocks)
+    return StratumData(wplus_norm(list(norm_values)), n, r, phi, blocks)
 
 
 def case_i_fixtures():
@@ -68,7 +68,7 @@ def su21_data(plane, scale=1, a_val=0, n=1, r=0):
     blocks = [([-u1, Z, 1], [wm, c * wm, wp, c * wp]),
               ([-u2, Z, 1], [w0, c * w0])]
     ah = HermitianNorm(d, [wm, w0, wp], [-a_val, 0, a_val])
-    return d, SU21StratumData(ah, n, r, phi, blocks)
+    return d, StratumData(ah, n, r, phi, blocks)
 
 
 def zero_oct():
@@ -160,14 +160,14 @@ def test_lift_roundtrip_recovers_matrix():
     # su(2,1) flavor: the lift acts on W exactly as the input matrix
     d, data2 = su21_data(anisotropic_plane(CFG))
     s2 = lift_type_d_su21(data2, d)
-    beta_direct = lift_su21(data2.phi, d, data2.alpha_h.basis)
+    beta_direct = lift_su21(data2.phi, d, data2.norm.basis)
     assert s2.beta == beta_direct
 
 
 def test_zero_stratum_lift():
     zphi = [[Z, Z, Z], [Z, Z, Z], [Z, Z, Z]]
-    data = SL3StratumData(wplus_norm([0, 0, 0]), 1, 1, zphi,
-                          [([0, 1], [E[1], E[2], E[3]])])
+    data = StratumData(wplus_norm([0, 0, 0]), 1, 1, zphi,
+                       [([0, 1], [E[1], E[2], E[3]])])
     s = lift_type_d_sl3(data, D)
     assert s.is_null
     assert classify(s).case_tag == "null"
@@ -176,8 +176,8 @@ def test_zero_stratum_lift():
 def test_lift_rejects_bad_inputs():
     a = CFG.t(-1)
     bad_trace = [[a, Z, Z], [Z, a, Z], [Z, Z, a]]
-    data = SL3StratumData(wplus_norm([0, 0, 0]), 1, 0, bad_trace,
-                          [([-a, 1], [E[1], E[2], E[3]])])
+    data = StratumData(wplus_norm([0, 0, 0]), 1, 0, bad_trace,
+                       [([-a, 1], [E[1], E[2], E[3]])])
     with pytest.raises(LiftError):
         lift_type_d_sl3(data, D)
     data2 = sl3_regular_data(norm_values=(1, 0, 0))
@@ -193,10 +193,10 @@ def test_lift_congruence_compatibility():
     phi_gamma = [row[:] for row in data_beta.phi]
     phi_gamma[0][0] = phi_gamma[0][0] + pert
     phi_gamma[2][2] = phi_gamma[2][2] - pert
-    data_gamma = SL3StratumData(data_beta.alpha_plus, 1, r, phi_gamma,
-                                [([-phi_gamma[0][0], 1], [E[1]]),
-                                 ([-phi_gamma[1][1], 1], [E[2]]),
-                                 ([-phi_gamma[2][2], 1], [E[3]])])
+    data_gamma = StratumData(data_beta.norm, 1, r, phi_gamma,
+                             [([-phi_gamma[0][0], 1], [E[1]]),
+                              ([-phi_gamma[1][1], 1], [E[2]]),
+                              ([-phi_gamma[2][2], 1], [E[3]])])
     s_beta = lift_type_d_sl3(data_beta, D)
     s_gamma = lift_type_d_sl3(data_gamma, D)
     diff = s_beta.beta - s_gamma.beta
@@ -306,7 +306,7 @@ def test_zero_eigenvalue_enlarges_kernel():
     # and the analysis lands in the split dim-4 case
     a = CFG.t(-1)
     phi = diag_phi(a, -a)  # eigenvalues (a, -a, 0)
-    data = SL3StratumData(
+    data = StratumData(
         wplus_norm([0, 0, 0]), 1, 0, phi,
         [([-a, 1], [E[1]]), ([a, 1], [E[2]]), ([0, 1], [E[3]])])
     s = lift_type_d_sl3(data, D)
@@ -350,7 +350,7 @@ def test_lattice_restriction_index_by_index():
     data = fixture_sl3(CFG, norm_values=(Fraction(1, 3), Fraction(1, 3),
                                          Fraction(-2, 3)), n=3)
     s = lift_type_d_sl3(data, D)
-    inner = lattice_seq_from_norm(data.alpha_plus)
+    inner = lattice_seq_from_norm(data.norm)
     cl = classify(s)
     restricted = cl.restricted["norm"]
     rseq = lattice_seq_from_norm(restricted)
@@ -366,7 +366,7 @@ def test_lattice_restriction_index_by_index():
 
 
 def test_witness_factors_are_scalars_from_construction():
-    """WitnessBlock and the blocks of SL3StratumData and SU21StratumData
+    """WitnessBlock and the blocks of StratumData (for both lifts)
     coerce their factors' ints to scalars of their own config once, when
     built.  The corpus's only int factors are 0 and 1, so the witness
     factor strings of Stratum.to_json are those committed before the
@@ -386,8 +386,8 @@ def test_witness_factors_are_scalars_from_construction():
     block = WitnessBlock([0, 1], D.space)
     assert block.factor == [Z, CFG.one()]
     assert all(isinstance(c, Scalar) for c in block.factor)
-    data = SL3StratumData(wplus_norm([0, 0, 0]), 1, 0, diag_phi(Z, Z),
-                          [([0, 1], WPLUS)])
+    data = StratumData(wplus_norm([0, 0, 0]), 1, 0, diag_phi(Z, Z),
+                       [([0, 1], WPLUS)])
     assert all(isinstance(c, Scalar) for c in data.blocks[0][0])
     _, su21 = su21_data(anisotropic_plane(CFG))
     assert all(isinstance(c, Scalar) for coeffs, _ in su21.blocks
