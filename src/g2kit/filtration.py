@@ -230,9 +230,11 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         return matrices[key]
 
     for g, cx in zip(gens, images):
+        gm = g.group.matrix(cfg)
+        matrices[g.group.kind, g.group.data] = (gm - one).entries()
         # exact: the image 1 + cx against the generator's matrix (a torus
         # generator's offset holds digits past the window of d_i(C(lam)))
-        if one + EndV.from_entries(cfg, cx) != g.group.matrix(cfg):
+        if one + EndV.from_entries(cfg, cx) != gm:
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
         for word, y in lie_gamma.orbit(g.lie):

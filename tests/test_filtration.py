@@ -10,9 +10,9 @@ from g2kit.endo import EndV, d_torus_lie, endv_congruent, u_root_lie
 from g2kit.errors import DomainError, MembershipError, PrecisionError
 from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                               cayley_inv, cayley_offset, cayley_scalar,
-                              character_counts,
-                              enumerate_subspaces, gamma_perp,
-                              lie_generators, moy_counterexample, psi_b,
+                              character_counts, enumerate_subspaces,
+                              gamma_perp, lie_generators,
+                              moy_counterexample, psi_b,
                               quotient_iso_check, random_stable_subspace,
                               standard_symplectic_cycle,
                               standard_symplectic_swap,
