@@ -373,13 +373,12 @@ class HermitianSpace:
         self.c = d.traceless_generator()
         self.gamma = -(self.c.norm())  # c^2 = gamma
         self.unit = octonion_unit(self.cfg)
-        self._half = self.cfg.from_int(2).inv()
         self._gamma_inv = self.gamma.inv()
 
     def form(self, x: Octonion, y: Octonion) -> Octonion:
         """Phi(x, y) in D for the left D-structure:
         (f(x,y) + c^{-1} f(cx,y) c)/2; f = tr_{D/F} o Phi."""
-        half = self._half
+        half = self.cfg.half
         fxy = bilinear_f(x, y)
         fcxy = bilinear_f(self.c * x, y)
         return (self.unit.scale(half * fxy)
@@ -488,7 +487,7 @@ def special_hermitian_basis(d: CompositionSubalgebra):
     # make partner isotropic: replace by partner - Phi(partner,partner)/(2 Phi(partner,iso)) iso
     ppp = form(partner, partner)
     ppi = form(partner, iso)
-    corr = (ppp * ppi.inv()).scale(space._half)
+    corr = (ppp * ppi.inv()).scale(space.cfg.half)
     partner = partner - corr * iso
     mu = form(iso, partner)
     # scale partner on the left so that Phi(iso, partner) = 1
@@ -680,7 +679,7 @@ def _kernel_subalgebra(cfg, space: Subspace) -> CompositionSubalgebra:
     if not space.contains(unit.coords):
         raise WitnessError("kernel must contain the unit")
     if space.dim == 2:
-        half = cfg.from_int(2).inv()
+        half = cfg.half
         for o in octs:
             c0 = o - unit.scale(o.trace() * half)
             if not c0.is_zero:

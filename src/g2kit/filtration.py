@@ -4,17 +4,20 @@ generators, the character pairing psi_b of the quotients, the
 counterexample showing the Cayley transform misses the automorphism
 group, and the symplectic fixed-point identity over F_p.
 
-A group element g near 1 is carried as its sparse offset g - 1, the
-nonzero entries {(i, j): Scalar}.  cayley_offset computes C(X) - 1 =
-X (1 - X/2)^{-1} on the support block of X alone, and cayley is
+A group element g near 1 is carried as its sparse offset g - 1, and a
+Lie element X on the Cayley path as its entries, both as the nonzero
+entries {(i, j): Scalar}.  cayley_offset takes X as an EndV or as its
+entries and computes C(X) - 1 = X (1 - X/2)^{-1} on the support block of
+X alone, 1 - X/2 built there from the entries; cayley is
 1 + cayley_offset: the one Cayley path.  quotient_iso_check works on
-offsets throughout: the homomorphism test is A + B + AB = C modulo A_s
-with the sparse product AB, and each distinct Cayley offset and each
-distinct group generator's offset is computed once per check, in tables
-that live for the call.  Congruences over a lattice with the standard
-basis are decided entry by entry, on the entries where either side is
-nonzero (FiltrationLattice.contains_difference and contains_group), and
-psi_b forms only the diagonal of b (x - 1).
+entries and offsets throughout: the pair sums are merged entries, the
+homomorphism test is A + B + AB = C modulo A_s with the sparse product
+AB, and each distinct Cayley offset and each distinct group generator's
+offset is computed once per check, in tables that live for the call.
+Congruences over a lattice with the standard basis are decided entry by
+entry, on the entries where either side is nonzero
+(FiltrationLattice.contains_difference and contains_group), and psi_b
+forms only the diagonal of b (x - 1).
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -30,8 +33,7 @@ import itertools
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .linalg import (Subspace, identity, inv, kernel, mat_mul, mat_scale,
-                     mat_sub, transpose)
+from .linalg import Subspace, identity, inv, kernel, mat_mul, transpose, zeros
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .residue import PrimeField
@@ -40,21 +42,30 @@ from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
                        is_g2_element, is_g2_lie)
 
 
-def cayley_offset(x: EndV) -> dict:
-    """C(X) - 1 = X (1 - X/2)^{-1}, as its nonzero entries {(i, j): Scalar}.
+def cayley_offset(x) -> dict:
+    """C(X) - 1 = X (1 - X/2)^{-1}, as its nonzero entries {(i, j): Scalar},
+    for X an EndV or its entries {(i, j): Scalar}.
 
     Only the support block of X is inverted and multiplied: the indices
-    of the rows and columns that hold a nonzero entry.  Off that block X
-    is zero and 1 - X/2 is the identity, so C(X) - 1 vanishes there."""
-    cfg = x.cfg
-    rows = x.rows
-    block = sorted({k for i, row in enumerate(rows)
-                    for j, c in enumerate(row) if c.coeffs for k in (i, j)})
+    of the rows and columns that hold a nonzero entry, read from the
+    keys.  Off that block X is zero and 1 - X/2 is the identity, so
+    C(X) - 1 vanishes there.  On the block, 1 - X/2 is built from the
+    entries: 1 - c/2 on the diagonal and 0 - c/2 off it where X has an
+    entry c, the Scalar operations of the dense 1 - X/2."""
+    entries = x.entries() if isinstance(x, EndV) else x
+    block = sorted({k for ij, c in entries.items() if c.coeffs for k in ij})
     if not block:
         return {}
-    xb = [[rows[i][j] for j in block] for i in block]
-    half = cfg.from_int(2).inv()
-    minus = mat_sub(identity(cfg, len(block)), mat_scale(half, xb))
+    cfg = next(iter(entries.values())).cfg
+    half = cfg.half
+    pos = {k: a for a, k in enumerate(block)}
+    xb = zeros(cfg, len(block), len(block))
+    minus = identity(cfg, len(block))
+    for (i, j), c in entries.items():
+        if c.coeffs:
+            a, b = pos[i], pos[j]
+            xb[a][b] = c
+            minus[a][b] = minus[a][b] - half * c
     try:
         prod = mat_mul(xb, inv(minus))
     except SingularError as exc:
@@ -81,7 +92,7 @@ def cayley_inv(g: EndV) -> EndV:
 
 def cayley_scalar(lam: Scalar) -> Scalar:
     cfg = lam.cfg
-    half = cfg.from_int(2).inv()
+    half = cfg.half
     return (cfg.one() + lam * half) * (cfg.one() - lam * half).inv()
 
 
@@ -190,16 +201,18 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     one = EndV.identity(cfg)
     gens = q.generators()
     violations = []
-    # group elements near 1 are carried as their sparse offsets g - 1
-    images = [cayley_offset(g.lie) for g in gens]
+    # Lie elements enter the Cayley path as their entries, and group
+    # elements near 1 are carried as their sparse offsets g - 1
+    lies = [g.lie.entries() for g in gens]
+    images = [cayley_offset(x) for x in lies]
     # (a) Cayley is a homomorphism modulo P^s: (1 + A)(1 + B) = 1 + C
     # modulo P^s, that is A + B + AB = C modulo A_s.  C(a + b) = C(b + a),
     # so it is computed once per unordered pair and compared with both
     # products; failures are reported in (a, b) order.
     failed = []
-    for i, ga in enumerate(gens):
+    for i, xa in enumerate(lies):
         for j in range(i, len(gens)):
-            both = cayley_offset(ga.lie + gens[j].lie)
+            both = cayley_offset(_sparse_sum(xa, lies[j]))
             for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
                 if not q.congruent(_product_offset(images[a], images[b]),
                                    both):
@@ -209,16 +222,16 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     # (b) Cayley commutes with triality modulo P^s; the group images are
     # exactly d_i(C(lam)) and u_{i,j}(lam).  Most triality images of a
     # generator are generators again, so each distinct Lie image is
-    # transformed once, the table starting from the generators' own
-    # images, and each distinct group descriptor is evaluated once; both
-    # tables hold offsets.
+    # transformed once, the table keyed on the entries and starting from
+    # the generators' own images, and each distinct group descriptor is
+    # evaluated once; both tables hold offsets.
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
-    transforms = {_key(g.lie): cx for g, cx in zip(gens, images)}
+    transforms = {tuple(x.items()): cx for x, cx in zip(lies, images)}
     matrices = {}
 
     def transform(x):
-        key = _key(x)
+        key = tuple(x.items())
         if key not in transforms:
             transforms[key] = cayley_offset(x)
         return transforms[key]
@@ -239,7 +252,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
             continue
         for word, y in lie_gamma.orbit(g.lie):
             rhs = matrix(grp_gamma._apply_desc(word, g.group))
-            if not q.congruent(transform(y), rhs):
+            if not q.congruent(transform(y.entries()), rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
     # (c) quotient fixed points lift to honest fixed points
@@ -262,17 +275,19 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     }
 
 
-def _key(x: EndV) -> tuple:
-    """A dict key for the value of x: its entries as (val, coeffs)."""
-    return tuple((c.val, c.coeffs) for row in x.rows for c in row)
+def _sparse_sum(a: dict, b: dict) -> dict:
+    """The entries of a + b from those of a and b, each shared entry
+    summed a + b as the dense sum does."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out[k] + c if k in out else c
+    return out
 
 
 def _product_offset(a: dict, b: dict) -> dict:
     """The offset of (1 + a)(1 + b) from the offsets a and b: the sparse
     sum a + b + ab, each entry of ab summed over increasing l."""
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out[k] + c if k in out else c
+    out = _sparse_sum(a, b)
     b_rows = {}
     for (l, j), c in b.items():
         b_rows.setdefault(l, []).append((j, c))

@@ -392,7 +392,8 @@ class FiltrationLattice:
     contains_difference and contains_group decide entry by entry and
     build no 8x8 difference and no identity; contains_difference visits
     only the entries where x or y is nonzero, so a difference of two
-    sparse offsets g - 1 (filtration.cayley_offset) costs a few entries.
+    sparse offsets g - 1 (filtration.cayley_offset, which takes its Lie
+    input in the same sparse form) costs a few entries.
     An entry equal to its partner (same val and coeffs) has an exact zero
     difference and is skipped; every other difference is formed, in
     row-major order and also after a failing entry, so a PrecisionError

@@ -468,7 +468,7 @@ class CompositionSubalgebra:
     @cached_property
     def _traceless_generator(self) -> Octonion:
         unit = octonion_unit(self.cfg)
-        half = self.cfg.from_int(2).inv()
+        half = self.cfg.half
         for b in self.basis:
             c0 = b - unit.scale(b.trace() * half)
             if not c0.is_zero:
@@ -606,7 +606,7 @@ def standard_idempotents(d: CompositionSubalgebra):
     cfg = d.cfg
     c0 = d.traceless_generator()
     lam = sqrt_scalar(-c0.norm())
-    half = cfg.from_int(2).inv()
+    half = cfg.half
     unit = octonion_unit(cfg)
     a = c0.scale(lam.inv())
     eplus = (unit + a).scale(half)

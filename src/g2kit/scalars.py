@@ -50,6 +50,8 @@ class FieldConfig:
         object.__setattr__(self, "_residue", QuadField(self.p)
                            if self.extension == "unramified" else PrimeField(self.p))
         object.__setattr__(self, "_zero", Scalar(self, 0, ()))
+        # 1/2, inverted once per config (2 is a unit, as p >= 5)
+        object.__setattr__(self, "half", self.from_int(2).inv())
 
     @property
     def e(self) -> int:

@@ -1,6 +1,8 @@
 """Tests for the batch front end: flags, exit codes, determinism."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,15 @@ def test_out_file(capsys, tmp_path):
     data = json.loads(path.read_text())
     assert data[0]["suite"] == "octonion"
     assert data[0]["config"] == {"p": 5, "precision": 8, "seed": 1}
+
+
+def test_console_script_names_an_importable_callable():
+    """[project.scripts] in pyproject.toml points the g2kit console script
+    at a callable that imports: what `pip install .` wires up."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["g2kit"] == "g2kit.cli:main"
+    module, _, name = scripts["g2kit"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

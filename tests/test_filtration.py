@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from g2kit.endo import EndV, d_torus_lie, endv_congruent, u_root_lie
-from g2kit.errors import DomainError, MembershipError, PrecisionError
+from g2kit.errors import (DomainError, MembershipError, PrecisionError,
+                          SingularError)
 from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                               cayley_inv, cayley_offset, cayley_scalar,
                               character_counts, enumerate_subspaces,
@@ -710,6 +711,60 @@ def test_cayley_on_dense_inputs_agrees_below_the_window_edge(p):
     assert differ  # the edge digit does differ: ROADMAP item 4
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_cayley_offset_takes_an_endv_or_its_entries(p):
+    """The inputs of test_cayley_offset_matches_the_parent_formula: an
+    EndV and its entries give the same offset digit for digit, and so do
+    a pair sum and its entries merged as quotient_iso_check merges them."""
+    cfg = FieldConfig(p, 8)
+    count = 0
+    for seq in benchmark_sequences(cfg):
+        for r in (1, 2):
+            gens = [g.lie for g in lie_generators(seq, r)]
+            for i, a in enumerate(gens):
+                x = a.entries()
+                assert cayley_offset(a) == cayley_offset(x)
+                count += 1
+                for b in gens[i:]:
+                    want = cayley_offset(a + b)
+                    assert cayley_offset((a + b).entries()) == want
+                    assert cayley_offset(
+                        filtration._sparse_sum(x, b.entries())) == want
+                    count += 1
+    assert count == 1736
+
+
+def test_cayley_offset_leaves_zero_entries_out_of_the_block(monkeypatch):
+    """An explicit zero entry, such as a merged sum that cancels, adds no
+    index to the support block that is inverted."""
+    sizes = []
+    original = filtration.inv
+    monkeypatch.setattr(filtration, "inv",
+                        lambda m: sizes.append(len(m)) or original(m))
+    x = u_root_lie(CFG, 1, 2, CFG.t(1)).entries()
+    free = min(set(range(8)) - {k for ij in x for k in ij})
+    padded = dict(x)
+    padded[free, free] = CFG.zero()
+    assert cayley_offset(padded) == cayley_offset(x)
+    assert sizes[0] == sizes[1] < 8
+    assert cayley_offset({(free, free): CFG.zero()}) == {}
+    assert len(sizes) == 2
+
+
+@pytest.mark.parametrize("entries", (
+    {(0, 0): 2},                                    # 1 - 2/2 = 0
+    {(1, 1): 1, (1, 6): 1, (6, 1): 1, (6, 6): 1},   # rank one block
+), ids=("one-entry", "rank-one-block"))
+def test_cayley_offset_rejects_a_singular_one_minus_half_x(entries):
+    """Negative control: where 1 - X/2 is singular both input forms raise
+    the same SingularError."""
+    x = EndV.from_entries(CFG, {k: CFG.from_int(c)
+                                for k, c in entries.items()})
+    for form in (x, x.entries()):
+        with pytest.raises(SingularError, match="1 - X/2 is not invertible"):
+            cayley_offset(form)
+
+
 def test_quotient_iso_reports_a_flipped_offset_digit(monkeypatch):
     """A digit of a generator's Cayley offset changed below its A_s bound
     breaks the homomorphism at that generator, and the report is the
@@ -719,12 +774,13 @@ def test_quotient_iso_reports_a_flipped_offset_digit(monkeypatch):
     (l, j), c = next(iter(cayley_offset(gen.lie).items()))
     bound = seq.lattice(s).entry_bound(l, j)
     assert c.val < bound
-    key = filtration._key(gen.lie)
+    key = gen.lie.entries()
     original = filtration.cayley_offset
 
     def flipped(x):
+        # the check passes entries; the reference, through cayley, an EndV
         out = original(x)
-        if filtration._key(x) == key:
+        if (x.entries() if isinstance(x, EndV) else x) == key:
             out[l, j] = out[l, j] + CFG.monomial(1, c.val)
         return out
     monkeypatch.setattr(filtration, "cayley_offset", flipped)
