@@ -4,20 +4,18 @@ generators, the character pairing psi_b of the quotients, the
 counterexample showing the Cayley transform misses the automorphism
 group, and the symplectic fixed-point identity over F_p.
 
-A group element g near 1 is carried as its sparse offset g - 1, and a
-Lie element X on the Cayley path as its entries, both as the nonzero
-entries {(i, j): Scalar}.  cayley_offset takes X as an EndV or as its
-entries and computes C(X) - 1 = X (1 - X/2)^{-1} on the support block of
-X alone, 1 - X/2 built there from the entries; cayley is
+A group element g near 1 is carried as its sparse offset g - 1 and a Lie
+element X on the Cayley path as its entries, both {(i, j): Scalar}.
+cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1} on the support block
+of X alone, 1 - X/2 built there from the entries, and cayley is
 1 + cayley_offset: the one Cayley path.  quotient_iso_check works on
-entries and offsets throughout: the pair sums are merged entries, the
-homomorphism test is A + B + AB = C modulo A_s with the sparse product
-AB, and each distinct Cayley offset and each distinct group generator's
-offset is computed once per check, in tables that live for the call.
-Congruences over a lattice with the standard basis are decided entry by
-entry, on the entries where either side is nonzero
-(FiltrationLattice.contains_difference and contains_group), and psi_b
-forms only the diagonal of b (x - 1).
+entries and offsets: pair sums are merged entries, the homomorphism test
+is A + B + AB = C modulo A_s with the sparse product AB, and each
+distinct Cayley offset and group generator's offset is computed once per
+check, in tables that live for the call.  Congruences over a lattice
+with the standard basis are decided entry by entry, on the entries where
+either side is nonzero (FiltrationLattice.contains_difference and
+contains_group), and psi_b forms only the diagonal of b (x - 1).
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -201,8 +199,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     one = EndV.identity(cfg)
     gens = q.generators()
     violations = []
-    # Lie elements enter the Cayley path as their entries, and group
-    # elements near 1 are carried as their sparse offsets g - 1
+    # Lie elements as their entries, group elements near 1 as offsets g - 1
     lies = [g.lie.entries() for g in gens]
     images = [cayley_offset(x) for x in lies]
     # (a) Cayley is a homomorphism modulo P^s: (1 + A)(1 + B) = 1 + C
