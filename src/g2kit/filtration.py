@@ -14,8 +14,9 @@ is A + B + AB = C modulo A_s with the sparse product AB, and each
 distinct Cayley offset and group generator's offset is computed once per
 check, in tables that live for the call.  Congruences over a lattice
 with the standard basis are decided entry by entry, on the entries where
-either side is nonzero (FiltrationLattice.contains_difference and
-contains_group), and psi_b forms only the diagonal of b (x - 1).
+either side is nonzero (FiltrationLattice.contains_difference).  psi_b
+forms the offset y = x - 1 once: x lies in P^r when y lies in A_r, and
+tr(b y) is linalg.trace_product, which forms only the diagonal of b y.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -31,7 +32,8 @@ import itertools
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .linalg import Subspace, identity, inv, kernel, mat_mul, transpose, zeros
+from .linalg import (Subspace, identity, inv, kernel, mat_mul, trace_product,
+                     transpose, zeros)
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .residue import PrimeField
@@ -351,29 +353,10 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
     the quotient P^r / P^s."""
     if not seq.lattice(1 - s).contains(b):
         raise MembershipError("b must lie in A_{1-s}")
-    if not seq.lattice(r).contains_group(x):
+    y = x - EndV.identity(seq.cfg)
+    if not seq.lattice(r).contains(y):
         raise MembershipError("x must lie in P^r")
-    # the trace of b (x - 1) from its diagonal alone: the configs are
-    # compared once and entry i sums the nonzero b_il (x - 1)_li in
-    # increasing l, as mat_mul does; the entries are added in order from
-    # zero, as EndV.trace does
-    cfg = seq.cfg
-    one = cfg.one()
-    rows = x.rows
-    b.rows[0][0]._check(rows[0][0])
-    x_diag = [row[l] - one for l, row in enumerate(rows)]
-    acc = cfg.zero()
-    for i, brow in enumerate(b.rows):
-        entry = None
-        for l, c in enumerate(brow):
-            y = x_diag[l] if l == i else rows[l][i]
-            if c.is_zero or y.is_zero:
-                continue
-            term = c * y
-            entry = term if entry is None else entry + term
-        if entry is not None:
-            acc = acc + entry
-    return acc.conductor_character()
+    return trace_product(b.rows, y.rows).conductor_character()
 
 
 def character_counts(seq: LatticeSeq, r: int, s: int):
@@ -396,9 +379,9 @@ def character_counts(seq: LatticeSeq, r: int, s: int):
 def trace_triality_invariance(x: EndV, y: EndV) -> bool:
     """tr(XY) = tr(dnu(X) dnu(Y)) for every triality automorphism."""
     gamma = LieTrialityGroup()
-    target = (x * y).trace()
+    target = trace_product(x.rows, y.rows)
     for (_, gx), (_, gy) in zip(gamma.orbit(x), gamma.orbit(y)):
-        if (gx * gy).trace() != target:
+        if trace_product(gx.rows, gy.rows) != target:
             return False
     return True
 

@@ -18,9 +18,10 @@ entries only, a pivot row is normalised and subtracted only where it is
 nonzero, and entrywise sums keep an entry whose partner is zero.  Since
 x - f * 0 and x + 0 are x in scalar arithmetic, every result, truncated
 digit and raised error is the one dense elimination gives.  The entrywise
-kernels and mat_mul compare the field configs of their operands once (a
-skipped zero would otherwise hide a ConfigMismatchError).  mat_vec sums
-each row's nonzero products with one scalars.dot.
+kernels, mat_mul and trace_product (tr(a b) from mat_mul's diagonal sums
+alone) compare the field configs of their operands once (a skipped zero
+would otherwise hide a ConfigMismatchError).  mat_vec sums each row's
+nonzero products with one scalars.dot.
 
 Exact ones cost nothing either: Scalar multiplication by an exact one
 returns the other operand and its inverse is itself, and rref neither
@@ -97,6 +98,24 @@ def mat_mul(a, b):
                 acc[j] = term if s is None else s + term
         out.append([zero if s is None else s for s in acc])
     return out
+
+
+def trace_product(a, b):
+    """tr(a b) from the diagonal of mat_mul's sums alone, added from zero
+    as EndV.trace adds them: the digits and errors of (a b).trace()."""
+    a[0][0]._check(b[0][0])
+    acc = a[0][0].cfg.zero()
+    for i, ai in enumerate(a):
+        entry = None
+        for x, bl in zip(ai, b):
+            y = bl[i]
+            if x.is_zero or y.is_zero:
+                continue
+            term = x * y
+            entry = term if entry is None else entry + term
+        if entry is not None:
+            acc = acc + entry
+    return acc
 
 
 def mat_vec(a, v):

@@ -389,16 +389,14 @@ class FiltrationLattice:
     ceil(k/m + a_j - a_l) over the splitting basis.
 
     Over the standard basis the coordinates are the matrix entries, so
-    contains_difference and contains_group decide entry by entry and
-    build no 8x8 difference and no identity; contains_difference visits
-    only the entries where x or y is nonzero, so a difference of two
-    sparse offsets g - 1 (filtration.cayley_offset, which takes its Lie
-    input in the same sparse form) costs a few entries.
-    An entry equal to its partner (same val and coeffs) has an exact zero
-    difference and is skipped; every other difference is formed, in
-    row-major order and also after a failing entry, so a PrecisionError
-    is raised exactly when forming the whole dense difference raises one.
-    Over any other basis both are made dense and contains decides."""
+    contains_difference decides entry by entry, visiting only the entries
+    where x or y is nonzero: a difference of two sparse offsets g - 1
+    (filtration.cayley_offset) costs a few entries.  An entry equal to its
+    partner (same val and coeffs) has an exact zero difference and is
+    skipped; every other difference is formed, in row-major order and also
+    after a failing entry, so a PrecisionError is raised exactly when
+    forming the whole dense difference raises one.  Over any other basis
+    both are made dense and contains decides."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -472,20 +470,7 @@ class FiltrationLattice:
 
     def contains_group(self, g: EndV) -> bool:
         """Membership of g in P^k: (g - 1) in the k-th lattice (k >= 1)."""
-        cfg = self.cfg
-        if not self._std or g.cfg is not cfg:
-            return self.contains(g - EndV.identity(cfg))
-        one = cfg.one()
-        ok = True
-        for l, (row, br) in enumerate(zip(g.rows, self._val_bounds)):
-            for j, (a, bound) in enumerate(zip(row, br)):
-                if j == l:
-                    if a.val == one.val and a.coeffs == one.coeffs:
-                        continue
-                    a = a - one
-                if a.coeffs and a.val < bound:
-                    ok = False
-        return ok
+        return self.contains(g - EndV.identity(self.cfg))
 
 
 def _entries(x) -> dict:

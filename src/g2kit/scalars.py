@@ -434,7 +434,20 @@ class Scalar:
         return " + ".join(terms)
 
 
-_TERM = re.compile(r"^(?:(\d+)|(?:(\d+)\*)?([ts])\^(-?\d+))$")
+# a residue digit as the residue fields' fmt writes it: a, bw or (a+bw),
+# whose "+" does not separate terms
+_COEFF = r"\d+w?|\(\d+\+\d+w\)"
+_TERM = re.compile(rf"^(?:({_COEFF})|(?:({_COEFF})\*)?([ts])\^(-?\d+))$")
+_TERM_SEP = re.compile(r"\+(?![^(]*\))")
+
+
+def _parse_coeff(cfg: FieldConfig, text: str):
+    a, _, b = text.strip("()").rpartition("+")
+    if not b.endswith("w"):
+        return int(b)
+    if cfg.extension != "unramified":
+        raise DomainError(f"no w in the residue field of {cfg!r}: {text!r}")
+    return (int(a or 0), int(b[:-1]))
 
 
 def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
@@ -443,17 +456,15 @@ def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
     if text == "0":
         return cfg.zero()
     out = cfg.zero()
-    for term in text.split("+"):
+    for term in _TERM_SEP.split(text):
         m = _TERM.match(term.strip())
         if not m:
             raise DomainError(f"cannot parse scalar term {term!r}")
-        if m.group(1) is not None:
-            out = out + cfg.from_int(int(m.group(1)))
-        else:
-            coeff = int(m.group(2)) if m.group(2) else 1
-            if m.group(3) != cfg.uniformizer_name:
-                raise DomainError(f"wrong uniformizer in {term!r}")
-            out = out + cfg.monomial(coeff, int(m.group(4)))
+        const, coeff, u, k = m.groups()
+        if const is None and u != cfg.uniformizer_name:
+            raise DomainError(f"wrong uniformizer in {term!r}")
+        c = _parse_coeff(cfg, const or coeff or "1")
+        out = out + cfg.monomial(c, 0 if const else int(k))
     return out
 
 

@@ -307,6 +307,9 @@ def test_endv_json_roundtrip():
     data = x.to_json()
     assert len(data) == 64
     assert EndV.from_json(CFG, data) == x
+    unr = FieldConfig(5, 8, "unramified")
+    y = random_so(unr, rng, width=2, vmin=0, vmax=1)
+    assert EndV.from_json(unr, y.to_json()) == y
 
 
 def test_centralizer_shapes():

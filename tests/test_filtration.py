@@ -294,6 +294,32 @@ def test_gamma_perp_exhaustive_dim4():
         assert gamma_perp(sp, x)
 
 
+def broken_swap():
+    """standard_symplectic_swap(5) with the form on the second plane
+    doubled (B(e2, e3) = 2), built past the constructor, which refuses
+    it: gamma swaps the planes and so no longer preserves the form."""
+    good = standard_symplectic_swap(5)
+    bad = object.__new__(SymplecticSpace)
+    bad.p, bad.field, bad.n = good.p, good.field, good.n
+    bad.gamma, bad.order = good.gamma, good.order
+    bad.form = [list(row) for row in good.form]
+    bad.form[2][3], bad.form[3][2] = 2, 3
+    return bad
+
+
+def test_gamma_perp_fails_when_gamma_breaks_the_form():
+    """Negative control: gamma_perp is False on every stable X.  The
+    X-free half (V = V_1 perp V_s) fails whatever X is, and 43 of the 64
+    already fail the X-dependent half (the orthogonal of X^Gamma inside
+    V^Gamma against (X^perp)^Gamma), so both halves are seen failing."""
+    bad = broken_swap()
+    with pytest.raises(DomainError, match="preserve the form"):
+        SymplecticSpace(5, bad.form, bad.gamma)
+    stable = [x for x in enumerate_subspaces(5, 4) if bad.stable(x)]
+    assert len(stable) == 64
+    assert not any(gamma_perp(bad, x) for x in stable)
+
+
 def test_gamma_perp_random_dim6_order3():
     sp = standard_symplectic_cycle(7)
     rng = random.Random(64)

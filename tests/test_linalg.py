@@ -194,6 +194,41 @@ def test_mul_add_sub_match_dense(cfg):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=str)
+def test_trace_product_matches_trace_of_product(cfg):
+    """tr(a b) without the product, digit for digit and error for error,
+    on sparse, dense and full-window 8 x 8 matrices."""
+    rng = random.Random(13 * cfg.p + len(cfg.extension))
+
+    def digits(fn):
+        try:
+            s = fn()
+        except PrecisionError as exc:
+            return str(exc)
+        return s.val, s.coeffs
+
+    mats = [random_matrix(cfg, rng, 8, 8, density)
+            for density in (0.15, 0.4, 1.0) for _ in range(3)]
+    mats += [random_matrix(cfg, rng, 8, 8, 1.0, width)
+             for width in (4, cfg.precision)]
+    mats.append(linalg.zeros(cfg, 8, 8))
+    pairs = list(zip(mats, mats[1:] + mats[:1]))
+    # a_i1 b_1i cancels the low-valuation a_i0 b_0i down to a deep tail,
+    # so which digits of the later terms a diagonal sum keeps depends on
+    # the order of its terms
+    for _ in range(4):
+        a, b = (random_matrix(cfg, rng, 8, 8, 1.0, cfg.precision)
+                for _ in range(2))
+        for i in range(8):
+            a[i][0] = cfg.t(-3) * a[i][0]
+            a[i][1] = -a[i][0]
+            b[1][i] = b[0][i] + cfg.t(2)
+        pairs.append((a, b))
+    for a, b in pairs:
+        want = digits(lambda: (EndV(cfg, a) * EndV(cfg, b)).trace())
+        assert digits(lambda: linalg.trace_product(a, b)) == want
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=str)
 def test_random_g2_lie_inverse_and_rref_match_dense(cfg):
     rng = random.Random(5 * cfg.p)
     for _ in range(3):
@@ -366,7 +401,8 @@ def test_mixed_configs_raise():
     c5, c7 = FieldConfig(5, 8), FieldConfig(7, 8)
     a5 = linalg.identity(c5, 3)
     z7 = linalg.zeros(c7, 3, 3)
-    for op in (linalg.mat_add, linalg.mat_sub, linalg.mat_mul):
+    for op in (linalg.mat_add, linalg.mat_sub, linalg.mat_mul,
+               linalg.trace_product):
         with pytest.raises(ConfigMismatchError):
             op(a5, z7)
     with pytest.raises(ConfigMismatchError):

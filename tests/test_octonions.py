@@ -217,6 +217,9 @@ def test_json_roundtrip():
     rng = random.Random(8)
     x = random_octonion(CFG, rng)
     assert octonion_from_json(CFG, x.to_json()) == x
+    unr = FieldConfig(7, 8, "unramified")
+    z = random_octonion(unr, rng)
+    assert octonion_from_json(unr, z.to_json()) == z
     # fixed basis order in serialization
     assert E[-4].to_json() == ["1", "0", "0", "0", "0", "0", "0", "0"]
     assert E[4].to_json() == ["0", "0", "0", "0", "0", "0", "0", "1"]

@@ -193,6 +193,18 @@ def test_str_parse_roundtrip():
     ram = FieldConfig(5, 8, "ramified")
     y = ram.monomial(2, -3) + ram.one()
     assert parse_scalar(ram, str(y)) == y
+    # the unramified residue digits print as a, bw and (a+bw): the "+"
+    # inside (a+bw) is not a term separator
+    for p in (5, 7):
+        unr = FieldConfig(p, 8, "unramified")
+        rng = random.Random(1)
+        for _ in range(50):
+            z = unr.random(rng, width=3)
+            assert parse_scalar(unr, str(z)) == z
+        assert parse_scalar(unr, "1w") == unr.monomial((0, 1), 0)
+        assert parse_scalar(unr, "(2+3w)*t^1") == unr.monomial((2, 3), 1)
+    with pytest.raises(DomainError):
+        parse_scalar(CFG, "1w")
 
 
 def test_pow():
