@@ -6,17 +6,22 @@ group, and the symplectic fixed-point identity over F_p.
 
 A group element g near 1 is carried as its sparse offset g - 1 and a Lie
 element X on the Cayley path as its entries, both {(i, j): Scalar}.
-cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1} on the support block
-of X alone, 1 - X/2 built there from the entries, and cayley is
-1 + cayley_offset: the one Cayley path.  quotient_iso_check works on
-entries and offsets: pair sums are merged entries, the homomorphism test
-is A + B + AB = C modulo A_s with the sparse product AB, and each
-distinct Cayley offset and group generator's offset is computed once per
-check, in tables that live for the call.  Congruences over a lattice
-with the standard basis are decided entry by entry, on the entries where
-either side is nonzero (FiltrationLattice.contains_difference).  psi_b
-forms the offset y = x - 1 once: x lies in P^r when y lies in A_r, and
-tr(b y) is linalg.trace_product, which forms only the diagonal of b y.
+cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1}, which is
+(1 - X/2)^{-1} X since X commutes with 1 - X/2: one row reduction of
+[1 - X/2 | X] on the support block of X alone, built there from the
+entries, leaves it in the right half, and 1 - X/2 is invertible iff the
+pivots are the columns of the left half.  No inverse is formed and no
+product taken.  cayley is 1 + cayley_offset: the one Cayley path, and
+cayley_inv reduces [g + 1 | 2 (g - 1)] the same way.  quotient_iso_check
+works on entries and offsets: pair sums are merged entries, the
+homomorphism test is A + B + AB = C modulo A_s with the sparse product
+AB, and each distinct Cayley offset and group generator's offset is
+computed once per check, in tables that live for the call.  Congruences
+over a lattice with the standard basis are decided entry by entry, on
+the entries where either side is nonzero
+(FiltrationLattice.contains_difference).  psi_b forms the offset
+y = x - 1 once: x lies in P^r when y lies in A_r, and tr(b y) is
+linalg.trace_product, which forms only the diagonal of b y.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -32,8 +37,7 @@ import itertools
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .linalg import (Subspace, identity, inv, kernel, mat_mul, trace_product,
-                     transpose, zeros)
+from .linalg import Subspace, identity, kernel, rref, trace_product, transpose
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .residue import PrimeField
@@ -43,35 +47,40 @@ from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
 
 
 def cayley_offset(x) -> dict:
-    """C(X) - 1 = X (1 - X/2)^{-1}, as its nonzero entries {(i, j): Scalar},
-    for X an EndV or its entries {(i, j): Scalar}.
+    """C(X) - 1 as its nonzero entries {(i, j): Scalar}, for X an EndV or
+    its entries {(i, j): Scalar}.
 
-    Only the support block of X is inverted and multiplied: the indices
-    of the rows and columns that hold a nonzero entry, read from the
-    keys.  Off that block X is zero and 1 - X/2 is the identity, so
-    C(X) - 1 vanishes there.  On the block, 1 - X/2 is built from the
-    entries: 1 - c/2 on the diagonal and 0 - c/2 off it where X has an
-    entry c, the Scalar operations of the dense 1 - X/2."""
+    C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1}, and X
+    commutes with 1 - X/2, so this is (1 - X/2)^{-1} X: the right half of
+    [1 - X/2 | X] once row-reduced, with no inverse formed and no product
+    taken.  1 - X/2 is invertible iff the pivots are the k columns of the
+    left half.  Only the support block of X is reduced: the k indices of
+    the rows and columns that hold a nonzero entry, read from the keys.
+    Off that block X is zero and 1 - X/2 is the identity, so C(X) - 1
+    vanishes there.  On the block, [1 - X/2 | X] is built from the
+    entries: where X has an entry c, 1 - c/2 on the diagonal and 0 - c/2
+    off it, and c in the right half; 1 on the rest of the diagonal."""
     entries = x.entries() if isinstance(x, EndV) else x
     block = sorted({k for ij, c in entries.items() if c.coeffs for k in ij})
     if not block:
         return {}
     cfg = next(iter(entries.values())).cfg
-    half = cfg.half
-    pos = {k: a for a, k in enumerate(block)}
-    xb = zeros(cfg, len(block), len(block))
-    minus = identity(cfg, len(block))
+    half, zero, one = cfg.half, cfg.zero(), cfg.one()
+    k = len(block)
+    pos = {i: a for a, i in enumerate(block)}
+    aug = [[zero] * (2 * k) for _ in range(k)]
+    for a in range(k):
+        aug[a][a] = one
     for (i, j), c in entries.items():
         if c.coeffs:
             a, b = pos[i], pos[j]
-            xb[a][b] = c
-            minus[a][b] = minus[a][b] - half * c
-    try:
-        prod = mat_mul(xb, inv(minus))
-    except SingularError as exc:
-        raise SingularError("1 - X/2 is not invertible") from exc
-    return {(block[a], block[b]): c for a, row in enumerate(prod)
-            for b, c in enumerate(row) if c.coeffs}
+            aug[a][b] = aug[a][b] - half * c
+            aug[a][k + b] = c
+    red, pivots = rref(aug)
+    if pivots != list(range(k)):
+        raise SingularError("1 - X/2 is not invertible")
+    return {(block[a], block[b]): c for a, row in enumerate(red)
+            for b, c in enumerate(row[k:]) if c.coeffs}
 
 
 def cayley(x: EndV) -> EndV:
@@ -81,13 +90,18 @@ def cayley(x: EndV) -> EndV:
 
 
 def cayley_inv(g: EndV) -> EndV:
-    """C^{-1}(g) = 2 (g - 1)(g + 1)^{-1}."""
+    """C^{-1}(g) = 2 (g + 1)^{-1} (g - 1), the right half of
+    [g + 1 | 2 (g - 1)] once that is row-reduced (g - 1 commutes with
+    g + 1)."""
     cfg = g.cfg
-    ident = EndV.identity(cfg)
-    try:
-        return (g - ident) * (g + ident).inverse() * cfg.from_int(2)
-    except SingularError as exc:
-        raise SingularError("g + 1 is not invertible") from exc
+    one, two = cfg.one(), cfg.from_int(2)
+    aug = [[c + one if i == j else c for j, c in enumerate(row)]
+           + [two * (c - one if i == j else c) for j, c in enumerate(row)]
+           for i, row in enumerate(g.rows)]
+    red, pivots = rref(aug)
+    if pivots != list(range(8)):
+        raise SingularError("g + 1 is not invertible")
+    return EndV.adopt(cfg, [row[8:] for row in red])
 
 
 def cayley_scalar(lam: Scalar) -> Scalar:

@@ -1,6 +1,7 @@
 """Tests for Cayley/filtration machinery, the character pairing, and the
 symplectic fixed-point identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -538,9 +539,10 @@ def E8(cfg, lbl):
 # the product b (x - 1), and transformed every triality image anew;
 # ref_contains is FiltrationLattice.contains as it was when they were, and
 # ref_cayley the dense formula that cayley was before it was formed from
-# the sparse offset C(X) - 1.
+# the sparse offset C(X) - 1, and ref_cayley_offset that offset as it was
+# before it came from one row reduction of [1 - X/2 | X].
 
-from g2kit import filtration  # noqa: E402
+from g2kit import filtration, linalg  # noqa: E402
 from g2kit.errors import PrecisionError  # noqa: E402
 from g2kit.fixtures import wplus_norm  # noqa: E402
 from g2kit.scalars import Scalar  # noqa: E402
@@ -556,6 +558,28 @@ def ref_cayley(x):
     ident = EndV.identity(cfg)
     xh = x * half
     return (ident + xh) * (ident - xh).inverse()
+
+
+def ref_cayley_offset(x):
+    """C(X) - 1 as the parent computed it: X (1 - X/2)^{-1} on the support
+    block of X, with the inverse row-reduced from [1 - X/2 | 1] and then
+    multiplied in."""
+    entries = x.entries() if isinstance(x, EndV) else x
+    block = sorted({k for ij, c in entries.items() if c.coeffs for k in ij})
+    if not block:
+        return {}
+    cfg = next(iter(entries.values())).cfg
+    pos = {k: a for a, k in enumerate(block)}
+    xb = linalg.zeros(cfg, len(block), len(block))
+    minus = linalg.identity(cfg, len(block))
+    for (i, j), c in entries.items():
+        if c.coeffs:
+            a, b = pos[i], pos[j]
+            xb[a][b] = c
+            minus[a][b] = minus[a][b] - cfg.half * c
+    prod = linalg.mat_mul(xb, linalg.inv(minus))
+    return {(block[a], block[b]): c for a, row in enumerate(prod)
+            for b, c in enumerate(row) if c.coeffs}
 
 
 def offset(g):
@@ -721,18 +745,56 @@ def test_cayley_offset_matches_the_parent_formula(p):
     assert longer
 
 
+@pytest.mark.parametrize("p, ext", ((5, "none"), (7, "none"),
+                                    (5, "unramified"), (5, "ramified")))
+def test_cayley_offset_matches_the_parent_route(p, ext):
+    """The 28 generators and 406 pair sums of A_1 and of A_2 on both
+    benchmark sequences: the offset from one row reduction of
+    [1 - X/2 | X] is the parent's X (1 - X/2)^{-1} digit for digit."""
+    cfg = FieldConfig(p, 8, ext)
+    count = 0
+    for seq in benchmark_sequences(cfg):
+        for r in (1, 2):
+            gens = [g.lie for g in lie_generators(seq, r)]
+            for x in gens + [a + b for i, a in enumerate(gens)
+                             for b in gens[i:]]:
+                assert cayley_offset(x) == ref_cayley_offset(x)
+                count += 1
+    assert count == 4 * (28 + 406)
+
+
+def first_wrong(g, truth):
+    """The least exponent at which the digits of g, read as exact with
+    zeros past its window, differ from those of truth, a matrix over a
+    longer window; inf where none do."""
+    big = truth.cfg
+    out = math.inf
+    for ra, rb in zip(g.rows, truth.rows):
+        for a, b in zip(ra, rb):
+            d = big.from_coeffs(a.val, a.coeffs) - b
+            if not d.is_zero:
+                out = min(out, d.val)
+    return out
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_cayley_on_dense_inputs_agrees_below_the_window_edge(p):
     """On dense derivations of valuation 0 and 1 the offset route and the
-    parent formula truncate at different steps; their images agree on
-    every digit below t^(N-1), the last digit of the window of a unit."""
-    cfg = FieldConfig(p, 8)
+    parent formula truncate at different steps, and both can go wrong
+    before the window edge (at p = 7 one draw has both wrong from t^4
+    on).  Against the same input lifted to a 40-digit window, the offset
+    route is right on every digit below the exponent where the parent
+    formula first goes wrong; where the parent is right below t^(N-1),
+    the two agree there."""
+    cfg, big = FieldConfig(p, 8), FieldConfig(p, 40)
     rng = random.Random(70)
     differ = 0
     for _ in range(45):
         x = random_g2_lie(cfg, rng, width=3, vmin=0, vmax=1)
+        truth = ref_cayley(EndV(big, [[big.from_coeffs(c.val, c.coeffs)
+                                       for c in row] for row in x.rows]))
         got, want = cayley(x), ref_cayley(x)
-        assert endv_congruent(got, want, cfg.precision - 1)
+        assert first_wrong(got, truth) >= first_wrong(want, truth)
         differ += got != want
     assert differ  # the edge digit does differ: ROADMAP item 4
 
@@ -762,19 +824,22 @@ def test_cayley_offset_takes_an_endv_or_its_entries(p):
 
 def test_cayley_offset_leaves_zero_entries_out_of_the_block(monkeypatch):
     """An explicit zero entry, such as a merged sum that cancels, adds no
-    index to the support block that is inverted."""
-    sizes = []
-    original = filtration.inv
-    monkeypatch.setattr(filtration, "inv",
-                        lambda m: sizes.append(len(m)) or original(m))
+    index to the support block that is row-reduced: k rows of
+    [1 - X/2 | X], 2k columns."""
+    shapes = []
+    original = filtration.rref
+    monkeypatch.setattr(
+        filtration, "rref",
+        lambda m: shapes.append((len(m), len(m[0]))) or original(m))
     x = u_root_lie(CFG, 1, 2, CFG.t(1)).entries()
     free = min(set(range(8)) - {k for ij in x for k in ij})
     padded = dict(x)
     padded[free, free] = CFG.zero()
     assert cayley_offset(padded) == cayley_offset(x)
-    assert sizes[0] == sizes[1] < 8
+    (k, cols), _ = shapes
+    assert shapes[0] == shapes[1] and k < 8 and cols == 2 * k
     assert cayley_offset({(free, free): CFG.zero()}) == {}
-    assert len(sizes) == 2
+    assert len(shapes) == 2
 
 
 @pytest.mark.parametrize("entries", (
