@@ -247,21 +247,29 @@ def is_algebra_automorphism(g: EndV) -> bool:
 
 # -- standard generators -------------------------------------------------------
 
-def u_root(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
-    """u_{i,j}(lam): e_i -> e_i + lam e_{-j}, e_j -> e_j - lam e_{-i}."""
+def root_entries(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> dict:
+    """The nonzero entries of U_{i,j}(lam) = u_{i,j}(lam) - 1 in row-major
+    order: lam at (e_{-j}, e_i) and -lam at (e_{-i}, e_j)."""
     if i == j or i == -j:
         raise DomainError("root indices must satisfy i != +-j")
     lam = cfg.coerce(lam)
     cfg.zero()._check(lam)
+    if not lam.coeffs:
+        return {}
+    return dict(sorted((((IDX[-j], IDX[i]), lam), ((IDX[-i], IDX[j]), -lam))))
+
+
+def u_root(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
+    """u_{i,j}(lam): e_i -> e_i + lam e_{-j}, e_j -> e_j - lam e_{-i}."""
     m = identity(cfg, 8)
-    m[IDX[-j]][IDX[i]] = lam
-    m[IDX[-i]][IDX[j]] = -lam
+    for (r, c), v in root_entries(cfg, i, j, lam).items():
+        m[r][c] = v
     return EndV.adopt(cfg, m)
 
 
 def u_root_lie(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
-    """U_{i,j}(lam) = u_{i,j}(lam) - 1."""
-    return u_root(cfg, i, j, lam) - EndV.identity(cfg)
+    """U_{i,j}(lam) = u_{i,j}(lam) - 1, built from its two entries."""
+    return EndV.from_entries(cfg, root_entries(cfg, i, j, lam))
 
 
 def d_torus(cfg: FieldConfig, i: int, lam: Scalar) -> EndV:
@@ -278,10 +286,8 @@ def d_torus_lie(cfg: FieldConfig, i: int, s: Scalar) -> EndV:
     """D_i(s): e_i -> s e_i, e_{-i} -> -s e_{-i}, zero elsewhere."""
     if i not in (1, 2, 3, 4):
         raise DomainError("torus index must be 1..4")
-    m = zeros(cfg, 8, 8)
-    m[IDX[i]][IDX[i]] = s
-    m[IDX[-i]][IDX[-i]] = -s
-    return EndV(cfg, m)
+    return EndV.from_entries(cfg, {(IDX[i], IDX[i]): s,
+                                   (IDX[-i], IDX[-i]): -s})
 
 
 def so_basis_labels():
@@ -315,6 +321,21 @@ def so_rows(coords, zero) -> list:
         rows[r1][c1] = c
         rows[r2][c2] = -c
     return rows
+
+
+# the 56 places of SO_PLACES in row-major order, each with its coordinate
+# and its sign
+_SO_ROW_MAJOR = tuple(sorted((place, k, sign)
+                             for k, places in enumerate(SO_PLACES)
+                             for place, sign in zip(places, (1, -1))))
+
+
+def so_entries(coords) -> dict:
+    """The nonzero entries {(i, j): Scalar}, in row-major order, of the
+    so(V) element with the given 28 coordinates: the entries of so_rows,
+    with no zero entry formed or negated."""
+    return {place: c if sign > 0 else -c
+            for place, k, sign in _SO_ROW_MAJOR if (c := coords[k]).coeffs}
 
 
 def so_matrix(cfg: FieldConfig, coords) -> EndV:

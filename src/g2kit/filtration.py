@@ -16,12 +16,18 @@ cayley_inv reduces [g + 1 | 2 (g - 1)] the same way.  quotient_iso_check
 works on entries and offsets: pair sums are merged entries, the
 homomorphism test is A + B + AB = C modulo A_s with the sparse product
 AB, and each distinct Cayley offset and group generator's offset is
-computed once per check, in tables that live for the call.  Congruences
+computed once per check, in tables that live for the call.  The group
+side forms no 8 x 8 matrix: a generator's offset is read from its
+descriptor (GroupGenerator.offset: +-lam for a root, the torus weights
+minus one on the diagonal), the triality images of the Lie side come as
+entries (LieTrialityGroup.orbit_entries), and the exact image test
+compares 1 + offset on the diagonal and the entries off it.  Congruences
 over a lattice with the standard basis are decided entry by entry, on
 the entries where either side is nonzero
 (FiltrationLattice.contains_difference).  psi_b forms the offset
 y = x - 1 once: x lies in P^r when y lies in A_r, and tr(b y) is
-linalg.trace_product, which forms only the diagonal of b y.
+linalg.trace_product, which forms only the diagonal of b y; y is x with
+one taken off its diagonal.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -212,7 +218,6 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     """
     q = FiltrationQuotient(seq, r, s)
     cfg = seq.cfg
-    one = EndV.identity(cfg)
     gens = q.generators()
     violations = []
     # Lie elements as their entries, group elements near 1 as offsets g - 1
@@ -236,12 +241,13 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     # exactly d_i(C(lam)) and u_{i,j}(lam).  Most triality images of a
     # generator are generators again, so each distinct Lie image is
     # transformed once, the table keyed on the entries and starting from
-    # the generators' own images, and each distinct group descriptor is
-    # evaluated once; both tables hold offsets.
+    # the generators' own images, and each distinct group descriptor's
+    # offset is read once; both tables hold offsets, and the triality
+    # images come as entries.
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
     transforms = {tuple(x.items()): cx for x, cx in zip(lies, images)}
-    matrices = {}
+    offsets = {}
 
     def transform(x):
         key = tuple(x.items())
@@ -249,36 +255,36 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
             transforms[key] = cayley_offset(x)
         return transforms[key]
 
-    def matrix(gen):
+    def offset(gen):
         key = (gen.kind, gen.data)
-        if key not in matrices:
-            matrices[key] = (gen.matrix(cfg) - one).entries()
-        return matrices[key]
+        if key not in offsets:
+            offsets[key] = gen.offset(cfg)
+        return offsets[key]
 
     for g, cx in zip(gens, images):
-        gm = g.group.matrix(cfg)
-        matrices[g.group.kind, g.group.data] = (gm - one).entries()
-        # exact: the image 1 + cx against the generator's matrix (a torus
-        # generator's offset holds digits past the window of d_i(C(lam)))
-        if one + EndV.from_entries(cfg, cx) != gm:
+        # exact: the image 1 + cx against the generator's 1 + offset (a
+        # torus generator's offset holds digits past the window of
+        # d_i(C(lam)))
+        if not _same_image(cx, offset(g.group), cfg):
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
-        for word, y in lie_gamma.orbit(g.lie):
-            rhs = matrix(grp_gamma._apply_desc(word, g.group))
-            if not q.congruent(transform(y.entries()), rhs):
+        for word, y in lie_gamma.orbit_entries(g.lie):
+            rhs = offset(grp_gamma._apply_desc(word, g.group))
+            if not q.congruent(transform(y), rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
     # (c) quotient fixed points lift to honest fixed points
     for x in _quotient_fixed_samples(seq, r, s):
-        for _, y in lie_gamma.orbit(x):
-            if not q.congruent(y, x):
+        xs = x.entries()
+        for _, y in lie_gamma.orbit_entries(x):
+            if not q.congruent(y, xs):
                 violations.append("sample is not quotient-fixed")
         lifted = lie_gamma.average(x)
         if not q.lat_r.contains(lifted):
             violations.append("lift leaves A_r")
         if not is_derivation(lifted):
             violations.append("lift is not a derivation")
-        if not q.congruent(lifted, x):
+        if not q.congruent(lifted, xs):
             violations.append("lift changes the coset")
     return {
         "check": "quotient_iso",
@@ -286,6 +292,21 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         "generators_tested": len(gens),
         "violations": violations,
     }
+
+
+def _same_image(a: dict, b: dict, cfg) -> bool:
+    """1 + a = 1 + b digit for digit, for offsets a and b: 1 + the entry
+    on the diagonal, the entries themselves off it, on the entries where
+    either is nonzero.  An entry past the window of 1 + a is lost on the
+    diagonal as it is in the dense sum."""
+    one, zero = cfg.one(), cfg.zero()
+    for ij in a.keys() | b.keys():
+        x, y = a.get(ij, zero), b.get(ij, zero)
+        if ij[0] == ij[1]:
+            x, y = one + x, one + y
+        if x != y:
+            return False
+    return True
 
 
 def _sparse_sum(a: dict, b: dict) -> dict:
@@ -367,7 +388,9 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
     the quotient P^r / P^s."""
     if not seq.lattice(1 - s).contains(b):
         raise MembershipError("b must lie in A_{1-s}")
-    y = x - EndV.identity(seq.cfg)
+    one = seq.cfg.one()
+    y = EndV.adopt(seq.cfg, [[c - one if i == j else c for j, c in
+                              enumerate(row)] for i, row in enumerate(x.rows)])
     if not seq.lattice(r).contains(y):
         raise MembershipError("x must lie in P^r")
     return trace_product(b.rows, y.rows).conductor_character()

@@ -13,6 +13,11 @@ the root and diagonal triple descriptors and CONJ_MAT.  _lie_tables checks
 them once per process, on first use, in exact rational arithmetic: the
 triality identity on all 64 basis pairs for every column, and
 sigma^2 = rho^3 = (sigma rho)^2 = 1.
+
+On the pro-p generators, GroupTriality moves descriptors (a root u_{i,j}
+by the root-triple descriptors and the hat table, a torus by its
+weights), and a generator near 1 is read as its sparse offset g - 1
+(GroupGenerator.offset) with no 8 x 8 matrix formed.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from functools import lru_cache
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
                    assemble, first_candidate, is_algebra_automorphism,
                    is_derivation, leibniz_holds, multiplicative_holds,
-                   sandwich, so_coords, so_matrix, so_rows, u_root,
-                   u_root_lie)
+                   root_entries, sandwich, so_coords, so_entries, so_matrix,
+                   so_rows, u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
 from .linalg import Subspace, det, inv
-from .octonions import (CONJ_COLS, CONJ_ROWS, CompositionSubalgebra,
+from .octonions import (CONJ_COLS, CONJ_ROWS, LABELS, CompositionSubalgebra,
                         Octonion, basis_octonion, from_coords, gram_scalar)
 from .scalars import FieldConfig, Scalar, dot
 
@@ -179,7 +184,9 @@ def diag_lie_triple(cfg: FieldConfig, i: int, s: Scalar) -> TrialityTriple:
 
 def iota(cfg: FieldConfig, u: Scalar, g) -> EndV:
     """The isometry scaling e_-4 by u^{-1}, e_4 by u, acting by g on
-    (e_1, e_2, e_3) and by the inverse transpose on (e_-1, e_-2, e_-3)."""
+    (e_1, e_2, e_3) and by the inverse transpose on (e_-1, e_-2, e_-3).
+    A diagonal g is a torus GroupGenerator, which builds its diagonal
+    from the weights instead."""
     gi = inv([list(r) for r in g])
     images = {
         -4: basis_octonion(cfg, -4).scale(u.inv()),
@@ -469,8 +476,8 @@ def _lie_tables() -> LieTables:
     return LieTables(t2, t3, hat_cols, words, average, inverse)
 
 
-def _run(table, coords, cfg: FieldConfig) -> EndV:
-    """The so(V) element whose coordinates are table applied to coords."""
+def _run(table, coords, cfg: FieldConfig) -> list:
+    """The 28 so(V) coordinates that table gives from coords."""
     out = [None] * len(table)
     for k, col in enumerate(table):
         v = coords[k]
@@ -479,7 +486,7 @@ def _run(table, coords, cfg: FieldConfig) -> EndV:
         for m, c in col.items():
             term = v if c == 1 else -v if c == -1 else v * _scalar(cfg, c)
             out[m] = term if out[m] is None else out[m] + term
-    return so_matrix(cfg, [cfg.zero() if v is None else v for v in out])
+    return [cfg.zero() if v is None else v for v in out]
 
 
 def inverse_word(word: str) -> str:
@@ -492,9 +499,9 @@ def solve_lie_triple(x: EndV, checked: bool = False) -> TrialityTriple:
     off the coordinate tables."""
     coords = so_coords(x)
     tables = _lie_tables()
-    return TrialityTriple(x, _run(tables.t2, coords, x.cfg),
-                          _run(tables.t3, coords, x.cfg), lie=True,
-                          checked=checked)
+    t2, t3 = (so_matrix(x.cfg, _run(t, coords, x.cfg))
+              for t in (tables.t2, tables.t3))
+    return TrialityTriple(x, t2, t3, lie=True, checked=checked)
 
 
 class LieTrialityGroup:
@@ -509,15 +516,29 @@ class LieTrialityGroup:
             raise DomainError(f"unknown triality word {word!r}")
         if word == "id":
             return x
-        return _run(_lie_tables().words[word], so_coords(x), x.cfg)
+        return so_matrix(x.cfg, _run(_lie_tables().words[word],
+                                     so_coords(x), x.cfg))
 
     def orbit(self, x: EndV):
         """The six (word, image) pairs of x in WORDS order, each image the
         one apply(word, x) gives, from one read of the so(V) coordinates
         of x; raises DomainError if x is not in so(V)."""
+        return [(w, x if c is None else so_matrix(x.cfg, c))
+                for w, c in self._orbit_coords(x)]
+
+    def orbit_entries(self, x: EndV):
+        """orbit(x) with each image as its nonzero entries {(i, j): Scalar}
+        in row-major order, read off the so(V) coordinates: no 8 x 8
+        image is formed."""
+        return [(w, x.entries() if c is None else so_entries(c))
+                for w, c in self._orbit_coords(x)]
+
+    def _orbit_coords(self, x: EndV):
+        """(word, so(V) coordinates of the image) in WORDS order, None for
+        the identity word, from one read of the coordinates of x."""
         coords = so_coords(x)
         words = _lie_tables().words
-        return [(w, x if w == "id" else _run(words[w], coords, x.cfg))
+        return [(w, None if w == "id" else _run(words[w], coords, x.cfg))
                 for w in self.WORDS]
 
     def inverse_word(self, word: str) -> str:
@@ -526,7 +547,8 @@ class LieTrialityGroup:
     def average(self, x: EndV) -> EndV:
         """(1/6) sum of the orbit: the projection of so(V) onto the
         derivations."""
-        return _run(_lie_tables().average, so_coords(x), x.cfg)
+        return so_matrix(x.cfg, _run(_lie_tables().average, so_coords(x),
+                                     x.cfg))
 
 
 def random_g2_lie(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -539,7 +561,11 @@ def random_g2_lie(cfg: FieldConfig, rng, **kw) -> EndV:
 
 class GroupGenerator:
     """Descriptor of a pro-p generator: a root element u_{i,j}(lam) or a
-    torus element iota(u, diag(m1, m2, m3))."""
+    torus element iota(u, diag(m1, m2, m3)).  Near 1 it is carried as its
+    sparse offset g - 1 (offset), read straight from the descriptor: the
+    two entries +-lam of a root, the weights minus one on the diagonal of
+    a torus.  A torus matrix is its diagonal of weights, with no
+    inverse of diag(m1, m2, m3) formed."""
 
     def __init__(self, kind, data):
         self.kind = kind  # "root" | "torus"
@@ -557,16 +583,36 @@ class GroupGenerator:
         if self.kind == "root":
             i, j, lam = self.data
             return u_root(cfg, i, j, lam)
-        u, m1, m2, m3 = self.data
-        z = cfg.zero()
-        g = [[m1, z, z], [z, m2, z], [z, z, m3]]
-        return iota(cfg, u, g)
+        return EndV.from_entries(cfg, {(k, k): w for k, w
+                                       in enumerate(self._weights())})
+
+    def offset(self, cfg) -> dict:
+        """The nonzero entries {(i, j): Scalar} of matrix(cfg) - 1, in
+        row-major order."""
+        if self.kind == "root":
+            return root_entries(cfg, *self.data)
+        one = cfg.one()
+        return {(k, k): d for k, w in enumerate(self._weights())
+                if (d := w - one).coeffs}
+
+    def _weights(self):
+        """A torus generator's diagonal in row order: u and u^{-1} on e_4
+        and e_-4, m_k and m_k^{-1} on e_k and e_-k."""
+        u, *ms = self.data
+        w = {4: u, -4: u.inv()}
+        for k, m in enumerate(ms, 1):
+            w[k], w[-k] = m, m.inv()
+        return [w[label] for label in LABELS]
 
 
 class GroupTriality:
     """The triality action on the generator families of the pro-p
     filtration subgroups; the square-root witnesses are the canonical
-    1-unit roots, matching the unique homomorphic section."""
+    1-unit roots, matching the unique homomorphic section.  It acts on
+    descriptors: a root moves by the root-triple descriptors and the hat
+    table, a torus by its weights (hat swaps u and u^{-1}), and no matrix
+    is formed until apply asks for one; quotient_iso_check reads the
+    image's offset instead."""
 
     def __init__(self, cfg: FieldConfig):
         self.cfg = cfg
@@ -584,10 +630,10 @@ class GroupTriality:
 
     def _hat(self, gen: GroupGenerator) -> GroupGenerator:
         if gen.kind == "torus":
-            # hat swaps the e_4 / e_-4 weights: iota(u, g) -> iota(u^{-1}, ...)
-            m = hat(gen.matrix(self.cfg))
-            return GroupGenerator.torus(m.entry(4, 4), m.entry(1, 1),
-                                        m.entry(2, 2), m.entry(3, 3))
+            # CONJ_ROWS swaps e_4 and e_-4 and fixes the other lines up to
+            # sign, so hat swaps the weights u and u^{-1}
+            u, m1, m2, m3 = gen.data
+            return GroupGenerator.torus(u.inv(), m1, m2, m3)
         # hat(u_{i,j}(lam)) = 1 + hat(U_{i,j}(lam)), read off the hat table
         i, j, lam = gen.data
         if (i, j) not in SO_INDEX:

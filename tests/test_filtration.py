@@ -540,12 +540,18 @@ def E8(cfg, lbl):
 # ref_contains is FiltrationLattice.contains as it was when they were, and
 # ref_cayley the dense formula that cayley was before it was formed from
 # the sparse offset C(X) - 1, and ref_cayley_offset that offset as it was
-# before it came from one row reduction of [1 - X/2 | X].
+# before it came from one row reduction of [1 - X/2 | X].  On the group
+# side, ref_group_matrix builds a torus through iota (a 3 x 3 linalg.inv
+# and EndV.from_action), RefGroupTriality reads the hat of a torus off
+# hat(matrix), and ref_group_offset is (matrix - 1).entries(), as they
+# were before the group side was read from the descriptors.
 
 from g2kit import filtration, linalg  # noqa: E402
+from g2kit.endo import u_root  # noqa: E402
 from g2kit.errors import PrecisionError  # noqa: E402
 from g2kit.fixtures import wplus_norm  # noqa: E402
 from g2kit.scalars import Scalar  # noqa: E402
+from g2kit.triality import GroupGenerator, hat, iota  # noqa: E402
 
 LEVELS = ((1, 1), (1, 2), (2, 3), (2, 4))
 ONE = EndV.identity(CFG)
@@ -609,6 +615,30 @@ def ref_congruent_lie(q, x, y):
     return ref_contains(q.lat_s, x - y)
 
 
+def ref_group_matrix(cfg, gen):
+    """The generator's matrix, a torus as iota(u, diag(m1, m2, m3))."""
+    if gen.kind == "root":
+        return u_root(cfg, *gen.data)
+    u, m1, m2, m3 = gen.data
+    z = cfg.zero()
+    return iota(cfg, u, [[m1, z, z], [z, m2, z], [z, z, m3]])
+
+
+def ref_group_offset(cfg, gen):
+    return (ref_group_matrix(cfg, gen) - EndV.identity(cfg)).entries()
+
+
+class RefGroupTriality(GroupTriality):
+    """GroupTriality with the hat of a torus read off hat(matrix)."""
+
+    def _hat(self, gen):
+        if gen.kind != "torus":
+            return super()._hat(gen)
+        m = hat(ref_group_matrix(self.cfg, gen))
+        return GroupGenerator.torus(m.entry(4, 4), m.entry(1, 1),
+                                    m.entry(2, 2), m.entry(3, 3))
+
+
 def ref_quotient_iso_check(seq, r, s):
     cayley = filtration.cayley
     q = FiltrationQuotient(seq, r, s)
@@ -626,14 +656,14 @@ def ref_quotient_iso_check(seq, r, s):
     violations += [f"homomorphism failure at {gens[a].name}, {gens[b].name}"
                    for a, b in sorted(failed)]
     lie_gamma = LieTrialityGroup()
-    grp_gamma = GroupTriality(cfg)
+    grp_gamma = RefGroupTriality(cfg)
     for g, cx in zip(gens, images):
-        if cx != g.group.matrix(cfg):
+        if cx != ref_group_matrix(cfg, g.group):
             violations.append(f"Cayley image mismatch at {g.name}")
             continue
         for word in LieTrialityGroup.WORDS:
             lhs = cayley(lie_gamma.apply(word, g.lie))
-            rhs = grp_gamma.apply(word, g.group)
+            rhs = ref_group_matrix(cfg, grp_gamma._apply_desc(word, g.group))
             if not ref_congruent_group(q, lhs, rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
@@ -912,6 +942,166 @@ def test_quotient_iso_reports_a_wrong_triality_image(monkeypatch):
     assert any(v.startswith("triality congruence failure")
                for v in rep["violations"])
     assert rep == ref_quotient_iso_check(seq, 2, 3)
+
+
+# -- the group side on offsets and weights ---------------------------------
+
+EXTENSION_CONFIGS = ((5, "none"), (7, "none"), (11, "none"),
+                     (5, "unramified"), (5, "ramified"),
+                     (7, "unramified"), (7, "ramified"))
+
+
+def reached_generators(cfg):
+    """The generators of A_1 and A_2 on both benchmark sequences: those
+    whose descriptors quotient_iso_check reaches at every level."""
+    return [g for seq in benchmark_sequences(cfg) for r in (1, 2)
+            for g in lie_generators(seq, r)]
+
+
+@pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
+def test_group_descriptors_match_the_parent_routes(p, ext):
+    """Every descriptor the check reaches, all six words of every
+    generator: the descriptor, its matrix and its offset are the
+    parent's digit for digit, and the offset in the parent's key order."""
+    cfg = FieldConfig(p, 8, ext)
+    new, ref = GroupTriality(cfg), RefGroupTriality(cfg)
+    tori = 0
+    for g in reached_generators(cfg):
+        for word in LieTrialityGroup.WORDS:
+            got = new._apply_desc(word, g.group)
+            want = ref._apply_desc(word, g.group)
+            assert (got.kind, got.data) == (want.kind, want.data)
+            assert got.matrix(cfg).rows == ref_group_matrix(cfg, want).rows
+            off, ref_off = got.offset(cfg), ref_group_offset(cfg, want)
+            assert off == ref_off
+            assert list(off) == list(ref_off)
+            tori += got.kind == "torus"
+    assert tori == 2 * 2 * 4 * 6
+
+
+def random_generators(cfg, rng):
+    """Root descriptors on every root pair and torus descriptors with
+    random 1-unit weights, some of them exactly one."""
+    labels = (-4, -1, -2, -3, 3, 2, 1, 4)
+    gens = [GroupGenerator.root(i, j, cfg.random(rng, width=2, vmin=1,
+                                                 vmax=3))
+            for i in labels for j in labels if i != j and i != -j]
+    for _ in range(20):
+        w = [cfg.one() if rng.random() < 0.3 else
+             cfg.one() + cfg.random(rng, width=3, vmin=1, vmax=2)
+             for _ in range(4)]
+        gens.append(GroupGenerator.torus(*w))
+    return gens
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+def test_random_group_descriptors_match_the_parent_routes(p):
+    """Root and torus descriptors the check does not reach: the offset
+    (digits and key order), the torus matrix and the torus hat are the
+    parent's."""
+    cfg = FieldConfig(p, 8)
+    new, ref = GroupTriality(cfg), RefGroupTriality(cfg)
+    for gen in random_generators(cfg, random.Random(120 + p)):
+        off, want = gen.offset(cfg), ref_group_offset(cfg, gen)
+        assert off == want and list(off) == list(want)
+        assert gen.matrix(cfg).rows == ref_group_matrix(cfg, gen).rows
+        got, want = new._hat(gen), ref._hat(gen)
+        assert (got.kind, got.data) == (want.kind, want.data)
+
+
+@pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
+def test_orbit_entries_match_the_dense_orbit(p, ext):
+    """The generators and the quotient-fixed samples of the check: each
+    image of orbit_entries is orbit(x)[w].entries(), digit for digit and
+    in key order."""
+    cfg = FieldConfig(p, 8, ext)
+    gamma = LieTrialityGroup()
+    xs = [g.lie for g in reached_generators(cfg)]
+    for seq in benchmark_sequences(cfg):
+        for r, s in LEVELS:
+            xs += filtration._quotient_fixed_samples(seq, r, s)
+    for x in xs:
+        got = gamma.orbit_entries(x)
+        want = [(w, y.entries()) for w, y in gamma.orbit(x)]
+        assert got == want
+        assert [list(e) for _, e in got] == [list(e) for _, e in want]
+
+
+def test_the_group_side_forms_no_inverse_and_no_difference(monkeypatch):
+    """The check and psi_b on generator matrices make no linalg.inv (the
+    3 x 3 inverse of a torus), no EndV.from_action and no 8 x 8
+    difference: generators give g - 1, torus weights are read, and the
+    triality images come as entries."""
+    def forbidden(*args):
+        raise AssertionError("dense route taken")
+    monkeypatch.setattr(EndV, "from_action", forbidden)
+    monkeypatch.setattr(EndV, "__sub__", forbidden)
+    import g2kit.triality as triality_mod
+    monkeypatch.setattr(triality_mod, "inv", forbidden)
+    assert quotient_iso_check(thirds_seq(), 1, 2)["violations"] == []
+    b = d_torus_lie(CFG, 1, CFG.t(-1))
+    values = {psi_b(STD, 2, b, g.group.matrix(CFG), 1)
+              for g in lie_generators(STD, 1)}
+    assert values <= set(range(CFG.p)) and len(values) > 1
+
+
+def test_quotient_iso_reports_a_changed_torus_weight(monkeypatch):
+    """Negative control for the diagonal branch of the exact image test:
+    the weight m_1 of D_1's group descriptor changed at t^(N-1), the last
+    digit of the window, is a Cayley image mismatch at D_1, as the
+    reference reports it."""
+    original = filtration.lie_generators
+    n = CFG.precision
+
+    def changed(seq, r):
+        gens = original(seq, r)
+        u, m1, m2, m3 = gens[0].group.data
+        gens[0].group = GroupGenerator.torus(u, m1 + CFG.t(n - 1), m2, m3)
+        return gens
+    monkeypatch.setattr(filtration, "lie_generators", changed)
+    for seq, r, s in ((STD, 1, 2), (thirds_seq(), 2, 3)):
+        rep = quotient_iso_check(seq, r, s)
+        name = original(seq, r)[0].name
+        assert name.startswith("D_1(")
+        assert rep["violations"] == [f"Cayley image mismatch at {name}"]
+        assert rep == ref_quotient_iso_check(seq, r, s)
+
+
+def test_quotient_iso_reports_a_wrong_torus_triality_image(monkeypatch):
+    """A torus descriptor out of _apply_desc whose weight m_1 is off
+    shows as a congruence failure, as the reference reports it."""
+    original = GroupTriality._apply_desc
+
+    def skewed(self, word, gen):
+        out = original(self, word, gen)
+        if word == "rho" and out.kind == "torus":
+            u, m1, m2, m3 = out.data
+            return GroupGenerator.torus(u, m1 * 2, m2, m3)
+        return out
+    monkeypatch.setattr(GroupTriality, "_apply_desc", skewed)
+    seq = thirds_seq()
+    rep = quotient_iso_check(seq, 2, 3)
+    assert rep["violations"] == [
+        f"triality congruence failure at {g.name}, rho"
+        for g in lie_generators(seq, 2)[:4]]
+    assert rep == ref_quotient_iso_check(seq, 2, 3)
+
+
+def test_a_torus_offset_holds_a_digit_past_the_window():
+    """Item 11's window caveat: a torus generator's Cayley offset holds a
+    digit at t^N, which 1 + offset cannot, so offsets compared as they are
+    would differ; compared through 1 + entry on the diagonal they agree,
+    and the check reports no mismatch."""
+    n = CFG.precision
+    gen = lie_generators(STD, 1)[0]
+    cx = cayley_offset(gen.lie)
+    off = gen.group.offset(CFG)
+    assert any(i == j and c.val + len(c.coeffs) - 1 >= n
+               for (i, j), c in cx.items())
+    assert cx != off
+    assert filtration._same_image(cx, off, CFG)
+    assert not any(v.startswith("Cayley image mismatch")
+                   for v in quotient_iso_check(STD, 1, 2)["violations"])
 
 
 def random_endv(rng, cfg, vmin, vmax, width):

@@ -8,11 +8,11 @@ import pytest
 
 from g2kit.endo import (SO_LABELS, EndV, adjoint, d_torus, is_derivation,
                         is_isometry, multiplicative_holds, random_so,
-                        so_basis_labels, so_coords,
+                        so_basis_labels, so_coords, so_entries, so_matrix,
                         d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
-from g2kit.errors import (DomainError, SingularError, TripleError,
-                          WitnessError)
+from g2kit.errors import (ConfigMismatchError, DomainError, SingularError,
+                          TripleError, WitnessError)
 from g2kit.linalg import Subspace, lin_comb, mat_mul, transpose
 from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
                              anisotropic_plane, basis_octonion,
@@ -754,3 +754,34 @@ def test_apply_to_a_signed_basis_vector_is_the_signed_column():
         col = [row[k] for row in x.rows]
         assert x.apply(E[lbl]).coords == tuple(col)
         assert x.apply(-E[lbl]).coords == tuple(-v for v in col)
+
+
+# -- so(V) entries and root entries -----------------------------------------
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_so_entries_are_the_nonzero_entries_of_so_rows(p):
+    """so_entries gives the nonzero entries of so_matrix in row-major
+    order, for coordinates with and without zeros."""
+    cfg = FieldConfig(p, 8)
+    rng = random.Random(130 + p)
+    for _ in range(30):
+        coords = [cfg.zero() if rng.random() < 0.6 else
+                  cfg.random(rng, width=2, vmin=-1, vmax=2)
+                  for _ in SO_LABELS]
+        got, want = so_entries(coords), so_matrix(cfg, coords).entries()
+        assert got == want and list(got) == list(want)
+
+
+def test_root_generators_keep_their_checks():
+    """u_root_lie and a root descriptor's offset, built from the two
+    entries, still reject i = +-j and a lambda from another config."""
+    other = FieldConfig(7, 8)
+    for make in (u_root_lie, lambda cfg, i, j, lam:
+                 GroupGenerator.root(i, j, lam).offset(cfg)):
+        for i, j in ((1, 1), (2, -2), (-4, 4)):
+            with pytest.raises(DomainError, match="i != \\+-j"):
+                make(CFG, i, j, CFG.t())
+        with pytest.raises(ConfigMismatchError):
+            make(CFG, 1, 2, other.t())
+    assert u_root_lie(CFG, 1, 2, CFG.t()) == u_root(CFG, 1, 2, CFG.t()) - IDENT
+    assert u_root_lie(CFG, 1, 2, CFG.zero()) == EndV.zero(CFG)
