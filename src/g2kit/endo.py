@@ -175,10 +175,6 @@ def adjoint(x: EndV) -> EndV:
     return EndV.adopt(x.cfg, sandwich(GRAM_ROWS, transpose(x.rows), GRAM_COLS))
 
 
-def is_so(x: EndV) -> bool:
-    return adjoint(x) == -x
-
-
 def is_isometry(g: EndV) -> bool:
     gram = gram_scalar(g.cfg)
     return mat_eq(mat_mul(transpose(g.rows), mat_mul(gram, g.rows)), gram)
@@ -305,6 +301,20 @@ SO_INDEX = {label: k for k, label in enumerate(SO_LABELS)}
 SO_PLACES = tuple(((IDX[i], IDX[i]), (IDX[-i], IDX[-i])) for i in SO_LABELS[:4])
 SO_PLACES += tuple(((IDX[-j], IDX[i]), (IDX[-i], IDX[j]))
                    for i, j in SO_LABELS[4:])
+
+
+# the entries (-i, i), which no coordinate holds: they are 0 on so(V)
+_ANTI_DIAGONAL = tuple((IDX[-i], IDX[i]) for i in LABELS)
+
+
+def is_so(x: EndV) -> bool:
+    """sigma(x) = -x, decided on the entries: the two places of each
+    SO_PLACES coordinate hold c and -c, and the 8 anti-diagonal entries
+    are 0.  No adjoint is formed."""
+    rows = x.rows
+    return (all(rows[r2][c2] == -rows[r1][c1]
+                for (r1, c1), (r2, c2) in SO_PLACES)
+            and not any(rows[r][c].coeffs for r, c in _ANTI_DIAGONAL))
 
 
 def so_coords(x: EndV) -> list:

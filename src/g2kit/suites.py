@@ -1,6 +1,23 @@
 """Named verification suites over the whole library; each check returns a
 pass/fail status with a counterexample string on failure.  The CLI and
-the acceptance tests both run these."""
+the acceptance tests both run these.
+
+The identity checks are decisions on a basis, not samples.  Each identity
+has integer structure constants (octonions.BASIS_PRODUCT, the triality
+tables) and is multilinear after polarization, and p >= 5 makes the
+polarization exact, so basis tuples decide it over F and over every
+extension: unit-law and conjugation on the 8 basis vectors and 64 pairs,
+f-transfer on the 512 triples, alternative-laws as an alternating
+associator on the 512 triples, norm-multiplicative as the polarized
+composition law on the 4,096 quadruples with Q tied to f on the basis,
+maximinorante on the 64 pairs of a splitting basis, product-decomposition
+on the 64 pairs of an F-basis of D + W, fixed-point-consistency as two
+equal subspaces of the 28 so(V) coordinates, and trace-invariance as
+T^T G T = G for each word's table.  Products, tables and verdicts live
+for one check call.  Sampled checks remain where the input is random by
+nature: idempotent-identities (random isotropic pairs), psi-homomorphism
+(random generator pairs) and gamma-perp-random (random stable subspaces)
+draw from the suite's rng."""
 
 from __future__ import annotations
 
@@ -9,7 +26,7 @@ import time
 from fractions import Fraction
 
 from . import fixtures
-from .endo import (EndV, d_torus_lie, is_derivation, random_so,
+from .endo import (SO_LABELS, EndV, d_torus_lie, so_coords, so_matrix,
                    u_root_lie)
 from .errors import DomainError, G2KitError, PrecisionError, WitnessError
 from .filtration import (cayley, character_counts, enumerate_subspaces,
@@ -17,22 +34,22 @@ from .filtration import (cayley, character_counts, enumerate_subspaces,
                          psi_b, quotient_iso_check, random_stable_subspace,
                          standard_symplectic_cycle, standard_symplectic_swap,
                          trace_triality_invariance)
+from .linalg import Subspace, kernel, mat_eq, mat_mul, trace_product, transpose
 from .norms import (HermitianNorm, NormFn, dual_norm, extend_dim4,
                     extend_sl3, extend_su21, is_algebra_norm, is_self_dual,
                     lattice_seq_from_norm, standard_norm)
-from .octonions import (Octonion, anisotropic_plane,
-                        basis_octonion, bilinear_f, center_subalgebra,
-                        division_quaternion, double, gram_schmidt,
-                        hyperbolic_plane, idempotents_from_isotropic_pair,
-                        octonion_unit, ramified_plane, random_isotropic_pair,
-                        random_octonion, split_polarization,
-                        standard_split_dim4)
+from .octonions import (LABELS, Octonion, anisotropic_plane, basis_octonion,
+                        bilinear_f, center_subalgebra, division_quaternion,
+                        double, gram_schmidt, hyperbolic_plane,
+                        idempotents_from_isotropic_pair, octonion_unit,
+                        ramified_plane, random_isotropic_pair,
+                        split_polarization, standard_split_dim4)
 from .scalars import FieldConfig
 from .strata import classify, validate
-from .triality import (GroupTriality, HermitianModel,
-                       LieTrialityGroup, check_related, diag_lie_triple,
-                       orbit_triples, random_g2_lie, root_triple, solve_dim2,
-                       solve_dim4, solve_glw, solve_lie_triple)
+from .triality import (GroupTriality, HermitianModel, LieTrialityGroup,
+                       check_related, diag_lie_triple, orbit_triples,
+                       root_triple, solve_dim2, solve_dim4, solve_glw,
+                       solve_lie_triple)
 
 SUITE_NAMES = ("octonion", "triality", "norms", "filtration", "strata")
 
@@ -47,34 +64,109 @@ def _all_root_pairs():
 # -- octonion suite ---------------------------------------------------------------
 
 def _octonion_checks(cfg, rng):
-    unit = octonion_unit(cfg)
-    yield "unit-law", lambda: _sweep(
-        500, lambda: _expect(lambda x: unit * x == x and x * unit == x,
-                             random_octonion(cfg, rng)))
-    yield "norm-multiplicative", lambda: _sweep(
-        500, lambda: _expect(
-            lambda xy: (xy[0] * xy[1]).norm() == xy[0].norm() * xy[1].norm(),
-            (random_octonion(cfg, rng), random_octonion(cfg, rng))))
-    yield "conjugation", lambda: _sweep(
-        500, lambda: _expect(
-            lambda xy: (xy[0] * xy[1]).conj() == xy[1].conj() * xy[0].conj()
-            and xy[0].conj().conj() == xy[0],
-            (random_octonion(cfg, rng), random_octonion(cfg, rng))))
-    yield "f-transfer", lambda: _sweep(
-        200, lambda: _expect(
-            lambda xyz: bilinear_f(xyz[0] * xyz[1], xyz[2])
-            == bilinear_f(xyz[1], xyz[0].conj() * xyz[2])
-            and bilinear_f(xyz[0] * xyz[1], xyz[2])
-            == bilinear_f(xyz[0], xyz[2] * xyz[1].conj()),
-            tuple(random_octonion(cfg, rng) for _ in range(3))))
-    yield "alternative-laws", lambda: _sweep(
-        500, lambda: _expect(
-            lambda xy: xy[0] * (xy[0] * xy[1]) == (xy[0] * xy[0]) * xy[1]
-            and (xy[1] * xy[0]) * xy[0] == xy[1] * (xy[0] * xy[0]),
-            (random_octonion(cfg, rng), random_octonion(cfg, rng))))
+    yield "unit-law", lambda: _unit_law(cfg)
+    yield "norm-multiplicative", lambda: _norm_multiplicative(cfg)
+    yield "conjugation", lambda: _conjugation(cfg)
+    yield "f-transfer", lambda: _f_transfer(cfg)
+    yield "alternative-laws", lambda: _alternative_laws(cfg)
     yield "doubling-chains", lambda: _doubling_chains(cfg)
     yield "idempotent-identities", lambda: _idempotent_sweep(cfg, rng, 100)
     yield "split-polarization", lambda: _polarization_check(cfg)
+
+
+def _basis(cfg):
+    return [basis_octonion(cfg, label) for label in LABELS]
+
+
+def _products(xs, ys):
+    """[[x * y for y in ys] for x in xs]: the table of one check call."""
+    return [[x * y for y in ys] for x in xs]
+
+
+def _unit_law(cfg):
+    unit = octonion_unit(cfg)
+    for x in _basis(cfg):
+        if unit * x != x or x * unit != x:
+            return f"unit law at {x!r}"
+    return None
+
+
+def _conjugation(cfg):
+    e = _basis(cfg)
+    conj = [x.conj() for x in e]
+    xy = _products(e, e)
+    for i, x in enumerate(e):
+        if conj[i].conj() != x:
+            return f"conj(conj(x)) != x at {x!r}"
+        for j, y in enumerate(e):
+            if xy[i][j].conj() != conj[j] * conj[i]:
+                return f"conj(xy) != conj(y) conj(x) at {x!r}, {y!r}"
+    return None
+
+
+def _f_transfer(cfg):
+    """f(xy, z) = f(y, conj(x) z) = f(x, z conj(y)) on the 512 basis
+    triples (the identity is trilinear)."""
+    e = _basis(cfg)
+    conj = [x.conj() for x in e]
+    xy = _products(e, e)
+    left = _products(conj, e)    # left[i][k] = conj(e_i) e_k
+    right = _products(e, conj)   # right[k][j] = e_k conj(e_j)
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                lhs = bilinear_f(xy[i][j], e[k])
+                if (lhs != bilinear_f(e[j], left[i][k])
+                        or lhs != bilinear_f(e[i], right[k][j])):
+                    return f"f-transfer at {e[i]!r}, {e[j]!r}, {e[k]!r}"
+    return None
+
+
+def _alternative_laws(cfg):
+    """x(xy) = (xx)y and (yx)x = y(xx): the associator a(x, y, z) =
+    (xy)z - x(yz) on the 512 basis triples vanishes when the first two or
+    the last two arguments agree, and changes sign when they swap."""
+    e = _basis(cfg)
+    xy = _products(e, e)
+    a = [[[xy[i][j] * e[k] - e[i] * xy[j][k] for k in range(8)]
+          for j in range(8)] for i in range(8)]
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                t = a[i][j][k]
+                if ((i == j or j == k) and not t.is_zero
+                        or not (t + a[j][i][k]).is_zero
+                        or not (t + a[i][k][j]).is_zero):
+                    return (f"associator not alternating at {e[i]!r}, "
+                            f"{e[j]!r}, {e[k]!r}")
+    return None
+
+
+def _norm_multiplicative(cfg):
+    """Q(xy) = Q(x) Q(y), decided through f: Q has polar form f on the
+    basis (2 Q(e_i) = f(e_i, e_i), Q(e_i + e_j) - Q(e_i) - Q(e_j) =
+    f(e_i, e_j)), and the polarized law f(xy, zw) + f(xw, zy) =
+    f(x, z) f(y, w), which is 4-linear, holds on the 4,096 basis
+    quadruples."""
+    e = _basis(cfg)
+    f = [[bilinear_f(x, y) for y in e] for x in e]
+    for i, x in enumerate(e):
+        if x.norm() * 2 != f[i][i]:
+            return f"2 Q(x) != f(x, x) at {x!r}"
+        for j in range(i + 1, 8):
+            if (x + e[j]).norm() - x.norm() - e[j].norm() != f[i][j]:
+                return f"Q does not polarize to f at {x!r}, {e[j]!r}"
+    xy = [x * y for x in e for y in e]
+    fxy = [[bilinear_f(u, v) for v in xy] for u in xy]  # f(e_i e_j, e_k e_l)
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                for l in range(8):
+                    if (fxy[8 * i + j][8 * k + l] + fxy[8 * i + l][8 * k + j]
+                            != f[i][k] * f[j][l]):
+                        return (f"f(xy, zw) + f(xw, zy) != f(x, z) f(y, w) at "
+                                f"{e[i]!r}, {e[j]!r}, {e[k]!r}, {e[l]!r}")
+    return None
 
 
 def _doubling_chains(cfg):
@@ -137,8 +229,8 @@ def _triality_checks(cfg, rng):
     yield "dim4-family", lambda: _dim4_family(cfg)
     yield "dim2-family", lambda: _dim2_family(cfg)
     yield "orbit-triples", lambda: _orbits(cfg)
-    yield "fixed-point-consistency", lambda: _fixed_points(cfg, rng, 200)
-    yield "product-decomposition", lambda: _barwedge(cfg, rng, 200)
+    yield "fixed-point-consistency", lambda: _fixed_points(cfg)
+    yield "product-decomposition", lambda: _barwedge(cfg)
 
 
 def _root_triples(cfg):
@@ -221,40 +313,63 @@ def _orbits(cfg):
     return None
 
 
-def _fixed_points(cfg, rng, count):
-    for k in range(count):
-        if k % 2 == 0:
-            x = random_g2_lie(cfg, rng, width=1, vmin=0, vmax=1)
-        else:
-            x = random_so(cfg, rng, width=1, vmin=0, vmax=1)
+def _so_basis(cfg):
+    """The 28 so(V) basis elements, in the order of endo.SO_LABELS."""
+    zero, one = cfg.zero(), cfg.one()
+    n = len(SO_LABELS)
+    return [so_matrix(cfg, [one if m == k else zero for m in range(n)])
+            for k in range(n)]
+
+
+def _fixed_points(cfg):
+    """The triality-fixed space equals the derivations, as subspaces of the
+    28 so(V) coordinates.  Column k of T2 and T3 is what solve_lie_triple
+    gives on basis element k; the fixed space is the kernel of the stacked
+    [T2 - 1; T3 - 1], and the derivations are the kernel of the Leibniz
+    map x -> x(e_i e_j) - x(e_i) e_j - e_i x(e_j) on the 64 basis pairs."""
+    basis = _so_basis(cfg)
+    n = len(basis)
+    zero, one = cfg.zero(), cfg.one()
+    t2, t3 = [], []
+    for x in basis:
         tri = solve_lie_triple(x)
-        diag = tri.t2 == x and tri.t3 == x
-        if diag != is_derivation(x):
-            return f"fixed-point mismatch at sample {k}"
+        t2.append(so_coords(tri.t2))
+        t3.append(so_coords(tri.t3))
+    stacked = [[t[k][m] - one if k == m else t[k][m] for k in range(n)]
+               for t in (t2, t3) for m in range(n)]
+    fixed = Subspace(cfg, n, kernel(stacked))
+    e = _basis(cfg)
+    xy = _products(e, e)
+    defects = []  # defects[k]: the 64 Leibniz defects of basis element k
+    for x in basis:
+        img = [Octonion(cfg, col) for col in zip(*x.rows)]
+        defects.append([x.apply(xy[i][j]) - img[i] * e[j] - e[i] * img[j]
+                        for i in range(8) for j in range(8)])
+    leibniz = [[d[pair].coords[m] for d in defects]
+               for pair in range(64) for m in range(8)]
+    derivations = Subspace(cfg, n, kernel(leibniz))
+    if fixed.dim != 14 or derivations.dim != 14 or fixed != derivations:
+        return (f"fixed space of dimension {fixed.dim} against "
+                f"{derivations.dim} derivations")
     return None
 
 
-def _barwedge(cfg, rng, count):
+def _barwedge(cfg):
+    """The product formula on the 64 pairs of the F-basis {1, c} of
+    V0 = D and {b, c b} of W (b in the D-basis of W): both sides are
+    F-bilinear in (v1 + w1, v2 + w2)."""
     d = anisotropic_plane(cfg)
     model = HermitianModel(d)
-    one = octonion_unit(cfg)
     c = d.traceless_generator()
-
-    def rand_v0():
-        return (one.scale(cfg.random(rng, width=1, vmin=0, vmax=0))
-                + c.scale(cfg.random(rng, width=1, vmin=0, vmax=0)))
-
-    def rand_w():
-        out = Octonion(cfg, [cfg.zero()] * 8)
-        for bb in model.space.basis:
-            out = out + rand_v0() * bb
-        return out
-
-    for k in range(count):
-        v1, v2, w1, w2 = rand_v0(), rand_v0(), rand_w(), rand_w()
-        if model.product_via_decomposition(v1, w1, v2, w2) \
-                != (v1 + w1) * (v2 + w2):
-            return f"product decomposition failed at sample {k}"
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    basis = ([(v, zero) for v in (octonion_unit(cfg), c)]
+             + [(zero, w) for b in model.space.basis for w in (b, c * b)])
+    for v1, w1 in basis:
+        for v2, w2 in basis:
+            if model.product_via_decomposition(v1, w1, v2, w2) \
+                    != (v1 + w1) * (v2 + w2):
+                return (f"product decomposition failed at {v1 + w1!r}, "
+                        f"{v2 + w2!r}")
     return None
 
 
@@ -265,7 +380,7 @@ def _norm_checks(cfg, rng):
     yield "extend-su21", lambda: _extend_su21_fixtures(cfg)
     yield "extend-dim4", lambda: _extend_dim4_fixtures(cfg)
     yield "duality-involution", lambda: _duality_involution(cfg)
-    yield "maximinorante", lambda: _maximinorante(cfg, rng, 500)
+    yield "maximinorante", lambda: _maximinorante(cfg)
     yield "uniqueness-perturbation", lambda: _uniqueness(cfg)
     yield "exponent-identities", lambda: _exponent_identities(cfg)
     yield "filtration-multiplicativity", lambda: _filtration_mult(cfg)
@@ -333,25 +448,27 @@ def _duality_involution(cfg):
     return None
 
 
-def _maximinorante(cfg, rng, count):
-    d = hyperbolic_plane(cfg)
-    alpha = extend_sl3(fixtures.wplus_norm(
-        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]), d)
-    for _ in range(count):
-        x = random_octonion(cfg, rng)
-        y = random_octonion(cfg, rng)
-        fv = bilinear_f(x, y)
-        if x.is_zero or y.is_zero or fv.is_zero:
-            continue
-        if alpha.eval(x) + alpha.eval(y) > fv.valuation:
-            return f"maximinorante at {x!r}, {y!r}"
+def _thirds_norm(cfg):
+    """The sl3 extension of the (1/3, 1/3, -2/3) norm on W+."""
+    return extend_sl3(fixtures.wplus_norm(
+        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]),
+        hyperbolic_plane(cfg))
+
+
+def _maximinorante(cfg):
+    """alpha(x) + alpha(y) <= v(f(x, y)) for all x, y iff it holds on the
+    64 pairs of the splitting basis: f is bilinear and alpha is the min
+    over coordinates of v(xi_i) + alpha_i."""
+    alpha = _thirds_norm(cfg)
+    for b1, a1 in zip(alpha.basis, alpha.values):
+        for b2, a2 in zip(alpha.basis, alpha.values):
+            if a1 + a2 > bilinear_f(b1, b2).valuation:
+                return f"maximinorante at {b1!r}, {b2!r}"
     return None
 
 
 def _uniqueness(cfg):
-    d = hyperbolic_plane(cfg)
-    ext = extend_sl3(fixtures.wplus_norm(
-        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]), d)
+    ext = _thirds_norm(cfg)
     for k in range(len(ext.values)):
         bad_vals = list(ext.values)
         bad_vals[k] += 1
@@ -379,10 +496,7 @@ def _exponent_identities(cfg):
 
 
 def _filtration_mult(cfg):
-    d = hyperbolic_plane(cfg)
-    ext = extend_sl3(fixtures.wplus_norm(
-        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]), d)
-    seq = lattice_seq_from_norm(ext)
+    seq = lattice_seq_from_norm(_thirds_norm(cfg))
     gens = {k: lie_generators(seq, k) for k in (1, 2)}
     for k1 in (1, 2):
         for k2 in (1, 2):
@@ -402,7 +516,7 @@ def _filtration_checks(cfg, rng):
     yield "psi-homomorphism", lambda: _psi_hom(cfg, rng)
     yield "psi-equivariance", lambda: _psi_equi(cfg)
     yield "psi-injectivity", lambda: _psi_inj(cfg)
-    yield "trace-invariance", lambda: _trace_inv(cfg, rng)
+    yield "trace-invariance", lambda: _trace_inv(cfg)
     yield "gamma-perp-exhaustive", lambda: _gamma_exhaustive()
     yield "gamma-perp-random", lambda: _gamma_random(rng)
 
@@ -415,11 +529,8 @@ def _moy(cfg):
 
 
 def _quotient_seqs(cfg):
-    d = hyperbolic_plane(cfg)
-    std = lattice_seq_from_norm(standard_norm(cfg))
-    thirds = lattice_seq_from_norm(extend_sl3(fixtures.wplus_norm(
-        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]), d))
-    return (std, thirds)
+    return (lattice_seq_from_norm(standard_norm(cfg)),
+            lattice_seq_from_norm(_thirds_norm(cfg)))
 
 
 def _quotients(cfg):
@@ -487,14 +598,23 @@ def _psi_inj(cfg):
     return None
 
 
-def _trace_inv(cfg, rng):
+def _trace_inv(cfg):
+    """Two fixed pairs through trace_triality_invariance, then the
+    decision: T^T G T = G for the table T of each word, with G the Gram
+    matrix of tr(xy) on the so(V) basis and column k of T the coordinates
+    of the word's image of basis element k."""
     pairs = [(d_torus_lie(cfg, 1, cfg.t()), d_torus_lie(cfg, 1, cfg.one())),
-             (u_root_lie(cfg, 1, 2, cfg.t()), u_root_lie(cfg, 2, 1, cfg.one())),
-             (random_g2_lie(cfg, rng, width=1, vmin=0, vmax=1),
-              random_g2_lie(cfg, rng, width=1, vmin=0, vmax=1))]
+             (u_root_lie(cfg, 1, 2, cfg.t()), u_root_lie(cfg, 2, 1, cfg.one()))]
     for x, y in pairs:
         if not trace_triality_invariance(x, y):
             return "trace pairing moved under triality"
+    basis = _so_basis(cfg)
+    gram = [[trace_product(x.rows, y.rows) for y in basis] for x in basis]
+    gamma = LieTrialityGroup()
+    for word in gamma.WORDS:
+        t = transpose([so_coords(gamma.apply(word, x)) for x in basis])
+        if not mat_eq(mat_mul(transpose(t), mat_mul(gram, t)), gram):
+            return f"trace form moved under {word}"
     return None
 
 
@@ -607,21 +727,6 @@ def _refinement(cfg):
 
 
 # -- runner -----------------------------------------------------------------------
-
-def _sweep(count, one):
-    for k in range(count):
-        bad = one()
-        if bad is not None:
-            return f"sample {k}: {bad}"
-    return None
-
-
-def _expect(pred, value):
-    try:
-        return None if pred(value) else repr(value)
-    except G2KitError as exc:
-        return f"{exc} at {value!r}"
-
 
 _SUITES = {
     "octonion": _octonion_checks,

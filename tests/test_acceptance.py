@@ -50,7 +50,7 @@ def test_criterion_1_octonion_axioms():
             bad = thunk()
             if bad:
                 failures.append(f"{name}: {bad}")
-    report(1, "octonion axioms on >=500 random samples", failures,
+    report(1, "octonion axioms decided on the basis", failures,
            time.monotonic() - start, budget=5)
 
 
@@ -86,10 +86,9 @@ def test_criterion_4_triality_families():
 
 
 def test_criterion_5_fixed_points():
-    rng = random.Random(5)
     start = time.monotonic()
-    bad = _fixed_points(CFG, rng, 200)
-    report(5, "derivation <=> diagonal triple on 200 samples",
+    bad = _fixed_points(CFG)
+    report(5, "derivation <=> diagonal triple decided on the basis",
            [bad] if bad else [], time.monotonic() - start)
 
 

@@ -1,0 +1,128 @@
+"""The identity checks that the octonion, triality, norms and filtration
+suites decide on a basis: each reports fail under a seeded fault in the
+data it decides and pass without it (ROADMAP item 8), and the sampled
+sweeps they replaced (sampled_sweeps) still pass where they pass."""
+
+import random
+
+import pytest
+from sampled_sweeps import (barwedge_sweep, fixed_points_sweep,
+                            maximinorante_sweep)
+
+from g2kit import octonions, triality
+from g2kit.norms import NormFn
+from g2kit.octonions import IDX
+from g2kit.scalars import FieldConfig
+from g2kit.suites import _SUITES, run_check
+
+SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
+            "conjugation": "octonion", "f-transfer": "octonion",
+            "alternative-laws": "octonion",
+            "fixed-point-consistency": "triality",
+            "product-decomposition": "triality", "maximinorante": "norms",
+            "trace-invariance": "filtration"}
+
+
+def _report(name, cfg):
+    [thunk] = [t for n, t in _SUITES[SUITE_OF[name]](cfg, random.Random(1))
+               if n == name]
+    return run_check(name, thunk)
+
+
+def _flip_product(monkeypatch, left, right):
+    """A copy of BASIS_PRODUCT with the sign of e_left e_right flipped,
+    for Octonion.__mul__ only."""
+    table = [list(row) for row in octonions.BASIS_PRODUCT]
+    k, sign = table[IDX[left]][IDX[right]]
+    table[IDX[left]][IDX[right]] = (k, -sign)
+    monkeypatch.setattr(octonions, "BASIS_PRODUCT",
+                        tuple(tuple(row) for row in table))
+
+
+def _flip_lie_table(monkeypatch, field, word=None):
+    """A copy of the triality tables with one root entry of t2 (or of the
+    word's table) negated: column 7 of so(V) moves to another root with
+    the wrong sign."""
+    tables = triality._lie_tables()
+    source = tables.words[word] if word else getattr(tables, field)
+    table = [dict(col) for col in source]
+    [(m, c)] = table[7].items()
+    table[7][m] = -c
+    if word:
+        patched = tables._replace(words={**tables.words, word: table})
+    else:
+        patched = tables._replace(**{field: table})
+    monkeypatch.setattr(triality, "_lie_tables", lambda: patched)
+
+
+def _raise_alpha(monkeypatch):
+    """The thirds norm with its first value raised by 1: alpha_0 plus the
+    value of its dual partner then exceeds v(f) of the pair."""
+    from g2kit import suites
+    thirds = suites._thirds_norm
+
+    def raised(cfg):
+        alpha = thirds(cfg)
+        return NormFn(cfg, alpha.basis, [alpha.values[0] + 1]
+                      + alpha.values[1:])
+    monkeypatch.setattr(suites, "_thirds_norm", raised)
+
+
+def _negate_bar_wedge(monkeypatch):
+    wedge = triality.HermitianModel.bar_wedge
+    monkeypatch.setattr(triality.HermitianModel, "bar_wedge",
+                        lambda self, w1, w2: -wedge(self, w1, w2))
+
+
+FAULTS = {
+    # e_-4 e_1 = e_1 is the unit's left action on e_1
+    "unit-law": lambda mp: _flip_product(mp, -4, 1),
+    "norm-multiplicative": lambda mp: _flip_product(mp, 1, 2),
+    "conjugation": lambda mp: _flip_product(mp, 1, 2),
+    "f-transfer": lambda mp: _flip_product(mp, 1, 2),
+    "alternative-laws": lambda mp: _flip_product(mp, 1, 2),
+    "fixed-point-consistency": lambda mp: _flip_lie_table(mp, "t2"),
+    "product-decomposition": _negate_bar_wedge,
+    "maximinorante": _raise_alpha,
+    "trace-invariance": lambda mp: _flip_lie_table(mp, None, "rho"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+@pytest.mark.parametrize("p", (5, 7))
+def test_decided_check_fails_under_its_fault(p, name, monkeypatch):
+    cfg = FieldConfig(p, 8)
+    assert _report(name, cfg)["status"] == "pass"
+    FAULTS[name](monkeypatch)
+    assert _report(name, cfg)["status"] == "fail"
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_fixed_points_fail_when_the_leibniz_side_moves(p, monkeypatch):
+    """A flipped product moves the derivations but not the solver, which
+    reads its own copy of the table: the two kernels then differ."""
+    cfg = FieldConfig(p, 8)
+    _flip_product(monkeypatch, 1, 2)
+    assert _report("fixed-point-consistency", cfg)["counterexample"] \
+        .startswith("fixed space of dimension 14 against")
+
+
+def test_sampled_oracles_pass_where_the_decisions_pass():
+    cfg = FieldConfig(5, 8)
+    rng = random.Random(1)
+    assert fixed_points_sweep(cfg, rng, 200) is None
+    assert barwedge_sweep(cfg, rng, 200) is None
+    assert maximinorante_sweep(cfg, rng, 500) is None
+
+
+@pytest.mark.parametrize("suite", ("octonion", "triality", "norms"))
+def test_only_idempotent_identities_draws_from_the_rng(suite):
+    cfg = FieldConfig(5, 8)
+    rng = random.Random(1)
+    drew = []
+    for name, thunk in _SUITES[suite](cfg, rng):
+        state = rng.getstate()
+        assert run_check(name, thunk)["status"] == "pass"
+        if rng.getstate() != state:
+            drew.append(name)
+    assert drew == (["idempotent-identities"] if suite == "octonion" else [])

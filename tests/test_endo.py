@@ -71,6 +71,37 @@ def test_so_coords_roundtrip():
         assert so_matrix(CFG, so_coords(x)) == x
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_so_coords_rejects_each_broken_entry(p):
+    """so(V) membership is decided on the 56 SO_PLACES entries and the 8
+    anti-diagonal ones; a break in either kind is refused, and the verdict
+    is the adjoint's on random_so, random_g2_lie and the identity."""
+    from g2kit.endo import SO_PLACES
+    from g2kit.octonions import IDX
+    from g2kit.triality import random_g2_lie
+    cfg = FieldConfig(p, 8)
+    c = cfg.one() + cfg.t()
+
+    def with_entries(entries):
+        return EndV.from_entries(cfg, entries)
+
+    unpaired = with_entries({SO_PLACES[7][0]: c})
+    (i, j), (k, l) = SO_PLACES[1]  # a diagonal pair D_2: (2, 2), (-2, -2)
+    unnegated = with_entries({(i, j): c, (k, l): c})
+    anti = with_entries({(IDX[-1], IDX[1]): c})
+    for x in (unpaired, unnegated, anti):
+        assert not is_so(x)
+        with pytest.raises(DomainError):
+            so_coords(x)
+    assert so_coords(with_entries({(i, j): c, (k, l): -c}))[1] == c
+    rng = random.Random(p)
+    for x in ([random_so(cfg, rng, width=2) for _ in range(10)]
+              + [random_g2_lie(cfg, rng, width=1) for _ in range(10)]
+              + [EndV.identity(cfg)]):
+        assert is_so(x) == (adjoint(x) == -x)
+    assert not is_so(EndV.identity(cfg))
+
+
 def test_lift_sl3_is_derivation():
     phi = mat3([[1, 0, 0], [0, 2, 0], [0, 0, -3]])
     x = lift_sl3(phi, D_HYP)

@@ -636,12 +636,43 @@ def test_octonion_sites_match_their_folds(p, ext):
             == _outcome(ref_mat_vec, rows, list(x.coords))
 
 
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_full_window_octonions_match_the_basis_expansion(p, ext):
+    """The suites decide the octonion identities on basis vectors, whose
+    coordinates are exact +-1; this keeps the multi-coefficient arithmetic
+    tested.  On full-window random_octonion draws at N = 8, x y is the
+    bilinear expansion over BASIS_PRODUCT, Q(x) and f(x, y) the
+    expansions over the Gram matrix and conj(x) is CONJ_MAT x, digit for
+    digit and error for error."""
+    from g2kit.octonions import CONJ_MAT, random_octonion
+    cfg = FieldConfig(p, 8, ext)
+    rng = random.Random(p)
+    for _ in range(60):
+        x, y = (random_octonion(cfg, rng, width=cfg.precision)
+                for _ in range(2))
+        assert _outcome(lambda: list((x * y).coords)) == _outcome(ref_octonion_mul, x, y)
+        assert _outcome(x.norm) == _outcome(ref_norm, x)
+        assert _outcome(bilinear_f, x, y) == _outcome(ref_bilinear_f, x, y)
+        assert list(x.conj().coords) == ref_mat_vec(
+            [[cfg.from_int(c) for c in row] for row in CONJ_MAT], list(x.coords))
+
+
 def test_octonion_suite_unchanged_when_every_sum_folds(monkeypatch):
-    from g2kit.suites import run_suite
+    """The octonion suite and the sampled sweeps of its identities
+    (sampled_sweeps), whose multi-coefficient draws the suite's basis
+    decisions do not make, report the same when every sum folds."""
+    from sampled_sweeps import octonion_sweeps
+    from g2kit.suites import run_check, run_suite
     cfg = FieldConfig(11, 8)
-    kernel = run_suite("octonion", cfg, 1)["checks"]
+
+    def checks():
+        return run_suite("octonion", cfg, 1)["checks"] + [
+            run_check(name, thunk)
+            for name, thunk in octonion_sweeps(cfg, random.Random(1))]
+    kernel = checks()
     _always_fold(monkeypatch)
-    assert run_suite("octonion", cfg, 1)["checks"] == kernel
+    assert checks() == kernel
     assert all(c["status"] == "pass" for c in kernel)
 
 
