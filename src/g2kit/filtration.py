@@ -13,10 +13,13 @@ entries, leaves it in the right half, and 1 - X/2 is invertible iff the
 pivots are the columns of the left half.  No inverse is formed and no
 product taken.  cayley is 1 + cayley_offset: the one Cayley path, and
 cayley_inv reduces [g + 1 | 2 (g - 1)] the same way.  quotient_iso_check
-works on entries and offsets: pair sums are merged entries, the
-homomorphism test is A + B + AB = C modulo A_s with the sparse product
-AB, and each distinct Cayley offset and group generator's offset is
-computed once per check, in tables that live for the call.  The group
+works on entries and offsets: a pair of generators X, Y with
+XY = YX = 0, read from the keys of their entries, satisfies
+C(X + Y) = C(X) C(Y) exactly and is decided with no Cayley transform;
+for every other pair the sum is merged entries, the homomorphism test
+is A + B + AB = C modulo A_s with the sparse product AB, and each
+distinct Cayley offset and group generator's offset is computed once
+per check, in tables that live for the call.  The group
 side forms no 8 x 8 matrix: a generator's offset is read from its
 descriptor (GroupGenerator.offset: +-lam for a root, the torus weights
 minus one on the diagonal), the triality images of the Lie side come as
@@ -214,6 +217,21 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     triality-equivariant isomorphism A_r/A_s -> P^r/P^s, and that fixed
     points of the quotient lift to fixed points of A_r.
 
+    The homomorphism test (a) decides a pair (a, b) of generators with no
+    Cayley transform when X = X_a and Y = X_b annihilate each other,
+    XY = YX = 0 (for a = b, X^2 = 0):
+    - XY = YX = 0 gives 1 - (X + Y)/2 = (1 - X/2)(1 - Y/2) and
+      1 + (X + Y)/2 = (1 + X/2)(1 + Y/2);
+    - X and Y commute, so all four factors do, and C(X + Y) = C(X) C(Y)
+      exactly.  The group law holds on the nose, and so does the
+      congruence modulo P^s;
+    - 1 - X/2 and 1 - Y/2 are invertible, since the images C(X_a) are
+      computed first (a SingularError there propagates).
+    The test reads the keys of the nonzero entries: no column index of
+    X_a is a row index of X_b, nor one of X_b a row index of X_a.  Then
+    no term of either product exists, so no arithmetic decides it.  Every
+    other pair forms the sum, its Cayley offset and both products.
+
     Returns a report dict with a (expected empty) list of violations.
     """
     q = FiltrationQuotient(seq, r, s)
@@ -224,12 +242,17 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     lies = [g.lie.entries() for g in gens]
     images = [cayley_offset(x) for x in lies]
     # (a) Cayley is a homomorphism modulo P^s: (1 + A)(1 + B) = 1 + C
-    # modulo P^s, that is A + B + AB = C modulo A_s.  C(a + b) = C(b + a),
-    # so it is computed once per unordered pair and compared with both
-    # products; failures are reported in (a, b) order.
+    # modulo P^s, that is A + B + AB = C modulo A_s.  A mutually
+    # annihilating pair satisfies it exactly (see the docstring) and is
+    # skipped.  C(a + b) = C(b + a), so it is computed once per other
+    # unordered pair and compared with both products; failures are
+    # reported in (a, b) order.
+    decided = _annihilating_pairs(lies)
     failed = []
     for i, xa in enumerate(lies):
         for j in range(i, len(gens)):
+            if (i, j) in decided:
+                continue
             both = cayley_offset(_sparse_sum(xa, lies[j]))
             for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
                 if not q.congruent(_product_offset(images[a], images[b]),
@@ -292,6 +315,16 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         "generators_tested": len(gens),
         "violations": violations,
     }
+
+
+def _annihilating_pairs(lies) -> set:
+    """The pairs (a, b), a <= b, of entry dicts with X_a X_b = X_b X_a = 0
+    read from the keys of the nonzero entries: no column index of one is
+    a row index of the other, so neither product has a term."""
+    rows = [{i for (i, _), c in x.items() if c.coeffs} for x in lies]
+    cols = [{j for (_, j), c in x.items() if c.coeffs} for x in lies]
+    return {(a, b) for a in range(len(lies)) for b in range(a, len(lies))
+            if cols[a].isdisjoint(rows[b]) and cols[b].isdisjoint(rows[a])}
 
 
 def _same_image(a: dict, b: dict, cfg) -> bool:

@@ -534,7 +534,9 @@ def double(d: CompositionSubalgebra, a: Octonion) -> CompositionSubalgebra:
     """Cayley-Dickson step D -> D + Da for a orthogonal to D, Q(a) != 0.
 
     The product rule (x+ya)(u+va) = (xu - Q(a) conj(v) y) + (vx + y conj(u)) a
-    is verified entrywise on all basis pairs of the doubled algebra.
+    is verified entrywise on all basis pairs of the doubled algebra: both
+    sides are bilinear in ((x, y), (u, v)), so the 2n basis vectors (b, 0)
+    and (0, b) of D + Da decide it on 4n^2 pairs.
     """
     cfg = d.cfg
     qa = a.norm()
@@ -544,16 +546,15 @@ def double(d: CompositionSubalgebra, a: Octonion) -> CompositionSubalgebra:
         if not bilinear_f(b, a).is_zero:
             raise DoublingError("doubling element must be orthogonal to D")
     new_basis = list(d.basis) + [b * a for b in d.basis]
-    for x in d.basis:
-        for y in d.basis:
-            ya = y * a
-            for u in d.basis:
-                for v in d.basis:
-                    lhs = (x + ya) * (u + v * a)
-                    rhs = (x * u - (v.conj() * y).scale(qa)
-                           + (v * x + y * u.conj()) * a)
-                    if lhs != rhs:
-                        raise DoublingError("doubling product formula fails")
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    pairs = [(b, zero) for b in d.basis] + [(zero, b) for b in d.basis]
+    # new_basis lists x + ya for the pairs (x, y), in their order
+    for (x, y), xya in zip(pairs, new_basis):
+        for (u, v), uva in zip(pairs, new_basis):
+            rhs = (x * u - (v.conj() * y).scale(qa)
+                   + (v * x + y * u.conj()) * a)
+            if xya * uva != rhs:
+                raise DoublingError("doubling product formula fails")
     out = CompositionSubalgebra(cfg, new_basis)
     if not out.is_composition():
         raise DoublingError("doubled span is not a composition subalgebra")

@@ -17,7 +17,7 @@ from g2kit.suites import _SUITES, run_check
 
 SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
             "conjugation": "octonion", "f-transfer": "octonion",
-            "alternative-laws": "octonion",
+            "alternative-laws": "octonion", "doubling-chains": "octonion",
             "fixed-point-consistency": "triality",
             "product-decomposition": "triality", "maximinorante": "norms",
             "trace-invariance": "filtration"}
@@ -81,6 +81,7 @@ FAULTS = {
     "conjugation": lambda mp: _flip_product(mp, 1, 2),
     "f-transfer": lambda mp: _flip_product(mp, 1, 2),
     "alternative-laws": lambda mp: _flip_product(mp, 1, 2),
+    "doubling-chains": lambda mp: _flip_product(mp, 1, 2),
     "fixed-point-consistency": lambda mp: _flip_lie_table(mp, "t2"),
     "product-decomposition": _negate_bar_wedge,
     "maximinorante": _raise_alpha,

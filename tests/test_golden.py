@@ -33,8 +33,9 @@ HERMITIAN_CHECKS = {"triality": ("dim2-family", "product-decomposition"),
 def test_hermitian_checks_over_extensions_match_golden(ext):
     """The hermitian checks at (5, 8) over each quadratic extension, run
     as run_suite runs them but without the suite's other checks: each
-    suite's checks come from one random.Random(1), so product-decomposition
-    draws from a fresh generator.  Over the ramified extension,
+    suite's checks come from one random.Random(1), and
+    product-decomposition, decided on the 64 basis pairs, draws nothing
+    from it.  Over the ramified extension,
     extend-su21, corpus-classification and lift-depth fail; the golden
     keeps their counterexample strings."""
     cfg = FieldConfig(5, 8, ext)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from g2kit.endo import EndV, d_torus_lie, u_root_lie
-from g2kit.errors import DomainError, DualityError, VolumeError
+from g2kit.errors import (ConfigMismatchError, DomainError, DualityError,
+                          VolumeError)
+from g2kit.linalg import Subspace
 from g2kit.norms import (FiltrationLattice, HermitianNorm, LatticeSeq, NormFn,
                          dual_norm, extend_dim4, extend_sl3, extend_su21,
                          filtration_lattice, is_algebra_norm, is_self_dual,
@@ -38,6 +40,26 @@ def test_eval_basics():
     assert alpha.eval(Octonion_zero()) == math.inf
     with pytest.raises(DomainError):
         alpha.eval(E[4])
+
+
+def test_eval_tests_membership_below_dimension_8(monkeypatch):
+    """A 3-dimensional norm still rejects a vector outside its span; an
+    8-dimensional one spans V, forms no membership test, and still
+    rejects a vector of another field config."""
+    alpha = wplus_norm([0, 0, 0])
+    for x in (E[4], E[1] + E[-1]):
+        with pytest.raises(DomainError, match="outside the span"):
+            alpha.eval(x)
+    full = standard_norm(CFG)
+    calls = []
+    contains = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda self, v: calls.append(v) or contains(self, v))
+    assert [full.eval(x) for x in E.values()] == [0] * 8
+    assert calls == []
+    other = FieldConfig(7, 8)
+    with pytest.raises(ConfigMismatchError):
+        full.eval(basis_octonion(other, 1) + basis_octonion(other, -2))
 
 
 def Octonion_zero():
