@@ -126,6 +126,7 @@ class EndV:
     def commutator(self, other: "EndV") -> "EndV":
         return self * other - other * self
 
+    @property
     def is_zero(self) -> bool:
         return all(x.is_zero for r in self.rows for x in r)
 
@@ -160,7 +161,7 @@ def endv_truncate(x: EndV, cutoff) -> EndV:
 
 def endv_congruent(x: EndV, y: EndV, cutoff) -> bool:
     """Entrywise congruence modulo p_F^cutoff."""
-    return endv_truncate(x - y, cutoff).is_zero()
+    return endv_truncate(x - y, cutoff).is_zero
 
 
 def sandwich(left, a, right):

@@ -6,15 +6,19 @@ group, and the symplectic fixed-point identity over F_p.
 
 A group element g near 1 is carried as its sparse offset g - 1 and a Lie
 element X on the Cayley path as its entries, both {(i, j): Scalar}.
-cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1}, which is
-(1 - X/2)^{-1} X since X commutes with 1 - X/2: one row reduction of
-[1 - X/2 | X] on the support block of X alone, built there from the
-entries, leaves it in the right half, and 1 - X/2 is invertible iff the
-pivots are the columns of the left half.  No inverse is formed and no
-product taken.  cayley is 1 + cayley_offset: the one Cayley path, and
-cayley_inv reduces [g + 1 | 2 (g - 1)] the same way.  quotient_iso_check
-works on entries and offsets: a pair of generators X, Y with
-XY = YX = 0, read from the keys of their entries, satisfies
+cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1}.  The keys of the
+nonzero entries of X are the edges of its support graph; when that graph
+has no cycle, X is nilpotent and C(X) - 1 is the finite sum
+X + X^2/2 + ... + X^L/2^(L-1), L the longest path, formed with sparse
+products.  Otherwise C(X) - 1 is (1 - X/2)^{-1} X, since X commutes with
+1 - X/2: one row reduction of [1 - X/2 | X] on the support block of X
+alone, built there from the entries, leaves it in the right half, and
+1 - X/2 is invertible iff the pivots are the columns of the left half.
+No inverse is formed on either route.  cayley is 1 + cayley_offset: the
+one Cayley path, and cayley_inv reduces [g + 1 | 2 (g - 1)] the way the
+second route does.  quotient_iso_check works on entries and offsets: a
+pair of generators X, Y with XY = YX = 0, read from the keys of their
+entries, satisfies
 C(X + Y) = C(X) C(Y) exactly and is decided with no Cayley transform;
 for every other pair the sum is merged entries, the homomorphism test
 is A + B + AB = C modulo A_s with the sparse product AB, and each
@@ -27,10 +31,12 @@ entries (LieTrialityGroup.orbit_entries), and the exact image test
 compares 1 + offset on the diagonal and the entries off it.  Congruences
 over a lattice with the standard basis are decided entry by entry, on
 the entries where either side is nonzero
-(FiltrationLattice.contains_difference).  psi_b forms the offset
-y = x - 1 once: x lies in P^r when y lies in A_r, and tr(b y) is
-linalg.trace_product, which forms only the diagonal of b y; y is x with
-one taken off its diagonal.
+(FiltrationLattice.contains_difference).  psi_b reads the offset
+y = x - 1 once: x lies in P^r when y lies in A_r, and tr(b y) forms only
+the diagonal of b y.  Over the standard basis one pass over x tests the
+bounds and keeps the nonzero columns of y
+(FiltrationLattice.offset_columns) for linalg.trace_columns; over any
+other basis y is formed dense and the trace is linalg.trace_product.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -46,7 +52,8 @@ import itertools
 from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
                    so_basis_labels, u_root_lie)
 from .errors import DomainError, MembershipError, SingularError
-from .linalg import Subspace, identity, kernel, rref, trace_product, transpose
+from .linalg import (Subspace, identity, kernel, rref, trace_columns,
+                     trace_product, transpose)
 from .norms import LatticeSeq
 from .octonions import IDX, hyperbolic_plane
 from .residue import PrimeField
@@ -59,37 +66,89 @@ def cayley_offset(x) -> dict:
     """C(X) - 1 as its nonzero entries {(i, j): Scalar}, for X an EndV or
     its entries {(i, j): Scalar}.
 
-    C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1}, and X
-    commutes with 1 - X/2, so this is (1 - X/2)^{-1} X: the right half of
-    [1 - X/2 | X] once row-reduced, with no inverse formed and no product
-    taken.  1 - X/2 is invertible iff the pivots are the k columns of the
-    left half.  Only the support block of X is reduced: the k indices of
-    the rows and columns that hold a nonzero entry, read from the keys.
-    Off that block X is zero and 1 - X/2 is the identity, so C(X) - 1
+    The keys of the nonzero entries are the edges i -> j of the support
+    graph of X.  When that graph has no cycle (a self-loop is one), let L
+    be its longest path, counted in edges.  Then X is nilpotent and
+    C(X) - 1 is the finite sum X + X^2/2 + ... + X^L/2^(L-1), formed
+    with sparse products and no row reduction:
+    - (X^m)_ij is a sum over the paths of length m from i to j, so
+      X^(L+1) = 0;
+    - so 1 - X/2 is unipotent with inverse sum_{m=0}^{L} (X/2)^m; it
+      cannot be singular, and no SingularError is lost;
+    - C(X) - 1 = X (1 - X/2)^{-1} is that finite sum: X for L = 1, and
+      X + X^2/2 for L = 2.
+    The route is decided from the keys alone.
+
+    Otherwise C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1},
+    and X commutes with 1 - X/2, so this is (1 - X/2)^{-1} X: the right
+    half of [1 - X/2 | X] once row-reduced, with no inverse formed and no
+    product taken.  1 - X/2 is invertible iff the pivots are the k
+    columns of the left half.  Only the support block of X is reduced:
+    the k indices of the rows and columns that hold a nonzero entry.  Off
+    that block X is zero and 1 - X/2 is the identity, so C(X) - 1
     vanishes there.  On the block, [1 - X/2 | X] is built from the
     entries: where X has an entry c, 1 - c/2 on the diagonal and 0 - c/2
     off it, and c in the right half; 1 on the rest of the diagonal."""
     entries = x.entries() if isinstance(x, EndV) else x
-    block = sorted({k for ij, c in entries.items() if c.coeffs for k in ij})
-    if not block:
+    nonzero = {ij: entries[ij] for ij in sorted(entries)
+               if entries[ij].coeffs}
+    if not nonzero:
         return {}
-    cfg = next(iter(entries.values())).cfg
+    cfg = next(iter(nonzero.values())).cfg
+    length = _longest_path(nonzero)
+    if length is not None:
+        return _nilpotent_offset(nonzero, length, cfg.half)
+    block = sorted({k for ij in nonzero for k in ij})
     half, zero, one = cfg.half, cfg.zero(), cfg.one()
     k = len(block)
     pos = {i: a for a, i in enumerate(block)}
     aug = [[zero] * (2 * k) for _ in range(k)]
     for a in range(k):
         aug[a][a] = one
-    for (i, j), c in entries.items():
-        if c.coeffs:
-            a, b = pos[i], pos[j]
-            aug[a][b] = aug[a][b] - half * c
-            aug[a][k + b] = c
+    for (i, j), c in nonzero.items():
+        a, b = pos[i], pos[j]
+        aug[a][b] = aug[a][b] - half * c
+        aug[a][k + b] = c
     red, pivots = rref(aug)
     if pivots != list(range(k)):
         raise SingularError("1 - X/2 is not invertible")
     return {(block[a], block[b]): c for a, row in enumerate(red)
             for b, c in enumerate(row[k:]) if c.coeffs}
+
+
+def _longest_path(edges) -> int | None:
+    """The number of edges of a longest path in the graph with the edges
+    i -> j, or None when the graph has a cycle (a self-loop is one).
+    paths holds the pairs (i, j) joined by a walk of m + 1 edges, for
+    m = 0, 1, ...: a cycle closes some walk (i, i) within as many steps
+    as the graph has vertices, and with no cycle the walks stop after
+    the longest path."""
+    succ = {}
+    for i, j in edges:
+        succ.setdefault(i, []).append(j)
+    paths, m = set(edges), 0
+    while paths:
+        if any(i == j for i, j in paths):
+            return None
+        m += 1
+        paths = {(i, k) for i, j in paths for k in succ.get(j, ())}
+    return m
+
+
+def _nilpotent_offset(x: dict, length: int, half: Scalar) -> dict:
+    """X + X^2/2 + ... + X^length/2^(length-1) from the nonzero entries x
+    in row-major order: X^m = X X^(m-1) by _add_product, each entry
+    summed over increasing l, and scaled by half^(m-1) exactly (1/2 is a
+    constant of the residue field).  The entries come out row-major and
+    nonzero, as the row reduction gives them."""
+    if length == 1:
+        return dict(x)
+    out, power, scale = dict(x), x, None
+    for _ in range(length - 1):
+        power = _add_product({}, x, power)
+        scale = half if scale is None else scale * half
+        out = _sparse_sum(out, {k: c * scale for k, c in power.items()})
+    return {k: out[k] for k in sorted(out) if out[k].coeffs}
 
 
 def cayley(x: EndV) -> EndV:
@@ -353,8 +412,14 @@ def _sparse_sum(a: dict, b: dict) -> dict:
 
 def _product_offset(a: dict, b: dict) -> dict:
     """The offset of (1 + a)(1 + b) from the offsets a and b: the sparse
-    sum a + b + ab, each entry of ab summed over increasing l."""
-    out = _sparse_sum(a, b)
+    sum a + b + ab."""
+    return _add_product(_sparse_sum(a, b), a, b)
+
+
+def _add_product(out: dict, a: dict, b: dict) -> dict:
+    """out with the terms of the sparse product ab added in, entry by
+    entry; each entry of ab is summed over l in the order of a's keys,
+    increasing l for a in row-major order."""
     b_rows = {}
     for (l, j), c in b.items():
         b_rows.setdefault(l, []).append((j, c))
@@ -418,15 +483,31 @@ def _orbit_partners(i, j):
 def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
     """psi_b(x) = psi(tr(b (x - 1))) for b in A_{1-s} and x in P^r,
     with psi the additive character of conductor p_F; a character of
-    the quotient P^r / P^s."""
+    the quotient P^r / P^s.
+
+    Over the standard basis x.rows is read once
+    (FiltrationLattice.offset_columns): y = x - 1 is tested against the
+    bounds of A_r and kept as its nonzero columns, and tr(b y) is
+    linalg.trace_columns on them, the sums linalg.trace_product forms,
+    with the same digits and errors.  Over any other basis y is formed
+    dense."""
     if not seq.lattice(1 - s).contains(b):
         raise MembershipError("b must lie in A_{1-s}")
-    one = seq.cfg.one()
-    y = EndV.adopt(seq.cfg, [[c - one if i == j else c for j, c in
-                              enumerate(row)] for i, row in enumerate(x.rows)])
-    if not seq.lattice(r).contains(y):
+    lat = seq.lattice(r)
+    split = lat.offset_columns(x)
+    if split is None:
+        one = seq.cfg.one()
+        y = EndV.adopt(seq.cfg, [[c - one if i == j else c for j, c in
+                                  enumerate(row)]
+                                 for i, row in enumerate(x.rows)])
+        if not lat.contains(y):
+            raise MembershipError("x must lie in P^r")
+        return trace_product(b.rows, y.rows).conductor_character()
+    inside, columns = split
+    if not inside:
         raise MembershipError("x must lie in P^r")
-    return trace_product(b.rows, y.rows).conductor_character()
+    b.rows[0][0]._check(x.rows[0][0])
+    return trace_columns(b.rows, columns).conductor_character()
 
 
 def character_counts(seq: LatticeSeq, r: int, s: int):

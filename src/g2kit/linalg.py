@@ -19,9 +19,10 @@ nonzero, and entrywise sums keep an entry whose partner is zero.  Since
 x - f * 0 and x + 0 are x in scalar arithmetic, every result, truncated
 digit and raised error is the one dense elimination gives.  The entrywise
 kernels, mat_mul and trace_product (tr(a b) from mat_mul's diagonal sums
-alone) compare the field configs of their operands once (a skipped zero
-would otherwise hide a ConfigMismatchError).  mat_vec sums each row's
-nonzero products with one scalars.dot.
+alone, by trace_columns over the nonzero columns of b) compare the field
+configs of their operands once (a skipped zero would otherwise hide a
+ConfigMismatchError).  mat_vec sums each row's nonzero products with one
+scalars.dot.
 
 Exact ones cost nothing either: Scalar multiplication by an exact one
 returns the other operand and its inverse is itself, and rref neither
@@ -104,12 +105,21 @@ def trace_product(a, b):
     """tr(a b) from the diagonal of mat_mul's sums alone, added from zero
     as EndV.trace adds them: the digits and errors of (a b).trace()."""
     a[0][0]._check(b[0][0])
+    return trace_columns(a, [[(l, bl[i]) for l, bl in enumerate(b)
+                              if bl[i].coeffs] for i in range(len(a))])
+
+
+def trace_columns(a, columns):
+    """tr(a y) for y given by its columns, columns[i] the nonzero entries
+    (l, y_li) in increasing l: entry i of the diagonal of a y sums the
+    products a_il y_li with a_il nonzero over increasing l, and the
+    diagonal is added from zero in increasing i."""
     acc = a[0][0].cfg.zero()
-    for i, ai in enumerate(a):
+    for ai, col in zip(a, columns):
         entry = None
-        for x, bl in zip(ai, b):
-            y = bl[i]
-            if x.is_zero or y.is_zero:
+        for l, y in col:
+            x = ai[l]
+            if x.is_zero:
                 continue
             term = x * y
             entry = term if entry is None else entry + term

@@ -470,6 +470,33 @@ class FiltrationLattice:
                 ok = False
         return ok
 
+    def offset_columns(self, g: EndV):
+        """Over the standard basis, (inside, columns) for y = g - 1 in one
+        pass over g.rows: c - 1 is formed on the diagonal (an exact one
+        gives an exact zero with no arithmetic), every nonzero entry of y
+        is tested against its bound (the pass goes on after a failing
+        entry, so a PrecisionError is raised where forming y raises one),
+        and columns[j] lists the nonzero entries (l, y_lj) in increasing
+        l; inside says whether y lies in this lattice.  None over any
+        other basis."""
+        if not self._std:
+            return None
+        one = self.cfg.one()
+        g.rows[0][0]._check(one)  # as forming c - 1 checks every entry
+        columns = [[] for _ in range(8)]
+        inside = True
+        for l, (row, br) in enumerate(zip(g.rows, self._val_bounds)):
+            for j, c in enumerate(row):
+                if j == l:
+                    if c.is_one:  # c - 1 is an exact zero
+                        continue
+                    c = c - one
+                if c.coeffs:
+                    if c.val < br[j]:
+                        inside = False
+                    columns[j].append((l, c))
+        return inside, columns
+
     def contains_group(self, g: EndV) -> bool:
         """Membership of g in P^k: (g - 1) in the k-th lattice (k >= 1)."""
         return self.contains(g - EndV.identity(self.cfg))

@@ -38,7 +38,7 @@ class Stratum:
 
     @property
     def is_null(self) -> bool:
-        return self.beta.is_zero()
+        return self.beta.is_zero
 
     def __repr__(self):
         return f"Stratum(n={self.n}, r={self.r}, null={self.is_null})"
@@ -263,7 +263,7 @@ def _lifted(ext: NormFn, data, beta: EndV, witness) -> Stratum:
     beta must keep the depth, v_Lambda(beta) = -n."""
     stratum = Stratum(lattice_seq_from_norm(ext), data.n, data.r, beta,
                       witness)
-    if beta.is_zero():
+    if beta.is_zero:
         return stratum
     v = seq_valuation(stratum.seq, beta)
     if v != -data.n:

@@ -116,7 +116,17 @@ def test_lift_sl3_rejects_trace():
 
 
 def test_lift_sl3_zero():
-    assert lift_sl3(mat3([[0] * 3] * 3), D_HYP).is_zero()
+    assert lift_sl3(mat3([[0] * 3] * 3), D_HYP).is_zero
+
+
+def test_endv_is_zero_is_a_property():
+    """EndV.is_zero is a bool attribute like Scalar.is_zero and
+    Octonion.is_zero, not a bound method that is always truthy."""
+    assert EndV.zero(CFG).is_zero is True
+    assert EndV.identity(CFG).is_zero is False
+    assert u_root_lie(CFG, 1, 2, CFG.t(3)).is_zero is False
+    x = u_root_lie(CFG, 1, 2, CFG.t())
+    assert (x - x).is_zero is True
 
 
 def test_lift_sl3_eigenvalues():

@@ -3,6 +3,7 @@ symplectic fixed-point identity."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -540,7 +541,10 @@ def E8(cfg, lbl):
 # ref_contains is FiltrationLattice.contains as it was when they were, and
 # ref_cayley the dense formula that cayley was before it was formed from
 # the sparse offset C(X) - 1, and ref_cayley_offset that offset as it was
-# before it came from one row reduction of [1 - X/2 | X].  On the group
+# before it came from one row reduction of [1 - X/2 | X];
+# ref_cayley_offset_rref is that row reduction, which cayley_offset keeps
+# for a support graph with a cycle and which it was for every input
+# before a nilpotent one took the finite sum.  On the group
 # side, ref_group_matrix builds a torus through iota (a 3 x 3 linalg.inv
 # and EndV.from_action), RefGroupTriality reads the hat of a torus off
 # hat(matrix), and ref_group_offset is (matrix - 1).entries(), as they
@@ -586,6 +590,29 @@ def ref_cayley_offset(x):
     prod = linalg.mat_mul(xb, linalg.inv(minus))
     return {(block[a], block[b]): c for a, row in enumerate(prod)
             for b, c in enumerate(row) if c.coeffs}
+
+
+def ref_cayley_offset_rref(x):
+    """C(X) - 1 as one row reduction of [1 - X/2 | X] on the support
+    block of X, for every input."""
+    entries = x.entries() if isinstance(x, EndV) else x
+    block = sorted({k for ij, c in entries.items() if c.coeffs for k in ij})
+    if not block:
+        return {}
+    cfg = next(iter(entries.values())).cfg
+    k = len(block)
+    pos = {i: a for a, i in enumerate(block)}
+    aug = [row + [cfg.zero()] * k for row in linalg.identity(cfg, k)]
+    for (i, j), c in entries.items():
+        if c.coeffs:
+            a, b = pos[i], pos[j]
+            aug[a][b] = aug[a][b] - cfg.half * c
+            aug[a][k + b] = c
+    red, pivots = linalg.rref(aug)
+    if pivots != list(range(k)):
+        raise SingularError("1 - X/2 is not invertible")
+    return {(block[a], block[b]): c for a, row in enumerate(red)
+            for b, c in enumerate(row[k:]) if c.coeffs}
 
 
 def offset(g):
@@ -720,13 +747,26 @@ def outcome(f, *args):
         return type(exc)
 
 
+def rref_spy(monkeypatch):
+    """The shapes of the matrices that filtration.rref is given, in call
+    order."""
+    shapes = []
+    original = filtration.rref
+    monkeypatch.setattr(
+        filtration, "rref",
+        lambda m: shapes.append((len(m), len(m[0]))) or original(m))
+    return shapes
+
+
 @pytest.mark.parametrize("p", (5, 7))
 def test_quotient_iso_matches_reference(p, monkeypatch):
     """Both benchmark sequences at every level: the same report, and 229
     Cayley offsets per check (28 images, the 184 pair sums of generators
     that do not annihilate each other and the 17 triality images that are
     no generator) where the reference takes 602 Cayley transforms (28
-    images, all 406 pair sums and the 17 triality images)."""
+    images, all 406 pair sums and the 17 triality images).  Only the 79
+    offsets whose support graph has a cycle (torus diagonals and
+    opposite-root pairs) are row-reduced."""
     calls = []
     original = filtration.cayley_offset
 
@@ -734,12 +774,13 @@ def test_quotient_iso_matches_reference(p, monkeypatch):
         calls.append(1)
         return original(x)
     monkeypatch.setattr(filtration, "cayley_offset", counting)
+    shapes = rref_spy(monkeypatch)
     for seq in benchmark_sequences(FieldConfig(p, 8)):
         assert seq.lattice(1)._std
         for r, s in LEVELS:
-            del calls[:]
+            del calls[:], shapes[:]
             rep = quotient_iso_check(seq, r, s)
-            assert len(calls) == 229
+            assert (len(calls), len(shapes)) == (229, 79)
             del calls[:]
             assert rep == ref_quotient_iso_check(seq, r, s)
             assert len(calls) == 602
@@ -765,7 +806,7 @@ def test_annihilating_pairs_need_no_cayley_transform(p, ext):
                 for b in range(a, len(gens)):
                     xb = gens[b]
                     pairs += 1
-                    exact = (xa * xb).is_zero() and (xb * xa).is_zero()
+                    exact = (xa * xb).is_zero and (xb * xa).is_zero
                     assert ((a, b) in keyed) == exact
                     if exact:
                         decided += 1
@@ -789,7 +830,7 @@ def test_a_linked_pair_goes_through_the_cayley_transform(monkeypatch):
     row = next(k for k, _ in lies[b])
     linked = {**lies[a], (i, row): c}
     assert not (EndV.from_entries(CFG, linked)
-                * EndV.from_entries(CFG, lies[b])).is_zero()
+                * EndV.from_entries(CFG, lies[b])).is_zero
     assert (a, b) not in filtration._annihilating_pairs(
         [linked if k == a else x for k, x in enumerate(lies)])
     original = filtration.lie_generators
@@ -845,8 +886,8 @@ def test_cayley_offset_matches_the_parent_formula(p):
                                     (5, "unramified"), (5, "ramified")))
 def test_cayley_offset_matches_the_parent_route(p, ext):
     """The 28 generators and 406 pair sums of A_1 and of A_2 on both
-    benchmark sequences: the offset from one row reduction of
-    [1 - X/2 | X] is the parent's X (1 - X/2)^{-1} digit for digit."""
+    benchmark sequences: the offset, a finite sum or one row reduction
+    of [1 - X/2 | X], is the parent's X (1 - X/2)^{-1} digit for digit."""
     cfg = FieldConfig(p, 8, ext)
     count = 0
     for seq in benchmark_sequences(cfg):
@@ -920,14 +961,12 @@ def test_cayley_offset_takes_an_endv_or_its_entries(p):
 
 def test_cayley_offset_leaves_zero_entries_out_of_the_block(monkeypatch):
     """An explicit zero entry, such as a merged sum that cancels, adds no
-    index to the support block that is row-reduced: k rows of
-    [1 - X/2 | X], 2k columns."""
-    shapes = []
-    original = filtration.rref
-    monkeypatch.setattr(
-        filtration, "rref",
-        lambda m: shapes.append((len(m), len(m[0]))) or original(m))
-    x = u_root_lie(CFG, 1, 2, CFG.t(1)).entries()
+    index to the support block that is row-reduced, nor an edge to the
+    support graph: k rows of [1 - X/2 | X], 2k columns, for a torus
+    element (its diagonal entries are self-loops), and the same finite
+    sum, with no row reduction, for a root element."""
+    shapes = rref_spy(monkeypatch)
+    x = d_torus_lie(CFG, 1, CFG.t(1)).entries()
     free = min(set(range(8)) - {k for ij in x for k in ij})
     padded = dict(x)
     padded[free, free] = CFG.zero()
@@ -936,6 +975,112 @@ def test_cayley_offset_leaves_zero_entries_out_of_the_block(monkeypatch):
     assert shapes[0] == shapes[1] and k < 8 and cols == 2 * k
     assert cayley_offset({(free, free): CFG.zero()}) == {}
     assert len(shapes) == 2
+    root = u_root_lie(CFG, 1, 2, CFG.t(1)).entries()
+    free = min(set(range(8)) - {k for ij in root for k in ij})
+    padded = {**root, (free, free): CFG.zero()}
+    assert cayley_offset(padded) == cayley_offset(root)
+    assert cayley_offset(root) == ref_cayley_offset_rref(root)
+    assert len(shapes) == 2
+
+
+def quotient_offset_inputs(monkeypatch, seq, r, s):
+    """The inputs quotient_iso_check gives cayley_offset, in call order."""
+    seen = []
+    original = filtration.cayley_offset
+    monkeypatch.setattr(filtration, "cayley_offset",
+                        lambda x: seen.append(x) or original(x))
+    quotient_iso_check(seq, r, s)
+    monkeypatch.setattr(filtration, "cayley_offset", original)
+    return seen
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_nilpotent_offsets_match_the_row_reduction(p, monkeypatch):
+    """Every cayley_offset input of quotient_iso_check on both benchmark
+    sequences at every level, at N = 5, 6 and 8: the finite sum of a
+    nilpotent input and the row reduction give the same digits (or the
+    same exception class).  Per check 150 of the 229 inputs have a
+    support graph with no cycle, 30 of them with longest path L = 1 and
+    120 with L = 2."""
+    for n in (5, 6, 8):
+        for seq in benchmark_sequences(FieldConfig(p, n)):
+            for r, s in LEVELS:
+                lengths = Counter()
+                for x in quotient_offset_inputs(monkeypatch, seq, r, s):
+                    nonzero = {k: c for k, c in x.items() if c.coeffs}
+                    lengths[filtration._longest_path(nonzero)] += 1
+                    assert (outcome(cayley_offset, x)
+                            == outcome(ref_cayley_offset_rref, x))
+                assert lengths == {None: 79, 1: 30, 2: 120}
+
+
+def test_a_chain_of_length_three_takes_the_finite_sum(monkeypatch):
+    """A chain e_a -> e_b -> e_c -> e_d (L = 3; the generators and their
+    pair sums reach L = 2 only): X + X^2/2 + X^3/4 with no row
+    reduction, equal to the row reduction and to the dense formula."""
+    shapes = rref_spy(monkeypatch)
+    for p in (5, 7, 11):
+        cfg = FieldConfig(p, 8)
+        x = {(6, 1): cfg.monomial(2, 1) + cfg.monomial(1, 3),
+             (1, 4): cfg.monomial(3, -1),
+             (4, 0): cfg.one() + cfg.monomial(4, 2)}
+        assert filtration._longest_path(x) == 3
+        got = cayley_offset(x)
+        assert len(shapes) == 0
+        assert got == ref_cayley_offset_rref(x)
+        m = EndV.from_entries(cfg, x)
+        half = cfg.half
+        want = m + m * m * half + m * m * m * (half * half)
+        assert got == want.entries()
+        assert (EndV.identity(cfg) + EndV.from_entries(cfg, got)).rows \
+            == ref_cayley(m).rows
+        del shapes[:]
+
+
+@pytest.mark.parametrize("x", (
+    {(2, 2): 1},                         # a self-loop
+    {(0, 0): 1, (7, 7): -1},             # a torus diagonal
+    {(1, 6): 1, (6, 1): 3},              # an opposite-root pair
+    {(1, 2): 1, (2, 3): 2, (3, 1): 1},   # a 3-cycle
+), ids=("self-loop", "torus", "opposite-roots", "three-cycle"))
+def test_cyclic_inputs_still_row_reduce(x, monkeypatch):
+    """Control: a support graph with a cycle goes through the one row
+    reduction of [1 - X/2 | X], unchanged."""
+    shapes = rref_spy(monkeypatch)
+    x = {k: CFG.monomial(c % 5, 1) for k, c in x.items()}
+    assert filtration._longest_path(x) is None
+    assert cayley_offset(x) == ref_cayley_offset_rref(x)
+    k = len({i for ij in x for i in ij})
+    assert shapes == [(k, 2 * k)]
+
+
+@pytest.mark.parametrize("p, ext", ((5, "none"), (7, "unramified"),
+                                    (7, "ramified")))
+def test_finite_sum_is_right_where_the_row_reduction_is(p, ext):
+    """Random nilpotent inputs with wide entries of valuation -2 to 2,
+    against the same input lifted to a 40-digit window: the finite sum is
+    right on every digit below the exponent where the row reduction
+    first goes wrong, and on some inputs past it."""
+    cfg, big = FieldConfig(p, 8, ext), FieldConfig(p, 40, ext)
+    rng = random.Random(71)
+    better = 0
+    for _ in range(60):
+        order = rng.sample(range(8), 8)
+        x = {}
+        for _ in range(rng.randrange(1, 12)):
+            a, b = sorted(rng.sample(range(8), 2))
+            x[order[a], order[b]] = cfg.random(
+                rng, width=rng.choice((1, 3, 8)), vmin=-2, vmax=2)
+        if not any(c.coeffs for c in x.values()):
+            continue
+        truth = cayley_offset({k: big.from_coeffs(c.val, c.coeffs)
+                               for k, c in x.items()})
+        truth = EndV.from_entries(big, truth)
+        got, want = (EndV.from_entries(cfg, f(x)) for f in
+                     (cayley_offset, ref_cayley_offset_rref))
+        assert first_wrong(got, truth) >= first_wrong(want, truth)
+        better += first_wrong(got, truth) > first_wrong(want, truth)
+    assert better
 
 
 @pytest.mark.parametrize("entries", (
@@ -1366,6 +1511,95 @@ def test_psi_b_matches_reference_on_random_elements():
                 values.add(want)
     assert MembershipError in values
     assert len(values - {MembershipError}) > 1
+
+
+def benchmark_psi_inputs(cfg, seq, seed):
+    """The (b, x) pairs of the cayley-quotients benchmark's psi_b items at
+    (r, s) = (1, 2): zero b and b = D_1(t^-1) + U_1,2(t^-1) on the Cayley
+    images and on 100 seeded products of two; three b and their triality
+    images on the group generators and their triality images; and the
+    b of valuation -1 on the generators."""
+    gens = lie_generators(seq, 1)
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(len(gens)), rng.randrange(len(gens)))
+             for _ in range(100)]
+    xs = [cayley(g.lie) for g in gens]
+    hom_b = d_torus_lie(cfg, 1, cfg.t(-1)) + u_root_lie(cfg, 1, 2, cfg.t(-1))
+    out = [(EndV.zero(cfg), x) for x in xs]
+    for i, j in pairs:
+        out += [(hom_b, xs[i] * xs[j]), (hom_b, xs[i]), (hom_b, xs[j])]
+    lie_gamma, grp_gamma = LieTrialityGroup(), GroupTriality(cfg)
+    for b in (d_torus_lie(cfg, 1, cfg.t(-1)),
+              u_root_lie(cfg, -1, -3, cfg.t(-1)),
+              u_root_lie(cfg, 1, -2, cfg.t(-1))):
+        for word in LieTrialityGroup.WORDS:
+            winv = grp_gamma.inverse_word(word)
+            for g in gens:
+                out.append((lie_gamma.apply(word, b), g.group.matrix(cfg)))
+                out.append((b, grp_gamma.apply(winv, g.group)))
+    for c in range(1, cfg.p):
+        lam = cfg.monomial(c, -1)
+        for b in (d_torus_lie(cfg, 1, lam), u_root_lie(cfg, 1, 2, lam),
+                  u_root_lie(cfg, 2, -4, lam)):
+            out += [(b, g.group.matrix(cfg)) for g in gens]
+    return out
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_psi_b_matches_reference_on_the_benchmark_inputs(seed):
+    """The one pass over x gives the dense route's value on every psi_b
+    call of a benchmark pass."""
+    seq = STD
+    assert seq.lattice(1).offset_columns(ONE) is not None
+    values = Counter()
+    for b, x in benchmark_psi_inputs(CFG, seq, seed):
+        want = outcome(ref_psi_b, seq, 2, b, x, 1)
+        assert outcome(psi_b, seq, 2, b, x, 1) == want
+        values[want] += 1
+    assert len(values) == CFG.p and MembershipError not in values
+
+
+def raised(f, *args):
+    """f's value, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+def test_psi_b_one_pass_raises_as_the_dense_route():
+    """On the thirds sequence (standard basis, one pass) and on the skew
+    one (dense route): the same MembershipErrors, b before x, and a
+    PrecisionError from forming x - 1 on the diagonal raised after an
+    entry of x - 1 has already failed its bound, as forming the whole
+    difference raises it; an x over another field raises the
+    ConfigMismatchError that forming x - 1 raises."""
+    r, s = 1, 2
+    for seq, one_pass in ((thirds_seq(), True), (skew_seq(), False)):
+        assert (seq.lattice(r).offset_columns(ONE) is not None) == one_pass
+        bound = seq.lattice(1 - s).entry_bound(0, 0)
+        good_b = d_torus_lie(CFG, 1, CFG.t(bound))
+        bad_b = d_torus_lie(CFG, 1, CFG.t(bound - 1))
+        good_x = cayley(lie_generators(seq, r)[5].lie)
+        lat = seq.lattice(r)
+        y = EndV.zero(CFG).rows
+        y[0][1] = CFG.t(lat.entry_bound(0, 1) - 1)  # fails its bound
+        bad_x = ONE + EndV(CFG, lat.from_basis(y))
+        bad = [list(row) for row in bad_x.rows]
+        bad[7][7] = overwide(CFG)  # then raises on subtraction
+        wide_x = EndV(CFG, bad)
+        foreign_x = cayley(u_root_lie(FieldConfig(7, 8), 1, 2,
+                                      FieldConfig(7, 8).t(3)))
+        seen = set()
+        for b in (good_b, bad_b):
+            for x in (good_x, bad_x, wide_x, foreign_x):
+                want = raised(ref_psi_b, seq, s, b, x, r)
+                assert raised(psi_b, seq, s, b, x, r) == want
+                seen.add(want if isinstance(want, tuple) else int)
+        assert seen == {int, (MembershipError, "b must lie in A_{1-s}"),
+                        (MembershipError, "x must lie in P^r"),
+                        (PrecisionError, raised(lambda: wide_x - ONE)[1]),
+                        raised(lambda: foreign_x - ONE)}
 
 
 def test_trace_triality_invariance_matches_the_word_loop():

@@ -48,7 +48,7 @@ def ref_lift_type_d_sl3(data, d):
     beta = lift_sl3(data.phi, d)
     witness = ref_lift_witness_sl3(cfg, d, beta, data.blocks)
     stratum = Stratum(seq, data.n, data.r, beta, witness)
-    if beta.is_zero():
+    if beta.is_zero:
         return stratum
     v = seq_valuation(seq, beta)
     if v != -data.n:
@@ -120,7 +120,7 @@ def ref_lift_type_d_su21(data, d):
             coeffs, Subspace(cfg, 8, [v.coords for v in vectors])))
     witness = [WitnessBlock([0, 1], Subspace(cfg, 8, kernel_rows))] + out_blocks
     stratum = Stratum(seq, data.n, data.r, beta, witness)
-    if beta.is_zero():
+    if beta.is_zero:
         return stratum
     v = seq_valuation(seq, beta)
     if v != -data.n:
