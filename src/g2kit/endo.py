@@ -19,10 +19,9 @@ from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
                      mat_add, mat_eq, mat_mul, mat_neg, mat_scale, mat_sub,
                      mat_vec, transpose, zeros)
 from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
-                        CompositionSubalgebra, Octonion, basis_octonion,
-                        bilinear_f, gram_scalar, octonion_unit,
-                        ordered_polarization, plane_subalgebra,
-                        split_polarization, sqrt_scalar)
+                        CompositionSubalgebra, Octonion, bilinear_f,
+                        gram_scalar, octonion_unit, ordered_polarization,
+                        plane_subalgebra, split_polarization, sqrt_scalar)
 from .scalars import FieldConfig, Scalar
 
 
@@ -61,6 +60,17 @@ class EndV:
         rows = zeros(cfg, 8, 8)
         for (i, j), c in entries.items():
             rows[i][j] = c
+        return cls.adopt(cfg, rows)
+
+    @classmethod
+    def from_offset(cls, cfg, entries) -> "EndV":
+        """1 + the sparse matrix with the given entries {(i, j): Scalar}:
+        the group element g whose offset g - 1 they are.  A diagonal entry
+        c gives 1 + c and an off-diagonal one is placed as it is, the
+        digits of the dense sum identity + from_entries."""
+        rows = identity(cfg, 8)
+        for (i, j), c in entries.items():
+            rows[i][j] = rows[i][j] + c if i == j else c
         return cls.adopt(cfg, rows)
 
     def entries(self) -> dict:
@@ -152,17 +162,6 @@ class EndV:
 
 
 # -- adjoint, so(V), isometries, derivations ----------------------------------
-
-def endv_truncate(x: EndV, cutoff) -> EndV:
-    """Entrywise window surgery: drop coefficients at v_F-index >= cutoff."""
-    return EndV.adopt(x.cfg, [[c.truncate(cutoff) for c in row]
-                              for row in x.rows])
-
-
-def endv_congruent(x: EndV, y: EndV, cutoff) -> bool:
-    """Entrywise congruence modulo p_F^cutoff."""
-    return endv_truncate(x - y, cutoff).is_zero
-
 
 def sandwich(left, a, right):
     """L a R for signed permutation matrices L, R given by the row map of L
@@ -258,25 +257,12 @@ def root_entries(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> dict:
 
 def u_root(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
     """u_{i,j}(lam): e_i -> e_i + lam e_{-j}, e_j -> e_j - lam e_{-i}."""
-    m = identity(cfg, 8)
-    for (r, c), v in root_entries(cfg, i, j, lam).items():
-        m[r][c] = v
-    return EndV.adopt(cfg, m)
+    return EndV.from_offset(cfg, root_entries(cfg, i, j, lam))
 
 
 def u_root_lie(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> EndV:
     """U_{i,j}(lam) = u_{i,j}(lam) - 1, built from its two entries."""
     return EndV.from_entries(cfg, root_entries(cfg, i, j, lam))
-
-
-def d_torus(cfg: FieldConfig, i: int, lam: Scalar) -> EndV:
-    """d_i(lam): e_i -> lam e_i, e_{-i} -> lam^{-1} e_{-i}."""
-    if i not in (1, 2, 3, 4):
-        raise DomainError("torus index must be 1..4")
-    return EndV.from_action(cfg, {
-        i: basis_octonion(cfg, i).scale(lam),
-        -i: basis_octonion(cfg, -i).scale(lam.inv()),
-    })
 
 
 def d_torus_lie(cfg: FieldConfig, i: int, s: Scalar) -> EndV:

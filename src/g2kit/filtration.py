@@ -14,29 +14,28 @@ products.  Otherwise C(X) - 1 is (1 - X/2)^{-1} X, since X commutes with
 1 - X/2: one row reduction of [1 - X/2 | X] on the support block of X
 alone, built there from the entries, leaves it in the right half, and
 1 - X/2 is invertible iff the pivots are the columns of the left half.
-No inverse is formed on either route.  cayley is 1 + cayley_offset: the
-one Cayley path, and cayley_inv reduces [g + 1 | 2 (g - 1)] the way the
-second route does.  quotient_iso_check works on entries and offsets: a
+No inverse is formed on either route.  cayley is the one Cayley path:
+1 + cayley_offset, its entries placed on the identity
+(EndV.from_offset).  quotient_iso_check works on entries and offsets: a
 pair of generators X, Y with XY = YX = 0, read from the keys of their
-entries, satisfies
-C(X + Y) = C(X) C(Y) exactly and is decided with no Cayley transform;
-for every other pair the sum is merged entries, the homomorphism test
-is A + B + AB = C modulo A_s with the sparse product AB, and each
-distinct Cayley offset and group generator's offset is computed once
-per check, in tables that live for the call.  The group
+entries, satisfies C(X + Y) = C(X) C(Y) exactly and is decided with no
+Cayley transform; for every other pair the sum is merged entries, the
+homomorphism test is A + B + AB = C modulo A_s with the sparse product
+AB, and each distinct Cayley offset and group generator's offset is
+computed once per check, in tables that live for the call.  The group
 side forms no 8 x 8 matrix: a generator's offset is read from its
 descriptor (GroupGenerator.offset: +-lam for a root, the torus weights
 minus one on the diagonal), the triality images of the Lie side come as
 entries (LieTrialityGroup.orbit_entries), and the exact image test
 compares 1 + offset on the diagonal and the entries off it.  Congruences
-over a lattice with the standard basis are decided entry by entry, on
-the entries where either side is nonzero
-(FiltrationLattice.contains_difference).  psi_b reads the offset
-y = x - 1 once: x lies in P^r when y lies in A_r, and tr(b y) forms only
-the diagonal of b y.  Over the standard basis one pass over x tests the
-bounds and keeps the nonzero columns of y
-(FiltrationLattice.offset_columns) for linalg.trace_columns; over any
-other basis y is formed dense and the trace is linalg.trace_product.
+are decided on entries (FiltrationLattice.contains_difference): over a
+lattice with the standard basis entry by entry, on the entries where
+either side is nonzero.  psi_b reads the offset y = x - 1 once
+(FiltrationLattice.offset_columns): x lies in P^r when y lies in A_r,
+and tr(b y) is linalg.trace_columns on the nonzero columns of y, which
+forms only the diagonal of b y.  Over the standard basis that is one
+pass over x that tests the bounds; over any other basis y is formed
+dense and tested by FiltrationLattice.contains.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -153,23 +152,7 @@ def _nilpotent_offset(x: dict, length: int, half: Scalar) -> dict:
 
 def cayley(x: EndV) -> EndV:
     """C(X) = (1 + X/2)(1 - X/2)^{-1}, formed as 1 + cayley_offset(x)."""
-    cfg = x.cfg
-    return EndV.identity(cfg) + EndV.from_entries(cfg, cayley_offset(x))
-
-
-def cayley_inv(g: EndV) -> EndV:
-    """C^{-1}(g) = 2 (g + 1)^{-1} (g - 1), the right half of
-    [g + 1 | 2 (g - 1)] once that is row-reduced (g - 1 commutes with
-    g + 1)."""
-    cfg = g.cfg
-    one, two = cfg.one(), cfg.from_int(2)
-    aug = [[c + one if i == j else c for j, c in enumerate(row)]
-           + [two * (c - one if i == j else c) for j, c in enumerate(row)]
-           for i, row in enumerate(g.rows)]
-    red, pivots = rref(aug)
-    if pivots != list(range(8)):
-        raise SingularError("g + 1 is not invertible")
-    return EndV.adopt(cfg, [row[8:] for row in red])
+    return EndV.from_offset(x.cfg, cayley_offset(x))
 
 
 def cayley_scalar(lam: Scalar) -> Scalar:
@@ -260,15 +243,12 @@ class FiltrationQuotient:
                for l in range(8)]
         return EndV.adopt(self.cfg, lat.from_basis(out))
 
-    def congruent(self, x, y) -> bool:
+    def congruent(self, x: dict, y: dict) -> bool:
         """x = y modulo A_s, for Lie elements x, y or for the offsets
-        g - 1, h - 1 of group elements (EndVs or sparse matrices): for h
-        in P(Lambda), A_s h = A_s, so g h^{-1} is in P^s iff g - h is in
-        A_s."""
+        g - 1, h - 1 of group elements, each given by its entries
+        {(i, j): Scalar}: for h in P(Lambda), A_s h = A_s, so g h^{-1} is
+        in P^s iff g - h is in A_s."""
         return self.lat_s.contains_difference(x, y)
-
-    def generators(self):
-        return lie_generators(self.seq, self.r)
 
 
 def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
@@ -295,7 +275,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     """
     q = FiltrationQuotient(seq, r, s)
     cfg = seq.cfg
-    gens = q.generators()
+    gens = lie_generators(seq, r)
     violations = []
     # Lie elements as their entries, group elements near 1 as offsets g - 1
     lies = [g.lie.entries() for g in gens]
@@ -366,7 +346,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
             violations.append("lift leaves A_r")
         if not is_derivation(lifted):
             violations.append("lift is not a derivation")
-        if not q.congruent(lifted, xs):
+        if not q.congruent(lifted.entries(), xs):
             violations.append("lift changes the coset")
     return {
         "check": "quotient_iso",
@@ -485,25 +465,13 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
     with psi the additive character of conductor p_F; a character of
     the quotient P^r / P^s.
 
-    Over the standard basis x.rows is read once
-    (FiltrationLattice.offset_columns): y = x - 1 is tested against the
-    bounds of A_r and kept as its nonzero columns, and tr(b y) is
-    linalg.trace_columns on them, the sums linalg.trace_product forms,
-    with the same digits and errors.  Over any other basis y is formed
-    dense."""
+    y = x - 1 is read once (FiltrationLattice.offset_columns): it is
+    tested against the bounds of A_r and kept as its nonzero columns,
+    and tr(b y) is linalg.trace_columns on them, the sums
+    linalg.trace_product forms, with the same digits and errors."""
     if not seq.lattice(1 - s).contains(b):
         raise MembershipError("b must lie in A_{1-s}")
-    lat = seq.lattice(r)
-    split = lat.offset_columns(x)
-    if split is None:
-        one = seq.cfg.one()
-        y = EndV.adopt(seq.cfg, [[c - one if i == j else c for j, c in
-                                  enumerate(row)]
-                                 for i, row in enumerate(x.rows)])
-        if not lat.contains(y):
-            raise MembershipError("x must lie in P^r")
-        return trace_product(b.rows, y.rows).conductor_character()
-    inside, columns = split
+    inside, columns = seq.lattice(r).offset_columns(x)
     if not inside:
         raise MembershipError("x must lie in P^r")
     b.rows[0][0]._check(x.rows[0][0])
@@ -531,7 +499,8 @@ def trace_triality_invariance(x: EndV, y: EndV) -> bool:
     """tr(XY) = tr(dnu(X) dnu(Y)) for every triality automorphism."""
     gamma = LieTrialityGroup()
     target = trace_product(x.rows, y.rows)
-    for (_, gx), (_, gy) in zip(gamma.orbit(x), gamma.orbit(y)):
+    for word in gamma.WORDS:
+        gx, gy = gamma.apply(word, x), gamma.apply(word, y)
         if trace_product(gx.rows, gy.rows) != target:
             return False
     return True

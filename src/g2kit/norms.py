@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .endo import EndV, HermitianSpace
-from .errors import DomainError, DualityError, KindError, VolumeError
+from .errors import (ConfigMismatchError, DomainError, DualityError,
+                     KindError, VolumeError)
 from .linalg import RowReduction, Subspace, det, inv, mat_mul, transpose
 from .octonions import (CompositionSubalgebra, Octonion, basis_octonion,
                         bilinear_f, dual_basis_in, gram_schmidt,
@@ -390,7 +391,10 @@ class FiltrationLattice:
     """The endomorphism lattice A_k(Lambda): entrywise valuation bounds
     ceil(k/m + a_j - a_l) over the splitting basis.
 
-    Over the standard basis the coordinates are the matrix entries, so
+    Membership is decided for an EndV (contains), for a difference of two
+    matrices given by their entries {(l, j): Scalar} (contains_difference),
+    and for the offset g - 1 of a group element g (offset_columns).  Over
+    the standard basis the coordinates are the matrix entries, so
     contains_difference decides entry by entry, visiting only the entries
     where x or y is nonzero: a difference of two sparse offsets g - 1
     (filtration.cayley_offset) costs a few entries.  An entry equal to its
@@ -398,7 +402,10 @@ class FiltrationLattice:
     skipped; every other difference is formed, in row-major order and also
     after a failing entry, so a PrecisionError is raised exactly when
     forming the whole dense difference raises one.  Over any other basis
-    both are made dense and contains decides."""
+    the difference is formed dense and contains decides.  An input over
+    another field config raises ConfigMismatchError; its configs are
+    compared as Scalar._check compares them (is, then ==), so an equal
+    config built separately is accepted."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -438,22 +445,29 @@ class FiltrationLattice:
             return y
         return mat_mul(self._b, mat_mul(y, self._binv))
 
+    def _check_config(self, cfg: FieldConfig):
+        if cfg is not self.cfg and cfg != self.cfg:
+            raise ConfigMismatchError("operands from different field configs")
+
     def contains(self, x: EndV) -> bool:
+        self._check_config(x.cfg)
         for row, br in zip(self.in_basis(x), self._val_bounds):
             for c, bound in zip(row, br):
                 if c.coeffs and c.val < bound:
                     return False
         return True
 
-    def contains_difference(self, x, y) -> bool:
-        """Membership of x - y, for x and y each an EndV or a sparse matrix
+    def contains_difference(self, xs: dict, ys: dict) -> bool:
+        """Membership of x - y, for x and y given by their entries
         {(l, j): Scalar}, such as the offsets g - 1 that
         filtration.cayley_offset gives."""
         cfg = self.cfg
-        xs, ys = _entries(x), _entries(y)
-        if not self._std or any(c.cfg is not cfg for c in
-                                chain(xs.values(), ys.values())):
-            return self.contains(_dense(cfg, x) - _dense(cfg, y))
+        for c in chain(xs.values(), ys.values()):
+            if c.cfg is not cfg:
+                self._check_config(c.cfg)
+        if not self._std:
+            return self.contains(EndV.from_entries(cfg, xs)
+                                 - EndV.from_entries(cfg, ys))
         bounds = self._val_bounds
         ok = True
         for l, j in sorted(xs.keys() | ys.keys()):
@@ -471,18 +485,22 @@ class FiltrationLattice:
         return ok
 
     def offset_columns(self, g: EndV):
-        """Over the standard basis, (inside, columns) for y = g - 1 in one
-        pass over g.rows: c - 1 is formed on the diagonal (an exact one
-        gives an exact zero with no arithmetic), every nonzero entry of y
-        is tested against its bound (the pass goes on after a failing
-        entry, so a PrecisionError is raised where forming y raises one),
-        and columns[j] lists the nonzero entries (l, y_lj) in increasing
-        l; inside says whether y lies in this lattice.  None over any
-        other basis."""
-        if not self._std:
-            return None
+        """(inside, columns) for y = g - 1: columns[j] lists the nonzero
+        entries (l, y_lj) in increasing l, and inside says whether y lies
+        in this lattice.  Over the standard basis this is one pass over
+        g.rows: c - 1 is formed on the diagonal (an exact one gives an
+        exact zero with no arithmetic), and every nonzero entry of y is
+        tested against its bound, going on after a failing entry, so a
+        PrecisionError is raised where forming y raises one.  Over any
+        other basis y is formed dense and contains decides."""
         one = self.cfg.one()
         g.rows[0][0]._check(one)  # as forming c - 1 checks every entry
+        if not self._std:
+            y = [[c - one if l == j else c for j, c in enumerate(row)]
+                 for l, row in enumerate(g.rows)]
+            return (self.contains(EndV.adopt(self.cfg, y)),
+                    [[(l, row[j]) for l, row in enumerate(y) if row[j].coeffs]
+                     for j in range(8)])
         columns = [[] for _ in range(8)]
         inside = True
         for l, (row, br) in enumerate(zip(g.rows, self._val_bounds)):
@@ -496,19 +514,6 @@ class FiltrationLattice:
                         inside = False
                     columns[j].append((l, c))
         return inside, columns
-
-    def contains_group(self, g: EndV) -> bool:
-        """Membership of g in P^k: (g - 1) in the k-th lattice (k >= 1)."""
-        return self.contains(g - EndV.identity(self.cfg))
-
-
-def _entries(x) -> dict:
-    """The entries {(l, j): Scalar} of an EndV or of a sparse matrix."""
-    return x.entries() if isinstance(x, EndV) else x
-
-
-def _dense(cfg: FieldConfig, x) -> EndV:
-    return x if isinstance(x, EndV) else EndV.from_entries(cfg, x)
 
 
 def seq_valuation(seq: LatticeSeq, x: EndV, indices=range(8)):

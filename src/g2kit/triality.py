@@ -519,26 +519,16 @@ class LieTrialityGroup:
         return so_matrix(x.cfg, _run(_lie_tables().words[word],
                                      so_coords(x), x.cfg))
 
-    def orbit(self, x: EndV):
-        """The six (word, image) pairs of x in WORDS order, each image the
-        one apply(word, x) gives, from one read of the so(V) coordinates
-        of x; raises DomainError if x is not in so(V)."""
-        return [(w, x if c is None else so_matrix(x.cfg, c))
-                for w, c in self._orbit_coords(x)]
-
     def orbit_entries(self, x: EndV):
-        """orbit(x) with each image as its nonzero entries {(i, j): Scalar}
-        in row-major order, read off the so(V) coordinates: no 8 x 8
-        image is formed."""
-        return [(w, x.entries() if c is None else so_entries(c))
-                for w, c in self._orbit_coords(x)]
-
-    def _orbit_coords(self, x: EndV):
-        """(word, so(V) coordinates of the image) in WORDS order, None for
-        the identity word, from one read of the coordinates of x."""
+        """The six (word, image) pairs of x in WORDS order, each image the
+        nonzero entries {(i, j): Scalar}, in row-major order, of the one
+        apply(word, x) gives.  The so(V) coordinates of x are read once
+        and the images come from the tables: no 8 x 8 image is formed.
+        Raises DomainError if x is not in so(V)."""
         coords = so_coords(x)
         words = _lie_tables().words
-        return [(w, None if w == "id" else _run(words[w], coords, x.cfg))
+        return [(w, x.entries() if w == "id"
+                 else so_entries(_run(words[w], coords, x.cfg)))
                 for w in self.WORDS]
 
     def inverse_word(self, word: str) -> str:
@@ -580,6 +570,9 @@ class GroupGenerator:
         return cls("torus", (u, m1, m2, m3))
 
     def matrix(self, cfg) -> EndV:
+        """g itself: a root as 1 + its offset; a torus as its diagonal of
+        weights, since 1 + (w - 1) is w digit for digit only for a 1-unit
+        w, and a torus takes any unit."""
         if self.kind == "root":
             i, j, lam = self.data
             return u_root(cfg, i, j, lam)
@@ -610,9 +603,10 @@ class GroupTriality:
     filtration subgroups; the square-root witnesses are the canonical
     1-unit roots, matching the unique homomorphic section.  It acts on
     descriptors: a root moves by the root-triple descriptors and the hat
-    table, a torus by its weights (hat swaps u and u^{-1}), and no matrix
-    is formed until apply asks for one; quotient_iso_check reads the
-    image's offset instead."""
+    table, a torus by its weights (hat swaps u and u^{-1}).  apply gives
+    the image's matrix, which psi_b reads for the equivariance of the
+    character; quotient_iso_check takes the image descriptor and reads
+    its offset g - 1 (GroupGenerator.offset), with no matrix formed."""
 
     def __init__(self, cfg: FieldConfig):
         self.cfg = cfg

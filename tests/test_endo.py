@@ -6,7 +6,7 @@ import pytest
 
 from g2kit.endo import (SO_LABELS, EndV, WitnessBlock, adjoint,
                         analyze_semisimple, centralizer_shape_dim2_field,
-                        centralizer_shape_dim2_split, d_torus, d_torus_lie,
+                        centralizer_shape_dim2_split, d_torus_lie,
                         dim4_kernel_derivation, hermitian_form,
                         is_algebra_automorphism, is_derivation, is_isometry,
                         is_so, lift_sl3, lift_su21, random_so, so_coords,
@@ -17,10 +17,19 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, octonion_unit,
                              split_polarization, standard_split_dim4)
 from g2kit.scalars import FieldConfig
+from g2kit.triality import GroupGenerator
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
 D_HYP = hyperbolic_plane(CFG)
+
+
+def d_torus(cfg, i, lam):
+    """d_i(lam): e_i -> lam e_i, e_{-i} -> lam^{-1} e_{-i}, the matrix of
+    the torus descriptor with weight lam on e_i (u on e_4)."""
+    one = cfg.one()
+    return GroupGenerator.torus(*(lam if k == i else one
+                                  for k in (4, 1, 2, 3))).matrix(cfg)
 
 
 def sc(k):
@@ -364,6 +373,30 @@ def test_centralizer_shapes():
                                             __import__("g2kit.octonions",
                                                        fromlist=["gram_scalar"]
                                                        ).gram_scalar(CFG)))
+
+
+def test_from_offset_places_the_entries_on_the_identity():
+    """EndV.from_offset gives the digits of identity + from_entries: 1 + c
+    for a diagonal entry c, the entry itself off the diagonal; u_root is
+    1 + its root entries."""
+    rng = random.Random(24)
+    one = EndV.identity(CFG)
+
+    def digits(x):
+        return [(c.val, c.coeffs) for row in x.rows for c in row]
+    for _ in range(30):
+        entries = {(rng.randrange(8), rng.randrange(8)):
+                   CFG.random(rng, width=rng.choice((1, 3)), vmin=-1, vmax=2)
+                   for _ in range(rng.randrange(1, 7))}
+        if rng.randrange(2):
+            entries[(3, 3)] = CFG.one()
+        got = EndV.from_offset(CFG, entries)
+        assert digits(got) == digits(one + EndV.from_entries(CFG, entries))
+    assert EndV.from_offset(CFG, {}) == one
+    for i, j in ((1, 2), (-4, 3), (2, -1)):
+        lam = CFG.t() + CFG.t(3)
+        assert digits(u_root(CFG, i, j, lam)) \
+            == digits(one + u_root_lie(CFG, i, j, lam))
 
 
 def test_public_constructor_copies_and_checks_adopt_wraps():

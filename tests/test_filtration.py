@@ -8,13 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from g2kit.endo import EndV, d_torus_lie, endv_congruent, u_root_lie
-from g2kit.errors import (DomainError, MembershipError, PrecisionError,
-                          SingularError)
+from g2kit.endo import EndV, d_torus_lie, u_root_lie
+from g2kit.errors import (ConfigMismatchError, DomainError, MembershipError,
+                          PrecisionError, SingularError)
 from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
-                              cayley_inv, cayley_offset, cayley_scalar,
-                              character_counts, enumerate_subspaces,
-                              gamma_perp, lie_generators,
+                              cayley_offset, cayley_scalar, character_counts,
+                              enumerate_subspaces, gamma_perp, lie_generators,
                               moy_counterexample, psi_b,
                               quotient_iso_check, random_stable_subspace,
                               standard_symplectic_cycle,
@@ -47,11 +46,11 @@ def test_cayley_basics():
     g = cayley(x)
     assert g.entry(1, 1) == cayley_scalar(CFG.t())
     # the inverse transform recovers x through the precision window
-    assert endv_congruent(cayley_inv(g), x, CFG.precision - 1)
+    assert ref_congruent_mod(ref_cayley_inv(g), x, CFG.precision - 1)
     u = u_root_lie(CFG, 1, 2, CFG.t())
     from g2kit.endo import u_root
     assert cayley(u) == u_root(CFG, 1, 2, CFG.t())
-    assert cayley_inv(cayley(u)) == u  # nilpotent case is division-free
+    assert ref_cayley_inv(cayley(u)) == u  # nilpotent case is division-free
 
 
 def test_cayley_inverse_roundtrip():
@@ -62,7 +61,8 @@ def test_cayley_inverse_roundtrip():
         x = random_so(CFG, rng, width=1, vmin=1, vmax=2)
         if not fl.contains(x):
             continue
-        assert endv_congruent(cayley_inv(cayley(x)), x, CFG.precision - 1)
+        assert ref_congruent_mod(ref_cayley_inv(cayley(x)), x,
+                                 CFG.precision - 1)
 
 
 def test_moy_counterexample():
@@ -100,10 +100,10 @@ def test_quotient_reduce_canonical():
     q = FiltrationQuotient(STD, 1, 2)
     x = d_torus_lie(CFG, 1, CFG.t() + CFG.t(3))
     y = d_torus_lie(CFG, 1, CFG.t())
-    assert q.congruent(x, y)
+    assert q.congruent(x.entries(), y.entries())
     assert q.reduce(x) == q.reduce(y)
     z = d_torus_lie(CFG, 1, CFG.t() * 2)
-    assert not q.congruent(x, z)
+    assert not q.congruent(x.entries(), z.entries())
     assert q.reduce(x) != q.reduce(z)
 
 
@@ -170,7 +170,7 @@ def test_commutator_filtration():
             for gb in gs[:8]:
                 a, b = cayley(ga.lie), cayley(gb.lie)
                 comm = a * b * a.inverse() * b.inverse()
-                assert target.contains_group(comm)
+                assert ref_contains_group(target, comm)
 
 
 def test_psi_b_character():
@@ -615,6 +615,27 @@ def ref_cayley_offset_rref(x):
             for b, c in enumerate(row[k:]) if c.coeffs}
 
 
+def ref_cayley_inv(g):
+    """C^{-1}(g) = 2 (g + 1)^{-1} (g - 1), the right half of
+    [g + 1 | 2 (g - 1)] once that is row-reduced (g - 1 commutes with
+    g + 1)."""
+    cfg = g.cfg
+    one, two = cfg.one(), cfg.from_int(2)
+    aug = [[c + one if i == j else c for j, c in enumerate(row)]
+           + [two * (c - one if i == j else c) for j, c in enumerate(row)]
+           for i, row in enumerate(g.rows)]
+    red, pivots = linalg.rref(aug)
+    if pivots != list(range(8)):
+        raise SingularError("g + 1 is not invertible")
+    return EndV.adopt(cfg, [row[8:] for row in red])
+
+
+def ref_congruent_mod(x, y, cutoff):
+    """x = y entrywise modulo p_F^cutoff."""
+    return all(c.truncate(cutoff).is_zero for row in (x - y).rows
+               for c in row)
+
+
 def offset(g):
     """The sparse offset g - 1 of a group element g."""
     return (g - EndV.identity(g.cfg)).entries()
@@ -670,7 +691,7 @@ def ref_quotient_iso_check(seq, r, s):
     cayley = filtration.cayley
     q = FiltrationQuotient(seq, r, s)
     cfg = seq.cfg
-    gens = q.generators()
+    gens = filtration.lie_generators(seq, r)
     violations = []
     images = [cayley(g.lie) for g in gens]
     failed = []
@@ -731,11 +752,12 @@ def benchmark_sequences(cfg):
     return std, thirds
 
 
-def skew_seq():
+def skew_seq(cfg=CFG):
     """A sequence whose splitting basis is not the standard one."""
-    alpha = extend_sl3(NormFn(CFG, [E[1] + E[2], E[2], E[3]],
+    e = {lbl: basis_octonion(cfg, lbl) for lbl in (1, 2, 3)}
+    alpha = extend_sl3(NormFn(cfg, [e[1] + e[2], e[2], e[3]],
                               [Fraction(1, 3), Fraction(1, 3),
-                               Fraction(-2, 3)]), D)
+                               Fraction(-2, 3)]), hyperbolic_plane(cfg))
     return lattice_seq_from_norm(alpha)
 
 
@@ -1233,7 +1255,7 @@ def test_random_group_descriptors_match_the_parent_routes(p):
 @pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
 def test_orbit_entries_match_the_dense_orbit(p, ext):
     """The generators and the quotient-fixed samples of the check: each
-    image of orbit_entries is orbit(x)[w].entries(), digit for digit and
+    image of orbit_entries is apply(w, x).entries(), digit for digit and
     in key order."""
     cfg = FieldConfig(p, 8, ext)
     gamma = LieTrialityGroup()
@@ -1243,7 +1265,7 @@ def test_orbit_entries_match_the_dense_orbit(p, ext):
             xs += filtration._quotient_fixed_samples(seq, r, s)
     for x in xs:
         got = gamma.orbit_entries(x)
-        want = [(w, y.entries()) for w, y in gamma.orbit(x)]
+        want = [(w, gamma.apply(w, x).entries()) for w in gamma.WORDS]
         assert got == want
         assert [list(e) for _, e in got] == [list(e) for _, e in want]
 
@@ -1366,7 +1388,7 @@ def test_entrywise_congruence_matches_the_difference():
     for lat in lattices():
         for g, h in congruence_pairs(rng, CFG, lat):
             want = ref_contains(lat, g - h)
-            assert lat.contains_difference(g, h) == want
+            assert lat.contains_difference(g.entries(), h.entries()) == want
             assert lat.contains(g - h) == want
             verdicts.add((lat._std, want))
     assert verdicts == {(True, True), (True, False), (False, True),
@@ -1382,8 +1404,8 @@ def test_quotient_congruences_match_the_difference():
             for g, h in congruence_pairs(rng, CFG, q.lat_s):
                 want = ref_congruent_group(q, g, h)
                 assert q.congruent(offset(g), offset(h)) == want
-                assert q.congruent(offset(g), h - ONE) == want
-                assert q.congruent(g, h) == ref_congruent_lie(q, g, h)
+                assert (q.congruent(g.entries(), h.entries())
+                        == ref_congruent_lie(q, g, h))
                 seen.add(want)
     assert seen == {True, False}
 
@@ -1401,7 +1423,7 @@ def test_quotient_reduce_on_a_skew_basis():
         for _ in range(6):
             x = random_endv(rng, CFG, -1, 3, 3)
             rep = q.reduce(x)
-            assert q.congruent(rep, x)
+            assert q.congruent(rep.entries(), x.entries())
             coords = lat.in_basis(rep)
             assert all(coords[l][j].truncate(lat.entry_bound(l, j))
                        == coords[l][j] for l in range(8) for j in range(8))
@@ -1440,9 +1462,9 @@ def test_entrywise_group_membership_matches_the_difference():
             continue
         for g in group_elements(rng, CFG, lat) + [EndV.identity(CFG)]:
             want = ref_contains_group(lat, g)
-            assert lat.contains_group(g) == want
+            assert lat.offset_columns(g)[0] == want
             verdicts.add((lat._std, want))
-        assert not lat.contains_group(EndV.identity(CFG) * CFG.from_int(2))
+        assert not lat.offset_columns(EndV.identity(CFG) * CFG.from_int(2))[0]
     assert verdicts == {(True, True), (True, False), (False, True),
                         (False, False)}
 
@@ -1463,16 +1485,61 @@ def test_entrywise_decisions_raise_where_the_difference_raises():
         bad[7][7] = overwide(CFG)      # then raises on subtraction
         g = EndV(CFG, bad)
         assert outcome(ref_contains_group, lat, g) is PrecisionError
-        assert outcome(lat.contains_group, g) is PrecisionError
+        assert outcome(lat.offset_columns, g) is PrecisionError
         assert outcome(lambda: ref_contains(lat, g - one)) is PrecisionError
-        assert outcome(lat.contains_difference, g, one) is PrecisionError
-        assert outcome(lat.contains_difference, one, g) is PrecisionError
-        # the same entries given sparse, as cayley_offset gives them
-        for x, y in ((g.entries(), one), (one.entries(), g.entries())):
-            assert outcome(lat.contains_difference, x, y) is PrecisionError
+        # the entries given sparse, as cayley_offset gives them
+        gs, ones = g.entries(), one.entries()
+        assert outcome(lat.contains_difference, gs, ones) is PrecisionError
+        assert outcome(lat.contains_difference, ones, gs) is PrecisionError
         # equal entries are skipped: their difference is an exact zero
         assert outcome(ref_contains, lat, g - g) is True
-        assert outcome(lat.contains_difference, g, g) is True
+        assert outcome(lat.contains_difference, gs, gs) is True
+
+
+@pytest.mark.parametrize("p, q", ((5, 7), (7, 11)))
+def test_lattice_membership_refuses_another_field(p, q):
+    """Over a p-lattice, on either basis, an input over F_q((t)) raises
+    ConfigMismatchError on every membership route, whatever its
+    valuations: contains, contains_difference on either side (equal
+    entries too), offset_columns, FiltrationQuotient.congruent, and psi_b
+    with a foreign b inside or outside A_{1-s}."""
+    cfg, other = FieldConfig(p, 8), FieldConfig(q, 8)
+    own = u_root_lie(cfg, 1, 2, cfg.t(3)).entries()
+    for seq in (lattice_seq_from_norm(standard_norm(cfg)), skew_seq(cfg)):
+        lat, quot = seq.lattice(1), FiltrationQuotient(seq, 1, 2)
+        for v in (0, 3):  # outside and inside A_1
+            z = u_root_lie(other, 1, 2, other.t(v))
+            zs = z.entries()
+            for f, *args in ((lat.contains, z),
+                             (lat.contains_difference, zs, {}),
+                             (lat.contains_difference, own, zs),
+                             (lat.contains_difference, zs, zs),
+                             (lat.offset_columns, cayley(z)),
+                             (quot.congruent, zs, own)):
+                assert outcome(f, *args) is ConfigMismatchError, f
+        g = cayley(lie_generators(seq, 1)[0].lie)
+        for v in (-3, -1):  # outside and inside A_{-1}
+            b = d_torus_lie(other, 1, other.t(v))
+            assert outcome(psi_b, seq, 2, b, g, 1) is ConfigMismatchError
+
+
+def test_an_equal_config_built_separately_keeps_the_entry_route(monkeypatch):
+    """Entries over a FieldConfig equal to the lattice's but built apart
+    are decided entry by entry, with the verdicts of the difference."""
+    twin = FieldConfig(CFG.p, CFG.precision)
+    assert twin is not CFG and twin == CFG
+    lat = STD.lattice(1)
+    mine = u_root_lie(CFG, 1, 2, CFG.t())
+    xs = [u_root_lie(twin, 1, 2, twin.t(k)) for k in (0, 1, 2)]
+    want = [ref_contains(lat, x - mine) for x in xs]
+    assert want == [False, True, True]
+    pairs = [(x.entries(), mine.entries()) for x in xs]
+
+    def forbidden(*args):
+        raise AssertionError("dense route taken")
+    monkeypatch.setattr(EndV, "from_entries", forbidden)
+    assert [lat.contains_difference(x, y) for x, y in pairs] == want
+    assert [lat.contains(x) for x in xs] == [False, True, True]
 
 
 def test_psi_b_matches_reference_on_generator_images():
@@ -1550,7 +1617,7 @@ def test_psi_b_matches_reference_on_the_benchmark_inputs(seed):
     """The one pass over x gives the dense route's value on every psi_b
     call of a benchmark pass."""
     seq = STD
-    assert seq.lattice(1).offset_columns(ONE) is not None
+    assert seq.lattice(1)._std
     values = Counter()
     for b, x in benchmark_psi_inputs(CFG, seq, seed):
         want = outcome(ref_psi_b, seq, 2, b, x, 1)
@@ -1576,7 +1643,7 @@ def test_psi_b_one_pass_raises_as_the_dense_route():
     ConfigMismatchError that forming x - 1 raises."""
     r, s = 1, 2
     for seq, one_pass in ((thirds_seq(), True), (skew_seq(), False)):
-        assert (seq.lattice(r).offset_columns(ONE) is not None) == one_pass
+        assert seq.lattice(r)._std == one_pass
         bound = seq.lattice(1 - s).entry_bound(0, 0)
         good_b = d_torus_lie(CFG, 1, CFG.t(bound))
         bad_b = d_torus_lie(CFG, 1, CFG.t(bound - 1))

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from g2kit.endo import (SO_LABELS, EndV, adjoint, d_torus, is_derivation,
+from g2kit.endo import (SO_LABELS, EndV, adjoint, is_derivation,
                         is_isometry, multiplicative_holds, random_so,
                         so_basis_labels, so_coords, so_entries, so_matrix,
                         d_torus_lie, u_root, u_root_lie,
@@ -30,6 +30,14 @@ CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
 ONE = octonion_unit(CFG)
 IDENT = EndV.identity(CFG)
+
+
+def d_torus(cfg, i, lam):
+    """d_i(lam): e_i -> lam e_i, e_{-i} -> lam^{-1} e_{-i}, the matrix of
+    the torus descriptor with weight lam on e_i (u on e_4)."""
+    one = cfg.one()
+    return GroupGenerator.torus(*(lam if k == i else one
+                                  for k in (4, 1, 2, 3))).matrix(cfg)
 
 
 def all_root_pairs():
@@ -487,15 +495,15 @@ def test_orbit_is_the_six_applies_from_one_coordinate_read(p, monkeypatch):
     monkeypatch.setattr(triality_mod, "so_coords", counting)
     for x in so_samples(cfg, random.Random(110 + p)):
         del reads[:]
-        orbit = G.orbit(x)
+        orbit = G.orbit_entries(x)
         assert len(reads) == 1
         assert [w for w, _ in orbit] == list(LieTrialityGroup.WORDS)
-        assert orbit[0][1] is x
+        assert orbit[0][1] == x.entries()
         for word, y in orbit:
-            assert y == G.apply(word, x), word
+            assert y == G.apply(word, x).entries(), word
     not_so = d_torus_lie(cfg, 1, cfg.one()) + EndV.identity(cfg)
     with pytest.raises(DomainError):
-        G.orbit(not_so)
+        G.orbit_entries(not_so)
 
 
 def test_inverse_words_compose_to_identity():
