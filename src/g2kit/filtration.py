@@ -37,6 +37,11 @@ forms only the diagonal of b y.  Over the standard basis that is one
 pass over x that tests the bounds; over any other basis y is formed
 dense and tested by FiltrationLattice.contains.
 
+A quotient A_r/A_s (any r <= s) is read only through quotient_basis:
+lie_generators takes thresholds, character_counts lengths, and part (c)
+of quotient_iso_check triality's F_p-matrices from it.  _lift, where a
+basis coordinate becomes a matrix, needs the standard splitting basis.
+
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
 algebra; ints are reduced where they enter a SymplecticSpace or a
@@ -48,17 +53,17 @@ from __future__ import annotations
 
 import itertools
 
-from .endo import (EndV, d_torus_lie, is_derivation, lift_sl3,
-                   so_basis_labels, u_root_lie)
+from .endo import (SO_LABELS, SO_PLACES, EndV, is_derivation, lift_sl3,
+                   so_matrix)
 from .errors import DomainError, MembershipError, SingularError
 from .linalg import (Subspace, identity, kernel, rref, trace_columns,
                      trace_product, transpose)
 from .norms import LatticeSeq
-from .octonions import IDX, hyperbolic_plane
+from .octonions import hyperbolic_plane
 from .residue import PrimeField
 from .scalars import Scalar
 from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
-                       is_g2_element, is_g2_lie)
+                       _lie_tables, is_g2_element, is_g2_lie)
 
 
 def cayley_offset(x) -> dict:
@@ -184,7 +189,34 @@ def moy_counterexample(u: Scalar) -> bool:
     return broken
 
 
-# -- generators of the filtration pieces -----------------------------------------
+# -- the quotient A_r / A_s ---------------------------------------------------
+
+def _so_bounds(lat) -> list:
+    """bound_k: the bound of lat at SO_PLACES[k][0], in Scalar.val units."""
+    return [lat._val_bounds[l][j] for (l, j), _ in SO_PLACES]
+
+
+def quotient_basis(seq: LatticeSeq, r: int, s: int) -> list:
+    """The basis of A_r/A_s in the splitting basis: the pairs (k, v) for
+    u^v e_k, e_k the so(V) coordinate k of endo.SO_LABELS and
+    bound_k(r) <= v < bound_k(s) (v in the 1/e units of Scalar.val)."""
+    if r > s:
+        raise DomainError("need r <= s")
+    lo, hi = _so_bounds(seq.lattice(r)), _so_bounds(seq.lattice(s))
+    return [(k, v) for k in range(len(SO_LABELS))
+            for v in range(lo[k], hi[k])]
+
+
+def _lift(lat, terms) -> EndV:
+    """sum c u^v e_k over the terms ((k, v), c); e_k is a matrix coordinate
+    only in the standard splitting basis (another raises DomainError)."""
+    if not lat._std:
+        raise DomainError("quotient bases lift on the standard basis only")
+    coords = [lat.cfg.zero()] * len(SO_LABELS)
+    for (k, v), c in terms:
+        coords[k] = coords[k] + lat.cfg.monomial(c, v)
+    return so_matrix(lat.cfg, coords)
+
 
 class GeneratorRecord:
     """A threshold generator of A_r with its exact Cayley image in P^r."""
@@ -196,52 +228,33 @@ class GeneratorRecord:
 
 
 def lie_generators(seq: LatticeSeq, r: int):
-    """Threshold generators of A_r(Lambda) paired with their Cayley
-    images d_i(C(lam)) and u_{i,j}(lam)."""
-    cfg = seq.cfg
-    fl = seq.lattice(r)
-    out = []
-    for i in (1, 2, 3, 4):
-        b = fl.entry_bound(IDX[i], IDX[i])
-        lam = cfg.t(b)
-        mu = cayley_scalar(lam)
-        ms = [mu if i == k else cfg.one() for k in (1, 2, 3)]
-        u = mu if i == 4 else cfg.one()
-        out.append(GeneratorRecord(
-            f"D_{i}(t^{b})", d_torus_lie(cfg, i, lam),
-            GroupGenerator.torus(u, *ms)))
-    for (i, j) in so_basis_labels()[1]:
-        b = fl.entry_bound(IDX[-j], IDX[i])
-        lam = cfg.t(b)
-        out.append(GeneratorRecord(
-            f"U_{i},{j}(t^{b})", u_root_lie(cfg, i, j, lam),
-            GroupGenerator.root(i, j, lam)))
+    """Threshold generators lam e_k of A_r(Lambda), lam = u^v with v the
+    lowest exponent of k in the basis of A_r/A_{r+m}, paired with their
+    Cayley images d_i(C(lam)) and u_{i,j}(lam)."""
+    cfg, fl, one, out = seq.cfg, seq.lattice(r), seq.cfg.one(), []
+    lows = dict(reversed(quotient_basis(seq, r, r + seq.m)))  # lowest v
+    for k, label in enumerate(SO_LABELS):
+        v = lows[k]
+        lam, lie = cfg.monomial(1, v), _lift(fl, [((k, v), 1)])
+        if k < 4:
+            mu = cayley_scalar(lam)
+            name, group = f"D_{label}", GroupGenerator.torus(
+                *(mu if label == i else one for i in (4, 1, 2, 3)))
+        else:
+            name = "U_{},{}".format(*label)
+            group = GroupGenerator.root(*label, lam)
+        out.append(GeneratorRecord(f"{name}(t^{v // cfg.e})", lie, group))
     return out
 
 
 class FiltrationQuotient:
-    """The abelian quotient A_r / A_s (1 <= r <= s <= 2r) with canonical
-    entrywise-truncated coset representatives, and the matching group
-    quotient P^r / P^s under the Cayley bijection."""
+    """The abelian quotient A_r / A_s (1 <= r <= s <= 2r) and the matching
+    group quotient P^r / P^s under the Cayley bijection."""
 
     def __init__(self, seq: LatticeSeq, r: int, s: int):
         if not 1 <= r <= s <= 2 * r:
             raise DomainError("need 1 <= r <= s <= 2r")
-        self.seq = seq
-        self.r = r
-        self.s = s
-        self.cfg = seq.cfg
-        self.lat_r = seq.lattice(r)
-        self.lat_s = seq.lattice(s)
-
-    def reduce(self, x: EndV) -> EndV:
-        """Canonical representative of x + A_s: entrywise truncation at the
-        A_s bounds (in the splitting basis)."""
-        lat = self.lat_s
-        y = lat.in_basis(x)
-        out = [[y[l][j].truncate(lat.entry_bound(l, j)) for j in range(8)]
-               for l in range(8)]
-        return EndV.adopt(self.cfg, lat.from_basis(out))
+        self.lat_r, self.lat_s = seq.lattice(r), seq.lattice(s)
 
     def congruent(self, x: dict, y: dict) -> bool:
         """x = y modulo A_s, for Lie elements x, y or for the offsets
@@ -270,6 +283,21 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     X_a is a row index of X_b, nor one of X_b a row index of X_a.  Then
     no term of either product exists, so no arithmetic decides it.  Every
     other pair forms the sum, its Cayley offset and both products.
+
+    Part (c), every triality-fixed coset of A_r/A_s contains a
+    derivation, is decided on a basis (_quotient_fixed_space): sigma and
+    rho must keep A_r and A_s; their tables keep the exponent, so they act
+    on quotient_basis as F_p-matrices S and R, and the fixed space is the
+    kernel of [S - 1; R - 1] (over F_{p^2} too, as S and R are over F_p).
+    Its dimension must be the rank of the average table, the projection
+    onto it (a wrong S or R can shrink it, which no lift shows).  For each
+    kernel vector, average(x) of x = sum c u^v e_k lies in A_r, is a
+    derivation and is congruent to x mod A_s.  That decides every fixed
+    coset and lift: the tests are linear (average is, A_r and A_s are
+    modules, derivations a subspace), so sum c_i x_i passes when each x_i
+    does; |Gamma| = 6 is prime to p >= 5, so 1/6 is a unit, average(A_s)
+    lies in A_s, and another lift x + a (a in A_s) of the coset has an
+    average congruent to average(x) mod A_s.
 
     Returns a report dict with a (expected empty) list of violations.
     """
@@ -335,18 +363,21 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
             if not q.congruent(transform(y), rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
-    # (c) quotient fixed points lift to honest fixed points
-    for x in _quotient_fixed_samples(seq, r, s):
-        xs = x.entries()
-        for _, y in lie_gamma.orbit_entries(x):
-            if not q.congruent(y, xs):
-                violations.append("sample is not quotient-fixed")
+    # (c) quotient fixed points lift, decided on a basis (see the docstring)
+    basis = quotient_basis(seq, r, s)
+    fixed, rank, moved = _quotient_fixed_space(seq, r, s, basis)
+    violations += [f"{word} moves A_{r} or A_{s}" for word in moved]
+    if len(fixed) != rank:
+        violations.append(f"fixed space of dimension {len(fixed)} where "
+                          f"the averages span {rank}")
+    for vector in fixed:
+        x = _lift(q.lat_r, zip(basis, vector))
         lifted = lie_gamma.average(x)
         if not q.lat_r.contains(lifted):
             violations.append("lift leaves A_r")
         if not is_derivation(lifted):
             violations.append("lift is not a derivation")
-        if not q.congruent(lifted.entries(), xs):
+        if not q.congruent(lifted.entries(), x.entries()):
             violations.append("lift changes the coset")
     return {
         "check": "quotient_iso",
@@ -354,6 +385,35 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         "generators_tested": len(gens),
         "violations": violations,
     }
+
+
+def _quotient_fixed_space(seq: LatticeSeq, r: int, s: int, basis):
+    """(kernel, rank, moved) on A_r/A_s from triality._lie_tables, in
+    ints.  An entry q_mk (e_k -> q_mk e_m, the exponent kept) nonzero mod
+    p needs bound_m <= bound_k at r and at s; moved lists the words among
+    sigma and rho that break this.  Otherwise u^v e_k maps to the
+    q_mk u^v e_m with v < bound_m(s): kernel is that of [S - 1; R - 1]
+    over F_p, and rank is the rank of the average table."""
+    p, lie, field = seq.cfg.p, _lie_tables(), PrimeField(seq.cfg.p)
+    lo, hi = _so_bounds(seq.lattice(r)), _so_bounds(seq.lattice(s))
+    tables = [[{m: q.numerator * pow(q.denominator, -1, p) % p
+                for m, q in col.items()} for col in table]
+              for table in (lie.words["sigma"], lie.words["rho"], lie.average)]
+    moved = [w for w, table in zip(("sigma", "rho"), tables) if any(
+        c and (lo[m] > lo[k] or hi[m] > hi[k])
+        for k, col in enumerate(table) for m, c in col.items())]
+    if moved or not basis:
+        return [], 0, moved
+    d, index, mats = len(basis), {kv: n for n, kv in enumerate(basis)}, []
+    for shift, table in zip((1, 1, 0), tables):
+        rows = [[-shift if a == n else 0 for n in range(d)] for a in range(d)]
+        for n, (k, v) in enumerate(basis):
+            for m, c in table[k].items():
+                if c and v < hi[m]:
+                    rows[index[m, v]][n] += c
+        mats.append([[c % p for c in row] for row in rows])
+    return (kernel(mats[0] + mats[1], field), Subspace(field, d, mats[2]).dim,
+            moved)
 
 
 def _annihilating_pairs(lies) -> set:
@@ -411,53 +471,6 @@ def _add_product(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def _quotient_fixed_samples(seq: LatticeSeq, r: int, s: int):
-    """Elements of A_r fixed by triality modulo A_s: exact orbit sums of
-    root generators, traceless diagonal derivations, and s-level
-    perturbations of both."""
-    cfg = seq.cfg
-    fl_r = seq.lattice(r)
-    fl_s = seq.lattice(s)
-    out = []
-    # short-root orbit sum and its perturbation
-    for (i, j) in ((-1, -3), (2, 1)):
-        parts = _orbit_partners(i, j)
-        b = max(fl_r.entry_bound(IDX[-bb], IDX[aa]) for (aa, bb) in parts)
-        x = EndV.zero(cfg)
-        for (aa, bb) in parts:
-            x = x + u_root_lie(cfg, aa, bb, cfg.t(b))
-        out.append(x)
-        (aa, bb) = parts[0]
-        bump = fl_s.entry_bound(IDX[-bb], IDX[aa])
-        out.append(x + u_root_lie(cfg, aa, bb, cfg.t(bump)))
-    # diagonal derivation D_1(la) + D_2(la) + D_3(-2 la) and perturbation
-    b = fl_r.entry_bound(IDX[1], IDX[1])
-    la = cfg.t(b)
-    diag = (d_torus_lie(cfg, 1, la) + d_torus_lie(cfg, 2, la)
-            + d_torus_lie(cfg, 3, -(la + la)))
-    out.append(diag)
-    bs = fl_s.entry_bound(IDX[1], IDX[1])
-    out.append(diag + d_torus_lie(cfg, 1, cfg.t(bs)))
-    return out
-
-
-def _orbit_partners(i, j):
-    from .triality import _root_triple_descriptors
-    d = _root_triple_descriptors(i, j)
-    seen = []
-    for (a, b, _) in d:
-        if (a, b) not in seen:
-            seen.append((a, b))
-    if len(seen) in (1, 3):
-        return seen
-    # complete the triality orbit of size three
-    extra = _root_triple_descriptors(*seen[1][:2])
-    for (a, b, _) in extra:
-        if (a, b) not in seen:
-            seen.append((a, b))
-    return seen[:3]
-
-
 # -- the character pairing --------------------------------------------------------
 
 def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
@@ -479,20 +492,13 @@ def psi_b(seq: LatticeSeq, s: int, b: EndV, x: EndV, r: int) -> int:
 
 
 def character_counts(seq: LatticeSeq, r: int, s: int):
-    """F_p-dimensions of A_{1-s}/A_{1-r} and of A_r/A_s from the entry
-    bounds; equal dimensions are the counting half of the duality."""
-    def dim(k1, k2):
-        f1 = seq.lattice(k1)
-        f2 = seq.lattice(k2)
-        total = 0
-        for i in (1, 2, 3, 4):
-            total += f2.entry_bound(IDX[i], IDX[i]) \
-                - f1.entry_bound(IDX[i], IDX[i])
-        for (i, j) in so_basis_labels()[1]:
-            total += f2.entry_bound(IDX[-j], IDX[i]) \
-                - f1.entry_bound(IDX[-j], IDX[i])
-        return total
-    return dim(1 - s, 1 - r), dim(r, s)
+    """The lengths of the bases of A_{1-s}/A_{1-r} and of A_r/A_s; equal
+    lengths are the counting half of the duality.  A length counts digits
+    in Scalar.val units, the dimension over the residue field: over the
+    ramified extension e times the count in t units, on both sides, and
+    over F_{p^2} half the F_p-dimension."""
+    return (len(quotient_basis(seq, 1 - s, 1 - r)),
+            len(quotient_basis(seq, r, s)))
 
 
 def trace_triality_invariance(x: EndV, y: EndV) -> bool:

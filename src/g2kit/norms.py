@@ -438,13 +438,6 @@ class FiltrationLattice:
             return x.rows
         return mat_mul(self._binv, mat_mul(x.rows, self._b))
 
-    def from_basis(self, y):
-        """The rows of the matrix whose coordinates in the splitting basis
-        are y: the inverse of in_basis."""
-        if self._std:
-            return y
-        return mat_mul(self._b, mat_mul(y, self._binv))
-
     def _check_config(self, cfg: FieldConfig):
         if cfg is not self.cfg and cfg != self.cfg:
             raise ConfigMismatchError("operands from different field configs")

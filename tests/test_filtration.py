@@ -22,7 +22,8 @@ from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
 from g2kit.linalg import Subspace, kernel, mat_vec
 from g2kit.norms import (NormFn, extend_sl3, filtration_lattice,
                          lattice_seq_from_norm, standard_norm)
-from g2kit.octonions import basis_octonion, gram_scalar, hyperbolic_plane
+from g2kit.octonions import (IDX, basis_octonion, gram_scalar,
+                             hyperbolic_plane)
 from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
 from g2kit.triality import GroupTriality, LieTrialityGroup, random_g2_lie
@@ -94,17 +95,6 @@ def test_quotient_preconditions():
         FiltrationQuotient(STD, 2, 1)
     FiltrationQuotient(STD, 1, 2)
     FiltrationQuotient(STD, 2, 4)
-
-
-def test_quotient_reduce_canonical():
-    q = FiltrationQuotient(STD, 1, 2)
-    x = d_torus_lie(CFG, 1, CFG.t() + CFG.t(3))
-    y = d_torus_lie(CFG, 1, CFG.t())
-    assert q.congruent(x.entries(), y.entries())
-    assert q.reduce(x) == q.reduce(y)
-    z = d_torus_lie(CFG, 1, CFG.t() * 2)
-    assert not q.congruent(x.entries(), z.entries())
-    assert q.reduce(x) != q.reduce(z)
 
 
 def test_quotient_iso_m1():
@@ -556,6 +546,7 @@ from g2kit.errors import PrecisionError  # noqa: E402
 from g2kit.fixtures import wplus_norm  # noqa: E402
 from g2kit.scalars import Scalar  # noqa: E402
 from g2kit.triality import GroupGenerator, hat, iota  # noqa: E402
+from g2kit.endo import SO_LABELS, SO_PLACES, so_coords, so_matrix  # noqa: E402
 
 LEVELS = ((1, 1), (1, 2), (2, 3), (2, 4))
 ONE = EndV.identity(CFG)
@@ -715,10 +706,13 @@ def ref_quotient_iso_check(seq, r, s):
             if not ref_congruent_group(q, lhs, rhs):
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
-    for x in filtration._quotient_fixed_samples(seq, r, s):
-        for word in LieTrialityGroup.WORDS:
-            if not ref_congruent_lie(q, lie_gamma.apply(word, x), x):
-                violations.append("sample is not quotient-fixed")
+    basis, fixed, rank, moved = ref_fixed_space(seq, r, s)
+    violations += [f"{word} moves A_{r} or A_{s}" for word in moved]
+    if len(fixed) != rank:
+        violations.append(f"fixed space of dimension {len(fixed)} where "
+                          f"the averages span {rank}")
+    for vector in fixed:
+        x = ref_lift(cfg, zip(basis, vector))
         lifted = lie_gamma.average(x)
         if not ref_contains(q.lat_r, lifted):
             violations.append("lift leaves A_r")
@@ -732,6 +726,78 @@ def ref_quotient_iso_check(seq, r, s):
         "generators_tested": len(gens),
         "violations": violations,
     }
+
+
+def ref_quotient_basis(seq, r, s):
+    """The pairs (k, v) with e * entry_bound <= v < e * entry_bound at
+    the first place of so(V) coordinate k, at r and at s."""
+    e = seq.cfg.e
+    lo, hi = seq.lattice(r), seq.lattice(s)
+    return [(k, v) for k, (place, _) in enumerate(SO_PLACES)
+            for v in range(e * lo.entry_bound(*place),
+                           e * hi.entry_bound(*place))]
+
+
+def ref_lift(cfg, terms):
+    """sum c u^v e_k over the terms ((k, v), c), formed dense."""
+    x = EndV.zero(cfg)
+    for (k, v), c in terms:
+        coords = [cfg.zero()] * len(SO_PLACES)
+        coords[k] = cfg.monomial(c, v)
+        x = x + so_matrix(cfg, coords)
+    return x
+
+
+def ref_digit(c, v):
+    """The digit of u^v in the scalar c, as an int (a residue of F_{p^2}
+    that lies in F_p as its first component)."""
+    i = v - c.val
+    if not c.coeffs or not 0 <= i < len(c.coeffs):
+        return 0
+    d = c.coeffs[i]
+    if isinstance(d, tuple):
+        assert d[1] == 0
+        d = d[0]
+    return d
+
+
+def ref_fixed_space(seq, r, s):
+    """(basis, kernel vectors, rank, moved words) from dense images: a
+    word moves A_r or A_s when the image of some u^bound e_k, applied by
+    LieTrialityGroup.apply, leaves the lattice; otherwise the matrices of
+    sigma and rho on the basis are the digits, read from so_coords, of
+    the images of the basis lifts, the kernel is linalg.kernel of
+    [S - 1; R - 1] over PrimeField(p), and rank is that of the matrix of
+    LieTrialityGroup.average."""
+    cfg, p = seq.cfg, seq.cfg.p
+    gamma = LieTrialityGroup()
+    basis = ref_quotient_basis(seq, r, s)
+    moved = []
+    for word in ("sigma", "rho"):
+        for lat in (seq.lattice(r), seq.lattice(s)):
+            for k, (place, _) in enumerate(SO_PLACES):
+                x = ref_lift(cfg, [((k, cfg.e * lat.entry_bound(*place)), 1)])
+                if not ref_contains(lat, gamma.apply(word, x)):
+                    moved.append(word)
+    moved = list(dict.fromkeys(moved))
+    if moved or not basis:
+        return basis, [], 0, moved
+    mats = {}
+    for name, image in (("sigma", lambda x: gamma.apply("sigma", x)),
+                        ("rho", lambda x: gamma.apply("rho", x)),
+                        ("average", gamma.average)):
+        cols = []
+        for kv in basis:
+            y = so_coords(image(ref_lift(cfg, [(kv, 1)])))
+            cols.append([ref_digit(y[m], w) for m, w in basis])
+        mats[name] = linalg.transpose(cols)
+    d = len(basis)
+    shifted = [[(c - (a == n)) % p for n, c in enumerate(row)]
+               for word in ("sigma", "rho")
+               for a, row in enumerate(mats[word])]
+    field = PrimeField(p)
+    return (basis, kernel(shifted, field),
+            Subspace(field, d, mats["average"]).dim, moved)
 
 
 def ref_psi_b(seq, s, b, x, r):
@@ -1254,15 +1320,17 @@ def test_random_group_descriptors_match_the_parent_routes(p):
 
 @pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
 def test_orbit_entries_match_the_dense_orbit(p, ext):
-    """The generators and the quotient-fixed samples of the check: each
-    image of orbit_entries is apply(w, x).entries(), digit for digit and
-    in key order."""
+    """The generators, the quotient basis lifts and the fixed-space lifts
+    of the check: each image of orbit_entries is apply(w, x).entries(),
+    digit for digit and in key order."""
     cfg = FieldConfig(p, 8, ext)
     gamma = LieTrialityGroup()
     xs = [g.lie for g in reached_generators(cfg)]
     for seq in benchmark_sequences(cfg):
         for r, s in LEVELS:
-            xs += filtration._quotient_fixed_samples(seq, r, s)
+            basis, fixed, _, _ = ref_fixed_space(seq, r, s)
+            xs += [ref_lift(cfg, [(kv, 1)]) for kv in basis]
+            xs += [ref_lift(cfg, zip(basis, v)) for v in fixed]
     for x in xs:
         got = gamma.orbit_entries(x)
         want = [(w, gamma.apply(w, x).entries()) for w in gamma.WORDS]
@@ -1410,30 +1478,6 @@ def test_quotient_congruences_match_the_difference():
     assert seen == {True, False}
 
 
-def test_quotient_reduce_on_a_skew_basis():
-    """Over a splitting basis that is not the standard one, reduce(x) is
-    congruent to x, has no coordinate digit at or past its A_s bound, is
-    fixed by reduce, and is the same for x moved by an element of A_s."""
-    seq = skew_seq()
-    rng = random.Random(69)
-    for r, s in LEVELS:
-        q = FiltrationQuotient(seq, r, s)
-        lat = q.lat_s
-        assert not lat._std
-        for _ in range(6):
-            x = random_endv(rng, CFG, -1, 3, 3)
-            rep = q.reduce(x)
-            assert q.congruent(rep.entries(), x.entries())
-            coords = lat.in_basis(rep)
-            assert all(coords[l][j].truncate(lat.entry_bound(l, j))
-                       == coords[l][j] for l in range(8) for j in range(8))
-            assert q.reduce(rep) == rep
-            a = random_endv(rng, CFG, 4, 6, 2)
-            assert lat.contains(a)
-            assert q.reduce(x + a) == rep
-            assert rep != x
-
-
 def group_elements(rng, cfg, lat):
     """1 + y for y around the entry bounds of lat: most lie in the group
     piece, some miss it by one entry, some have exact ones on the
@@ -1517,7 +1561,7 @@ def test_lattice_membership_refuses_another_field(p, q):
                              (lat.offset_columns, cayley(z)),
                              (quot.congruent, zs, own)):
                 assert outcome(f, *args) is ConfigMismatchError, f
-        g = cayley(lie_generators(seq, 1)[0].lie)
+        g = cayley(d_torus_lie(cfg, 1, cfg.t()))
         for v in (-3, -1):  # outside and inside A_{-1}
             b = d_torus_lie(other, 1, other.t(v))
             assert outcome(psi_b, seq, 2, b, g, 1) is ConfigMismatchError
@@ -1647,11 +1691,15 @@ def test_psi_b_one_pass_raises_as_the_dense_route():
         bound = seq.lattice(1 - s).entry_bound(0, 0)
         good_b = d_torus_lie(CFG, 1, CFG.t(bound))
         bad_b = d_torus_lie(CFG, 1, CFG.t(bound - 1))
-        good_x = cayley(lie_generators(seq, r)[5].lie)
         lat = seq.lattice(r)
+        # U_{-4,-2} at its bound on the splitting basis: in P^r on both
+        good_x = cayley(u_root_lie(CFG, -4, -2, CFG.t(
+            lat.entry_bound(IDX[2], IDX[-4]))))
         y = EndV.zero(CFG).rows
         y[0][1] = CFG.t(lat.entry_bound(0, 1) - 1)  # fails its bound
-        bad_x = ONE + EndV(CFG, lat.from_basis(y))
+        if not one_pass:  # the matrix with coordinates y on the basis
+            y = linalg.mat_mul(lat._b, linalg.mat_mul(y, lat._binv))
+        bad_x = ONE + EndV(CFG, y)
         bad = [list(row) for row in bad_x.rows]
         bad[7][7] = overwide(CFG)  # then raises on subtraction
         wide_x = EndV(CFG, bad)
@@ -1680,3 +1728,164 @@ def test_trace_triality_invariance_matches_the_word_loop():
         want = all((gamma.apply(w, x) * gamma.apply(w, y)).trace() == target
                    for w in LieTrialityGroup.WORDS)
         assert trace_triality_invariance(x, y) == want
+
+
+# -- the quotient basis and part (c) of the quotient check -----------------
+
+def ref_lie_generators(seq, r):
+    """(name, lie, descriptor) of each generator of A_r, built from the
+    entry bounds on the standard matrix coordinates."""
+    cfg, fl, one = seq.cfg, seq.lattice(r), seq.cfg.one()
+    out = []
+    for i in (1, 2, 3, 4):
+        b = fl.entry_bound(IDX[i], IDX[i])
+        mu = cayley_scalar(cfg.t(b))
+        ms = [mu if i == k else one for k in (1, 2, 3)]
+        out.append((f"D_{i}(t^{b})", d_torus_lie(cfg, i, cfg.t(b)),
+                    GroupGenerator.torus(mu if i == 4 else one, *ms)))
+    for i, j in SO_LABELS[4:]:
+        b = fl.entry_bound(IDX[-j], IDX[i])
+        out.append((f"U_{i},{j}(t^{b})", u_root_lie(cfg, i, j, cfg.t(b)),
+                    GroupGenerator.root(i, j, cfg.t(b))))
+    return out
+
+
+def ref_entry_count(seq, r, s):
+    """The count of A_r/A_s from the entry bounds in t units."""
+    lo, hi = seq.lattice(r), seq.lattice(s)
+    return sum(hi.entry_bound(*place) - lo.entry_bound(*place)
+               for place, _ in SO_PLACES)
+
+
+QUOTIENT_LEVELS = LEVELS + ((-1, 0), (-3, -1), (0, 3), (-2, 2))
+
+
+@pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7))
+def test_quotient_basis_reads_the_entry_bounds(p, ext):
+    """On the three sequences, the skew one too, and on levels outside
+    1 <= r <= s <= 2r: the basis is the pairs of the entry bounds in
+    val units, character_counts is the lengths of two bases, which is e
+    times the entry-bound count in t units; r > s is refused."""
+    cfg = FieldConfig(p, 8, ext)
+    for seq in benchmark_sequences(cfg) + (skew_seq(cfg),):
+        for r, s in QUOTIENT_LEVELS:
+            basis = filtration.quotient_basis(seq, r, s)
+            assert basis == ref_quotient_basis(seq, r, s)
+            assert len(basis) == cfg.e * ref_entry_count(seq, r, s)
+        for r, s in ((1, 2), (2, 3), (2, 4)):
+            counts = character_counts(seq, r, s)
+            assert counts == (len(ref_quotient_basis(seq, 1 - s, 1 - r)),
+                              len(ref_quotient_basis(seq, r, s)))
+            assert counts[0] == counts[1]
+        with pytest.raises(DomainError):
+            filtration.quotient_basis(seq, 2, 1)
+    std, thirds = benchmark_sequences(cfg)
+    assert character_counts(std, 1, 2) == (28 * cfg.e, 28 * cfg.e)
+    assert character_counts(thirds, 2, 4) == (19 * cfg.e, 19 * cfg.e)
+
+
+@pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7))
+def test_lie_generators_take_the_lowest_basis_exponent(p, ext):
+    """Names, Lie elements and group descriptors are those built from
+    the entry bounds, on both benchmark sequences at r = 1, 2, 3."""
+    cfg = FieldConfig(p, 8, ext)
+    for seq in benchmark_sequences(cfg):
+        for r in (1, 2, 3):
+            got = lie_generators(seq, r)
+            want = ref_lie_generators(seq, r)
+            assert [g.name for g in got] == [w[0] for w in want]
+            assert [g.lie for g in got] == [w[1] for w in want]
+            assert ([(g.group.kind, g.group.data) for g in got]
+                    == [(w[2].kind, w[2].data) for w in want])
+
+
+# (standard, thirds) fixed-space dimensions at LEVELS in t units
+FIXED_DIMS = ((0, 14, 14, 28), (0, 3, 3, 11))
+
+
+@pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7))
+def test_fixed_space_matches_the_dense_images(p, ext):
+    """The int-table fixed space is the dense one: the same kernel
+    vectors, the same rank of the average and no moved word, with the
+    pinned dimensions (doubled over the ramified field, whose digits are
+    in 1/2 units)."""
+    cfg = FieldConfig(p, 8, ext)
+    for seq, dims in zip(benchmark_sequences(cfg), FIXED_DIMS):
+        got_dims = []
+        for r, s in LEVELS:
+            basis, fixed, rank, moved = ref_fixed_space(seq, r, s)
+            got = filtration._quotient_fixed_space(seq, r, s, basis)
+            assert got == (fixed, rank, moved)
+            assert moved == [] and rank == len(fixed)
+            got_dims.append(len(fixed))
+        assert tuple(got_dims) == tuple(cfg.e * d for d in dims)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_a_skew_splitting_basis_is_refused(p):
+    """lie_generators builds u^v e_k as a matrix: over the skew basis
+    (e_1 + e_2, e_2, e_3, ...) the bounds of the splitting basis make 7 of
+    the 28 generators of A_1 and 6 of A_2 miss their lattice, and the
+    check reported spurious homomorphism failures.  The lift refuses that
+    basis, so the generators and the check raise; the basis and its
+    counts, which form no matrix, are still read."""
+    cfg = FieldConfig(p, 8)
+    skew = skew_seq(cfg)
+    for r, missing in ((1, 7), (2, 6)):
+        lat = skew.lattice(r)
+        assert sum(not lat.contains(x) for _, x, _ in
+                   ref_lie_generators(skew, r)) == missing
+        with pytest.raises(DomainError):
+            lie_generators(skew, r)
+    for r, s in ((1, 2), (2, 3)):
+        with pytest.raises(DomainError):
+            quotient_iso_check(skew, r, s)
+        assert character_counts(skew, r, s) == (9, 9)
+    with pytest.raises(DomainError):
+        filtration._lift(skew.lattice(1), [((4, 1), 1)])
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_part_c_reports_an_average_that_moves_the_coset(p, monkeypatch):
+    """Negative control: an average that adds u^v e_k with
+    bound_k(r) <= v < bound_k(s) changes the coset of every fixed-space
+    lift, 14 on the standard sequence at (1, 2), and stops being a
+    derivation."""
+    cfg = FieldConfig(p, 8)
+    std, _ = benchmark_sequences(cfg)
+    r, s = 1, 2
+    (k, v) = filtration.quotient_basis(std, r, s)[0]
+    assert std.lattice(r).entry_bound(*SO_PLACES[k][0]) <= v \
+        < std.lattice(s).entry_bound(*SO_PLACES[k][0])
+    original = LieTrialityGroup.average
+
+    def shifted(self, x):
+        return original(self, x) + ref_lift(cfg, [((k, v), 1)])
+    monkeypatch.setattr(LieTrialityGroup, "average", shifted)
+    rep = quotient_iso_check(std, r, s)
+    assert rep["violations"] == ["lift is not a derivation",
+                                 "lift changes the coset"] * 14
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_part_c_reports_a_flipped_sign_in_the_sigma_table(p, monkeypatch):
+    """Negative control: sigma(U_{-4,-1}) = U_{3,2} read as -U_{3,2} in a
+    copy of the table that part (c) builds from shrinks the kernel to 13
+    while the average still spans 14; the lifts, averaged with the true
+    tables, pass."""
+    from g2kit import triality
+    tables = triality._lie_tables()
+    sigma = [dict(col) for col in tables.words["sigma"]]
+    k = SO_LABELS.index((-4, -1))
+    [(m, q)] = sigma[k].items()
+    assert (SO_LABELS[m], q) == ((3, 2), 1)
+    sigma[k][m] = -q
+    flipped = tables._replace(words={**tables.words, "sigma": sigma})
+    monkeypatch.setattr(filtration, "_lie_tables", lambda: flipped)
+    std, _ = benchmark_sequences(FieldConfig(p, 8))
+    rep = quotient_iso_check(std, 1, 2)
+    assert rep["violations"] == [
+        "fixed space of dimension 13 where the averages span 14"]
