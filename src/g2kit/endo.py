@@ -133,9 +133,6 @@ class EndV:
             acc = acc + self.rows[i][i]
         return acc
 
-    def commutator(self, other: "EndV") -> "EndV":
-        return self * other - other * self
-
     @property
     def is_zero(self) -> bool:
         return all(x.is_zero for r in self.rows for x in r)
@@ -452,11 +449,6 @@ class HermitianSpace:
                     img = img + g[i][j] * w
             cols += [list(img.coords), list((self.c * img).coords)]
         return assemble(cfg, list(self.d.basis) + self.fbasis, cols)
-
-
-def hermitian_form(d: CompositionSubalgebra, x: Octonion, y: Octonion) -> Octonion:
-    """Phi(x, y) in D, as HermitianSpace(d).form(x, y)."""
-    return HermitianSpace(d).form(x, y)
 
 
 def lift_su21(phi, d: CompositionSubalgebra, wbasis) -> EndV:
@@ -792,25 +784,3 @@ def dim4_kernel_derivation(d4: CompositionSubalgebra, a: Octonion,
     for b in d4.basis:
         cols.append(list(((c * b) * a).coords))
     return assemble(cfg, basis_oct, cols)
-
-
-# -- centralizer containment predicates (case-by-case lemmas) ------------------
-
-def stabilizes(g: EndV, space: Subspace) -> bool:
-    return all(space.contains(mat_vec(g.rows, list(r))) for r in space.rows)
-
-
-def centralizer_shape_dim2_field(g: EndV, v0: CompositionSubalgebra,
-                                 w_space: Subspace) -> bool:
-    """g preserves the V0 + W splitting and is V0-linear on W (the
-    containment O(V0) x U(W) of the anisotropic-plane case)."""
-    return (stabilizes(g, v0.space) and stabilizes(g, w_space)
-            and _is_d_linear(g, v0, w_space))
-
-
-def centralizer_shape_dim2_split(g: EndV, v0: CompositionSubalgebra) -> bool:
-    """g preserves V0, W+ and W- (the SO(V0) x GL(W+) containment)."""
-    if not stabilizes(g, v0.space):
-        return False
-    wplus, wminus = split_polarization(v0)
-    return stabilizes(g, wplus) and stabilizes(g, wminus)

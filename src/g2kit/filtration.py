@@ -45,8 +45,8 @@ basis coordinate becomes a matrix, needs the standard splitting basis.
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
 algebra; ints are reduced where they enter a SymplecticSpace or a
-Subspace.  gamma_perp still decides its identity by listing the p^dim
-vectors of three subspaces (ModpSubspace.vectors).
+Subspace.  gamma_perp decides its identity by subspace intersections
+(Subspace.intersection), without listing the vectors of any subspace.
 """
 
 from __future__ import annotations
@@ -515,9 +515,10 @@ def trace_triality_invariance(x: EndV, y: EndV) -> bool:
 # -- symplectic fixed points over F_p ----------------------------------------------
 
 class ModpSubspace:
-    """The p^dim vectors of a subspace of F_p^n, which gamma_perp alone
-    lists (desk scale only).  perfbench times this enumeration as
-    ModpSubspace.vectors; it goes once gamma_perp works by kernels."""
+    """The p^dim vectors of a subspace of F_p^n (desk scale only).
+    gamma_perp no longer lists them; the enumeration stays as the
+    reference that the tests check gamma_perp against, and perfbench's
+    tracer still names ModpSubspace.vectors as a target."""
 
     @staticmethod
     def vectors(x: Subspace):
@@ -596,21 +597,25 @@ class SymplecticSpace:
         return x.perp(self.form)
 
 
+def _fixed_sides(space: SymplecticSpace, x: Subspace, fixed: Subspace):
+    """X^Gamma and the two sides of gamma_perp's identity, for
+    fixed = V^Gamma."""
+    x_fixed = x.intersection(fixed)
+    return (x_fixed, space.perp(x_fixed).intersection(fixed),
+            space.perp(x).intersection(fixed))
+
+
 def gamma_perp(space: SymplecticSpace, x: Subspace) -> bool:
     """The orthogonal of X^Gamma inside V^Gamma equals (X^perp)^Gamma,
-    and V decomposes as V_1 perp V_s."""
+    and V decomposes as V_1 perp V_s.  The first half takes three
+    intersections with V^Gamma (_fixed_sides): X^Gamma = X meet V^Gamma,
+    then (X^Gamma)^perp meet V^Gamma and X^perp meet V^Gamma, which are
+    compared as canonical Subspaces."""
     if not space.stable(x):
         raise DomainError("subspace must be gamma-stable")
     field, n = space.field, space.n
-    vectors = ModpSubspace.vectors
     fixed = space.fixed_subspace()
-    x_fixed = Subspace(field, n, [r for r in vectors(x) if fixed.contains(r)])
-    # orthogonal of X^Gamma inside V^Gamma, by direct scan of V^Gamma
-    lhs = Subspace(field, n, [v for v in vectors(fixed)
-                              if all(space.pair(v, r) == 0
-                                     for r in x_fixed.rows)])
-    rhs = Subspace(field, n, [r for r in vectors(space.perp(x))
-                              if fixed.contains(r)])
+    _, lhs, rhs = _fixed_sides(space, x, fixed)
     if lhs != rhs:
         return False
     # V = V_1 perp V_s, V_s the kernel of the orbit sum

@@ -11,7 +11,9 @@ window; over F_p every nonzero residue has valuation 0, so it is the
 first nonzero row); normalize scales the pivot row to a one, and
 subtract_multiple eliminates at row level over the pivot row's nonzero
 support; row_times is the row-by-matrix product that Subspace.perp
-pairs its rows with.  The other functions take Scalars.
+pairs its rows with, and Subspace.intersection is a perp of perps for the
+dot product, so it works over both fields.  The other functions take
+Scalars.
 
 Zero entries are skipped structurally: products run over the nonzero
 entries only, a pivot row is normalised and subtracted only where it is
@@ -319,3 +321,12 @@ class Subspace:
             return Subspace(field, self.ambient, identity(field, self.ambient))
         a = [field.row_times(r, gram) for r in self.rows]
         return Subspace(field, self.ambient, kernel(a, field))
+
+    def intersection(self, other: "Subspace") -> "Subspace":
+        """The meet with a subspace of the same field^n, as the standard-dot
+        orthogonal of the sum of the two standard-dot orthogonals: the dot
+        product is non-degenerate over any field, so W^perp^perp = W and
+        (A^perp + B^perp)^perp = A meet B."""
+        dot = identity(self.field, self.ambient)
+        both = self.perp(dot).rows + other.perp(dot).rows
+        return Subspace(self.field, self.ambient, both).perp(dot)

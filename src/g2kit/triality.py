@@ -144,18 +144,6 @@ def root_triple(cfg: FieldConfig, i: int, j: int, lam: Scalar,
     return TrialityTriple(t1, t2, t3, lie)
 
 
-def root_family_triple(cfg: FieldConfig, i: int, negative: bool,
-                       lam: Scalar, lie: bool = False) -> TrialityTriple:
-    """The two listed root-group families, indexed by the cyclic triple
-    (i, i+, i++): heads u_{-i,-i++} (negative) or u_{i,i++}."""
-    if i not in (1, 2, 3):
-        raise DomainError("family index must be 1..3")
-    ipp = _PREV[i]
-    if negative:
-        return root_triple(cfg, -i, -ipp, lam, lie=lie)
-    return root_triple(cfg, i, ipp, lam, lie=lie)
-
-
 def _diag_triple_descriptors(i: int):
     """{k: coefficient of D_k} for each component of the Lie-related triple
     headed by D_i(1)."""

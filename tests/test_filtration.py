@@ -1,6 +1,7 @@
 """Tests for Cayley/filtration machinery, the character pairing, and the
 symplectic fixed-point identity."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -11,7 +12,8 @@ import pytest
 from g2kit.endo import EndV, d_torus_lie, u_root_lie
 from g2kit.errors import (ConfigMismatchError, DomainError, MembershipError,
                           PrecisionError, SingularError)
-from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
+from g2kit.filtration import (FiltrationQuotient, ModpSubspace,
+                              SymplecticSpace, _fixed_sides, cayley,
                               cayley_offset, cayley_scalar, character_counts,
                               enumerate_subspaces, gamma_perp, lie_generators,
                               moy_counterexample, psi_b,
@@ -19,7 +21,7 @@ from g2kit.filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                               standard_symplectic_cycle,
                               standard_symplectic_swap,
                               trace_triality_invariance)
-from g2kit.linalg import Subspace, kernel, mat_vec
+from g2kit.linalg import Subspace, identity, kernel, mat_vec, transpose
 from g2kit.norms import (NormFn, extend_sl3, filtration_lattice,
                          lattice_seq_from_norm, standard_norm)
 from g2kit.octonions import (IDX, basis_octonion, gram_scalar,
@@ -27,6 +29,7 @@ from g2kit.octonions import (IDX, basis_octonion, gram_scalar,
 from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
 from g2kit.triality import GroupTriality, LieTrialityGroup, random_g2_lie
+from oracles import RefModpSubspace, ref_modp_kernel
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -329,70 +332,122 @@ def test_gamma_perp_rejects_unstable():
         gamma_perp(sp, x)
 
 
-# -- linalg over F_p against the separate F_p code it replaced ------------------
-# ref_modp_rref, ref_modp_kernel and RefModpSubspace are the row reduction,
-# kernel and subspace that filtration kept for F_p before rref, kernel and
-# Subspace took a residue.PrimeField.
+# -- gamma_perp against the enumeration it replaced ----------------------------
 
-def ref_modp_rref(rows, p):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    m = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [rows[i] for i in range(r)], pivots
+def ref_gamma_perp(space, x):
+    """gamma_perp as it was before it took intersections, its lines as they
+    were: the verdict, with the three spans it compared, X^Gamma, the
+    orthogonal of X^Gamma inside V^Gamma and (X^perp)^Gamma, each the span
+    of the listed vectors (ModpSubspace.vectors) that pass a test."""
+    if not space.stable(x):
+        raise DomainError("subspace must be gamma-stable")
+    field, n = space.field, space.n
+    vectors = ModpSubspace.vectors
+    fixed = space.fixed_subspace()
+    x_fixed = Subspace(field, n, [r for r in vectors(x) if fixed.contains(r)])
+    # orthogonal of X^Gamma inside V^Gamma, by direct scan of V^Gamma
+    lhs = Subspace(field, n, [v for v in vectors(fixed)
+                              if all(space.pair(v, r) == 0
+                                     for r in x_fixed.rows)])
+    rhs = Subspace(field, n, [r for r in vectors(space.perp(x))
+                              if fixed.contains(r)])
+    parts = (x_fixed, lhs, rhs)
+    if lhs != rhs:
+        return False, parts
+    # V = V_1 perp V_s, V_s the kernel of the orbit sum
+    # 1 + gamma + ... + gamma^(order - 1); for order 1 it is zero
+    sums = [[sum(c) % space.p for c in zip(*space.orbit(e))]
+            for e in identity(field, n)]
+    vs = Subspace(field, n, kernel(transpose(sums), field))
+    if fixed.dim + vs.dim != n:
+        return False, parts
+    for u in fixed.rows:
+        for w in vs.rows:
+            if space.pair(u, w):
+                return False, parts
+    return True, parts
 
 
-def ref_modp_kernel(rows, p, m):
-    red, pivots = ref_modp_rref(rows, p)
-    free = [c for c in range(m) if c not in pivots]
+def x_half_failures(space, xs):
+    """Check X^Gamma, both sides of the identity (filtration._fixed_sides)
+    and the verdict of each X against the enumeration; returns how many X
+    fail the X-dependent half on the intersection route and on the
+    enumeration."""
+    got_fails = want_fails = 0
+    for x in xs:
+        got = _fixed_sides(space, x, space.fixed_subspace())
+        verdict, want = ref_gamma_perp(space, x)
+        assert got == want
+        assert gamma_perp(space, x) == verdict
+        got_fails += got[1] != got[2]
+        want_fails += want[1] != want[2]
+    return got_fails, want_fails
+
+
+def stable_draws(space, rng, count, max_dim):
+    """count random_stable_subspace draws of dimension at most max_dim."""
     out = []
-    for fc in free:
-        v = [0] * m
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        out.append(v)
+    while len(out) < count:
+        x = random_stable_subspace(space, rng)
+        if x.dim <= max_dim:
+            out.append(x)
     return out
 
 
-class RefModpSubspace:
-    def __init__(self, p, n, vectors):
-        self.p = p
-        self.n = n
-        rows, pivots = ref_modp_rref(
-            [v for v in vectors if any(x % p for x in v)], p)
-        self.rows = [tuple(r) for r in rows]
-        self.pivots = pivots
+def test_gamma_perp_matches_the_enumeration_on_the_swap_space():
+    swap = standard_symplectic_swap(5)
+    stable = [x for x in enumerate_subspaces(5, 4) if swap.stable(x)]
+    assert len(stable) == 64
+    assert x_half_failures(swap, stable) == (0, 0)
 
-    @property
-    def dim(self):
-        return len(self.rows)
 
-    def contains(self, v):
-        v = [x % self.p for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        return not any(v)
+def test_gamma_perp_matches_the_enumeration_under_the_trivial_action(
+        monkeypatch):
+    """All 1,120 subspaces of F_5^4.  The enumeration lists V^Gamma = V
+    and pairs each of its 625 vectors with the rows of X^Gamma, for every
+    X; the listings and the pairings are memoized here, which changes no
+    value: unmemoized, the enumeration alone took about 7 s."""
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    sp = SymplecticSpace(5, standard_symplectic_swap(5).form, ident)
+    sp.pair = functools.lru_cache(maxsize=None)(sp.pair)
+    listings, vectors = {}, ModpSubspace.vectors
 
+    def listed(x):
+        key = tuple(x.rows)
+        if key not in listings:
+            listings[key] = vectors(x)
+        return listings[key]
+    monkeypatch.setattr(ModpSubspace, "vectors", staticmethod(listed))
+    subs = enumerate_subspaces(5, 4)
+    assert len(subs) == 1120
+    assert x_half_failures(sp, subs) == (0, 0)
+
+
+def test_gamma_perp_matches_the_enumeration_on_the_broken_swap():
+    """43 of the 64 stable X fail the X-dependent half on both routes;
+    test_gamma_perp_fails_when_gamma_breaks_the_form sees all 64 fail."""
+    bad = broken_swap()
+    stable = [x for x in enumerate_subspaces(5, 4) if bad.stable(x)]
+    assert len(stable) == 64
+    assert x_half_failures(bad, stable) == (43, 43)
+
+
+@pytest.mark.parametrize("p, count, max_dim",
+                         [(7, 20, 4), (5, 20, 3), (11, 8, 3), (13, 8, 3)])
+def test_gamma_perp_matches_the_enumeration_on_cycle_spaces(p, count,
+                                                            max_dim):
+    """Draws on three cycled planes.  At p = 5 and 11 (2 mod 3) gamma has
+    no eigenvalue on the complement of V^Gamma, which is an
+    F_{p^2}-space; p = 11 is also 3 mod 4."""
+    sp = standard_symplectic_cycle(p)
+    xs = stable_draws(sp, random.Random(p), count, max_dim)
+    assert x_half_failures(sp, xs) == (0, 0)
+
+
+# -- linalg over F_p against the separate F_p code it replaced ------------------
+# ref_modp_rref, ref_modp_kernel and RefModpSubspace (tests/oracles.py) are
+# the row reduction, kernel and subspace that filtration kept for F_p before
+# rref, kernel and Subspace took a residue.PrimeField.
 
 def ref_perp(space, x):
     """SymplecticSpace.perp as it was, on the reference code."""

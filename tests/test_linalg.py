@@ -21,8 +21,10 @@ from g2kit.octonions import (CompositionSubalgebra, Octonion,
                              division_quaternion, hyperbolic_plane,
                              octonion_unit, ordered_polarization,
                              ramified_plane, standard_split_dim4)
+from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig, parse_scalar
 from g2kit.triality import HermitianModel, random_g2_lie
+from oracles import RefModpSubspace
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7)
            for ext in ("none", "unramified", "ramified")]
@@ -281,6 +283,77 @@ def test_subspace_contains_its_spanning_vectors():
         except PrecisionError:
             pass
 
+
+
+# -- Subspace.intersection -----------------------------------------------------
+
+def random_rows(rng, p, n, k):
+    return [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_intersection_over_a_prime_field_matches_the_reference(p):
+    """A meet B over F_p, against RefModpSubspace (tests/oracles.py): it
+    lies in A and in B, it holds the rows A and B were given in common,
+    and dim A + dim B = dim(A meet B) + dim(A + B), so it is all of
+    A meet B."""
+    field, n = PrimeField(p), 6
+    rng = random.Random(p)
+    for _ in range(40):
+        common = random_rows(rng, p, n, rng.randrange(3))
+        a = common + random_rows(rng, p, n, rng.randrange(5))
+        b = common + random_rows(rng, p, n, rng.randrange(5))
+        sa, sb = linalg.Subspace(field, n, a), linalg.Subspace(field, n, b)
+        meet = sa.intersection(sb)
+        ref_a, ref_b = RefModpSubspace(p, n, a), RefModpSubspace(p, n, b)
+        assert all(ref_a.contains(r) and ref_b.contains(r) for r in meet.rows)
+        assert all(meet.contains(v) for v in common)
+        assert ref_a.dim + ref_b.dim \
+            == meet.dim + RefModpSubspace(p, n, a + b).dim
+        assert meet == sb.intersection(sa)
+        assert meet.rows == RefModpSubspace(p, n, meet.rows).rows
+
+
+def intersection_edge_cases(field, n, subspaces):
+    zero = linalg.Subspace(field, n, [])
+    whole = linalg.Subspace(field, n, linalg.identity(field, n))
+    for a in subspaces:
+        assert a.intersection(zero) == zero == zero.intersection(a)
+        assert a.intersection(whole) == a == whole.intersection(a)
+        assert a.intersection(a) == a
+    for a, b in zip(subspaces, subspaces[1:]):
+        bigger = linalg.Subspace(field, n, list(a.rows) + list(b.rows))
+        assert a.intersection(bigger) == a == bigger.intersection(a)
+
+
+def test_intersection_edge_cases_over_a_prime_field():
+    """The zero subspace, the whole space, A inside B and A meet A."""
+    field, rng = PrimeField(7), random.Random(71)
+    subspaces = [linalg.Subspace(field, 5, random_rows(rng, 7, 5, k))
+                 for k in (0, 1, 2, 3, 4, 5, 2, 3)]
+    assert [a.dim for a in subspaces] == [0, 1, 2, 3, 4, 5, 2, 3]
+    intersection_edge_cases(field, 5, subspaces)
+
+
+def test_intersection_over_laurent_series_on_exact_rows():
+    """Over F_5((t)) with entries 0, 1 and t only, so every pivot stays a
+    monomial and no digit is truncated (ROADMAP item 4)."""
+    cfg = FieldConfig(5, 8)
+    o, i, t = cfg.zero(), cfg.one(), cfg.t()
+
+    def span(*rows):
+        return linalg.Subspace(cfg, 4, [list(r) for r in rows])
+    # (a, b, a t, 0) = (c, c, c t + d, d) forces d = 0 and a = b = c
+    a, b = span((i, o, t, o), (o, i, o, o)), span((i, i, t, o), (o, o, i, i))
+    assert a.intersection(b) == span((i, i, t, o)) == b.intersection(a)
+    # (a, a t, b, b t) = (c, c t + d, c, c t) forces d = 0 and a = b = c
+    a, b = span((i, t, o, o), (o, o, i, t)), span((i, t, i, t), (o, i, o, o))
+    assert a.intersection(b) == span((i, t, i, t))
+    assert span((i, o, o, o)).intersection(span((o, i, o, o))).dim == 0
+    intersection_edge_cases(cfg, 4, [span(), span((i, t, o, o)),
+                                     span((i, t, o, o), (o, o, i, t)),
+                                     span((o, i, t, o), (t, o, o, i),
+                                          (o, o, i, o))])
 
 def benchmark_sequences(cfg):
     d = hyperbolic_plane(cfg)

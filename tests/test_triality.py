@@ -19,11 +19,11 @@ from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.suites import run_suite
-from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
-                            LieTrialityGroup, TrialityTriple, check_related,
-                            det_d, diag_lie_triple, hat, iota, is_g2_element,
-                            is_g2_lie, orbit_triples, random_g2_lie,
-                            root_family_triple, root_triple, solve_dim2,
+from g2kit.triality import (_PREV, GroupGenerator, GroupTriality,
+                            HermitianModel, LieTrialityGroup, TrialityTriple,
+                            check_related, det_d, diag_lie_triple, hat, iota,
+                            is_g2_element, is_g2_lie, orbit_triples,
+                            random_g2_lie, root_triple, solve_dim2,
                             solve_dim4, solve_glw, solve_lie_triple)
 
 CFG = FieldConfig(5, 8)
@@ -76,6 +76,16 @@ def test_all_root_triples_related():
             tri = root_triple(CFG, i, j, lam, lie=lie)
             assert check_related(tri.t1, tri.t2, tri.t3, lie)
 
+
+def root_family_triple(cfg, i, negative, lam, lie=False):
+    """The two listed root-group families, indexed by the cyclic triple
+    (i, i+, i++): heads u_{-i,-i++} (negative) or u_{i,i++}."""
+    if i not in (1, 2, 3):
+        raise DomainError("family index must be 1..3")
+    ipp = _PREV[i]
+    if negative:
+        return root_triple(cfg, -i, -ipp, lam, lie=lie)
+    return root_triple(cfg, i, ipp, lam, lie=lie)
 
 def test_root_family_triples_all_six_patterns():
     lam = CFG.t()
