@@ -6,15 +6,12 @@ group, and the symplectic fixed-point identity over F_p.
 
 A group element g near 1 is carried as its sparse offset g - 1 and a Lie
 element X on the Cayley path as its entries, both {(i, j): Scalar}.
-cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1}.  The keys of the
-nonzero entries of X are the edges of its support graph; when that graph
-has no cycle, X is nilpotent and C(X) - 1 is the finite sum
-X + X^2/2 + ... + X^L/2^(L-1), L the longest path, formed with sparse
-products.  Otherwise C(X) - 1 is (1 - X/2)^{-1} X, since X commutes with
-1 - X/2: one row reduction of [1 - X/2 | X] on the support block of X
-alone, built there from the entries, leaves it in the right half, and
-1 - X/2 is invertible iff the pivots are the columns of the left half.
-No inverse is formed on either route.  cayley is the one Cayley path:
+cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1} as the solution Y of
+(1 - X/2) Y = X.  The keys of the nonzero entries of X are the edges of
+its support graph; a row Y_i follows by back substitution once the rows
+of its successors are known, with one scalar inverse where i has a
+self-loop, and only the vertices on or above a cycle of two or more
+vertices are row-reduced, as one block.  cayley is the one Cayley path:
 1 + cayley_offset, its entries placed on the identity
 (EndV.from_offset).  quotient_iso_check works on entries and offsets: a
 pair of generators X, Y with XY = YX = 0, read from the keys of their
@@ -70,89 +67,80 @@ def cayley_offset(x) -> dict:
     """C(X) - 1 as its nonzero entries {(i, j): Scalar}, for X an EndV or
     its entries {(i, j): Scalar}.
 
+    C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1}, and X
+    commutes with 1 - X/2, so it is the solution Y of (1 - X/2) Y = X.
     The keys of the nonzero entries are the edges i -> j of the support
-    graph of X.  When that graph has no cycle (a self-loop is one), let L
-    be its longest path, counted in edges.  Then X is nilpotent and
-    C(X) - 1 is the finite sum X + X^2/2 + ... + X^L/2^(L-1), formed
-    with sparse products and no row reduction:
-    - (X^m)_ij is a sum over the paths of length m from i to j, so
-      X^(L+1) = 0;
-    - so 1 - X/2 is unipotent with inverse sum_{m=0}^{L} (X/2)^m; it
-      cannot be singular, and no SingularError is lost;
-    - C(X) - 1 = X (1 - X/2)^{-1} is that finite sum: X for L = 1, and
-      X + X^2/2 for L = 2.
-    The route is decided from the keys alone.
-
-    Otherwise C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1},
-    and X commutes with 1 - X/2, so this is (1 - X/2)^{-1} X: the right
-    half of [1 - X/2 | X] once row-reduced, with no inverse formed and no
-    product taken.  1 - X/2 is invertible iff the pivots are the k
-    columns of the left half.  Only the support block of X is reduced:
-    the k indices of the rows and columns that hold a nonzero entry.  Off
-    that block X is zero and 1 - X/2 is the identity, so C(X) - 1
-    vanishes there.  On the block, [1 - X/2 | X] is built from the
-    entries: where X has an entry c, 1 - c/2 on the diagonal and 0 - c/2
-    off it, and c in the right half; 1 on the rest of the diagonal."""
+    graph of X; row i of that equation reads
+    (1 - x_ii/2) Y_i = X_i + 1/2 sum_{j != i} x_ij Y_j,
+    so Y_i is known once the Y_j of its successors j != i are:
+    - a vertex with no row (no entry) has Y_j = 0;
+    - without a self-loop Y_i is the right side;
+    - with one it is that times (1 - x_ii/2)^{-1}, and where
+      1 - x_ii/2 = 0, 1 - X/2 is singular: in an order that puts every
+      solved vertex after its successors, 1 - X/2 is block triangular
+      with that entry on its diagonal.
+    Every vertex with no cycle of two or more vertices on or below it is
+    solved so, by back substitution; on an acyclic graph (X nilpotent)
+    that is all of them, with no inverse.  The vertices left over, L,
+    satisfy (1 - X_LL/2) Y_L = R, R_i the right side above with the
+    solved Y_j: one row reduction of [1 - X_LL/2 | R] leaves Y_L in the
+    right half, and 1 - X/2 is invertible iff 1 - X_LL/2 is, iff the
+    pivots are the columns of the left half.  Each entry of a right side
+    is x_ik, then 1/2 (x_ij y_jk) added in the row order of j."""
     entries = x.entries() if isinstance(x, EndV) else x
-    nonzero = {ij: entries[ij] for ij in sorted(entries)
-               if entries[ij].coeffs}
+    nonzero = [(ij, entries[ij]) for ij in sorted(entries)
+               if entries[ij].coeffs]
     if not nonzero:
         return {}
-    cfg = next(iter(nonzero.values())).cfg
-    length = _longest_path(nonzero)
-    if length is not None:
-        return _nilpotent_offset(nonzero, length, cfg.half)
-    block = sorted({k for ij in nonzero for k in ij})
+    rows = {}
+    for (i, j), c in nonzero:
+        rows.setdefault(i, {})[j] = c
+    cfg = nonzero[0][1].cfg
     half, zero, one = cfg.half, cfg.zero(), cfg.one()
-    k = len(block)
-    pos = {i: a for a, i in enumerate(block)}
-    aug = [[zero] * (2 * k) for _ in range(k)]
-    for a in range(k):
-        aug[a][a] = one
-    for (i, j), c in nonzero.items():
-        a, b = pos[i], pos[j]
-        aug[a][b] = aug[a][b] - half * c
-        aug[a][k + b] = c
-    red, pivots = rref(aug)
-    if pivots != list(range(k)):
-        raise SingularError("1 - X/2 is not invertible")
-    return {(block[a], block[b]): c for a, row in enumerate(red)
-            for b, c in enumerate(row[k:]) if c.coeffs}
+    solved = {}
 
+    def right_side(i):
+        out = dict(rows[i])
+        for j, c in rows[i].items():
+            for k, y in solved.get(j, {}).items():
+                term = half * (c * y)
+                out[k] = out[k] + term if k in out else term
+        return out
 
-def _longest_path(edges) -> int | None:
-    """The number of edges of a longest path in the graph with the edges
-    i -> j, or None when the graph has a cycle (a self-loop is one).
-    paths holds the pairs (i, j) joined by a walk of m + 1 edges, for
-    m = 0, 1, ...: a cycle closes some walk (i, i) within as many steps
-    as the graph has vertices, and with no cycle the walks stop after
-    the longest path."""
-    succ = {}
-    for i, j in edges:
-        succ.setdefault(i, []).append(j)
-    paths, m = set(edges), 0
-    while paths:
-        if any(i == j for i, j in paths):
-            return None
-        m += 1
-        paths = {(i, k) for i, j in paths for k in succ.get(j, ())}
-    return m
-
-
-def _nilpotent_offset(x: dict, length: int, half: Scalar) -> dict:
-    """X + X^2/2 + ... + X^length/2^(length-1) from the nonzero entries x
-    in row-major order: X^m = X X^(m-1) by _add_product, each entry
-    summed over increasing l, and scaled by half^(m-1) exactly (1/2 is a
-    constant of the residue field).  The entries come out row-major and
-    nonzero, as the row reduction gives them."""
-    if length == 1:
-        return dict(x)
-    out, power, scale = dict(x), x, None
-    for _ in range(length - 1):
-        power = _add_product({}, x, power)
-        scale = half if scale is None else scale * half
-        out = _sparse_sum(out, {k: c * scale for k, c in power.items()})
-    return {k: out[k] for k in sorted(out) if out[k].coeffs}
+    progress = True
+    while progress:
+        progress = False
+        for i, row in rows.items():
+            if i in solved or any(j != i and j in rows and j not in solved
+                                  for j in row):
+                continue
+            y = right_side(i)
+            if i in row:
+                pivot = one - half * row[i]
+                if pivot.is_zero:
+                    raise SingularError("1 - X/2 is not invertible")
+                f = pivot.inv()
+                y = {k: c * f for k, c in y.items()}
+            solved[i] = y
+            progress = True
+    core = [i for i in rows if i not in solved]
+    if core:
+        rights = [right_side(i) for i in core]
+        cols = sorted({k for r in rights for k in r})
+        n, pos = len(core), {i: a for a, i in enumerate(core)}
+        aug = [[zero] * n + [r.get(k, zero) for k in cols] for r in rights]
+        for a, i in enumerate(core):
+            aug[a][a] = one
+            for j, c in rows[i].items():
+                if j in pos:
+                    aug[a][pos[j]] = aug[a][pos[j]] - half * c
+        red, pivots = rref(aug)
+        if pivots != list(range(n)):
+            raise SingularError("1 - X/2 is not invertible")
+        for a, i in enumerate(core):
+            solved[i] = dict(zip(cols, red[a][n:]))
+    return {(i, k): solved[i][k] for i in sorted(solved)
+            for k in sorted(solved[i]) if solved[i][k].coeffs}
 
 
 def cayley(x: EndV) -> EndV:

@@ -31,10 +31,10 @@ returns the other operand and its inverse is itself, and rref neither
 inverts a pivot that is exactly one nor rescales its row, since x * 1 is x
 for the window-wide entries that every Scalar operation leaves.  Every
 digit and error stays the one the residue kernels give.  The Cayley path
-no longer multiplies identity-plus-small matrices (it carries offsets
-g - 1), but most of the pivots of its row reductions of [1 - X/2 | X]
-are still exact ones, as are many products in rref's row updates and in
-the desk suites.
+carries offsets g - 1 and row-reduces only the cyclic core of
+(1 - X/2) Y = X, [1 - X_LL/2 | R] for the vertices L on or above a cycle
+of two or more vertices; many of its pivots are still exact ones, as
+are many products in rref's row updates and in the desk suites.
 
 RowReduction is the one way to take coordinates on a basis: the basis
 columns are row-reduced once, and the recorded row operations are
