@@ -34,10 +34,11 @@ forms only the diagonal of b y.  Over the standard basis that is one
 pass over x that tests the bounds; over any other basis y is formed
 dense and tested by FiltrationLattice.contains.
 
-A quotient A_r/A_s (any r <= s) is read only through quotient_basis:
-lie_generators takes thresholds, character_counts lengths, and part (c)
-of quotient_iso_check triality's F_p-matrices from it.  _lift, where a
-basis coordinate becomes a matrix, needs the standard splitting basis.
+A quotient A_r/A_s (any r <= s) is one FiltrationQuotient, which reads
+the bounds of A_r and A_s once: its basis, lift (on the standard
+splitting basis only), action (a triality table as an F_p-matrix on the
+basis) and congruent.  lie_generators, character_counts and part (c) of
+quotient_iso_check read a quotient only through it.
 
 The symplectic identity works in F_p^n with linalg's Subspace, rref and
 kernel over residue.PrimeField, the same core as the F((t)) linear
@@ -179,31 +180,65 @@ def moy_counterexample(u: Scalar) -> bool:
 
 # -- the quotient A_r / A_s ---------------------------------------------------
 
-def _so_bounds(lat) -> list:
-    """bound_k: the bound of lat at SO_PLACES[k][0], in Scalar.val units."""
-    return [lat._val_bounds[l][j] for (l, j), _ in SO_PLACES]
+class FiltrationQuotient:
+    """A_r / A_s (r <= s) on the splitting basis; for 1 <= r <= s <= 2r,
+    also the group quotient P^r / P^s under the Cayley bijection.  basis
+    holds the pairs (k, v) for u^v e_k, e_k the so(V) coordinate k of
+    endo.SO_LABELS and bound_k(r) <= v < bound_k(s), bound_k the bound at
+    SO_PLACES[k][0] (in the 1/e units of Scalar.val)."""
 
+    def __init__(self, seq: LatticeSeq, r: int, s: int):
+        if r > s:
+            raise DomainError("need r <= s")
+        self.r, self.s = r, s
+        self.lat_r, self.lat_s = seq.lattice(r), seq.lattice(s)
+        self._lo, self._hi = ([lat._val_bounds[l][j]
+                               for (l, j), _ in SO_PLACES]
+                              for lat in (self.lat_r, self.lat_s))
+        self.basis = [(k, v) for k in range(len(SO_LABELS))
+                      for v in range(self._lo[k], self._hi[k])]
 
-def quotient_basis(seq: LatticeSeq, r: int, s: int) -> list:
-    """The basis of A_r/A_s in the splitting basis: the pairs (k, v) for
-    u^v e_k, e_k the so(V) coordinate k of endo.SO_LABELS and
-    bound_k(r) <= v < bound_k(s) (v in the 1/e units of Scalar.val)."""
-    if r > s:
-        raise DomainError("need r <= s")
-    lo, hi = _so_bounds(seq.lattice(r)), _so_bounds(seq.lattice(s))
-    return [(k, v) for k in range(len(SO_LABELS))
-            for v in range(lo[k], hi[k])]
+    def lift(self, terms) -> EndV:
+        """sum c u^v e_k over the terms ((k, v), c); e_k is a matrix
+        coordinate only in the standard splitting basis (another raises
+        DomainError)."""
+        cfg = self.lat_r.cfg
+        if not self.lat_r._std:
+            raise DomainError("quotient bases lift on the standard basis only")
+        coords = [cfg.zero()] * len(SO_LABELS)
+        for (k, v), c in terms:
+            coords[k] = coords[k] + cfg.monomial(c, v)
+        return so_matrix(cfg, coords)
 
+    def action(self, table):
+        """The F_p-matrix on basis, in ints, of a rational so(V) table of
+        triality._lie_tables (column k holds q_mk for e_k -> sum q_mk e_m,
+        the exponent kept), or None where the table does not keep A_r and
+        A_s: an entry q_mk nonzero mod p needs bound_m <= bound_k at r and
+        at s.  Otherwise u^v e_k maps to the q_mk u^v e_m with
+        v < bound_m(s)."""
+        p, lo, hi = self.lat_r.cfg.p, self._lo, self._hi
+        cols = [{m: q.numerator * pow(q.denominator, -1, p) % p
+                 for m, q in col.items()} for col in table]
+        if any(c and (lo[m] > lo[k] or hi[m] > hi[k])
+               for k, col in enumerate(cols) for m, c in col.items()):
+            return None
+        index = {kv: n for n, kv in enumerate(self.basis)}
+        rows = [[0] * len(self.basis) for _ in self.basis]
+        for n, (k, v) in enumerate(self.basis):
+            for m, c in cols[k].items():
+                if v < hi[m]:
+                    rows[index[m, v]][n] = c
+        return rows
 
-def _lift(lat, terms) -> EndV:
-    """sum c u^v e_k over the terms ((k, v), c); e_k is a matrix coordinate
-    only in the standard splitting basis (another raises DomainError)."""
-    if not lat._std:
-        raise DomainError("quotient bases lift on the standard basis only")
-    coords = [lat.cfg.zero()] * len(SO_LABELS)
-    for (k, v), c in terms:
-        coords[k] = coords[k] + lat.cfg.monomial(c, v)
-    return so_matrix(lat.cfg, coords)
+    def congruent(self, x: dict, y: dict) -> bool:
+        """x = y modulo A_s, for Lie elements x, y or for the offsets
+        g - 1, h - 1 of group elements, each given by its entries
+        {(i, j): Scalar}: for h in P(Lambda), A_s h = A_s, so g h^{-1} is
+        in P^s iff g - h is in A_s (1 <= r <= s <= 2r only)."""
+        if not 1 <= self.r <= self.s <= 2 * self.r:
+            raise DomainError("need 1 <= r <= s <= 2r")
+        return self.lat_s.contains_difference(x, y)
 
 
 class GeneratorRecord:
@@ -219,11 +254,12 @@ def lie_generators(seq: LatticeSeq, r: int):
     """Threshold generators lam e_k of A_r(Lambda), lam = u^v with v the
     lowest exponent of k in the basis of A_r/A_{r+m}, paired with their
     Cayley images d_i(C(lam)) and u_{i,j}(lam)."""
-    cfg, fl, one, out = seq.cfg, seq.lattice(r), seq.cfg.one(), []
-    lows = dict(reversed(quotient_basis(seq, r, r + seq.m)))  # lowest v
+    cfg, one, out = seq.cfg, seq.cfg.one(), []
+    q = FiltrationQuotient(seq, r, r + seq.m)
+    lows = dict(reversed(q.basis))  # lowest v
     for k, label in enumerate(SO_LABELS):
         v = lows[k]
-        lam, lie = cfg.monomial(1, v), _lift(fl, [((k, v), 1)])
+        lam, lie = cfg.monomial(1, v), q.lift([((k, v), 1)])
         if k < 4:
             mu = cayley_scalar(lam)
             name, group = f"D_{label}", GroupGenerator.torus(
@@ -233,23 +269,6 @@ def lie_generators(seq: LatticeSeq, r: int):
             group = GroupGenerator.root(*label, lam)
         out.append(GeneratorRecord(f"{name}(t^{v // cfg.e})", lie, group))
     return out
-
-
-class FiltrationQuotient:
-    """The abelian quotient A_r / A_s (1 <= r <= s <= 2r) and the matching
-    group quotient P^r / P^s under the Cayley bijection."""
-
-    def __init__(self, seq: LatticeSeq, r: int, s: int):
-        if not 1 <= r <= s <= 2 * r:
-            raise DomainError("need 1 <= r <= s <= 2r")
-        self.lat_r, self.lat_s = seq.lattice(r), seq.lattice(s)
-
-    def congruent(self, x: dict, y: dict) -> bool:
-        """x = y modulo A_s, for Lie elements x, y or for the offsets
-        g - 1, h - 1 of group elements, each given by its entries
-        {(i, j): Scalar}: for h in P(Lambda), A_s h = A_s, so g h^{-1} is
-        in P^s iff g - h is in A_s."""
-        return self.lat_s.contains_difference(x, y)
 
 
 def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
@@ -273,10 +292,10 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     other pair forms the sum, its Cayley offset and both products.
 
     Part (c), every triality-fixed coset of A_r/A_s contains a
-    derivation, is decided on a basis (_quotient_fixed_space): sigma and
-    rho must keep A_r and A_s; their tables keep the exponent, so they act
-    on quotient_basis as F_p-matrices S and R, and the fixed space is the
-    kernel of [S - 1; R - 1] (over F_{p^2} too, as S and R are over F_p).
+    derivation, is decided on q.basis: sigma and rho must keep A_r and
+    A_s; their tables keep the exponent, so they act on it as F_p-matrices
+    S and R (q.action), and the fixed space is the kernel of
+    [S - 1; R - 1] (over F_{p^2} too, as S and R are over F_p).
     Its dimension must be the rank of the average table, the projection
     onto it (a wrong S or R can shrink it, which no lift shows).  For each
     kernel vector, average(x) of x = sum c u^v e_k lies in A_r, is a
@@ -290,6 +309,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     Returns a report dict with a (expected empty) list of violations.
     """
     q = FiltrationQuotient(seq, r, s)
+    q.congruent({}, {})  # 1 <= r <= s <= 2r, before any Cayley transform
     cfg = seq.cfg
     gens = lie_generators(seq, r)
     violations = []
@@ -352,14 +372,20 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
                 violations.append(
                     f"triality congruence failure at {g.name}, {word}")
     # (c) quotient fixed points lift, decided on a basis (see the docstring)
-    basis = quotient_basis(seq, r, s)
-    fixed, rank, moved = _quotient_fixed_space(seq, r, s, basis)
-    violations += [f"{word} moves A_{r} or A_{s}" for word in moved]
-    if len(fixed) != rank:
-        violations.append(f"fixed space of dimension {len(fixed)} where "
-                          f"the averages span {rank}")
+    lie, p, fixed = _lie_tables(), cfg.p, []
+    mats = [q.action(lie.words[word]) for word in ("sigma", "rho")]
+    violations += [f"{word} moves A_{r} or A_{s}"
+                   for word, mat in zip(("sigma", "rho"), mats) if mat is None]
+    if None not in mats and q.basis:
+        field = PrimeField(p)
+        fixed = kernel([[(c - (a == n)) % p for n, c in enumerate(row)]
+                        for mat in mats for a, row in enumerate(mat)], field)
+        rank = Subspace(field, len(q.basis), q.action(lie.average)).dim
+        if len(fixed) != rank:
+            violations.append(f"fixed space of dimension {len(fixed)} where "
+                              f"the averages span {rank}")
     for vector in fixed:
-        x = _lift(q.lat_r, zip(basis, vector))
+        x = q.lift(zip(q.basis, vector))
         lifted = lie_gamma.average(x)
         if not q.lat_r.contains(lifted):
             violations.append("lift leaves A_r")
@@ -373,35 +399,6 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         "generators_tested": len(gens),
         "violations": violations,
     }
-
-
-def _quotient_fixed_space(seq: LatticeSeq, r: int, s: int, basis):
-    """(kernel, rank, moved) on A_r/A_s from triality._lie_tables, in
-    ints.  An entry q_mk (e_k -> q_mk e_m, the exponent kept) nonzero mod
-    p needs bound_m <= bound_k at r and at s; moved lists the words among
-    sigma and rho that break this.  Otherwise u^v e_k maps to the
-    q_mk u^v e_m with v < bound_m(s): kernel is that of [S - 1; R - 1]
-    over F_p, and rank is the rank of the average table."""
-    p, lie, field = seq.cfg.p, _lie_tables(), PrimeField(seq.cfg.p)
-    lo, hi = _so_bounds(seq.lattice(r)), _so_bounds(seq.lattice(s))
-    tables = [[{m: q.numerator * pow(q.denominator, -1, p) % p
-                for m, q in col.items()} for col in table]
-              for table in (lie.words["sigma"], lie.words["rho"], lie.average)]
-    moved = [w for w, table in zip(("sigma", "rho"), tables) if any(
-        c and (lo[m] > lo[k] or hi[m] > hi[k])
-        for k, col in enumerate(table) for m, c in col.items())]
-    if moved or not basis:
-        return [], 0, moved
-    d, index, mats = len(basis), {kv: n for n, kv in enumerate(basis)}, []
-    for shift, table in zip((1, 1, 0), tables):
-        rows = [[-shift if a == n else 0 for n in range(d)] for a in range(d)]
-        for n, (k, v) in enumerate(basis):
-            for m, c in table[k].items():
-                if c and v < hi[m]:
-                    rows[index[m, v]][n] += c
-        mats.append([[c % p for c in row] for row in rows])
-    return (kernel(mats[0] + mats[1], field), Subspace(field, d, mats[2]).dim,
-            moved)
 
 
 def _annihilating_pairs(lies) -> set:
@@ -485,8 +482,8 @@ def character_counts(seq: LatticeSeq, r: int, s: int):
     in Scalar.val units, the dimension over the residue field: over the
     ramified extension e times the count in t units, on both sides, and
     over F_{p^2} half the F_p-dimension."""
-    return (len(quotient_basis(seq, 1 - s, 1 - r)),
-            len(quotient_basis(seq, r, s)))
+    return (len(FiltrationQuotient(seq, 1 - s, 1 - r).basis),
+            len(FiltrationQuotient(seq, r, s).basis))
 
 
 def trace_triality_invariance(x: EndV, y: EndV) -> bool:
