@@ -17,7 +17,22 @@ T^T G T = G for each word's table.  Products, tables and verdicts live
 for one check call.  Sampled checks remain where the input is random by
 nature: idempotent-identities (random isotropic pairs), psi-homomorphism
 (random generator pairs) and gamma-perp-random (random stable subspaces)
-draw from the suite's rng."""
+draw from the suite's rng.
+
+Each constructed object is verified once.  Some constructors verify their
+own output and raise on failure: extend_sl3, extend_su21 and extend_dim4
+through norms._check_extension (DomainError, DualityError), TrialityTriple
+through check_related (TripleError), and idempotents_from_isotropic_pair
+(PairError).  The extend-*, root-triples, diagonal-triples and
+idempotent-identities checks catch that error and report their own
+counterexample string; they do not verify the object again.  What several
+checks of one run read is built once in a per-run _RunTable, which keeps a
+build error so that every reader re-raises it: the sl3 extensions of
+fixtures.sl3_norm_values() in the norm suite (the (1/3, 1/3, -2/3)
+extension of maximinorante, uniqueness-perturbation and
+filtration-multiplicativity among them), the standard lattice sequence in
+the filtration suite, and the stratum corpus in the strata suite.  Called
+alone, a check builds its own table."""
 
 from __future__ import annotations
 
@@ -28,7 +43,8 @@ from fractions import Fraction
 from . import fixtures
 from .endo import (SO_LABELS, EndV, d_torus_lie, so_coords, so_matrix,
                    u_root_lie)
-from .errors import DomainError, G2KitError, PrecisionError, WitnessError
+from .errors import (DomainError, DualityError, G2KitError, PairError,
+                     PrecisionError, TripleError, WitnessError)
 from .filtration import (cayley, character_counts, enumerate_subspaces,
                          gamma_perp, lie_generators, moy_counterexample,
                          psi_b, quotient_iso_check, random_stable_subspace,
@@ -47,11 +63,30 @@ from .octonions import (LABELS, Octonion, anisotropic_plane, basis_octonion,
 from .scalars import FieldConfig
 from .strata import classify, validate
 from .triality import (GroupTriality, HermitianModel, LieTrialityGroup,
-                       check_related, diag_lie_triple, orbit_triples,
-                       root_triple, solve_dim2, solve_dim4, solve_glw,
-                       solve_lie_triple)
+                       diag_lie_triple, orbit_triples, root_triple, solve_dim2,
+                       solve_dim4, solve_glw, solve_lie_triple)
 
 SUITE_NAMES = ("octonion", "triality", "norms", "filtration", "strata")
+
+
+class _RunTable:
+    """What one suite run builds once for several checks: each entry is
+    built on its first read, and a build error is kept so that every
+    reader re-raises it."""
+
+    def __init__(self):
+        self._entries = {}
+
+    def get(self, key, build):
+        if key not in self._entries:
+            try:
+                self._entries[key] = build()
+            except G2KitError as exc:
+                self._entries[key] = exc
+        entry = self._entries[key]
+        if isinstance(entry, G2KitError):
+            raise entry
+        return entry
 
 
 def _all_root_pairs():
@@ -186,22 +221,24 @@ def _doubling_chains(cfg):
 
 
 def _idempotent_sweep(cfg, rng, count):
-    unit = octonion_unit(cfg)
+    """idempotents_from_isotropic_pair raises PairError unless e+ = -h h'
+    and e- = -h' h are orthogonal idempotents summing to 1; the sweep reads
+    that verdict and checks the rest against the returned c = h' h - h h'."""
     one = cfg.one()
     for _ in range(count):
         h, hp = random_isotropic_pair(cfg, rng)
-        ep, em, c = idempotents_from_isotropic_pair(h, hp)
         lam = cfg.random(rng, width=1, vmin=-1, vmax=1, nonzero=True)
-        ep2, em2, c2 = idempotents_from_isotropic_pair(
-            h.scale(lam), hp.scale(lam.inv()))
+        try:
+            ep, em, c = idempotents_from_isotropic_pair(h, hp)
+            scaled = idempotents_from_isotropic_pair(
+                h.scale(lam), hp.scale(lam.inv()))
+        except PairError:
+            return f"identity failed at pair ({h!r}, {hp!r})"
         ok = ((h + hp).norm() == one
               and (h - hp).norm() == -one
-              and (h + hp) * (h - hp) == hp * h - h * hp
-              and -(hp * h) - h * hp == unit
-              and ep * ep == ep and em * em == em
-              and (ep * em).is_zero
+              and (h + hp) * (h - hp) == c
               and c * h == h and c * hp == -hp
-              and (ep2, em2, c2) == (ep, em, c))
+              and scaled == (ep, em, c))
         if not ok:
             return f"identity failed at pair ({h!r}, {hp!r})"
     return None
@@ -234,19 +271,23 @@ def _triality_checks(cfg, rng):
 
 
 def _root_triples(cfg):
+    """TrialityTriple runs check_related on the triple it is given and
+    raises TripleError when the identity fails; the check reads that."""
     lam = cfg.t()
     for (i, j) in _all_root_pairs():
         for lie in (False, True):
-            tri = root_triple(cfg, i, j, lam, lie=lie)
-            if not check_related(tri.t1, tri.t2, tri.t3, lie):
+            try:
+                root_triple(cfg, i, j, lam, lie=lie)
+            except TripleError:
                 return f"root triple ({i},{j}) lie={lie}"
     return None
 
 
 def _diag_triples(cfg):
     for i in (1, 2, 3, 4):
-        tri = diag_lie_triple(cfg, i, cfg.t())
-        if not check_related(tri.t1, tri.t2, tri.t3, lie=True):
+        try:
+            diag_lie_triple(cfg, i, cfg.t())
+        except TripleError:
             return f"diagonal triple {i}"
     return None
 
@@ -376,23 +417,39 @@ def _barwedge(cfg):
 # -- norm suite -------------------------------------------------------------------
 
 def _norm_checks(cfg, rng):
-    yield "extend-sl3", lambda: _extend_sl3_fixtures(cfg)
+    table = _RunTable()
+    yield "extend-sl3", lambda: _extend_sl3_fixtures(cfg, table)
     yield "extend-su21", lambda: _extend_su21_fixtures(cfg)
     yield "extend-dim4", lambda: _extend_dim4_fixtures(cfg)
-    yield "duality-involution", lambda: _duality_involution(cfg)
-    yield "maximinorante", lambda: _maximinorante(cfg)
-    yield "uniqueness-perturbation", lambda: _uniqueness(cfg)
-    yield "exponent-identities", lambda: _exponent_identities(cfg)
-    yield "filtration-multiplicativity", lambda: _filtration_mult(cfg)
+    yield "duality-involution", lambda: _duality_involution(cfg, table)
+    yield "maximinorante", lambda: _maximinorante(cfg, table)
+    yield "uniqueness-perturbation", lambda: _uniqueness(cfg, table)
+    yield "exponent-identities", lambda: _exponent_identities(cfg, table)
+    yield "filtration-multiplicativity", lambda: _filtration_mult(cfg, table)
 
 
-def _extend_sl3_fixtures(cfg):
-    d = hyperbolic_plane(cfg)
+THIRDS = (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
+
+
+def _sl3_extension(cfg, vals, table=None):
+    """The sl3 extension of the norm vals on W+ across the hyperbolic
+    plane, built once per table."""
+    return (table or _RunTable()).get(("sl3", *vals), lambda: extend_sl3(
+        fixtures.wplus_norm(cfg, vals), hyperbolic_plane(cfg)))
+
+
+def _thirds_norm(cfg, table=None):
+    """The sl3 extension of the (1/3, 1/3, -2/3) norm on W+."""
+    return _sl3_extension(cfg, THIRDS, table)
+
+
+def _extend_sl3_fixtures(cfg, table=None):
     for vals in fixtures.sl3_norm_values():
-        alpha = fixtures.wplus_norm(cfg, vals)
-        ext = extend_sl3(alpha, d)
-        if not (is_algebra_norm(ext) and is_self_dual(ext)):
+        try:
+            ext = _sl3_extension(cfg, vals, table)
+        except (DomainError, DualityError):
             return f"sl3 extension of {vals}"
+        alpha = fixtures.wplus_norm(cfg, vals)
         for b, v in zip(alpha.basis, alpha.values):
             if ext.eval(b) != v:
                 return f"sl3 restriction of {vals}"
@@ -411,8 +468,9 @@ def _extend_su21_fixtures(cfg):
             ah = HermitianNorm(plane, [wm, w0, wp], [-a, 0, a])
             if ah.e != e_expected:
                 return "ramification index"
-            ext = extend_su21(ah, plane)
-            if not (is_algebra_norm(ext) and is_self_dual(ext)):
+            try:
+                ext = extend_su21(ah, plane)
+            except (DomainError, DualityError):
                 return f"su21 extension a={a}, e={e_expected}"
             if ext.eval(wp) != Fraction(a, ah.e):
                 return f"su21 restriction a={a}, e={e_expected}"
@@ -424,8 +482,9 @@ def _extend_dim4_fixtures(cfg):
     e = lambda l: basis_octonion(cfg, l)
     for (ah, ak) in fixtures.dim4_witt_values():
         alpha_w = NormFn(cfg, [e(2), e(-2), e(3), e(-3)], [ah, -ah, ak, -ak])
-        ext = extend_dim4(alpha_w, d4)
-        if not (is_algebra_norm(ext) and is_self_dual(ext)):
+        try:
+            extend_dim4(alpha_w, d4)
+        except (DomainError, DualityError):
             return f"dim4 extension {ah},{ak}"
     div = division_quaternion(cfg)
     # W is anisotropic and orthogonal to the unit, so Gram-Schmidt after
@@ -433,33 +492,26 @@ def _extend_dim4_fixtures(cfg):
     ortho = gram_schmidt(cfg, div.orthogonal_basis_octonions())[0][1:]
     alpha_w = NormFn(cfg, ortho,
                      [Fraction(x.norm().valuation, 2) for x in ortho])
-    ext = extend_dim4(alpha_w, div)
-    if not (is_algebra_norm(ext) and is_self_dual(ext)):
+    try:
+        extend_dim4(alpha_w, div)
+    except (DomainError, DualityError):
         return "anisotropic dim4 extension"
     return None
 
 
-def _duality_involution(cfg):
-    d = hyperbolic_plane(cfg)
+def _duality_involution(cfg, table=None):
     for vals in fixtures.sl3_norm_values():
-        ext = extend_sl3(fixtures.wplus_norm(cfg, vals), d)
+        ext = _sl3_extension(cfg, vals, table)
         if dual_norm(dual_norm(ext)) != ext or dual_norm(ext) != ext:
             return f"duality at {vals}"
     return None
 
 
-def _thirds_norm(cfg):
-    """The sl3 extension of the (1/3, 1/3, -2/3) norm on W+."""
-    return extend_sl3(fixtures.wplus_norm(
-        cfg, [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]),
-        hyperbolic_plane(cfg))
-
-
-def _maximinorante(cfg):
+def _maximinorante(cfg, table=None):
     """alpha(x) + alpha(y) <= v(f(x, y)) for all x, y iff it holds on the
     64 pairs of the splitting basis: f is bilinear and alpha is the min
     over coordinates of v(xi_i) + alpha_i."""
-    alpha = _thirds_norm(cfg)
+    alpha = _thirds_norm(cfg, table)
     for b1, a1 in zip(alpha.basis, alpha.values):
         for b2, a2 in zip(alpha.basis, alpha.values):
             if a1 + a2 > bilinear_f(b1, b2).valuation:
@@ -467,8 +519,8 @@ def _maximinorante(cfg):
     return None
 
 
-def _uniqueness(cfg):
-    ext = _thirds_norm(cfg)
+def _uniqueness(cfg, table=None):
+    ext = _thirds_norm(cfg, table)
     for k in range(len(ext.values)):
         bad_vals = list(ext.values)
         bad_vals[k] += 1
@@ -478,11 +530,10 @@ def _uniqueness(cfg):
     return None
 
 
-def _exponent_identities(cfg):
-    d = hyperbolic_plane(cfg)
+def _exponent_identities(cfg, table=None):
     e = lambda l: basis_octonion(cfg, l)
     for vals in fixtures.sl3_norm_values():
-        ext = extend_sl3(fixtures.wplus_norm(cfg, vals), d)
+        ext = _sl3_extension(cfg, vals, table)
         if ext.eval(e(4)) != 0 or ext.eval(e(-4)) != 0:
             return f"unit values at {vals}"
         total = Fraction(0)
@@ -495,8 +546,8 @@ def _exponent_identities(cfg):
     return None
 
 
-def _filtration_mult(cfg):
-    seq = lattice_seq_from_norm(_thirds_norm(cfg))
+def _filtration_mult(cfg, table=None):
+    seq = lattice_seq_from_norm(_thirds_norm(cfg, table))
     gens = {k: lie_generators(seq, k) for k in (1, 2)}
     for k1 in (1, 2):
         for k2 in (1, 2):
@@ -511,11 +562,12 @@ def _filtration_mult(cfg):
 # -- filtration suite -------------------------------------------------------------
 
 def _filtration_checks(cfg, rng):
+    table = _RunTable()
     yield "moy-counterexample", lambda: _moy(cfg)
-    yield "quotient-congruences", lambda: _quotients(cfg)
-    yield "psi-homomorphism", lambda: _psi_hom(cfg, rng)
-    yield "psi-equivariance", lambda: _psi_equi(cfg)
-    yield "psi-injectivity", lambda: _psi_inj(cfg)
+    yield "quotient-congruences", lambda: _quotients(cfg, table)
+    yield "psi-homomorphism", lambda: _psi_hom(cfg, rng, table)
+    yield "psi-equivariance", lambda: _psi_equi(cfg, table)
+    yield "psi-injectivity", lambda: _psi_inj(cfg, table)
     yield "trace-invariance", lambda: _trace_inv(cfg)
     yield "gamma-perp-exhaustive", lambda: _gamma_exhaustive()
     yield "gamma-perp-random", lambda: _gamma_random(rng)
@@ -528,13 +580,20 @@ def _moy(cfg):
     return None
 
 
-def _quotient_seqs(cfg):
-    return (lattice_seq_from_norm(standard_norm(cfg)),
-            lattice_seq_from_norm(_thirds_norm(cfg)))
+def _standard_seq(cfg, table=None):
+    """The lattice sequence of the standard norm, built once per table; it
+    keeps the filtration lattices A_k that its readers build."""
+    return (table or _RunTable()).get(
+        "standard sequence", lambda: lattice_seq_from_norm(standard_norm(cfg)))
 
 
-def _quotients(cfg):
-    for seq in _quotient_seqs(cfg):
+def _quotient_seqs(cfg, table=None):
+    return (_standard_seq(cfg, table),
+            lattice_seq_from_norm(_thirds_norm(cfg, table)))
+
+
+def _quotients(cfg, table=None):
+    for seq in _quotient_seqs(cfg, table):
         for (r, s) in ((1, 1), (1, 2), (2, 3), (2, 4)):
             rep = quotient_iso_check(seq, r, s)
             if rep["violations"]:
@@ -542,8 +601,8 @@ def _quotients(cfg):
     return None
 
 
-def _psi_hom(cfg, rng):
-    seq = lattice_seq_from_norm(standard_norm(cfg))
+def _psi_hom(cfg, rng, table=None):
+    seq = _standard_seq(cfg, table)
     r, s = 1, 2
     b = d_torus_lie(cfg, 1, cfg.t(-1)) + u_root_lie(cfg, 1, 2, cfg.t(-1))
     xs = [cayley(g.lie) for g in lie_generators(seq, r)]
@@ -558,8 +617,8 @@ def _psi_hom(cfg, rng):
     return None
 
 
-def _psi_equi(cfg):
-    seq = lattice_seq_from_norm(standard_norm(cfg))
+def _psi_equi(cfg, table=None):
+    seq = _standard_seq(cfg, table)
     r, s = 1, 2
     lie_gamma = LieTrialityGroup()
     grp_gamma = GroupTriality(cfg)
@@ -579,8 +638,8 @@ def _psi_equi(cfg):
     return None
 
 
-def _psi_inj(cfg):
-    seq = lattice_seq_from_norm(standard_norm(cfg))
+def _psi_inj(cfg, table=None):
+    seq = _standard_seq(cfg, table)
     r, s = 1, 2
     d1, d2 = character_counts(seq, r, s)
     if d1 != d2:
@@ -638,18 +697,8 @@ def _gamma_random(rng):
 # -- strata suite -----------------------------------------------------------------
 
 def _strata_checks(cfg, rng):
-    table = {}  # the corpus, or its build error, built once per run
-
-    def corpus():
-        if "corpus" not in table:
-            try:
-                table["corpus"] = fixtures.stratum_corpus(cfg)
-            except G2KitError as exc:
-                table["corpus"] = exc
-        if isinstance(table["corpus"], G2KitError):
-            raise table["corpus"]
-        return table["corpus"]
-
+    table = _RunTable()
+    corpus = lambda: table.get("corpus", lambda: fixtures.stratum_corpus(cfg))
     yield "corpus-classification", lambda: _corpus(corpus())
     yield "lift-depth", lambda: _lift_depth(corpus())
     yield "lift-roundtrip", lambda: _lift_roundtrip(cfg)

@@ -1,7 +1,9 @@
 """The identity checks that the octonion, triality, norms and filtration
-suites decide on a basis: each reports fail under a seeded fault in the
-data it decides and pass without it (ROADMAP item 8), and the sampled
-sweeps they replaced (sampled_sweeps) still pass where they pass."""
+suites decide on a basis, and the checks that read the verdict of a
+constructor that verifies its own output: each reports fail under a
+seeded fault in the data it decides and pass without it (ROADMAP item 8),
+and the sampled sweeps the basis decisions replaced (sampled_sweeps)
+still pass where they pass."""
 
 import random
 
@@ -9,7 +11,7 @@ import pytest
 from sampled_sweeps import (barwedge_sweep, fixed_points_sweep,
                             maximinorante_sweep)
 
-from g2kit import octonions, triality
+from g2kit import endo, norms, octonions, triality
 from g2kit.norms import NormFn
 from g2kit.octonions import IDX
 from g2kit.scalars import FieldConfig
@@ -20,7 +22,11 @@ SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
             "alternative-laws": "octonion", "doubling-chains": "octonion",
             "fixed-point-consistency": "triality",
             "product-decomposition": "triality", "maximinorante": "norms",
-            "trace-invariance": "filtration"}
+            "trace-invariance": "filtration",
+            "extend-sl3": "norms", "extend-su21": "norms",
+            "extend-dim4": "norms", "root-triples": "triality",
+            "diagonal-triples": "triality",
+            "idempotent-identities": "octonion"}
 
 
 def _report(name, cfg):
@@ -29,13 +35,14 @@ def _report(name, cfg):
     return run_check(name, thunk)
 
 
-def _flip_product(monkeypatch, left, right):
+def _flip_product(monkeypatch, left, right, module=octonions):
     """A copy of BASIS_PRODUCT with the sign of e_left e_right flipped,
-    for Octonion.__mul__ only."""
-    table = [list(row) for row in octonions.BASIS_PRODUCT]
+    for the module's readers only: Octonion.__mul__ for octonions, the
+    triality identity (leibniz_holds, multiplicative_holds) for endo."""
+    table = [list(row) for row in module.BASIS_PRODUCT]
     k, sign = table[IDX[left]][IDX[right]]
     table[IDX[left]][IDX[right]] = (k, -sign)
-    monkeypatch.setattr(octonions, "BASIS_PRODUCT",
+    monkeypatch.setattr(module, "BASIS_PRODUCT",
                         tuple(tuple(row) for row in table))
 
 
@@ -61,11 +68,59 @@ def _raise_alpha(monkeypatch):
     from g2kit import suites
     thirds = suites._thirds_norm
 
-    def raised(cfg):
-        alpha = thirds(cfg)
+    def raised(cfg, table=None):
+        alpha = thirds(cfg, table)
         return NormFn(cfg, alpha.basis, [alpha.values[0] + 1]
                       + alpha.values[1:])
     monkeypatch.setattr(suites, "_thirds_norm", raised)
+
+
+def _lower_sharp_dual(monkeypatch):
+    """The sharp dual into another subspace (W- for the sl3 extension)
+    with its first value lowered by 1, so extend_sl3 builds a norm that is
+    not self-dual; the dual inside a norm's own span, which is_self_dual
+    reads, is left alone."""
+    sharp = norms.sharp_dual
+
+    def lowered(alpha, target):
+        out = sharp(alpha, target)
+        if target is alpha.space:
+            return out
+        return NormFn(out.cfg, out.basis, [out.values[0] - 1]
+                      + out.values[1:])
+    monkeypatch.setattr(norms, "sharp_dual", lowered)
+
+
+def _raise_vc(monkeypatch):
+    """v_F'(c) raised by 1 in every HermitianNorm: extend_su21 gives the
+    vectors c b of W values off by 1/e."""
+    init = norms.HermitianNorm.__init__
+
+    def raised(self, d, basis, values):
+        init(self, d, basis, values)
+        self.vc += 1
+    monkeypatch.setattr(norms.HermitianNorm, "__init__", raised)
+
+
+def _swap_idempotents(monkeypatch):
+    """extend_dim4 given (e-, e+, -c) for (e+, e-, c): the values
+    -alpha(h) - alpha(k) and alpha(h) + alpha(k) land on e- b and e+ b."""
+    pair = norms.idempotents_from_isotropic_pair
+
+    def swapped(h, hp):
+        eplus, eminus, c = pair(h, hp)
+        return eminus, eplus, -c
+    monkeypatch.setattr(norms, "idempotents_from_isotropic_pair", swapped)
+
+
+def _negate_diag_t3(monkeypatch):
+    """The third component of every diagonal triple negated."""
+    descriptors = triality._diag_triple_descriptors
+
+    def negated(i):
+        d1, d2, d3 = descriptors(i)
+        return d1, d2, {k: -c for k, c in d3.items()}
+    monkeypatch.setattr(triality, "_diag_triple_descriptors", negated)
 
 
 def _negate_bar_wedge(monkeypatch):
@@ -86,6 +141,14 @@ FAULTS = {
     "product-decomposition": _negate_bar_wedge,
     "maximinorante": _raise_alpha,
     "trace-invariance": lambda mp: _flip_lie_table(mp, None, "rho"),
+    # the faults below act on what a constructor verifies before it returns
+    "extend-sl3": _lower_sharp_dual,
+    "extend-su21": _raise_vc,
+    "extend-dim4": _swap_idempotents,
+    "root-triples": lambda mp: _flip_product(mp, 1, 2, endo),
+    "diagonal-triples": _negate_diag_t3,
+    # -h h' and -h' h then fail idempotents_from_isotropic_pair's checks
+    "idempotent-identities": lambda mp: _flip_product(mp, 1, -1),
 }
 
 

@@ -15,7 +15,7 @@ from g2kit.suites import _SUITES, run_check, run_suite
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("p", (5, 11))
+@pytest.mark.parametrize("p", (5, 7, 11))
 def test_triality_report_matches_golden(p):
     report = run_suite("triality", FieldConfig(p, 8), 1)
     report.pop("wall_time")
@@ -47,7 +47,7 @@ def test_hermitian_checks_over_extensions_match_golden(ext):
     assert report == json.loads(path.read_text())[ext]
 
 
-@pytest.mark.parametrize("p", (5, 11))
+@pytest.mark.parametrize("p", (5, 7, 11))
 @pytest.mark.parametrize("suite", ("octonion", "norms", "strata"))
 def test_desk_suite_report_matches_golden(suite, p):
     report = run_suite(suite, FieldConfig(p, 8), 1)
