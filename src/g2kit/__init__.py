@@ -25,8 +25,7 @@ from .octonions import (CompositionSubalgebra, Octonion, anisotropic_plane,
                         standard_split_dim4)
 from .scalars import FieldConfig, Scalar, congruent, parse_scalar
 from .strata import (ClassifiedStratum, Stratum, StratumData, classify,
-                     lift_type_d_sl3, lift_type_d_su21, trace_adjust,
-                     validate)
+                     lift_type_d_sl3, lift_type_d_su21, validate)
 from .suites import run_all, run_suite
 from .triality import (TrialityTriple, check_related, diag_lie_triple, hat,
                        is_g2_element, is_g2_lie, orbit_triples, root_triple,

@@ -234,10 +234,6 @@ def multiplicative_holds(t1: EndV, t2: EndV, t3: EndV) -> bool:
     return True
 
 
-def is_algebra_automorphism(g: EndV) -> bool:
-    return multiplicative_holds(g, g, g)
-
-
 # -- standard generators -------------------------------------------------------
 
 def root_entries(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> dict:

@@ -16,6 +16,9 @@ from .strata import (Stratum, StratumData, lift_type_d_sl3,
                      lift_type_d_su21)
 
 
+THIRDS = (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
+
+
 def e(cfg, lbl):
     return basis_octonion(cfg, lbl)
 
@@ -27,7 +30,7 @@ def wplus_norm(cfg, values) -> NormFn:
 def sl3_norm_values():
     return [
         [0, 0, 0],
-        [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)],
+        list(THIRDS),
         [1, -1, 0],
         [Fraction(1, 2), Fraction(-1, 2), 0],
         [Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)],
@@ -71,9 +74,8 @@ def case_i_strata(cfg):
         wplus_norm(cfg, [0, 0, 0]), 1, 0, _diag_phi(cfg, a, a),
         [([-a, 1], [e(cfg, 1), e(cfg, 2)]), ([a + a, 1], [e(cfg, 3)])])
     out.append(lift_type_d_sl3(merged, d))
-    thirds = [Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)]
     out.append(lift_type_d_sl3(
-        sl3_regular_data(cfg, norm_values=thirds, n=3), d))
+        sl3_regular_data(cfg, norm_values=THIRDS, n=3), d))
     u = cfg.t(-2)
     z = cfg.zero()
     cubic = StratumData(

@@ -10,7 +10,9 @@ F-basis of its extension from the endo.HermitianSpace on its D-basis.
 
 Every dual is a sharp_dual, norm equality and F'-self-duality are one
 two-way evaluation, and the three extend_* (the norm half of the type-D
-lifts in strata) share one _check_extension.
+lifts in strata) share one _check_extension, which each runs on the norm
+it returns: extend_sl3 and the split extend_dim4 first put the splitting
+basis into the standard label order (reorder_to_standard), then verify.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .endo import EndV, HermitianSpace
 from .errors import (ConfigMismatchError, DomainError, DualityError,
                      KindError, VolumeError)
 from .linalg import RowReduction, Subspace, det, inv, mat_mul, transpose
-from .octonions import (CompositionSubalgebra, Octonion, basis_octonion,
-                        bilinear_f, dual_basis_in, gram_schmidt,
+from .octonions import (LABELS, CompositionSubalgebra, Octonion,
+                        basis_octonion, bilinear_f, dual_basis_in, gram_schmidt,
                         idempotents_from_isotropic_pair, octonion_unit,
                         ordered_polarization, split_polarization,
                         standard_idempotents)
@@ -148,7 +150,7 @@ def reorder_to_standard(alpha: NormFn) -> NormFn:
     consists exactly of the standard basis vectors."""
     cfg = alpha.cfg
     order = []
-    for lbl in (-4, -1, -2, -3, 3, 2, 1, 4):
+    for lbl in LABELS:
         target = basis_octonion(cfg, lbl)
         hit = next((i for i, b in enumerate(alpha.basis) if b == target), None)
         if hit is None:
@@ -160,9 +162,7 @@ def reorder_to_standard(alpha: NormFn) -> NormFn:
 
 def standard_norm(cfg: FieldConfig) -> NormFn:
     """The algebra norm vanishing on the standard Witt basis."""
-    basis = [basis_octonion(cfg, lbl) for lbl in
-             (-4, -1, -2, -3, 3, 2, 1, 4)]
-    return NormFn(cfg, basis, [0] * 8)
+    return NormFn(cfg, [basis_octonion(cfg, lbl) for lbl in LABELS], [0] * 8)
 
 
 # -- volume ---------------------------------------------------------------------
@@ -199,9 +199,9 @@ def extend_sl3(alpha_plus: NormFn, d: CompositionSubalgebra) -> NormFn:
     basis = [eplus, eminus] + list(alpha_plus.basis) + list(sharp.basis)
     values = [Fraction(0), Fraction(0)] + list(alpha_plus.values) \
         + list(sharp.values)
-    out = NormFn(alpha_plus.cfg, basis, values)
+    out = reorder_to_standard(NormFn(alpha_plus.cfg, basis, values))
     _check_extension(out, alpha_plus.basis, alpha_plus.values)
-    return reorder_to_standard(out)
+    return out
 
 
 def _check_extension(out: NormFn, basis, values):
@@ -314,9 +314,9 @@ def extend_dim4(alpha_w: NormFn, d4: CompositionSubalgebra) -> NormFn:
             raise DomainError(f"{nm} does not lie in D")
     basis = [eplus, eminus, eplus * b, eminus * b, h, hp, k, kp]
     values = [Fraction(0), Fraction(0), -ah - ak, ah + ak, ah, ahp, ak, akp]
-    out = NormFn(cfg, basis, values)
+    out = reorder_to_standard(NormFn(cfg, basis, values))
     _check_extension(out, alpha_w.basis, alpha_w.values)
-    return reorder_to_standard(out)
+    return out
 
 
 def _extend_dim4_anisotropic(alpha_w: NormFn, d4) -> NormFn:
@@ -375,10 +375,6 @@ class LatticeSeq:
             lines.append(f"{i} -> ({exps})")
         return "\n".join(lines)
 
-    def is_self_dual(self) -> bool:
-        """Lambda(i)* = Lambda(1-i) holds iff the norm is self-dual."""
-        return is_self_dual(self.norm)
-
     def __repr__(self):
         return f"LatticeSeq(m={self.m})"
 
@@ -418,9 +414,8 @@ class FiltrationLattice:
         m = seq.m
         self.bounds = [[Fraction(k, m) + a[j] - a[l] for j in range(n)]
                        for l in range(n)]
-        self._std = all(
-            b == basis_octonion(self.cfg, lbl) for b, lbl in
-            zip(seq.norm.basis, (-4, -1, -2, -3, 3, 2, 1, 4)))
+        self._std = all(b == basis_octonion(self.cfg, lbl)
+                        for b, lbl in zip(seq.norm.basis, LABELS))
         # the entry bounds in the 1/e units of Scalar.val
         self._val_bounds = [[self.entry_bound(l, j) * self.cfg.e
                              for j in range(n)] for l in range(n)]

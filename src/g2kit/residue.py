@@ -276,14 +276,14 @@ class PrimeField(_SeriesKernels):
         return tuple(out) if full else self.strip(out)[1]
 
     def dot_series(self, terms, lo, width):
-        """Sum of s * u^v * a * b over the (s, v, a, b) terms, s = +-1 and
-        b = ONE for a plain term, on the width coefficients from u^lo,
-        which hold every product whole; (lead, coeffs) as from strip."""
+        """Sum of s * u^v * a * b over the (s, v, a, b) terms, s = +-1, on
+        the width coefficients from u^lo, which hold every product whole;
+        (lead, coeffs) as from strip."""
         acc = [0] * width
         for s, v, a, b in terms:
             if len(b) == 1:
-                # a plain term or a monomial factor (1 x 1 terms are about
-                # two fifths of the terms in desk-suites): one pass over a
+                # a monomial factor (1 x 1 terms are about two fifths of
+                # the terms in desk-suites): one pass over a
                 y = b[0] if s > 0 else -b[0]
                 if len(a) == 1:
                     acc[v - lo] += a[0] * y

@@ -380,17 +380,6 @@ class Scalar:
             out[j] = r.mul(half, acc)
         return _build(self.cfg, 0, out)
 
-    def residue_character(self) -> int:
-        """The residue pairing: the coefficient of t^{-1} in Z/p; additive
-        and vanishing on the integer ring."""
-        if self.cfg.extension != "none":
-            raise DomainError("residue character is defined over the base field")
-        if self.is_zero:
-            return 0
-        if self.valuation < -1:
-            raise DomainError("valuation below -1: outside the character domain")
-        return self.coeff_at(-1) % self.cfg.p
-
     def conductor_character(self) -> int:
         """The additive character of conductor p_F: trivial on p_F and
         faithful on o_F / p_F, read off the constant coefficient."""
@@ -469,9 +458,9 @@ def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
 
 
 def dot(cfg: FieldConfig, terms) -> Scalar:
-    """The signed sum of products s*x*y over the (s, x, y) terms, s = +-1
-    and y = None for a plain term s*x, equal digit for digit to fold_dot.
-    terms is a list: the fold reads it a second time.
+    """The signed sum of products s*x*y over the (s, x, y) terms, s = +-1,
+    equal digit for digit to fold_dot.  terms is a list: the fold reads it
+    a second time.
 
     When the support of every full product fits one N-coefficient span,
     from the least valuation to the largest end, the left fold truncates
@@ -487,18 +476,12 @@ def dot(cfg: FieldConfig, terms) -> Scalar:
     for s, x, y in terms:
         if x.cfg is not cfg:
             cfg._zero._check(x)
-        xc = x.coeffs
-        if y is None:
-            yc, v = cfg._residue.ONE, x.val
-        else:
-            if y.cfg is not cfg:
-                cfg._zero._check(y)
-            yc = y.coeffs
-            if not yc:
-                continue
-            v = x.val + y.val
-        if not xc:
+        if y.cfg is not cfg:
+            cfg._zero._check(y)
+        xc, yc = x.coeffs, y.coeffs
+        if not xc or not yc:
             continue
+        v = x.val + y.val
         end = v + len(xc) + len(yc) - 1
         if lo is None:
             lo, hi = v, end
@@ -526,18 +509,17 @@ def _check_then_fold(cfg: FieldConfig, terms) -> Scalar:
     for _, x, y in terms:
         if x.cfg is not cfg:
             cfg._zero._check(x)
-        if y is not None and y.cfg is not cfg:
+        if y.cfg is not cfg:
             cfg._zero._check(y)
     return fold_dot(cfg, terms)
 
 
 def fold_dot(cfg: FieldConfig, terms) -> Scalar:
     """The left fold of the (s, x, y) terms of dot through the truncating
-    Scalar operations: acc +- x*y (or acc +- x), starting from the first
-    term."""
+    Scalar operations: acc +- x*y, starting from the first term."""
     acc = None
     for s, x, y in terms:
-        term = x if y is None else x * y
+        term = x * y
         if acc is None:
             acc = term if s > 0 else -term
         else:

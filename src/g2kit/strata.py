@@ -22,7 +22,6 @@ from .norms import (LatticeSeq, NormFn, extend_sl3, extend_su21,
                     lattice_seq_from_norm, seq_valuation)
 from .octonions import (CompositionSubalgebra, Octonion,
                         ordered_polarization)
-from .scalars import FieldConfig
 
 
 class Stratum:
@@ -216,18 +215,6 @@ def _restrict_norm(norm: NormFn, basis_subset):
            for b in basis_subset]
     # a basis not adapted to the norm: restriction via eval only
     return None if None in idx else norm.restrict(idx)
-
-
-def trace_adjust(cfg: FieldConfig, gamma):
-    """gamma - (1/3) tr(gamma) id: the traceless representative used when
-    approximating strata inside the split-case Lie algebra (p != 3)."""
-    third = cfg.from_int(3).inv()
-    tr = gamma[0][0] + gamma[1][1] + gamma[2][2]
-    shift = tr * third
-    out = [[x for x in row] for row in gamma]
-    for i in range(3):
-        out[i][i] = out[i][i] - shift
-    return out
 
 
 # -- type-D lifting ----------------------------------------------------------------

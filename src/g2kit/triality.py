@@ -28,10 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
-                   assemble, first_candidate, is_algebra_automorphism,
-                   is_derivation, leibniz_holds, multiplicative_holds,
-                   root_entries, sandwich, so_coords, so_entries, so_matrix,
-                   so_rows, u_root, u_root_lie)
+                   assemble, first_candidate, is_derivation, leibniz_holds,
+                   multiplicative_holds, root_entries, sandwich, so_coords,
+                   so_entries, so_matrix, so_rows, u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
 from .linalg import Subspace, det, inv
 from .octonions import (CONJ_COLS, CONJ_ROWS, LABELS, CompositionSubalgebra,
@@ -45,10 +44,9 @@ class TrialityTriple:
 
     __slots__ = ("t1", "t2", "t3", "lie")
 
-    def __init__(self, t1: EndV, t2: EndV, t3: EndV, lie: bool = False,
-                 checked: bool = False):
+    def __init__(self, t1: EndV, t2: EndV, t3: EndV, lie: bool = False):
         self.t1, self.t2, self.t3, self.lie = t1, t2, t3, lie
-        if not checked and not check_related(t1, t2, t3, lie):
+        if not check_related(t1, t2, t3, lie):
             raise TripleError("triple does not satisfy the triality identity")
 
     def __iter__(self):
@@ -371,7 +369,7 @@ class HermitianModel:
 
 def is_g2_element(g: EndV) -> bool:
     """Algebra automorphisms = triality-fixed rotations."""
-    return is_algebra_automorphism(g)
+    return multiplicative_holds(g, g, g)
 
 
 def is_g2_lie(x: EndV) -> bool:
@@ -482,14 +480,14 @@ def inverse_word(word: str) -> str:
     return _lie_tables().inverse[word]
 
 
-def solve_lie_triple(x: EndV, checked: bool = False) -> TrialityTriple:
+def solve_lie_triple(x: EndV) -> TrialityTriple:
     """The unique Lie-related triple headed by x, for any x in so(V), read
     off the coordinate tables."""
     coords = so_coords(x)
     tables = _lie_tables()
     t2, t3 = (so_matrix(x.cfg, _run(t, coords, x.cfg))
               for t in (tables.t2, tables.t3))
-    return TrialityTriple(x, t2, t3, lie=True, checked=checked)
+    return TrialityTriple(x, t2, t3, lie=True)
 
 
 class LieTrialityGroup:
@@ -518,9 +516,6 @@ class LieTrialityGroup:
         return [(w, x.entries() if w == "id"
                  else so_entries(_run(words[w], coords, x.cfg)))
                 for w in self.WORDS]
-
-    def inverse_word(self, word: str) -> str:
-        return inverse_word(word)
 
     def average(self, x: EndV) -> EndV:
         """(1/6) sum of the orbit: the projection of so(V) onto the

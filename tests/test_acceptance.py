@@ -64,7 +64,7 @@ def test_criterion_2_doubling():
 def test_criterion_3_idempotents():
     rng = random.Random(3)
     start = time.monotonic()
-    bad = _idempotent_sweep(CFG, rng, 100)
+    bad = _idempotent_sweep(CFG, rng)
     report(3, "idempotent identities on 100 random isotropic pairs",
            [bad] if bad else [], time.monotonic() - start)
 

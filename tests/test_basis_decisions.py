@@ -1,9 +1,9 @@
 """The identity checks that the octonion, triality, norms and filtration
-suites decide on a basis, and the checks that read the verdict of a
-constructor that verifies its own output: each reports fail under a
-seeded fault in the data it decides and pass without it (ROADMAP item 8),
-and the sampled sweeps the basis decisions replaced (sampled_sweeps)
-still pass where they pass."""
+suites decide on a basis, the checks that read the verdict of a
+constructor that verifies the object it returns, and the other norm
+checks: each reports fail under a seeded fault in the data it decides and
+pass without it (ROADMAP item 8), and the sampled sweeps the basis
+decisions replaced (sampled_sweeps) still pass where they pass."""
 
 import random
 
@@ -11,7 +11,8 @@ import pytest
 from sampled_sweeps import (barwedge_sweep, fixed_points_sweep,
                             maximinorante_sweep)
 
-from g2kit import endo, norms, octonions, triality
+from g2kit import endo, fixtures, norms, octonions, suites, triality
+from g2kit.errors import DomainError
 from g2kit.norms import NormFn
 from g2kit.octonions import IDX
 from g2kit.scalars import FieldConfig
@@ -26,7 +27,14 @@ SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
             "extend-sl3": "norms", "extend-su21": "norms",
             "extend-dim4": "norms", "root-triples": "triality",
             "diagonal-triples": "triality",
-            "idempotent-identities": "octonion"}
+            "idempotent-identities": "octonion",
+            "duality-involution": "norms", "uniqueness-perturbation": "norms",
+            "exponent-identities": "norms",
+            "filtration-multiplicativity": "norms"}
+# the checks that read the sl3 extensions of fixtures.sl3_norm_values()
+SL3_READERS = ("extend-sl3", "duality-involution", "maximinorante",
+               "uniqueness-perturbation", "exponent-identities",
+               "filtration-multiplicativity")
 
 
 def _report(name, cfg):
@@ -65,7 +73,6 @@ def _flip_lie_table(monkeypatch, field, word=None):
 def _raise_alpha(monkeypatch):
     """The thirds norm with its first value raised by 1: alpha_0 plus the
     value of its dual partner then exceeds v(f) of the pair."""
-    from g2kit import suites
     thirds = suites._thirds_norm
 
     def raised(cfg, table=None):
@@ -89,6 +96,58 @@ def _lower_sharp_dual(monkeypatch):
         return NormFn(out.cfg, out.basis, [out.values[0] - 1]
                       + out.values[1:])
     monkeypatch.setattr(norms, "sharp_dual", lowered)
+
+
+def _rotate_reorder(monkeypatch):
+    """reorder_to_standard with the values of e_1, e_2, e_3 moved to e_2,
+    e_3, e_1 and those of e_-1, e_-2, e_-3 likewise.  The cyclic shift of
+    the labels is an automorphism, so the result is still a self-dual
+    algebra norm, but it no longer takes the given values on W+."""
+    reorder = norms.reorder_to_standard
+
+    def rotated(alpha):
+        out = reorder(alpha)
+        if out is alpha:
+            return out
+        v = out.values  # in the label order of octonions.LABELS
+        return NormFn(out.cfg, out.basis,
+                      [v[0], v[3], v[1], v[2], v[5], v[6], v[4], v[7]])
+    monkeypatch.setattr(norms, "reorder_to_standard", rotated)
+
+
+def _lower_suite_dual(monkeypatch):
+    """The duality check's dual_norm with its first value lowered by 1;
+    the dual that _check_extension reads is left alone."""
+    dual = suites.dual_norm
+
+    def lowered(alpha):
+        out = dual(alpha)
+        return NormFn(out.cfg, out.basis, [out.values[0] - 1]
+                      + out.values[1:])
+    monkeypatch.setattr(suites, "dual_norm", lowered)
+
+
+def _accept_every_norm(monkeypatch):
+    """The uniqueness check's algebra-norm and self-duality tests accept
+    every norm, so each perturbation passes; _check_extension reads the
+    ones in norms."""
+    monkeypatch.setattr(suites, "is_algebra_norm", lambda alpha: True)
+    monkeypatch.setattr(suites, "is_self_dual", lambda alpha: True)
+
+
+def _drop_label_signs(monkeypatch):
+    """The exponent check reads e_|l| for e_l, so e_i + e_-i pairs a
+    value with itself; extend_sl3 reads basis_octonion through norms."""
+    basis_octonion = suites.basis_octonion
+    monkeypatch.setattr(suites, "basis_octonion",
+                        lambda cfg, lbl: basis_octonion(cfg, abs(lbl)))
+
+
+def _lower_generator_level(monkeypatch):
+    """The multiplicativity check's generators of A_k taken from A_(k-1)."""
+    generators = suites.lie_generators
+    monkeypatch.setattr(suites, "lie_generators",
+                        lambda seq, k: generators(seq, k - 1))
 
 
 def _raise_vc(monkeypatch):
@@ -149,6 +208,12 @@ FAULTS = {
     "diagonal-triples": _negate_diag_t3,
     # -h h' and -h' h then fail idempotents_from_isotropic_pair's checks
     "idempotent-identities": lambda mp: _flip_product(mp, 1, -1),
+    # the faults below act on what the check decides from an intact
+    # extension
+    "duality-involution": _lower_suite_dual,
+    "uniqueness-perturbation": _accept_every_norm,
+    "exponent-identities": _drop_label_signs,
+    "filtration-multiplicativity": _lower_generator_level,
 }
 
 
@@ -158,6 +223,25 @@ def test_decided_check_fails_under_its_fault(p, name, monkeypatch):
     cfg = FieldConfig(p, 8)
     assert _report(name, cfg)["status"] == "pass"
     FAULTS[name](monkeypatch)
+    assert _report(name, cfg)["status"] == "fail"
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_extend_sl3_verifies_the_norm_it_returns(p, monkeypatch):
+    """The reordered norm is the one _check_extension verifies, so a
+    reorder_to_standard that moves values is caught where it happens."""
+    cfg = FieldConfig(p, 8)
+    _rotate_reorder(monkeypatch)
+    alpha = fixtures.wplus_norm(cfg, fixtures.THIRDS)
+    with pytest.raises(DomainError, match="restrict"):
+        norms.extend_sl3(alpha, octonions.hyperbolic_plane(cfg))
+
+
+@pytest.mark.parametrize("name", SL3_READERS)
+@pytest.mark.parametrize("p", (5, 7))
+def test_sl3_readers_fail_under_a_moving_reorder(p, name, monkeypatch):
+    cfg = FieldConfig(p, 8)
+    _rotate_reorder(monkeypatch)
     assert _report(name, cfg)["status"] == "fail"
 
 

@@ -166,9 +166,7 @@ def test_extend_sl3_thirds():
     ext = extend_sl3(alpha_p, D)
     assert is_algebra_norm(ext)
     assert is_self_dual(ext)
-    seq = lattice_seq_from_norm(ext)
-    assert seq.m == 3
-    assert seq.is_self_dual()
+    assert lattice_seq_from_norm(ext).m == 3
 
 
 def test_extend_sl3_rejects_nonzero_volume():
@@ -303,7 +301,7 @@ def test_lattice_seq_standard():
     assert seq.m == 1
     assert seq.exponents(0) == (0,) * 8
     assert seq.exponents(1) == (1,) * 8
-    assert seq.is_self_dual()
+    assert is_self_dual(seq.norm)
 
 
 def test_lattice_seq_jump_table():

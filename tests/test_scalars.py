@@ -145,21 +145,6 @@ def test_inverse_is_window_exact():
     assert a == b
 
 
-def test_residue_character():
-    a = CFG.monomial(3, -1)
-    assert a.residue_character() == 3
-    assert CFG.one().residue_character() == 0
-    assert CFG.t(2).residue_character() == 0
-    with pytest.raises(DomainError):
-        CFG.t(-2).residue_character()
-    rng = random.Random(14)
-    for _ in range(100):
-        x = CFG.random(rng, vmin=-1)
-        y = CFG.random(rng, vmin=-1)
-        assert ((x + y).residue_character()
-                == (x.residue_character() + y.residue_character()) % CFG.p)
-
-
 def test_is_square():
     assert CFG.t(2).is_square()
     assert not CFG.t().is_square()
@@ -441,16 +426,16 @@ def _short_operand(rng, cfg, vmax):
         if width else cfg.zero()
 
 
-def _terms(rng, cfg, count, plain, inside):
+def _terms(rng, cfg, count, by_one, inside):
     """(s, x, y) terms: short operands that keep every product inside the
     window when inside is set, widths 0, 1, 2 and N at valuations -2..2
-    otherwise."""
+    otherwise; y = 1 in every term when by_one is set."""
     def operand():
         if inside:
             return _short_operand(rng, cfg, cfg.precision // 4 - 1)
         return _operand(rng, cfg, rng.choice((0, 1, 2, cfg.precision)), False)
 
-    return [(rng.choice((1, -1)), operand(), None if plain else operand())
+    return [(rng.choice((1, -1)), operand(), cfg.one() if by_one else operand())
             for _ in range(count)]
 
 
@@ -461,8 +446,8 @@ def test_dot_matches_fold(p, ext, n):
     cfg = FieldConfig(p, n, ext)
     rng = random.Random(p * 100 + n + len(ext))
     for _ in range(300):
-        plain = rng.random() < 0.3
-        terms = _terms(rng, cfg, rng.randrange(1, 9), plain, rng.random() < 0.5)
+        by_one = rng.random() < 0.3
+        terms = _terms(rng, cfg, rng.randrange(1, 9), by_one, rng.random() < 0.5)
         draw = rng.random()
         if draw < 0.15:
             # total cancellation: every term again with the other sign
@@ -470,9 +455,10 @@ def test_dot_matches_fold(p, ext, n):
         elif draw < 0.3:
             # partial cancellation: the first term's leading coefficient
             s, x, y = terms[0]
-            if not x.is_zero and (y is None or not y.is_zero):
-                lead = x if y is None else x * y
-                terms.append((-s, cfg.monomial(lead.coeffs[0], lead.val), None))
+            if not x.is_zero and not y.is_zero:
+                lead = x * y
+                terms.append((-s, cfg.monomial(lead.coeffs[0], lead.val),
+                              cfg.one()))
         assert _outcome(dot, cfg, terms) == _outcome(fold_dot, cfg, terms)
 
 
@@ -490,13 +476,15 @@ def test_dot_folds_exactly_when_the_span_exceeds_the_window(monkeypatch, ext, n)
     monkeypatch.setattr(scalars_mod, "fold_dot", counting_fold)
     two = r.add(r.one(), r.one())
     for span in (n - 1, n, n + 1):
-        # plain terms 1 and -2 u^(span-1): the span from u^0 through u^(span-1)
-        plain = [(1, cfg.one(), None), (-1, cfg.monomial(two, span - 1), None)]
+        # terms 1 and -2 u^(span-1), each times 1: the span from u^0
+        # through u^(span-1)
+        by_one = [(1, cfg.one(), cfg.one()),
+                  (-1, cfg.monomial(two, span - 1), cfg.one())]
         # (1 + u) * (1 + ... + u^(span-2)): one full product of span coefficients
         x = cfg.from_coeffs(0, [r.one(), r.one()])
         y = cfg.from_coeffs(0, [r.one()] * (span - 1))
         prod = [(-1, x, y), (1, cfg.monomial(1, 1), cfg.one())]
-        for terms in (plain, prod):
+        for terms in (by_one, prod):
             del folds[:]
             got = dot(cfg, terms)
             assert folds == ([len(terms)] if span > n else [])
@@ -506,13 +494,14 @@ def test_dot_folds_exactly_when_the_span_exceeds_the_window(monkeypatch, ext, n)
 
 def test_dot_checks_every_operand_config():
     a, b = FieldConfig(5, 8), FieldConfig(7, 8)
-    for terms in ([(1, b.one(), None)], [(1, a.one(), b.one())],
+    for terms in ([(1, b.one(), a.one())], [(1, a.one(), b.one())],
                   [(1, b.zero(), a.one())], [(1, a.one(), b.zero())],
-                  [(1, a.one(), a.one()), (-1, a.zero(), None), (1, b.zero(), None)]):
+                  [(1, a.one(), a.one()), (-1, a.zero(), a.one()),
+                   (1, b.zero(), a.one())]):
         with pytest.raises(ConfigMismatchError):
             dot(a, terms)
     c = FieldConfig(5, 8)
-    assert dot(a, [(1, c.one(), a.t()), (-1, a.t(), None)]).is_zero
+    assert dot(a, [(1, c.one(), a.t()), (-1, a.t(), a.one())]).is_zero
     assert dot(a, []) is a.zero()
 
 
@@ -525,12 +514,13 @@ def test_dot_checks_every_operand_config_after_the_span_overflows(monkeypatch):
     folds = []
     monkeypatch.setattr(scalars_mod, "fold_dot",
                         lambda cfg, terms: folds.append(terms))
-    tails = ([(1, b.one(), None)], [(1, a.one(), b.one())],
-             [(1, b.zero(), a.one())], [(1, a.one(), b.zero())],
-             [(-1, a.one(), None), (1, b.zero(), None)])
+    one = a.one()
+    tails = ([(1, b.one(), one)], [(1, a.one(), b.one())],
+             [(1, b.zero(), one)], [(1, a.one(), b.zero())],
+             [(-1, a.one(), one), (1, b.zero(), one)])
     # the first term overflows alone, or the second moves hi, or lo
-    for head in ([(1, wide, wide)], [(1, wide, None), (1, a.t(8), None)],
-                 [(1, a.t(8), None), (1, wide, None)]):
+    for head in ([(1, wide, wide)], [(1, wide, one), (1, a.t(8), one)],
+                 [(1, a.t(8), one), (1, wide, one)]):
         for tail in tails:
             with pytest.raises(ConfigMismatchError):
                 dot(a, head + tail)

@@ -1,7 +1,6 @@
 """Tests for semisimple strata: validation, classification, type-D lifts."""
 
 import json
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +18,7 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              standard_split_dim4)
 from g2kit.scalars import FieldConfig, Scalar
 from g2kit.strata import (ClassifiedStratum, Stratum, StratumData, classify,
-                          lift_type_d_sl3, lift_type_d_su21, trace_adjust,
-                          validate)
+                          lift_type_d_sl3, lift_type_d_su21, validate)
 from g2kit.fixtures import (case_i_strata, case_ii_strata, case_iii_strata,
                             case_iv_strata, corrupted_strata,
                             sl3_regular_data as fixture_sl3, stratum_corpus)
@@ -210,24 +208,6 @@ def test_reflected_polynomial_coprimality():
     assert rep["violations"] == []
     names = [c["name"] for c in rep["checks"]]
     assert "coprimality" in names
-
-
-def test_trace_adjust():
-    g = [[CFG.one(), Z, Z], [Z, CFG.one(), Z], [Z, Z, CFG.one()]]
-    out = trace_adjust(CFG, g)
-    assert all(out[i][i].is_zero for i in range(3))
-    already = diag_phi(CFG.t(-1), CFG.t(-1) * 2)
-    adj = trace_adjust(CFG, already)
-    for i in range(3):
-        for j in range(3):
-            assert adj[i][j] == already[i][j]
-    rng = random.Random(71)
-    for _ in range(100):
-        g = [[CFG.random(rng, width=1, vmin=0, vmax=1) for _ in range(3)]
-             for _ in range(3)]
-        adj = trace_adjust(CFG, g)
-        tr = adj[0][0] + adj[1][1] + adj[2][2]
-        assert tr.is_zero
 
 
 def corrupted_fixtures():

@@ -42,7 +42,7 @@ def test_norm_suite_extends_each_sl3_input_once(monkeypatch):
     calls = _run(monkeypatch, "norms", [(suites, "extend_sl3")])
     extended = Counter(tuple(args[0].values) for _, _, args in calls)
     inputs = {tuple(vals) for vals in fixtures.sl3_norm_values()}
-    assert suites.THIRDS in inputs
+    assert fixtures.THIRDS in inputs
     assert extended == Counter(inputs)
 
 
@@ -80,3 +80,14 @@ def test_filtration_suite_builds_each_sequence_once(monkeypatch):
                  [(suites, "lattice_seq_from_norm"), (suites, "extend_sl3")])
     built = Counter(name for _, name, _ in calls)
     assert built == {"lattice_seq_from_norm": 2, "extend_sl3": 1}
+
+
+def test_strata_suite_lifts_the_sl3_regular_data_once(monkeypatch):
+    """lift-roundtrip and refinement-congruence read one type-D lift of
+    fixtures.sl3_regular_data; refinement-congruence lifts only its
+    perturbed data itself."""
+    calls = _run(monkeypatch, "strata", [(suites, "lift_type_d_sl3")])
+    assert Counter(c for c, _, _ in calls) == {"lift-roundtrip": 1,
+                                              "refinement-congruence": 1}
+    [(_, _, (data, _))] = [c for c in calls if c[0] == "lift-roundtrip"]
+    assert data.phi == fixtures.sl3_regular_data(FieldConfig(5, 8)).phi
