@@ -8,7 +8,7 @@ all checks are exact identities or congruences at explicit levels.
 """
 
 from .endo import (EndV, adjoint, analyze_semisimple, dim4_kernel_derivation,
-                   is_derivation, is_isometry, is_so, lift_sl3, lift_su21)
+                   is_derivation, is_so, lift_sl3, lift_su21)
 from .filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                          cayley_offset, gamma_perp, moy_counterexample,
                          psi_b, quotient_iso_check, trace_triality_invariance)
@@ -23,7 +23,7 @@ from .octonions import (CompositionSubalgebra, Octonion, anisotropic_plane,
                         idempotents_from_isotropic_pair, octonion_unit,
                         ramified_plane, split_polarization,
                         standard_split_dim4)
-from .scalars import FieldConfig, Scalar, congruent, parse_scalar
+from .scalars import FieldConfig, Scalar, parse_scalar
 from .strata import (ClassifiedStratum, Stratum, StratumData, classify,
                      lift_type_d_sl3, lift_type_d_su21, validate)
 from .suites import run_all, run_suite

@@ -1,7 +1,11 @@
-"""Linear algebra on the octonion space: the form-adjoint, so(V) and
-isometry tests, derivations (the Lie algebra of the automorphism group),
-the sl3/su(2,1) lifts across a 2-dimensional subalgebra, and the analysis
-of semisimple derivations by their kernel subalgebra.
+"""Linear algebra on the octonion space: the form-adjoint, the so(V)
+test, derivations (the Lie algebra of the automorphism group), the
+sl3/su(2,1) lifts across a 2-dimensional subalgebra, and the analysis of
+semisimple derivations by their kernel subalgebra.
+
+analyze_semisimple checks that beta is a derivation and verifies its
+witness before the analysis, _analyze_semisimple; strata.classify runs
+the analysis alone, since strata.validate has decided both.
 
 HermitianSpace, W = D-perp of an anisotropic plane D with its hermitian
 form Phi and a D-basis, is where the F-basis, the F-coordinates, the
@@ -16,7 +20,7 @@ from itertools import chain
 
 from .errors import DomainError, KindError, LiftError, WitnessError
 from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
-                     mat_add, mat_eq, mat_mul, mat_neg, mat_scale, mat_sub,
+                     mat_add, mat_eq, mat_mul, mat_scale, mat_sub,
                      mat_vec, transpose, zeros)
 from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         CompositionSubalgebra, Octonion, bilinear_f,
@@ -107,31 +111,14 @@ class EndV:
             return EndV.adopt(self.cfg, mat_scale(c, self.rows))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self * other
-        return NotImplemented
-
     def __add__(self, other):
         return EndV.adopt(self.cfg, mat_add(self.rows, other.rows))
 
     def __sub__(self, other):
         return EndV.adopt(self.cfg, mat_sub(self.rows, other.rows))
 
-    def __neg__(self):
-        return EndV.adopt(self.cfg, mat_neg(self.rows))
-
-    def scale(self, c) -> "EndV":
-        return self * c
-
     def inverse(self) -> "EndV":
         return EndV.adopt(self.cfg, inv(self.rows))
-
-    def trace(self) -> Scalar:
-        acc = self.cfg.zero()
-        for i in range(8):
-            acc = acc + self.rows[i][i]
-        return acc
 
     @property
     def is_zero(self) -> bool:
@@ -158,7 +145,7 @@ class EndV:
         return cls(cfg, [vals[8 * i:8 * i + 8] for i in range(8)])
 
 
-# -- adjoint, so(V), isometries, derivations ----------------------------------
+# -- adjoint, so(V), derivations ----------------------------------------------
 
 def sandwich(left, a, right):
     """L a R for signed permutation matrices L, R given by the row map of L
@@ -170,11 +157,6 @@ def sandwich(left, a, right):
 def adjoint(x: EndV) -> EndV:
     """sigma(X) with f(X u, v) = f(u, sigma(X) v); G X^T G for the Gram G."""
     return EndV.adopt(x.cfg, sandwich(GRAM_ROWS, transpose(x.rows), GRAM_COLS))
-
-
-def is_isometry(g: EndV) -> bool:
-    gram = gram_scalar(g.cfg)
-    return mat_eq(mat_mul(transpose(g.rows), mat_mul(gram, g.rows)), gram)
 
 
 def is_derivation(x: EndV) -> bool:
@@ -603,10 +585,6 @@ class WitnessBlock:
         self.factor = [space.field.coerce(c) for c in factor]
         self.space = space
 
-    @classmethod
-    def from_vectors(cls, cfg, factor, vectors):
-        return cls(factor, Subspace(cfg, 8, vectors))
-
 
 def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
     """Classify a semisimple derivation by its kernel subalgebra.
@@ -615,10 +593,16 @@ def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
     (iii) dim4-split-eigen, (iv) dim4-hermitian.  Squareness decisions on
     the dim-4 scalar are made exactly and checked against the witness.
     """
-    cfg = beta.cfg
     if not is_derivation(beta):
         raise DomainError("element is not a derivation")
     verify_witness(beta, witness)
+    return _analyze_semisimple(beta, witness)
+
+
+def _analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
+    """The analysis of analyze_semisimple, for a derivation beta whose
+    witness is verified."""
+    cfg = beta.cfg
     kernel_rows = []
     for blk in witness:
         if _is_x_factor(blk.factor):

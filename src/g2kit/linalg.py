@@ -73,10 +73,6 @@ def mat_sub(a, b):
             for ra, rb in zip(a, b)]
 
 
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
 def mat_scale(c, a):
     c._check(a[0][0])
     return [[x if x.is_zero else c * x for x in row] for row in a]
@@ -105,7 +101,7 @@ def mat_mul(a, b):
 
 def trace_product(a, b):
     """tr(a b) from the diagonal of mat_mul's sums alone, added from zero
-    as EndV.trace adds them: the digits and errors of (a b).trace()."""
+    in increasing i: the digits and errors of that sum over mat_mul(a, b)."""
     a[0][0]._check(b[0][0])
     return trace_columns(a, [[(l, bl[i]) for l, bl in enumerate(b)
                               if bl[i].coeffs] for i in range(len(a))])

@@ -63,9 +63,6 @@ class NormFn:
             self._reduction = RowReduction(self._cols)
         return self._reduction.solve(list(x.coords))
 
-    def __call__(self, x: Octonion):
-        return self.eval(x)
-
     def eval(self, x: Octonion):
         """min over nonzero coordinates of v(xi_i) + a_i; inf at 0.  A
         norm on all of V (dim 8) has every vector in its span, so only a
@@ -355,11 +352,6 @@ class LatticeSeq:
         """Valuation exponents of Lambda(i) over the splitting basis."""
         return tuple(math.ceil(Fraction(i, self.m) - a)
                      for a in self.norm.values)
-
-    def contains(self, i: int, x: Octonion) -> bool:
-        co = self.norm.coordinates(x)
-        return all(c.is_zero or c.valuation >= e
-                   for c, e in zip(co, self.exponents(i)))
 
     def lattice(self, k: int) -> "FiltrationLattice":
         """A_k(Lambda), built on first use and kept on the sequence."""

@@ -331,29 +331,7 @@ class Scalar:
         other = self._coerce(other)
         return self * other.inv()
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        out = self.cfg.one()
-        acc = self
-        while k:
-            if k & 1:
-                out = out * acc
-            acc = acc * acc
-            k >>= 1
-        return out
-
-    # -- window surgery and predicates ---------------------------------------
-
-    def truncate(self, cutoff: Fraction | int) -> "Scalar":
-        """Drop all coefficients with v_F-index >= cutoff (exact surgery)."""
-        if self.is_zero:
-            return self
-        bound = Fraction(cutoff) * self.cfg.e  # fine units
-        zero = self.cfg.residue.zero()
-        kept = [c if (self.val + i) < bound else zero
-                for i, c in enumerate(self.coeffs)]
-        return _build(self.cfg, self.val, kept)
+    # -- squares and characters ----------------------------------------------
 
     def _items(self):
         return [(self.val + i, c) for i, c in enumerate(self.coeffs)]
@@ -540,8 +518,3 @@ def hilbert_symbol(a: Scalar, b: Scalar) -> int:
     odd += b.val % 2 and not r.is_square(a.coeffs[0])
     odd += a.val % 2 and not r.is_square(b.coeffs[0])
     return -1 if odd % 2 else 1
-
-
-def congruent(x: Scalar, y: Scalar, cutoff) -> bool:
-    """x = y mod p_F^cutoff (cutoff in v_F units, rationals allowed)."""
-    return (x - y).truncate(cutoff).is_zero

@@ -3,19 +3,24 @@ validity checks, the four-case classification by the kernel subalgebra,
 and the type-D lifting from sl3 / su(2,1) data across a 2-dimensional
 composition subalgebra.
 
+validate is where a stratum's witness is verified: it decides that beta
+is a derivation, the witness blocks (endo.verify_witness_blocks) and
+their coprimality once each.  classify raises validate's violations and
+runs the analysis of endo.analyze_semisimple on a valid stratum without
+those checks.
+
 Both lifts take one path from one StratumData: norms.extend_* checks and
 extends the norm, endo.lift_* checks and lifts the matrix, _kernel_block
-gathers the kernel block of the witness and _lifted checks the depth.  Block valuations are
-norms.seq_valuation on the block's basis indices.
+gathers the kernel block of the witness and _lifted checks the depth.
+Block valuations are norms.seq_valuation on the block's basis indices.
 """
 
 from __future__ import annotations
 
 import math
-from .endo import (EndV, WitnessBlock, analyze_semisimple,
-                   is_derivation, lift_sl3, lift_su21, restricted_kernel,
-                   verify_witness_blocks, witness_coprime, _is_x_factor,
-                   _poly_eval)
+from .endo import (EndV, WitnessBlock, is_derivation, lift_sl3, lift_su21,
+                   restricted_kernel, verify_witness_blocks, witness_coprime,
+                   _analyze_semisimple, _is_x_factor, _poly_eval)
 from .errors import LiftError, WitnessError
 from .linalg import RowReduction, Subspace, det, lin_comb, mat_vec, transpose
 from .norms import (LatticeSeq, NormFn, extend_sl3, extend_su21,
@@ -169,13 +174,15 @@ class ClassifiedStratum:
 
 def classify(stratum: Stratum) -> ClassifiedStratum:
     """The four-case classification of a nonzero semisimple stratum by the
-    kernel subalgebra of beta; a zero beta gets the null tag."""
+    kernel subalgebra of beta; a zero beta gets the null tag.  validate
+    decides that beta is a derivation and verifies the witness, so the
+    analysis runs on them unchecked."""
     rep = validate(stratum)
     if rep["violations"]:
         raise WitnessError("; ".join(rep["violations"]), rep["violations"])
     if stratum.is_null:
         return ClassifiedStratum(stratum, "null", None, {})
-    analysis = analyze_semisimple(stratum.beta, stratum.witness)
+    analysis = _analyze_semisimple(stratum.beta, stratum.witness)
     s = stratum
     if analysis.case_tag == "(i) hyperbolic-plane":
         wp = analysis.extras["wplus_basis"]

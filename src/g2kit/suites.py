@@ -33,8 +33,8 @@ fixtures.sl3_norm_values() in the norm suite (the fixtures.THIRDS
 extension of maximinorante, uniqueness-perturbation and
 filtration-multiplicativity among them), the standard lattice sequence in
 the filtration suite, and the stratum corpus and the sl3 type-D lift of
-lift-roundtrip and refinement-congruence in the strata suite.  Called
-alone, a check builds its own table."""
+lift-roundtrip and refinement-congruence in the strata suite.  Every
+reader takes the table of its run."""
 
 from __future__ import annotations
 
@@ -427,19 +427,19 @@ def _norm_checks(cfg, rng):
     yield "filtration-multiplicativity", lambda: _filtration_mult(cfg, table)
 
 
-def _sl3_extension(cfg, vals, table=None):
+def _sl3_extension(cfg, vals, table):
     """The sl3 extension of the norm vals on W+ across the hyperbolic
     plane, built once per table."""
-    return (table or _RunTable()).get(("sl3", *vals), lambda: extend_sl3(
+    return table.get(("sl3", *vals), lambda: extend_sl3(
         fixtures.wplus_norm(cfg, vals), hyperbolic_plane(cfg)))
 
 
-def _thirds_norm(cfg, table=None):
+def _thirds_norm(cfg, table):
     """The sl3 extension of the (1/3, 1/3, -2/3) norm on W+."""
     return _sl3_extension(cfg, fixtures.THIRDS, table)
 
 
-def _extend_sl3_fixtures(cfg, table=None):
+def _extend_sl3_fixtures(cfg, table):
     for vals in fixtures.sl3_norm_values():
         try:
             _sl3_extension(cfg, vals, table)
@@ -486,7 +486,7 @@ def _extend_dim4_fixtures(cfg):
     return None
 
 
-def _duality_involution(cfg, table=None):
+def _duality_involution(cfg, table):
     for vals in fixtures.sl3_norm_values():
         ext = _sl3_extension(cfg, vals, table)
         if dual_norm(dual_norm(ext)) != ext or dual_norm(ext) != ext:
@@ -494,7 +494,7 @@ def _duality_involution(cfg, table=None):
     return None
 
 
-def _maximinorante(cfg, table=None):
+def _maximinorante(cfg, table):
     """alpha(x) + alpha(y) <= v(f(x, y)) for all x, y iff it holds on the
     64 pairs of the splitting basis: f is bilinear and alpha is the min
     over coordinates of v(xi_i) + alpha_i."""
@@ -506,18 +506,26 @@ def _maximinorante(cfg, table=None):
     return None
 
 
-def _uniqueness(cfg, table=None):
+def _uniqueness(cfg, table):
+    """No perturbation of the extension is a self-dual algebra norm: not
+    one value raised by 1, which breaks the algebra-norm property, nor
+    every value off the unit lines e_4, e_-4 lowered by 1, which keeps it
+    and breaks self-duality."""
     ext = _thirds_norm(cfg, table)
-    for k in range(len(ext.values)):
-        bad_vals = list(ext.values)
-        bad_vals[k] += 1
+    vals = ext.values
+    units = (basis_octonion(cfg, 4), basis_octonion(cfg, -4))
+    perturbations = {f"at position {k}": vals[:k] + [vals[k] + 1] + vals[k + 1:]
+                     for k in range(len(vals))}
+    perturbations["off the unit lines"] = [
+        v if b in units else v - 1 for b, v in zip(ext.basis, vals)]
+    for where, bad_vals in perturbations.items():
         bad = NormFn(cfg, ext.basis, bad_vals)
         if is_algebra_norm(bad) and is_self_dual(bad):
-            return f"perturbation at position {k} accepted"
+            return f"perturbation {where} accepted"
     return None
 
 
-def _exponent_identities(cfg, table=None):
+def _exponent_identities(cfg, table):
     e = lambda l: basis_octonion(cfg, l)
     for vals in fixtures.sl3_norm_values():
         ext = _sl3_extension(cfg, vals, table)
@@ -533,7 +541,7 @@ def _exponent_identities(cfg, table=None):
     return None
 
 
-def _filtration_mult(cfg, table=None):
+def _filtration_mult(cfg, table):
     seq = lattice_seq_from_norm(_thirds_norm(cfg, table))
     gens = {k: lie_generators(seq, k) for k in (1, 2)}
     for k1 in (1, 2):
@@ -567,19 +575,19 @@ def _moy(cfg):
     return None
 
 
-def _standard_seq(cfg, table=None):
+def _standard_seq(cfg, table):
     """The lattice sequence of the standard norm, built once per table; it
     keeps the filtration lattices A_k that its readers build."""
-    return (table or _RunTable()).get(
+    return table.get(
         "standard sequence", lambda: lattice_seq_from_norm(standard_norm(cfg)))
 
 
-def _quotient_seqs(cfg, table=None):
+def _quotient_seqs(cfg, table):
     return (_standard_seq(cfg, table),
             lattice_seq_from_norm(_thirds_norm(cfg, table)))
 
 
-def _quotients(cfg, table=None):
+def _quotients(cfg, table):
     for seq in _quotient_seqs(cfg, table):
         for (r, s) in ((1, 1), (1, 2), (2, 3), (2, 4)):
             rep = quotient_iso_check(seq, r, s)
@@ -588,7 +596,7 @@ def _quotients(cfg, table=None):
     return None
 
 
-def _psi_hom(cfg, rng, table=None):
+def _psi_hom(cfg, rng, table):
     seq = _standard_seq(cfg, table)
     r, s = 1, 2
     b = d_torus_lie(cfg, 1, cfg.t(-1)) + u_root_lie(cfg, 1, 2, cfg.t(-1))
@@ -604,7 +612,7 @@ def _psi_hom(cfg, rng, table=None):
     return None
 
 
-def _psi_equi(cfg, table=None):
+def _psi_equi(cfg, table):
     seq = _standard_seq(cfg, table)
     r, s = 1, 2
     lie_gamma = LieTrialityGroup()
@@ -625,7 +633,7 @@ def _psi_equi(cfg, table=None):
     return None
 
 
-def _psi_inj(cfg, table=None):
+def _psi_inj(cfg, table):
     seq = _standard_seq(cfg, table)
     r, s = 1, 2
     d1, d2 = character_counts(seq, r, s)
@@ -687,10 +695,10 @@ def _strata_checks(cfg, rng):
     yield "refinement-congruence", lambda: _refinement(cfg, table)
 
 
-def _sl3_lift(cfg, table=None):
+def _sl3_lift(cfg, table):
     """The type-D lift of fixtures.sl3_regular_data(cfg) across the
     hyperbolic plane, built once per table."""
-    return (table or _RunTable()).get("sl3 lift", lambda: lift_type_d_sl3(
+    return table.get("sl3 lift", lambda: lift_type_d_sl3(
         fixtures.sl3_regular_data(cfg), hyperbolic_plane(cfg)))
 
 
@@ -717,7 +725,7 @@ def _lift_depth(corpus):
     return None
 
 
-def _lift_roundtrip(cfg, table=None):
+def _lift_roundtrip(cfg, table):
     data = fixtures.sl3_regular_data(cfg)
     cl = classify(_sl3_lift(cfg, table))
     bw = cl.restricted["beta_matrix"]
@@ -738,7 +746,7 @@ def _corrupted(cfg):
     return None
 
 
-def _refinement(cfg, table=None):
+def _refinement(cfg, table):
     data = fixtures.sl3_regular_data(cfg)
     r = data.r
     pert = cfg.one()

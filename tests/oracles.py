@@ -1,9 +1,44 @@
-"""Independent F_p oracles shared by the tests.
+"""Oracles shared by the tests.
 
 ref_modp_rref, ref_modp_kernel and RefModpSubspace are the row reduction,
 kernel and subspace that filtration kept for F_p before linalg's rref,
 kernel and Subspace took a residue.PrimeField.  They share no code with
-g2kit."""
+g2kit.
+
+truncate, trace and is_isometry, in g2kit's own arithmetic, are the
+window surgery of a Scalar, the trace of an EndV (its diagonal added from
+zero, the sum that linalg.trace_product matches digit for digit) and the
+test of g in O(V, f)."""
+
+from fractions import Fraction
+
+from g2kit.linalg import mat_eq, mat_mul, transpose
+from g2kit.octonions import gram_scalar
+
+
+def truncate(x, cutoff):
+    """x with every coefficient of v_F-index >= cutoff dropped (cutoff in
+    v_F units, rationals allowed)."""
+    if x.is_zero:
+        return x
+    bound = Fraction(cutoff) * x.cfg.e  # fine units
+    zero = x.cfg.residue.zero()
+    return x.cfg.from_coeffs(x.val, [c if x.val + i < bound else zero
+                                     for i, c in enumerate(x.coeffs)])
+
+
+def trace(m):
+    """tr m of an EndV, its diagonal added from zero in increasing i."""
+    acc = m.cfg.zero()
+    for i in range(8):
+        acc = acc + m.rows[i][i]
+    return acc
+
+
+def is_isometry(g):
+    """g^T G g = G for the Gram matrix G of f: g is in O(V, f)."""
+    gram = gram_scalar(g.cfg)
+    return mat_eq(mat_mul(transpose(g.rows), mat_mul(gram, g.rows)), gram)
 
 
 def ref_modp_rref(rows, p):

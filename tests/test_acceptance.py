@@ -17,14 +17,14 @@ from g2kit.norms import lattice_seq_from_norm, standard_norm, extend_sl3
 from g2kit.octonions import hyperbolic_plane
 from g2kit.scalars import FieldConfig
 from g2kit.strata import classify, validate
-from g2kit.suites import (_barwedge, _corpus, _corrupted, _diag_triples,
-                          _dim2_family, _dim4_family, _doubling_chains,
-                          _exponent_identities, _extend_dim4_fixtures,
-                          _extend_sl3_fixtures, _extend_su21_fixtures,
-                          _fixed_points, _glw_family, _idempotent_sweep,
-                          _lift_roundtrip, _orbits, _psi_equi, _psi_hom,
-                          _psi_inj, _root_triples, _uniqueness,
-                          run_suite)
+from g2kit.suites import (_RunTable, _barwedge, _corpus, _corrupted,
+                          _diag_triples, _dim2_family, _dim4_family,
+                          _doubling_chains, _exponent_identities,
+                          _extend_dim4_fixtures, _extend_sl3_fixtures,
+                          _extend_su21_fixtures, _fixed_points, _glw_family,
+                          _idempotent_sweep, _lift_roundtrip, _orbits,
+                          _psi_equi, _psi_hom, _psi_inj, _root_triples,
+                          _uniqueness, run_suite)
 
 CFG = FieldConfig(5, 8)
 
@@ -95,10 +95,11 @@ def test_criterion_5_fixed_points():
 def test_criterion_6_norm_machinery():
     start = time.monotonic()
     failures = []
-    for name, thunk in (("sl3", lambda: _extend_sl3_fixtures(CFG)),
+    table = _RunTable()
+    for name, thunk in (("sl3", lambda: _extend_sl3_fixtures(CFG, table)),
                         ("su21", lambda: _extend_su21_fixtures(CFG)),
                         ("dim4", lambda: _extend_dim4_fixtures(CFG)),
-                        ("uniqueness", lambda: _uniqueness(CFG))):
+                        ("uniqueness", lambda: _uniqueness(CFG, table))):
         bad = thunk()
         if bad:
             failures.append(f"{name}: {bad}")
@@ -109,7 +110,8 @@ def test_criterion_6_norm_machinery():
 def test_criterion_7_filtration_congruences():
     start = time.monotonic()
     failures = []
-    bad = _exponent_identities(CFG)
+    table = _RunTable()
+    bad = _exponent_identities(CFG, table)
     if bad:
         failures.append(f"(i) exponent identities: {bad}")
     d = hyperbolic_plane(CFG)
@@ -123,9 +125,9 @@ def test_criterion_7_filtration_congruences():
                 failures.append(
                     f"(ii) m={seq.m} ({r},{s}): {rep['violations'][0]}")
     rng = random.Random(7)
-    for name, thunk in (("hom", lambda: _psi_hom(CFG, rng)),
-                        ("equi", lambda: _psi_equi(CFG)),
-                        ("inj", lambda: _psi_inj(CFG))):
+    for name, thunk in (("hom", lambda: _psi_hom(CFG, rng, table)),
+                        ("equi", lambda: _psi_equi(CFG, table)),
+                        ("inj", lambda: _psi_inj(CFG, table))):
         bad = thunk()
         if bad:
             failures.append(f"(iii) {name}: {bad}")
@@ -168,7 +170,8 @@ def test_criterion_10_strata():
     failures = []
     corpus = fixtures.stratum_corpus(CFG)
     for name, thunk in (("corpus", lambda: _corpus(corpus)),
-                        ("roundtrip", lambda: _lift_roundtrip(CFG)),
+                        ("roundtrip", lambda: _lift_roundtrip(CFG,
+                                                              _RunTable())),
                         ("corrupted", lambda: _corrupted(CFG))):
         bad = thunk()
         if bad:

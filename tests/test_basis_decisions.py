@@ -1,9 +1,10 @@
 """The identity checks that the octonion, triality, norms and filtration
 suites decide on a basis, the checks that read the verdict of a
-constructor that verifies the object it returns, and the other norm
-checks: each reports fail under a seeded fault in the data it decides and
-pass without it (ROADMAP item 8), and the sampled sweeps the basis
-decisions replaced (sampled_sweeps) still pass where they pass."""
+constructor that verifies the object it returns, the other norm checks
+and the strata checks: each reports fail under a seeded fault in the data
+it decides and pass without it (ROADMAP item 8), and the sampled sweeps
+the basis decisions replaced (sampled_sweeps) still pass where they
+pass."""
 
 import random
 
@@ -11,7 +12,7 @@ import pytest
 from sampled_sweeps import (barwedge_sweep, fixed_points_sweep,
                             maximinorante_sweep)
 
-from g2kit import endo, fixtures, norms, octonions, suites, triality
+from g2kit import endo, fixtures, norms, octonions, strata, suites, triality
 from g2kit.errors import DomainError
 from g2kit.norms import NormFn
 from g2kit.octonions import IDX
@@ -30,7 +31,10 @@ SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
             "idempotent-identities": "octonion",
             "duality-involution": "norms", "uniqueness-perturbation": "norms",
             "exponent-identities": "norms",
-            "filtration-multiplicativity": "norms"}
+            "filtration-multiplicativity": "norms",
+            "corpus-classification": "strata", "lift-depth": "strata",
+            "lift-roundtrip": "strata", "corrupted-rejection": "strata",
+            "refinement-congruence": "strata"}
 # the checks that read the sl3 extensions of fixtures.sl3_norm_values()
 SL3_READERS = ("extend-sl3", "duality-involution", "maximinorante",
                "uniqueness-perturbation", "exponent-identities",
@@ -75,7 +79,7 @@ def _raise_alpha(monkeypatch):
     value of its dual partner then exceeds v(f) of the pair."""
     thirds = suites._thirds_norm
 
-    def raised(cfg, table=None):
+    def raised(cfg, table):
         alpha = thirds(cfg, table)
         return NormFn(cfg, alpha.basis, [alpha.values[0] + 1]
                       + alpha.values[1:])
@@ -182,6 +186,43 @@ def _negate_diag_t3(monkeypatch):
     monkeypatch.setattr(triality, "_diag_triple_descriptors", negated)
 
 
+def _shift_dim4_scalar(monkeypatch):
+    """The scalar u = beta_W^2 of the dim-4 analysis times t, so a square
+    u reads as a non-square: case (iii) strata classify as (iv)."""
+    square_scalar = endo._square_scalar_on
+    monkeypatch.setattr(endo, "_square_scalar_on", lambda beta, w: (
+        square_scalar(beta, w) * beta.cfg.t()))
+
+
+def _lower_suite_valuation(monkeypatch):
+    """The lift-depth check's seq_valuation one too low; the lifts read
+    the one in strata."""
+    valuation = suites.seq_valuation
+    monkeypatch.setattr(suites, "seq_valuation",
+                        lambda seq, x: valuation(seq, x) - 1)
+
+
+def _negate_restriction(monkeypatch):
+    """The matrix of beta on an adapted basis negated in the analysis, so
+    the case (i) restriction to W+ is -phi."""
+    restrict = endo.restrict_to_basis
+    monkeypatch.setattr(endo, "restrict_to_basis", lambda beta, basis: [
+        [-c for c in row] for row in restrict(beta, basis)])
+
+
+def _accept_every_splitting(monkeypatch):
+    """validate reads every sequence as split by the witness blocks."""
+    monkeypatch.setattr(strata, "_lattice_split_by", lambda seq, wit: True)
+
+
+def _lower_regular_r(monkeypatch):
+    """The sl3 regular data with r = -2: refinement-congruence then asks
+    for the congruence modulo A_1, which the unit perturbation leaves."""
+    data = fixtures.sl3_regular_data
+    monkeypatch.setattr(fixtures, "sl3_regular_data",
+                        lambda cfg: data(cfg, r=-2))
+
+
 def _negate_bar_wedge(monkeypatch):
     wedge = triality.HermitianModel.bar_wedge
     monkeypatch.setattr(triality.HermitianModel, "bar_wedge",
@@ -214,6 +255,13 @@ FAULTS = {
     "uniqueness-perturbation": _accept_every_norm,
     "exponent-identities": _drop_label_signs,
     "filtration-multiplicativity": _lower_generator_level,
+    # the strata checks: a fault in the analysis, in a check's own reader,
+    # in validate and in the data
+    "corpus-classification": _shift_dim4_scalar,
+    "lift-depth": _lower_suite_valuation,
+    "lift-roundtrip": _negate_restriction,
+    "corrupted-rejection": _accept_every_splitting,
+    "refinement-congruence": _lower_regular_r,
 }
 
 
@@ -224,6 +272,17 @@ def test_decided_check_fails_under_its_fault(p, name, monkeypatch):
     assert _report(name, cfg)["status"] == "pass"
     FAULTS[name](monkeypatch)
     assert _report(name, cfg)["status"] == "fail"
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_uniqueness_reaches_its_self_duality_test(p, monkeypatch):
+    """Lowering every value off e_4, e_-4 keeps the algebra-norm property,
+    so with only the self-duality test accepting every norm the check
+    fails."""
+    cfg = FieldConfig(p, 8)
+    monkeypatch.setattr(suites, "is_self_dual", lambda alpha: True)
+    assert _report("uniqueness-perturbation", cfg)["counterexample"] == \
+        "perturbation off the unit lines accepted"
 
 
 @pytest.mark.parametrize("p", (5, 7))

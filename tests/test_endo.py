@@ -7,17 +7,18 @@ import pytest
 from g2kit.endo import (SO_LABELS, EndV, HermitianSpace, WitnessBlock,
                         _is_d_linear, adjoint, analyze_semisimple,
                         d_torus_lie, dim4_kernel_derivation,
-                        is_derivation, is_isometry, is_so, lift_sl3,
+                        is_derivation, is_so, lift_sl3,
                         lift_su21, multiplicative_holds, random_so, so_coords,
                         so_matrix, special_hermitian_basis, u_root,
                         u_root_lie)
 from g2kit.errors import DomainError, LiftError, WitnessError
-from g2kit.linalg import mat_vec
+from g2kit.linalg import Subspace, mat_vec
 from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, octonion_unit,
                              split_polarization, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.triality import GroupGenerator
+from oracles import is_isometry
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -137,7 +138,7 @@ def test_so_coords_rejects_each_broken_entry(p):
     for x in ([random_so(cfg, rng, width=2) for _ in range(10)]
               + [random_g2_lie(cfg, rng, width=1) for _ in range(10)]
               + [EndV.identity(cfg)]):
-        assert is_so(x) == (adjoint(x) == -x)
+        assert is_so(x) == (adjoint(x) == x * -1)
     assert not is_so(EndV.identity(cfg))
 
 
@@ -289,13 +290,13 @@ def test_analyze_case_i():
            [CFG.zero(), CFG.zero(), -(a + b)]]
     beta = lift_sl3(phi, D_HYP)
     wit = [
-        WitnessBlock.from_vectors(CFG, [0, 1], [E[-4].coords, E[4].coords]),
-        WitnessBlock.from_vectors(CFG, [-a, 1], [E[1].coords]),
-        WitnessBlock.from_vectors(CFG, [-b, 1], [E[2].coords]),
-        WitnessBlock.from_vectors(CFG, [a + b, 1], [E[3].coords]),
-        WitnessBlock.from_vectors(CFG, [a, 1], [E[-1].coords]),
-        WitnessBlock.from_vectors(CFG, [b, 1], [E[-2].coords]),
-        WitnessBlock.from_vectors(CFG, [-(a + b), 1], [E[-3].coords]),
+        WitnessBlock([0, 1], Subspace(CFG, 8, [E[-4].coords, E[4].coords])),
+        WitnessBlock([-a, 1], Subspace(CFG, 8, [E[1].coords])),
+        WitnessBlock([-b, 1], Subspace(CFG, 8, [E[2].coords])),
+        WitnessBlock([a + b, 1], Subspace(CFG, 8, [E[3].coords])),
+        WitnessBlock([a, 1], Subspace(CFG, 8, [E[-1].coords])),
+        WitnessBlock([b, 1], Subspace(CFG, 8, [E[-2].coords])),
+        WitnessBlock([-(a + b), 1], Subspace(CFG, 8, [E[-3].coords])),
     ]
     an = analyze_semisimple(beta, wit)
     assert an.case_tag == "(i) hyperbolic-plane"
@@ -313,11 +314,10 @@ def test_analyze_case_iv_and_iii():
     assert is_derivation(beta)
     u = -CFG.t()
     wit = [
-        WitnessBlock.from_vectors(CFG, [0, 1],
-                                  [b.coords for b in d4.basis]),
-        WitnessBlock.from_vectors(CFG, [-u, 0, 1],
-                                  [E[2].coords, E[-2].coords,
-                                   E[3].coords, E[-3].coords]),
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in d4.basis])),
+        WitnessBlock([-u, 0, 1],
+                     Subspace(CFG, 8, [E[2].coords, E[-2].coords,
+                                       E[3].coords, E[-3].coords])),
     ]
     an = analyze_semisimple(beta, wit)
     assert an.case_tag == "(iv) dim4-hermitian"
@@ -328,12 +328,11 @@ def test_analyze_case_iv_and_iii():
     beta2 = dim4_kernel_derivation(d4, a, c2)
     assert is_derivation(beta2)
     wit2 = [
-        WitnessBlock.from_vectors(CFG, [0, 1],
-                                  [b.coords for b in d4.basis]),
-        WitnessBlock.from_vectors(CFG, [-lam, 1],
-                                  [(E[2]).coords, (E[-3]).coords]),
-        WitnessBlock.from_vectors(CFG, [lam, 1],
-                                  [(E[-2]).coords, (E[3]).coords]),
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in d4.basis])),
+        WitnessBlock([-lam, 1],
+                     Subspace(CFG, 8, [(E[2]).coords, (E[-3]).coords])),
+        WitnessBlock([lam, 1],
+                     Subspace(CFG, 8, [(E[-2]).coords, (E[3]).coords])),
     ]
     an2 = analyze_semisimple(beta2, wit2)
     assert an2.case_tag == "(iii) dim4-split-eigen"
@@ -361,12 +360,12 @@ def test_analyze_case_ii():
     u1 = CFG.t(-2) * eps
     u2 = CFG.t(-2) * eps * 4
     wit = [
-        WitnessBlock.from_vectors(CFG, [0, 1], [b.coords for b in d.basis]),
-        WitnessBlock.from_vectors(CFG, [-u1, 0, 1],
-                                  [wm.coords, (c * wm).coords,
-                                   wp.coords, (c * wp).coords]),
-        WitnessBlock.from_vectors(CFG, [-u2, 0, 1],
-                                  [w0.coords, (c * w0).coords]),
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in d.basis])),
+        WitnessBlock([-u1, 0, 1],
+                     Subspace(CFG, 8, [wm.coords, (c * wm).coords,
+                                       wp.coords, (c * wp).coords])),
+        WitnessBlock([-u2, 0, 1],
+                     Subspace(CFG, 8, [w0.coords, (c * w0).coords])),
     ]
     an = analyze_semisimple(beta, wit)
     assert an.case_tag == "(ii) quadratic-extension"
@@ -374,10 +373,11 @@ def test_analyze_case_ii():
 
 def test_witness_rejects_bad_factor():
     beta = lift_sl3(mat3([[1, 0, 0], [0, 2, 0], [0, 0, -3]]), D_HYP)
-    bad = [WitnessBlock.from_vectors(CFG, [0, 1],
-                                     [E[-4].coords, E[4].coords, E[1].coords,
-                                      E[-1].coords, E[2].coords, E[-2].coords,
-                                      E[3].coords, E[-3].coords])]
+    bad = [WitnessBlock([0, 1],
+                        Subspace(CFG, 8, [E[-4].coords, E[4].coords,
+                                          E[1].coords, E[-1].coords,
+                                          E[2].coords, E[-2].coords,
+                                          E[3].coords, E[-3].coords]))]
     with pytest.raises(WitnessError):
         analyze_semisimple(beta, bad)
 
@@ -443,7 +443,7 @@ def test_public_constructor_copies_and_checks_adopt_wraps():
     assert y.rows is rows and y == EndV(CFG, rows)
     # products, sums and inverses wrap their fresh rows unshared
     a, b = u_root(CFG, 1, 2, sc(2)), d_torus(CFG, 3, CFG.t())
-    for z in (a * b, a + b, a - b, -a, a.inverse(), a * 3, adjoint(a)):
+    for z in (a * b, a + b, a - b, a.inverse(), a * 3, adjoint(a)):
         assert len(z.rows) == 8 and all(len(r) == 8 for r in z.rows)
         assert all(r is not s for r in z.rows for s in a.rows + b.rows)
     assert (a * b) == EndV(CFG, (a * b).rows)

@@ -167,7 +167,7 @@ def test_kind_sweep_against_springer(cfg):
         assert springer_isotropic([one.norm(), c.norm()]) == (name == "split")
         assert d.kind == want
         for x, y, k in itertools.product((1, 2), (1, 3), (0, 1)):
-            a = _e(cfg, 2).scale(x) + _e(cfg, -2).scale(y * pi ** k)
+            a = _e(cfg, 2).scale(x) + _e(cfg, -2).scale(cfg.monomial(y, k))
             d4 = double(d, a)
             basis = [one, c, a, c * a]
             assert [b.coords for b in d4.basis] == [b.coords for b in basis]

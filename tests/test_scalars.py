@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from g2kit.errors import ConfigMismatchError, DomainError, PrecisionError
-from g2kit.scalars import FieldConfig, Scalar, congruent, parse_scalar
+from g2kit.scalars import FieldConfig, Scalar, parse_scalar
+from oracles import truncate
 
 CFG = FieldConfig(5, 8)
 
@@ -163,11 +164,12 @@ def test_sqrt_one_unit():
 
 
 def test_truncate_and_congruent():
+    """The truncate oracle, and congruence as a truncated difference."""
     x = CFG.one() + CFG.t(2) + CFG.t(5)
-    assert x.truncate(3) == CFG.one() + CFG.t(2)
-    assert congruent(x, CFG.one() + CFG.t(2), 3)
-    assert congruent(x, CFG.one(), 2)
-    assert not congruent(x, CFG.one() + CFG.t(), 2)
+    assert truncate(x, 3) == CFG.one() + CFG.t(2)
+    assert truncate(x - (CFG.one() + CFG.t(2)), 3).is_zero
+    assert truncate(x - CFG.one(), 2).is_zero
+    assert not truncate(x - (CFG.one() + CFG.t()), 2).is_zero
 
 
 def test_str_parse_roundtrip():
@@ -190,13 +192,6 @@ def test_str_parse_roundtrip():
         assert parse_scalar(unr, "(2+3w)*t^1") == unr.monomial((2, 3), 1)
     with pytest.raises(DomainError):
         parse_scalar(CFG, "1w")
-
-
-def test_pow():
-    x = CFG.one() + CFG.t()
-    assert x ** 3 == x * x * x
-    assert x ** -2 == (x * x).inv()
-    assert x ** 0 == CFG.one()
 
 
 # -- kernel oracle ------------------------------------------------------------
@@ -290,15 +285,6 @@ def ref_inv(x):
     return _ref_build(x.cfg, -x.val, out)
 
 
-def ref_pow(x, k):
-    if k < 0:
-        return ref_pow(ref_inv(x), -k)
-    out = x.cfg.one()
-    for _ in range(k):
-        out = ref_mul(out, x)
-    return out
-
-
 def _same(got, want):
     assert isinstance(got, Scalar)
     assert (got.val, got.coeffs) == (want.val, want.coeffs), (got, want)
@@ -344,11 +330,8 @@ def test_kernels_match_per_coefficient_reference(p, ext, n):
         _same(k - x, ref_add(ref_neg(x), k))
         _same(x * k, ref_mul(x, k))
         _same(k * x, ref_mul(x, k))
-        e = rng.randrange(0, 4)
-        _same(x ** e, ref_pow(x, e))
         if not x.is_zero:
             _same(x.inv(), ref_inv(x))
-            _same(x ** -e, ref_pow(x, -e))
             _same(y / x, ref_mul(y, ref_inv(x)))
         if k % p:
             _same(x / k, ref_mul(x, ref_inv(cfg.from_int(k))))

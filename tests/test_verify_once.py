@@ -1,11 +1,11 @@
 """Each object a suite run builds is verified once: the checks read the
 verdict of the constructor that built it (norms._check_extension,
-TrialityTriple) and share the fixtures of the run.  Call counts only, no
-timing."""
+TrialityTriple) and share the fixtures of the run, and classify reads the
+decisions of validate.  Call counts only, no timing."""
 
 from collections import Counter
 
-from g2kit import fixtures, norms, suites, triality
+from g2kit import endo, fixtures, norms, strata, suites, triality
 from g2kit.scalars import FieldConfig
 
 EXTEND_CHECKS = ("extend-sl3", "extend-su21", "extend-dim4")
@@ -91,3 +91,18 @@ def test_strata_suite_lifts_the_sl3_regular_data_once(monkeypatch):
                                               "refinement-congruence": 1}
     [(_, _, (data, _))] = [c for c in calls if c[0] == "lift-roundtrip"]
     assert data.phi == fixtures.sl3_regular_data(FieldConfig(5, 8)).phi
+
+
+def test_classify_verifies_each_witness_once(monkeypatch):
+    """classify decides that beta is a derivation and verifies its witness
+    blocks once, in validate, whichever module makes the call."""
+    corpus = fixtures.stratum_corpus(FieldConfig(5, 8))
+    calls = []
+    for module in (endo, strata):
+        for name in ("is_derivation", "verify_witness_blocks"):
+            _spy(monkeypatch, calls, [None], module, name)
+    for tag, s in corpus:
+        calls.clear()
+        assert strata.classify(s).case_tag == tag
+        assert Counter(name for _, name, _ in calls) == {
+            "is_derivation": 1, "verify_witness_blocks": 1}
