@@ -8,7 +8,6 @@ from g2kit.filtration import (cayley, lie_generators, moy_counterexample,
                               psi_b, quotient_iso_check)
 from g2kit.norms import lattice_seq_from_norm, standard_norm
 from g2kit.scalars import FieldConfig
-from g2kit.triality import is_g2_element, is_g2_lie
 
 cfg = FieldConfig(p=5, precision=8)
 seq = lattice_seq_from_norm(standard_norm(cfg))

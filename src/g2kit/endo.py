@@ -223,6 +223,8 @@ def root_entries(cfg: FieldConfig, i: int, j: int, lam: Scalar) -> dict:
     order: lam at (e_{-j}, e_i) and -lam at (e_{-i}, e_j)."""
     if i == j or i == -j:
         raise DomainError("root indices must satisfy i != +-j")
+    if i not in IDX or j not in IDX:
+        raise DomainError("root labels must lie in +-1..+-4")
     lam = cfg.coerce(lam)
     cfg.zero()._check(lam)
     if not lam.coeffs:

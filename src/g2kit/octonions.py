@@ -58,7 +58,7 @@ def _int_table():
 
 
 TABLE = _int_table()
-_UNIT_VEC = tuple(1 if lbl in (-4, 4) else 0 for lbl in LABELS)
+UNIT_VEC = tuple(1 if lbl in (-4, 4) else 0 for lbl in LABELS)
 
 
 def _int_mul(x, y):
@@ -83,7 +83,7 @@ def _int_apply(m, v):
 
 def _derive_constants():
     """Trace, conjugation, Q and f on the basis, all from the table."""
-    unit = list(_UNIT_VEC)
+    unit = list(UNIT_VEC)
     for i in range(8):
         e = [0] * 8
         e[i] = 1

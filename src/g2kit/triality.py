@@ -7,17 +7,15 @@ its Lie algebra of derivations.  The anisotropic dim-2 family and the
 bar-wedge model (HermitianModel) take the Gram matrix, the F-basis, the
 coordinates and the Phi-pairing system from endo.HermitianSpace.
 
-On so(V), triality is a derived coordinate table: t2, t3, hat and the six
-words sigma^a rho^b act on the 28 so(V) coordinates by tables built from
-the root and diagonal triple descriptors and CONJ_MAT.  _lie_tables checks
-them once per process, on first use, in exact rational arithmetic: the
-triality identity on all 64 basis pairs for every column, and
-sigma^2 = rho^3 = (sigma rho)^2 = 1.
+On so(V), triality is a table on the 28 coordinates that _lie_tables
+derives from the octonion multiplication table and verifies on first use;
+the Lie solver, the six words sigma^a rho^b and the root and diagonal
+triples read it.
 
 On the pro-p generators, GroupTriality moves descriptors (a root u_{i,j}
-by the root-triple descriptors and the hat table, a torus by its
-weights), and a generator near 1 is read as its sparse offset g - 1
-(GroupGenerator.offset) with no 8 x 8 matrix formed.
+by the t2 and hat tables, a torus by its weights), and a generator near
+1 is read as its sparse offset g - 1 (GroupGenerator.offset) with no
+8 x 8 matrix formed.
 """
 
 from __future__ import annotations
@@ -28,13 +26,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
-                   assemble, first_candidate, is_derivation, leibniz_holds,
-                   multiplicative_holds, root_entries, sandwich, so_coords,
-                   so_entries, so_matrix, so_rows, u_root, u_root_lie)
+                   assemble, d_torus_lie, first_candidate, is_derivation,
+                   leibniz_holds, multiplicative_holds, root_entries,
+                   sandwich, so_coords, so_entries, so_matrix, so_rows,
+                   u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
 from .linalg import Subspace, det, inv
-from .octonions import (CONJ_COLS, CONJ_ROWS, LABELS, CompositionSubalgebra,
-                        Octonion, basis_octonion, from_coords, gram_scalar)
+from .octonions import (BASIS_PRODUCT, CONJ_COLS, CONJ_ROWS, LABELS,
+                        TRACE_VEC, UNIT_VEC, CompositionSubalgebra, Octonion,
+                        basis_octonion, from_coords, gram_scalar)
 from .scalars import FieldConfig, Scalar, dot
 
 
@@ -96,74 +96,21 @@ def orbit_triples(triple: TrialityTriple):
 
 # -- root-group and diagonal families -----------------------------------------
 
-_NEXT = {1: 2, 2: 3, 3: 1}
-_PREV = {1: 3, 2: 1, 3: 2}
-
-
-def _root_triple_descriptors(i: int, j: int):
-    """Component descriptors [(i,j,sign), ...] of the related triple headed
-    by u_{i,j}(lam); mixed-sign pairs inside +-{1,2,3} are triality-fixed."""
-    if i == j or i == -j or i == 0 or j == 0:
-        raise DomainError("bad root indices")
-    small = {1, 2, 3}
-    if abs(i) in small and abs(j) in small:
-        if (i > 0) != (j > 0):
-            return [(i, j, 1), (i, j, 1), (i, j, 1)]
-        if i < 0:
-            k = -i
-            if -j == _PREV[k]:
-                return [(i, j, 1), (4, _NEXT[k], 1), (_NEXT[k], -4, 1)]
-            return [(a, b, -s)
-                    for (a, b, s) in _root_triple_descriptors(j, i)]
-        k = i
-        if j == _PREV[k]:
-            return [(i, j, 1), (-4, -_NEXT[k], 1), (-_NEXT[k], 4, 1)]
-        return [(a, b, -s) for (a, b, s) in _root_triple_descriptors(j, i)]
-    if i == 4 and j > 0:
-        return [(4, j, 1), (-_PREV[j], -_NEXT[j], 1), (4, j, 1)]
-    if j == -4 and i > 0:
-        return [(i, -4, 1), (i, -4, 1), (-_PREV[i], -_NEXT[i], 1)]
-    if i == -4 and j < 0:
-        k = -j
-        return [(-4, j, 1), (_PREV[k], _NEXT[k], 1), (-4, j, 1)]
-    if j == 4 and i < 0:
-        k = -i
-        return [(i, 4, 1), (i, 4, 1), (_PREV[k], _NEXT[k], 1)]
-    # swapped orientation: u_{i,j}(lam) = u_{j,i}(-lam)
-    return [(a, b, -s) for (a, b, s) in _root_triple_descriptors(j, i)]
-
-
 def root_triple(cfg: FieldConfig, i: int, j: int, lam: Scalar,
                 lie: bool = False) -> TrialityTriple:
-    """The related triple headed by u_{i,j}(lam) (or U_{i,j}(lam))."""
+    """The related triple headed by u_{i,j}(lam) (or U_{i,j}(lam)), read off
+    the Lie tables: u_{i,j}(lam) = 1 + U_{i,j}(lam), and U^2 = 0."""
     mk = u_root_lie if lie else u_root
-    parts = _root_triple_descriptors(i, j)
-    t1, t2, t3 = (mk(cfg, a, b, lam if s > 0 else -lam) for (a, b, s) in parts)
+    t1 = mk(cfg, i, j, lam)
+    tables = _lie_tables()
+    t2, t3 = (mk(cfg, *_root_image(t, i, j, lam))
+              for t in (tables.t2, tables.t3))
     return TrialityTriple(t1, t2, t3, lie)
-
-
-def _diag_triple_descriptors(i: int):
-    """{k: coefficient of D_k} for each component of the Lie-related triple
-    headed by D_i(1)."""
-    h = Fraction(1, 2)
-    if i in (1, 2, 3):
-        return ({i: 1}, {k: h if k == i else -h for k in (1, 2, 3, 4)},
-                {k: h if k in (i, 4) else -h for k in (1, 2, 3, 4)})
-    if i == 4:
-        return ({4: 1}, {k: h if k == 4 else -h for k in (1, 2, 3, 4)},
-                dict.fromkeys((1, 2, 3, 4), h))
-    raise DomainError("diagonal index must be 1..4")
 
 
 def diag_lie_triple(cfg: FieldConfig, i: int, s: Scalar) -> TrialityTriple:
     """The Lie-related triple headed by D_i(s), i in 1..4."""
-    parts = []
-    for desc in _diag_triple_descriptors(i):
-        coords = [cfg.zero()] * len(SO_LABELS)
-        for k, c in desc.items():
-            coords[SO_INDEX[k]] = s * _scalar(cfg, c)
-        parts.append(so_matrix(cfg, coords))
-    return TrialityTriple(*parts, lie=True)
+    return solve_lie_triple(d_torus_lie(cfg, i, s))
 
 
 # -- the polarization-stabilizer family (GLW) ----------------------------------
@@ -378,18 +325,15 @@ def is_g2_lie(x: EndV) -> bool:
 
 # -- triality on so(V) coordinates ------------------------------------------------
 #
-# The Lie solver's t2 and t3, and hat, are linear maps of the 28 so(V)
-# coordinates of endo.SO_LABELS: signed permutations of the 24 root
-# coordinates and a 4x4 block with entries +-1/2 on the torus.  They are
-# derived from _root_triple_descriptors, _diag_triple_descriptors and
-# CONJ_MAT, and verified once per process, on first use, in exact rational
-# arithmetic.  A table is a list of 28 columns {row: rational}.
+# t2, t3 and hat are linear maps of the 28 so(V) coordinates of
+# endo.SO_LABELS, kept as tables: lists of 28 columns {row: rational}.
 
 # each word as its letters, applied right to left: s = sigma: x -> t2(x)
 # and r = rho: x -> hat(t2(x))
 _LETTERS = {"id": "", "rho": "r", "rho2": "rr", "sigma": "s",
             "sigma_rho": "sr", "sigma_rho2": "srr"}
 _IDENTITY = [{k: 1} for k in range(len(SO_LABELS))]
+_ROOTS = range(4, len(SO_LABELS))  # the root coordinates, after the 4 D_i
 LieTables = namedtuple("LieTables", "t2 t3 hat words average inverse")
 
 
@@ -416,31 +360,103 @@ def _rows(col):
     return so_rows([col.get(k, 0) for k in range(len(SO_LABELS))], 0)
 
 
-def _solver_columns(label):
-    """Coordinates of t2 and t3 of the triple headed by basis element label."""
-    if isinstance(label, int):
-        return [{SO_INDEX[k]: c for k, c in desc.items()}
-                for desc in _diag_triple_descriptors(label)[1:]]
-    return [{SO_INDEX[(a, b)]: s} if (a, b) in SO_INDEX
-            else {SO_INDEX[(b, a)]: -s}  # U_{a,b}(s) = U_{b,a}(-s)
-            for a, b, s in _root_triple_descriptors(*label)[1:]]
+def _mul(x: dict, y: dict, out=None) -> dict:
+    """out (default 0) plus the product of the octonions x and y, sparse
+    vectors {position in LABELS: rational}, read off BASIS_PRODUCT."""
+    out = {} if out is None else out
+    for i, a in x.items():
+        for j, b in y.items():
+            cell = BASIS_PRODUCT[i][j]
+            if cell is not None:
+                out[cell[0]] = out.get(cell[0], 0) + cell[1] * a * b
+    return out
+
+
+def _associator(w: dict, u: int, v: int) -> dict:
+    """e_u(w e_v) - (e_u w)e_v."""
+    out = _mul({u: 1}, _mul(w, {v: 1}))
+    return _mul(_mul({u: 1}, w), {v: -1}, out)
+
+
+def _associator_equations():
+    """One (w, (u, v, m, c)) per traceless basis vector w (the e_k of trace
+    0 and the difference of the two of trace 1): coordinate m of
+    e_u(w e_v) - (e_u w)e_v is c != 0, and 0 for every other traceless
+    basis vector, so that of u(av) - (ua)v is c times a's w-coefficient."""
+    ws = [{i: 1} for i, t in enumerate(TRACE_VEC) if not t]
+    p, q = (i for i, t in enumerate(TRACE_VEC) if t)
+    ws.append({p: 1, q: -1})
+    found = {}
+    for u in range(8):
+        for v in range(8):
+            terms = [_associator(w, u, v) for w in ws]
+            for n, term in enumerate(terms):
+                for m, c in term.items():
+                    alone = not any(t.get(m) for t in terms if t is not term)
+                    if n not in found and c and alone:
+                        found[n] = (u, v, m, c)
+            if len(found) == len(ws):
+                return [(w, found[n]) for n, w in enumerate(ws)]
+    raise TripleError("an associator coordinate is not read alone")
+
+
+def _local_triality(x, equations):
+    """The 8x8 rows of t2 and t3 for x in so(V) given by its 8x8 rational
+    rows.  By local triality (Springer and Veldkamp, Octonions, Jordan
+    Algebras and Exceptional Groups, 3.5), u = 1 and then v = 1 in
+    x(uv) = t2(u)v + u t3(v) give t2 = x - R_a and t3 = x - L_b, where
+    b = t2(1) = x(1) - a and the traceless a = t3(1) solves
+        u(av) - (ua)v = x(uv) - x(u)v - u x(v) + u(x(1)v)  for all u, v;
+    each coordinate of a is read off one of the equations."""
+    cols = [{r: row[j] for r, row in enumerate(x) if row[j]} for j in range(8)]
+    unit = {j: 1 for j, t in enumerate(UNIT_VEC) if t}
+    x1 = _compose(cols, [unit])[0]
+    a = {}
+    for w, (u, v, m, c) in equations:
+        eu, ev = {u: 1}, {v: 1}
+        rhs = _compose(cols, [_mul(eu, ev)])[0].get(m, 0)
+        rhs -= _mul(cols[u], ev).get(m, 0)
+        rhs -= _mul(eu, cols[v]).get(m, 0)
+        rhs += _mul(eu, _mul(x1, ev)).get(m, 0)
+        if rhs % c:
+            coeff = Fraction(rhs, c)
+        else:
+            coeff = rhs // c
+        for n, s in w.items():
+            a[n] = a.get(n, 0) + s * coeff
+    b = {n: x1.get(n, 0) - a.get(n, 0) for n in x1.keys() | a.keys()}
+    t2 = [_mul({j: -1}, a, dict(cols[j])) for j in range(8)]  # x(e_j) - e_j a
+    t3 = [_mul(b, {j: -1}, dict(cols[j])) for j in range(8)]  # x(e_j) - b e_j
+    return [[[t[j].get(r, 0) for j in range(8)] for r in range(8)]
+            for t in (t2, t3)]
 
 
 @lru_cache(maxsize=None)
 def _lie_tables() -> LieTables:
-    """Derive the tables and verify them: the triality identity on all 64
-    basis pairs for every column, and sigma^2 = rho^3 = (sigma rho)^2 = 1."""
-    t2, t3 = (list(t) for t in zip(*map(_solver_columns, SO_LABELS)))
-    hat_cols = []
-    for k in range(len(SO_LABELS)):
-        rows = sandwich(CONJ_ROWS, _rows({k: 1}), CONJ_COLS)
-        hat_cols.append({n: rows[r][c] for n, ((r, c), _) in
-                         enumerate(SO_PLACES) if rows[r][c]})
-        assert _rows(hat_cols[k]) == rows, "hat leaves so(V)"
+    """Derive the tables (hat from CONJ_ROWS) and verify them, exactly:
+    the triality identity on all 64 basis pairs for every column of t2 and
+    t3, every column in so(V), every root column a single +-1 root (what
+    _root_image reads), and sigma^2 = rho^3 = (sigma rho)^2 = 1."""
+    equations = _associator_equations()
+    t2, t3, hat_cols = [], [], []
     for k, label in enumerate(SO_LABELS):
-        if not leibniz_holds(_rows({k: 1}), _rows(t2[k]), _rows(t3[k]), 0,
-                             operator.not_):
+        x = _rows({k: 1})
+        d2, d3 = _local_triality(x, equations)
+        if not leibniz_holds(x, d2, d3, 0, operator.not_):
             raise TripleError(f"derived Lie triple fails at {label}")
+        hat_rows = sandwich(CONJ_ROWS, x, CONJ_COLS)
+        for table, rows in ((t2, d2), (t3, d3), (hat_cols, hat_rows)):
+            table.append({n: rows[r][c] for n, ((r, c), _) in
+                          enumerate(SO_PLACES) if rows[r][c]})
+            if _rows(table[k]) != rows:
+                raise TripleError(f"the image of {label} leaves so(V)")
+    for k in _ROOTS:
+        for table in (t2, t3, hat_cols):
+            col = table[k]
+            n = min(col, default=None)
+            if len(col) != 1 or n not in _ROOTS or col[n] not in (1, -1):
+                raise TripleError(f"the image of {SO_LABELS[k]} is not a "
+                                  "single +-1 root")
     rho = _compose(hat_cols, t2)
     for name, m, order in (("sigma", t2, 2), ("rho", rho, 3),
                            ("sigma rho", _compose(t2, rho), 2)):
@@ -462,6 +478,18 @@ def _lie_tables() -> LieTables:
     return LieTables(t2, t3, hat_cols, words, average, inverse)
 
 
+def _root_image(table, i: int, j: int, lam: Scalar):
+    """(a, b, mu) with U_{a,b}(mu) the image of U_{i,j}(lam) under a table
+    of _lie_tables, whose root columns are single +-1 roots."""
+    k = SO_INDEX.get((i, j), SO_INDEX.get((j, i)))
+    if k is None:
+        raise DomainError(f"({i}, {j}) is not a root: i != +-j in +-1..+-4")
+    [(n, s)] = table[k].items()
+    if (i, j) not in SO_INDEX:
+        s = -s  # U_{i,j}(lam) = U_{j,i}(-lam)
+    return (*SO_LABELS[n], lam if s > 0 else -lam)
+
+
 def _run(table, coords, cfg: FieldConfig) -> list:
     """The 28 so(V) coordinates that table gives from coords."""
     out = [None] * len(table)
@@ -473,11 +501,6 @@ def _run(table, coords, cfg: FieldConfig) -> list:
             term = v if c == 1 else -v if c == -1 else v * _scalar(cfg, c)
             out[m] = term if out[m] is None else out[m] + term
     return [cfg.zero() if v is None else v for v in out]
-
-
-def inverse_word(word: str) -> str:
-    """The triality word whose table composed with word's is the identity."""
-    return _lie_tables().inverse[word]
 
 
 def solve_lie_triple(x: EndV) -> TrialityTriple:
@@ -585,10 +608,10 @@ class GroupTriality:
     """The triality action on the generator families of the pro-p
     filtration subgroups; the square-root witnesses are the canonical
     1-unit roots, matching the unique homomorphic section.  It acts on
-    descriptors: a root moves by the root-triple descriptors and the hat
-    table, a torus by its weights (hat swaps u and u^{-1}).  apply gives
-    the image's matrix, which psi_b reads for the equivariance of the
-    character; quotient_iso_check takes the image descriptor and reads
+    descriptors: a root moves by the t2 and hat tables, a torus by its
+    weights (hat swaps u and u^{-1}).  apply gives the image's matrix,
+    which psi_b reads for the equivariance of the character;
+    quotient_iso_check takes the image descriptor and reads
     its offset g - 1 (GroupGenerator.offset), with no matrix formed."""
 
     def __init__(self, cfg: FieldConfig):
@@ -596,9 +619,8 @@ class GroupTriality:
 
     def _t2(self, gen: GroupGenerator) -> GroupGenerator:
         if gen.kind == "root":
-            i, j, lam = gen.data
-            (a, b, s) = _root_triple_descriptors(i, j)[1]
-            return GroupGenerator.root(a, b, lam if s > 0 else -lam)
+            return GroupGenerator.root(*_root_image(_lie_tables().t2,
+                                                    *gen.data))
         u, m1, m2, m3 = gen.data
         prod = u * m1 * m2 * m3
         lam = prod.sqrt_one_unit()
@@ -612,11 +634,7 @@ class GroupTriality:
             u, m1, m2, m3 = gen.data
             return GroupGenerator.torus(u.inv(), m1, m2, m3)
         # hat(u_{i,j}(lam)) = 1 + hat(U_{i,j}(lam)), read off the hat table
-        i, j, lam = gen.data
-        if (i, j) not in SO_INDEX:
-            i, j, lam = j, i, -lam
-        [(n, s)] = _lie_tables().hat[SO_INDEX[(i, j)]].items()
-        return GroupGenerator.root(*SO_LABELS[n], lam if s > 0 else -lam)
+        return GroupGenerator.root(*_root_image(_lie_tables().hat, *gen.data))
 
     def apply(self, word: str, gen: GroupGenerator) -> EndV:
         return self._apply_desc(word, gen).matrix(self.cfg)
@@ -631,4 +649,5 @@ class GroupTriality:
         return gen
 
     def inverse_word(self, word: str) -> str:
-        return inverse_word(word)
+        """The triality word whose table inverts word's."""
+        return _lie_tables().inverse[word]

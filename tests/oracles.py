@@ -8,7 +8,11 @@ g2kit.
 truncate, trace and is_isometry, in g2kit's own arithmetic, are the
 window surgery of a Scalar, the trace of an EndV (its diagonal added from
 zero, the sum that linalg.trace_product matches digit for digit) and the
-test of g in O(V, f)."""
+test of g in O(V, f).
+
+root_triple_descriptors is the case analysis of the related triple headed
+by a root u_{i,j}(lam), kept by hand from the root system, against which
+the triality tables derived from the multiplication table are tested."""
 
 from fractions import Fraction
 
@@ -39,6 +43,43 @@ def is_isometry(g):
     """g^T G g = G for the Gram matrix G of f: g is in O(V, f)."""
     gram = gram_scalar(g.cfg)
     return mat_eq(mat_mul(transpose(g.rows), mat_mul(gram, g.rows)), gram)
+
+
+NEXT = {1: 2, 2: 3, 3: 1}
+PREV = {1: 3, 2: 1, 3: 2}
+
+
+def root_triple_descriptors(i, j):
+    """Component descriptors [(a, b, sign), ...] of the related triple
+    headed by u_{i,j}(lam): component n is u_{a,b}(sign lam).  Mixed-sign
+    pairs inside +-{1,2,3} are triality-fixed."""
+    if i == j or i == -j or {abs(i), abs(j)} - {1, 2, 3, 4}:
+        raise ValueError("bad root indices")
+    small = {1, 2, 3}
+    if abs(i) in small and abs(j) in small:
+        if (i > 0) != (j > 0):
+            return [(i, j, 1), (i, j, 1), (i, j, 1)]
+        if i < 0:
+            k = -i
+            if -j == PREV[k]:
+                return [(i, j, 1), (4, NEXT[k], 1), (NEXT[k], -4, 1)]
+            return [(a, b, -s) for (a, b, s) in root_triple_descriptors(j, i)]
+        k = i
+        if j == PREV[k]:
+            return [(i, j, 1), (-4, -NEXT[k], 1), (-NEXT[k], 4, 1)]
+        return [(a, b, -s) for (a, b, s) in root_triple_descriptors(j, i)]
+    if i == 4 and j > 0:
+        return [(4, j, 1), (-PREV[j], -NEXT[j], 1), (4, j, 1)]
+    if j == -4 and i > 0:
+        return [(i, -4, 1), (i, -4, 1), (-PREV[i], -NEXT[i], 1)]
+    if i == -4 and j < 0:
+        k = -j
+        return [(-4, j, 1), (PREV[k], NEXT[k], 1), (-4, j, 1)]
+    if j == 4 and i < 0:
+        k = -i
+        return [(i, 4, 1), (i, 4, 1), (PREV[k], NEXT[k], 1)]
+    # swapped orientation: u_{i,j}(lam) = u_{j,i}(-lam)
+    return [(a, b, -s) for (a, b, s) in root_triple_descriptors(j, i)]
 
 
 def ref_modp_rref(rows, p):

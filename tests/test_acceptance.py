@@ -8,23 +8,20 @@ from fractions import Fraction
 
 from g2kit import fixtures
 from g2kit.filtration import (enumerate_subspaces, gamma_perp,
-                              moy_counterexample, psi_b, quotient_iso_check,
+                              moy_counterexample, quotient_iso_check,
                               random_stable_subspace,
                               standard_symplectic_cycle,
-                              standard_symplectic_swap, lie_generators,
-                              character_counts)
+                              standard_symplectic_swap)
 from g2kit.norms import lattice_seq_from_norm, standard_norm, extend_sl3
 from g2kit.octonions import hyperbolic_plane
 from g2kit.scalars import FieldConfig
-from g2kit.strata import classify, validate
-from g2kit.suites import (_RunTable, _barwedge, _corpus, _corrupted,
-                          _diag_triples, _dim2_family, _dim4_family,
-                          _doubling_chains, _exponent_identities,
-                          _extend_dim4_fixtures, _extend_sl3_fixtures,
-                          _extend_su21_fixtures, _fixed_points, _glw_family,
-                          _idempotent_sweep, _lift_roundtrip, _orbits,
-                          _psi_equi, _psi_hom, _psi_inj, _root_triples,
-                          _uniqueness, run_suite)
+from g2kit.suites import (_RunTable, _corpus, _corrupted, _diag_triples,
+                          _dim2_family, _dim4_family, _doubling_chains,
+                          _exponent_identities, _extend_dim4_fixtures,
+                          _extend_sl3_fixtures, _extend_su21_fixtures,
+                          _fixed_points, _glw_family, _idempotent_sweep,
+                          _lift_roundtrip, _orbits, _psi_equi, _psi_hom,
+                          _psi_inj, _root_triples, _uniqueness)
 
 CFG = FieldConfig(5, 8)
 

@@ -177,13 +177,14 @@ def _swap_idempotents(monkeypatch):
 
 
 def _negate_diag_t3(monkeypatch):
-    """The third component of every diagonal triple negated."""
-    descriptors = triality._diag_triple_descriptors
-
-    def negated(i):
-        d1, d2, d3 = descriptors(i)
-        return d1, d2, {k: -c for k, c in d3.items()}
-    monkeypatch.setattr(triality, "_diag_triple_descriptors", negated)
+    """The third component of every diagonal triple negated: the columns
+    of D_1..D_4 in the t3 table, which diag_lie_triple reads through
+    solve_lie_triple."""
+    tables = triality._lie_tables()
+    t3 = [{m: -c for m, c in col.items()} if k < 4 else col
+          for k, col in enumerate(tables.t3)]
+    patched = tables._replace(t3=t3)
+    monkeypatch.setattr(triality, "_lie_tables", lambda: patched)
 
 
 def _shift_dim4_scalar(monkeypatch):

@@ -10,11 +10,11 @@ from g2kit.endo import EndV, d_torus_lie, u_root_lie
 from g2kit.errors import (ConfigMismatchError, DomainError, DualityError,
                           VolumeError)
 from g2kit.linalg import Subspace
-from g2kit.norms import (FiltrationLattice, HermitianNorm, LatticeSeq, NormFn,
-                         dual_norm, extend_dim4, extend_sl3, extend_su21,
-                         filtration_lattice, is_algebra_norm, is_self_dual,
-                         lattice_seq_from_norm, seq_valuation, sharp_dual,
-                         special_basis, standard_norm, volume)
+from g2kit.norms import (HermitianNorm, NormFn, dual_norm, extend_dim4,
+                         extend_sl3, extend_su21, filtration_lattice,
+                         is_algebra_norm, is_self_dual, lattice_seq_from_norm,
+                         seq_valuation, sharp_dual, special_basis,
+                         standard_norm, volume)
 from g2kit.octonions import (anisotropic_plane, basis_octonion, bilinear_f,
                              division_quaternion, hyperbolic_plane,
                              octonion_unit, ordered_polarization,

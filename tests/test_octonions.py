@@ -5,15 +5,15 @@ import random
 import pytest
 
 from g2kit.errors import ConfigMismatchError, DoublingError, PairError
-from g2kit.octonions import (CompositionSubalgebra, anisotropic_plane,
-                             basis_octonion, bilinear_f, center_subalgebra,
+from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
+                             bilinear_f, center_subalgebra,
                              division_quaternion, double, from_coords,
                              hyperbolic_plane, idempotents_from_isotropic_pair,
                              octonion_from_json, octonion_unit,
                              plane_subalgebra, random_isotropic_pair,
                              random_octonion, ramified_plane,
                              split_polarization, standard_idempotents,
-                             standard_split_dim4, Octonion)
+                             standard_split_dim4)
 from g2kit.scalars import FieldConfig
 
 CFG = FieldConfig(5, 8)

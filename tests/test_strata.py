@@ -6,19 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from g2kit.endo import (EndV, WitnessBlock, d_torus_lie,
-                        dim4_kernel_derivation, lift_su21,
-                        special_hermitian_basis, verify_witness)
+from g2kit.endo import (EndV, WitnessBlock, dim4_kernel_derivation,
+                        lift_su21, special_hermitian_basis, verify_witness)
 from g2kit.errors import LiftError, VolumeError, WitnessError
 from g2kit.linalg import Subspace
 from g2kit.norms import (HermitianNorm, NormFn, filtration_lattice,
                          lattice_seq_from_norm, seq_valuation, standard_norm)
 from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
-                             hyperbolic_plane, octonion_unit, ramified_plane,
+                             hyperbolic_plane, ramified_plane,
                              standard_split_dim4)
 from g2kit.scalars import FieldConfig, Scalar
-from g2kit.strata import (ClassifiedStratum, Stratum, StratumData, classify,
-                          lift_type_d_sl3, lift_type_d_su21, validate)
+from g2kit.strata import (Stratum, StratumData, classify, lift_type_d_sl3,
+                          lift_type_d_su21, validate)
 from g2kit.fixtures import (case_i_strata, case_ii_strata, case_iii_strata,
                             case_iv_strata, corrupted_strata,
                             sl3_regular_data as fixture_sl3, stratum_corpus)

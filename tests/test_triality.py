@@ -19,13 +19,13 @@ from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.suites import run_suite
-from g2kit.triality import (_PREV, GroupGenerator, GroupTriality,
-                            HermitianModel, LieTrialityGroup, TrialityTriple,
+from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
+                            LieTrialityGroup, TrialityTriple,
                             check_related, det_d, diag_lie_triple, hat, iota,
                             is_g2_element, is_g2_lie, orbit_triples,
                             random_g2_lie, root_triple, solve_dim2,
                             solve_dim4, solve_glw, solve_lie_triple)
-from oracles import is_isometry
+from oracles import PREV, is_isometry, root_triple_descriptors
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -71,11 +71,17 @@ def test_check_related_trivial_cases():
 
 
 def test_all_root_triples_related():
+    """Each root triple is related, and each component, read off the tables
+    derived from the multiplication table, is the u_{a,b}(+-lam) of the
+    oracle's hand-kept descriptors."""
     lam = CFG.t()
     for (i, j) in all_root_pairs():
-        for lie in (False, True):
+        for lie, mk in ((False, u_root), (True, u_root_lie)):
             tri = root_triple(CFG, i, j, lam, lie=lie)
             assert check_related(tri.t1, tri.t2, tri.t3, lie)
+            assert [tri.t1, tri.t2, tri.t3] == [
+                mk(CFG, a, b, lam if s > 0 else -lam)
+                for a, b, s in root_triple_descriptors(i, j)]
 
 
 def root_family_triple(cfg, i, negative, lam, lie=False):
@@ -83,7 +89,7 @@ def root_family_triple(cfg, i, negative, lam, lie=False):
     (i, i+, i++): heads u_{-i,-i++} (negative) or u_{i,i++}."""
     if i not in (1, 2, 3):
         raise DomainError("family index must be 1..3")
-    ipp = _PREV[i]
+    ipp = PREV[i]
     if negative:
         return root_triple(cfg, -i, -ipp, lam, lie=lie)
     return root_triple(cfg, i, ipp, lam, lie=lie)
@@ -392,12 +398,14 @@ def dense_diag_triple(cfg, i):
 
 
 def dense_solver(cfg):
-    """Solve by summing scaled t2/t3 matrices of the generator triples."""
+    """Solve by summing scaled t2/t3 matrices of the generator triples,
+    the root ones built from the hand-kept root_triple_descriptors."""
     one = cfg.one()
     tables = {i: dense_diag_triple(cfg, i) for i in (1, 2, 3, 4)}
     for (i, j) in so_basis_labels()[1]:
-        tri = root_triple(cfg, i, j, one, lie=True)
-        tables[(i, j)] = (tri.t2, tri.t3)
+        _, d2, d3 = root_triple_descriptors(i, j)
+        tables[(i, j)] = tuple(u_root_lie(cfg, a, b, one if s > 0 else -one)
+                               for a, b, s in (d2, d3))
 
     def solve(x):
         t2, t3 = EndV.zero(cfg), EndV.zero(cfg)
@@ -515,6 +523,31 @@ def test_orbit_is_the_six_applies_from_one_coordinate_read(p, monkeypatch):
     not_so = d_torus_lie(cfg, 1, cfg.one()) + EndV.identity(cfg)
     with pytest.raises(DomainError):
         G.orbit_entries(not_so)
+
+
+@pytest.mark.parametrize("fault", ("a forced to 0", "one sign flipped"))
+def test_a_perturbed_derivation_fails_the_table_checks(monkeypatch, fault):
+    """With no equation to read a from, or with the sign of one scanned
+    equation flipped, the derived t2 and t3 miss the triality identity
+    and the first _lie_tables() raises TripleError; the verified tables
+    are rebuilt afterwards."""
+    import g2kit.triality as triality_mod
+    equations = triality_mod._associator_equations()
+    if fault == "one sign flipped":
+        w, (u, v, m, c) = equations[0]
+        equations[0] = w, (u, v, m, -c)
+    else:
+        equations = []
+    monkeypatch.setattr(triality_mod, "_associator_equations",
+                        lambda: equations)
+    triality_mod._lie_tables.cache_clear()
+    try:
+        with pytest.raises(TripleError, match="derived Lie triple fails"):
+            triality_mod._lie_tables()
+    finally:
+        monkeypatch.undo()
+        triality_mod._lie_tables.cache_clear()
+        triality_mod._lie_tables()
 
 
 def test_inverse_words_compose_to_identity():
@@ -792,14 +825,26 @@ def test_so_entries_are_the_nonzero_entries_of_so_rows(p):
 
 def test_root_generators_keep_their_checks():
     """u_root_lie and a root descriptor's offset, built from the two
-    entries, still reject i = +-j and a lambda from another config."""
+    entries, still reject i = +-j, a label outside +-1..+-4 and a lambda
+    from another config; so do root_triple, which once recursed without
+    end on a label outside +-1..+-4, and GroupTriality on such a root."""
     other = FieldConfig(7, 8)
     for make in (u_root_lie, lambda cfg, i, j, lam:
                  GroupGenerator.root(i, j, lam).offset(cfg)):
         for i, j in ((1, 1), (2, -2), (-4, 4)):
             with pytest.raises(DomainError, match="i != \\+-j"):
                 make(CFG, i, j, CFG.t())
+        for i, j in ((1, 0), (5, 1)):
+            with pytest.raises(DomainError, match="labels"):
+                make(CFG, i, j, CFG.t())
         with pytest.raises(ConfigMismatchError):
             make(CFG, 1, 2, other.t())
+    for lie in (False, True):
+        with pytest.raises(DomainError, match="labels"):
+            root_triple(CFG, 5, 1, CFG.t(), lie=lie)
+    for i, j in ((1, 1), (5, 1)):
+        with pytest.raises(DomainError, match="not a root"):
+            GroupTriality(CFG).apply("sigma",
+                                     GroupGenerator.root(i, j, CFG.t()))
     assert u_root_lie(CFG, 1, 2, CFG.t()) == u_root(CFG, 1, 2, CFG.t()) - IDENT
     assert u_root_lie(CFG, 1, 2, CFG.zero()) == EndV.zero(CFG)
