@@ -3,6 +3,14 @@ test, derivations (the Lie algebra of the automorphism group), the
 sl3/su(2,1) lifts across a 2-dimensional subalgebra, and the analysis of
 semisimple derivations by their kernel subalgebra.
 
+The triality identities on the 64 basis pairs, t1(e_i e_j) = t2(e_i) e_j +
+e_i t3(e_j) (leibniz_holds, and its defects, leibniz_defects) and
+t1(e_i e_j) = t2(e_i) t3(e_j) (multiplicative_holds), walk the column
+supports of the maps: t(e_j) is column j of t, and e_i e_j = s e_k is the
+cell (k, s) of BASIS_PRODUCT, so t1(e_i e_j) is column k of t1 with sign
+s.  No octonion is built, and only the group identity multiplies entries,
+one scalars.dot per coordinate.
+
 analyze_semisimple checks that beta is a derivation and verifies its
 witness before the analysis, _analyze_semisimple; strata.classify runs
 the analysis alone, since strata.validate has decided both.
@@ -26,7 +34,7 @@ from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         CompositionSubalgebra, Octonion, bilinear_f,
                         gram_scalar, octonion_unit, ordered_polarization,
                         plane_subalgebra, split_polarization, sqrt_scalar)
-from .scalars import FieldConfig, Scalar
+from .scalars import FieldConfig, Scalar, dot
 
 
 class EndV:
@@ -164,56 +172,113 @@ def is_derivation(x: EndV) -> bool:
     return leibniz_holds(x.rows, x.rows, x.rows, x.cfg.zero())
 
 
+def _column_supports(t, is_zero=lambda c: c.is_zero):
+    """The (row, entry) pairs of the nonzero entries of each column of an
+    8x8 row list."""
+    return [[(m, row[j]) for m, row in enumerate(t) if not is_zero(row[j])]
+            for j in range(8)]
+
+
+def _add(acc, cell, v):
+    """acc[m] += s v for the cell (m, s) of BASIS_PRODUCT (None: nothing)."""
+    if cell is not None:
+        m, s = cell
+        term = v if s > 0 else -v
+        acc[m] = acc[m] + term if m in acc else term
+
+
 def leibniz_holds(t1, t2, t3, zero, is_zero=lambda c: c.is_zero) -> bool:
     """t1(e_i e_j) = t2(e_i) e_j + e_i t3(e_j) on all 64 basis pairs, for
-    8x8 row lists over any ring with the given zero and zero test.  Column
-    j of t is t(e_j) and basis products come from BASIS_PRODUCT, so the
-    check is signed sums and exact comparisons, with no multiplication."""
-    c1, c2, c3 = ([[(m, row[j]) for m, row in enumerate(t)
-                    if not is_zero(row[j])] for j in range(8)]
-                  for t in (t1, t2, t3))
-
-    def add(acc, cell, v):
-        if cell is not None:
-            m, s = cell
-            term = v if s > 0 else -v
-            acc[m] = acc[m] + term if m in acc else term
-
+    8x8 row lists over any ring with the given zero and zero test: signed
+    sums over the column supports and exact comparisons, with no
+    multiplication."""
+    c1, c2, c3 = (_column_supports(t, is_zero) for t in (t1, t2, t3))
+    add, table = _add, BASIS_PRODUCT
     for i in range(8):
         for j in range(8):
             want, got = {}, {}
-            cell = BASIS_PRODUCT[i][j]
+            cell = table[i][j]
             if cell is not None:
                 k, s = cell
                 for m, v in c1[k]:
                     add(want, (m, s), v)
             for a, v in c2[i]:
-                add(got, BASIS_PRODUCT[a][j], v)
+                add(got, table[a][j], v)
             for b, v in c3[j]:
-                add(got, BASIS_PRODUCT[i][b], v)
+                add(got, table[i][b], v)
             for m in want.keys() | got.keys():
                 if want.get(m, zero) != got.get(m, zero):
                     return False
     return True
 
 
+def leibniz_defects(x: EndV) -> list:
+    """The 64 defects x(e_i e_j) - x(e_i) e_j - e_i x(e_j), pair (i, j) at
+    position 8 i + j, each a dict {coordinate: Scalar} that leaves out the
+    coordinates no term reaches (those are zero).  For a fixed j the cells
+    of the e_a e_j have distinct k, and so do those of the e_j e_b, so each
+    coordinate of x(e_i) e_j and of e_i x(e_j) is one signed entry of x.
+    A coordinate is the first term minus the second minus the third,
+    through the Scalar operations, so it equals the difference of the
+    dense octonions digit for digit."""
+    cols = _column_supports(x.rows)
+    out = []
+    for i in range(8):
+        for j in range(8):
+            d = {}
+            cell = BASIS_PRODUCT[i][j]
+            if cell is not None:
+                k, s = cell
+                for m, v in cols[k]:
+                    d[m] = v if s > 0 else -v
+            left, right = {}, {}
+            for a, v in cols[i]:
+                _add(left, BASIS_PRODUCT[a][j], v)
+            for b, v in cols[j]:
+                _add(right, BASIS_PRODUCT[i][b], v)
+            for part in (left, right):
+                for m, v in part.items():
+                    d[m] = d[m] - v if m in d else -v
+            out.append(d)
+    return out
+
+
 def multiplicative_holds(t1: EndV, t2: EndV, t3: EndV) -> bool:
     """t1(e_i e_j) = t2(e_i) t3(e_j) on all 64 basis pairs: the group
-    counterpart of leibniz_holds.  As there, t(e_j) is column j of t and
-    e_i e_j = s e_k is read from BASIS_PRODUCT, so t1(e_i e_j) is the
-    column k of t1 with sign s, and the only products are t2(e_i) t3(e_j)."""
+    counterpart of leibniz_holds."""
+    return _first_unrelated_pair(t1, t2, t3) is None
+
+
+def _first_unrelated_pair(t1: EndV, t2: EndV, t3: EndV):
+    """The first pair (i, j), in row-major order, with t1(e_i e_j) !=
+    t2(e_i) t3(e_j), or None.  Coordinate m of the product is one
+    scalars.dot over the terms s v w with e_a e_b = s e_m, v in column i of
+    t2 and w in column j of t3, in the order of Octonion.__mul__ (a, then
+    b, increasing), so it equals that product's coordinate digit for
+    digit; the eight coordinates of a pair are formed before any is
+    compared, as the product forms them."""
     cfg = t1.cfg
-    t2e = [Octonion(cfg, col) for col in zip(*t2.rows)]
-    t3e = t2e if t3 is t2 else [Octonion(cfg, col) for col in zip(*t3.rows)]
-    t1e = t2e if t1 is t2 else [Octonion(cfg, col) for col in zip(*t1.rows)]
-    signed = {1: t1e, -1: [-v for v in t1e]}
-    zero = Octonion(cfg, [cfg.zero()] * 8)
+    zero = cfg.zero()
+    c1 = _column_supports(t1.rows)
+    c2 = c1 if t2 is t1 else _column_supports(t2.rows)
+    c3 = c2 if t3 is t2 else _column_supports(t3.rows)
     for i, row in enumerate(BASIS_PRODUCT):
         for j, cell in enumerate(row):
-            want = zero if cell is None else signed[cell[1]][cell[0]]
-            if want != t2e[i] * t3e[j]:
-                return False
-    return True
+            terms = [[], [], [], [], [], [], [], []]
+            for a, v in c2[i]:
+                cells = BASIS_PRODUCT[a]
+                for b, w in c3[j]:
+                    c = cells[b]
+                    if c is not None:
+                        terms[c[0]].append((c[1], v, w))
+            want = [zero] * 8
+            if cell is not None:
+                k, s = cell
+                for m, v in c1[k]:
+                    want[m] = v if s > 0 else -v
+            if [dot(cfg, t) if t else zero for t in terms] != want:
+                return i, j
+    return None
 
 
 # -- standard generators -------------------------------------------------------

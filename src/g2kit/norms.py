@@ -4,7 +4,9 @@ three canonical extension procedures across a composition subalgebra, and
 the conversion to lattice sequences and filtration lattices.
 
 Norms are always given by a splitting basis and the value at each basis
-vector (exact Fractions); evaluation is min(v(coefficient) + value).
+vector (exact Fractions); evaluation is min(v(coefficient) + value),
+formed in ints: over a common denominator of the values and 1/e the
+values are integer keys, and Scalar.val is v in 1/e units.
 An F'-norm (HermitianNorm) reads its coordinates, its dual basis and the
 F-basis of its extension from the endo.HermitianSpace on its D-basis.
 
@@ -46,6 +48,10 @@ class NormFn:
         self.values = [_frac(v) for v in values]
         if len(self.basis) != len(self.values):
             raise DomainError("one value per basis vector")
+        # the values as integer keys over a common denominator _den, a
+        # multiple of e, so v(c) + a_i is (c.val * _den / e + key_i) / _den
+        self._den = math.lcm(cfg.e, *(v.denominator for v in self.values))
+        self._keys = [int(v * self._den) for v in self.values]
         self._cols = transpose([list(b.coords) for b in self.basis])
         self._reduction = None
         self.space = Subspace(cfg, 8, [b.coords for b in self.basis])
@@ -64,18 +70,25 @@ class NormFn:
         return self._reduction.solve(list(x.coords))
 
     def eval(self, x: Octonion):
-        """min over nonzero coordinates of v(xi_i) + a_i; inf at 0.  A
-        norm on all of V (dim 8) has every vector in its span, so only a
+        """min over nonzero coordinates of v(xi_i) + a_i, a Fraction; inf
+        at 0."""
+        key = self._key(x)
+        return key if key == math.inf else Fraction(key, self._den)
+
+    def _key(self, x: Octonion):
+        """_den times eval(x), an int (inf at 0): the minimum of
+        c.val * (_den / e) + key_i over the nonzero coordinates c.  A norm
+        on all of V (dim 8) has every vector in its span, so only a
         smaller one tests membership."""
         if x.is_zero:
             return math.inf
         if self.space.dim < 8 and not self.space.contains(x.coords):
             raise DomainError("vector outside the span of the norm basis")
-        co = self.coordinates(x)
+        scale = self._den // self.cfg.e
         best = math.inf
-        for c, a in zip(co, self.values):
+        for c, k in zip(self.coordinates(x), self._keys):
             if not c.is_zero:
-                v = c.valuation + a
+                v = c.val * scale + k
                 if v < best:
                     best = v
         return best
@@ -130,14 +143,15 @@ def is_algebra_norm(alpha: NormFn) -> bool:
     if alpha.dim != 8:
         raise DomainError("algebra norms live on all of V")
     unit = octonion_unit(alpha.cfg)
-    if alpha.eval(unit) != 0:
+    if alpha._key(unit) != 0:
         return False
-    for b, v in zip(alpha.basis, alpha.values):
-        if alpha.eval(b.conj()) != v:
+    keys = alpha._keys
+    for b, k in zip(alpha.basis, keys):
+        if alpha._key(b.conj()) != k:
             return False
-    for b1, v1 in zip(alpha.basis, alpha.values):
-        for b2, v2 in zip(alpha.basis, alpha.values):
-            if alpha.eval(b1 * b2) < v1 + v2:
+    for b1, k1 in zip(alpha.basis, keys):
+        for b2, k2 in zip(alpha.basis, keys):
+            if alpha._key(b1 * b2) < k1 + k2:
                 return False
     return True
 

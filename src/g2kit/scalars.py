@@ -15,7 +15,7 @@ operand wider than the window (built directly with Scalar) still goes
 through mul_series, which cuts it.
 dot evaluates a signed sum of products as the left fold of these
 operations does, in one residue-kernel call when the fold truncates
-nothing.
+nothing, and a single term as the one product it is.
 """
 
 from __future__ import annotations
@@ -447,7 +447,13 @@ def dot(cfg: FieldConfig, terms) -> Scalar:
     The span is decided from (val, len) alone, and its width is tested only
     where lo or hi moves; once it exceeds the window, the spans are no
     longer collected and the terms fold.  The operands' configs are
-    compared once, zero operands included, before any arithmetic."""
+    compared once, zero operands included, before any arithmetic.
+
+    One term folds: its fold is the one product +-(x*y), which is what
+    the kernel forms where the product fits, and x*y skips the kernel when
+    a factor is an exact one."""
+    if len(terms) == 1:
+        return _check_then_fold(cfg, terms)
     n = cfg.precision
     spans = []
     lo = hi = None

@@ -43,8 +43,8 @@ import time
 from fractions import Fraction
 
 from . import fixtures
-from .endo import (SO_LABELS, EndV, d_torus_lie, so_coords, so_matrix,
-                   u_root_lie)
+from .endo import (SO_LABELS, EndV, d_torus_lie, leibniz_defects, so_coords,
+                   so_matrix, u_root_lie)
 from .errors import (DomainError, DualityError, G2KitError, PairError,
                      PrecisionError, TripleError, WitnessError)
 from .filtration import (cayley, character_counts, enumerate_subspaces,
@@ -366,7 +366,8 @@ def _fixed_points(cfg):
     28 so(V) coordinates.  Column k of T2 and T3 is what solve_lie_triple
     gives on basis element k; the fixed space is the kernel of the stacked
     [T2 - 1; T3 - 1], and the derivations are the kernel of the Leibniz
-    map x -> x(e_i e_j) - x(e_i) e_j - e_i x(e_j) on the 64 basis pairs."""
+    map x -> x(e_i e_j) - x(e_i) e_j - e_i x(e_j) on the 64 basis pairs,
+    read from endo.leibniz_defects."""
     basis = _so_basis(cfg)
     n = len(basis)
     zero, one = cfg.zero(), cfg.one()
@@ -378,14 +379,9 @@ def _fixed_points(cfg):
     stacked = [[t[k][m] - one if k == m else t[k][m] for k in range(n)]
                for t in (t2, t3) for m in range(n)]
     fixed = Subspace(cfg, n, kernel(stacked))
-    e = _basis(cfg)
-    xy = _products(e, e)
-    defects = []  # defects[k]: the 64 Leibniz defects of basis element k
-    for x in basis:
-        img = [Octonion(cfg, col) for col in zip(*x.rows)]
-        defects.append([x.apply(xy[i][j]) - img[i] * e[j] - e[i] * img[j]
-                        for i in range(8) for j in range(8)])
-    leibniz = [[d[pair].coords[m] for d in defects]
+    # defects[k]: the 64 Leibniz defects of basis element k
+    defects = [leibniz_defects(x) for x in basis]
+    leibniz = [[d[pair].get(m, zero) for d in defects]
                for pair in range(64) for m in range(8)]
     derivations = Subspace(cfg, n, kernel(leibniz))
     if fixed.dim != 14 or derivations.dim != 14 or fixed != derivations:

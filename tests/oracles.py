@@ -12,12 +12,20 @@ test of g in O(V, f).
 
 root_triple_descriptors is the case analysis of the related triple headed
 by a root u_{i,j}(lam), kept by hand from the root system, against which
-the triality tables derived from the multiplication table are tested."""
+the triality tables derived from the multiplication table are tested.
 
+dense_first_unrelated_pair, dense_leibniz_defects, ref_norm_eval and
+ref_is_algebra_norm are the dense routes the triality identities and the
+norm evaluation took before they read column supports and integer keys:
+octonions built from matrix columns and multiplied out, and Fraction
+valuations."""
+
+import math
 from fractions import Fraction
 
 from g2kit.linalg import mat_eq, mat_mul, transpose
-from g2kit.octonions import gram_scalar
+from g2kit.octonions import (BASIS_PRODUCT, LABELS, Octonion, basis_octonion,
+                             gram_scalar, octonion_unit)
 
 
 def truncate(x, cutoff):
@@ -43,6 +51,60 @@ def is_isometry(g):
     """g^T G g = G for the Gram matrix G of f: g is in O(V, f)."""
     gram = gram_scalar(g.cfg)
     return mat_eq(mat_mul(transpose(g.rows), mat_mul(gram, g.rows)), gram)
+
+
+def dense_first_unrelated_pair(t1, t2, t3):
+    """The first basis pair (i, j), in row-major order, with
+    t1(e_i e_j) != t2(e_i) t3(e_j), or None: the columns of the maps as
+    octonions, 64 dense products t2(e_i) t3(e_j), and column k of t1 with
+    the sign s of e_i e_j = s e_k."""
+    cfg = t1.cfg
+    t2e = [Octonion(cfg, col) for col in zip(*t2.rows)]
+    t3e = t2e if t3 is t2 else [Octonion(cfg, col) for col in zip(*t3.rows)]
+    t1e = t2e if t1 is t2 else [Octonion(cfg, col) for col in zip(*t1.rows)]
+    signed = {1: t1e, -1: [-v for v in t1e]}
+    zero = Octonion(cfg, [cfg.zero()] * 8)
+    for i, row in enumerate(BASIS_PRODUCT):
+        for j, cell in enumerate(row):
+            want = zero if cell is None else signed[cell[1]][cell[0]]
+            if want != t2e[i] * t3e[j]:
+                return i, j
+    return None
+
+
+def dense_leibniz_defects(x):
+    """x(e_i e_j) - x(e_i) e_j - e_i x(e_j) as octonions, pair (i, j) at
+    position 8 i + j: the basis products and x's columns multiplied out."""
+    cfg = x.cfg
+    e = [basis_octonion(cfg, lbl) for lbl in LABELS]
+    img = [Octonion(cfg, col) for col in zip(*x.rows)]
+    return [x.apply(e[i] * e[j]) - img[i] * e[j] - e[i] * img[j]
+            for i in range(8) for j in range(8)]
+
+
+def ref_norm_eval(alpha, x):
+    """min over the nonzero coordinates c_i of v(c_i) + a_i in Fractions;
+    inf at 0."""
+    if x.is_zero:
+        return math.inf
+    best = math.inf
+    for c, a in zip(alpha.coordinates(x), alpha.values):
+        if not c.is_zero:
+            best = min(best, c.valuation + a)
+    return best
+
+
+def ref_is_algebra_norm(alpha):
+    """alpha(1) = 0, conj-invariance and alpha(b_i b_j) >= a_i + a_j on the
+    splitting basis, through ref_norm_eval."""
+    if ref_norm_eval(alpha, octonion_unit(alpha.cfg)) != 0:
+        return False
+    if any(ref_norm_eval(alpha, b.conj()) != v
+           for b, v in zip(alpha.basis, alpha.values)):
+        return False
+    return all(ref_norm_eval(alpha, b1 * b2) >= v1 + v2
+               for b1, v1 in zip(alpha.basis, alpha.values)
+               for b2, v2 in zip(alpha.basis, alpha.values))
 
 
 NEXT = {1: 2, 2: 3, 3: 1}

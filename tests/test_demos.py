@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, with
+every warning an error (-W error: pytest's filterwarnings does not reach
+the subprocess)."""
 
 import os
 import subprocess
@@ -16,6 +18,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2kit import fixtures
 from g2kit.endo import EndV, d_torus_lie, u_root_lie
 from g2kit.errors import (ConfigMismatchError, DomainError, DualityError,
                           VolumeError)
@@ -15,12 +16,13 @@ from g2kit.norms import (HermitianNorm, NormFn, dual_norm, extend_dim4,
                          is_algebra_norm, is_self_dual, lattice_seq_from_norm,
                          seq_valuation, sharp_dual, special_basis,
                          standard_norm, volume)
-from g2kit.octonions import (anisotropic_plane, basis_octonion, bilinear_f,
-                             division_quaternion, hyperbolic_plane,
+from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
+                             bilinear_f, division_quaternion, hyperbolic_plane,
                              octonion_unit, ordered_polarization,
                              ramified_plane, split_polarization,
                              standard_split_dim4)
 from g2kit.scalars import FieldConfig
+from oracles import ref_is_algebra_norm, ref_norm_eval
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -375,3 +377,53 @@ def test_norm_json():
     data = alpha.to_json()
     assert data["values"] == ["1/3", "0", "-1/3"]
     assert len(data["basis"]) == 3
+
+
+# -- evaluation in integer keys against the Fraction minimum -----------------------
+
+KEY_CONFIGS = [FieldConfig(p, 8, ext) for p, ext in (
+    (5, "none"), (7, "none"), (11, "none"), (5, "unramified"),
+    (7, "unramified"), (5, "ramified"), (7, "ramified"))]
+
+
+def _key_norms(cfg, rng):
+    """(norm, is an algebra norm): the sl3 extensions of the fixture values
+    (thirds and halves among them), each with one value raised, the
+    standard norm, a norm on a random basis and a W+ norm."""
+    d = hyperbolic_plane(cfg)
+    out = [(standard_norm(cfg), True)]
+    for vals in fixtures.sl3_norm_values():
+        ext = extend_sl3(fixtures.wplus_norm(cfg, vals), d)
+        bad = list(ext.values)
+        bad[rng.randrange(8)] += Fraction(1, 6)
+        out += [(ext, True), (NormFn(cfg, ext.basis, bad), False)]
+    while True:
+        basis = [Octonion(cfg, [cfg.random(rng, width=2) for _ in range(8)])
+                 for _ in range(8)]
+        if Subspace(cfg, 8, [b.coords for b in basis]).dim == 8:
+            break
+    out.append((NormFn(cfg, basis, [Fraction(rng.randrange(-6, 7), 6)
+                                    for _ in range(8)]), None))
+    out.append((fixtures.wplus_norm(cfg, fixtures.THIRDS), None))
+    return out
+
+
+@pytest.mark.parametrize("cfg", KEY_CONFIGS, ids=repr)
+def test_eval_in_integer_keys_is_the_fraction_minimum(cfg):
+    """NormFn.eval equals min(v(c_i) + a_i) formed in Fractions, as a
+    Fraction, on vectors of the norm's span; is_algebra_norm, which
+    compares integer keys, agrees with the same test in Fractions."""
+    rng = random.Random(cfg.p * 10 + len(cfg.extension))
+    for alpha, algebra in _key_norms(cfg, rng):
+        for _ in range(25):
+            coeffs = [cfg.random(rng, width=2) if rng.random() < 0.6
+                      else cfg.zero() for _ in alpha.basis]
+            x = sum((b.scale(c) for b, c in zip(alpha.basis, coeffs)),
+                    Octonion(cfg, [cfg.zero()] * 8))
+            got, want = alpha.eval(x), ref_norm_eval(alpha, x)
+            assert got == want
+            assert got == math.inf or type(got) is Fraction
+        if alpha.dim == 8:
+            want = ref_is_algebra_norm(alpha)
+            assert is_algebra_norm(alpha) is want
+            assert algebra is None or want is algebra

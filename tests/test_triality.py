@@ -6,16 +6,17 @@ from functools import lru_cache
 
 import pytest
 
-from g2kit.endo import (SO_LABELS, EndV, adjoint, is_derivation,
+from g2kit.endo import (SO_LABELS, EndV, _first_unrelated_pair, adjoint,
+                        is_derivation, leibniz_defects,
                         multiplicative_holds, random_so,
                         so_basis_labels, so_coords, so_entries, so_matrix,
                         d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
-from g2kit.errors import (ConfigMismatchError, DomainError, SingularError,
-                          TripleError, WitnessError)
+from g2kit.errors import (ConfigMismatchError, DomainError, G2KitError,
+                          SingularError, TripleError, WitnessError)
 from g2kit.linalg import Subspace, lin_comb, mat_mul, transpose
-from g2kit.octonions import (CONJ_MAT, GRAM, LABELS, Octonion,
-                             anisotropic_plane, basis_octonion,
+from g2kit.octonions import (BASIS_PRODUCT, CONJ_MAT, GRAM, LABELS,
+                             Octonion, anisotropic_plane, basis_octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.suites import run_suite
@@ -25,7 +26,8 @@ from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
                             is_g2_element, is_g2_lie, orbit_triples,
                             random_g2_lie, root_triple, solve_dim2,
                             solve_dim4, solve_glw, solve_lie_triple)
-from oracles import PREV, is_isometry, root_triple_descriptors
+from oracles import (PREV, dense_first_unrelated_pair, dense_leibniz_defects,
+                     is_isometry, root_triple_descriptors)
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -848,3 +850,132 @@ def test_root_generators_keep_their_checks():
                                      GroupGenerator.root(i, j, CFG.t()))
     assert u_root_lie(CFG, 1, 2, CFG.t()) == u_root(CFG, 1, 2, CFG.t()) - IDENT
     assert u_root_lie(CFG, 1, 2, CFG.zero()) == EndV.zero(CFG)
+
+
+# -- the triality identities on column supports against the dense routes ---------
+
+WALK_CONFIGS = [FieldConfig(p, 8, ext) for p, ext in (
+    (5, "none"), (7, "none"), (11, "none"), (5, "unramified"),
+    (7, "unramified"), (5, "ramified"), (7, "ramified"))]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raised."""
+    try:
+        return f(*args)
+    except (G2KitError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _moved(t, r, c, k):
+    """t with the entry (r, c) multiplied by t^k."""
+    rows = [list(row) for row in t.rows]
+    rows[r][c] = rows[r][c] * t.cfg.t(k)
+    return EndV(t.cfg, rows)
+
+
+def _corruptions(rng, t):
+    """One nonzero entry of t moved by t^k, and one flipped in sign."""
+    nonzero = [(r, c) for r in range(8) for c in range(8)
+               if not t.rows[r][c].is_zero]
+    r, c = rng.choice(nonzero)
+    yield _moved(t, r, c, rng.randrange(1, 4))
+    r, c = rng.choice(nonzero)
+    yield flip(t, r, c)
+
+
+def _group_triples(cfg, rng):
+    """Root triples at lam = t, and products of three root triples at
+    lambdas of width 4: their products t2(e_i) t3(e_j) outgrow the window
+    and fold, and the truncated identity fails at some pair for some."""
+    pairs = list(all_root_pairs())
+    for i, j in rng.sample(pairs, 6):
+        yield tuple(root_triple(cfg, i, j, cfg.t())), True
+    for _ in range(6):
+        a, b, c = (root_triple(cfg, *ij, cfg.random(rng, width=4, nonzero=True))
+                   for ij in rng.sample(pairs, 3))
+        yield tuple(x * y * z for x, y, z in zip(a, b, c)), False
+
+
+def _first_pair_holds(cfg, rng):
+    """Maps t2, t3 of full-window entries at valuation 0 and a t1 whose
+    column k, for e_0 e_0 = s e_k, is s t2(e_0) t3(e_0) formed densely:
+    pair (0, 0) holds and a later one fails.  The left fold of a
+    product's coordinate depends on the order of its terms once a partial
+    sum cancels leading digits, which such entries make frequent."""
+    def entry():
+        return (cfg.random(rng, width=cfg.precision, vmin=0, vmax=0)
+                if rng.random() < 0.7 else cfg.zero())
+
+    t2, t3 = (EndV(cfg, [[entry() for _ in range(8)] for _ in range(8)])
+              for _ in range(2))
+    k, s = BASIS_PRODUCT[0][0]
+    prod = Octonion(cfg, [r[0] for r in t2.rows]) \
+        * Octonion(cfg, [r[0] for r in t3.rows])
+    rows = [[cfg.zero()] * 8 for _ in range(8)]
+    for m, c in enumerate(prod.coords):
+        rows[m][k] = c if s > 0 else -c
+    return EndV(cfg, rows), t2, t3
+
+
+@pytest.mark.parametrize("cfg", WALK_CONFIGS, ids=repr)
+def test_first_unrelated_pair_matches_the_dense_products(cfg):
+    """The column-support walk of multiplicative_holds fails at the pair
+    where the dense products first differ, or raises what they raise;
+    each corruption of t1, t2 or t3 is rejected by both at that pair, and
+    maps whose first pair holds in the dense fold fail at the same later
+    pair."""
+    rng = random.Random(cfg.p * 10 + len(cfg.extension))
+    for tri, exact in _group_triples(cfg, rng):
+        want = _outcome(dense_first_unrelated_pair, *tri)
+        assert _outcome(_first_unrelated_pair, *tri) == want
+        if exact:
+            assert want is None and multiplicative_holds(*tri)
+        for which in range(3):
+            for bad in _corruptions(rng, tri[which]):
+                parts = list(tri)
+                parts[which] = bad
+                want = _outcome(dense_first_unrelated_pair, *parts)
+                assert _outcome(_first_unrelated_pair, *parts) == want
+                if exact:
+                    assert want is not None
+    for _ in range(30):
+        tri = _first_pair_holds(cfg, rng)
+        want = _outcome(dense_first_unrelated_pair, *tri)
+        assert want not in (None, (0, 0))
+        assert _outcome(_first_unrelated_pair, *tri) == want
+    lam = cfg.from_int(2)
+    for g, want in ((d_torus(cfg, 1, lam) * d_torus(cfg, 2, lam.inv()), True),
+                    (d_torus(cfg, 1, lam), False)):
+        pair = dense_first_unrelated_pair(g, g, g)
+        assert _first_unrelated_pair(g, g, g) == pair
+        assert (pair is None) is want is multiplicative_holds(g, g, g)
+
+
+@pytest.mark.parametrize("cfg", WALK_CONFIGS, ids=repr)
+def test_leibniz_defects_match_the_dense_difference(cfg):
+    """leibniz_defects equals x(e_i e_j) - x(e_i) e_j - e_i x(e_j) formed
+    from dense octonions, coordinate by coordinate and digit for digit:
+    on derivations (every defect zero), on so(V) elements of short and of
+    full-window entries, and on derivations with one entry moved by t^k or
+    flipped in sign, whose first nonzero defect is then at the same pair."""
+    rng = random.Random(cfg.p * 10 + len(cfg.extension))
+    derivations = [u_root_lie(cfg, 1, -2, cfg.t()),
+                   random_g2_lie(cfg, rng)]
+    n = cfg.precision
+    xs = derivations + [random_so(cfg, rng), random_so(cfg, rng, width=n),
+                        random_so(cfg, rng, width=n, vmin=0, vmax=0)]
+    for x in derivations:
+        xs += list(_corruptions(rng, x))
+    zero = cfg.zero()
+    for k, x in enumerate(xs):
+        want = dense_leibniz_defects(x)
+        got = leibniz_defects(x)
+        assert [[(d.get(m, zero).val, d.get(m, zero).coeffs) for m in range(8)]
+                for d in got] == \
+            [[(c.val, c.coeffs) for c in o.coords] for o in want]
+        first = next((k for k, o in enumerate(want) if not o.is_zero), None)
+        assert first == next((k for k, d in enumerate(got)
+                              if any(c.coeffs for c in d.values())), None)
+        assert is_derivation(x) is (first is None)
+        assert (first is None) is (k < len(derivations))
