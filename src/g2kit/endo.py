@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError, KindError, LiftError, WitnessError
 from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
@@ -339,11 +340,14 @@ _ANTI_DIAGONAL = tuple((IDX[-i], IDX[i]) for i in LABELS)
 def is_so(x: EndV) -> bool:
     """sigma(x) = -x, decided on the entries: the two places of each
     SO_PLACES coordinate hold c and -c, and the 8 anti-diagonal entries
-    are 0.  No adjoint is formed."""
+    are 0.  No adjoint is formed, and a coordinate whose two places are
+    both zero is passed with no negation or comparison."""
     rows = x.rows
-    return (all(rows[r2][c2] == -rows[r1][c1]
-                for (r1, c1), (r2, c2) in SO_PLACES)
-            and not any(rows[r][c].coeffs for r, c in _ANTI_DIAGONAL))
+    for (r1, c1), (r2, c2) in SO_PLACES:
+        a, b = rows[r1][c1], rows[r2][c2]
+        if (a.coeffs or b.coeffs) and b != -a:
+            return False
+    return not any(rows[r][c].coeffs for r, c in _ANTI_DIAGONAL)
 
 
 def so_coords(x: EndV) -> list:
@@ -353,33 +357,37 @@ def so_coords(x: EndV) -> list:
     return [x.rows[r][c] for (r, c), _ in SO_PLACES]
 
 
-def so_rows(coords, zero) -> list:
-    """The 8x8 rows of the so(V) element with the given 28 coordinates."""
+def so_rows(coords: dict, zero) -> list:
+    """The 8x8 rows, filled with zero, of the so(V) element with the
+    coordinates {k: c} (a coordinate not given is zero): c and -c at the
+    two SO_PLACES of each given c, and no other place visited."""
     rows = [[zero] * 8 for _ in range(8)]
-    for c, ((r1, c1), (r2, c2)) in zip(coords, SO_PLACES):
-        rows[r1][c1] = c
-        rows[r2][c2] = -c
+    for k, c in coords.items():
+        (r1, c1), (r2, c2) = SO_PLACES[k]
+        rows[r1][c1], rows[r2][c2] = c, -c
     return rows
 
 
-# the 56 places of SO_PLACES in row-major order, each with its coordinate
-# and its sign
-_SO_ROW_MAJOR = tuple(sorted((place, k, sign)
-                             for k, places in enumerate(SO_PLACES)
-                             for place, sign in zip(places, (1, -1))))
-
-
-def so_entries(coords) -> dict:
+def so_entries(coords: dict) -> dict:
     """The nonzero entries {(i, j): Scalar}, in row-major order, of the
-    so(V) element with the given 28 coordinates: the entries of so_rows,
-    with no zero entry formed or negated."""
-    return {place: c if sign > 0 else -c
-            for place, k, sign in _SO_ROW_MAJOR if (c := coords[k]).coeffs}
+    so(V) element with the coordinates {k: Scalar} (a coordinate not
+    given is zero): c and -c at the two SO_PLACES of each nonzero c, the
+    entries of so_rows, with no zero entry formed or negated and no
+    other place visited."""
+    placed = []
+    for k, c in coords.items():
+        if c.coeffs:
+            plus, minus = SO_PLACES[k]
+            placed += ((plus, c), (minus, -c))
+    placed.sort(key=itemgetter(0))
+    return dict(placed)
 
 
 def so_matrix(cfg: FieldConfig, coords) -> EndV:
-    """The so(V) element with the given 28 coordinates."""
-    return EndV.adopt(cfg, so_rows(coords, cfg.zero()))
+    """The so(V) element with the given 28 coordinates, of which only the
+    nonzero ones are placed."""
+    return EndV.adopt(cfg, so_rows({k: c for k, c in enumerate(coords)
+                                    if c.coeffs}, cfg.zero()))
 
 
 def random_so(cfg: FieldConfig, rng, **kw) -> EndV:

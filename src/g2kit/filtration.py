@@ -9,22 +9,27 @@ element X on the Cayley path as its entries, both {(i, j): Scalar}.
 cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1} as the solution Y of
 (1 - X/2) Y = X.  The keys of the nonzero entries of X are the edges of
 its support graph; a row Y_i follows by back substitution once the rows
-of its successors are known, with one scalar inverse where i has a
-self-loop, and only the vertices on or above a cycle of two or more
-vertices are row-reduced, as one block.  cayley is the one Cayley path:
+of its successors are known, times the inverse of the pivot 1 - x_ii/2
+where i has a self-loop, and only the vertices on or above a cycle of
+two or more vertices are row-reduced, as one block.  The pivots are
+inverted once per distinct x_ii, in a table that lives for the call, or
+for the quotient_iso_check call that passes one: there the diagonal
+entries are the torus generators' +-lam, a handful of values over the
+229 Cayley offsets of a check.  cayley is the one Cayley path:
 1 + cayley_offset, its entries placed on the identity
 (EndV.from_offset).  quotient_iso_check works on entries and offsets: a
 pair of generators X, Y with XY = YX = 0, read from the keys of their
 entries, satisfies C(X + Y) = C(X) C(Y) exactly and is decided with no
 Cayley transform; for every other pair the sum is merged entries, the
 homomorphism test is A + B + AB = C modulo A_s with the sparse product
-AB, and each distinct Cayley offset and group generator's offset is
-computed once per check, in tables that live for the call.  The group
-side forms no 8 x 8 matrix: a generator's offset is read from its
-descriptor (GroupGenerator.offset: +-lam for a root, the torus weights
-minus one on the diagonal), the triality images of the Lie side come as
-entries (LieTrialityGroup.orbit_entries), and the exact image test
-compares 1 + offset on the diagonal and the entries off it.  Congruences
+AB, and each distinct Cayley offset, pivot inverse and group
+generator's offset is computed once per check, in tables that live for
+the call.  The group side forms no 8 x 8 matrix: a generator's offset
+is read from its descriptor (GroupGenerator.offset: +-lam for a root, the
+torus weights minus one on the diagonal), the triality images of the Lie
+side come as entries (LieTrialityGroup.orbit_entries), and the exact
+image test compares 1 + offset on the diagonal and the entries off it.
+Congruences
 are decided on entries (FiltrationLattice.contains_difference): over a
 lattice with the standard basis entry by entry, on the entries where
 either side is nonzero.  psi_b reads the offset y = x - 1 once
@@ -64,9 +69,12 @@ from .triality import (GroupGenerator, GroupTriality, LieTrialityGroup,
                        _lie_tables, is_g2_element, is_g2_lie)
 
 
-def cayley_offset(x) -> dict:
+def cayley_offset(x, inverses=None) -> dict:
     """C(X) - 1 as its nonzero entries {(i, j): Scalar}, for X an EndV or
-    its entries {(i, j): Scalar}.
+    its entries {(i, j): Scalar}.  inverses, when given, is a table
+    {(val, coeffs) of x_ii: (1 - x_ii/2)^{-1}} for one config that the
+    caller keeps across calls, so that each distinct pivot is inverted
+    once; without it the table lives for this call.
 
     C(X) - 1 = (1 + X/2)(1 - X/2)^{-1} - 1 = X (1 - X/2)^{-1}, and X
     commutes with 1 - X/2, so it is the solution Y of (1 - X/2) Y = X.
@@ -98,6 +106,7 @@ def cayley_offset(x) -> dict:
         rows.setdefault(i, {})[j] = c
     cfg = nonzero[0][1].cfg
     half, zero, one = cfg.half, cfg.zero(), cfg.one()
+    inverses = {} if inverses is None else inverses
     solved = {}
 
     def right_side(i):
@@ -117,10 +126,13 @@ def cayley_offset(x) -> dict:
                 continue
             y = right_side(i)
             if i in row:
-                pivot = one - half * row[i]
-                if pivot.is_zero:
-                    raise SingularError("1 - X/2 is not invertible")
-                f = pivot.inv()
+                xii = row[i]
+                f = inverses.get((xii.val, xii.coeffs))
+                if f is None:
+                    pivot = one - half * xii
+                    if pivot.is_zero:
+                        raise SingularError("1 - X/2 is not invertible")
+                    f = inverses[xii.val, xii.coeffs] = pivot.inv()
                 y = {k: c * f for k, c in y.items()}
             solved[i] = y
             progress = True
@@ -315,7 +327,11 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     violations = []
     # Lie elements as their entries, group elements near 1 as offsets g - 1
     lies = [g.lie.entries() for g in gens]
-    images = [cayley_offset(x) for x in lies]
+    # the inverses of the pivots 1 - x_ii/2, one per distinct diagonal
+    # entry x_ii (the torus generators' +-lam), for every Cayley offset of
+    # this call
+    inverses = {}
+    images = [cayley_offset(x, inverses) for x in lies]
     # (a) Cayley is a homomorphism modulo P^s: (1 + A)(1 + B) = 1 + C
     # modulo P^s, that is A + B + AB = C modulo A_s.  A mutually
     # annihilating pair satisfies it exactly (see the docstring) and is
@@ -328,7 +344,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
         for j in range(i, len(gens)):
             if (i, j) in decided:
                 continue
-            both = cayley_offset(_sparse_sum(xa, lies[j]))
+            both = cayley_offset(_sparse_sum(xa, lies[j]), inverses)
             for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
                 if not q.congruent(_product_offset(images[a], images[b]),
                                    both):
@@ -350,7 +366,7 @@ def quotient_iso_check(seq: LatticeSeq, r: int, s: int) -> dict:
     def transform(x):
         key = tuple(x.items())
         if key not in transforms:
-            transforms[key] = cayley_offset(x)
+            transforms[key] = cayley_offset(x, inverses)
         return transforms[key]
 
     def offset(gen):

@@ -469,7 +469,7 @@ class FiltrationLattice:
             if b is None:
                 d = a
             elif a is None:
-                d = -b
+                d = b  # -b has b's valuation, and negation cannot raise
             elif a.val == b.val and a.coeffs == b.coeffs:
                 continue
             else:

@@ -266,7 +266,8 @@ class PrimeField(_SeriesKernels):
                 (x0, x1), (y0, y1) = a, b
                 return ((x0 * y0) % p, (x0 * y1 + x1 * y0) % p, (x1 * y1) % p)
         else:
-            width = n
+            # a's digits past the window reach no digit of the product
+            width, a = n, a[:n]
         acc = [0] * width
         for i, x in enumerate(a):
             if x:
@@ -420,7 +421,7 @@ class QuadField(_SeriesKernels):
         width = len(a) + len(b) - 1
         full = width <= n
         if not full:
-            width = n
+            width, a = n, a[:n]
         re, im = [0] * width, [0] * width
         for i, (x0, x1) in enumerate(a):
             if x0 or x1:

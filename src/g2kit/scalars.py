@@ -50,6 +50,7 @@ class FieldConfig:
         object.__setattr__(self, "_residue", QuadField(self.p)
                            if self.extension == "unramified" else PrimeField(self.p))
         object.__setattr__(self, "_zero", Scalar(self, 0, ()))
+        object.__setattr__(self, "_one", self.from_int(1))
         # 1/2, inverted once per config (2 is a unit, as p >= 5)
         object.__setattr__(self, "half", self.from_int(2).inv())
 
@@ -72,7 +73,7 @@ class FieldConfig:
         return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, a: int) -> "Scalar":
         c = self.residue.coerce(a)

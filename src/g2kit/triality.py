@@ -10,12 +10,14 @@ coordinates and the Phi-pairing system from endo.HermitianSpace.
 On so(V), triality is a table on the 28 coordinates that _lie_tables
 derives from the octonion multiplication table and verifies on first use;
 the Lie solver, the six words sigma^a rho^b and the root and diagonal
-triples read it.
+triples read it.  An image is summed from the nonzero coordinates of x
+only (_image), in increasing coordinate order.
 
 On the pro-p generators, GroupTriality moves descriptors (a root u_{i,j}
-by the t2 and hat tables, a torus by its weights), and a generator near
-1 is read as its sparse offset g - 1 (GroupGenerator.offset) with no
-8 x 8 matrix formed.
+by the t2 and hat tables, a torus by its weights), each instance forming
+the image of a descriptor under a letter once, and a generator near 1 is
+read as its sparse offset g - 1 (GroupGenerator.offset) with no 8 x 8
+matrix formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import lru_cache
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
                    assemble, d_torus_lie, first_candidate, is_derivation,
                    leibniz_holds, multiplicative_holds, root_entries,
-                   sandwich, so_coords, so_entries, so_matrix, so_rows,
+                   sandwich, so_coords, so_entries, so_rows,
                    u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
 from .linalg import Subspace, det, inv
@@ -355,11 +357,6 @@ def _compose(a, b):
     return out
 
 
-def _rows(col):
-    """The 8x8 rational rows of the so(V) element with coordinates col."""
-    return so_rows([col.get(k, 0) for k in range(len(SO_LABELS))], 0)
-
-
 def _mul(x: dict, y: dict, out=None) -> dict:
     """out (default 0) plus the product of the octonions x and y, sparse
     vectors {position in LABELS: rational}, read off BASIS_PRODUCT."""
@@ -440,7 +437,7 @@ def _lie_tables() -> LieTables:
     equations = _associator_equations()
     t2, t3, hat_cols = [], [], []
     for k, label in enumerate(SO_LABELS):
-        x = _rows({k: 1})
+        x = so_rows({k: 1}, 0)
         d2, d3 = _local_triality(x, equations)
         if not leibniz_holds(x, d2, d3, 0, operator.not_):
             raise TripleError(f"derived Lie triple fails at {label}")
@@ -448,7 +445,7 @@ def _lie_tables() -> LieTables:
         for table, rows in ((t2, d2), (t3, d3), (hat_cols, hat_rows)):
             table.append({n: rows[r][c] for n, ((r, c), _) in
                           enumerate(SO_PLACES) if rows[r][c]})
-            if _rows(table[k]) != rows:
+            if so_rows(table[k], 0) != rows:
                 raise TripleError(f"the image of {label} leaves so(V)")
     for k in _ROOTS:
         for table in (t2, t3, hat_cols):
@@ -490,25 +487,35 @@ def _root_image(table, i: int, j: int, lam: Scalar):
     return (*SO_LABELS[n], lam if s > 0 else -lam)
 
 
-def _run(table, coords, cfg: FieldConfig) -> list:
-    """The 28 so(V) coordinates that table gives from coords."""
-    out = [None] * len(table)
-    for k, col in enumerate(table):
-        v = coords[k]
-        if v.is_zero:
-            continue
-        for m, c in col.items():
+def _support(x: EndV) -> list:
+    """The nonzero so(V) coordinates (k, v) of x in increasing k; raises
+    DomainError if x is not in so(V)."""
+    return [(k, v) for k, v in enumerate(so_coords(x)) if v.coeffs]
+
+
+def _image(table, support, cfg: FieldConfig) -> dict:
+    """The so(V) coordinates {m: Scalar} that table gives from the
+    nonzero coordinates support: coordinate m sums its terms v q_mk in
+    increasing k, and a coordinate that no term reaches is left out."""
+    out = {}
+    for k, v in support:
+        for m, c in table[k].items():
             term = v if c == 1 else -v if c == -1 else v * _scalar(cfg, c)
-            out[m] = term if out[m] is None else out[m] + term
-    return [cfg.zero() if v is None else v for v in out]
+            out[m] = out[m] + term if m in out else term
+    return out
+
+
+def _so_element(cfg: FieldConfig, coords: dict) -> EndV:
+    """The so(V) element with the coordinates {k: Scalar}."""
+    return EndV.adopt(cfg, so_rows(coords, cfg.zero()))
 
 
 def solve_lie_triple(x: EndV) -> TrialityTriple:
     """The unique Lie-related triple headed by x, for any x in so(V), read
     off the coordinate tables."""
-    coords = so_coords(x)
+    support, cfg = _support(x), x.cfg
     tables = _lie_tables()
-    t2, t3 = (so_matrix(x.cfg, _run(t, coords, x.cfg))
+    t2, t3 = (_so_element(cfg, _image(t, support, cfg))
               for t in (tables.t2, tables.t3))
     return TrialityTriple(x, t2, t3, lie=True)
 
@@ -516,7 +523,8 @@ def solve_lie_triple(x: EndV) -> TrialityTriple:
 class LieTrialityGroup:
     """The six triality automorphisms of so(V): generated by
     sigma: x -> t2(x) (order 2) and rho: x -> hat(t2(x)) (order 3);
-    fixed points are exactly the derivations."""
+    fixed points are exactly the derivations.  An image is formed from
+    the nonzero coordinates of x only (_image)."""
 
     WORDS = tuple(_LETTERS)
 
@@ -525,26 +533,24 @@ class LieTrialityGroup:
             raise DomainError(f"unknown triality word {word!r}")
         if word == "id":
             return x
-        return so_matrix(x.cfg, _run(_lie_tables().words[word],
-                                     so_coords(x), x.cfg))
+        return _so_element(x.cfg, _image(_lie_tables().words[word],
+                                         _support(x), x.cfg))
 
     def orbit_entries(self, x: EndV):
         """The six (word, image) pairs of x in WORDS order, each image the
         nonzero entries {(i, j): Scalar}, in row-major order, of the one
-        apply(word, x) gives.  The so(V) coordinates of x are read once
-        and the images come from the tables: no 8 x 8 image is formed.
-        Raises DomainError if x is not in so(V)."""
-        coords = so_coords(x)
-        words = _lie_tables().words
-        return [(w, x.entries() if w == "id"
-                 else so_entries(_run(words[w], coords, x.cfg)))
+        apply(word, x) gives.  The so(V) coordinates of x are read once,
+        and so_entries places each image's nonzero coordinates: no 8 x 8
+        image is formed.  Raises DomainError if x is not in so(V)."""
+        support, words = _support(x), _lie_tables().words
+        return [(w, so_entries(_image(words[w], support, x.cfg)))
                 for w in self.WORDS]
 
     def average(self, x: EndV) -> EndV:
         """(1/6) sum of the orbit: the projection of so(V) onto the
         derivations."""
-        return so_matrix(x.cfg, _run(_lie_tables().average, so_coords(x),
-                                     x.cfg))
+        return _so_element(x.cfg, _image(_lie_tables().average, _support(x),
+                                         x.cfg))
 
 
 def random_g2_lie(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -612,10 +618,18 @@ class GroupTriality:
     weights (hat swaps u and u^{-1}).  apply gives the image's matrix,
     which psi_b reads for the equivariance of the character;
     quotient_iso_check takes the image descriptor and reads
-    its offset g - 1 (GroupGenerator.offset), with no matrix formed."""
+    its offset g - 1 (GroupGenerator.offset), with no matrix formed.
+
+    A word is applied letter by letter (_apply_desc), and each instance
+    keeps the image of a descriptor under each letter, s = _t2 and
+    r = _hat after _t2, the first time it forms it: a torus image's
+    square root and inverses are formed once per instance, however many
+    words reach that descriptor.  The images live as long as the
+    instance; a new one forms them again."""
 
     def __init__(self, cfg: FieldConfig):
         self.cfg = cfg
+        self._images = {}  # (letter, kind, data) -> image descriptor
 
     def _t2(self, gen: GroupGenerator) -> GroupGenerator:
         if gen.kind == "root":
@@ -643,9 +657,14 @@ class GroupTriality:
         if word not in _LETTERS:
             raise DomainError(f"unknown triality word {word!r}")
         for letter in reversed(_LETTERS[word]):
-            gen = self._t2(gen)
-            if letter == "r":
-                gen = self._hat(gen)
+            key = (letter, gen.kind, gen.data)
+            image = self._images.get(key)
+            if image is None:
+                image = self._t2(gen)
+                if letter == "r":
+                    image = self._hat(image)
+                self._images[key] = image
+            gen = image
         return gen
 
     def inverse_word(self, word: str) -> str:

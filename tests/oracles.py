@@ -18,14 +18,23 @@ dense_first_unrelated_pair, dense_leibniz_defects, ref_norm_eval and
 ref_is_algebra_norm are the dense routes the triality identities and the
 norm evaluation took before they read column supports and integer keys:
 octonions built from matrix columns and multiplied out, and Fraction
-valuations."""
+valuations.
+
+dense_is_so, dense_so_rows, dense_so_entries, dense_run and
+dense_orbit_entries are the so(V) routes that visited every place and
+coordinate: all 28 pairs of places compared through a negation, all 28
+coordinates placed, the 56 places scanned in row-major order, a triality
+table run over all 28 coordinates of x to a 28-list, and the six
+triality images of x placed from those lists."""
 
 import math
 from fractions import Fraction
 
+from g2kit.endo import SO_PLACES, so_coords
 from g2kit.linalg import mat_eq, mat_mul, transpose
-from g2kit.octonions import (BASIS_PRODUCT, LABELS, Octonion, basis_octonion,
-                             gram_scalar, octonion_unit)
+from g2kit.octonions import (BASIS_PRODUCT, IDX, LABELS, Octonion,
+                             basis_octonion, gram_scalar, octonion_unit)
+from g2kit.triality import LieTrialityGroup, _lie_tables, _scalar
 
 
 def truncate(x, cutoff):
@@ -80,6 +89,64 @@ def dense_leibniz_defects(x):
     img = [Octonion(cfg, col) for col in zip(*x.rows)]
     return [x.apply(e[i] * e[j]) - img[i] * e[j] - e[i] * img[j]
             for i in range(8) for j in range(8)]
+
+
+def dense_is_so(x):
+    """Every pair of SO_PLACES holds c and -c, compared through -c, and
+    the 8 anti-diagonal entries (-i, i) are 0."""
+    rows = x.rows
+    return (all(rows[r2][c2] == -rows[r1][c1]
+                for (r1, c1), (r2, c2) in SO_PLACES)
+            and not any(rows[IDX[-i]][IDX[i]].coeffs for i in LABELS))
+
+
+def dense_so_rows(coords, zero):
+    """The 8x8 rows of the so(V) element with the 28 coordinates, every
+    coordinate placed as c and -c."""
+    rows = [[zero] * 8 for _ in range(8)]
+    for c, ((r1, c1), (r2, c2)) in zip(coords, SO_PLACES):
+        rows[r1][c1] = c
+        rows[r2][c2] = -c
+    return rows
+
+
+# the 56 places of SO_PLACES in row-major order, each with its coordinate
+# and its sign
+_SO_ROW_MAJOR = tuple(sorted((place, k, sign)
+                             for k, places in enumerate(SO_PLACES)
+                             for place, sign in zip(places, (1, -1))))
+
+
+def dense_so_entries(coords):
+    """The nonzero entries, in row-major order, of the so(V) element with
+    the 28 coordinates: the 56 places scanned in row-major order."""
+    return {place: c if sign > 0 else -c
+            for place, k, sign in _SO_ROW_MAJOR if (c := coords[k]).coeffs}
+
+
+def dense_run(table, coords, cfg):
+    """The 28 so(V) coordinates that a triality table gives from the 28
+    coordinates coords, each summed in increasing k."""
+    out = [None] * len(table)
+    for k, col in enumerate(table):
+        v = coords[k]
+        if v.is_zero:
+            continue
+        for m, c in col.items():
+            term = v if c == 1 else -v if c == -1 else v * _scalar(cfg, c)
+            out[m] = term if out[m] is None else out[m] + term
+    return [cfg.zero() if v is None else v for v in out]
+
+
+def dense_orbit_entries(x):
+    """The six (word, entries) pairs of x: x.entries() for the identity,
+    and for every other word the 28 coordinates that dense_run gives from
+    the 28 coordinates of x, placed by dense_so_entries."""
+    coords = so_coords(x)
+    words = _lie_tables().words
+    return [(w, x.entries() if w == "id"
+             else dense_so_entries(dense_run(words[w], coords, x.cfg)))
+            for w in LieTrialityGroup.WORDS]
 
 
 def ref_norm_eval(alpha, x):

@@ -28,7 +28,8 @@ from g2kit.octonions import (IDX, basis_octonion, gram_scalar,
                              hyperbolic_plane)
 from g2kit.residue import PrimeField
 from g2kit.scalars import FieldConfig
-from g2kit.triality import GroupTriality, LieTrialityGroup, random_g2_lie
+from g2kit.triality import (_LETTERS, GroupTriality, LieTrialityGroup,
+                            random_g2_lie)
 from oracles import RefModpSubspace, ref_modp_kernel, trace, truncate
 
 CFG = FieldConfig(5, 8)
@@ -915,11 +916,12 @@ def rref_spy(monkeypatch):
 
 
 def cayley_offset_spy(monkeypatch):
-    """The inputs that filtration.cayley_offset is given, in call order."""
+    """The inputs that filtration.cayley_offset is given, in call order;
+    the pivot table, where the caller passes one, is forwarded."""
     seen = []
     original = filtration.cayley_offset
     monkeypatch.setattr(filtration, "cayley_offset",
-                        lambda x: seen.append(x) or original(x))
+                        lambda x, *table: seen.append(x) or original(x, *table))
     return seen
 
 
@@ -1427,11 +1429,16 @@ def test_cayley_offset_rejects_a_singular_one_minus_half_x(entries):
     core, which the row reduction of the core rejects."""
     x = EndV.from_entries(CFG, {k: CFG.from_int(c)
                                 for k, c in entries.items()})
-    for f in (cayley_offset, ref_cayley_offset_rref):
-        for form in (x, x.entries()):
+    table = {}
+    for f in (cayley_offset, ref_cayley_offset_rref,
+              functools.partial(cayley_offset, inverses=table)):
+        for form in (x, x.entries(), x.entries()):
             with pytest.raises(SingularError,
                                match="1 - X/2 is not invertible"):
                 f(form)
+    # a shared pivot table keeps no entry for the zero pivot 1 - 2/2, and
+    # raises on it every time
+    assert (0, CFG.from_int(2).coeffs) not in table
 
 
 def test_quotient_iso_reports_a_flipped_offset_digit(monkeypatch):
@@ -1449,9 +1456,10 @@ def test_quotient_iso_reports_a_flipped_offset_digit(monkeypatch):
     key = gen.lie.entries()
     original = filtration.cayley_offset
 
-    def flipped(x):
-        # the check passes entries; the reference, through cayley, an EndV
-        out = original(x)
+    def flipped(x, *table):
+        # the check passes entries and its pivot table; the reference,
+        # through cayley, an EndV
+        out = original(x, *table)
         if (x.entries() if isinstance(x, EndV) else x) == key:
             out[l, j] = out[l, j] + CFG.monomial(1, c.val)
         return out
@@ -1535,6 +1543,174 @@ def test_group_descriptors_match_the_parent_routes(p, ext):
             assert list(off) == list(ref_off)
             tori += got.kind == "torus"
     assert tori == 2 * 2 * 4 * 6
+
+
+@pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
+def test_kept_images_match_a_fresh_instance(p, ext):
+    """A GroupTriality and a RefGroupTriality that have applied every word
+    to every reached generator once, and so keep their letter images, give
+    the descriptor of a fresh instance of their class for every word, the
+    second time as the first."""
+    cfg = FieldConfig(p, 8, ext)
+    gens = reached_generators(cfg)
+    for cls in (GroupTriality, RefGroupTriality):
+        kept = cls(cfg)
+        for _ in range(2):
+            for g in gens:
+                for word in LieTrialityGroup.WORDS:
+                    got = kept._apply_desc(word, g.group)
+                    want = cls(cfg)._apply_desc(word, g.group)
+                    assert (got.kind, got.data) == (want.kind, want.data)
+
+
+def test_a_new_group_triality_forms_its_images_again(monkeypatch):
+    """An instance forms the image of a descriptor under a letter once, a
+    torus image's square root included; a second instance forms them all
+    again, as many as the first did: the images live with the instance."""
+    calls = Counter()
+    for name in ("_t2", "_hat"):
+        original = getattr(GroupTriality, name)
+
+        def counted(self, gen, original=original, name=name):
+            calls[name] = calls[name] + 1
+            return original(self, gen)
+        monkeypatch.setattr(GroupTriality, name, counted)
+    sqrt = Scalar.sqrt_one_unit
+    monkeypatch.setattr(Scalar, "sqrt_one_unit", lambda self: calls.update(
+        ["sqrt"]) or sqrt(self))
+    gens = [g.group for g in reached_generators(CFG)]
+
+    def apply_all(gamma):
+        before = Counter(calls)
+        for gen in gens:
+            for word in LieTrialityGroup.WORDS:
+                gamma._apply_desc(word, gen)
+        return calls - before
+    first = GroupTriality(CFG)
+    formed = apply_all(first)
+    # every letter of every word on every generator, formed each time
+    letters = sum(map(len, _LETTERS.values())) * len(gens)
+    assert 0 < formed["sqrt"] < formed["_t2"] < letters
+    assert apply_all(first) == Counter()
+    assert apply_all(GroupTriality(CFG)) == formed
+
+
+def inversions(monkeypatch):
+    """The scalars that Scalar.inv is asked to invert, in call order."""
+    seen = []
+    original = Scalar.inv
+    monkeypatch.setattr(Scalar, "inv",
+                        lambda self: seen.append(self) or original(self))
+    return seen
+
+
+@pytest.mark.parametrize("p, ext", EXTENSION_CONFIGS)
+def test_cayley_offset_inverts_each_distinct_pivot_once(p, ext, monkeypatch):
+    """The torus generators of A_1 and A_2 and their sums with every
+    generator, all solved by back substitution: with one pivot table
+    shared across the calls the offsets are those of separate calls,
+    digit for digit and in key order, the table holds one inverse per
+    distinct diagonal entry, and only those are inverted; separate calls
+    invert each distinct pivot of their own input (a sum of two tori holds
+    x_ii = lam at two vertices)."""
+    cfg = FieldConfig(p, 8, ext)
+    xs = []
+    for seq in benchmark_sequences(cfg):
+        for r in (1, 2):
+            lies = [g.lie.entries() for g in lie_generators(seq, r)]
+            xs += lies[:4] + [filtration._sparse_sum(t, x)
+                              for t in lies[:4] for x in lies]
+    want = [cayley_offset(x) for x in xs]
+    diagonal = [c for x in xs for (i, j), c in x.items()
+                if i == j and c.coeffs]
+    seen = inversions(monkeypatch)
+    table = {}
+    got = [cayley_offset(x, table) for x in xs]
+    assert got == want
+    assert [list(y) for y in got] == [list(y) for y in want]
+    pivots = {(c.val, c.coeffs) for c in diagonal}
+    assert set(table) == pivots and len(seen) == len(pivots)
+    assert all(f == (cfg.one() - cfg.half * c).inv()
+               for c in diagonal for f in [table[c.val, c.coeffs]])
+    del seen[:]
+    for x in xs:
+        cayley_offset(x)
+    per_call = sum(len({(c.val, c.coeffs) for (i, j), c in x.items()
+                        if i == j and c.coeffs}) for x in xs)
+    assert len(seen) == per_call > 10 * len(pivots)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_two_checks_in_a_row_make_the_same_inversions(p, monkeypatch):
+    """quotient_iso_check keeps its pivot table and its GroupTriality for
+    the call: a second check at the same level inverts the same scalars,
+    as many as the first, among them each distinct pivot 1 - x_ii/2 of
+    the generators.  The triality tables and their rationals as scalars,
+    which stay for the process, are formed before the count."""
+    cfg = FieldConfig(p, 8)
+    tables = triality._lie_tables()
+    for table in (*tables.words.values(), tables.average):
+        for col in table:
+            for q in col.values():
+                triality._scalar(cfg, q)
+    seen = inversions(monkeypatch)
+    for seq in benchmark_sequences(cfg):
+        for r, s in LEVELS:
+            pivots = {cfg.one() - cfg.half * c
+                      for g in lie_generators(seq, r)
+                      for (i, j), c in g.lie.entries().items() if i == j}
+            del seen[:]
+            quotient_iso_check(seq, r, s)
+            first = list(seen)
+            del seen[:]
+            quotient_iso_check(seq, r, s)
+            assert seen == first and len(first) > 28
+            assert len(pivots) == 2 and pivots <= set(first)
+
+
+def module_state():
+    """The length of every dict, list and set, and the size of every
+    lru_cache, held at the top level of filtration, triality and scalars
+    or by a class they define."""
+    from g2kit import scalars
+    out = {}
+    for mod in (filtration, triality, scalars):
+        spaces = [(mod.__name__, vars(mod))]
+        spaces += [(f"{mod.__name__}.{name}", vars(v))
+                   for name, v in vars(mod).items()
+                   if isinstance(v, type) and v.__module__ == mod.__name__]
+        for where, space in spaces:
+            for name, v in space.items():
+                if isinstance(v, (dict, list, set)):
+                    out[where, name] = len(v)
+                elif hasattr(v, "cache_info"):
+                    out[where, name] = v.cache_info().currsize
+    return out
+
+
+def test_no_module_state_grows_across_calls():
+    """The benchmark's filtration calls on the standard sequence at levels
+    (1, 1) and (1, 2), then on the thirds sequence at (2, 3) and (2, 4),
+    with new generators, pivots and descriptors: the second round leaves
+    every module-level and class-level container of filtration, triality
+    and scalars at the size the first left it.  The calls are the checks,
+    psi_b's equivariance through GroupTriality.apply, and orbit_entries."""
+    def one_round(seq, r, levels):
+        for s in levels:
+            quotient_iso_check(seq, r, s)
+        gens = lie_generators(seq, r)
+        lie_gamma, grp_gamma = LieTrialityGroup(), GroupTriality(CFG)
+        b = d_torus_lie(CFG, 1, CFG.one())
+        for word in LieTrialityGroup.WORDS:
+            for g in gens:
+                psi_b(seq, 2, b, grp_gamma.apply(word, g.group), 1)
+                lie_gamma.orbit_entries(g.lie)
+    std, thirds = benchmark_sequences(CFG)
+    one_round(std, 1, (1, 2))
+    before = module_state()
+    assert len(before) > 5
+    one_round(thirds, 2, (3, 4))
+    assert module_state() == before
 
 
 def random_generators(cfg, rng):

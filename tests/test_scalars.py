@@ -530,11 +530,6 @@ def test_one_term_dot_is_the_signed_product(p, ext):
     other = FieldConfig(11, 8)
     for x in operands:
         for y in operands:
-            if x is wide and len(y.coeffs) > 1:
-                # mul_series overruns its accumulator on a left factor
-                # wider than the window times a non-monomial (IndexError,
-                # in either route), a fault of the kernel, not of dot
-                continue
             for s in (1, -1):
                 assert _outcome(dot, cfg, [(s, x, y)]) == \
                     _outcome(fold_dot, cfg, [(s, x, y)])
@@ -542,6 +537,35 @@ def test_one_term_dot_is_the_signed_product(p, ext):
             for terms in ([(1, x, foreign)], [(-1, foreign, x)]):
                 with pytest.raises(ConfigMismatchError):
                     dot(cfg, terms)
+
+
+@pytest.mark.parametrize("p, ext", [(5, "none"), (7, "unramified")])
+def test_a_left_factor_wider_than_the_window_is_cut(p, ext):
+    """A factor with more coefficients than the window (built directly
+    with Scalar) times one that is not a monomial, in either order, is the
+    per-coefficient product: its digits past the window reach no digit of
+    the product.  mul_series took the left factor whole and sliced the
+    right one from its end once a digit lay past the window, so
+    Scalar(cfg, 1, (1,) * 11) * Scalar(cfg, 0, (1, 2)) raised IndexError;
+    dot and fold_dot reach the same kernel."""
+    cfg = FieldConfig(p, 8, ext)
+    r, n = cfg.residue, cfg.precision
+    rng = random.Random(140 + p)
+    ones = Scalar(cfg, 1, (r.one(),) * (n + 3))
+    assert (ones * Scalar(cfg, 0, (r.one(), r.coerce(2)))).val == 1
+    wides = [ones] + [Scalar(cfg, rng.randrange(-2, 3),
+                             tuple(r.random(rng, nonzero=True)
+                                   for _ in range(w)))
+                      for w in (n + 1, n + 2, 2 * n + 1)]
+    others = wides + [_operand(rng, cfg, w, far)
+                      for w in (2, 3, n) for far in (False, True)]
+    for x in wides:
+        for y in others:
+            _same(x * y, ref_mul(x, y))
+            _same(y * x, ref_mul(y, x))
+            for terms in ([(1, x, y)], [(-1, y, x)], [(1, x, y), (1, y, x)]):
+                assert _outcome(dot, cfg, terms) == \
+                    _outcome(fold_dot, cfg, terms)
 
 
 # -- call sites ------------------------------------------------------------------

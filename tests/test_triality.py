@@ -6,28 +6,31 @@ from functools import lru_cache
 
 import pytest
 
-from g2kit.endo import (SO_LABELS, EndV, _first_unrelated_pair, adjoint,
-                        is_derivation, leibniz_defects,
+from g2kit.endo import (SO_LABELS, SO_PLACES, EndV, _first_unrelated_pair,
+                        adjoint, is_derivation, is_so, leibniz_defects,
                         multiplicative_holds, random_so,
                         so_basis_labels, so_coords, so_entries, so_matrix,
+                        so_rows,
                         d_torus_lie, u_root, u_root_lie,
                         special_hermitian_basis)
 from g2kit.errors import (ConfigMismatchError, DomainError, G2KitError,
                           SingularError, TripleError, WitnessError)
 from g2kit.linalg import Subspace, lin_comb, mat_mul, transpose
-from g2kit.octonions import (BASIS_PRODUCT, CONJ_MAT, GRAM, LABELS,
+from g2kit.octonions import (BASIS_PRODUCT, CONJ_MAT, GRAM, IDX, LABELS,
                              Octonion, anisotropic_plane, basis_octonion,
                              octonion_unit, sqrt_scalar, standard_split_dim4)
 from g2kit.scalars import FieldConfig
 from g2kit.suites import run_suite
 from g2kit.triality import (GroupGenerator, GroupTriality, HermitianModel,
-                            LieTrialityGroup, TrialityTriple,
+                            LieTrialityGroup, TrialityTriple, _lie_tables,
                             check_related, det_d, diag_lie_triple, hat, iota,
                             is_g2_element, is_g2_lie, orbit_triples,
                             random_g2_lie, root_triple, solve_dim2,
                             solve_dim4, solve_glw, solve_lie_triple)
-from oracles import (PREV, dense_first_unrelated_pair, dense_leibniz_defects,
-                     is_isometry, root_triple_descriptors)
+from oracles import (PREV, dense_first_unrelated_pair, dense_is_so,
+                     dense_leibniz_defects, dense_orbit_entries, dense_run,
+                     dense_so_entries, dense_so_rows, is_isometry,
+                     root_triple_descriptors)
 
 CFG = FieldConfig(5, 8)
 E = {lbl: basis_octonion(CFG, lbl) for lbl in (-4, -1, -2, -3, 3, 2, 1, 4)}
@@ -814,15 +817,112 @@ def test_apply_to_a_signed_basis_vector_is_the_signed_column():
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_so_entries_are_the_nonzero_entries_of_so_rows(p):
     """so_entries gives the nonzero entries of so_matrix in row-major
-    order, for coordinates with and without zeros."""
+    order, for coordinates with and without zeros, given all 28 or only
+    the nonzero ones; they are the dense scan's, in the same order."""
     cfg = FieldConfig(p, 8)
     rng = random.Random(130 + p)
     for _ in range(30):
         coords = [cfg.zero() if rng.random() < 0.6 else
                   cfg.random(rng, width=2, vmin=-1, vmax=2)
                   for _ in SO_LABELS]
-        got, want = so_entries(coords), so_matrix(cfg, coords).entries()
-        assert got == want and list(got) == list(want)
+        want = so_matrix(cfg, coords).entries()
+        assert want == dense_so_entries(coords)
+        for given in (dict(enumerate(coords)),
+                      {k: c for k, c in enumerate(coords) if c.coeffs}):
+            got = so_entries(given)
+            assert got == want and list(got) == list(want)
+
+
+SO_CONFIGS = [(p, ext) for p in (5, 7, 11)
+              for ext in ("none", "unramified", "ramified")]
+
+
+def sparse_so_samples(cfg, rng):
+    """The 28 so(V) basis elements at valuations -2, 0, 1 and 3, with one
+    and with two digits, and random so(V) elements, dense and with 1 to 4
+    nonzero coordinates."""
+    out = []
+    for k in range(len(SO_LABELS)):
+        for v in (-2, 0, 1, 3):
+            for c in (cfg.monomial(1, v), cfg.monomial(1, v) + cfg.t(4)):
+                coords = [cfg.zero()] * len(SO_LABELS)
+                coords[k] = c
+                out.append(so_matrix(cfg, coords))
+    for _ in range(6):
+        out.append(random_so(cfg, rng, width=2))
+        coords = [cfg.zero()] * len(SO_LABELS)
+        for k in rng.sample(range(len(SO_LABELS)), rng.randrange(1, 5)):
+            coords[k] = cfg.random(rng, width=2, nonzero=True)
+        out.append(so_matrix(cfg, coords))
+    return out
+
+
+@pytest.mark.parametrize("p, ext", SO_CONFIGS)
+def test_sparse_triality_images_match_the_dense_route(p, ext):
+    """The triality images, formed from the nonzero coordinates, are the
+    dense table runs over all 28 coordinates digit for digit:
+    orbit_entries (in key order too), apply, average and the Lie
+    solver's t2 and t3."""
+    cfg = FieldConfig(p, 8, ext)
+    gamma, tables = LieTrialityGroup(), _lie_tables()
+
+    def dense(table, x):
+        return so_matrix(cfg, dense_run(table, so_coords(x), cfg))
+    for x in sparse_so_samples(cfg, random.Random(150 + p + len(ext))):
+        got, want = gamma.orbit_entries(x), dense_orbit_entries(x)
+        assert got == want
+        assert [list(e) for _, e in got] == [list(e) for _, e in want]
+        for w in gamma.WORDS:
+            assert gamma.apply(w, x).rows == dense(tables.words[w], x).rows
+        assert gamma.average(x).rows == dense(tables.average, x).rows
+        triple = solve_lie_triple(x)
+        assert triple.t2.rows == dense(tables.t2, x).rows
+        assert triple.t3.rows == dense(tables.t3, x).rows
+
+
+@pytest.mark.parametrize("p, ext", SO_CONFIGS)
+def test_sparse_so_tests_match_the_dense_ones(p, ext):
+    """is_so and so_rows, which pass over zero places and coordinates,
+    agree with the dense routes: on so(V) elements and their rows, on
+    random endomorphisms, and on the two faults is_so must see: one place
+    of a coordinate zero and the other not, in either order, and a
+    nonzero anti-diagonal entry (-i, i); the faults are made at every
+    nonzero coordinate and at three zero ones."""
+    cfg = FieldConfig(p, 8, ext)
+    rng = random.Random(160 + p + len(ext))
+    zero = cfg.zero()
+    for x in sparse_so_samples(cfg, rng):
+        coords = so_coords(x)
+        want = dense_so_rows(coords, zero)
+        assert want == x.rows
+        for given in (dict(enumerate(coords)),
+                      {k: c for k, c in enumerate(coords) if c.coeffs}):
+            assert so_rows(given, zero) == want
+        assert is_so(x) and dense_is_so(x)
+        entries = x.entries()
+        c = cfg.random(rng, width=2, nonzero=True)
+        faults = [{**entries, (IDX[-i], IDX[i]): c} for i in (4, -1, 2)]
+        zeros = [k for k, a in enumerate(coords) if not a.coeffs]
+        for k in [k for k, a in enumerate(coords) if a.coeffs] + rng.sample(
+                zeros, min(3, len(zeros))):
+            a = coords[k]
+            for place in SO_PLACES[k]:
+                if not a.coeffs:  # zero at the other place, c here
+                    faults.append({**entries, place: c})
+                else:  # zero here, -+a at the other place; or a moved
+                    faults.append({q: v for q, v in entries.items()
+                                   if q != place})
+                    moved = entries[place] + cfg.monomial(1, a.val - 1)
+                    faults.append({**entries, place: moved})
+        for fault in faults:
+            y = EndV.from_entries(cfg, fault)
+            assert not is_so(y) and not dense_is_so(y)
+            with pytest.raises(DomainError):
+                so_coords(y)
+    for _ in range(20):
+        y = EndV(cfg, [[cfg.random(rng, width=1) if rng.random() < 0.3
+                        else zero for _ in range(8)] for _ in range(8)])
+        assert is_so(y) == dense_is_so(y)
 
 
 def test_root_generators_keep_their_checks():
