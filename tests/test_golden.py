@@ -56,6 +56,19 @@ def test_desk_suite_report_matches_golden(suite, p):
     assert report == json.loads(path.read_text())
 
 
+@pytest.mark.parametrize("ext", ("unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7))
+def test_strata_report_over_extensions_matches_golden(p, ext):
+    """The strata suite over each quadratic extension at p = 5 and 7.
+    Over the ramified extension corpus-classification and lift-depth fail
+    with the LiftError of the depth check; the golden keeps those
+    counterexample strings."""
+    report = run_suite("strata", FieldConfig(p, 8, ext), 1)
+    report.pop("wall_time")
+    path = GOLDEN / f"strata_p{p}_n8_{ext}_seed1.json"
+    assert report == json.loads(path.read_text())
+
+
 # the filtration checks other than gamma-perp-*, which list F_p subspaces
 # vector by vector and take most of the suite's time
 FILTRATION_CHECKS = ("moy-counterexample", "quotient-congruences",
