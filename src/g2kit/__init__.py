@@ -7,8 +7,8 @@ Everything is immutable value data over exact truncated Laurent series;
 all checks are exact identities or congruences at explicit levels.
 """
 
-from .endo import (EndV, adjoint, analyze_semisimple, dim4_kernel_derivation,
-                   is_derivation, is_so, lift_sl3, lift_su21)
+from .endo import (EndV, adjoint, dim4_kernel_derivation, is_derivation,
+                   is_so, lift_sl3, lift_su21)
 from .filtration import (FiltrationQuotient, SymplecticSpace, cayley,
                          cayley_offset, gamma_perp, moy_counterexample,
                          psi_b, quotient_iso_check, trace_triality_invariance)

@@ -1,7 +1,9 @@
-"""Linear algebra on the octonion space: the form-adjoint, the so(V)
-test, derivations (the Lie algebra of the automorphism group), the
-sl3/su(2,1) lifts across a 2-dimensional subalgebra, and the analysis of
-semisimple derivations by their kernel subalgebra.
+"""Linear algebra on the octonion space V: the 8 x 8 matrices EndV, the
+form-adjoint, the so(V) coordinates and test, derivations (the Lie
+algebra of the automorphism group) and the triality identities, the root
+and torus generators, the sl3 / su(2,1) lifts across a 2-dimensional
+subalgebra, the derivations that vanish on a dim-4 subalgebra, and the
+hermitian space of an anisotropic plane.
 
 The triality identities on the 64 basis pairs, t1(e_i e_j) = t2(e_i) e_j +
 e_i t3(e_j) (leibniz_holds, and its defects, leibniz_defects) and
@@ -11,30 +13,23 @@ cell (k, s) of BASIS_PRODUCT, so t1(e_i e_j) is column k of t1 with sign
 s.  No octonion is built, and only the group identity multiplies entries,
 one scalars.dot per coordinate.
 
-analyze_semisimple checks that beta is a derivation and verifies its
-witness before the analysis, _analyze_semisimple; strata.classify runs
-the analysis alone, since strata.validate has decided both.
-
 HermitianSpace, W = D-perp of an anisotropic plane D with its hermitian
 form Phi and a D-basis, is where the F-basis, the F-coordinates, the
 Phi-pairing system and the Gram matrix are built, for lift_su21,
 norms.HermitianNorm and the dim-2 family and HermitianModel of triality.
 """
-
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
-from .errors import DomainError, KindError, LiftError, WitnessError
-from .linalg import (RowReduction, Subspace, identity, inv, kernel, lin_comb,
-                     mat_add, mat_eq, mat_mul, mat_scale, mat_sub,
-                     mat_vec, transpose, zeros)
+from .errors import DomainError, KindError, LiftError
+from .linalg import (RowReduction, identity, inv, lin_comb, mat_add, mat_eq,
+                     mat_mul, mat_scale, mat_sub, mat_vec, transpose, zeros)
 from .octonions import (BASIS_PRODUCT, GRAM_COLS, GRAM_ROWS, IDX, LABELS,
                         CompositionSubalgebra, Octonion, bilinear_f,
-                        gram_scalar, octonion_unit, ordered_polarization,
-                        plane_subalgebra, split_polarization, sqrt_scalar)
+                        octonion_unit, ordered_polarization)
 from .scalars import FieldConfig, Scalar, dot
 
 
@@ -383,11 +378,10 @@ def so_entries(coords: dict) -> dict:
     return dict(placed)
 
 
-def so_matrix(cfg: FieldConfig, coords) -> EndV:
-    """The so(V) element with the given 28 coordinates, of which only the
-    nonzero ones are placed."""
-    return EndV.adopt(cfg, so_rows({k: c for k, c in enumerate(coords)
-                                    if c.coeffs}, cfg.zero()))
+def so_matrix(cfg: FieldConfig, coords: dict) -> EndV:
+    """The so(V) element with the coordinates {k: Scalar} (a coordinate
+    not given is zero), placed by so_rows."""
+    return EndV.adopt(cfg, so_rows(coords, cfg.zero()))
 
 
 def random_so(cfg: FieldConfig, rng, **kw) -> EndV:
@@ -556,268 +550,14 @@ def special_hermitian_basis(d: CompositionSubalgebra):
     # scale partner on the left so that Phi(iso, partner) = 1
     partner = mu.conj().inv() * partner
     w0 = (iso + partner) * (iso - partner)
-    assert form(iso, partner) == space.unit
-    assert iso.norm().is_zero and partner.norm().is_zero
+    if form(iso, partner) != space.unit:
+        raise DomainError("Phi(w-, w+) is not 1")
+    if not (iso.norm().is_zero and partner.norm().is_zero):
+        raise DomainError("w- or w+ is not isotropic")
     return iso, w0, partner
 
 
-# -- semisimple analysis -------------------------------------------------------
-
-class SemisimpleAnalysis:
-    """Kernel subalgebra, orthogonal complement and case tag of a
-    semisimple derivation."""
-
-    def __init__(self, case_tag, v0, w_space, extras):
-        self.case_tag = case_tag
-        self.v0 = v0            # CompositionSubalgebra
-        self.w_space = w_space  # Subspace
-        self.extras = extras    # dict, case dependent
-
-    def __repr__(self):
-        return f"SemisimpleAnalysis(case={self.case_tag}, dim_v0={self.v0.dim})"
-
-
-def _poly_eval(coeffs, x, zero, one):
-    """sum coeffs[k] x^k (coeffs[0] constant term, scalars of the field of
-    x), for x a scalar or an EndV with the given zero and one."""
-    out, power = zero, one
-    for c in coeffs:
-        if not c.is_zero:
-            out = out + power * c
-        power = power * x
-    return out
-
-
-def verify_witness(beta: EndV, witness) -> None:
-    """Check a decomposition witness: kernels span V, blocks are
-    annihilated by their factors, factors are pairwise coprime."""
-    verify_witness_blocks(beta, witness)
-    if not witness_coprime(witness):
-        raise WitnessError("witness factors are not coprime")
-
-
-def verify_witness_blocks(beta: EndV, witness) -> None:
-    """The clauses of verify_witness other than coprimality."""
-    cfg = beta.cfg
-    total = 0
-    all_rows = []
-    for blk in witness:
-        coeffs, space = blk.factor, blk.space
-        total += space.dim
-        all_rows.extend([list(r) for r in space.rows])
-        pb = _poly_eval(coeffs, beta, EndV.zero(cfg), EndV.identity(cfg))
-        for row in space.rows:
-            img = mat_vec(pb.rows, list(row))
-            if any(not x.is_zero for x in img):
-                raise WitnessError("factor does not annihilate its block")
-        for row in space.rows:
-            img = mat_vec(beta.rows, list(row))
-            if not space.contains(img):
-                raise WitnessError("block is not beta-stable")
-    if total != 8 or Subspace(cfg, 8, all_rows).dim != 8:
-        raise WitnessError("witness blocks do not decompose V")
-
-
-def witness_coprime(witness) -> bool:
-    """True iff the factors of the witness blocks are pairwise coprime."""
-    return all(_poly_coprime(a.factor, b.factor)
-               for n, a in enumerate(witness) for b in witness[n + 1:])
-
-
-def _poly_coprime(p, q) -> bool:
-    """Exact gcd over the scalar field; True iff gcd is a unit."""
-    def deg(c):
-        d = len(c) - 1
-        while d >= 0 and c[d].is_zero:
-            d -= 1
-        return d
-
-    a, b = list(p), list(q)
-    while True:
-        da, db = deg(a), deg(b)
-        if db < 0:
-            return da == 0
-        if da < 0:
-            return db == 0
-        if da < db:
-            a, b = b, a
-            continue
-        lead = b[db].inv()
-        shift = da - db
-        factor = a[da] * lead
-        new = list(a)
-        for k in range(db + 1):
-            new[k + shift] = new[k + shift] - factor * b[k]
-        a = new
-
-
-class WitnessBlock:
-    """One block of a decomposition witness: a monic-ish factor (constant
-    term first), its int coefficients coerced to scalars of the space's
-    field, and the subspace it annihilates."""
-
-    def __init__(self, factor, space: Subspace):
-        self.factor = [space.field.coerce(c) for c in factor]
-        self.space = space
-
-
-def analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
-    """Classify a semisimple derivation by its kernel subalgebra.
-
-    Cases: (i) hyperbolic-plane, (ii) quadratic-extension,
-    (iii) dim4-split-eigen, (iv) dim4-hermitian.  Squareness decisions on
-    the dim-4 scalar are made exactly and checked against the witness.
-    """
-    if not is_derivation(beta):
-        raise DomainError("element is not a derivation")
-    verify_witness(beta, witness)
-    return _analyze_semisimple(beta, witness)
-
-
-def _analyze_semisimple(beta: EndV, witness) -> SemisimpleAnalysis:
-    """The analysis of analyze_semisimple, for a derivation beta whose
-    witness is verified."""
-    cfg = beta.cfg
-    kernel_rows = []
-    for blk in witness:
-        if _is_x_factor(blk.factor):
-            kernel_rows.extend([list(r) for r in blk.space.rows])
-    v0_space = Subspace(cfg, 8, kernel_rows)
-    dim0 = v0_space.dim
-    if dim0 == 8:
-        raise DomainError("zero derivation has no semisimple analysis")
-    if dim0 not in (2, 4):
-        raise WitnessError(f"kernel dimension {dim0} is not 2 or 4")
-    v0 = _kernel_subalgebra(cfg, v0_space)
-    gram = gram_scalar(cfg)
-    w_space = v0_space.perp(gram)
-    if dim0 == 2:
-        if v0.kind == "split-dim2":
-            wplus, wminus = split_polarization(v0)
-            wp, wm = ordered_polarization(v0)
-            bw = restrict_to_basis(beta, wp)
-            tr = bw[0][0] + bw[1][1] + bw[2][2]
-            if not tr.is_zero:
-                raise WitnessError("restriction to W+ must be traceless")
-            return SemisimpleAnalysis("(i) hyperbolic-plane", v0, w_space,
-                                      {"wplus": wplus, "wminus": wminus,
-                                       "wplus_basis": wp, "wminus_basis": wm,
-                                       "beta_wplus": bw})
-        bw6 = restrict_to_basis(beta, [Octonion(cfg, r) for r in w_space.rows])
-        if not _is_d_linear(beta, v0, w_space):
-            raise WitnessError("restriction is not D-linear")
-        tr6 = bw6[0][0]
-        for k in range(1, 6):
-            tr6 = tr6 + bw6[k][k]
-        if not tr6.is_zero:
-            raise WitnessError("restriction to W must be traceless")
-        return SemisimpleAnalysis("(ii) quadratic-extension", v0, w_space,
-                                  {"beta_w": bw6})
-    # dim 4: beta_W^2 must be a scalar u
-    u = _square_scalar_on(beta, w_space)
-    if u.is_zero:
-        raise WitnessError("restriction squares to zero: not semisimple")
-    if u.is_square():
-        lam = sqrt_scalar(u)
-        _expect_factor(cfg, witness, lam)
-        wl = _eigenspace(beta, w_space, lam)
-        wml = _eigenspace(beta, w_space, -lam)
-        if wl.dim != 2 or wml.dim != 2:
-            raise WitnessError("eigenspaces of the dim-4 case must be 2+2")
-        if v0.kind != "split-dim4":
-            raise WitnessError("split eigenvalues force a split kernel algebra")
-        return SemisimpleAnalysis("(iii) dim4-split-eigen", v0, w_space,
-                                  {"lambda": lam, "w_lambda": wl,
-                                   "w_minus_lambda": wml, "u": u})
-    return SemisimpleAnalysis("(iv) dim4-hermitian", v0, w_space,
-                              {"u": u, "min_poly": (-u, cfg.zero(), cfg.one())})
-
-
-def _is_x_factor(c) -> bool:
-    return (len(c) >= 2 and c[0].is_zero and not c[1].is_zero
-            and all(x.is_zero for x in c[2:]))
-
-
-def _kernel_subalgebra(cfg, space: Subspace) -> CompositionSubalgebra:
-    octs = [Octonion(cfg, r) for r in space.rows]
-    unit = octonion_unit(cfg)
-    if not space.contains(unit.coords):
-        raise WitnessError("kernel must contain the unit")
-    if space.dim == 2:
-        half = cfg.half
-        for o in octs:
-            c0 = o - unit.scale(o.trace() * half)
-            if not c0.is_zero:
-                return plane_subalgebra(cfg, c0)
-        raise WitnessError("kernel has no traceless generator")
-    d = CompositionSubalgebra(cfg, octs)
-    if not d.is_composition():
-        raise WitnessError("kernel is not a composition subalgebra")
-    return d
-
-
-def restrict_to_basis(beta: EndV, basis_oct):
-    """Matrix of beta on the span of basis_oct in that ordered basis;
-    entry [i][j] is the b_i coefficient of beta(b_j)."""
-    rows = [list(o.coords) for o in basis_oct]
-    reduction = RowReduction(transpose(rows))
-    return transpose([reduction.solve(mat_vec(beta.rows, r)) for r in rows])
-
-
-def _is_d_linear(g, v0, w_space) -> bool:
-    c = v0.traceless_generator()
-    return all(g.apply(c * w) == c * g.apply(w)
-               for w in (Octonion(g.cfg, r) for r in w_space.rows))
-
-
-def _square_scalar_on(beta, w_space):
-    sq = beta * beta
-    u = None
-    for row in w_space.rows:
-        img = mat_vec(sq.rows, list(row))
-        # img must equal u * row
-        pivot = next(i for i, x in enumerate(row) if not x.is_zero)
-        cand = img[pivot] * row[pivot].inv()
-        for a, b in zip(img, row):
-            if (a - cand * b).is_zero:
-                continue
-            raise WitnessError("square of restriction is not scalar")
-        if u is None:
-            u = cand
-        elif u != cand:
-            raise WitnessError("square of restriction is not a single scalar")
-    return u
-
-
-def restricted_kernel(m, rows):
-    """The kernel of the matrix m on span(rows): the combinations of rows
-    whose coefficients lie in the kernel of the images' column matrix."""
-    cfg = rows[0][0].cfg
-    imgs = [mat_vec(m, r) for r in rows]
-    return [lin_comb(cfg, co, rows) for co in kernel(transpose(imgs))]
-
-
-def _eigenspace(beta, w_space, lam):
-    shifted = beta - EndV.identity(beta.cfg) * lam
-    return Subspace(beta.cfg, 8, restricted_kernel(
-        shifted.rows, [list(r) for r in w_space.rows]))
-
-
-def _expect_factor(cfg, witness, lam):
-    """The witness must contain X - lam and X + lam factors (degree-1 blocks)
-    or a matching quadratic; we accept any witness whose factors vanish at
-    +-lam on some block."""
-    found_plus = found_minus = False
-    for blk in witness:
-        val_p = _poly_eval(blk.factor, lam, cfg.zero(), cfg.one())
-        val_m = _poly_eval(blk.factor, -lam, cfg.zero(), cfg.one())
-        if val_p.is_zero:
-            found_plus = True
-        if val_m.is_zero:
-            found_minus = True
-    if not (found_plus and found_minus):
-        raise WitnessError("witness does not certify the split eigenvalues")
-
+# -- dim-4 kernel derivations -------------------------------------------------
 
 def dim4_kernel_derivation(d4: CompositionSubalgebra, a: Octonion,
                            c: Octonion) -> EndV:

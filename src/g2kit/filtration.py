@@ -217,10 +217,11 @@ class FiltrationQuotient:
         cfg = self.lat_r.cfg
         if not self.lat_r._std:
             raise DomainError("quotient bases lift on the standard basis only")
-        coords = [cfg.zero()] * len(SO_LABELS)
+        coords = {}
         for (k, v), c in terms:
-            coords[k] = coords[k] + cfg.monomial(c, v)
-        return so_matrix(cfg, coords)
+            m = cfg.monomial(c, v)
+            coords[k] = coords[k] + m if k in coords else m
+        return so_matrix(cfg, {k: c for k, c in coords.items() if c.coeffs})
 
     def action(self, table):
         """The F_p-matrix on basis, in ints, of a rational so(V) table of

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .endo import HermitianSpace, WitnessBlock, d_torus_lie, \
-    dim4_kernel_derivation, special_hermitian_basis
+from .endo import (HermitianSpace, d_torus_lie, dim4_kernel_derivation,
+                   special_hermitian_basis)
 from .linalg import Subspace
 from .norms import HermitianNorm, NormFn, lattice_seq_from_norm, standard_norm
 from .octonions import (Octonion, anisotropic_plane, basis_octonion,
                         hyperbolic_plane, ramified_plane, standard_split_dim4)
-from .strata import (Stratum, StratumData, lift_type_d_sl3,
+from .strata import (Stratum, StratumData, WitnessBlock, lift_type_d_sl3,
                      lift_type_d_su21)
 
 

@@ -5,7 +5,8 @@ The eight basis vectors are kept in the fixed order
 vector-matrix product written out on this basis, and it is the single
 source of truth: conjugation, the quadratic form Q and its
 bilinearization f are all computed from the table at import time and
-asserted against the composition-algebra axioms, never hard-coded.
+checked against the composition-algebra axioms (DomainError if one
+fails), never hard-coded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from .scalars import FieldConfig, Scalar, dot, hilbert_symbol
 LABELS = (-4, -1, -2, -3, 3, 2, 1, 4)
 IDX = {lbl: i for i, lbl in enumerate(LABELS)}
 CYCLES = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+
+
+def _require(ok: bool, message: str) -> None:
+    """The import-time checks of the table: DomainError(message) unless
+    ok."""
+    if not ok:
+        raise DomainError(message)
 
 
 def _int_table():
@@ -53,7 +61,7 @@ def _int_table():
         t[(4, -i)] = (1, -i)
         t[(i, -4)] = None
         t[(4, i)] = None
-    assert len(t) == 64
+    _require(len(t) == 64, "the table does not cover the 64 basis pairs")
     return t
 
 
@@ -87,7 +95,8 @@ def _derive_constants():
     for i in range(8):
         e = [0] * 8
         e[i] = 1
-        assert _int_mul(unit, e) == e and _int_mul(e, unit) == e, "unit law"
+        _require(_int_mul(unit, e) == e and _int_mul(e, unit) == e,
+                 "unit law")
     # e^2 = tr(e) e - Q(e) unit, solved per basis vector
     tr, qd = [], []
     for i in range(8):
@@ -97,8 +106,8 @@ def _derive_constants():
         spare = IDX[4] if i != IDX[4] else IDX[-4]
         q = -sq[spare]
         a = sq[i] + q * unit[i]
-        assert sq == [a * e[j] - q * unit[j] for j in range(8)], \
-            "basis square not in span(e, unit)"
+        _require(sq == [a * e[j] - q * unit[j] for j in range(8)],
+                 "basis square not in span(e, unit)")
         tr.append(a)
         qd.append(q)
     conj = [[tr[j] * unit[i] - (1 if i == j else 0) for j in range(8)]
@@ -109,7 +118,8 @@ def _derive_constants():
             s = [(1 if k == i else 0) + (1 if k == j else 0) for k in range(8)]
             prod = _int_mul(s, _int_apply(conj, s))
             qs = prod[IDX[-4]]
-            assert prod == [qs * u for u in unit], "x conj(x) is not scalar"
+            _require(prod == [qs * u for u in unit],
+                     "x conj(x) is not scalar")
             gram[i][j] = qs - qd[i] - qd[j] if i != j else qs - 2 * qd[i]
     for i in range(8):
         gram[i][i] = 2 * qd[i]
@@ -128,7 +138,7 @@ def _int_q(v):
     return acc
 
 
-def _assert_table_axioms():
+def _check_table_axioms():
     for i in range(8):
         ei = [1 if k == i else 0 for k in range(8)]
         for j in range(8):
@@ -136,14 +146,14 @@ def _assert_table_axioms():
             prod = _int_mul(ei, ej)
             lhs = _int_apply(CONJ_MAT, prod)
             rhs = _int_mul(_int_apply(CONJ_MAT, ej), _int_apply(CONJ_MAT, ei))
-            assert lhs == rhs, f"conj not anti-multiplicative at {i},{j}"
-            assert _int_q(prod) == Q_DIAG[i] * Q_DIAG[j], \
-                f"Q not multiplicative at {i},{j}"
-    # f non-degenerate on the basis
-    assert all(any(GRAM[i][j] != 0 for j in range(8)) for i in range(8))
+            _require(lhs == rhs, f"conj not anti-multiplicative at {i},{j}")
+            _require(_int_q(prod) == Q_DIAG[i] * Q_DIAG[j],
+                     f"Q not multiplicative at {i},{j}")
+    _require(all(any(GRAM[i][j] != 0 for j in range(8)) for i in range(8)),
+             "f is degenerate on the basis")
 
 
-_assert_table_axioms()
+_check_table_axioms()
 
 # BASIS_PRODUCT[i][j] = (k, sign) with e_i e_j = sign e_k, or None when the
 # product is zero; indices are positions in LABELS.
@@ -158,11 +168,11 @@ def _signed_permutation(m):
     rows = []
     for row in m:
         nonzero = [(j, s) for j, s in enumerate(row) if s]
-        assert len(nonzero) == 1 and nonzero[0][1] in (1, -1), \
-            "not a signed permutation matrix"
+        _require(len(nonzero) == 1 and nonzero[0][1] in (1, -1),
+                 "not a signed permutation matrix")
         rows.append(nonzero[0])
-    assert sorted(j for j, _ in rows) == list(range(len(m))), \
-        "not a signed permutation matrix"
+    _require(sorted(j for j, _ in rows) == list(range(len(m))),
+             "not a signed permutation matrix")
     return tuple(rows)
 
 
@@ -178,7 +188,8 @@ GRAM_COLS = _signed_permutation(transpose(GRAM))
 NORM_TERMS = tuple((i, j, Q_DIAG[i] if i == j else GRAM[i][j])
                    for i in range(8) for j in range(i, 8)
                    if (Q_DIAG[i] if i == j else GRAM[i][j]))
-assert all(s in (1, -1) for _, _, s in NORM_TERMS), "Q has a coefficient not +-1"
+_require(all(s in (1, -1) for _, _, s in NORM_TERMS),
+         "Q has a coefficient not +-1")
 
 
 class Octonion:
@@ -362,8 +373,10 @@ def random_isotropic_pair(cfg: FieldConfig, rng):
     d3 = -(c2 * d2) / c3
     d1 = (cfg.one() - a2 * d2 - a3 * d3 - b2 * c2 - b3 * c3) / a1
     hp = from_coords(cfg, {2: c2, 3: c3, -1: d1, -2: d2, -3: d3})
-    assert h.norm().is_zero and hp.norm().is_zero
-    assert bilinear_f(h, hp) == cfg.one()
+    if not (h.norm().is_zero and hp.norm().is_zero):
+        raise PairError("the pair is not isotropic")
+    if bilinear_f(h, hp) != cfg.one():
+        raise PairError("the pair is not normalized, f(h, h') != 1")
     return h, hp
 
 

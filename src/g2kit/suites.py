@@ -355,10 +355,7 @@ def _orbits(cfg):
 
 def _so_basis(cfg):
     """The 28 so(V) basis elements, in the order of endo.SO_LABELS."""
-    zero, one = cfg.zero(), cfg.one()
-    n = len(SO_LABELS)
-    return [so_matrix(cfg, [one if m == k else zero for m in range(n)])
-            for k in range(n)]
+    return [so_matrix(cfg, {k: cfg.one()}) for k in range(len(SO_LABELS))]
 
 
 def _fixed_points(cfg):

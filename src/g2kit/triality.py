@@ -30,7 +30,7 @@ from functools import lru_cache
 from .endo import (SO_INDEX, SO_LABELS, SO_PLACES, EndV, HermitianSpace,
                    assemble, d_torus_lie, first_candidate, is_derivation,
                    leibniz_holds, multiplicative_holds, root_entries,
-                   sandwich, so_coords, so_entries, so_rows,
+                   sandwich, so_coords, so_entries, so_matrix, so_rows,
                    u_root, u_root_lie)
 from .errors import DomainError, KindError, TripleError, WitnessError
 from .linalg import Subspace, det, inv
@@ -505,17 +505,12 @@ def _image(table, support, cfg: FieldConfig) -> dict:
     return out
 
 
-def _so_element(cfg: FieldConfig, coords: dict) -> EndV:
-    """The so(V) element with the coordinates {k: Scalar}."""
-    return EndV.adopt(cfg, so_rows(coords, cfg.zero()))
-
-
 def solve_lie_triple(x: EndV) -> TrialityTriple:
     """The unique Lie-related triple headed by x, for any x in so(V), read
     off the coordinate tables."""
     support, cfg = _support(x), x.cfg
     tables = _lie_tables()
-    t2, t3 = (_so_element(cfg, _image(t, support, cfg))
+    t2, t3 = (so_matrix(cfg, _image(t, support, cfg))
               for t in (tables.t2, tables.t3))
     return TrialityTriple(x, t2, t3, lie=True)
 
@@ -533,7 +528,7 @@ class LieTrialityGroup:
             raise DomainError(f"unknown triality word {word!r}")
         if word == "id":
             return x
-        return _so_element(x.cfg, _image(_lie_tables().words[word],
+        return so_matrix(x.cfg, _image(_lie_tables().words[word],
                                          _support(x), x.cfg))
 
     def orbit_entries(self, x: EndV):
@@ -549,7 +544,7 @@ class LieTrialityGroup:
     def average(self, x: EndV) -> EndV:
         """(1/6) sum of the orbit: the projection of so(V) onto the
         derivations."""
-        return _so_element(x.cfg, _image(_lie_tables().average, _support(x),
+        return so_matrix(x.cfg, _image(_lie_tables().average, _support(x),
                                          x.cfg))
 
 

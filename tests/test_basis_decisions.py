@@ -191,8 +191,8 @@ def _negate_diag_t3(monkeypatch):
 def _shift_dim4_scalar(monkeypatch):
     """The scalar u = beta_W^2 of the dim-4 analysis times t, so a square
     u reads as a non-square: case (iii) strata classify as (iv)."""
-    square_scalar = endo._square_scalar_on
-    monkeypatch.setattr(endo, "_square_scalar_on", lambda beta, w: (
+    square_scalar = strata._square_scalar_on
+    monkeypatch.setattr(strata, "_square_scalar_on", lambda beta, w: (
         square_scalar(beta, w) * beta.cfg.t()))
 
 
@@ -207,8 +207,8 @@ def _lower_suite_valuation(monkeypatch):
 def _negate_restriction(monkeypatch):
     """The matrix of beta on an adapted basis negated in the analysis, so
     the case (i) restriction to W+ is -phi."""
-    restrict = endo.restrict_to_basis
-    monkeypatch.setattr(endo, "restrict_to_basis", lambda beta, basis: [
+    restrict = strata.restrict_to_basis
+    monkeypatch.setattr(strata, "restrict_to_basis", lambda beta, basis: [
         [-c for c in row] for row in restrict(beta, basis)])
 
 

@@ -807,9 +807,7 @@ def ref_lift(cfg, terms):
     """sum c u^v e_k over the terms ((k, v), c), formed dense."""
     x = EndV.zero(cfg)
     for (k, v), c in terms:
-        coords = [cfg.zero()] * len(SO_PLACES)
-        coords[k] = cfg.monomial(c, v)
-        x = x + so_matrix(cfg, coords)
+        x = x + so_matrix(cfg, {k: cfg.monomial(c, v)})
     return x
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from g2kit.endo import _kernel_subalgebra
 from g2kit.errors import DomainError, WitnessError
 from g2kit.linalg import Subspace
 from g2kit.norms import NormFn, extend_dim4
@@ -21,6 +20,7 @@ from g2kit.octonions import (GRAM, IDX, anisotropic_plane,
                              double, octonion_unit, plane_subalgebra,
                              ramified_plane)
 from g2kit.scalars import FieldConfig, hilbert_symbol
+from g2kit.strata import _kernel_subalgebra
 
 
 def _e(cfg, lbl):

@@ -12,8 +12,7 @@ import math
 import pytest
 
 from g2kit import fixtures, norms
-from g2kit.endo import (WitnessBlock, lift_sl3, lift_su21,
-                        special_hermitian_basis, _is_x_factor)
+from g2kit.endo import lift_sl3, lift_su21, special_hermitian_basis
 from g2kit.errors import (DomainError, DualityError, G2KitError, LiftError,
                           VolumeError)
 from g2kit.linalg import Subspace, mat_vec
@@ -24,10 +23,10 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, ordered_polarization,
                              ramified_plane)
 from g2kit.scalars import EXTENSIONS, FieldConfig
-from g2kit.strata import (Stratum, StratumData,
-                          _block_valuation, _mirror_kernel, _reflect_poly,
-                          classify, lift_type_d_sl3, lift_type_d_su21,
-                          validate)
+from g2kit.strata import (Stratum, StratumData, WitnessBlock,
+                          _block_valuation, _is_x_factor, _mirror_kernel,
+                          _reflect_poly, classify, lift_type_d_sl3,
+                          lift_type_d_su21, validate)
 from g2kit.suites import _corpus, run_suite
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7) for ext in EXTENSIONS]

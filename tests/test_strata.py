@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from g2kit.endo import (EndV, WitnessBlock, dim4_kernel_derivation,
-                        lift_su21, special_hermitian_basis, verify_witness)
+from g2kit import strata as strata_mod
+from g2kit.endo import (EndV, dim4_kernel_derivation, lift_sl3, lift_su21,
+                        special_hermitian_basis)
 from g2kit.errors import LiftError, VolumeError, WitnessError
 from g2kit.linalg import Subspace
 from g2kit.norms import (HermitianNorm, NormFn, filtration_lattice,
@@ -16,7 +17,8 @@ from g2kit.octonions import (Octonion, anisotropic_plane, basis_octonion,
                              hyperbolic_plane, ramified_plane,
                              standard_split_dim4)
 from g2kit.scalars import FieldConfig, Scalar
-from g2kit.strata import (Stratum, StratumData, classify, lift_type_d_sl3,
+from g2kit.strata import (Stratum, StratumData, WitnessBlock,
+                          _analyze_semisimple, classify, lift_type_d_sl3,
                           lift_type_d_su21, validate)
 from g2kit.fixtures import (case_i_strata, case_ii_strata, case_iii_strata,
                             case_iv_strata, corrupted_strata,
@@ -224,15 +226,14 @@ def test_corrupted_fixtures_are_caught():
 def test_validate_decides_coprimality_once(monkeypatch):
     # one gcd per pair of witness factors, for the witness and the
     # coprimality records together (each used to compute its own)
-    import g2kit.endo as endo_mod
     calls = []
-    gcd = endo_mod._poly_coprime
+    gcd = strata_mod._poly_coprime
 
     def counting(*args):
         calls.append(args)
         return gcd(*args)
 
-    monkeypatch.setattr(endo_mod, "_poly_coprime", counting)
+    monkeypatch.setattr(strata_mod, "_poly_coprime", counting)
     strata = [("case-i", s) for s in case_i_strata(CFG)] + corrupted_fixtures()
     for name, s in strata:
         del calls[:]
@@ -246,19 +247,21 @@ def test_validate_decides_coprimality_once(monkeypatch):
             assert status["coprimality"] == status["witness"] == "pass"
 
 
-def test_verify_witness_still_checks_coprimality():
+def test_validate_still_checks_coprimality():
     # block 0 is ker(beta); x (x + a) still annihilates it, but shares the
     # root -a with the factor x + a of block 1
     s = case_i_strata(CFG)[0]
-    verify_witness(s.beta, s.witness)
+    assert validate(s)["violations"] == []
     b0, b1 = s.witness[:2]
     assert b0.factor == [0, 1] and len(b1.factor) == 2
-    bad = [WitnessBlock([0, b1.factor[0], 1], b0.space)] + s.witness[1:]
-    with pytest.raises(WitnessError, match="not coprime"):
-        verify_witness(s.beta, bad)
-    rep = validate(Stratum(s.seq, s.n, s.r, s.beta, bad))
+    bad = Stratum(s.seq, s.n, s.r, s.beta,
+                  [WitnessBlock([0, b1.factor[0], 1], b0.space)]
+                  + s.witness[1:])
+    rep = validate(bad)
     assert {c["name"]: c["status"] for c in rep["checks"]}["witness"] == "fail"
     assert "witness: witness factors are not coprime" in rep["violations"]
+    with pytest.raises(WitnessError, match="not coprime"):
+        classify(bad)
 
 
 def test_stratum_json():
@@ -292,9 +295,116 @@ def test_zero_eigenvalue_enlarges_kernel():
     assert validate(s)["violations"] == []
     cl = classify(s)
     assert cl.case_tag == "(iii) dim4-split-eigen"
-    assert cl.analysis.v0.dim == 4
-    assert cl.analysis.v0.is_composition()
+    assert cl.v0.dim == 4
+    assert cl.v0.is_composition()
     assert cl.restricted["lambda"] == a
+
+
+def analyzed(beta, witness):
+    """The strata analysis of beta with its witness on the standard
+    sequence at depth n = -v(beta) (at least 1), r = 0, after validate
+    has passed the derivation and witness clauses; the case (iv) element
+    below has depth 0, which the range clause rejects."""
+    n = max(1, -seq_valuation(STD_SEQ, beta))
+    s = Stratum(STD_SEQ, n, 0, beta, witness)
+    status = {c["name"]: c["status"] for c in validate(s)["checks"]}
+    assert status["derivation"] == status["witness"] == "pass"
+    return _analyze_semisimple(s)
+
+
+def test_analyze_case_i():
+    # eigenvalues and their negatives must stay pairwise distinct, which
+    # forces t-dependence at p = 5
+    a, b = CFG.t(-1), CFG.t(-1) + CFG.one()
+    beta = lift_sl3(diag_phi(a, b), D)
+    wit = [
+        WitnessBlock([0, 1], Subspace(CFG, 8, [E[-4].coords, E[4].coords])),
+        WitnessBlock([-a, 1], Subspace(CFG, 8, [E[1].coords])),
+        WitnessBlock([-b, 1], Subspace(CFG, 8, [E[2].coords])),
+        WitnessBlock([a + b, 1], Subspace(CFG, 8, [E[3].coords])),
+        WitnessBlock([a, 1], Subspace(CFG, 8, [E[-1].coords])),
+        WitnessBlock([b, 1], Subspace(CFG, 8, [E[-2].coords])),
+        WitnessBlock([-(a + b), 1], Subspace(CFG, 8, [E[-3].coords])),
+    ]
+    cl = analyzed(beta, wit)
+    assert cl.case_tag == "(i) hyperbolic-plane"
+    assert cl.v0.space == D.space
+    bw = cl.restricted["beta_matrix"]
+    assert bw[0][0] == a and bw[1][1] == b
+
+
+def test_analyze_case_iv_and_iii():
+    a = E[2] + E[-2]
+    # case (iv): c^2 = t, a non-square
+    c = E[1].scale(CFG.t()) + E[-1]  # traceless, Q = t, c^2 = -t
+    beta = dim4_kernel_derivation(D4, a, c)
+    u = -CFG.t()
+    wit = [
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in D4.basis])),
+        WitnessBlock([-u, 0, 1],
+                     Subspace(CFG, 8, [E[2].coords, E[-2].coords,
+                                       E[3].coords, E[-3].coords])),
+    ]
+    cl = analyzed(beta, wit)
+    assert cl.case_tag == "(iv) dim4-hermitian"
+    assert cl.restricted["u"] == u
+    # case (iii): c = lam (e_-4 - e_4), c^2 = lam^2
+    lam = CFG.t(-1)
+    c2 = (E[-4] - E[4]).scale(lam)
+    beta2 = dim4_kernel_derivation(D4, a, c2)
+    wit2 = [
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in D4.basis])),
+        WitnessBlock([-lam, 1],
+                     Subspace(CFG, 8, [(E[2]).coords, (E[-3]).coords])),
+        WitnessBlock([lam, 1],
+                     Subspace(CFG, 8, [(E[-2]).coords, (E[3]).coords])),
+    ]
+    cl2 = analyzed(beta2, wit2)
+    assert cl2.case_tag == "(iii) dim4-split-eigen"
+    assert cl2.restricted["lambda"] == lam
+    # W_lambda = (e+ V0) a for the idempotent pair of F[c2/lam]
+    wl = cl2.restricted["w_lambda"]
+    eplus = E[-4]  # (1 + c2/lam)/2 for c2 = lam (e_-4 - e_4)
+    for b in D4.basis:
+        img = (eplus * b) * a
+        if not img.is_zero:
+            assert wl.contains(img.coords)
+
+
+def test_analyze_case_ii():
+    d = anisotropic_plane(CFG)
+    wm, w0, wp = special_hermitian_basis(d)
+    c = d.traceless_generator()
+    zero = zero_oct()
+    lam = c.scale(CFG.t(-1))
+    phi = [[lam, zero, zero],
+           [zero, (lam.conj() - lam), zero],
+           [zero, zero, -lam.conj()]]
+    beta = lift_su21(phi, d, [wm, w0, wp])
+    eps = -(c.norm())  # c^2 = eps
+    u1 = CFG.t(-2) * eps
+    u2 = CFG.t(-2) * eps * 4
+    wit = [
+        WitnessBlock([0, 1], Subspace(CFG, 8, [b.coords for b in d.basis])),
+        WitnessBlock([-u1, 0, 1],
+                     Subspace(CFG, 8, [wm.coords, (c * wm).coords,
+                                       wp.coords, (c * wp).coords])),
+        WitnessBlock([-u2, 0, 1],
+                     Subspace(CFG, 8, [w0.coords, (c * w0).coords])),
+    ]
+    assert analyzed(beta, wit).case_tag == "(ii) quadratic-extension"
+
+
+def test_classify_rejects_bad_factor():
+    beta = lift_sl3(diag_phi(CFG.from_int(1), CFG.from_int(2)), D)
+    bad = [WitnessBlock([0, 1],
+                        Subspace(CFG, 8, [E[-4].coords, E[4].coords,
+                                          E[1].coords, E[-1].coords,
+                                          E[2].coords, E[-2].coords,
+                                          E[3].coords, E[-3].coords]))]
+    with pytest.raises(WitnessError,
+                       match="factor does not annihilate its block"):
+        classify(Stratum(STD_SEQ, 1, 0, beta, bad))
 
 
 def test_hermitian_rescaling_bijection():

@@ -825,7 +825,7 @@ def test_so_entries_are_the_nonzero_entries_of_so_rows(p):
         coords = [cfg.zero() if rng.random() < 0.6 else
                   cfg.random(rng, width=2, vmin=-1, vmax=2)
                   for _ in SO_LABELS]
-        want = so_matrix(cfg, coords).entries()
+        want = so_matrix(cfg, dict(enumerate(coords))).entries()
         assert want == dense_so_entries(coords)
         for given in (dict(enumerate(coords)),
                       {k: c for k, c in enumerate(coords) if c.coeffs}):
@@ -845,15 +845,13 @@ def sparse_so_samples(cfg, rng):
     for k in range(len(SO_LABELS)):
         for v in (-2, 0, 1, 3):
             for c in (cfg.monomial(1, v), cfg.monomial(1, v) + cfg.t(4)):
-                coords = [cfg.zero()] * len(SO_LABELS)
-                coords[k] = c
-                out.append(so_matrix(cfg, coords))
+                out.append(so_matrix(cfg, {k: c}))
     for _ in range(6):
         out.append(random_so(cfg, rng, width=2))
-        coords = [cfg.zero()] * len(SO_LABELS)
-        for k in rng.sample(range(len(SO_LABELS)), rng.randrange(1, 5)):
-            coords[k] = cfg.random(rng, width=2, nonzero=True)
-        out.append(so_matrix(cfg, coords))
+        out.append(so_matrix(cfg, {
+            k: cfg.random(rng, width=2, nonzero=True)
+            for k in rng.sample(range(len(SO_LABELS)),
+                                rng.randrange(1, 5))}))
     return out
 
 
@@ -867,7 +865,8 @@ def test_sparse_triality_images_match_the_dense_route(p, ext):
     gamma, tables = LieTrialityGroup(), _lie_tables()
 
     def dense(table, x):
-        return so_matrix(cfg, dense_run(table, so_coords(x), cfg))
+        return so_matrix(cfg, dict(enumerate(
+            dense_run(table, so_coords(x), cfg))))
     for x in sparse_so_samples(cfg, random.Random(150 + p + len(ext))):
         got, want = gamma.orbit_entries(x), dense_orbit_entries(x)
         assert got == want
