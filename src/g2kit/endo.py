@@ -18,6 +18,7 @@ form Phi and a D-basis, is where the F-basis, the F-coordinates, the
 Phi-pairing system and the Gram matrix are built, for lift_su21,
 norms.HermitianNorm and the dim-2 family and HermitianModel of triality.
 """
+
 from __future__ import annotations
 
 from functools import cached_property

@@ -529,7 +529,7 @@ class LieTrialityGroup:
         if word == "id":
             return x
         return so_matrix(x.cfg, _image(_lie_tables().words[word],
-                                         _support(x), x.cfg))
+                                       _support(x), x.cfg))
 
     def orbit_entries(self, x: EndV):
         """The six (word, image) pairs of x in WORDS order, each image the
@@ -545,7 +545,7 @@ class LieTrialityGroup:
         """(1/6) sum of the orbit: the projection of so(V) onto the
         derivations."""
         return so_matrix(x.cfg, _image(_lie_tables().average, _support(x),
-                                         x.cfg))
+                                       x.cfg))
 
 
 def random_g2_lie(cfg: FieldConfig, rng, **kw) -> EndV:
