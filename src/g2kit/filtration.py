@@ -10,12 +10,13 @@ cayley_offset computes C(X) - 1 = X (1 - X/2)^{-1} as the solution Y of
 (1 - X/2) Y = X.  The keys of the nonzero entries of X are the edges of
 its support graph; a row Y_i follows by back substitution once the rows
 of its successors are known, times the inverse of the pivot 1 - x_ii/2
-where i has a self-loop, and only the vertices on or above a cycle of
-two or more vertices are row-reduced, as one block.  The pivots are
-inverted once per distinct x_ii, in a table that lives for the call, or
-for the quotient_iso_check call that passes one: there the diagonal
-entries are the torus generators' +-lam, a handful of values over the
-229 Cayley offsets of a check.  cayley is the one Cayley path:
+where i has a self-loop.  One post-order walk of the graph solves each
+vertex after all of its successors, and only the vertices on or above a
+cycle of two or more vertices are left, to be row-reduced as one block.
+The pivots are inverted once per distinct x_ii, in a table that lives
+for the call, or for the quotient_iso_check call that passes one: there
+the diagonal entries are the torus generators' +-lam, a handful of
+values over the 229 Cayley offsets of a check.  cayley is the one Cayley path:
 1 + cayley_offset, its entries placed on the identity
 (EndV.from_offset).  quotient_iso_check works on entries and offsets: a
 pair of generators X, Y with XY = YX = 0, read from the keys of their
@@ -29,10 +30,11 @@ is read from its descriptor (GroupGenerator.offset: +-lam for a root, the
 torus weights minus one on the diagonal), the triality images of the Lie
 side come as entries (LieTrialityGroup.orbit_entries), and the exact
 image test compares 1 + offset on the diagonal and the entries off it.
-Congruences
-are decided on entries (FiltrationLattice.contains_difference): over a
-lattice with the standard basis entry by entry, on the entries where
-either side is nonzero.  psi_b reads the offset y = x - 1 once
+Congruences are decided on entries (FiltrationLattice.contains_difference):
+over a lattice with the standard basis entry by entry, on the entries
+where either side is nonzero, and by valuation first: a pair of entries
+that both lie at or above the bound of A_s is accepted with no
+subtraction.  psi_b reads the offset y = x - 1 once
 (FiltrationLattice.offset_columns): x lies in P^r when y lies in A_r,
 and tr(b y) is linalg.trace_columns on the nonzero columns of y, which
 forms only the diagonal of b y.  Over the standard basis that is one
@@ -89,7 +91,8 @@ def cayley_offset(x, inverses=None) -> dict:
       solved vertex after its successors, 1 - X/2 is block triangular
       with that entry on its diagonal.
     Every vertex with no cycle of two or more vertices on or below it is
-    solved so, by back substitution; on an acyclic graph (X nilpotent)
+    solved so, by back substitution in one post-order walk (a vertex is
+    finished after its successors); on an acyclic graph (X nilpotent)
     that is all of them, with no inverse.  The vertices left over, L,
     satisfy (1 - X_LL/2) Y_L = R, R_i the right side above with the
     solved Y_j: one row reduction of [1 - X_LL/2 | R] leaves Y_L in the
@@ -117,25 +120,39 @@ def cayley_offset(x, inverses=None) -> dict:
                 out[k] = out[k] + term if k in out else term
         return out
 
-    progress = True
-    while progress:
-        progress = False
-        for i, row in rows.items():
-            if i in solved or any(j != i and j in rows and j not in solved
-                                  for j in row):
-                continue
-            y = right_side(i)
-            if i in row:
-                xii = row[i]
-                f = inverses.get((xii.val, xii.coeffs))
-                if f is None:
-                    pivot = one - half * xii
-                    if pivot.is_zero:
-                        raise SingularError("1 - X/2 is not invertible")
-                    f = inverses[xii.val, xii.coeffs] = pivot.inv()
-                y = {k: c * f for k, c in y.items()}
-            solved[i] = y
-            progress = True
+    seen = set()
+
+    def walk(i):
+        # post order: i is finished after its successors j != i, and solved
+        # when all of them are; a successor still on the walk's path closes
+        # a cycle of two or more vertices, and an unsolved finished one lies
+        # on or above one
+        seen.add(i)
+        row = rows[i]
+        ready = True
+        for j in row:
+            if j != i and j in rows:
+                if j not in seen:
+                    walk(j)
+                if j not in solved:
+                    ready = False
+        if not ready:
+            return
+        y = right_side(i)
+        if i in row:
+            xii = row[i]
+            f = inverses.get((xii.val, xii.coeffs))
+            if f is None:
+                pivot = one - half * xii
+                if pivot.is_zero:
+                    raise SingularError("1 - X/2 is not invertible")
+                f = inverses[xii.val, xii.coeffs] = pivot.inv()
+            y = {k: c * f for k, c in y.items()}
+        solved[i] = y
+
+    for i in rows:
+        if i not in seen:
+            walk(i)
     core = [i for i in rows if i not in solved]
     if core:
         rights = [right_side(i) for i in core]

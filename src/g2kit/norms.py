@@ -399,15 +399,23 @@ class FiltrationLattice:
     the standard basis the coordinates are the matrix entries, so
     contains_difference decides entry by entry, visiting only the entries
     where x or y is nonzero: a difference of two sparse offsets g - 1
-    (filtration.cayley_offset) costs a few entries.  An entry equal to its
-    partner (same val and coeffs) has an exact zero difference and is
-    skipped; every other difference is formed, in row-major order and also
-    after a failing entry, so a PrecisionError is raised exactly when
-    forming the whole dense difference raises one.  Over any other basis
-    the difference is formed dense and contains decides.  An input over
-    another field config raises ConfigMismatchError; its configs are
-    compared as Scalar._check compares them (is, then ==), so an equal
-    config built separately is accepted."""
+    (filtration.cayley_offset) costs a few entries.  It decides by
+    valuation before it subtracts: an entry whose two sides both lie at
+    or above its bound, and are no wider than the window, is accepted
+    with no subtraction, since a nonzero difference has valuation at
+    least the lesser of theirs; an entry equal to its partner is skipped,
+    its difference being an exact zero; every other difference is formed,
+    also after a failing entry.  A skipped difference could not raise: a
+    sum or difference of canonical series no wider than the window keeps
+    its leading digit where the valuations differ and fits the window
+    where they are equal.  So a PrecisionError (whose text is one
+    constant) is raised exactly when forming the whole dense difference
+    raises one; only an operand wider than the window, built directly
+    with Scalar, can raise it.  Over any other basis the difference is
+    formed dense and contains decides.  An input over another field
+    config raises ConfigMismatchError; its configs are compared as
+    Scalar._check compares them (is, then ==), so an equal config built
+    separately is accepted."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -454,7 +462,11 @@ class FiltrationLattice:
     def contains_difference(self, xs: dict, ys: dict) -> bool:
         """Membership of x - y, for x and y given by their entries
         {(l, j): Scalar}, such as the offsets g - 1 that
-        filtration.cayley_offset gives."""
+        filtration.cayley_offset gives.  Over the standard basis the
+        entries of x are visited, then those found only in y; a pair at
+        or above its bound and inside the window is accepted unformed
+        (see the class docstring), and the walk goes on after a failing
+        entry, so an error is raised as the dense difference raises it."""
         cfg = self.cfg
         for c in chain(xs.values(), ys.values()):
             if c.cfg is not cfg:
@@ -462,19 +474,25 @@ class FiltrationLattice:
         if not self._std:
             return self.contains(EndV.from_entries(cfg, xs)
                                  - EndV.from_entries(cfg, ys))
-        bounds = self._val_bounds
+        bounds, n = self._val_bounds, cfg.precision
         ok = True
-        for l, j in sorted(xs.keys() | ys.keys()):
-            a, b = xs.get((l, j)), ys.get((l, j))
+        for (l, j), a in xs.items():
+            bound = bounds[l][j]
+            b = ys.get((l, j))
             if b is None:
                 d = a
-            elif a is None:
-                d = b  # -b has b's valuation, and negation cannot raise
+            elif (a.val >= bound and b.val >= bound
+                  and len(a.coeffs) <= n and len(b.coeffs) <= n):
+                continue  # x_lj - y_lj lies at or above the bound
             elif a.val == b.val and a.coeffs == b.coeffs:
                 continue
             else:
                 d = a - b
-            if d.coeffs and d.val < bounds[l][j]:
+            if d.coeffs and d.val < bound:
+                ok = False
+        for (l, j), b in ys.items():
+            # -b has b's valuation, and negation cannot raise
+            if b.coeffs and b.val < bounds[l][j] and (l, j) not in xs:
                 ok = False
         return ok
 

@@ -1269,6 +1269,62 @@ def cyclic_core(edges):
     return {i for i, j in reach if i in on_cycle or j in on_cycle}
 
 
+# support graphs for the post-order walk of cayley_offset, walked from the
+# least vertex, successors in increasing order
+WALK_SHAPES = {
+    # 0 -> 1, 2 -> 3 -> 5: the shared successor 3 is solved once, first
+    "diamond": [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5)],
+    # the same with a self-loop at 3, and with a 2-cycle 3 <-> 6 below
+    "diamond-with-a-loop": [(0, 1), (0, 2), (1, 3), (2, 3), (3, 3), (3, 5)],
+    "diamond-over-a-two-cycle": [(0, 1), (0, 2), (1, 3), (2, 3), (3, 6),
+                                 (6, 3)],
+    # 3 reaches the 2-cycle 1 <-> 2 only through 0, finished before the
+    # walk starts at 3
+    "through-a-finished-vertex": [(0, 1), (1, 2), (2, 1), (3, 0)],
+    # 3 reaches only 4, finished and solved when the walk starts at 3
+    "beside-a-two-cycle": [(0, 4), (1, 2), (2, 1), (3, 4)],
+    # a self-loop at 4 below the 2-cycle 1 <-> 6, and 0 below it
+    "loop-below-a-two-cycle": [(1, 6), (6, 1), (6, 4), (4, 4), (4, 0)],
+}
+
+
+@pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("shape", sorted(WALK_SHAPES))
+def test_walk_shapes_match_the_row_reduction(shape, p, ext, monkeypatch):
+    """On each shape of WALK_SHAPES, with monomials of valuation 0 to 2
+    off the diagonal and 1 to 2 on it (the pivots are units),
+    cayley_offset gives the digits of one row reduction of the whole
+    support block, in key order, and row-reduces one block: the vertices
+    on or above a cycle of two or more vertices (no block where there is
+    no such cycle, the cycle alone where a vertex lies beside it).  A
+    vertex with a self-loop whose pivot 1 - x_ii/2 is zero raises
+    SingularError as the row reduction does, also where back substitution
+    reaches it below a cycle."""
+    cfg = FieldConfig(p, 8, ext)
+    rng = random.Random(74)
+    edges = WALK_SHAPES[shape]
+    core = cyclic_core(edges)
+    shapes = rref_spy(monkeypatch)
+    for _ in range(6):
+        x = {(i, j): cfg.monomial(rng.randrange(1, p),
+                                  rng.randrange(i == j, 3))
+             for i, j in edges}
+        del shapes[:]
+        got = cayley_offset(x)
+        assert got == ref_cayley_offset_rref(x)
+        assert list(got) == sorted(got)
+        assert [k for k, _ in shapes] == ([len(core)] if core else [])
+    loops = [i for i, j in edges if i == j]
+    for i in loops:
+        x[i, i] = cfg.from_int(2)  # 1 - x_ii/2 = 0
+        for f in (cayley_offset, ref_cayley_offset_rref):
+            with pytest.raises(SingularError,
+                               match="1 - X/2 is not invertible"):
+                f(x)
+    assert bool(loops) == ("loop" in shape)
+
+
 @pytest.mark.parametrize("ext", ("none", "unramified", "ramified"))
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_random_support_graphs_match_the_row_reduction(p, ext,
@@ -1961,6 +2017,55 @@ def test_entrywise_decisions_raise_where_the_difference_raises():
         # equal entries are skipped: their difference is an exact zero
         assert outcome(ref_contains, lat, g - g) is True
         assert outcome(lat.contains_difference, gs, gs) is True
+        # an over-wide entry at its bound, against a partner at the same
+        # valuation: both sides lie at or above the bound, but the
+        # difference cancels the whole window and leaves a tail
+        l, j = 0, 1
+        v = lat._val_bounds[l][j]
+        wide = Scalar(CFG, v, overwide(CFG).coeffs)
+        assert len(wide.coeffs) == CFG.precision + 1
+        for xs, ys in (({(l, j): wide}, {(l, j): CFG.uniformizer(v)}),
+                       ({(l, j): CFG.uniformizer(v)}, {(l, j): wide})):
+            dense = [EndV.from_entries(CFG, e) for e in (xs, ys)]
+            assert outcome(lambda: dense[0] - dense[1]) is PrecisionError
+            assert outcome(lat.contains_difference, xs, ys) is PrecisionError
+
+
+def test_entries_at_or_above_their_bounds_are_not_subtracted(monkeypatch):
+    """Over the standard basis an entry whose two sides both lie at or
+    above its bound is accepted with no subtraction: a spy on
+    Scalar.__sub__ sees no call for such pairs, full-window and unequal,
+    and the verdict is the difference's.  An entry below its bound on
+    either side is still formed."""
+    rng = random.Random(75)
+    pairs = []
+    for lat in (STD.lattice(1), STD.lattice(2), thirds_seq().lattice(2)):
+        assert lat._std
+        for _ in range(10):
+            keys = rng.sample([(l, j) for l in range(8) for j in range(8)],
+                              rng.randrange(1, 12))
+            xs, ys = ({k: CFG.random(rng, width=rng.choice((1, 8)),
+                                     vmin=lat._val_bounds[k[0]][k[1]],
+                                     vmax=lat._val_bounds[k[0]][k[1]] + 2,
+                                     nonzero=True) for k in keys}
+                      for _ in range(2))
+            pairs.append((lat, xs, ys, True))
+            (l, j), c = next(iter(xs.items()))
+            v = lat._val_bounds[l][j] - 1
+            below = {**ys, (l, j): Scalar(CFG, v, c.coeffs)}
+            pairs.append((lat, xs, below, False))
+    wants = [ref_contains(lat, EndV.from_entries(CFG, xs)
+                          - EndV.from_entries(CFG, ys))
+             for lat, xs, ys, _ in pairs]
+    assert wants == [inside for *_, inside in pairs]
+    calls = []
+    original = Scalar.__sub__
+    monkeypatch.setattr(Scalar, "__sub__",
+                        lambda a, b: calls.append((a, b)) or original(a, b))
+    for (lat, xs, ys, inside), want in zip(pairs, wants):
+        del calls[:]
+        assert lat.contains_difference(xs, ys) is want
+        assert bool(calls) is not inside
 
 
 @pytest.mark.parametrize("p, q", ((5, 7), (7, 11)))

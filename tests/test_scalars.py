@@ -361,6 +361,44 @@ def test_window_cancellation_still_raises(ext):
             _same(x * y, ref_mul(x, y))
 
 
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_sums_inside_the_window_never_raise(p, ext):
+    """Property: + and - of canonical scalars no wider than the window
+    never raise PrecisionError.  Where the valuations differ the lower
+    operand's leading digit survives; where they are equal the result
+    fits the window.  The partners of x near-cancel it: they share the
+    first k digits of x (all of them, with a tail past x, for k =
+    len(x.coeffs)), at x's valuation or a few places off it, and enter
+    negated into the sums.  Every result is the reference's, digit for
+    digit, and some cancel x's leading digits or all of its digits."""
+    cancelled = zeros = 0
+    for n in (4, 8):
+        cfg = FieldConfig(p, n, ext)
+        r = cfg.residue
+        rng = random.Random(76)
+        for _ in range(60):
+            x = cfg.random(rng, width=rng.randrange(1, n + 1), vmin=-3,
+                           vmax=3, nonzero=True)
+            partners = [x, -x, cfg.random(rng, width=n, vmin=-3, vmax=3)]
+            for k in range(len(x.coeffs) + 1):
+                tail = [r.random(rng) for _ in range(rng.randrange(n - k + 1))]
+                for shift in (0, 0, rng.randrange(-n, n + 1)):
+                    partners.append(cfg.from_coeffs(x.val + shift,
+                                                    list(x.coeffs[:k]) + tail))
+            for y in partners:
+                assert len(y.coeffs) <= n
+                for a, b in ((x, y), (y, x)):
+                    d = a - b
+                    _same(d, ref_sub(a, b))
+                    _same(a + (-b), ref_add(a, ref_neg(b)))
+                    _same(a + b, ref_add(a, b))
+                    zeros += d.is_zero
+                    cancelled += (not (d.is_zero or a.is_zero or b.is_zero)
+                                  and d.val > min(a.val, b.val))
+    assert zeros and cancelled
+
+
 def test_mixed_configs_raise_even_with_zero_operands():
     a, b = FieldConfig(5, 8), FieldConfig(7, 8)
     pairs = [(a.one(), b.one()), (a.zero(), b.one()), (a.one(), b.zero()),
