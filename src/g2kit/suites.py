@@ -1,6 +1,11 @@
-"""Named verification suites over the whole library; each check returns a
-pass/fail status with a counterexample string on failure.  The CLI and
-the acceptance tests both run these.
+"""Named verification suites over the whole library, declared in one
+table.  CHECKS holds one Check(suite, name, run) row per report check, in
+report order; SUITE_NAMES is the order in which the suites first appear
+there.  run(cfg, rng, table) returns None or a counterexample string, and
+run_suite runs the rows of one suite in table order through run_check,
+with one random.Random(seed) and one _RunTable for the run.  Adding a
+check means adding its function and one row.  The CLI and the acceptance
+tests both run these.
 
 The identity checks are decisions on a basis, not samples.  Each identity
 has integer structure constants (octonions.BASIS_PRODUCT, the triality
@@ -17,7 +22,7 @@ T^T G T = G for each word's table.  Products, tables and verdicts live
 for one check call.  Sampled checks remain where the input is random by
 nature: idempotent-identities (random isotropic pairs), psi-homomorphism
 (random generator pairs) and gamma-perp-random (random stable subspaces)
-draw from the suite's rng.
+draw from the suite's rng; no other check reads it.
 
 Each fact has one check.  Some constructors verify the object they return
 and raise on failure: extend_sl3, extend_su21 and extend_dim4 through
@@ -33,14 +38,15 @@ fixtures.sl3_norm_values() in the norm suite (the fixtures.THIRDS
 extension of maximinorante, uniqueness-perturbation and
 filtration-multiplicativity among them), the standard lattice sequence in
 the filtration suite, and the stratum corpus and the sl3 type-D lift of
-lift-roundtrip and refinement-congruence in the strata suite.  Every
-reader takes the table of its run."""
+lift-roundtrip and refinement-congruence in the strata suite."""
 
 from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from . import fixtures
 from .endo import (SO_LABELS, EndV, d_torus_lie, leibniz_defects, so_coords,
@@ -96,17 +102,6 @@ def _all_root_pairs():
 
 # -- octonion suite ---------------------------------------------------------------
 
-def _octonion_checks(cfg, rng):
-    yield "unit-law", lambda: _unit_law(cfg)
-    yield "norm-multiplicative", lambda: _norm_multiplicative(cfg)
-    yield "conjugation", lambda: _conjugation(cfg)
-    yield "f-transfer", lambda: _f_transfer(cfg)
-    yield "alternative-laws", lambda: _alternative_laws(cfg)
-    yield "doubling-chains", lambda: _doubling_chains(cfg)
-    yield "idempotent-identities", lambda: _idempotent_sweep(cfg, rng)
-    yield "split-polarization", lambda: _polarization_check(cfg)
-
-
 def _basis(cfg):
     return [basis_octonion(cfg, label) for label in LABELS]
 
@@ -116,7 +111,7 @@ def _products(xs, ys):
     return [[x * y for y in ys] for x in xs]
 
 
-def _unit_law(cfg):
+def _unit_law(cfg, rng, table):
     unit = octonion_unit(cfg)
     for x in _basis(cfg):
         if unit * x != x or x * unit != x:
@@ -124,7 +119,7 @@ def _unit_law(cfg):
     return None
 
 
-def _conjugation(cfg):
+def _conjugation(cfg, rng, table):
     e = _basis(cfg)
     conj = [x.conj() for x in e]
     xy = _products(e, e)
@@ -137,7 +132,7 @@ def _conjugation(cfg):
     return None
 
 
-def _f_transfer(cfg):
+def _f_transfer(cfg, rng, table):
     """f(xy, z) = f(y, conj(x) z) = f(x, z conj(y)) on the 512 basis
     triples (the identity is trilinear)."""
     e = _basis(cfg)
@@ -155,7 +150,7 @@ def _f_transfer(cfg):
     return None
 
 
-def _alternative_laws(cfg):
+def _alternative_laws(cfg, rng, table):
     """x(xy) = (xx)y and (yx)x = y(xx): the associator a(x, y, z) =
     (xy)z - x(yz) on the 512 basis triples vanishes when the first two or
     the last two arguments agree, and changes sign when they swap."""
@@ -175,7 +170,7 @@ def _alternative_laws(cfg):
     return None
 
 
-def _norm_multiplicative(cfg):
+def _norm_multiplicative(cfg, rng, table):
     """Q(xy) = Q(x) Q(y), decided through f: Q has polar form f on the
     basis (2 Q(e_i) = f(e_i, e_i), Q(e_i + e_j) - Q(e_i) - Q(e_j) =
     f(e_i, e_j)), and the polarized law f(xy, zw) + f(xw, zy) =
@@ -202,7 +197,7 @@ def _norm_multiplicative(cfg):
     return None
 
 
-def _doubling_chains(cfg):
+def _doubling_chains(cfg, rng, table):
     e = lambda l: basis_octonion(cfg, l)
     chains = [
         (e(1) + e(-1), e(2) + e(-2), e(3) - e(-3)),
@@ -218,7 +213,7 @@ def _doubling_chains(cfg):
     return None
 
 
-def _idempotent_sweep(cfg, rng):
+def _idempotent_sweep(cfg, rng, table):
     """idempotents_from_isotropic_pair raises PairError unless e+ = -h h'
     and e- = -h' h are orthogonal idempotents summing to 1; the sweep reads
     that verdict on 100 random pairs and checks the rest against the
@@ -243,7 +238,7 @@ def _idempotent_sweep(cfg, rng):
     return None
 
 
-def _polarization_check(cfg):
+def _polarization_check(cfg, rng, table):
     d = hyperbolic_plane(cfg)
     wplus, wminus = split_polarization(d)
     wp = [Octonion(cfg, r) for r in wplus.rows]
@@ -258,18 +253,7 @@ def _polarization_check(cfg):
 
 # -- triality suite ---------------------------------------------------------------
 
-def _triality_checks(cfg, rng):
-    yield "root-triples", lambda: _root_triples(cfg)
-    yield "diagonal-triples", lambda: _diag_triples(cfg)
-    yield "glw-family", lambda: _glw_family(cfg)
-    yield "dim4-family", lambda: _dim4_family(cfg)
-    yield "dim2-family", lambda: _dim2_family(cfg)
-    yield "orbit-triples", lambda: _orbits(cfg)
-    yield "fixed-point-consistency", lambda: _fixed_points(cfg)
-    yield "product-decomposition", lambda: _barwedge(cfg)
-
-
-def _root_triples(cfg):
+def _root_triples(cfg, rng, table):
     """TrialityTriple runs check_related on the triple it is given and
     raises TripleError when the identity fails; the check reads that."""
     lam = cfg.t()
@@ -282,7 +266,7 @@ def _root_triples(cfg):
     return None
 
 
-def _diag_triples(cfg):
+def _diag_triples(cfg, rng, table):
     for i in (1, 2, 3, 4):
         try:
             diag_lie_triple(cfg, i, cfg.t())
@@ -291,7 +275,7 @@ def _diag_triples(cfg):
     return None
 
 
-def _glw_family(cfg):
+def _glw_family(cfg, rng, table):
     from .octonions import sqrt_scalar
     u = cfg.one() + cfg.t()
     g = [[cfg.from_int(4), cfg.zero(), cfg.zero()],
@@ -303,7 +287,7 @@ def _glw_family(cfg):
     return None
 
 
-def _dim4_family(cfg):
+def _dim4_family(cfg, rng, table):
     d4 = standard_split_dim4(cfg)
     e = lambda l: basis_octonion(cfg, l)
     a = e(2) + e(-2)
@@ -317,7 +301,7 @@ def _dim4_family(cfg):
     return None
 
 
-def _dim2_family(cfg):
+def _dim2_family(cfg, rng, table):
     d = anisotropic_plane(cfg)
     from .endo import special_hermitian_basis
     wm, w0, wp = special_hermitian_basis(d)
@@ -344,7 +328,7 @@ def _dim2_family(cfg):
     return None
 
 
-def _orbits(cfg):
+def _orbits(cfg, rng, table):
     tri = root_triple(cfg, -1, -3, cfg.t())
     if len(orbit_triples(tri)) != 6:
         return "orbit size"
@@ -358,7 +342,7 @@ def _so_basis(cfg):
     return [so_matrix(cfg, {k: cfg.one()}) for k in range(len(SO_LABELS))]
 
 
-def _fixed_points(cfg):
+def _fixed_points(cfg, rng, table):
     """The triality-fixed space equals the derivations, as subspaces of the
     28 so(V) coordinates.  Column k of T2 and T3 is what solve_lie_triple
     gives on basis element k; the fixed space is the kernel of the stacked
@@ -387,7 +371,7 @@ def _fixed_points(cfg):
     return None
 
 
-def _barwedge(cfg):
+def _barwedge(cfg, rng, table):
     """The product formula on the 64 pairs of the F-basis {1, c} of
     V0 = D and {b, c b} of W (b in the D-basis of W): both sides are
     F-bilinear in (v1 + w1, v2 + w2)."""
@@ -408,18 +392,6 @@ def _barwedge(cfg):
 
 # -- norm suite -------------------------------------------------------------------
 
-def _norm_checks(cfg, rng):
-    table = _RunTable()
-    yield "extend-sl3", lambda: _extend_sl3_fixtures(cfg, table)
-    yield "extend-su21", lambda: _extend_su21_fixtures(cfg)
-    yield "extend-dim4", lambda: _extend_dim4_fixtures(cfg)
-    yield "duality-involution", lambda: _duality_involution(cfg, table)
-    yield "maximinorante", lambda: _maximinorante(cfg, table)
-    yield "uniqueness-perturbation", lambda: _uniqueness(cfg, table)
-    yield "exponent-identities", lambda: _exponent_identities(cfg, table)
-    yield "filtration-multiplicativity", lambda: _filtration_mult(cfg, table)
-
-
 def _sl3_extension(cfg, vals, table):
     """The sl3 extension of the norm vals on W+ across the hyperbolic
     plane, built once per table."""
@@ -432,7 +404,7 @@ def _thirds_norm(cfg, table):
     return _sl3_extension(cfg, fixtures.THIRDS, table)
 
 
-def _extend_sl3_fixtures(cfg, table):
+def _extend_sl3_fixtures(cfg, rng, table):
     for vals in fixtures.sl3_norm_values():
         try:
             _sl3_extension(cfg, vals, table)
@@ -441,7 +413,7 @@ def _extend_sl3_fixtures(cfg, table):
     return None
 
 
-def _extend_su21_fixtures(cfg):
+def _extend_su21_fixtures(cfg, rng, table):
     from .endo import special_hermitian_basis
     for plane, e_expected in ((anisotropic_plane(cfg), 1),
                               (ramified_plane(cfg), 2)):
@@ -457,7 +429,7 @@ def _extend_su21_fixtures(cfg):
     return None
 
 
-def _extend_dim4_fixtures(cfg):
+def _extend_dim4_fixtures(cfg, rng, table):
     d4 = standard_split_dim4(cfg)
     e = lambda l: basis_octonion(cfg, l)
     for (ah, ak) in fixtures.dim4_witt_values():
@@ -479,7 +451,7 @@ def _extend_dim4_fixtures(cfg):
     return None
 
 
-def _duality_involution(cfg, table):
+def _duality_involution(cfg, rng, table):
     for vals in fixtures.sl3_norm_values():
         ext = _sl3_extension(cfg, vals, table)
         if dual_norm(dual_norm(ext)) != ext or dual_norm(ext) != ext:
@@ -487,7 +459,7 @@ def _duality_involution(cfg, table):
     return None
 
 
-def _maximinorante(cfg, table):
+def _maximinorante(cfg, rng, table):
     """alpha(x) + alpha(y) <= v(f(x, y)) for all x, y iff it holds on the
     64 pairs of the splitting basis: f is bilinear and alpha is the min
     over coordinates of v(xi_i) + alpha_i."""
@@ -499,7 +471,7 @@ def _maximinorante(cfg, table):
     return None
 
 
-def _uniqueness(cfg, table):
+def _uniqueness(cfg, rng, table):
     """No perturbation of the extension is a self-dual algebra norm: not
     one value raised by 1, which breaks the algebra-norm property, nor
     every value off the unit lines e_4, e_-4 lowered by 1, which keeps it
@@ -518,7 +490,7 @@ def _uniqueness(cfg, table):
     return None
 
 
-def _exponent_identities(cfg, table):
+def _exponent_identities(cfg, rng, table):
     e = lambda l: basis_octonion(cfg, l)
     for vals in fixtures.sl3_norm_values():
         ext = _sl3_extension(cfg, vals, table)
@@ -534,7 +506,7 @@ def _exponent_identities(cfg, table):
     return None
 
 
-def _filtration_mult(cfg, table):
+def _filtration_mult(cfg, rng, table):
     seq = lattice_seq_from_norm(_thirds_norm(cfg, table))
     gens = {k: lie_generators(seq, k) for k in (1, 2)}
     for k1 in (1, 2):
@@ -549,19 +521,7 @@ def _filtration_mult(cfg, table):
 
 # -- filtration suite -------------------------------------------------------------
 
-def _filtration_checks(cfg, rng):
-    table = _RunTable()
-    yield "moy-counterexample", lambda: _moy(cfg)
-    yield "quotient-congruences", lambda: _quotients(cfg, table)
-    yield "psi-homomorphism", lambda: _psi_hom(cfg, rng, table)
-    yield "psi-equivariance", lambda: _psi_equi(cfg, table)
-    yield "psi-injectivity", lambda: _psi_inj(cfg, table)
-    yield "trace-invariance", lambda: _trace_inv(cfg)
-    yield "gamma-perp-exhaustive", lambda: _gamma_exhaustive()
-    yield "gamma-perp-random", lambda: _gamma_random(rng)
-
-
-def _moy(cfg):
+def _moy(cfg, rng, table):
     for u in (cfg.t(), cfg.t(2), cfg.t() * 3):
         if not moy_counterexample(u):
             return f"u = {u}"
@@ -580,7 +540,7 @@ def _quotient_seqs(cfg, table):
             lattice_seq_from_norm(_thirds_norm(cfg, table)))
 
 
-def _quotients(cfg, table):
+def _quotients(cfg, rng, table):
     for seq in _quotient_seqs(cfg, table):
         for (r, s) in ((1, 1), (1, 2), (2, 3), (2, 4)):
             rep = quotient_iso_check(seq, r, s)
@@ -605,7 +565,7 @@ def _psi_hom(cfg, rng, table):
     return None
 
 
-def _psi_equi(cfg, table):
+def _psi_equi(cfg, rng, table):
     seq = _standard_seq(cfg, table)
     r, s = 1, 2
     lie_gamma = LieTrialityGroup()
@@ -626,7 +586,7 @@ def _psi_equi(cfg, table):
     return None
 
 
-def _psi_inj(cfg, table):
+def _psi_inj(cfg, rng, table):
     seq = _standard_seq(cfg, table)
     r, s = 1, 2
     d1, d2 = character_counts(seq, r, s)
@@ -645,7 +605,7 @@ def _psi_inj(cfg, table):
     return None
 
 
-def _trace_inv(cfg):
+def _trace_inv(cfg, rng, table):
     """T^T G T = G for the table T of each word, with G the Gram matrix of
     tr(xy) on the so(V) basis and column k of T the coordinates of the
     word's image of basis element k: tr(w(x) w(y)) = tr(xy) on every pair."""
@@ -659,7 +619,7 @@ def _trace_inv(cfg):
     return None
 
 
-def _gamma_exhaustive():
+def _gamma_exhaustive(cfg, rng, table):
     sp = standard_symplectic_swap(5)
     for x in enumerate_subspaces(5, 4):
         if sp.stable(x) and not gamma_perp(sp, x):
@@ -667,7 +627,7 @@ def _gamma_exhaustive():
     return None
 
 
-def _gamma_random(rng):
+def _gamma_random(cfg, rng, table):
     sp = standard_symplectic_cycle(7)
     for k in range(50):
         x = random_stable_subspace(sp, rng)
@@ -678,16 +638,6 @@ def _gamma_random(rng):
 
 # -- strata suite -----------------------------------------------------------------
 
-def _strata_checks(cfg, rng):
-    table = _RunTable()
-    corpus = lambda: table.get("corpus", lambda: fixtures.stratum_corpus(cfg))
-    yield "corpus-classification", lambda: _corpus(corpus())
-    yield "lift-depth", lambda: _lift_depth(corpus())
-    yield "lift-roundtrip", lambda: _lift_roundtrip(cfg, table)
-    yield "corrupted-rejection", lambda: _corrupted(cfg)
-    yield "refinement-congruence", lambda: _refinement(cfg, table)
-
-
 def _sl3_lift(cfg, table):
     """The type-D lift of fixtures.sl3_regular_data(cfg) across the
     hyperbolic plane, built once per table."""
@@ -695,7 +645,13 @@ def _sl3_lift(cfg, table):
         fixtures.sl3_regular_data(cfg), hyperbolic_plane(cfg)))
 
 
-def _corpus(corpus):
+def _stratum_corpus(cfg, table):
+    """fixtures.stratum_corpus(cfg), built once per table."""
+    return table.get("corpus", lambda: fixtures.stratum_corpus(cfg))
+
+
+def _corpus(cfg, rng, table):
+    corpus = _stratum_corpus(cfg, table)
     if len(corpus) < 12:
         return f"corpus too small: {len(corpus)}"
     for tag, s in corpus:
@@ -711,14 +667,14 @@ def _corpus(corpus):
     return None
 
 
-def _lift_depth(corpus):
-    for tag, s in corpus:
+def _lift_depth(cfg, rng, table):
+    for tag, s in _stratum_corpus(cfg, table):
         if not s.is_null and seq_valuation(s.seq, s.beta) != -s.n:
             return f"{tag}: depth not -n"
     return None
 
 
-def _lift_roundtrip(cfg, table):
+def _lift_roundtrip(cfg, rng, table):
     data = fixtures.sl3_regular_data(cfg)
     cl = classify(_sl3_lift(cfg, table))
     bw = cl.restricted["beta_matrix"]
@@ -729,7 +685,7 @@ def _lift_roundtrip(cfg, table):
     return None
 
 
-def _corrupted(cfg):
+def _corrupted(cfg, rng, table):
     for name, s in fixtures.corrupted_strata(cfg):
         rep = validate(s)
         if not rep["violations"]:
@@ -739,7 +695,7 @@ def _corrupted(cfg):
     return None
 
 
-def _refinement(cfg, table):
+def _refinement(cfg, rng, table):
     data = fixtures.sl3_regular_data(cfg)
     r = data.r
     pert = cfg.one()
@@ -760,14 +716,48 @@ def _refinement(cfg, table):
 
 # -- runner -----------------------------------------------------------------------
 
-_SUITES = {
-    "octonion": _octonion_checks,
-    "triality": _triality_checks,
-    "norms": _norm_checks,
-    "filtration": _filtration_checks,
-    "strata": _strata_checks,
-}
-SUITE_NAMES = tuple(_SUITES)
+Check = namedtuple("Check", "suite name run")
+
+CHECKS = (
+    Check("octonion", "unit-law", _unit_law),
+    Check("octonion", "norm-multiplicative", _norm_multiplicative),
+    Check("octonion", "conjugation", _conjugation),
+    Check("octonion", "f-transfer", _f_transfer),
+    Check("octonion", "alternative-laws", _alternative_laws),
+    Check("octonion", "doubling-chains", _doubling_chains),
+    Check("octonion", "idempotent-identities", _idempotent_sweep),
+    Check("octonion", "split-polarization", _polarization_check),
+    Check("triality", "root-triples", _root_triples),
+    Check("triality", "diagonal-triples", _diag_triples),
+    Check("triality", "glw-family", _glw_family),
+    Check("triality", "dim4-family", _dim4_family),
+    Check("triality", "dim2-family", _dim2_family),
+    Check("triality", "orbit-triples", _orbits),
+    Check("triality", "fixed-point-consistency", _fixed_points),
+    Check("triality", "product-decomposition", _barwedge),
+    Check("norms", "extend-sl3", _extend_sl3_fixtures),
+    Check("norms", "extend-su21", _extend_su21_fixtures),
+    Check("norms", "extend-dim4", _extend_dim4_fixtures),
+    Check("norms", "duality-involution", _duality_involution),
+    Check("norms", "maximinorante", _maximinorante),
+    Check("norms", "uniqueness-perturbation", _uniqueness),
+    Check("norms", "exponent-identities", _exponent_identities),
+    Check("norms", "filtration-multiplicativity", _filtration_mult),
+    Check("filtration", "moy-counterexample", _moy),
+    Check("filtration", "quotient-congruences", _quotients),
+    Check("filtration", "psi-homomorphism", _psi_hom),
+    Check("filtration", "psi-equivariance", _psi_equi),
+    Check("filtration", "psi-injectivity", _psi_inj),
+    Check("filtration", "trace-invariance", _trace_inv),
+    Check("filtration", "gamma-perp-exhaustive", _gamma_exhaustive),
+    Check("filtration", "gamma-perp-random", _gamma_random),
+    Check("strata", "corpus-classification", _corpus),
+    Check("strata", "lift-depth", _lift_depth),
+    Check("strata", "lift-roundtrip", _lift_roundtrip),
+    Check("strata", "corrupted-rejection", _corrupted),
+    Check("strata", "refinement-congruence", _refinement),
+)
+SUITE_NAMES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 
 def run_check(name: str, thunk) -> dict:
@@ -789,12 +779,12 @@ def run_check(name: str, thunk) -> dict:
 def run_suite(name: str, cfg: FieldConfig, seed: int) -> dict:
     """Run one suite; the report is deterministic for a given (cfg, seed)
     up to the wall-time field."""
-    if name not in _SUITES:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    rng = random.Random(seed)
+    rng, table = random.Random(seed), _RunTable()
     start = time.monotonic()
-    checks = [run_check(check_name, thunk)
-              for check_name, thunk in _SUITES[name](cfg, rng)]
+    checks = [run_check(check.name, partial(check.run, cfg, rng, table))
+              for check in CHECKS if check.suite == name]
     return {
         "schema": "g2kit-report/1",
         "suite": name,

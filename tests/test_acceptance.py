@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-from g2kit import fixtures
+from g2kit import fixtures, suites
 from g2kit.filtration import (enumerate_subspaces, gamma_perp,
                               moy_counterexample, quotient_iso_check,
                               random_stable_subspace,
@@ -15,15 +15,15 @@ from g2kit.filtration import (enumerate_subspaces, gamma_perp,
 from g2kit.norms import lattice_seq_from_norm, standard_norm, extend_sl3
 from g2kit.octonions import hyperbolic_plane
 from g2kit.scalars import FieldConfig
-from g2kit.suites import (_RunTable, _corpus, _corrupted, _diag_triples,
-                          _dim2_family, _dim4_family, _doubling_chains,
-                          _exponent_identities, _extend_dim4_fixtures,
-                          _extend_sl3_fixtures, _extend_su21_fixtures,
-                          _fixed_points, _glw_family, _idempotent_sweep,
-                          _lift_roundtrip, _orbits, _psi_equi, _psi_hom,
-                          _psi_inj, _root_triples, _uniqueness)
+from g2kit.suites import CHECKS, _RunTable
 
 CFG = FieldConfig(5, 8)
+RUN = {c.name: c.run for c in CHECKS}
+
+
+def check(name, rng=None, table=None):
+    """The named check at CFG, from a fresh rng and table unless given."""
+    return RUN[name](CFG, rng or random.Random(1), table or _RunTable())
 
 
 def report(num, label, failures, elapsed, budget=None):
@@ -37,23 +37,20 @@ def report(num, label, failures, elapsed, budget=None):
 
 def test_criterion_1_octonion_axioms():
     rng = random.Random(1)
-    from g2kit.suites import _octonion_checks
     start = time.monotonic()
     failures = []
-    wanted = {"unit-law", "norm-multiplicative", "conjugation",
-              "f-transfer", "alternative-laws"}
-    for name, thunk in _octonion_checks(CFG, rng):
-        if name in wanted:
-            bad = thunk()
-            if bad:
-                failures.append(f"{name}: {bad}")
+    for name in ("unit-law", "norm-multiplicative", "conjugation",
+                 "f-transfer", "alternative-laws"):
+        bad = check(name, rng)
+        if bad:
+            failures.append(f"{name}: {bad}")
     report(1, "octonion axioms decided on the basis", failures,
            time.monotonic() - start, budget=5)
 
 
 def test_criterion_2_doubling():
     start = time.monotonic()
-    bad = _doubling_chains(CFG)
+    bad = check("doubling-chains")
     report(2, "doubling formula entrywise on three chains",
            [bad] if bad else [], time.monotonic() - start)
 
@@ -61,7 +58,7 @@ def test_criterion_2_doubling():
 def test_criterion_3_idempotents():
     rng = random.Random(3)
     start = time.monotonic()
-    bad = _idempotent_sweep(CFG, rng)
+    bad = check("idempotent-identities", rng)
     report(3, "idempotent identities on 100 random isotropic pairs",
            [bad] if bad else [], time.monotonic() - start)
 
@@ -69,13 +66,9 @@ def test_criterion_3_idempotents():
 def test_criterion_4_triality_families():
     start = time.monotonic()
     failures = []
-    for name, thunk in (("roots", lambda: _root_triples(CFG)),
-                        ("diagonal", lambda: _diag_triples(CFG)),
-                        ("glw", lambda: _glw_family(CFG)),
-                        ("dim4", lambda: _dim4_family(CFG)),
-                        ("dim2", lambda: _dim2_family(CFG)),
-                        ("orbits", lambda: _orbits(CFG))):
-        bad = thunk()
+    for name in ("root-triples", "diagonal-triples", "glw-family",
+                 "dim4-family", "dim2-family", "orbit-triples"):
+        bad = check(name)
         if bad:
             failures.append(f"{name}: {bad}")
     report(4, "all explicit triality families and orbits", failures,
@@ -84,7 +77,7 @@ def test_criterion_4_triality_families():
 
 def test_criterion_5_fixed_points():
     start = time.monotonic()
-    bad = _fixed_points(CFG)
+    bad = check("fixed-point-consistency")
     report(5, "derivation <=> diagonal triple decided on the basis",
            [bad] if bad else [], time.monotonic() - start)
 
@@ -93,11 +86,9 @@ def test_criterion_6_norm_machinery():
     start = time.monotonic()
     failures = []
     table = _RunTable()
-    for name, thunk in (("sl3", lambda: _extend_sl3_fixtures(CFG, table)),
-                        ("su21", lambda: _extend_su21_fixtures(CFG)),
-                        ("dim4", lambda: _extend_dim4_fixtures(CFG)),
-                        ("uniqueness", lambda: _uniqueness(CFG, table))):
-        bad = thunk()
+    for name in ("extend-sl3", "extend-su21", "extend-dim4",
+                 "uniqueness-perturbation"):
+        bad = check(name, table=table)
         if bad:
             failures.append(f"{name}: {bad}")
     report(6, "norm extensions: algebra, self-dual, restriction, uniqueness",
@@ -108,7 +99,7 @@ def test_criterion_7_filtration_congruences():
     start = time.monotonic()
     failures = []
     table = _RunTable()
-    bad = _exponent_identities(CFG, table)
+    bad = check("exponent-identities", table=table)
     if bad:
         failures.append(f"(i) exponent identities: {bad}")
     d = hyperbolic_plane(CFG)
@@ -122,10 +113,8 @@ def test_criterion_7_filtration_congruences():
                 failures.append(
                     f"(ii) m={seq.m} ({r},{s}): {rep['violations'][0]}")
     rng = random.Random(7)
-    for name, thunk in (("hom", lambda: _psi_hom(CFG, rng, table)),
-                        ("equi", lambda: _psi_equi(CFG, table)),
-                        ("inj", lambda: _psi_inj(CFG, table))):
-        bad = thunk()
+    for name in ("psi-homomorphism", "psi-equivariance", "psi-injectivity"):
+        bad = check(name, rng, table)
         if bad:
             failures.append(f"(iii) {name}: {bad}")
     report(7, "Cayley/triality congruences and the character pairing",
@@ -165,14 +154,13 @@ def test_criterion_9_gamma_perp():
 def test_criterion_10_strata():
     start = time.monotonic()
     failures = []
-    corpus = fixtures.stratum_corpus(CFG)
-    for name, thunk in (("corpus", lambda: _corpus(corpus)),
-                        ("roundtrip", lambda: _lift_roundtrip(CFG,
-                                                              _RunTable())),
-                        ("corrupted", lambda: _corrupted(CFG))):
-        bad = thunk()
+    table = _RunTable()
+    for name in ("corpus-classification", "lift-roundtrip",
+                 "corrupted-rejection"):
+        bad = check(name, table=table)
         if bad:
             failures.append(f"{name}: {bad}")
+    corpus = suites._stratum_corpus(CFG, table)
     if len(corpus) < 12:
         failures.append("corpus smaller than 12")
     by_case = {}

@@ -1,40 +1,27 @@
 """The identity checks that the octonion, triality, norms and filtration
 suites decide on a basis, the checks that read the verdict of a
-constructor that verifies the object it returns, the other norm checks
-and the strata checks: each reports fail under a seeded fault in the data
-it decides and pass without it (ROADMAP item 8), and the sampled sweeps
-the basis decisions replaced (sampled_sweeps) still pass where they
-pass."""
+constructor that verifies the object it returns, the other norm checks,
+the strata checks and moy-counterexample: each reports fail under a
+seeded fault in the data it decides and pass without it (ROADMAP item 8).
+The sampled sweeps the basis decisions replaced (sampled_sweeps) still
+pass where they pass, and every check name here is a row of the one check
+table, suites.CHECKS."""
 
 import random
+from functools import partial
 
 import pytest
 from sampled_sweeps import (barwedge_sweep, fixed_points_sweep,
                             maximinorante_sweep)
 
-from g2kit import endo, fixtures, norms, octonions, strata, suites, triality
+from g2kit import (endo, filtration, fixtures, norms, octonions, strata,
+                   suites, triality)
 from g2kit.errors import DomainError
 from g2kit.norms import NormFn
 from g2kit.octonions import IDX
 from g2kit.scalars import FieldConfig
-from g2kit.suites import _SUITES, run_check
+from g2kit.suites import CHECKS, SUITE_NAMES, _RunTable, run_check
 
-SUITE_OF = {"unit-law": "octonion", "norm-multiplicative": "octonion",
-            "conjugation": "octonion", "f-transfer": "octonion",
-            "alternative-laws": "octonion", "doubling-chains": "octonion",
-            "fixed-point-consistency": "triality",
-            "product-decomposition": "triality", "maximinorante": "norms",
-            "trace-invariance": "filtration",
-            "extend-sl3": "norms", "extend-su21": "norms",
-            "extend-dim4": "norms", "root-triples": "triality",
-            "diagonal-triples": "triality",
-            "idempotent-identities": "octonion",
-            "duality-involution": "norms", "uniqueness-perturbation": "norms",
-            "exponent-identities": "norms",
-            "filtration-multiplicativity": "norms",
-            "corpus-classification": "strata", "lift-depth": "strata",
-            "lift-roundtrip": "strata", "corrupted-rejection": "strata",
-            "refinement-congruence": "strata"}
 # the checks that read the sl3 extensions of fixtures.sl3_norm_values()
 SL3_READERS = ("extend-sl3", "duality-involution", "maximinorante",
                "uniqueness-perturbation", "exponent-identities",
@@ -42,9 +29,10 @@ SL3_READERS = ("extend-sl3", "duality-involution", "maximinorante",
 
 
 def _report(name, cfg):
-    [thunk] = [t for n, t in _SUITES[SUITE_OF[name]](cfg, random.Random(1))
-               if n == name]
-    return run_check(name, thunk)
+    """The check's report entry, run alone from random.Random(1)."""
+    [check] = [c for c in CHECKS if c.name == name]
+    return run_check(name, partial(check.run, cfg, random.Random(1),
+                                   _RunTable()))
 
 
 def _flip_product(monkeypatch, left, right, module=octonions):
@@ -225,6 +213,14 @@ def _lower_regular_r(monkeypatch):
                         lambda cfg: data(cfg, r=-2))
 
 
+def _unit_cayley_scalar(monkeypatch):
+    """C(lambda) = 1 for every lambda: the determinant of C(X) on W+ then
+    reads 1, against the basis test, which still finds C(X) outside the
+    automorphism group."""
+    monkeypatch.setattr(filtration, "cayley_scalar",
+                        lambda lam: lam.cfg.one())
+
+
 def _negate_bar_wedge(monkeypatch):
     wedge = triality.HermitianModel.bar_wedge
     monkeypatch.setattr(triality.HermitianModel, "bar_wedge",
@@ -249,6 +245,8 @@ FAULTS = {
     "extend-dim4": _swap_idempotents,
     "root-triples": lambda mp: _flip_product(mp, 1, 2, endo),
     "diagonal-triples": _negate_diag_t3,
+    "dim2-family": lambda mp: _flip_product(mp, 1, 2, endo),
+    "orbit-triples": lambda mp: _flip_product(mp, 1, 2, endo),
     # -h h' and -h' h then fail idempotents_from_isotropic_pair's checks
     "idempotent-identities": lambda mp: _flip_product(mp, 1, -1),
     # the faults below act on what the check decides from an intact
@@ -264,6 +262,8 @@ FAULTS = {
     "lift-roundtrip": _negate_restriction,
     "corrupted-rejection": _accept_every_splitting,
     "refinement-congruence": _lower_regular_r,
+    # the filtration check reads two verdicts and fails when they differ
+    "moy-counterexample": _unit_cayley_scalar,
 }
 
 
@@ -341,14 +341,32 @@ def test_sampled_oracles_pass_where_the_decisions_pass():
     assert maximinorante_sweep(cfg, rng, 500) is None
 
 
-@pytest.mark.parametrize("suite", ("octonion", "triality", "norms"))
-def test_only_idempotent_identities_draws_from_the_rng(suite):
+# the checks that sample their input from the suite's rng
+SAMPLED = ("idempotent-identities", "psi-homomorphism", "gamma-perp-random")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_only_the_sampled_checks_draw_from_the_rng(suite):
+    """The suite's checks as run_suite runs them, from one rng and one
+    table."""
     cfg = FieldConfig(5, 8)
-    rng = random.Random(1)
+    rng, table = random.Random(1), _RunTable()
+    checks = [c for c in CHECKS if c.suite == suite]
     drew = []
-    for name, thunk in _SUITES[suite](cfg, rng):
+    for check in checks:
         state = rng.getstate()
-        assert run_check(name, thunk)["status"] == "pass"
+        assert run_check(check.name, partial(check.run, cfg, rng, table))[
+            "status"] == "pass"
         if rng.getstate() != state:
-            drew.append(name)
-    assert drew == (["idempotent-identities"] if suite == "octonion" else [])
+            drew.append(check.name)
+    assert drew == [c.name for c in checks if c.name in SAMPLED]
+
+
+def test_check_names_are_unique():
+    names = [c.name for c in CHECKS]
+    assert len(set(names)) == len(names)
+
+
+def test_faults_and_readers_are_table_checks():
+    names = {c.name for c in CHECKS}
+    assert set(FAULTS) <= names and set(SL3_READERS) <= names

@@ -5,14 +5,23 @@ a report, which then says so."""
 
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from g2kit.scalars import FieldConfig
-from g2kit.suites import _SUITES, run_check, run_suite
+from g2kit.suites import CHECKS, _RunTable, run_check, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run_checks(suite, cfg, names):
+    """The named checks of one suite as run_suite runs them, from one
+    random.Random(1) and one table, without the suite's other checks."""
+    rng, table = random.Random(1), _RunTable()
+    return [run_check(c.name, partial(c.run, cfg, rng, table))
+            for c in CHECKS if c.suite == suite and c.name in names]
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
@@ -24,25 +33,23 @@ def test_triality_report_matches_golden(p):
 
 
 # the checks that reach the hermitian code (endo.HermitianSpace)
-HERMITIAN_CHECKS = {"triality": ("dim2-family", "product-decomposition"),
-                    "norms": ("extend-su21",),
-                    "strata": ("corpus-classification", "lift-depth")}
+HERMITIAN_CHECKS = ("dim2-family", "product-decomposition", "extend-su21",
+                    "corpus-classification", "lift-depth")
 
 
 @pytest.mark.parametrize("ext", ("unramified", "ramified"))
 def test_hermitian_checks_over_extensions_match_golden(ext):
     """The hermitian checks at (5, 8) over each quadratic extension, run
-    as run_suite runs them but without the suite's other checks: each
-    suite's checks come from one random.Random(1), and
-    product-decomposition, decided on the 64 basis pairs, draws nothing
-    from it.  Over the ramified extension,
+    as run_suite runs them but without the suite's other checks, grouped
+    by suite: product-decomposition, decided on the 64 basis pairs, draws
+    nothing from the rng.  Over the ramified extension,
     extend-su21, corpus-classification and lift-depth fail; the golden
     keeps their counterexample strings."""
     cfg = FieldConfig(5, 8, ext)
-    report = {suite: [run_check(name, thunk)
-                      for name, thunk in _SUITES[suite](cfg, random.Random(1))
-                      if name in names]
-              for suite, names in HERMITIAN_CHECKS.items()}
+    suites = dict.fromkeys(c.suite for c in CHECKS
+                           if c.name in HERMITIAN_CHECKS)
+    report = {suite: _run_checks(suite, cfg, HERMITIAN_CHECKS)
+              for suite in suites}
     path = GOLDEN / "hermitian_checks_p5_n8_seed1.json"
     assert report == json.loads(path.read_text())[ext]
 
@@ -69,8 +76,9 @@ def test_strata_report_over_extensions_matches_golden(p, ext):
     assert report == json.loads(path.read_text())
 
 
-# the filtration checks other than gamma-perp-*, which list F_p subspaces
-# vector by vector and take most of the suite's time
+# the filtration checks other than gamma-perp-*, which ignore cfg (they
+# work over F_5 and F_7 whatever the report's p; ROADMAP item 9), so a
+# golden per p would repeat their verdicts
 FILTRATION_CHECKS = ("moy-counterexample", "quotient-congruences",
                      "psi-homomorphism", "psi-equivariance",
                      "psi-injectivity", "trace-invariance")
@@ -78,13 +86,14 @@ FILTRATION_CHECKS = ("moy-counterexample", "quotient-congruences",
 
 @pytest.mark.parametrize("p", (5, 11))
 def test_filtration_checks_match_golden(p):
-    """The filtration checks as run_suite runs them, from one
-    random.Random(1), without the two gamma-perp checks (they come last and
-    draw nothing the others use)."""
-    cfg = FieldConfig(p, 8)
-    report = [run_check(name, thunk)
-              for name, thunk in _SUITES["filtration"](cfg, random.Random(1))
-              if name in FILTRATION_CHECKS]
+    """The filtration checks without the two gamma-perp checks (they come
+    last and draw nothing the others use)."""
+    report = _run_checks("filtration", FieldConfig(p, 8), FILTRATION_CHECKS)
     assert [c["name"] for c in report] == list(FILTRATION_CHECKS)
     path = GOLDEN / f"filtration_p{p}_n8_seed1.json"
     assert report == json.loads(path.read_text())
+
+
+def test_golden_check_lists_are_table_checks():
+    names = {c.name for c in CHECKS}
+    assert set(HERMITIAN_CHECKS) <= names and set(FILTRATION_CHECKS) <= names

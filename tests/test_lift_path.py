@@ -27,7 +27,7 @@ from g2kit.strata import (Stratum, StratumData, WitnessBlock,
                           _block_valuation, _is_x_factor, _mirror_kernel,
                           _reflect_poly, classify, lift_type_d_sl3,
                           lift_type_d_su21, validate)
-from g2kit.suites import _corpus, run_suite
+from g2kit.suites import CHECKS, _RunTable, run_suite
 
 CONFIGS = [FieldConfig(p, 8, ext) for p in (5, 7) for ext in EXTENSIONS]
 IDS = [f"p{c.p}-{c.extension}" for c in CONFIGS]
@@ -337,7 +337,8 @@ def test_strata_suite_builds_the_corpus_once(cfg, monkeypatch):
 def test_corpus_check_validates_each_stratum_once(monkeypatch):
     """corpus-classification reads the violations from classify, which
     validates: one validate call per stratum, and a stratum that fails is
-    still reported by its first violation."""
+    still reported by its first violation.  The check is run alone on the
+    corpus it is handed as fixtures.stratum_corpus."""
     import g2kit.strata as strata_mod
     cfg = FieldConfig(11, 8)
     corpus = fixtures.stratum_corpus(cfg)
@@ -349,12 +350,17 @@ def test_corpus_check_validates_each_stratum_once(monkeypatch):
         return original(s)
 
     monkeypatch.setattr(strata_mod, "validate", counting)
-    assert _corpus(corpus) is None
+    [check] = [c for c in CHECKS if c.name == "corpus-classification"]
+
+    def run(given):
+        monkeypatch.setattr(fixtures, "stratum_corpus", lambda c: given)
+        return check.run(cfg, None, _RunTable())
+    assert run(corpus) is None
     assert len(calls) == len(corpus) == 14
     tag = corpus[0][0]
     for _, bad in fixtures.corrupted_strata(cfg):
         want = original(bad)["violations"][0]
-        assert _corpus([(tag, bad)] + corpus[1:]) == f"{tag}: {want}"
+        assert run([(tag, bad)] + corpus[1:]) == f"{tag}: {want}"
 
 
 def test_one_volume_call_per_sl3_lift(monkeypatch):
