@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from .errors import PrecisionError
 from .scalars import FieldConfig
 from .suites import SUITE_NAMES, run_all, run_suite
 
@@ -59,14 +58,10 @@ def main(argv=None) -> int:
         cfg = FieldConfig(args.p, args.precision)
     except Exception as exc:
         parser.error(str(exc))  # exits 2
-    try:
-        if args.suite == "all":
-            reports = run_all(cfg, args.seed)
-        else:
-            reports = [run_suite(args.suite, cfg, args.seed)]
-    except PrecisionError as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
+    if args.suite == "all":
+        reports = run_all(cfg, args.seed)
+    else:
+        reports = [run_suite(args.suite, cfg, args.seed)]
     payload = json.dumps(reports, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

@@ -401,21 +401,16 @@ class FiltrationLattice:
     where x or y is nonzero: a difference of two sparse offsets g - 1
     (filtration.cayley_offset) costs a few entries.  It decides by
     valuation before it subtracts: an entry whose two sides both lie at
-    or above its bound, and are no wider than the window, is accepted
-    with no subtraction, since a nonzero difference has valuation at
-    least the lesser of theirs; an entry equal to its partner is skipped,
-    its difference being an exact zero; every other difference is formed,
-    also after a failing entry.  A skipped difference could not raise: a
-    sum or difference of canonical series no wider than the window keeps
-    its leading digit where the valuations differ and fits the window
-    where they are equal.  So a PrecisionError (whose text is one
-    constant) is raised exactly when forming the whole dense difference
-    raises one; only an operand wider than the window, built directly
-    with Scalar, can raise it.  Over any other basis the difference is
-    formed dense and contains decides.  An input over another field
-    config raises ConfigMismatchError; its configs are compared as
-    Scalar._check compares them (is, then ==), so an equal config built
-    separately is accepted."""
+    or above its bound is accepted with no subtraction, since a nonzero
+    difference has valuation at least the lesser of theirs, and an entry
+    equal to its partner is skipped, its difference being an exact zero.
+    No subtraction can raise PrecisionError (every Scalar fits its
+    window), so the one error to keep is ConfigMismatchError: every entry
+    is checked as the walk visits it, also after a failing entry.  Over
+    any other basis the difference is formed dense and contains decides.
+    An input over another field config raises ConfigMismatchError; its
+    configs are compared as Scalar._check compares them (is, then ==), so
+    an equal config built separately is accepted."""
 
     def __init__(self, seq: LatticeSeq, k: int):
         self.seq = seq
@@ -462,27 +457,27 @@ class FiltrationLattice:
     def contains_difference(self, xs: dict, ys: dict) -> bool:
         """Membership of x - y, for x and y given by their entries
         {(l, j): Scalar}, such as the offsets g - 1 that
-        filtration.cayley_offset gives.  Over the standard basis the
-        entries of x are visited, then those found only in y; a pair at
-        or above its bound and inside the window is accepted unformed
-        (see the class docstring), and the walk goes on after a failing
-        entry, so an error is raised as the dense difference raises it."""
+        filtration.cayley_offset gives.  Over the standard basis this is
+        one pass over the entries of x, then over those of y, each entry's
+        config checked where it is visited; a pair at or above its bound is
+        accepted unformed (see the class docstring)."""
         cfg = self.cfg
-        for c in chain(xs.values(), ys.values()):
-            if c.cfg is not cfg:
-                self._check_config(c.cfg)
         if not self._std:
+            for c in chain(xs.values(), ys.values()):
+                if c.cfg is not cfg:
+                    self._check_config(c.cfg)
             return self.contains(EndV.from_entries(cfg, xs)
                                  - EndV.from_entries(cfg, ys))
-        bounds, n = self._val_bounds, cfg.precision
+        bounds = self._val_bounds
         ok = True
         for (l, j), a in xs.items():
+            if a.cfg is not cfg:
+                self._check_config(a.cfg)
             bound = bounds[l][j]
             b = ys.get((l, j))
             if b is None:
                 d = a
-            elif (a.val >= bound and b.val >= bound
-                  and len(a.coeffs) <= n and len(b.coeffs) <= n):
+            elif a.val >= bound and b.val >= bound:
                 continue  # x_lj - y_lj lies at or above the bound
             elif a.val == b.val and a.coeffs == b.coeffs:
                 continue
@@ -491,7 +486,9 @@ class FiltrationLattice:
             if d.coeffs and d.val < bound:
                 ok = False
         for (l, j), b in ys.items():
-            # -b has b's valuation, and negation cannot raise
+            if b.cfg is not cfg:
+                self._check_config(b.cfg)
+            # -b has b's valuation
             if b.coeffs and b.val < bounds[l][j] and (l, j) not in xs:
                 ok = False
         return ok
@@ -502,9 +499,8 @@ class FiltrationLattice:
         in this lattice.  Over the standard basis this is one pass over
         g.rows: c - 1 is formed on the diagonal (an exact one gives an
         exact zero with no arithmetic), and every nonzero entry of y is
-        tested against its bound, going on after a failing entry, so a
-        PrecisionError is raised where forming y raises one.  Over any
-        other basis y is formed dense and contains decides."""
+        tested against its bound.  Over any other basis y is formed dense
+        and contains decides."""
         one = self.cfg.one()
         g.rows[0][0]._check(one)  # as forming c - 1 checks every entry
         if not self._std:

@@ -8,8 +8,8 @@ coefficient tuples, the residues of a truncated Laurent series from its
 leading term on: aligned sum and difference, negation, truncated
 convolution, truncated series inverse and the signed sum of products
 dot_series.  They take canonical tuples (reduced residues, no leading or
-trailing zero) and return canonical ones, so a series operation costs one
-call, not one per coefficient.
+trailing zero, at most the window's n coefficients) and return canonical
+ones, so a series operation costs one call, not one per coefficient.
 
 dot_series is exact: it keeps int accumulators over a span the caller
 has checked to hold every full product, reduces each output coefficient
@@ -23,7 +23,7 @@ linear algebra over F_p (FieldConfig has the same ones for Scalars).
 
 import operator
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 
 
 def is_prime(n: int) -> bool:
@@ -65,17 +65,17 @@ class _SeriesKernels:
     def add_series(self, va, a, vb, b, n):
         """u^va * a + u^vb * b on the n-coefficient window from the lower
         valuation, as a canonical (val, coeffs)."""
-        if va == vb and len(a) == len(b) <= n:
-            # equal supports inside the window (about three quarters of the
-            # sums and nine tenths of the differences in the benchmark
-            # workloads) need no shifting, truncation or tail check
+        if va == vb and len(a) == len(b):
+            # equal supports (about three quarters of the sums and nine
+            # tenths of the differences in the benchmark workloads) need no
+            # shifting or truncation
             lo, coeffs = self.strip(self._plus(a, b))
             return (va + lo, coeffs) if coeffs else (0, ())
         return self._aligned(va, a, vb, b, n, False)
 
     def sub_series(self, va, a, vb, b, n):
         """u^va * a - u^vb * b, windowed as in add_series."""
-        if va == vb and len(a) == len(b) <= n:
+        if va == vb and len(a) == len(b):
             lo, coeffs = self.strip(self._minus(a, b))
             return (va + lo, coeffs) if coeffs else (0, ())
         return self._aligned(va, a, vb, b, n, True)
@@ -84,6 +84,11 @@ class _SeriesKernels:
         return tuple(self._negs(a))
 
     def _aligned(self, va, a, vb, b, n, sub):
+        """The sum or difference of two canonical series of at most n
+        coefficients, cut to the n-coefficient window from the lower
+        valuation.  Where the valuations differ the lower operand's leading
+        digit survives; where they are equal the result fits the window.
+        So the cut never leaves an empty window over a nonzero tail."""
         # f starts first, s starts d places later; whichever of them is b
         # enters negated when subtracting
         if va <= vb:
@@ -111,12 +116,7 @@ class _SeriesKernels:
             elif ls > k:
                 out += self._negs(s[k:]) if neg_s else s[k:]
         lo, coeffs = self.strip(out[:n])
-        if coeffs:
-            return m + lo, coeffs
-        if any(c != self.ZERO for c in out[n:]):
-            raise PrecisionError(
-                "sum cancels through the whole representable window")
-        return 0, ()
+        return (m + lo, coeffs) if coeffs else (0, ())
 
 
 class PrimeField(_SeriesKernels):
@@ -266,8 +266,7 @@ class PrimeField(_SeriesKernels):
                 (x0, x1), (y0, y1) = a, b
                 return ((x0 * y0) % p, (x0 * y1 + x1 * y0) % p, (x1 * y1) % p)
         else:
-            # a's digits past the window reach no digit of the product
-            width, a = n, a[:n]
+            width = n
         acc = [0] * width
         for i, x in enumerate(a):
             if x:
@@ -421,7 +420,7 @@ class QuadField(_SeriesKernels):
         width = len(a) + len(b) - 1
         full = width <= n
         if not full:
-            width, a = n, a[:n]
+            width = n
         re, im = [0] * width, [0] * width
         for i, (x0, x1) in enumerate(a):
             if x0 or x1:

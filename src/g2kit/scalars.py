@@ -2,17 +2,18 @@
 quadratic extensions, with a hard truncation window of N coefficients.
 
 A nonzero scalar stores its leading valuation (an integer count of
-uniformizer powers, so 1/e-units over an extension) and at most N residue
+uniformizer powers, so 1/e-units over an extension) and its residue
 coefficients; it denotes the series sum c_j * pi^(val+j) known modulo
-pi^(val+N).  Sums are truncated to the common representable window, as are
-products; a sum whose known coefficients cancel entirely while an unknown
-tail remains raises PrecisionError so that failures stay attributable.
-A product with an exact one (valuation 0, the single coefficient 1) is the
-other operand and the inverse of one is one: the kernels would return the
-same digits, so these cases skip them, after the same config and zero
-checks, and every digit and error stays as the kernels give it.  An
-operand wider than the window (built directly with Scalar) still goes
-through mul_series, which cuts it.
+pi^(val+N).  Every Scalar holds at most N coefficients: the constructor
+raises PrecisionError on a wider tuple, and no operation makes one.
+Sums are truncated to the common representable window, as are products,
+so no ring operation raises PrecisionError.  Precision is not tracked:
+the digits a cancellation brings into the window past what the operands
+knew read as zeros.
+A product with an exact one (valuation 0, the single coefficient 1) is
+the other operand and the inverse of one is one: the kernels would return
+the same digits, so these cases skip them, after the same config and zero
+checks.
 dot evaluates a signed sum of products as the left fold of these
 operations does, in one residue-kernel call when the fold truncates
 nothing, and a single term as the one product it is.
@@ -191,20 +192,22 @@ def _build(cfg: FieldConfig, val: int, coeffs: list) -> "Scalar":
     lo, coeffs = cfg.residue.strip(coeffs)
     if not coeffs:
         return cfg.zero()
-    width = len(coeffs)
-    if width > cfg.precision:
-        raise PrecisionError(
-            f"support width {width} exceeds the {cfg.precision}-coefficient window")
     return Scalar(cfg, val + lo, coeffs)
 
 
 class Scalar:
-    """Immutable truncated Laurent series over the residue field."""
+    """Immutable truncated Laurent series over the residue field, of at
+    most cfg.precision coefficients.  coeffs is canonical (reduced
+    residues, no leading or trailing zero) as _build and the residue
+    kernels give it; only its width is checked here."""
 
     # is_zero is stored: linear algebra asks it of every entry it visits
     __slots__ = ("cfg", "val", "coeffs", "is_zero")
 
     def __init__(self, cfg: FieldConfig, val: int, coeffs: tuple):
+        if len(coeffs) > cfg.precision:
+            raise PrecisionError(f"support width {len(coeffs)} exceeds the "
+                                 f"{cfg.precision}-coefficient window")
         self.cfg = cfg
         self.val = val
         self.coeffs = coeffs
@@ -295,11 +298,10 @@ class Scalar:
         if not self.coeffs or not other.coeffs:
             return cfg._zero
         # an exact one: the kernel would return the other operand's digits
-        # (an operand wider than the window is left to it, to be cut)
-        one, n = cfg._residue.ONE, cfg.precision
-        if other.val == 0 and other.coeffs == one and len(self.coeffs) <= n:
+        one = cfg._residue.ONE
+        if other.val == 0 and other.coeffs == one:
             return self
-        if self.val == 0 and self.coeffs == one and len(other.coeffs) <= n:
+        if self.val == 0 and self.coeffs == one:
             return other if other.cfg is cfg else Scalar(cfg, other.val, other.coeffs)
         return Scalar(cfg, self.val + other.val, cfg._residue.mul_series(
             self.coeffs, other.coeffs, cfg.precision))
@@ -419,11 +421,13 @@ def _parse_coeff(cfg: FieldConfig, text: str):
 
 
 def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
-    """Parse the sparse-monomial format produced by str(scalar)."""
+    """Parse the sparse-monomial format produced by str(scalar).  A series
+    wider than the window raises PrecisionError, as from_coeffs does."""
     text = text.strip()
     if text == "0":
         return cfg.zero()
-    out = cfg.zero()
+    r = cfg.residue
+    terms = {}
     for term in _TERM_SEP.split(text):
         m = _TERM.match(term.strip())
         if not m:
@@ -431,9 +435,12 @@ def parse_scalar(cfg: FieldConfig, text: str) -> Scalar:
         const, coeff, u, k = m.groups()
         if const is None and u != cfg.uniformizer_name:
             raise DomainError(f"wrong uniformizer in {term!r}")
-        c = _parse_coeff(cfg, const or coeff or "1")
-        out = out + cfg.monomial(c, 0 if const else int(k))
-    return out
+        k = 0 if const else int(k)
+        c = r.coerce(_parse_coeff(cfg, const or coeff or "1"))
+        terms[k] = r.add(terms.get(k, r.zero()), c)
+    lo = min(terms)
+    return _build(cfg, lo, [terms.get(k, r.zero())
+                            for k in range(lo, max(terms) + 1)])
 
 
 def dot(cfg: FieldConfig, terms) -> Scalar:
@@ -443,8 +450,8 @@ def dot(cfg: FieldConfig, terms) -> Scalar:
 
     When the support of every full product fits one N-coefficient span,
     from the least valuation to the largest end, the left fold truncates
-    no product and no partial sum, so the exact sum is the fold's result
-    and no PrecisionError can arise: that sum is one residue-kernel call.
+    no product and no partial sum, so the exact sum is the fold's result:
+    that sum is one residue-kernel call.
     The span is decided from (val, len) alone, and its width is tested only
     where lo or hi moves; once it exceeds the window, the spans are no
     longer collected and the terms fold.  The operands' configs are

@@ -221,6 +221,42 @@ def _unit_cayley_scalar(monkeypatch):
                         lambda lam: lam.cfg.one())
 
 
+def _double_inverse_corner(monkeypatch):
+    """triality's matrix inverse with entry (0, 0) doubled: iota then acts
+    on (e_-1, e_-2, e_-3) by a matrix that is not the inverse transpose
+    of g."""
+    invert = triality.inv
+
+    def doubled(a):
+        out = [list(row) for row in invert(a)]
+        out[0][0] = out[0][0] + out[0][0]
+        return out
+    monkeypatch.setattr(triality, "inv", doubled)
+
+
+def _negate_assembled_column(monkeypatch):
+    """triality's assemble with image column 4 negated: each map of a
+    dim-4 triple sends its fifth basis vector to minus its image."""
+    assemble = triality.assemble
+
+    def negated(cfg, basis_oct, image_cols):
+        cols = list(image_cols)
+        cols[4] = [-c for c in cols[4]]
+        return assemble(cfg, basis_oct, cols)
+    monkeypatch.setattr(triality, "assemble", negated)
+
+
+def _repeat_first_idempotent(monkeypatch):
+    """standard_idempotents gives (e+, e+): W- is then W+, which W+ . W+
+    does not drop into."""
+    idempotents = octonions.standard_idempotents
+
+    def repeated(d):
+        eplus, _ = idempotents(d)
+        return eplus, eplus
+    monkeypatch.setattr(octonions, "standard_idempotents", repeated)
+
+
 def _negate_bar_wedge(monkeypatch):
     wedge = triality.HermitianModel.bar_wedge
     monkeypatch.setattr(triality.HermitianModel, "bar_wedge",
@@ -237,6 +273,7 @@ FAULTS = {
     "doubling-chains": lambda mp: _flip_product(mp, 1, 2),
     "fixed-point-consistency": lambda mp: _flip_lie_table(mp, "t2"),
     "product-decomposition": _negate_bar_wedge,
+    "split-polarization": _repeat_first_idempotent,
     "maximinorante": _raise_alpha,
     "trace-invariance": lambda mp: _flip_lie_table(mp, None, "rho"),
     # the faults below act on what a constructor verifies before it returns
@@ -247,6 +284,8 @@ FAULTS = {
     "diagonal-triples": _negate_diag_t3,
     "dim2-family": lambda mp: _flip_product(mp, 1, 2, endo),
     "orbit-triples": lambda mp: _flip_product(mp, 1, 2, endo),
+    "glw-family": _double_inverse_corner,
+    "dim4-family": _negate_assembled_column,
     # -h h' and -h' h then fail idempotents_from_isotropic_pair's checks
     "idempotent-identities": lambda mp: _flip_product(mp, 1, -1),
     # the faults below act on what the check decides from an intact

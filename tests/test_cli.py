@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from g2kit import suites
 from g2kit.cli import main
+from g2kit.errors import PrecisionError
 
 
 def run_cli(args, capsys):
@@ -30,6 +32,23 @@ def test_octonion_suite_passes(capsys):
     reports = json.loads(out)
     assert reports[0]["schema"] == "g2kit-report/1"
     assert all(c["status"] == "pass" for c in reports[0]["checks"])
+
+
+def test_precision_exhaustion_exits_3(capsys, monkeypatch):
+    """A check that raises PrecisionError is reported precision-exhausted
+    with the error's text, the other checks still run, and the exit code
+    is 3."""
+    def exhausted(cfg, rng, table):
+        raise PrecisionError("window exhausted")
+    rows = [check._replace(run=exhausted) if check.name == "unit-law"
+            else check for check in suites.CHECKS]
+    monkeypatch.setattr(suites, "CHECKS", tuple(rows))
+    code, out = run_cli(["--suite", "octonion"], capsys)
+    assert code == 3
+    checks = json.loads(out)[0]["checks"]
+    assert checks[0] == {"name": "unit-law", "status": "precision-exhausted",
+                         "counterexample": "window exhausted"}
+    assert all(c["status"] == "pass" for c in checks[1:]) and checks[1:]
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -1992,43 +1992,32 @@ def test_entrywise_group_membership_matches_the_difference():
                         (False, False)}
 
 
-def overwide(cfg):
-    """1 + t^N with N + 1 stored coefficients: subtracting 1 cancels the
-    whole window and leaves a tail, which raises PrecisionError."""
-    return Scalar(cfg, 0, (1,) + (0,) * (cfg.precision - 1) + (1,))
-
-
 def test_entrywise_decisions_raise_where_the_difference_raises():
-    """The differences are formed after a failing entry too, so the error
-    of the last entry is raised as the full difference raises it."""
+    """The entries are walked on after a failing entry too, so an entry
+    over another field config after it raises the ConfigMismatchError
+    that forming the full difference raises."""
+    foreign = FieldConfig(7, 8)
     for lat in (STD.lattice(1), skew_seq().lattice(1)):
         one = EndV.identity(CFG)
         bad = [list(row) for row in one.rows]
-        bad[0][1] = CFG.one()          # fails the bound first
-        bad[7][7] = overwide(CFG)      # then raises on subtraction
+        bad[0][1] = CFG.t(-3)          # fails the bound first
+        failing = EndV(CFG, bad)
+        bad[7][7] = foreign.one() + foreign.t()  # then raises on subtraction
         g = EndV(CFG, bad)
-        assert outcome(ref_contains_group, lat, g) is PrecisionError
-        assert outcome(lat.offset_columns, g) is PrecisionError
-        assert outcome(lambda: ref_contains(lat, g - one)) is PrecisionError
+        assert outcome(ref_contains_group, lat, failing) is False
+        assert outcome(lat.offset_columns, failing)[0] is False
+        assert outcome(ref_contains_group, lat, g) is ConfigMismatchError
+        assert outcome(lat.offset_columns, g) is ConfigMismatchError
+        assert outcome(lambda: ref_contains(lat, g - one)) is ConfigMismatchError
         # the entries given sparse, as cayley_offset gives them
-        gs, ones = g.entries(), one.entries()
-        assert outcome(lat.contains_difference, gs, ones) is PrecisionError
-        assert outcome(lat.contains_difference, ones, gs) is PrecisionError
+        fs, gs, ones = failing.entries(), g.entries(), one.entries()
+        assert outcome(lat.contains_difference, fs, ones) is False
+        assert outcome(lat.contains_difference, ones, fs) is False
+        assert outcome(lat.contains_difference, gs, ones) is ConfigMismatchError
+        assert outcome(lat.contains_difference, ones, gs) is ConfigMismatchError
         # equal entries are skipped: their difference is an exact zero
-        assert outcome(ref_contains, lat, g - g) is True
-        assert outcome(lat.contains_difference, gs, gs) is True
-        # an over-wide entry at its bound, against a partner at the same
-        # valuation: both sides lie at or above the bound, but the
-        # difference cancels the whole window and leaves a tail
-        l, j = 0, 1
-        v = lat._val_bounds[l][j]
-        wide = Scalar(CFG, v, overwide(CFG).coeffs)
-        assert len(wide.coeffs) == CFG.precision + 1
-        for xs, ys in (({(l, j): wide}, {(l, j): CFG.uniformizer(v)}),
-                       ({(l, j): CFG.uniformizer(v)}, {(l, j): wide})):
-            dense = [EndV.from_entries(CFG, e) for e in (xs, ys)]
-            assert outcome(lambda: dense[0] - dense[1]) is PrecisionError
-            assert outcome(lat.contains_difference, xs, ys) is PrecisionError
+        assert outcome(ref_contains, lat, failing - failing) is True
+        assert outcome(lat.contains_difference, fs, fs) is True
 
 
 def test_entries_at_or_above_their_bounds_are_not_subtracted(monkeypatch):
@@ -2209,8 +2198,8 @@ def raised(f, *args):
 def test_psi_b_one_pass_raises_as_the_dense_route():
     """On the thirds sequence (standard basis, one pass) and on the skew
     one (dense route): the same MembershipErrors, b before x, and a
-    PrecisionError from forming x - 1 on the diagonal raised after an
-    entry of x - 1 has already failed its bound, as forming the whole
+    ConfigMismatchError from forming x - 1 on the diagonal raised after
+    an entry of x - 1 has already failed its bound, as forming the whole
     difference raises it; an x over another field raises the
     ConfigMismatchError that forming x - 1 raises."""
     r, s = 1, 2
@@ -2228,21 +2217,22 @@ def test_psi_b_one_pass_raises_as_the_dense_route():
         if not one_pass:  # the matrix with coordinates y on the basis
             y = linalg.mat_mul(lat._b, linalg.mat_mul(y, lat._binv))
         bad_x = ONE + EndV(CFG, y)
+        foreign = FieldConfig(7, 8)
         bad = [list(row) for row in bad_x.rows]
-        bad[7][7] = overwide(CFG)  # then raises on subtraction
-        wide_x = EndV(CFG, bad)
-        foreign_x = cayley(u_root_lie(FieldConfig(7, 8), 1, 2,
-                                      FieldConfig(7, 8).t(3)))
+        bad[7][7] = foreign.one() + foreign.t()  # then raises on subtraction
+        mixed_x = EndV(CFG, bad)
+        foreign_x = cayley(u_root_lie(foreign, 1, 2, foreign.t(3)))
         seen = set()
         for b in (good_b, bad_b):
-            for x in (good_x, bad_x, wide_x, foreign_x):
+            for x in (good_x, bad_x, mixed_x, foreign_x):
                 want = raised(ref_psi_b, seq, s, b, x, r)
                 assert raised(psi_b, seq, s, b, x, r) == want
                 seen.add(want if isinstance(want, tuple) else int)
         assert seen == {int, (MembershipError, "b must lie in A_{1-s}"),
                         (MembershipError, "x must lie in P^r"),
-                        (PrecisionError, raised(lambda: wide_x - ONE)[1]),
+                        raised(lambda: mixed_x - ONE),
                         raised(lambda: foreign_x - ONE)}
+        assert raised(lambda: mixed_x - ONE) == raised(lambda: foreign_x - ONE)
 
 
 def test_trace_triality_invariance_matches_the_word_loop():

@@ -194,6 +194,26 @@ def test_str_parse_roundtrip():
         parse_scalar(CFG, "1w")
 
 
+@pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_parse_refuses_a_series_wider_than_the_window(p, ext):
+    """A term past the window raises the PrecisionError that from_coeffs
+    raises on the same series, in either order of the terms; the widest
+    series that fits is read whole."""
+    cfg = FieldConfig(p, 8, ext)
+    u, n = cfg.uniformizer_name, cfg.precision
+    for k in (n, n + 1):
+        with pytest.raises(PrecisionError) as want:
+            cfg.from_coeffs(0, [1] + [0] * (k - 1) + [1])
+        for text in (f"1 + {u}^{k}", f"{u}^{k} + 1", f"{u}^-3 + {u}^{k - 3}"):
+            with pytest.raises(PrecisionError) as got:
+                parse_scalar(cfg, text)
+            assert str(got.value) == str(want.value)
+    fits = cfg.one() + cfg.uniformizer(n - 1)
+    assert parse_scalar(cfg, f"1 + {u}^{n - 1}") == fits
+    assert parse_scalar(cfg, f"{u}^{n - 1} + 1") == fits
+
+
 # -- kernel oracle ------------------------------------------------------------
 # The per-coefficient arithmetic that the residue fields' tuple kernels
 # replaced, kept as the reference they must match digit for digit.
@@ -338,40 +358,31 @@ def test_kernels_match_per_coefficient_reference(p, ext, n):
 
 
 @pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
-def test_window_cancellation_still_raises(ext):
-    # only an over-wide operand can cancel through the window with a tail
-    cfg = FieldConfig(7, 4, ext)
-    one = cfg.residue.one()
-    wide = Scalar(cfg, 0, (one,) + (cfg.residue.zero(),) * 3 + (one,))
-    for op in (lambda: wide + (-1), lambda: wide - 1, lambda: (-1) + wide,
-               lambda: wide + cfg.from_int(-1)):
-        with pytest.raises(PrecisionError,
-                           match="sum cancels through the whole representable window"):
-            op()
-    with pytest.raises(PrecisionError):
-        ref_add(wide, -1)
-    # an over-wide operand is cut to the window, whatever the other is
-    zero, two = cfg.residue.zero(), cfg.residue.add(one, one)
-    wide2 = Scalar(cfg, 0, (two, zero, zero, zero, one))
-    for other in (wide, wide2, cfg.from_int(3), cfg.monomial(1, 4), cfg.monomial(1, 9),
-                  cfg.one() + cfg.t()):
-        for x, y in ((wide, other), (other, wide)):
-            _same(x + y, ref_add(x, y))
-            _same(x - y, ref_sub(x, y))
-            _same(x * y, ref_mul(x, y))
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_scalar_wider_than_the_window_is_refused(p, ext):
+    """Every Scalar fits its window: building one of N + 1 coefficients
+    raises PrecisionError, and one of N coefficients is built."""
+    for n in (4, 8):
+        cfg = FieldConfig(p, n, ext)
+        one, zero = cfg.residue.one(), cfg.residue.zero()
+        with pytest.raises(PrecisionError, match=(
+                f"support width {n + 1} exceeds the {n}-coefficient window")):
+            Scalar(cfg, 0, (one,) + (zero,) * (n - 1) + (one,))
+        assert len(Scalar(cfg, 0, (one,) * n).coeffs) == n
 
 
 @pytest.mark.parametrize("ext", ["none", "unramified", "ramified"])
 @pytest.mark.parametrize("p", [5, 7])
 def test_sums_inside_the_window_never_raise(p, ext):
-    """Property: + and - of canonical scalars no wider than the window
-    never raise PrecisionError.  Where the valuations differ the lower
-    operand's leading digit survives; where they are equal the result
-    fits the window.  The partners of x near-cancel it: they share the
-    first k digits of x (all of them, with a tail past x, for k =
-    len(x.coeffs)), at x's valuation or a few places off it, and enter
-    negated into the sums.  Every result is the reference's, digit for
-    digit, and some cancel x's leading digits or all of its digits."""
+    """Property: +, -, *, unary -, inv and dot of scalars, each of which
+    fits the window, never raise PrecisionError.  Where the valuations
+    differ the lower operand's leading digit survives; where they are
+    equal the result fits the window.  The partners of x near-cancel it:
+    they share the first k digits of x (all of them, with a tail past x,
+    for k = len(x.coeffs)), at x's valuation or a few places off it, and
+    enter negated into the sums.  Every result is the reference's (dot's
+    is its fold's), digit for digit, and some sums cancel x's leading
+    digits or all of its digits."""
     cancelled = zeros = 0
     for n in (4, 8):
         cfg = FieldConfig(p, n, ext)
@@ -393,6 +404,12 @@ def test_sums_inside_the_window_never_raise(p, ext):
                     _same(d, ref_sub(a, b))
                     _same(a + (-b), ref_add(a, ref_neg(b)))
                     _same(a + b, ref_add(a, b))
+                    _same(a * b, ref_mul(a, b))
+                    _same(-a, ref_neg(a))
+                    if not a.is_zero:
+                        _same(a.inv(), ref_inv(a))
+                    terms = [(1, a, b), (-1, b, x), (1, y, a)]
+                    _same(dot(cfg, terms), fold_dot(cfg, terms))
                     zeros += d.is_zero
                     cancelled += (not (d.is_zero or a.is_zero or b.is_zero)
                                   and d.val > min(a.val, b.val))
@@ -553,18 +570,15 @@ def test_dot_checks_every_operand_config_after_the_span_overflows(monkeypatch):
                                     (5, "unramified"), (7, "unramified")])
 def test_one_term_dot_is_the_signed_product(p, ext):
     """dot of one term (s, x, y) equals fold_dot digit for digit: exact
-    ones, zeros, full-window operands and operands wider than the window
-    (built directly with Scalar), s = +-1; an operand of another config
-    raises ConfigMismatchError in either place, a zero or a one included."""
+    ones, zeros and full-window operands, s = +-1; an operand of another
+    config raises ConfigMismatchError in either place, a zero or a one
+    included."""
     cfg = FieldConfig(p, 8, ext)
     rng = random.Random(p + len(ext))
-    r = cfg.residue
     n = cfg.precision
-    wide = Scalar(cfg, 1, tuple(r.random(rng, nonzero=True)
-                                for _ in range(n + 3)))
     operands = [cfg.one(), cfg.zero(), -cfg.one(), cfg.t(3),
                 _operand(rng, cfg, 2, False), _operand(rng, cfg, n, False),
-                _operand(rng, cfg, n, True), wide]
+                _operand(rng, cfg, n, True)]
     other = FieldConfig(11, 8)
     for x in operands:
         for y in operands:
@@ -578,32 +592,25 @@ def test_one_term_dot_is_the_signed_product(p, ext):
 
 
 @pytest.mark.parametrize("p, ext", [(5, "none"), (7, "unramified")])
-def test_a_left_factor_wider_than_the_window_is_cut(p, ext):
-    """A factor with more coefficients than the window (built directly
-    with Scalar) times one that is not a monomial, in either order, is the
-    per-coefficient product: its digits past the window reach no digit of
-    the product.  mul_series took the left factor whole and sliced the
-    right one from its end once a digit lay past the window, so
-    Scalar(cfg, 1, (1,) * 11) * Scalar(cfg, 0, (1, 2)) raised IndexError;
-    dot and fold_dot reach the same kernel."""
+def test_a_product_wider_than_the_window_is_cut(p, ext):
+    """A product of two factors inside the window whose full support is
+    wider than the window, in either order, is the per-coefficient
+    product cut to the window; dot and fold_dot reach the same kernel."""
     cfg = FieldConfig(p, 8, ext)
-    r, n = cfg.residue, cfg.precision
+    n = cfg.precision
     rng = random.Random(140 + p)
-    ones = Scalar(cfg, 1, (r.one(),) * (n + 3))
-    assert (ones * Scalar(cfg, 0, (r.one(), r.coerce(2)))).val == 1
-    wides = [ones] + [Scalar(cfg, rng.randrange(-2, 3),
-                             tuple(r.random(rng, nonzero=True)
-                                   for _ in range(w)))
-                      for w in (n + 1, n + 2, 2 * n + 1)]
-    others = wides + [_operand(rng, cfg, w, far)
-                      for w in (2, 3, n) for far in (False, True)]
-    for x in wides:
-        for y in others:
+    operands = [_operand(rng, cfg, w, far)
+                for w in (2, 3, n) for far in (False, True)]
+    cut = 0
+    for x in operands:
+        for y in operands:
+            cut += len(x.coeffs) + len(y.coeffs) - 1 > n
             _same(x * y, ref_mul(x, y))
             _same(y * x, ref_mul(y, x))
             for terms in ([(1, x, y)], [(-1, y, x)], [(1, x, y), (1, y, x)]):
                 assert _outcome(dot, cfg, terms) == \
                     _outcome(fold_dot, cfg, terms)
+    assert cut
 
 
 # -- call sites ------------------------------------------------------------------
@@ -808,12 +815,6 @@ def test_exact_one_keeps_every_digit(p, ext, n):
                               (x * 1, kernel_mul(x, 1)), (1 * x, kernel_mul(x, 1))):
                 _same(got, want)
                 _same(got, ref_mul(x, one))
-    # an operand wider than the window is still cut, as the kernel cuts it
-    r = cfg.residue
-    wide = Scalar(cfg, 0, (r.one(),) + (r.zero(),) * n + (r.one(),))
-    for got, want in ((wide * one, kernel_mul(wide, one)), (one * wide, kernel_mul(one, wide))):
-        _same(got, want)
-        assert len(got.coeffs) <= n
 
 
 def test_exact_one_product_carries_the_left_config():
